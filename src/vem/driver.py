@@ -188,8 +188,39 @@ def path_cost(problem: OcpProblem, states: StateTrajectory,
     return float(problem.terminal_cost(states.values[-1], grid.tf)) + float(path.y_end[0])
 
 
+@dataclass
+class Evaluation:
+    """The snapshot pipeline run once at one evolving vector.
+
+    ``states`` and ``ctrl`` are the trajectories every formula reads; for
+    the coupled method they are the snapshot's own (``snap``), for the
+    control-only method the propagated states under the node controls.
+    """
+
+    grid: TimeGrid
+    ctrl: ControlTrajectory
+    states: StateTrajectory
+    stack: TransitionStack
+    nodes: third_eq.NodeInputs
+    gu: np.ndarray
+    pi: Optional[np.ndarray]
+    snap: Optional[second_eq.SecondEqSnapshot] = None
+
+
 class EvolutionSystem:
-    """The assembled tau-IVP: layout, right-hand side, snapshot pipeline."""
+    """The assembled tau-IVP: layout, right-hand side, snapshot pipeline.
+
+    ``rhs``, ``residuals``, ``gradient_norm`` and the coupled method's
+    ``snapshot`` all read one ``Evaluation`` of the vector they are given.
+    The last evaluation is kept, keyed by the vector's exact bytes, so a
+    vector seen twice in a row is evaluated once: the integrator's last
+    stage of an accepted step and the convergence check on that step, or
+    the assembly probe at y0, the threshold scaling and the first field
+    call.  A vector that differs in any bit, including one mutated in
+    place after a call, misses the cache and is evaluated afresh.  The
+    control-only snapshot propagates its states together with the cost, so
+    it runs its own evaluation and leaves the cache alone.
+    """
 
     def __init__(self, problem: OcpProblem, gains: GainSet, method: str,
                  n_nodes: int, opts: IntegratorOptions, y0: np.ndarray,
@@ -202,6 +233,8 @@ class EvolutionSystem:
         self.layout = StateLayout(method, n_nodes, problem.n, problem.m,
                                   problem.tf_free)
         self.y0 = y0
+        self._last_key: Optional[bytes] = None
+        self._last: Optional[Evaluation] = None
 
     @property
     def dimension(self) -> int:
@@ -215,64 +248,76 @@ class EvolutionSystem:
                 f"{third_eq.TF_MIN_WIDTH:g}")
         return TimeGrid(self.layout.n_nodes, self.problem.t0, horizon)
 
-    def _solve_pi(self, states, ctrl, stack, gu):
-        # Control-only method: always the quasi-feasible multiplier system
-        # (snapshots satisfy the dynamics by construction, the terminal
-        # constraint only asymptotically).
-        if self.problem.q == 0:
-            return None
-        mat = third_eq.multiplier_matrix(self.problem, states, ctrl, stack,
-                                         self.gains)
-        r = third_eq.multiplier_rhs(self.problem, states, ctrl, stack, gu,
-                                    self.gains, mode="quasi_feasible")
-        return third_eq.solve_multipliers(
-            third_eq.MultiplierSystem(mat, r, "quasi_feasible"))
+    def evaluate(self, vec) -> Evaluation:
+        """The pipeline at ``vec``, reused when the last call saw the same
+        bytes."""
+        vec = np.asarray(vec, dtype=float)
+        key = vec.tobytes()
+        if key != self._last_key:
+            # The evaluation keeps views of the vector it unpacks, so it
+            # gets a private copy.
+            if self.method == "third":
+                evaluation = self._evaluate_third(vec.copy())
+            else:
+                evaluation = self._evaluate_second(vec.copy())
+            self._last_key, self._last = key, evaluation
+        return self._last
 
-    # -- control-only pipeline -------------------------------------------
-    def _pipeline_third(self, vec):
+    def _evaluate_third(self, vec) -> Evaluation:
         controls, _, tf = self.layout.unpack(vec)
         grid = self._grid(tf)
         ctrl = ControlTrajectory.from_values(grid, controls)
-        states = propagate_states(self.problem, ctrl, grid, self.opts)
-        stack = transition_stack(self.problem, states, ctrl, self.opts)
-        gu = third_eq.control_gradient(self.problem, states, ctrl, stack)
-        pi = self._solve_pi(states, ctrl, stack, gu)
-        return grid, ctrl, states, stack, gu, pi
+        return self._along(grid, ctrl, propagate_states(
+            self.problem, ctrl, grid, self.opts))
 
-    def _rhs_third(self, tau, vec):
-        grid, ctrl, states, stack, gu, pi = self._pipeline_third(vec)
-        udot = third_eq.control_rhs(self.problem, states, ctrl, stack, gu,
-                                    pi, self.gains)
-        tf_dot = None
-        if self.problem.tf_free:
-            tf_dot = third_eq.tf_rhs(self.problem, states, ctrl, pi, self.gains)
-        return self.layout.pack(udot, tf=tf_dot) if self.problem.tf_free \
-            else self.layout.pack(udot)
-
-    # -- coupled pipeline -------------------------------------------------
-    def _pipeline_second(self, vec):
+    def _evaluate_second(self, vec) -> Evaluation:
         controls, states_nodes, tf = self.layout.unpack(vec)
         grid = self._grid(tf)
         snap = second_eq.SecondEqSnapshot.create(grid, states_nodes, controls)
-        stack = transition_stack(self.problem, snap.state_traj, snap.ctrl_traj,
-                                 self.opts)
-        gu = third_eq.control_gradient(self.problem, snap.state_traj,
-                                       snap.ctrl_traj, stack)
-        pi = None
-        if self.problem.q > 0:
-            pi = second_eq.multiplier_second(self.problem, snap, stack,
-                                             self.gains, self.mode)
-        return grid, snap, stack, gu, pi
+        return self._along(grid, snap.ctrl_traj, snap.state_traj, snap)
 
-    def _rhs_second(self, tau, vec):
-        grid, snap, stack, gu, pi = self._pipeline_second(vec)
-        udot = third_eq.control_rhs(self.problem, snap.state_traj,
-                                    snap.ctrl_traj, stack, gu, pi, self.gains)
-        wdot = second_eq.state_rhs_second(self.problem, snap, stack, udot,
+    def _along(self, grid, ctrl, states, snap=None) -> Evaluation:
+        """Backward sweep, node Jacobians, gradient and multipliers along
+        given trajectories; ``snap`` selects the coupled multiplier system."""
+        problem = self.problem
+        stack = transition_stack(problem, states, ctrl, self.opts)
+        nodes = third_eq.node_inputs(problem, states, ctrl)
+        gu = third_eq.control_gradient(problem, states, ctrl, stack, nodes=nodes)
+        pi = None
+        if problem.q > 0 and snap is not None:
+            pi = second_eq.multiplier_second(problem, snap, stack, self.gains,
+                                             self.mode, gu=gu, nodes=nodes)
+        elif problem.q > 0:
+            # Control-only method: always the quasi-feasible multiplier
+            # system (snapshots satisfy the dynamics by construction, the
+            # terminal constraint only asymptotically).
+            mat = third_eq.multiplier_matrix(problem, states, ctrl, stack,
+                                             self.gains, nodes=nodes)
+            r = third_eq.multiplier_rhs(problem, states, ctrl, stack, gu,
+                                        self.gains, mode="quasi_feasible",
+                                        nodes=nodes)
+            pi = third_eq.solve_multipliers(
+                third_eq.MultiplierSystem(mat, r, "quasi_feasible"))
+        return Evaluation(grid, ctrl, states, stack, nodes, gu, pi, snap)
+
+    def _rate_third(self, ev: Evaluation):
+        udot = third_eq.control_rhs(self.problem, ev.states, ev.ctrl, ev.stack,
+                                    ev.gu, ev.pi, self.gains, nodes=ev.nodes)
+        if not self.problem.tf_free:
+            return self.layout.pack(udot)
+        tf_dot = third_eq.tf_rhs(self.problem, ev.states, ev.ctrl, ev.pi,
+                                 self.gains)
+        return self.layout.pack(udot, tf=tf_dot)
+
+    def _rate_second(self, ev: Evaluation):
+        snap, grid = ev.snap, ev.grid
+        udot = third_eq.control_rhs(self.problem, ev.states, ev.ctrl, ev.stack,
+                                    ev.gu, ev.pi, self.gains, nodes=ev.nodes)
+        wdot = second_eq.state_rhs_second(self.problem, snap, ev.stack, udot,
                                           self.gains, self.mode, self.opts)
         if not self.problem.tf_free:
             return self.layout.pack(udot, states=wdot)
-        tf_dot = second_eq.tf_rhs_second(self.problem, snap, pi,
+        tf_dot = second_eq.tf_rhs_second(self.problem, snap, ev.pi,
                                          self.gains, self.mode)
         # Nodes sit on normalized time, so a moving horizon drags their
         # physical positions; the stored state and control functions pick
@@ -281,31 +326,25 @@ class EvolutionSystem:
         # the designed constraint decay never closes.
         stretch = grid.sigma[:, None] * tf_dot
         wdot = wdot + snap.xdot * stretch
-        udot = udot + snap.ctrl_traj.spline.derivative(grid.times) * stretch
+        udot = udot + ev.ctrl.spline.derivative(grid.times) * stretch
         return self.layout.pack(udot, states=wdot, tf=tf_dot)
 
     # -- public surface ----------------------------------------------------
     def rhs(self, tau, vec):
+        ev = self.evaluate(vec)
         if self.method == "third":
-            return self._rhs_third(tau, vec)
-        return self._rhs_second(tau, vec)
+            return self._rate_third(ev)
+        return self._rate_second(ev)
 
     def residuals(self, vec) -> third_eq.Residuals:
-        if self.method == "third":
-            _, ctrl, states, stack, gu, pi = self._pipeline_third(vec)
-        else:
-            _, snap, stack, gu, pi = self._pipeline_second(vec)
-            states, ctrl = snap.state_traj, snap.ctrl_traj
-        return third_eq.optimality_residuals(self.problem, states, ctrl,
-                                             stack, gu, pi)
+        ev = self.evaluate(vec)
+        return third_eq.optimality_residuals(self.problem, ev.states, ev.ctrl,
+                                             ev.stack, ev.gu, ev.pi,
+                                             nodes=ev.nodes)
 
     def gradient_norm(self, vec) -> float:
         """Sup-norm of the cost gradient at a snapshot (threshold scaling)."""
-        if self.method == "third":
-            _, _, _, _, gu, _ = self._pipeline_third(vec)
-        else:
-            _, _, _, gu, _ = self._pipeline_second(vec)
-        return float(np.max(np.abs(gu)))
+        return float(np.max(np.abs(self.evaluate(vec).gu)))
 
     def snapshot(self, tau, vec) -> SnapshotRecord:
         if self.method == "third":
@@ -313,20 +352,20 @@ class EvolutionSystem:
             grid = self._grid(tf)
             ctrl = ControlTrajectory.from_values(grid, controls)
             states, cost = propagate_with_cost(self.problem, ctrl, grid, self.opts)
-            stack = transition_stack(self.problem, states, ctrl, self.opts)
-            gu = third_eq.control_gradient(self.problem, states, ctrl, stack)
-            pi = self._solve_pi(states, ctrl, stack, gu)
+            ev = self._along(grid, ctrl, states)
         else:
-            grid, snap, stack, gu, pi = self._pipeline_second(vec)
-            states, ctrl = snap.state_traj, snap.ctrl_traj
-            cost = path_cost(self.problem, states, ctrl, grid, self.opts)
-        res = third_eq.optimality_residuals(self.problem, states, ctrl, stack,
-                                            gu, pi)
-        costates = third_eq.reconstruct_costates(self.problem, states, stack, pi)
-        return SnapshotRecord(float(tau), grid.times.copy(), ctrl.values.copy(),
-                              states.values.copy(), costates, cost,
-                              None if pi is None else np.asarray(pi, dtype=float),
-                              grid.tf, res)
+            ev = self.evaluate(vec)
+            cost = path_cost(self.problem, ev.states, ev.ctrl, ev.grid, self.opts)
+        res = third_eq.optimality_residuals(self.problem, ev.states, ev.ctrl,
+                                            ev.stack, ev.gu, ev.pi,
+                                            nodes=ev.nodes)
+        costates = third_eq.reconstruct_costates(self.problem, ev.states,
+                                                 ev.stack, ev.pi)
+        return SnapshotRecord(float(tau), ev.grid.times.copy(),
+                              ev.ctrl.values.copy(), ev.states.values.copy(),
+                              costates, cost,
+                              None if ev.pi is None else np.asarray(ev.pi, dtype=float),
+                              ev.grid.tf, res)
 
 
 def assemble_ivp(problem: OcpProblem, method: str, n_nodes: int,

@@ -4,6 +4,12 @@ Spline construction delegates to scipy's not-a-knot cubic spline (with its
 built-in degree fallback for 2-3 nodes); evaluation goes through a light
 Horner path because the solver queries splines at scalar times inside
 inner ODE loops, where scipy's PPoly call overhead dominates.
+
+Scalar queries (a Python ``float``, ``np.float64`` or any 0-d value) take a
+fast path: the interval comes from ``ndarray.searchsorted`` plus an integer
+clamp instead of ``np.clip`` over a temporary array.  Both paths run the
+same Horner arithmetic on the same coefficients, so a scalar query returns
+bit for bit what the same time inside an array query returns.
 """
 
 from __future__ import annotations
@@ -46,36 +52,38 @@ class SplineCoeffs:
         return self.coeffs.shape[2]
 
     def _locate(self, t):
+        """Interval coefficients and offsets for the query times.
+
+        Scalar t gives coefficients (4, channels) and a scalar offset; an
+        array gives (4, T, channels) and offsets (T, 1).  Queries outside
+        the breakpoints use the edge intervals.
+        """
+        if isinstance(t, float) or np.ndim(t) == 0:
+            t = float(t)
+            i = int(self.breakpoints.searchsorted(t, side="right")) - 1
+            i = min(max(i, 0), len(self.breakpoints) - 2)
+            return self.coeffs[:, i, :], t - self.breakpoints[i]
         t_arr = np.asarray(t, dtype=float)
         idx = np.clip(
             np.searchsorted(self.breakpoints, t_arr, side="right") - 1,
             0, len(self.breakpoints) - 2,
         )
-        return t_arr, idx, t_arr - self.breakpoints[idx]
+        return self.coeffs[:, idx, :], (t_arr - self.breakpoints[idx])[:, None]
+
+    def _shaped(self, out):
+        if not self.squeeze:
+            return out
+        return out[0] if out.ndim == 1 else out[:, 0]
 
     def eval(self, t):
         """Value at scalar or array times; edge polynomials extrapolate."""
-        t_arr, idx, dt = self._locate(t)
-        if t_arr.ndim == 0:
-            c = self.coeffs[:, idx, :]
-            out = ((c[0] * dt + c[1]) * dt + c[2]) * dt + c[3]
-            return out[0] if self.squeeze else out
-        c = self.coeffs[:, idx, :]
-        dt = dt[:, None]
-        out = ((c[0] * dt + c[1]) * dt + c[2]) * dt + c[3]
-        return out[:, 0] if self.squeeze else out
+        c, dt = self._locate(t)
+        return self._shaped(((c[0] * dt + c[1]) * dt + c[2]) * dt + c[3])
 
     def derivative(self, t):
         """First time-derivative at scalar or array times."""
-        t_arr, idx, dt = self._locate(t)
-        if t_arr.ndim == 0:
-            c = self.coeffs[:, idx, :]
-            out = (3.0 * c[0] * dt + 2.0 * c[1]) * dt + c[2]
-            return out[0] if self.squeeze else out
-        c = self.coeffs[:, idx, :]
-        dt = dt[:, None]
-        out = (3.0 * c[0] * dt + 2.0 * c[1]) * dt + c[2]
-        return out[:, 0] if self.squeeze else out
+        c, dt = self._locate(t)
+        return self._shaped((3.0 * c[0] * dt + 2.0 * c[1]) * dt + c[2])
 
     __call__ = eval
 

@@ -5,6 +5,20 @@ proportional step control on the embedded 4th/5th-order error estimate
 and a quartic interpolant for evaluation between accepted steps.  Both
 forward and backward spans are supported; backward integration is used
 throughout the solver for transition matrices and adjoint variables.
+
+The seventh stage is evaluated at the accepted solution itself (the pair
+is first-same-as-last), so the field's last call of an accepted step sees
+an array bit-equal to the ``y`` handed to ``on_step``; a field that caches
+its work keyed on the vector's bytes can reuse it there.
+
+Dense output at a scalar time (a Python ``float``, ``np.float64`` or any
+0-d value) takes a fast path that locates the step with
+``ndarray.searchsorted`` and an integer clamp.  It returns bit for bit what
+the same time queried as a one-element array returns, so it repeats that
+arithmetic exactly: theta is a one-element array, its powers are formed as
+``theta, theta**2, theta**3, theta**4`` on that array and contracted with
+``einsum``.  Python-scalar powers differ in the last bit on some queries,
+and a ``@`` contraction may sum in another order, depending on the BLAS.
 """
 
 from __future__ import annotations
@@ -26,8 +40,8 @@ _A = (
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 )
-# 5th-order propagating weights and the (b5 - b4) error weights.
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# The last row of _A holds the 5th-order propagating weights (the 7th
+# weight is zero); _E holds the (b5 - b4) error weights.
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
@@ -87,6 +101,7 @@ class SolutionPath:
         self.qs = np.asarray(qs)          # interpolant coefficients, (S, dim, 4)
         self.hs = np.asarray(hs)          # signed step sizes, (S,)
         self.direction = 1.0 if self.ts[-1] >= self.ts[0] else -1.0
+        self._key = self.direction * self.ts   # increasing search key
         self.stopped = stopped
 
     @property
@@ -102,19 +117,24 @@ class SolutionPath:
         return self.ys[-1]
 
     def eval(self, t):
-        """Evaluate the dense output at scalar or array query times."""
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        tq = np.atleast_1d(t_arr)
-        key = self.direction * self.ts
-        idx = np.clip(np.searchsorted(key, self.direction * tq, side="right") - 1,
+        """Evaluate the dense output at scalar or array query times.
+
+        Queries outside the integrated span extrapolate the edge steps.
+        """
+        if isinstance(t, float) or np.ndim(t) == 0:
+            i = int(self._key.searchsorted(self.direction * t, side="right")) - 1
+            i = min(max(i, 0), len(self.hs) - 1)
+            theta = (np.array([t], dtype=float) - self.ts[i]) / self.hs[i]
+            powers = np.concatenate([theta, theta**2, theta**3, theta**4])
+            return self.ys[i] + self.hs[i] * np.einsum("dj,j->d", self.qs[i], powers)
+        tq = np.asarray(t, dtype=float)
+        idx = np.clip(np.searchsorted(self._key, self.direction * tq, side="right") - 1,
                       0, len(self.hs) - 1)
         theta = (tq - self.ts[idx]) / self.hs[idx]
         powers = np.vstack([theta, theta**2, theta**3, theta**4])  # (4, T)
-        vals = self.ys[idx] + self.hs[idx, None] * np.einsum(
+        return self.ys[idx] + self.hs[idx, None] * np.einsum(
             "sdj,js->sd", self.qs[idx], powers
         )
-        return vals[0] if scalar else vals
 
     __call__ = eval
 
@@ -137,14 +157,18 @@ def _initial_step(field, t0, y0, f0, direction, span, rtol, atol):
 
 
 def _stages(field, t, y, h, f0):
-    """Evaluate the seven stage derivatives; returns K of shape (7, dim)."""
+    """Evaluate the seven stage derivatives.
+
+    Returns (K, y_new): K of shape (7, dim) and the 5th-order solution at
+    t + h, which is the very array the last stage was evaluated at.
+    """
     k = np.empty((7, y.size))
     k[0] = f0
     for i, a_row in enumerate(_A, start=1):
         ti = t + _C[i] * h
         yi = y + h * (a_row @ k[:i])
         k[i] = np.asarray(field(ti, yi), dtype=float)
-    return k
+    return k, yi
 
 
 def rk45_integrate(field, y0, t_span, opts: Optional[IntegratorOptions] = None,
@@ -198,10 +222,9 @@ def rk45_integrate(field, y0, t_span, opts: Optional[IntegratorOptions] = None,
         if direction * (t + h - t_end) >= 0.0:  # final step snaps to t_end
             h = t_end - t
 
-        k = _stages(field, t, y, h, f0)
+        k, y_new = _stages(field, t, y, h, f0)
         if not np.all(np.isfinite(k)):
             raise NonFiniteField(f"field returned non-finite values near t={t}")
-        y_new = y + h * (_B @ k)
         err_vec = h * (_E @ k)
         scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = np.sqrt(np.mean((err_vec / scale) ** 2))
@@ -242,10 +265,9 @@ def rk45_fixed(field, y0, t_span, n_steps: int) -> SolutionPath:
     hs = []
     t = t0
     for i in range(n_steps):
-        k = _stages(field, t, y, h, f0)
+        k, y = _stages(field, t, y, h, f0)
         if not np.all(np.isfinite(k)):
             raise NonFiniteField(f"field returned non-finite values near t={t}")
-        y = y + h * (_B @ k)
         qs.append(k.T @ _P)
         hs.append(h)
         t = t0 + (i + 1) * h

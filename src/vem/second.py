@@ -34,6 +34,7 @@ from .ocp import GainSet, OcpProblem
 from .rk45 import IntegratorOptions, rk45_integrate
 from .third import (
     MultiplierSystem,
+    NodeInputs,
     TF_MIN_WIDTH,
     _constraint_rate_direction,
     _cost_rate,
@@ -41,6 +42,7 @@ from .third import (
     control_rhs,
     multiplier_matrix,
     multiplier_rhs,
+    node_inputs,
     solve_multipliers,
 )
 from .trajectory import ControlTrajectory, StateTrajectory, TimeGrid, TransitionStack
@@ -95,22 +97,30 @@ def _check_mode(mode: str) -> None:
 
 def multiplier_system_second(problem: OcpProblem, snap: SecondEqSnapshot,
                              stack: TransitionStack, gains: GainSet,
-                             mode: str = "quasi_feasible") -> MultiplierSystem:
+                             mode: str = "quasi_feasible",
+                             gu: Optional[np.ndarray] = None,
+                             nodes: Optional[NodeInputs] = None) -> MultiplierSystem:
     """Assemble the multiplier system for the requested variant.
 
     The modified variant replaces the dynamics with the snapshot time
     derivative in the terminal-rate factors and appends the
-    initial-condition and dynamics-defect corrections to r.
+    initial-condition and dynamics-defect corrections to r.  A caller that
+    already holds ``gu`` or the per-node Jacobians ``nodes`` of this
+    snapshot passes them in so they are not evaluated again.
     """
     _check_mode(mode)
     grid = snap.grid
     xdot_end = snap.xdot[-1] if mode == "modified" else None
+    if nodes is None:
+        nodes = node_inputs(problem, snap.state_traj, snap.ctrl_traj)
     mat = multiplier_matrix(problem, snap.state_traj, snap.ctrl_traj, stack,
-                            gains, xdot_end=xdot_end)
-    gu = control_gradient(problem, snap.state_traj, snap.ctrl_traj, stack)
+                            gains, xdot_end=xdot_end, nodes=nodes)
+    if gu is None:
+        gu = control_gradient(problem, snap.state_traj, snap.ctrl_traj, stack,
+                              nodes=nodes)
     base_mode = "feasible" if mode == "feasible" else "quasi_feasible"
     r = multiplier_rhs(problem, snap.state_traj, snap.ctrl_traj, stack, gu,
-                       gains, mode=base_mode, xdot_end=xdot_end)
+                       gains, mode=base_mode, xdot_end=xdot_end, nodes=nodes)
     if mode == "modified":
         gx = np.asarray(problem.jac_gx(snap.states[-1], grid.tf), dtype=float)
         # Initial-condition feedback through the full-horizon transition
@@ -128,9 +138,11 @@ def multiplier_system_second(problem: OcpProblem, snap: SecondEqSnapshot,
 
 def multiplier_second(problem: OcpProblem, snap: SecondEqSnapshot,
                       stack: TransitionStack, gains: GainSet,
-                      mode: str = "quasi_feasible") -> np.ndarray:
+                      mode: str = "quasi_feasible",
+                      gu: Optional[np.ndarray] = None,
+                      nodes: Optional[NodeInputs] = None) -> np.ndarray:
     return solve_multipliers(
-        multiplier_system_second(problem, snap, stack, gains, mode))
+        multiplier_system_second(problem, snap, stack, gains, mode, gu, nodes))
 
 
 def control_rhs_second(problem: OcpProblem, snap: SecondEqSnapshot,

@@ -11,6 +11,10 @@ terminal-cost gradient as end condition.  The terminal constraint enters
 through the multiplier vector pi, chosen at every snapshot so that the
 constraint residual decays along the virtual evolution time; pi solves
 M pi = -r with M a constraint-projected controllability Gramian.
+
+The per-node callback values (f_u and L_u at every node) are gathered once
+per snapshot into a ``NodeInputs`` record; every formula below accepts it
+as ``nodes`` and only gathers its own when none is passed.
 """
 
 from __future__ import annotations
@@ -62,12 +66,27 @@ class MultiplierSystem:
             raise ValueError("multiplier matrix must be symmetric")
 
 
-def _node_inputs(problem, states, ctrl):
-    grid = states.grid
-    xs, us, ts = states.values, ctrl.values, grid.times
+@dataclass
+class NodeInputs:
+    """Node states, controls and times with f_u and L_u at every node."""
+
+    xs: np.ndarray              # (N, n)
+    us: np.ndarray              # (N, m)
+    ts: np.ndarray              # (N,)
+    fu: np.ndarray              # (N, n, m)
+    lu: np.ndarray              # (N, m)
+
+
+def node_inputs(problem: OcpProblem, states: StateTrajectory,
+                ctrl: ControlTrajectory) -> NodeInputs:
+    """Evaluate the per-node Jacobians of one snapshot once."""
+    xs, us, ts = states.values, ctrl.values, states.grid.times
+    nodes = range(states.grid.n_nodes)
     fu = np.stack([np.asarray(problem.jac_fu(xs[i], us[i], ts[i]), dtype=float)
-                   for i in range(grid.n_nodes)])
-    return xs, us, ts, fu
+                   for i in nodes])
+    lu = np.stack([np.asarray(problem.grad_lu(xs[i], us[i], ts[i]), dtype=float)
+                   for i in nodes])
+    return NodeInputs(xs, us, ts, fu, lu)
 
 
 def _terminal_velocity(problem, x_end, u_end, tf, xdot_end=None):
@@ -95,7 +114,8 @@ def _cost_rate(problem, x_end, u_end, tf, xdot_end=None):
 def control_gradient(problem: OcpProblem, states: StateTrajectory,
                      ctrl: ControlTrajectory, stack: TransitionStack,
                      form: str = "adjoint",
-                     xdot_nodes: Optional[np.ndarray] = None) -> np.ndarray:
+                     xdot_nodes: Optional[np.ndarray] = None,
+                     nodes: Optional[NodeInputs] = None) -> np.ndarray:
     """Node values of the function-space cost gradient gu, shape (N, m).
 
     The adjoint form (default) reads the backward sweep cached on the
@@ -110,15 +130,16 @@ def control_gradient(problem: OcpProblem, states: StateTrajectory,
     which extends the quadrature form to trajectories that do not satisfy
     the dynamics.
     """
-    xs, us, ts, fu = _node_inputs(problem, states, ctrl)
+    if nodes is None:
+        nodes = node_inputs(problem, states, ctrl)
+    xs, us, ts, fu, lu = nodes.xs, nodes.us, nodes.ts, nodes.fu, nodes.lu
     n_nodes = states.grid.n_nodes
 
     if form == "adjoint":
         lam = stack.adjoint
         gu = np.empty((n_nodes, problem.m))
         for i in range(n_nodes):
-            gu[i] = (np.asarray(problem.grad_lu(xs[i], us[i], ts[i]), dtype=float)
-                     + fu[i].T @ lam[i])
+            gu[i] = lu[i] + fu[i].T @ lam[i]
         return gu
 
     if form != "quadrature":
@@ -140,21 +161,23 @@ def control_gradient(problem: OcpProblem, states: StateTrajectory,
     for i in range(n_nodes):
         integral = np.linalg.solve(fwd[i].T, tail[i])
         phix_here = np.asarray(problem.grad_phix(xs[i], ts[i]), dtype=float)
-        gu[i] = (np.asarray(problem.grad_lu(xs[i], us[i], ts[i]), dtype=float)
-                 + fu[i].T @ (phix_here + integral))
+        gu[i] = lu[i] + fu[i].T @ (phix_here + integral)
     return gu
 
 
 def multiplier_matrix(problem: OcpProblem, states: StateTrajectory,
                       ctrl: ControlTrajectory, stack: TransitionStack,
                       gains: GainSet,
-                      xdot_end: Optional[np.ndarray] = None) -> np.ndarray:
+                      xdot_end: Optional[np.ndarray] = None,
+                      nodes: Optional[NodeInputs] = None) -> np.ndarray:
     """Constraint-projected Gramian M, symmetric positive semi-definite.
 
     Fixed-horizon problems carry only the Gramian term; free-horizon
     problems add the rank-one terminal-rate term weighted by k_tf.
     """
-    xs, us, ts, fu = _node_inputs(problem, states, ctrl)
+    if nodes is None:
+        nodes = node_inputs(problem, states, ctrl)
+    xs, us, ts, fu = nodes.xs, nodes.us, nodes.ts, nodes.fu
     grid = states.grid
     # Psi^T fu K fu^T Psi at every node, integrated by trapezoid.
     psit_fu = np.einsum("iba,ibm->iam", stack.psi, fu)
@@ -172,7 +195,8 @@ def multiplier_rhs(problem: OcpProblem, states: StateTrajectory,
                    ctrl: ControlTrajectory, stack: TransitionStack,
                    gu: np.ndarray, gains: GainSet,
                    mode: str = "quasi_feasible",
-                   xdot_end: Optional[np.ndarray] = None) -> np.ndarray:
+                   xdot_end: Optional[np.ndarray] = None,
+                   nodes: Optional[NodeInputs] = None) -> np.ndarray:
     """Right-hand side r of the multiplier system.
 
     ``mode`` "feasible" omits the constraint-attraction term -K_g g, which
@@ -181,7 +205,9 @@ def multiplier_rhs(problem: OcpProblem, states: StateTrajectory,
     """
     if mode not in ("feasible", "quasi_feasible"):
         raise ValueError(f"unknown mode {mode!r}")
-    xs, us, ts, fu = _node_inputs(problem, states, ctrl)
+    if nodes is None:
+        nodes = node_inputs(problem, states, ctrl)
+    xs, us, ts, fu = nodes.xs, nodes.us, nodes.ts, nodes.fu
     grid = states.grid
     psit_fu = np.einsum("iba,ibm->iam", stack.psi, fu)
     integrand = np.einsum("iam,im->ia", psit_fu, gu @ gains.K.T)
@@ -206,14 +232,16 @@ def solve_multipliers(system: MultiplierSystem) -> np.ndarray:
 def control_rhs(problem: OcpProblem, states: StateTrajectory,
                 ctrl: ControlTrajectory, stack: TransitionStack,
                 gu: np.ndarray, pi: Optional[np.ndarray],
-                gains: GainSet) -> np.ndarray:
+                gains: GainSet,
+                nodes: Optional[NodeInputs] = None) -> np.ndarray:
     """Evolution rate of the node controls, shape (N, m).
 
     Vanishes identically exactly when the first-order optimality residual
     is zero at every node.
     """
-    xs, us, ts, fu = _node_inputs(problem, states, ctrl)
-    resid = _optimality_defect(problem, states, stack, fu, gu, pi)
+    if nodes is None:
+        nodes = node_inputs(problem, states, ctrl)
+    resid = _optimality_defect(problem, states, stack, nodes.fu, gu, pi)
     return -(resid @ gains.K.T)
 
 
@@ -252,12 +280,15 @@ def tf_rhs(problem: OcpProblem, states: StateTrajectory,
 
 def optimality_residuals(problem: OcpProblem, states: StateTrajectory,
                          ctrl: ControlTrajectory, stack: TransitionStack,
-                         gu: np.ndarray, pi: Optional[np.ndarray]) -> Residuals:
+                         gu: np.ndarray, pi: Optional[np.ndarray],
+                         nodes: Optional[NodeInputs] = None) -> Residuals:
     """Sup-norm first-order optimality, terminal-constraint miss, and
     (free horizon only) transversality residual for the snapshot."""
-    xs, us, ts, fu = _node_inputs(problem, states, ctrl)
+    if nodes is None:
+        nodes = node_inputs(problem, states, ctrl)
+    xs, us = nodes.xs, nodes.us
     grid = states.grid
-    defect = _optimality_defect(problem, states, stack, fu, gu, pi)
+    defect = _optimality_defect(problem, states, stack, nodes.fu, gu, pi)
     optimality = float(np.max(np.abs(defect)))
     if problem.q > 0:
         gval = np.asarray(problem.constraint(xs[-1], grid.tf), dtype=float)

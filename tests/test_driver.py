@@ -11,8 +11,10 @@ from vem import (
     evolve,
     summarize,
 )
-from vem.driver import path_cost, propagate_with_cost, solve_benchmark
+from vem import driver
+from vem.driver import EvolutionSystem, path_cost, propagate_with_cost, solve_benchmark
 from vem.errors import StepFailure, TfCollapse
+from vem.trajectory import transition_stack
 
 
 class TestLayout:
@@ -124,6 +126,56 @@ class TestEvolve:
         assert history.termination_reason == "StepFailure"
         assert len(history.snapshots) >= 1
         assert history.snapshots[0].tau == 0.0
+
+
+class TestEvaluationCache:
+    def test_one_pipeline_per_distinct_vector(self, di, monkeypatch):
+        # With early stop on, the convergence check after every accepted
+        # step, the threshold scaling at y0 and the first field call reuse
+        # the evaluation of the vector the last call saw.
+        sweeps = []
+        seen = set()
+
+        def counting_stack(*args, **kwargs):
+            sweeps.append(None)
+            return transition_stack(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "transition_stack", counting_stack)
+        rhs = EvolutionSystem.rhs
+
+        def recording_rhs(self, tau, vec):
+            seen.add(np.asarray(vec, dtype=float).tobytes())
+            return rhs(self, tau, vec)
+
+        monkeypatch.setattr(EvolutionSystem, "rhs", recording_rhs)
+        system = assemble_ivp(di.problem, "third", 41, di.gains)
+        history = evolve(system, 20.0, snapshot_taus=(0.0, 5.0, 20.0),
+                         early_stop=True)
+        assert len(history.snapshots) == 3
+        # Control-only snapshots propagate states with the cost, so each
+        # runs its own sweep.
+        assert len(sweeps) == len(seen) + len(history.snapshots)
+
+    @pytest.mark.parametrize("method", ["third", "second"])
+    def test_mutated_vector_misses_cache(self, brach, method):
+        system = assemble_ivp(brach.problem, method, 21, brach.gains)
+        vec = system.y0.copy()
+        vec[-2] = 0.05             # the last node control; not the probed y0
+        kept = vec.copy()
+        before = system.residuals(vec)
+        rate = system.rhs(0.0, vec)
+        vec[-2] += 0.1             # changed in place
+        # The old bytes still find the cached evaluation, which must not
+        # see the change.
+        assert system.residuals(kept) == before
+        controls, _, _ = system.layout.unpack(kept)
+        assert np.array_equal(system.snapshot(0.0, kept).controls, controls)
+        # The changed vector misses the cache and is evaluated afresh.
+        after = system.residuals(vec)
+        fresh = assemble_ivp(brach.problem, method, 21, brach.gains)
+        assert after == fresh.residuals(vec)
+        assert after != before
+        assert not np.array_equal(system.rhs(0.0, vec), rate)
 
 
 class TestCostEvaluation:

@@ -61,6 +61,22 @@ class TestSpline:
         t = np.linspace(0.1, 1.9, 37)
         assert np.max(np.abs(s.derivative(t) - 3 * t**2)) <= 1e-11
 
+    @pytest.mark.parametrize("channels", [None, 1, 3])
+    def test_scalar_fast_path_matches_array_path(self, channels):
+        # Scalar queries, including ones before the first and after the
+        # last breakpoint, must return the array path's bits exactly.
+        rng = np.random.default_rng(7)
+        nodes = np.linspace(0.0, 2.0, 11)
+        shape = (11,) if channels is None else (11, channels)
+        s = spline_build(nodes, rng.standard_normal(shape))
+        queries = np.concatenate([rng.uniform(-0.5, 2.5, 200), nodes, [-3.0, 7.0]])
+        values, slopes = s.eval(queries), s.derivative(queries)
+        for k, t in enumerate(queries):
+            for q in (float(t), np.float64(t)):
+                assert np.array_equal(s.eval(q), values[k])
+                assert np.array_equal(s.derivative(q), slopes[k])
+        assert np.ndim(s.eval(0.3)) == (0 if channels is None else 1)
+
     def test_degenerate_grid(self):
         with pytest.raises(DegenerateGrid):
             spline_build([0.0, 0.0, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0])

@@ -60,6 +60,27 @@ def test_backward_integration():
     assert abs(path.eval(0.5)[0] - np.exp(0.5)) <= 1e-6
 
 
+@pytest.mark.parametrize("t_span", [(0.0, 2.0), (2.0, 0.0)])
+def test_scalar_eval_matches_array_eval(t_span):
+    # A scalar query must return the bits of the same time queried as a
+    # one-element array, also outside the integrated span (edge
+    # extrapolation).  Longer arrays may sum the interpolant in another
+    # order, so they are not the reference.  Starting from zero, the
+    # first step's values are the interpolant sum alone, so a last-bit
+    # change in theta's powers shows there.
+    path = rk45_integrate(
+        lambda t, y: np.array([np.cos(t), -np.sin(3.0 * t), t * t, 1.0 + y[0]]),
+        np.zeros(4), t_span)
+    rng = np.random.default_rng(3)
+    first = sorted(path.ts[:2])
+    queries = np.concatenate([rng.uniform(-0.5, 2.5, 200),
+                              rng.uniform(*first, 300), path.ts, [-4.0, 9.0]])
+    for t in queries:
+        expected = path.eval(np.array([t]))[0]
+        for q in (float(t), np.float64(t)):
+            assert np.array_equal(path.eval(q), expected)
+
+
 def test_max_steps_exhaustion():
     with pytest.raises(StepFailure):
         rk45_integrate(lambda t, y: y, [1.0], (0.0, 10.0),

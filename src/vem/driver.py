@@ -314,7 +314,8 @@ class EvolutionSystem:
         udot = third_eq.control_rhs(self.problem, ev.states, ev.ctrl, ev.stack,
                                     ev.gu, ev.pi, self.gains, nodes=ev.nodes)
         wdot = second_eq.state_rhs_second(self.problem, snap, ev.stack, udot,
-                                          self.gains, self.mode, self.opts)
+                                          self.gains, self.mode, self.opts,
+                                          nodes=ev.nodes)
         if not self.problem.tf_free:
             return self.layout.pack(udot, states=wdot)
         tf_dot = second_eq.tf_rhs_second(self.problem, snap, ev.pi,

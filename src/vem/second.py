@@ -164,7 +164,8 @@ def state_rhs_second(problem: OcpProblem, snap: SecondEqSnapshot,
                      stack: TransitionStack, udot_nodes: np.ndarray,
                      gains: GainSet, mode: str = "quasi_feasible",
                      opts: Optional[IntegratorOptions] = None,
-                     via: str = "convolution") -> np.ndarray:
+                     via: str = "convolution",
+                     nodes: Optional[NodeInputs] = None) -> np.ndarray:
     """Evolution rate of the node states, shape (N, n).
 
     The state rate is the convolution of the control rate - and in
@@ -176,6 +177,13 @@ def state_rhs_second(problem: OcpProblem, snap: SecondEqSnapshot,
         composite rule as the multiplier system.  Sharing the rule makes
         the designed constraint decay exact at the discrete level, and the
         node controls see the same quadrature error as the multipliers.
+        The kernel comes from the backward stack alone: with
+        Psi_k = Phi(tf, t_k)^T, Phi(t_i, s_j) = Psi_i^{-T} Psi_j^T, so
+        w_i solves Psi_i^T w_i = Psi_0^T w0 + trapezoid of Psi_j^T forcing_j
+        up to t_i.  This is the forward-matrix form of the same rule
+        scaled by the constant Phi(tf, t0), and it needs no forward sweep.
+        f_u is read from ``nodes`` when the caller already holds the
+        snapshot's per-node Jacobians.
 
     ``ivp``
         The equivalent forward variational problem
@@ -196,20 +204,21 @@ def state_rhs_second(problem: OcpProblem, snap: SecondEqSnapshot,
         w0 = np.zeros(problem.n)
 
     if via == "convolution":
-        fwd = stack.forward_matrices()
+        if nodes is None:
+            nodes = node_inputs(problem, snap.state_traj, snap.ctrl_traj)
         forcing = np.empty((grid.n_nodes, problem.n))
         for i in range(grid.n_nodes):
-            b = np.asarray(problem.jac_fu(snap.states[i], snap.controls[i],
-                                          grid.times[i]), dtype=float)
-            forcing[i] = b @ udot_nodes[i]
+            forcing[i] = nodes.fu[i] @ udot_nodes[i]
         if modified:
             forcing -= snap.defect(problem) @ kf.T
-        # Phi(t_i, s_j) = Phi_i Phi_j^{-1}: pull the forcing back to t0,
-        # accumulate by the composite trapezoid, push forward per node.
-        pulled = np.linalg.solve(fwd, forcing[:, :, None])[:, :, 0]
-        summed = cumulative_trapezoid(pulled, grid.times, axis=0, initial=0.0)
-        values = np.einsum("inj,ij->in", fwd, summed)
-        return values + np.einsum("inj,j->in", fwd, w0)
+        # Phi(t_i, s_j) = Psi_i^{-T} Psi_j^T: carry the forcing to tf,
+        # accumulate by the composite trapezoid, add the carried initial
+        # value and bring each sum back to its node with one stacked solve.
+        carried = np.einsum("jba,jb->ja", stack.psi, forcing)
+        summed = cumulative_trapezoid(carried, grid.times, axis=0, initial=0.0)
+        summed += stack.psi[0].T @ w0
+        psi_t = np.swapaxes(stack.psi, 1, 2)
+        return np.linalg.solve(psi_t, summed[:, :, None])[:, :, 0]
 
     udot_spline = spline_build(grid.times, udot_nodes)
     if modified:

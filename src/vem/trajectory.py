@@ -121,8 +121,10 @@ class TransitionStack:
 
     ``psi[-1]`` is the identity exactly.  ``adjoint`` holds the backward
     cost-gradient vector integrated on the same sweep.  The originating
-    trajectory data is kept so forward transition matrices (needed by the
-    quadrature-form diagnostics) can be built lazily.
+    trajectory data is kept so forward transition matrices can be built
+    lazily.  They serve only the oracles - the quadrature gradient
+    form, ``phi_between`` and the backward-vs-forward consistency check;
+    the solver itself, the coupled state rate included, reads ``psi``.
     """
 
     grid: TimeGrid

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import vem.cli as cli
 from vem.cli import main
+from vem.errors import SingularSystem, StepFailure, TfCollapse, VemError
 
 
 def _read_csv_header(path):
@@ -86,6 +88,44 @@ class TestSolve:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["e_J"] <= 1e-4
         assert max(report["e_u"]) <= 1e-3
+
+
+class TestFailureExitCodes:
+    @pytest.mark.parametrize("error,code,message", [
+        (StepFailure, 3, "integration failed"),
+        (TfCollapse, 4, "terminal time collapsed"),
+        (SingularSystem, 5, "multiplier system singular"),
+        (VemError, 6, "solver error"),
+    ])
+    def test_solve_maps_failure_to_exit_code(self, tmp_path, monkeypatch,
+                                             capsys, error, code, message):
+        def failing(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "solve_benchmark", failing)
+        assert main(["solve", "--problem", "double-integrator",
+                     "--outdir", str(tmp_path)]) == code
+        assert f"{message}: injected" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_compare_reports_one_failed_combination(self, tmp_path,
+                                                    monkeypatch, capsys):
+        real = cli.solve_benchmark
+
+        def second_fails(bench, method, **kwargs):
+            if method == "second":
+                raise TfCollapse("injected")
+            return real(bench, method, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_benchmark", second_fails)
+        code = main(["compare", "--problems", "double-integrator",
+                     "--methods", "second", "third", "--tau-end", "1",
+                     "--outdir", str(tmp_path)])
+        assert code == 6
+        assert "TfCollapse: injected" in capsys.readouterr().out
+        rows = (tmp_path / "comparison.csv").read_text().splitlines()[1:]
+        assert rows[0].startswith("double-integrator,second,error: TfCollapse")
+        assert rows[1].split(",")[:3] == ["double-integrator", "third", "41"]
 
 
 class TestCompare:

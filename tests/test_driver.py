@@ -11,7 +11,7 @@ from vem import (
     evolve,
     summarize,
 )
-from vem import driver
+from vem import driver, trajectory
 from vem.driver import EvolutionSystem, path_cost, propagate_with_cost, solve_benchmark
 from vem.errors import StepFailure, TfCollapse
 from vem.trajectory import transition_stack
@@ -155,6 +155,21 @@ class TestEvaluationCache:
         # Control-only snapshots propagate states with the cost, so each
         # runs its own sweep.
         assert len(sweeps) == len(seen) + len(history.snapshots)
+
+    def test_coupled_solve_runs_no_forward_sweep(self, di, monkeypatch):
+        # The coupled state rate takes its kernel from the backward stack,
+        # so the forward transition matrices stay an oracle-only route.
+        calls = []
+
+        def counting_forward(*args, **kwargs):
+            calls.append(None)
+            return forward(*args, **kwargs)
+
+        forward = trajectory._forward_stack
+        monkeypatch.setattr(trajectory, "_forward_stack", counting_forward)
+        _, report = solve_benchmark(di, "second", tau_end=5.0)
+        assert report.ivp_dimension == 123
+        assert calls == []
 
     @pytest.mark.parametrize("method", ["third", "second"])
     def test_mutated_vector_misses_cache(self, brach, method):

@@ -8,6 +8,7 @@ kernels.
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 import vem.second as second
 import vem.third as third
@@ -22,7 +23,7 @@ from vem import (
     transition_stack,
 )
 from vem.numerics import spline_build
-from vem.problems import tracking_fixture
+from vem.problems import brachistochrone, tracking_fixture
 
 TIGHT = IntegratorOptions(rtol=1e-10, atol=1e-12)
 
@@ -166,6 +167,47 @@ class TestStateRhs:
                 acc += np.array([np.sum(w * (ti - s) * rate), np.sum(w * rate)])
             worst = max(worst, float(np.max(np.abs(via_ivp[i] - acc))))
         assert worst <= 1e-6
+
+    @pytest.mark.parametrize("mode", ["quasi_feasible", "modified"])
+    @pytest.mark.parametrize("make", [brachistochrone, tracking_fixture])
+    def test_convolution_matches_forward_matrix_form(self, make, mode):
+        # Oracle: the forward-matrix form of the same trapezoid rule, with
+        # Phi(t_i, s_j) = Phi_i Phi_j^{-1}.  Both fixtures have
+        # non-trivial transition kernels, and the snapshot carries an
+        # initial-condition error and a dynamics defect so the modified
+        # feedback terms are live.
+        bench = make()
+        p = bench.problem
+        rng = np.random.default_rng(16)
+        grid = TimeGrid(31, p.t0, p.tf)
+        clean, _ = _feasible_snapshot(p, grid, smooth_controls(grid, p.m, rng),
+                                      TIGHT)
+        states = clean.states + smooth_controls(grid, p.n, rng, scale=1e-3)
+        states[0] += 1e-3
+        snap = second.SecondEqSnapshot.create(grid, states, clean.controls)
+        stack = transition_stack(p, snap.state_traj, snap.ctrl_traj, TIGHT)
+        udot = smooth_controls(grid, p.m, rng, scale=0.5)
+
+        fwd = stack.forward_matrices()
+        forcing = np.stack([p.jac_fu(snap.states[i], snap.controls[i],
+                                     grid.times[i]) @ udot[i]
+                            for i in range(grid.n_nodes)])
+        w0 = np.zeros(p.n)
+        if mode == "modified":
+            forcing -= snap.defect(p) @ bench.gains.kf(p.n).T
+            w0 = -bench.gains.kx0(p.n) @ (snap.states[0] - p.x0)
+        pulled = np.linalg.solve(fwd, forcing[:, :, None])[:, :, 0]
+        summed = cumulative_trapezoid(pulled, grid.times, axis=0, initial=0.0)
+        oracle = np.einsum("inj,ij->in", fwd, summed + w0)
+
+        out = second.state_rhs_second(p, snap, stack, udot, bench.gains,
+                                      mode=mode)
+        assert np.max(np.abs(out)) > 1e-3
+        assert np.max(np.abs(out - oracle)) <= 1e-8
+        nodes = third.node_inputs(p, snap.state_traj, snap.ctrl_traj)
+        with_nodes = second.state_rhs_second(p, snap, stack, udot, bench.gains,
+                                             mode=mode, nodes=nodes)
+        assert np.array_equal(with_nodes, out)
 
     def test_modified_reduces_on_clean_snapshot(self, di):
         grid = TimeGrid(21, 0.0, 2.0)

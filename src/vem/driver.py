@@ -23,10 +23,12 @@ from .ocp import GainSet, OcpProblem
 from .rk45 import IntegratorOptions, rk45_integrate
 from .trajectory import (
     ControlTrajectory,
+    DrivenField,
     StateTrajectory,
     TimeGrid,
     TransitionStack,
     propagate_states,
+    state_control_rows,
     transition_stack,
 )
 
@@ -156,22 +158,22 @@ def propagate_with_cost(problem: OcpProblem, ctrl: ControlTrajectory,
     """
     n = problem.n
 
-    def field_fn(t, z):
+    def field_fn(t, z, u):
         x = z[:n]
-        u = ctrl.eval(t)
         return np.concatenate([
             np.asarray(problem.dynamics(x, u, t), dtype=float),
             [float(problem.running_cost(x, u, t))],
         ])
 
     z0 = np.concatenate([problem.x0, [0.0]])
-    path = rk45_integrate(field_fn, z0, (grid.t0, grid.tf), opts)
+    path = rk45_integrate(DrivenField(field_fn, ctrl.eval), z0,
+                          (grid.t0, grid.tf), opts)
     nodes = path.eval(grid.times)
     values = nodes[:, :n]
     values[0] = problem.x0
     x_end = values[-1]
     cost = float(problem.terminal_cost(x_end, grid.tf)) + float(path.y_end[n])
-    states = StateTrajectory(grid, values, lambda t: path.eval(t)[..., :n])
+    states = StateTrajectory(grid, values, lambda ts: path.rows(ts)[:, :n])
     return states, cost
 
 
@@ -179,12 +181,13 @@ def path_cost(problem: OcpProblem, states: StateTrajectory,
               ctrl: ControlTrajectory, grid: TimeGrid,
               opts: Optional[IntegratorOptions] = None) -> float:
     """Performance index along an existing state path (no re-propagation)."""
+    n = problem.n
 
-    def field_fn(t, z):
-        return np.array([float(problem.running_cost(
-            states.eval(t), ctrl.eval(t), t))])
+    def field_fn(t, z, xu):
+        return np.array([float(problem.running_cost(xu[:n], xu[n:], t))])
 
-    path = rk45_integrate(field_fn, np.zeros(1), (grid.t0, grid.tf), opts)
+    field = DrivenField(field_fn, state_control_rows(states, ctrl))
+    path = rk45_integrate(field, np.zeros(1), (grid.t0, grid.tf), opts)
     return float(problem.terminal_cost(states.values[-1], grid.tf)) + float(path.y_end[0])
 
 
@@ -205,6 +208,7 @@ class Evaluation:
     gu: np.ndarray
     pi: Optional[np.ndarray]
     snap: Optional[second_eq.SecondEqSnapshot] = None
+    defect: Optional[np.ndarray] = None     # coupled modified mode only
 
 
 class EvolutionSystem:
@@ -283,10 +287,13 @@ class EvolutionSystem:
         stack = transition_stack(problem, states, ctrl, self.opts)
         nodes = third_eq.node_inputs(problem, states, ctrl)
         gu = third_eq.control_gradient(problem, states, ctrl, stack, nodes=nodes)
+        defect = (snap.defect(problem)
+                  if snap is not None and self.mode == "modified" else None)
         pi = None
         if problem.q > 0 and snap is not None:
             pi = second_eq.multiplier_second(problem, snap, stack, self.gains,
-                                             self.mode, gu=gu, nodes=nodes)
+                                             self.mode, gu=gu, nodes=nodes,
+                                             defect=defect)
         elif problem.q > 0:
             # Control-only method: always the quasi-feasible multiplier
             # system (snapshots satisfy the dynamics by construction, the
@@ -298,7 +305,7 @@ class EvolutionSystem:
                                         nodes=nodes)
             pi = third_eq.solve_multipliers(
                 third_eq.MultiplierSystem(mat, r, "quasi_feasible"))
-        return Evaluation(grid, ctrl, states, stack, nodes, gu, pi, snap)
+        return Evaluation(grid, ctrl, states, stack, nodes, gu, pi, snap, defect)
 
     def _rate_third(self, ev: Evaluation):
         udot = third_eq.control_rhs(self.problem, ev.states, ev.ctrl, ev.stack,
@@ -315,7 +322,7 @@ class EvolutionSystem:
                                     ev.gu, ev.pi, self.gains, nodes=ev.nodes)
         wdot = second_eq.state_rhs_second(self.problem, snap, ev.stack, udot,
                                           self.gains, self.mode, self.opts,
-                                          nodes=ev.nodes)
+                                          nodes=ev.nodes, defect=ev.defect)
         if not self.problem.tf_free:
             return self.layout.pack(udot, states=wdot)
         tf_dot = second_eq.tf_rhs_second(self.problem, snap, ev.pi,

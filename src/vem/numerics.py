@@ -6,10 +6,11 @@ Horner path because the solver queries splines at scalar times inside
 inner ODE loops, where scipy's PPoly call overhead dominates.
 
 Scalar queries (a Python ``float``, ``np.float64`` or any 0-d value) take a
-fast path: the interval comes from ``ndarray.searchsorted`` plus an integer
-clamp instead of ``np.clip`` over a temporary array.  Both paths run the
-same Horner arithmetic on the same coefficients, so a scalar query returns
-bit for bit what the same time inside an array query returns.
+fast path without temporary arrays.  Both paths find the interval by
+``searchsorted`` on the interior breakpoints, which clamps outside queries
+to the edge intervals without ``np.clip``, and run the same elementwise
+Horner arithmetic on the same coefficients, so a scalar query returns bit
+for bit what the same time inside an array query of any length returns.
 """
 
 from __future__ import annotations
@@ -58,16 +59,15 @@ class SplineCoeffs:
         array gives (4, T, channels) and offsets (T, 1).  Queries outside
         the breakpoints use the edge intervals.
         """
+        # The insertion index among the interior breakpoints is the
+        # interval, clamped to the edge intervals.
+        inner = self.breakpoints[1:-1]
         if isinstance(t, float) or np.ndim(t) == 0:
             t = float(t)
-            i = int(self.breakpoints.searchsorted(t, side="right")) - 1
-            i = min(max(i, 0), len(self.breakpoints) - 2)
+            i = int(inner.searchsorted(t, side="right"))
             return self.coeffs[:, i, :], t - self.breakpoints[i]
         t_arr = np.asarray(t, dtype=float)
-        idx = np.clip(
-            np.searchsorted(self.breakpoints, t_arr, side="right") - 1,
-            0, len(self.breakpoints) - 2,
-        )
+        idx = inner.searchsorted(t_arr, side="right")
         return self.coeffs[:, idx, :], (t_arr - self.breakpoints[idx])[:, None]
 
     def _shaped(self, out):
@@ -108,10 +108,6 @@ def spline_build(nodes, values) -> SplineCoeffs:
         pad = np.zeros((4 - coeffs.shape[0],) + coeffs.shape[1:])
         coeffs = np.concatenate([pad, coeffs], axis=0)
     return SplineCoeffs(nodes, coeffs, squeeze=squeeze)
-
-
-def spline_eval(spline: SplineCoeffs, t):
-    return spline.eval(t)
 
 
 def grid_quadrature(grid, samples):

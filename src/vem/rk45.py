@@ -11,14 +11,27 @@ is first-same-as-last), so the field's last call of an accepted step sees
 an array bit-equal to the ``y`` handed to ``on_step``; a field that caches
 its work keyed on the vector's bytes can reuse it there.
 
-Dense output at a scalar time (a Python ``float``, ``np.float64`` or any
-0-d value) takes a fast path that locates the step with
-``ndarray.searchsorted`` and an integer clamp.  It returns bit for bit what
-the same time queried as a one-element array returns, so it repeats that
-arithmetic exactly: theta is a one-element array, its powers are formed as
-``theta, theta**2, theta**3, theta**4`` on that array and contracted with
-``einsum``.  Python-scalar powers differ in the last bit on some queries,
-and a ``@`` contraction may sum in another order, depending on the BLAS.
+Stage times are known before any stage is evaluated.  A field with a
+``prepare`` attribute has it called once per step attempt with the six
+new stage times ``t + c_i h`` (i = 1..6), computed elementwise by the
+same expression as each stage's own time, so the floats match exactly;
+such a field can look up everything that depends on time alone in one
+vectorised call.  Any other call -- at t0, the starting-step probe, or a
+field whose ``prepare`` is hidden behind a plain ``(t, y)`` wrapper --
+reaches the field without preparation and must be served on its own.
+
+Dense output has two contractions.  ``rows(ts)`` returns one row per
+query time, contracting each step's coefficients with C-contiguous
+(T, 4) powers via ``einsum("sdj,sj->sd")``; the result of each row does
+not depend on how many rows are asked for, so a scalar query (a Python
+``float``, ``np.float64`` or any 0-d value) is simply the one-row case.
+``eval`` on an array of times keeps ``einsum("sdj,js->sd")`` with (4, T)
+powers, which sums in another order and may differ from the row query in
+the last bit; node values are read that way.  Powers are always formed
+as ``theta, theta**2, theta**3, theta**4`` on arrays: Python-scalar
+powers differ in the last bit on some queries.  The step index comes from
+``searchsorted`` on the interior step boundaries, which clamps queries
+outside the span to the edge steps (they extrapolate).
 """
 
 from __future__ import annotations
@@ -101,7 +114,9 @@ class SolutionPath:
         self.qs = np.asarray(qs)          # interpolant coefficients, (S, dim, 4)
         self.hs = np.asarray(hs)          # signed step sizes, (S,)
         self.direction = 1.0 if self.ts[-1] >= self.ts[0] else -1.0
-        self._key = self.direction * self.ts   # increasing search key
+        # Increasing search key over the interior step boundaries: its
+        # insertion index is the step, clamped to the edge steps.
+        self._inner = (self.direction * self.ts)[1:-1]
         self.stopped = stopped
 
     @property
@@ -116,20 +131,26 @@ class SolutionPath:
     def y_end(self) -> np.ndarray:
         return self.ys[-1]
 
+    def rows(self, ts) -> np.ndarray:
+        """Dense output at the times ``ts`` as (T, dim) rows; each row is
+        bit-equal to the scalar query at its time."""
+        tq = np.asarray(ts, dtype=float)
+        idx = self._inner.searchsorted(self.direction * tq, side="right")
+        theta = ((tq - self.ts[idx]) / self.hs[idx])[:, None]
+        powers = np.concatenate([theta, theta**2, theta**3, theta**4], axis=1)
+        return self.ys[idx] + self.hs[idx, None] * np.einsum(
+            "sdj,sj->sd", self.qs[idx], powers
+        )
+
     def eval(self, t):
         """Evaluate the dense output at scalar or array query times.
 
         Queries outside the integrated span extrapolate the edge steps.
         """
         if isinstance(t, float) or np.ndim(t) == 0:
-            i = int(self._key.searchsorted(self.direction * t, side="right")) - 1
-            i = min(max(i, 0), len(self.hs) - 1)
-            theta = (np.array([t], dtype=float) - self.ts[i]) / self.hs[i]
-            powers = np.concatenate([theta, theta**2, theta**3, theta**4])
-            return self.ys[i] + self.hs[i] * np.einsum("dj,j->d", self.qs[i], powers)
+            return self.rows(np.array([t], dtype=float))[0]
         tq = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self._key, self.direction * tq, side="right") - 1,
-                      0, len(self.hs) - 1)
+        idx = self._inner.searchsorted(self.direction * tq, side="right")
         theta = (tq - self.ts[idx]) / self.hs[idx]
         powers = np.vstack([theta, theta**2, theta**3, theta**4])  # (4, T)
         return self.ys[idx] + self.hs[idx, None] * np.einsum(
@@ -160,10 +181,14 @@ def _stages(field, t, y, h, f0):
     """Evaluate the seven stage derivatives.
 
     Returns (K, y_new): K of shape (7, dim) and the 5th-order solution at
-    t + h, which is the very array the last stage was evaluated at.
+    t + h, which is the very array the last stage was evaluated at.  A
+    field's ``prepare`` hook first receives stages 1-6's times at once.
     """
     k = np.empty((7, y.size))
     k[0] = f0
+    prepare = getattr(field, "prepare", None)
+    if prepare is not None:
+        prepare(t + _C[1:] * h)
     for i, a_row in enumerate(_A, start=1):
         ti = t + _C[i] * h
         yi = y + h * (a_row @ k[:i])

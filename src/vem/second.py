@@ -99,14 +99,16 @@ def multiplier_system_second(problem: OcpProblem, snap: SecondEqSnapshot,
                              stack: TransitionStack, gains: GainSet,
                              mode: str = "quasi_feasible",
                              gu: Optional[np.ndarray] = None,
-                             nodes: Optional[NodeInputs] = None) -> MultiplierSystem:
+                             nodes: Optional[NodeInputs] = None,
+                             defect: Optional[np.ndarray] = None) -> MultiplierSystem:
     """Assemble the multiplier system for the requested variant.
 
     The modified variant replaces the dynamics with the snapshot time
     derivative in the terminal-rate factors and appends the
     initial-condition and dynamics-defect corrections to r.  A caller that
-    already holds ``gu`` or the per-node Jacobians ``nodes`` of this
-    snapshot passes them in so they are not evaluated again.
+    already holds ``gu``, the per-node Jacobians ``nodes`` or the dynamics
+    ``defect`` of this snapshot passes them in so they are not evaluated
+    again.
     """
     _check_mode(mode)
     grid = snap.grid
@@ -128,7 +130,8 @@ def multiplier_system_second(problem: OcpProblem, snap: SecondEqSnapshot,
         init_err = snap.states[0] - problem.x0
         r = r + gx @ (stack.psi[0].T @ (gains.kx0(problem.n) @ init_err))
         # Dynamics-defect feedback, transported to the terminal time.
-        defect = snap.defect(problem)
+        if defect is None:
+            defect = snap.defect(problem)
         kf = gains.kf(problem.n)
         carried = np.einsum("iba,ib->ia", stack.psi,
                             defect @ kf.T)          # Psi^T K_f defect per node
@@ -140,9 +143,10 @@ def multiplier_second(problem: OcpProblem, snap: SecondEqSnapshot,
                       stack: TransitionStack, gains: GainSet,
                       mode: str = "quasi_feasible",
                       gu: Optional[np.ndarray] = None,
-                      nodes: Optional[NodeInputs] = None) -> np.ndarray:
-    return solve_multipliers(
-        multiplier_system_second(problem, snap, stack, gains, mode, gu, nodes))
+                      nodes: Optional[NodeInputs] = None,
+                      defect: Optional[np.ndarray] = None) -> np.ndarray:
+    return solve_multipliers(multiplier_system_second(
+        problem, snap, stack, gains, mode, gu, nodes, defect))
 
 
 def control_rhs_second(problem: OcpProblem, snap: SecondEqSnapshot,
@@ -165,7 +169,8 @@ def state_rhs_second(problem: OcpProblem, snap: SecondEqSnapshot,
                      gains: GainSet, mode: str = "quasi_feasible",
                      opts: Optional[IntegratorOptions] = None,
                      via: str = "convolution",
-                     nodes: Optional[NodeInputs] = None) -> np.ndarray:
+                     nodes: Optional[NodeInputs] = None,
+                     defect: Optional[np.ndarray] = None) -> np.ndarray:
     """Evolution rate of the node states, shape (N, n).
 
     The state rate is the convolution of the control rate - and in
@@ -182,8 +187,9 @@ def state_rhs_second(problem: OcpProblem, snap: SecondEqSnapshot,
         w_i solves Psi_i^T w_i = Psi_0^T w0 + trapezoid of Psi_j^T forcing_j
         up to t_i.  This is the forward-matrix form of the same rule
         scaled by the constant Phi(tf, t0), and it needs no forward sweep.
-        f_u is read from ``nodes`` when the caller already holds the
-        snapshot's per-node Jacobians.
+        f_u is read from ``nodes`` and, in modified mode, the dynamics
+        defect from ``defect`` when the caller already holds them for
+        this snapshot.
 
     ``ivp``
         The equivalent forward variational problem
@@ -210,7 +216,9 @@ def state_rhs_second(problem: OcpProblem, snap: SecondEqSnapshot,
         for i in range(grid.n_nodes):
             forcing[i] = nodes.fu[i] @ udot_nodes[i]
         if modified:
-            forcing -= snap.defect(problem) @ kf.T
+            if defect is None:
+                defect = snap.defect(problem)
+            forcing -= defect @ kf.T
         # Phi(t_i, s_j) = Psi_i^{-T} Psi_j^T: carry the forcing to tf,
         # accumulate by the composite trapezoid, add the carried initial
         # value and bring each sum back to its node with one stacked solve.

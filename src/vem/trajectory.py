@@ -13,6 +13,20 @@ integrated alongside (same backward sweep, same Jacobian evaluations):
 lam' = -f_x^T lam - L_x with lam(tf) set to the terminal-cost gradient.
 That vector is exactly the cost-gradient kernel the evolution equations
 consume.
+
+Inner sweeps are driven by trajectories that do not depend on the swept
+values: the control, and for the backward sweep the states.  Their fields
+are ``DrivenField``s, which take those inputs as one row per time and
+use the integrator's ``prepare`` hook to look up all six stage times of a
+step attempt in one vectorised call.  A time that was not prepared (t0,
+the starting-step probe, or every call when the hook is hidden behind a
+plain ``(t, y)`` wrapper) falls back to a one-row lookup.  The rows are
+bit-equal to scalar queries: spline rows use the same elementwise Horner
+arithmetic, and dense-output rows use the row contraction
+``einsum("sdj,sj->sd")``, whose one-row case is the scalar query, rather
+than the node-value contraction ``"sdj,js->sd"``, which may differ from it
+in the last bit.  A driven sweep therefore reproduces the one-time-at-a-
+time sweep exactly.
 """
 
 from __future__ import annotations
@@ -75,15 +89,19 @@ class ControlTrajectory:
 
 @dataclass
 class StateTrajectory:
-    """Node states plus a dense evaluator for off-node queries."""
+    """Node states plus a dense evaluator for off-node queries.
+
+    ``_rows`` maps an array of times to (T, n) rows, each bit-equal to the
+    scalar query at its time; a scalar ``eval`` is its one-row case.
+    """
 
     grid: TimeGrid
     values: np.ndarray          # (N, n)
-    _eval: object = None        # callable t -> (n,)
+    _rows: object = None        # callable ts -> (T, n)
 
     @classmethod
     def from_path(cls, grid: TimeGrid, values, path: SolutionPath) -> "StateTrajectory":
-        return cls(grid, np.asarray(values, dtype=float), path.eval)
+        return cls(grid, np.asarray(values, dtype=float), path.rows)
 
     @classmethod
     def from_nodes(cls, grid: TimeGrid, values) -> "StateTrajectory":
@@ -91,8 +109,43 @@ class StateTrajectory:
         spline = spline_build(grid.times, values)
         return cls(grid, values, spline.eval)
 
+    def rows(self, ts) -> np.ndarray:
+        return self._rows(ts)
+
     def eval(self, t):
-        return self._eval(t)
+        if np.ndim(t) == 0:
+            return self._rows([t])[0]
+        return self._rows(t)
+
+
+class DrivenField:
+    """Inner-sweep field ``fn(t, y, row)`` fed by time-only rows.
+
+    ``lookup(ts)`` returns one row per time, (T, k).  ``prepare`` looks up
+    a step attempt's stage times at once; a call at any other time falls
+    back to ``lookup(np.array([t]))[0]``.
+    """
+
+    def __init__(self, fn, lookup):
+        self.fn = fn
+        self.lookup = lookup
+        self._rows = {}
+
+    def prepare(self, ts) -> None:
+        self._rows = dict(zip(ts.tolist(), self.lookup(ts)))
+
+    def __call__(self, t, y):
+        row = self._rows.get(t)
+        if row is None:
+            row = self.lookup(np.array([t], dtype=float))[0]
+        return self.fn(t, y, row)
+
+
+def state_control_rows(states: StateTrajectory, ctrl: ControlTrajectory):
+    """Lookup of [x(t), u(t)] rows for a ``DrivenField``."""
+    def lookup(ts):
+        return np.concatenate([states.rows(ts), ctrl.eval(ts)], axis=1)
+    return lookup
 
 
 def propagate_states(problem: OcpProblem, ctrl: ControlTrajectory,
@@ -103,11 +156,12 @@ def propagate_states(problem: OcpProblem, ctrl: ControlTrajectory,
     Runs from (t0, x0) to tf; node states are read from the dense output
     and the initial node is pinned to x0 exactly.
     """
-    def field_fn(t, x):
-        return problem.dynamics(x, ctrl.eval(t), t)
+    def field_fn(t, x, u):
+        return problem.dynamics(x, u, t)
 
     try:
-        path = rk45_integrate(field_fn, problem.x0, (grid.t0, grid.tf), opts)
+        path = rk45_integrate(DrivenField(field_fn, ctrl.eval), problem.x0,
+                              (grid.t0, grid.tf), opts)
     except NonFiniteField as exc:
         raise NonFiniteDynamics(str(exc)) from exc
     values = path.eval(grid.times)
@@ -153,18 +207,18 @@ def transition_stack(problem: OcpProblem, states: StateTrajectory,
     x_end = states.values[-1]
     lam_end = np.asarray(problem.grad_phix(x_end, grid.tf), dtype=float)
 
-    def field_fn(t, z):
+    def field_fn(t, z, xu):
         psi = z[:n * n].reshape(n, n)
         lam = z[n * n:]
-        x = states.eval(t)
-        u = ctrl.eval(t)
+        x, u = xu[:n], xu[n:]
         at = np.asarray(problem.jac_fx(x, u, t), dtype=float).T
         dpsi = -at @ psi
         dlam = -at @ lam - np.asarray(problem.grad_lx(x, u, t), dtype=float)
         return np.concatenate([dpsi.ravel(), dlam])
 
     z0 = np.concatenate([np.eye(n).ravel(), lam_end])
-    path = rk45_integrate(field_fn, z0, (grid.tf, grid.t0), opts)
+    field = DrivenField(field_fn, state_control_rows(states, ctrl))
+    path = rk45_integrate(field, z0, (grid.tf, grid.t0), opts)
     z_nodes = path.eval(grid.times)
     psi = z_nodes[:, :n * n].reshape(grid.n_nodes, n, n)
     adjoint = z_nodes[:, n * n:]

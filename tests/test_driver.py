@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from vem import (
     evolve,
     summarize,
 )
-from vem import driver, trajectory
+from vem import driver, second, trajectory
 from vem.driver import EvolutionSystem, path_cost, propagate_with_cost, solve_benchmark
 from vem.errors import StepFailure, TfCollapse
 from vem.trajectory import transition_stack
@@ -191,6 +193,38 @@ class TestEvaluationCache:
         assert after == fresh.residuals(vec)
         assert after != before
         assert not np.array_equal(system.rhs(0.0, vec), rate)
+
+
+class TestModifiedMode:
+    def test_one_defect_loop_per_rhs(self, brach, monkeypatch):
+        # The dynamics defect is evaluated once per evaluation and shared
+        # by the multiplier system and the state rate, which give the
+        # same bits as when each computes its own.
+        calls = []
+        defect = second.SecondEqSnapshot.defect
+
+        def counting_defect(self, problem):
+            calls.append(None)
+            return defect(self, problem)
+
+        monkeypatch.setattr(second.SecondEqSnapshot, "defect", counting_defect)
+        system = assemble_ivp(brach.problem, "second", 21, brach.gains,
+                              mode="modified")
+        controls, states, tf = system.layout.unpack(system.y0)
+        bumped = states + 1e-3 * np.sin(np.arange(states.size)).reshape(states.shape)
+        vec = system.layout.pack(controls, states=bumped, tf=tf)
+        calls.clear()
+        rate = system.rhs(0.0, vec)
+        assert len(calls) == 1
+
+        ev = system.evaluate(vec)
+        assert np.max(np.abs(ev.defect)) > 1e-3
+        pi = second.multiplier_second(brach.problem, ev.snap, ev.stack,
+                                      brach.gains, "modified", gu=ev.gu,
+                                      nodes=ev.nodes)
+        assert np.array_equal(pi, ev.pi)
+        own = system._rate_second(dataclasses.replace(ev, pi=pi, defect=None))
+        assert np.array_equal(rate, own)
 
 
 class TestCostEvaluation:

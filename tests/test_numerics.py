@@ -7,7 +7,6 @@ from vem.numerics import (
     grid_quadrature,
     solve_dense,
     spline_build,
-    spline_eval,
 )
 
 
@@ -15,7 +14,7 @@ class TestSpline:
     def test_cubic_reproduction(self):
         nodes = np.linspace(0.0, 2.0, 5)
         s = spline_build(nodes, nodes**3)
-        assert abs(spline_eval(s, 0.3) - 0.027) <= 1e-12
+        assert abs(s.eval(0.3) - 0.027) <= 1e-12
         t = np.linspace(0.0, 2.0, 201)
         assert np.max(np.abs(s.eval(t) - t**3)) <= 1e-12
 
@@ -76,6 +75,27 @@ class TestSpline:
                 assert np.array_equal(s.eval(q), values[k])
                 assert np.array_equal(s.derivative(q), slopes[k])
         assert np.ndim(s.eval(0.3)) == (0 if channels is None else 1)
+
+    @pytest.mark.parametrize("n_nodes", [2, 11])
+    @pytest.mark.parametrize("channels", [None, 3])
+    def test_row_batches_match_scalar_queries(self, n_nodes, channels):
+        # A six-time query, the same times one at a time as arrays, and
+        # scalar queries agree bit for bit, also outside the breakpoints.
+        rng = np.random.default_rng(9)
+        nodes = np.linspace(0.0, 2.0, n_nodes)
+        shape = (n_nodes,) if channels is None else (n_nodes, channels)
+        s = spline_build(nodes, rng.standard_normal(shape))
+        batches = [rng.uniform(-0.5, 2.5, 6) for _ in range(60)]
+        batches.append(np.array([-3.0, 7.0, 0.0, 2.0, nodes[1], nodes[-2]]))
+        for batch in batches:
+            values, slopes = s.eval(batch), s.derivative(batch)
+            assert len(values) == 6
+            for k, t in enumerate(batch):
+                one = np.array([t])
+                assert np.array_equal(s.eval(one)[0], values[k])
+                assert np.array_equal(s.derivative(one)[0], slopes[k])
+                assert np.array_equal(s.eval(float(t)), values[k])
+                assert np.array_equal(s.derivative(np.float64(t)), slopes[k])
 
     def test_degenerate_grid(self):
         with pytest.raises(DegenerateGrid):

@@ -81,6 +81,52 @@ def test_scalar_eval_matches_array_eval(t_span):
             assert np.array_equal(path.eval(q), expected)
 
 
+def _wavy(t, y):
+    return np.array([np.cos(t), -np.sin(3.0 * t), t * t, 1.0 + y[0]])
+
+
+@pytest.mark.parametrize("case", ["forward", "backward", "single-step"])
+def test_row_query_matches_scalar_query(case):
+    # Every row of a six-row query, and the same time asked as one row,
+    # returns the scalar query's bits, also outside the span.
+    if case == "single-step":
+        path = rk45_fixed(_wavy, np.zeros(4), (0.0, 2.0), 1)
+    else:
+        path = rk45_integrate(_wavy, np.zeros(4),
+                              (0.0, 2.0) if case == "forward" else (2.0, 0.0))
+    rng = np.random.default_rng(4)
+    batches = [rng.uniform(-0.5, 2.5, 6) for _ in range(150)]
+    batches.append(np.array([-4.0, 9.0, 0.0, 2.0, path.ts[1], path.ts[-2]]))
+    for batch in batches:
+        rows = path.rows(batch)
+        assert rows.shape == (6, 4)
+        for k, t in enumerate(batch):
+            assert np.array_equal(path.rows(np.array([t]))[0], rows[k])
+            for q in (float(t), np.float64(t)):
+                assert np.array_equal(path.eval(q), rows[k])
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 3.0), (3.0, 0.0)])
+def test_prepare_receives_each_attempts_stage_times(t_span):
+    # One prepare per step attempt, rejected ones included, with exactly
+    # the six times the stages are then evaluated at; the first call (t0)
+    # and the starting-step probe come unprepared.
+    calls, prepared = [], []
+
+    class Field:
+        def prepare(self, ts):
+            prepared.append(ts.copy())
+
+        def __call__(self, t, y):
+            calls.append(t)
+            return np.array([1.0 / (1e-3 + (t - 1.3) ** 2)])   # sharp peak
+
+    path = rk45_integrate(Field(), [0.0], t_span)
+    staged = np.array(calls[2:]).reshape(-1, 6)
+    assert len(prepared) == len(staged) > len(path.hs)   # some were rejected
+    assert np.array_equal(np.array(prepared), staged)
+
+
 def test_max_steps_exhaustion():
     with pytest.raises(StepFailure):
         rk45_integrate(lambda t, y: y, [1.0], (0.0, 10.0),

@@ -10,7 +10,9 @@ from vem import (
     propagate_states,
     transition_stack,
 )
-from vem.problems import brachistochrone, double_integrator
+from vem import driver, second, trajectory
+from vem.problems import brachistochrone, double_integrator, tracking_fixture
+from vem.rk45 import rk45_integrate
 
 TIGHT = IntegratorOptions(rtol=1e-10, atol=1e-12)
 
@@ -138,3 +140,88 @@ class TestPhiBetween:
         for i in (0, 9, 17):
             full = phi_between(stack, grid.n_nodes - 1, i)
             assert np.max(np.abs(full.T - stack.psi[i])) <= 1e-8
+
+
+class TestDrivenSweeps:
+    @staticmethod
+    def _sweeps(problem, seed=12):
+        """Every driven inner sweep: propagation (with and without the
+        cost channel), backward stacks along dense-output and spline
+        states, and the path cost."""
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(21, problem.t0, problem.tf)
+        ctrl = ControlTrajectory.from_values(
+            grid, smooth_controls(grid, problem.m, rng))
+        states = propagate_states(problem, ctrl, grid)
+        with_cost, cost = driver.propagate_with_cost(problem, ctrl, grid)
+        snap = second.SecondEqSnapshot.create(
+            grid, states.values + smooth_controls(grid, problem.n, rng, 1e-2),
+            ctrl.values)
+        stacks = [transition_stack(problem, s, c)
+                  for s, c in ((states, ctrl), (with_cost, ctrl),
+                               (snap.state_traj, snap.ctrl_traj))]
+        along = driver.path_cost(problem, snap.state_traj, snap.ctrl_traj, grid)
+        out = [states.values, with_cost.values, np.array([cost, along])]
+        for stack in stacks:
+            out += [stack.psi, stack.adjoint]
+        return out
+
+    @pytest.fixture()
+    def fields(self, monkeypatch):
+        """Every DrivenField made, recording its lookup sizes and the
+        (t, row) pairs its function sees."""
+        made = []
+
+        class RecordingField(trajectory.DrivenField):
+            def __init__(self, fn, lookup):
+                self.sizes, self.seen = [], []
+
+                def sized(ts):
+                    self.sizes.append(len(ts))
+                    return lookup(ts)
+
+                def seeing(t, y, row):
+                    self.seen.append(np.concatenate([[t], row]))
+                    return fn(t, y, row)
+
+                super().__init__(seeing, sized)
+                made.append(self)
+
+        for module in (trajectory, driver):
+            monkeypatch.setattr(module, "DrivenField", RecordingField)
+        return made
+
+    @pytest.mark.parametrize("make", [brachistochrone, tracking_fixture])
+    def test_hidden_prepare_gives_identical_sweeps(self, make, fields,
+                                                   monkeypatch):
+        # A wrapper that exposes only ``(t, y)``, as a tracer does, sends
+        # every call through the one-row fallback; the rows each field
+        # sees and the paths must not change in any bit.
+        problem = make().problem
+        prepared = self._sweeps(problem)
+        seen = [np.array(f.seen) for f in fields]
+        fields.clear()
+
+        def hiding(field, y0, t_span, opts=None, on_step=None):
+            return rk45_integrate(lambda t, y: field(t, y), y0, t_span, opts,
+                                  on_step=on_step)
+
+        for module in (trajectory, driver):
+            monkeypatch.setattr(module, "rk45_integrate", hiding)
+        hidden = self._sweeps(problem)
+        assert all(set(f.sizes) == {1} for f in fields)
+        assert len(fields) == len(seen) == 6
+        for f, rows in zip(fields, seen):
+            assert np.array_equal(np.array(f.seen), rows)
+        for a, b in zip(prepared, hidden):
+            assert np.array_equal(a, b)
+
+    def test_untraced_sweep_falls_back_at_most_twice(self, brach, fields):
+        # Only t0 and the starting-step probe are asked for one at a time;
+        # every step attempt looks its six stage times up at once.
+        self._sweeps(brach.problem)
+        assert len(fields) == 6
+        for f in fields:
+            assert f.sizes.count(1) <= 2
+            assert f.sizes.count(6) >= 10
+            assert set(f.sizes) == {1, 6}

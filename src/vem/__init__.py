@@ -35,7 +35,6 @@ from .trajectory import (
     StateTrajectory,
     TimeGrid,
     TransitionStack,
-    phi_between,
     propagate_states,
     transition_stack,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "evolve",
     "get_benchmark",
     "grid_quadrature",
-    "phi_between",
     "propagate_states",
     "register_benchmark",
     "rk45_fixed",

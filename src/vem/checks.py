@@ -15,7 +15,7 @@ from . import second as second_eq
 from . import third as third_eq
 from .driver import StateLayout
 from .numerics import cumulative_from_right, grid_quadrature, solve_dense, spline_build
-from .ocp import check_derivatives, validate_problem
+from .ocp import check_derivatives, row_form_mismatches, validate_problem
 from .problems import brachistochrone, double_integrator, tracking_fixture
 from .rk45 import IntegratorOptions, rk45_fixed
 from .trajectory import ControlTrajectory, TimeGrid, propagate_states, transition_stack
@@ -39,7 +39,8 @@ def _smooth_controls(grid, m, rng, scale=0.3, waves=2):
 
 
 def derivative_checks(seed: int = 0):
-    """Validation plus finite-difference agreement on the registry."""
+    """Validation plus finite-difference agreement on the registry, and
+    row forms against point forms on every shipped problem."""
     results = []
     rng = np.random.default_rng(seed)
     for bench in (double_integrator(), brachistochrone()):
@@ -55,6 +56,14 @@ def derivative_checks(seed: int = 0):
             worst = max(worst, check_derivatives(p, x, u, t).worst)
         results.append((f"derivatives[{bench.name}]", worst <= 1e-5,
                         f"max discrepancy {worst:.2e}"))
+    for bench in (double_integrator(), brachistochrone(), tracking_fixture()):
+        p = bench.problem
+        xs = p.x0 + rng.uniform(-1.0, 1.0, (10, p.n))
+        us = rng.uniform(-1.0, 1.0, (10, p.m))
+        ts = rng.uniform(p.t0, p.tf, 10)
+        found = row_form_mismatches(p, xs, us, ts)
+        results.append((f"rows[{bench.name}]", not found, "; ".join(found)
+                        or "row forms bit-equal to point forms at 10 rows"))
     return results
 
 

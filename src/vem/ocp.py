@@ -6,6 +6,16 @@ constraint, and their first derivatives as plain callables of
 callbacks may be omitted; central-difference fallbacks of O(h^2) accuracy
 are wired in at construction.  Problems are immutable after construction
 and all callbacks must be reentrant.
+
+The four per-node derivatives f_x, f_u, L_x and L_u (``ROW_FORMS``) also
+have a row form, ``<name>_rows(xs, us, ts)``, which takes T rows at once --
+``xs`` (T, n), ``us`` (T, m), ``ts`` (T,) -- and returns (T, n, n),
+(T, n, m), (T, n) and (T, m).  The solver's node loops and inner sweeps
+call only the row forms; the point forms serve the oracles, validation and
+derivative checks.  A problem may give either form (or both, which must
+agree bit for bit): a missing row form becomes a per-row loop over the
+point callback, a missing point form a one-row call of the row form.
+Without a running cost both L-gradients are zero arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +28,9 @@ import numpy as np
 from .errors import NonFiniteCallback
 
 _FD_STEP = 1e-6
+
+# Per-node derivatives that also come in row form, as ``<name>_rows``.
+ROW_FORMS = ("jac_fx", "jac_fu", "grad_lx", "grad_lu")
 
 
 def _fd_jac_x(fun, h=_FD_STEP):
@@ -80,6 +93,23 @@ def _fd_dt_terminal(fun, vector, h=_FD_STEP):
     return deriv
 
 
+def _row_loop(point):
+    """Row form of a point callback: one call per row, stacked."""
+    def rows(xs, us, ts):
+        return np.stack([np.asarray(point(x, u, t), dtype=float)
+                         for x, u, t in zip(xs, us, ts)])
+    return rows
+
+
+def _one_row(rows):
+    """Point form of a row callback: a one-row call."""
+    def point(x, u, t):
+        return rows(np.asarray(x, dtype=float)[None],
+                    np.asarray(u, dtype=float)[None],
+                    np.array([t], dtype=float))[0]
+    return point
+
+
 @dataclass(frozen=True)
 class OcpProblem:
     """Terminally constrained Bolza problem on a fixed or free horizon.
@@ -88,6 +118,8 @@ class OcpProblem:
     ``dx/dt = f(x, u, t)``, ``x(t0) = x0`` and, when ``q > 0``, the
     terminal condition ``g(x(tf), tf) = 0``.  ``tf_mode`` is "fixed"
     (``tf`` is the horizon) or "free" (``tf`` is the initial guess).
+    ``jac_fx_rows``, ``jac_fu_rows``, ``grad_lx_rows`` and ``grad_lu_rows``
+    are the row forms of the four per-node derivatives (module docstring).
     """
 
     n: int
@@ -112,6 +144,10 @@ class OcpProblem:
     jac_gx: Optional[Callable] = None
     dg_dt: Optional[Callable] = None
     name: str = ""
+    jac_fx_rows: Optional[Callable] = None
+    jac_fu_rows: Optional[Callable] = None
+    grad_lx_rows: Optional[Callable] = None
+    grad_lu_rows: Optional[Callable] = None
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -133,23 +169,32 @@ class OcpProblem:
 
         n, m, q = self.n, self.m, self.q
         set_ = object.__setattr__
-        if self.jac_fx is None:
+        if self.jac_fx is None and self.jac_fx_rows is None:
             set_(self, "jac_fx", _fd_jac_x(self.dynamics))
-        if self.jac_fu is None:
+        if self.jac_fu is None and self.jac_fu_rows is None:
             set_(self, "jac_fu", _fd_jac_u(self.dynamics))
 
         if self.running_cost is None:
             set_(self, "running_cost", lambda x, u, t: 0.0)
-            set_(self, "grad_lx", lambda x, u, t: np.zeros(n))
-            set_(self, "grad_lu", lambda x, u, t: np.zeros(m))
+            set_(self, "grad_lx", None)
+            set_(self, "grad_lu", None)
+            set_(self, "grad_lx_rows", lambda xs, us, ts: np.zeros((len(ts), n)))
+            set_(self, "grad_lu_rows", lambda xs, us, ts: np.zeros((len(ts), m)))
         else:
             cost_vec = lambda x, u, t: np.atleast_1d(self.running_cost(x, u, t))
-            if self.grad_lx is None:
+            if self.grad_lx is None and self.grad_lx_rows is None:
                 fd = _fd_jac_x(cost_vec)
                 set_(self, "grad_lx", lambda x, u, t: fd(x, u, t).reshape(n))
-            if self.grad_lu is None:
+            if self.grad_lu is None and self.grad_lu_rows is None:
                 fd_u = _fd_jac_u(cost_vec)
                 set_(self, "grad_lu", lambda x, u, t: fd_u(x, u, t).reshape(m))
+
+        for name in ROW_FORMS:
+            point, rows = getattr(self, name), getattr(self, name + "_rows")
+            if rows is None:
+                set_(self, name + "_rows", _row_loop(point))
+            elif point is None:
+                set_(self, name, _one_row(rows))
 
         if self.terminal_cost is None:
             set_(self, "terminal_cost", lambda xf, tf: 0.0)
@@ -241,6 +286,8 @@ class ValidationReport:
 
 
 def _probe(report, label, fun, expect_shape=None, scalar=False):
+    """Record what is wrong with ``fun()``'s output; return the output as
+    an array when nothing is, else None."""
     try:
         out = fun()
     except Exception as exc:  # callbacks are user code
@@ -256,14 +303,33 @@ def _probe(report, label, fun, expect_shape=None, scalar=False):
         return
     if not np.all(np.isfinite(arr)):
         report.add(f"{label}: non-finite output at probe point")
+        return
+    return arr
+
+
+def row_form_mismatches(problem: OcpProblem, xs, us, ts,
+                        names=ROW_FORMS) -> List[str]:
+    """Rows at which a derivative's row form differs in any bit from its
+    point form at the same (x, u, t); empty when every row agrees."""
+    found = []
+    for name in names:
+        rows = np.asarray(getattr(problem, name + "_rows")(xs, us, ts), dtype=float)
+        point = getattr(problem, name)
+        for k, t in enumerate(ts):
+            if not np.array_equal(rows[k], np.asarray(point(xs[k], us[k], t),
+                                                      dtype=float)):
+                found.append(f"{name}_rows: row {k} (t={t:g}) differs from {name}")
+    return found
 
 
 def validate_problem(problem: OcpProblem) -> ValidationReport:
     """Probe every callback at (x0, u=0, t0) and collect findings.
 
+    Each row form is probed with two stacked rows, at (x0, 0, t0) and
+    (x0, 0, tf), and every row is compared with the point form there.
     Pure: identical problems yield identical reports.  Nothing raises;
-    the report carries dimension mismatches, non-finite outputs, and
-    constraint-rank violations.
+    the report carries dimension mismatches, non-finite outputs, row forms
+    that disagree with their point forms, and constraint-rank violations.
     """
     report = ValidationReport()
     n, m, q = problem.n, problem.m, problem.q
@@ -281,6 +347,18 @@ def validate_problem(problem: OcpProblem) -> ValidationReport:
     _probe(report, "running_cost", lambda: problem.running_cost(x, u, t), scalar=True)
     _probe(report, "grad_lx", lambda: problem.grad_lx(x, u, t), (n,))
     _probe(report, "grad_lu", lambda: problem.grad_lu(x, u, t), (m,))
+    xs, us, ts = np.stack([x, x]), np.zeros((2, m)), np.array([t, problem.tf])
+    shapes = {"jac_fx": (n, n), "jac_fu": (n, m), "grad_lx": (n,), "grad_lu": (m,)}
+    usable = [name for name in ROW_FORMS
+              if _probe(report, f"{name}_rows",
+                        lambda: getattr(problem, name + "_rows")(xs, us, ts),
+                        (2,) + shapes[name]) is not None]
+    try:
+        for finding in row_form_mismatches(problem, xs, us, ts, usable):
+            report.add(finding)
+    except Exception as exc:  # callbacks are user code
+        report.add(f"point form at the row probe: raised "
+                   f"{type(exc).__name__}: {exc}")
     _probe(report, "terminal_cost", lambda: problem.terminal_cost(xf, tf), scalar=True)
     _probe(report, "grad_phix", lambda: problem.grad_phix(xf, tf), (n,))
     _probe(report, "dphi_dt", lambda: problem.dphi_dt(xf, tf), scalar=True)

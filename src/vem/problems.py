@@ -60,11 +60,12 @@ def double_integrator() -> Benchmark:
         t0=0.0, x0=np.array([1.0, 1.0]),
         tf_mode="fixed", tf=2.0,
         dynamics=lambda x, u, t: a_mat @ x + b_vec * u[0],
-        jac_fx=lambda x, u, t: a_mat,
-        jac_fu=lambda x, u, t: b_vec[:, None],
+        jac_fx_rows=lambda xs, us, ts: np.repeat(a_mat[None], len(ts), axis=0),
+        jac_fu_rows=lambda xs, us, ts: np.repeat(b_vec[None, :, None], len(ts),
+                                                 axis=0),
         running_cost=lambda x, u, t: 0.5 * u[0] ** 2,
-        grad_lx=lambda x, u, t: np.zeros(2),
-        grad_lu=lambda x, u, t: np.array([u[0]]),
+        grad_lx_rows=lambda xs, us, ts: np.zeros((len(ts), 2)),
+        grad_lu_rows=lambda xs, us, ts: np.array(us, dtype=float),
         constraint=lambda xf, tf: np.array([xf[0], xf[1]]),
         jac_gx=lambda xf, tf: np.eye(2),
         dg_dt=lambda xf, tf: np.zeros(2),
@@ -114,19 +115,22 @@ def brachistochrone() -> Benchmark:
         s, c = np.sin(u[0]), np.cos(u[0])
         return np.array([x[2] * s, -x[2] * c, gravity * c])
 
-    def jac_fx(x, u, t):
-        s, c = np.sin(u[0]), np.cos(u[0])
-        return np.array([[0.0, 0.0, s], [0.0, 0.0, -c], [0.0, 0.0, 0.0]])
+    def jac_fx_rows(xs, us, ts):
+        out = np.zeros((len(ts), 3, 3))
+        out[:, 0, 2] = np.sin(us[:, 0])
+        out[:, 1, 2] = -np.cos(us[:, 0])
+        return out
 
-    def jac_fu(x, u, t):
-        s, c = np.sin(u[0]), np.cos(u[0])
-        return np.array([[x[2] * c], [x[2] * s], [-gravity * s]])
+    def jac_fu_rows(xs, us, ts):
+        s, c = np.sin(us[:, 0]), np.cos(us[:, 0])
+        rows = np.stack([xs[:, 2] * c, xs[:, 2] * s, -gravity * s], axis=1)
+        return rows[:, :, None]
 
     problem = OcpProblem(
         n=3, m=1, q=2,
         t0=0.0, x0=np.zeros(3),
         tf_mode="free", tf=1.0,
-        dynamics=dynamics, jac_fx=jac_fx, jac_fu=jac_fu,
+        dynamics=dynamics, jac_fx_rows=jac_fx_rows, jac_fu_rows=jac_fu_rows,
         terminal_cost=lambda xf, tf: tf,
         grad_phix=lambda xf, tf: np.zeros(3),
         dphi_dt=lambda xf, tf: 1.0,
@@ -176,11 +180,11 @@ def tracking_fixture() -> Benchmark:
         t0=0.0, x0=np.array([0.5]),
         tf_mode="fixed", tf=1.0,
         dynamics=lambda x, u, t: np.array([-0.5 * x[0] + u[0]]),
-        jac_fx=lambda x, u, t: np.array([[-0.5]]),
-        jac_fu=lambda x, u, t: np.array([[1.0]]),
+        jac_fx_rows=lambda xs, us, ts: np.full((len(ts), 1, 1), -0.5),
+        jac_fu_rows=lambda xs, us, ts: np.ones((len(ts), 1, 1)),
         running_cost=lambda x, u, t: 0.5 * (x[0] - 1.0) ** 2 + 0.5 * u[0] ** 2,
-        grad_lx=lambda x, u, t: np.array([x[0] - 1.0]),
-        grad_lu=lambda x, u, t: np.array([u[0]]),
+        grad_lx_rows=lambda xs, us, ts: xs - 1.0,
+        grad_lu_rows=lambda xs, us, ts: np.array(us, dtype=float),
         terminal_cost=lambda xf, tf: 0.5 * xf[0] ** 2 + 0.2 * xf[0] * tf,
         grad_phix=lambda xf, tf: np.array([xf[0] + 0.2 * tf]),
         dphi_dt=lambda xf, tf: 0.2 * xf[0],

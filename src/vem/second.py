@@ -212,9 +212,7 @@ def state_rhs_second(problem: OcpProblem, snap: SecondEqSnapshot,
     if via == "convolution":
         if nodes is None:
             nodes = node_inputs(problem, snap.state_traj, snap.ctrl_traj)
-        forcing = np.empty((grid.n_nodes, problem.n))
-        for i in range(grid.n_nodes):
-            forcing[i] = nodes.fu[i] @ udot_nodes[i]
+        forcing = (nodes.fu @ udot_nodes[:, :, None])[:, :, 0]
         if modified:
             if defect is None:
                 defect = snap.defect(problem)

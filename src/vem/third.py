@@ -13,8 +13,9 @@ constraint residual decays along the virtual evolution time; pi solves
 M pi = -r with M a constraint-projected controllability Gramian.
 
 The per-node callback values (f_u and L_u at every node) are gathered once
-per snapshot into a ``NodeInputs`` record; every formula below accepts it
-as ``nodes`` and only gathers its own when none is passed.
+per snapshot, by one row-form call each, into a ``NodeInputs`` record;
+every formula below accepts it as ``nodes`` and only gathers its own when
+none is passed.
 """
 
 from __future__ import annotations
@@ -79,13 +80,11 @@ class NodeInputs:
 
 def node_inputs(problem: OcpProblem, states: StateTrajectory,
                 ctrl: ControlTrajectory) -> NodeInputs:
-    """Evaluate the per-node Jacobians of one snapshot once."""
+    """Evaluate the per-node Jacobians of one snapshot once: one row-form
+    call each for f_u and L_u over all nodes."""
     xs, us, ts = states.values, ctrl.values, states.grid.times
-    nodes = range(states.grid.n_nodes)
-    fu = np.stack([np.asarray(problem.jac_fu(xs[i], us[i], ts[i]), dtype=float)
-                   for i in nodes])
-    lu = np.stack([np.asarray(problem.grad_lu(xs[i], us[i], ts[i]), dtype=float)
-                   for i in nodes])
+    fu = np.asarray(problem.jac_fu_rows(xs, us, ts), dtype=float)
+    lu = np.asarray(problem.grad_lu_rows(xs, us, ts), dtype=float)
     return NodeInputs(xs, us, ts, fu, lu)
 
 
@@ -136,11 +135,8 @@ def control_gradient(problem: OcpProblem, states: StateTrajectory,
     n_nodes = states.grid.n_nodes
 
     if form == "adjoint":
-        lam = stack.adjoint
-        gu = np.empty((n_nodes, problem.m))
-        for i in range(n_nodes):
-            gu[i] = lu[i] + fu[i].T @ lam[i]
-        return gu
+        # A stacked matmul (not einsum) keeps the bits of fu[i].T @ lam[i].
+        return lu + (np.swapaxes(fu, 1, 2) @ stack.adjoint[:, :, None])[:, :, 0]
 
     if form != "quadrature":
         raise ValueError(f"unknown form {form!r}")

@@ -18,9 +18,12 @@ Inner sweeps are driven by trajectories that do not depend on the swept
 values: the control, and for the backward sweep the states.  Their fields
 are ``DrivenField``s, which take those inputs as one row per time and
 use the integrator's ``prepare`` hook to look up all six stage times of a
-step attempt in one vectorised call.  A time that was not prepared (t0,
-the starting-step probe, or every call when the hook is hidden behind a
-plain ``(t, y)`` wrapper) falls back to a one-row lookup.  The rows are
+step attempt in one vectorised call.  The backward sweep's rows are
+[f_x(t) flattened, L_x(t)], from one ``jac_fx_rows`` and one
+``grad_lx_rows`` call on the looked-up x(t) and u(t), so its field does
+only the two matrix products.  A time that was not prepared (t0, the
+starting-step probe, or every call when the hook is hidden behind a plain
+``(t, y)`` wrapper) falls back to a one-row lookup.  The rows are
 bit-equal to scalar queries: spline rows use the same elementwise Horner
 arithmetic, and dense-output rows use the row contraction
 ``einsum("sdj,sj->sd")``, whose one-row case is the scalar query, rather
@@ -36,8 +39,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteDynamics, NonFiniteField, SingularSystem
-from .numerics import COND_LIMIT, SplineCoeffs, spline_build
+from .errors import NonFiniteDynamics, NonFiniteField
+from .numerics import SplineCoeffs, spline_build
 from .ocp import OcpProblem
 from .rk45 import IntegratorOptions, SolutionPath, rk45_integrate
 
@@ -177,8 +180,8 @@ class TransitionStack:
     cost-gradient vector integrated on the same sweep.  The originating
     trajectory data is kept so forward transition matrices can be built
     lazily.  They serve only the oracles - the quadrature gradient
-    form, ``phi_between`` and the backward-vs-forward consistency check;
-    the solver itself, the coupled state rate included, reads ``psi``.
+    form and the backward-vs-forward consistency check; the solver
+    itself, the coupled state rate included, reads ``psi``.
     """
 
     grid: TimeGrid
@@ -201,27 +204,37 @@ class TransitionStack:
 def transition_stack(problem: OcpProblem, states: StateTrajectory,
                      ctrl: ControlTrajectory,
                      opts: Optional[IntegratorOptions] = None) -> TransitionStack:
-    """One backward sweep producing Psi at every node plus the adjoint."""
+    """One backward sweep producing Psi at every node plus the adjoint.
+
+    Each step attempt makes one ``jac_fx_rows`` and one ``grad_lx_rows``
+    call for its six stage times; f_x is stored as given and transposed
+    inside the field.
+    """
     grid = states.grid
     n = problem.n
+    nn = n * n
     x_end = states.values[-1]
     lam_end = np.asarray(problem.grad_phix(x_end, grid.tf), dtype=float)
 
-    def field_fn(t, z, xu):
-        psi = z[:n * n].reshape(n, n)
-        lam = z[n * n:]
-        x, u = xu[:n], xu[n:]
-        at = np.asarray(problem.jac_fx(x, u, t), dtype=float).T
-        dpsi = -at @ psi
-        dlam = -at @ lam - np.asarray(problem.grad_lx(x, u, t), dtype=float)
+    def lookup(ts):
+        """Rows of [f_x(t) flattened, L_x(t)]: two row-form calls."""
+        xs, us = states.rows(ts), ctrl.eval(ts)
+        a = np.asarray(problem.jac_fx_rows(xs, us, ts), dtype=float)
+        lx = np.asarray(problem.grad_lx_rows(xs, us, ts), dtype=float)
+        return np.concatenate([a.reshape(len(ts), nn), lx], axis=1)
+
+    def field_fn(t, z, row):
+        at = row[:nn].reshape(n, n).T
+        dpsi = -at @ z[:nn].reshape(n, n)
+        dlam = -at @ z[nn:] - row[nn:]
         return np.concatenate([dpsi.ravel(), dlam])
 
     z0 = np.concatenate([np.eye(n).ravel(), lam_end])
-    field = DrivenField(field_fn, state_control_rows(states, ctrl))
-    path = rk45_integrate(field, z0, (grid.tf, grid.t0), opts)
+    path = rk45_integrate(DrivenField(field_fn, lookup), z0,
+                          (grid.tf, grid.t0), opts)
     z_nodes = path.eval(grid.times)
-    psi = z_nodes[:, :n * n].reshape(grid.n_nodes, n, n)
-    adjoint = z_nodes[:, n * n:]
+    psi = z_nodes[:, :nn].reshape(grid.n_nodes, n, n)
+    adjoint = z_nodes[:, nn:]
     psi[-1] = np.eye(n)
     adjoint[-1] = lam_end
     return TransitionStack(grid, psi, adjoint, problem=problem, states=states,
@@ -242,20 +255,3 @@ def _forward_stack(problem, states, ctrl, grid, opts) -> np.ndarray:
     mats = path.eval(grid.times).reshape(grid.n_nodes, n, n)
     mats[0] = np.eye(n)
     return mats
-
-
-def phi_between(stack: TransitionStack, i: int, j: int) -> np.ndarray:
-    """Transition matrix from node j to node i (t_j <= t_i).
-
-    Built from the forward matrices via the semigroup property; consistent
-    with ``stack.psi`` since Psi(t_i)^T equals the transition from t_i to
-    the final node.
-    """
-    if i == j:
-        return np.eye(stack.psi.shape[1])
-    fwd = stack.forward_matrices()
-    base = fwd[j]
-    if np.linalg.cond(base) > COND_LIMIT:
-        raise SingularSystem("forward transition matrix is numerically singular")
-    # Phi(t_i, t_j) = Phi(t_i, t0) Phi(t_j, t0)^{-1}
-    return np.linalg.solve(base.T, fwd[i].T).T

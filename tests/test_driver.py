@@ -16,6 +16,7 @@ from vem import (
 from vem import driver, second, trajectory
 from vem.driver import EvolutionSystem, path_cost, propagate_with_cost, solve_benchmark
 from vem.errors import StepFailure, TfCollapse
+from vem.ocp import ROW_FORMS
 from vem.trajectory import transition_stack
 
 
@@ -193,6 +194,66 @@ class TestEvaluationCache:
         assert after == fresh.residuals(vec)
         assert after != before
         assert not np.array_equal(system.rhs(0.0, vec), rate)
+
+
+def _recording(bench, calls, names):
+    """The benchmark with the named problem callbacks appending
+    (name, number of rows) to ``calls``; a point call counts one row."""
+    problem = bench.problem
+
+    def wrap(name):
+        fn = getattr(problem, name)
+
+        def wrapper(x, u, t):
+            calls.append((name, len(t) if name.endswith("_rows") else 1))
+            return fn(x, u, t)
+        return wrapper
+
+    return dataclasses.replace(bench, problem=dataclasses.replace(
+        problem, **{name: wrap(name) for name in names}))
+
+
+class TestRowCallbacks:
+    @pytest.mark.parametrize("method,n_nodes", [("third", 321), ("second", 101)])
+    def test_solver_calls_no_point_jacobians(self, brach, method, n_nodes):
+        calls = []
+        bench = _recording(brach, calls, ("jac_fx", "jac_fu"))
+        solve_benchmark(bench, method, n_nodes=n_nodes, tau_end=2.0)
+        assert calls == []
+
+    def test_one_row_call_per_evaluation_and_step_attempt(self, brach,
+                                                          monkeypatch):
+        calls, sweeps, attempts = [], [], []
+
+        def counting_stack(*args, **kwargs):
+            sweeps.append(None)
+            return transition_stack(*args, **kwargs)
+
+        def counting_integrate(field, y0, t_span, opts=None, on_step=None):
+            if t_span[0] > t_span[1]:        # the backward sweep
+                prepare = field.prepare
+
+                def counted(ts):
+                    attempts.append(None)
+                    prepare(ts)
+                field.prepare = counted
+            return integrate(field, y0, t_span, opts, on_step=on_step)
+
+        integrate = trajectory.rk45_integrate
+        monkeypatch.setattr(driver, "transition_stack", counting_stack)
+        monkeypatch.setattr(trajectory, "rk45_integrate", counting_integrate)
+        bench = _recording(brach, calls, [name + "_rows" for name in ROW_FORMS])
+        solve_benchmark(bench, "third", n_nodes=41, tau_end=2.0)
+
+        def sizes(name):
+            return [rows for called, rows in calls if called == name]
+
+        assert sizes("jac_fu_rows") == sizes("grad_lu_rows") == [41] * len(sweeps)
+        per_attempt = sizes("jac_fx_rows")
+        assert sizes("grad_lx_rows") == per_attempt
+        assert per_attempt.count(6) == len(attempts) > 0
+        assert 0 < per_attempt.count(1) <= 2 * len(sweeps)
+        assert per_attempt.count(6) + per_attempt.count(1) == len(per_attempt)
 
 
 class TestModifiedMode:

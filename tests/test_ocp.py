@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from vem import GainSet, OcpProblem, check_derivatives, validate_problem
+from vem.ocp import ROW_FORMS
 from vem.problems import brachistochrone, double_integrator, tracking_fixture
 
 
@@ -36,6 +39,35 @@ class TestValidation:
         )
         report = validate_problem(p)
         assert any("q=3" in f for f in report.findings)
+
+    def test_wrong_row_shape_is_reported(self):
+        p = dataclasses.replace(
+            _drift_only_problem(),
+            jac_fu_rows=lambda xs, us, ts: np.zeros((len(ts), 1, 2)))
+        report = validate_problem(p)
+        assert any("jac_fu_rows: expected shape (2, 2, 1)" in f
+                   for f in report.findings), report.findings
+
+    def test_non_finite_row_is_reported(self):
+        def grad_lu_rows(xs, us, ts):
+            out = np.array(us, dtype=float)
+            out[ts > 0.5] = np.nan
+            return out
+
+        p = dataclasses.replace(tracking_fixture().problem,
+                                grad_lu_rows=grad_lu_rows)
+        report = validate_problem(p)
+        assert report.findings == ["grad_lu_rows: non-finite output at probe point"]
+
+    def test_row_differing_from_point_form_is_reported(self):
+        # The row form drifts with t, the point form does not: only the
+        # row at tf differs.
+        p = dataclasses.replace(
+            _drift_only_problem(),
+            jac_fx_rows=lambda xs, us, ts: np.array(
+                [[[0.0, 1.0 + t], [0.0, 0.0]] for t in ts]))
+        report = validate_problem(p)
+        assert report.findings == ["jac_fx_rows: row 1 (t=1) differs from jac_fx"]
 
     def test_validation_is_pure(self):
         p = double_integrator().problem
@@ -136,3 +168,62 @@ class TestGainSet:
         gains = GainSet(K=np.eye(1))
         assert np.array_equal(gains.kx0(3), np.eye(3))
         assert np.array_equal(gains.kf(2), np.eye(2))
+
+
+def _random_rows(problem, rng, count=10):
+    xs = problem.x0 + rng.uniform(-1.0, 1.0, (count, problem.n))
+    us = rng.uniform(-1.0, 1.0, (count, problem.m))
+    ts = rng.uniform(problem.t0, problem.tf, count)
+    return xs, us, ts
+
+
+def _stacked_points(point, xs, us, ts):
+    return np.stack([np.asarray(point(x, u, t), dtype=float)
+                     for x, u, t in zip(xs, us, ts)])
+
+
+class TestRowForms:
+    @pytest.mark.parametrize("factory", [double_integrator, brachistochrone,
+                                         tracking_fixture])
+    def test_row_form_equals_point_form(self, factory):
+        p = factory().problem
+        xs, us, ts = _random_rows(p, np.random.default_rng(3))
+        for name in ROW_FORMS:
+            rows = getattr(p, name + "_rows")(xs, us, ts)
+            points = _stacked_points(getattr(p, name), xs, us, ts)
+            assert np.array_equal(rows, points), name
+
+    def test_point_only_problem_gets_row_loops(self):
+        full = tracking_fixture().problem
+        points = {name: (lambda x, u, t, f=getattr(full, name): f(x, u, t) + 0.25 * t)
+                  for name in ROW_FORMS}
+        p = OcpProblem(n=1, m=1, q=0, t0=0.0, x0=np.array([0.5]),
+                       tf_mode="fixed", tf=1.0, dynamics=full.dynamics,
+                       running_cost=full.running_cost, **points)
+        xs, us, ts = _random_rows(p, np.random.default_rng(4))
+        for name in ROW_FORMS:
+            assert getattr(p, name) is points[name]
+            expected = _stacked_points(points[name], xs, us, ts)
+            assert np.array_equal(getattr(p, name + "_rows")(xs, us, ts), expected)
+
+    def test_finite_difference_fallbacks_get_row_loops(self):
+        full = tracking_fixture().problem
+        bare = OcpProblem(n=1, m=1, q=0, t0=0.0, x0=np.array([0.5]),
+                          tf_mode="fixed", tf=1.0, dynamics=full.dynamics,
+                          running_cost=full.running_cost)
+        xs, us, ts = _random_rows(bare, np.random.default_rng(5))
+        for name in ROW_FORMS:
+            rows = getattr(bare, name + "_rows")(xs, us, ts)
+            points = _stacked_points(getattr(bare, name), xs, us, ts)
+            assert np.array_equal(rows, points)
+            exact = getattr(full, name + "_rows")(xs, us, ts)
+            assert np.allclose(rows, exact, atol=1e-7)
+
+    def test_no_running_cost_gives_zero_rows(self):
+        p = _drift_only_problem()
+        xs, us, ts = _random_rows(p, np.random.default_rng(6), count=4)
+        assert np.array_equal(p.grad_lx_rows(xs, us, ts), np.zeros((4, 2)))
+        assert np.array_equal(p.grad_lu_rows(xs, us, ts), np.zeros((4, 1)))
+        # The point forms are one-row calls of the zero rows.
+        assert np.array_equal(p.grad_lx(xs[0], us[0], ts[0]), np.zeros(2))
+        assert np.array_equal(p.grad_lu(xs[0], us[0], ts[0]), np.zeros(1))

@@ -209,6 +209,38 @@ class TestStateRhs:
                                              mode=mode, nodes=nodes)
         assert np.array_equal(with_nodes, out)
 
+    def test_batched_forcing_equals_node_loop(self):
+        # Three controls per node with state-dependent f_u, so each
+        # forcing row is a sum whose rounding depends on the order.  The
+        # reference is the convolution route with the per-node product
+        # fu[i] @ udot[i] written out.
+        def jac_fu(x, u, t):
+            return np.array([[np.cos(x[0]), 0.7 * x[1], 0.3],
+                             [0.45, 1.0 + x[0], -np.sin(x[1])]])
+
+        p = OcpProblem(
+            n=2, m=3, q=0, t0=0.0, x0=np.array([0.3, -0.2]), tf_mode="fixed",
+            tf=1.0, jac_fu=jac_fu,
+            dynamics=lambda x, u, t: np.array([x[1], -x[0]]) + jac_fu(x, u, t) @ u)
+        gains = GainSet(K=np.eye(3))
+        rng = np.random.default_rng(18)
+        grid = TimeGrid(21, p.t0, p.tf)
+        snap, stack = _feasible_snapshot(p, grid, smooth_controls(grid, 3, rng))
+        udot = smooth_controls(grid, 3, rng, scale=0.5)
+        out = second.state_rhs_second(p, snap, stack, udot, gains)
+
+        nodes = third.node_inputs(p, snap.state_traj, snap.ctrl_traj)
+        forcing = np.empty((grid.n_nodes, p.n))
+        for i in range(grid.n_nodes):
+            forcing[i] = nodes.fu[i] @ udot[i]
+        carried = np.einsum("jba,jb->ja", stack.psi, forcing)
+        summed = cumulative_trapezoid(carried, grid.times, axis=0, initial=0.0)
+        summed += stack.psi[0].T @ np.zeros(p.n)
+        loop = np.linalg.solve(np.swapaxes(stack.psi, 1, 2),
+                               summed[:, :, None])[:, :, 0]
+        assert np.max(np.abs(out)) > 1e-3
+        assert np.array_equal(out, loop)
+
     def test_modified_reduces_on_clean_snapshot(self, di):
         grid = TimeGrid(21, 0.0, 2.0)
         snap, stack = _feasible_snapshot(di.problem, grid,

@@ -6,6 +6,8 @@ the Gramian trapezoid sums, and the propagation are all exact up to
 roundoff, so tolerances can be tight.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from vem import (
 )
 from vem.errors import TfCollapse
 from vem.numerics import grid_quadrature
-from vem.problems import tracking_fixture
+from vem.problems import brachistochrone, tracking_fixture
 
 TIGHT = IntegratorOptions(rtol=1e-10, atol=1e-12)
 
@@ -89,6 +91,45 @@ class TestControlGradient:
         ctrl, states, stack = _snapshot(di.problem, grid, controls, TIGHT)
         gu = third.control_gradient(di.problem, states, ctrl, stack, form=form)
         assert np.max(np.abs(gu - controls)) <= 1e-8
+
+
+class TestNodeInputs:
+    @pytest.mark.parametrize("make", [brachistochrone, tracking_fixture])
+    def test_adjoint_gradient_equals_node_loop(self, make):
+        p = make().problem
+        rng = np.random.default_rng(17)
+        grid = TimeGrid(41, p.t0, p.tf)
+        ctrl, states, stack = _snapshot(p, grid, smooth_controls(grid, p.m, rng))
+        # The brachistochrone's own adjoint vanishes; a random one makes
+        # every product count.
+        stack = dataclasses.replace(
+            stack, adjoint=rng.standard_normal(stack.adjoint.shape))
+        gu = third.control_gradient(p, states, ctrl, stack)
+        xs, us, ts = states.values, ctrl.values, grid.times
+        loop = np.empty((grid.n_nodes, p.m))
+        for i in range(grid.n_nodes):
+            loop[i] = (p.grad_lu(xs[i], us[i], ts[i])
+                       + p.jac_fu(xs[i], us[i], ts[i]).T @ stack.adjoint[i])
+        assert np.max(np.abs(gu)) > 1e-3
+        assert np.array_equal(gu, loop)
+
+    def test_one_row_call_per_quantity(self, brach):
+        calls = []
+
+        def counted(name):
+            rows = getattr(brach.problem, name + "_rows")
+
+            def wrapper(xs, us, ts):
+                calls.append((name, len(ts)))
+                return rows(xs, us, ts)
+            return wrapper
+
+        p = dataclasses.replace(brach.problem, jac_fu_rows=counted("jac_fu"),
+                                grad_lu_rows=counted("grad_lu"))
+        grid = TimeGrid(31, 0.0, 1.0)
+        ctrl, states, _ = _snapshot(p, grid, np.zeros((31, 1)))
+        third.node_inputs(p, states, ctrl)
+        assert calls == [("jac_fu", 31), ("grad_lu", 31)]
 
 
 class TestMultiplierSystem:

@@ -6,7 +6,6 @@ from vem import (
     ControlTrajectory,
     IntegratorOptions,
     TimeGrid,
-    phi_between,
     propagate_states,
     transition_stack,
 )
@@ -110,7 +109,7 @@ class TestTransitionStack:
         assert worst <= 1e-8
 
 
-class TestPhiBetween:
+class TestForwardMatrices:
     @pytest.fixture()
     def di_stack(self, di):
         grid = TimeGrid(21, 0.0, 2.0)
@@ -118,27 +117,23 @@ class TestPhiBetween:
         states = propagate_states(di.problem, ctrl, grid, TIGHT)
         return grid, transition_stack(di.problem, states, ctrl, TIGHT)
 
-    def test_same_node_is_identity(self, di_stack):
+    def test_start_at_identity(self, di_stack):
         _, stack = di_stack
-        assert np.array_equal(phi_between(stack, 7, 7), np.eye(2))
+        assert np.array_equal(stack.forward_matrices()[0], np.eye(2))
 
     def test_closed_form(self, di_stack):
         grid, stack = di_stack
-        for i, j in ((5, 2), (20, 0), (13, 13), (18, 6)):
-            dt = grid.times[i] - grid.times[j]
-            expected = np.array([[1.0, dt], [0.0, 1.0]])
-            assert np.max(np.abs(phi_between(stack, i, j) - expected)) <= 1e-9
-
-    def test_semigroup_property(self, di_stack):
-        _, stack = di_stack
-        lhs = phi_between(stack, 16, 8) @ phi_between(stack, 8, 3)
-        rhs = phi_between(stack, 16, 3)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-9
+        fwd = stack.forward_matrices()
+        for i in (0, 2, 13, 20):
+            expected = np.array([[1.0, grid.times[i]], [0.0, 1.0]])
+            assert np.max(np.abs(fwd[i] - expected)) <= 1e-9
 
     def test_consistent_with_psi(self, di_stack):
-        grid, stack = di_stack
+        _, stack = di_stack
+        fwd = stack.forward_matrices()
         for i in (0, 9, 17):
-            full = phi_between(stack, grid.n_nodes - 1, i)
+            # Phi(tf, t_i) = Phi(tf, t0) Phi(t_i, t0)^{-1}
+            full = np.linalg.solve(fwd[i].T, fwd[-1].T).T
             assert np.max(np.abs(full.T - stack.psi[i])) <= 1e-8
 
 

@@ -35,6 +35,7 @@ from .trajectory import (
     StateTrajectory,
     TimeGrid,
     TransitionStack,
+    fused_sweep,
     propagate_states,
     transition_stack,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "cumulative_from_right",
     "double_integrator",
     "evolve",
+    "fused_sweep",
     "get_benchmark",
     "grid_quadrature",
     "propagate_states",

@@ -2,7 +2,8 @@
 
 Each check returns (name, passed, detail).  The oracles here are chosen
 to be independent of the production code paths they exercise: forward
-transition matrices check the backward sweep, per-interval Gauss
+transition matrices check the backward sweep, propagation plus the
+backward sweep check the fused forward sweep, per-interval Gauss
 quadrature checks the variational state-rate problem, finite differences
 check analytic derivatives, and closed forms check the integrator.
 """
@@ -13,12 +14,13 @@ import numpy as np
 
 from . import second as second_eq
 from . import third as third_eq
-from .driver import StateLayout
+from .driver import StateLayout, path_cost
 from .numerics import cumulative_from_right, grid_quadrature, solve_dense, spline_build
 from .ocp import check_derivatives, row_form_mismatches, validate_problem
 from .problems import brachistochrone, double_integrator, tracking_fixture
 from .rk45 import IntegratorOptions, rk45_fixed
-from .trajectory import ControlTrajectory, TimeGrid, propagate_states, transition_stack
+from .trajectory import (ControlTrajectory, TimeGrid, fused_sweep, propagate_states,
+                         transition_stack)
 
 TIGHT = IntegratorOptions(rtol=1e-10, atol=1e-12)
 
@@ -157,6 +159,31 @@ def _check_gradient_forms(seed=0):
     return worst <= 1e-6, f"adjoint-vs-quadrature gap {worst:.2e}"
 
 
+def _fused_gap(bench, n_nodes, rng):
+    """Worst scaled gap of the fused forward sweep's states, Psi, adjoint
+    and cost against propagation, the backward sweep and the path cost."""
+    p = bench.problem
+    grid = TimeGrid(n_nodes, p.t0, p.tf)
+    ctrl = ControlTrajectory.from_values(grid, _smooth_controls(grid, p.m, rng))
+    states, stack, cost = fused_sweep(p, ctrl, grid, TIGHT)
+    ref_states = propagate_states(p, ctrl, grid, TIGHT)
+    ref_stack = transition_stack(p, ref_states, ctrl, TIGHT)
+    ref_cost = path_cost(p, ref_states, ctrl, grid, TIGHT)
+    pairs = ((states.values, ref_states.values), (stack.psi, ref_stack.psi),
+             (stack.adjoint, ref_stack.adjoint), (cost, ref_cost))
+    return max(float(np.max(np.abs(a - b))) / (1.0 + float(np.max(np.abs(b))))
+               for a, b in pairs)
+
+
+def _check_fused_vs_backward(seed=0):
+    rng = np.random.default_rng(seed)
+    worst = max(_fused_gap(bench, n_nodes, rng)
+                for bench, n_nodes in ((double_integrator(), 41),
+                                       (brachistochrone(), 101),
+                                       (tracking_fixture(), 801)))
+    return worst <= 1e-8, f"fused-vs-backward gap {worst:.2e}"
+
+
 def _check_stationarity():
     bench = double_integrator()
     p = bench.problem
@@ -266,6 +293,7 @@ def invariant_checks(seed: int = 0):
     results.append(("pack-roundtrip",) + _check_pack_roundtrip())
     results.append(("psi-forward-backward",) + _check_psi_consistency(seed))
     results.append(("gradient-forms",) + _check_gradient_forms(seed))
+    results.append(("fused-vs-backward",) + _check_fused_vs_backward(seed))
     results.append(("stationarity",) + _check_stationarity())
     results.append(("convolution-vs-variational",) + _check_convolution_vs_ivp(seed))
     results.append(("mode-reduction",) + _check_mode_reduction())

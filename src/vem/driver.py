@@ -27,6 +27,7 @@ from .trajectory import (
     StateTrajectory,
     TimeGrid,
     TransitionStack,
+    fused_sweep,
     propagate_states,
     state_control_rows,
     transition_stack,
@@ -151,29 +152,9 @@ class SolveReport:
 
 def propagate_with_cost(problem: OcpProblem, ctrl: ControlTrajectory,
                         grid: TimeGrid, opts: Optional[IntegratorOptions] = None):
-    """Propagate states and the running-cost integral in one sweep.
-
-    Returns (StateTrajectory, J) with J the full performance index
-    including the terminal term.
-    """
-    n = problem.n
-
-    def field_fn(t, z, u):
-        x = z[:n]
-        return np.concatenate([
-            np.asarray(problem.dynamics(x, u, t), dtype=float),
-            [float(problem.running_cost(x, u, t))],
-        ])
-
-    z0 = np.concatenate([problem.x0, [0.0]])
-    path = rk45_integrate(DrivenField(field_fn, ctrl.eval), z0,
-                          (grid.t0, grid.tf), opts)
-    nodes = path.eval(grid.times)
-    values = nodes[:, :n]
-    values[0] = problem.x0
-    x_end = values[-1]
-    cost = float(problem.terminal_cost(x_end, grid.tf)) + float(path.y_end[n])
-    states = StateTrajectory(grid, values, lambda ts: path.rows(ts)[:, :n])
+    """(StateTrajectory, J) from the fused forward sweep, with J the full
+    performance index including the terminal term."""
+    states, _, cost = fused_sweep(problem, ctrl, grid, opts)
     return states, cost
 
 
@@ -197,7 +178,8 @@ class Evaluation:
 
     ``states`` and ``ctrl`` are the trajectories every formula reads; for
     the coupled method they are the snapshot's own (``snap``), for the
-    control-only method the propagated states under the node controls.
+    control-only method the propagated states under the node controls,
+    whose fused sweep also gives the performance index ``cost``.
     """
 
     grid: TimeGrid
@@ -209,21 +191,24 @@ class Evaluation:
     pi: Optional[np.ndarray]
     snap: Optional[second_eq.SecondEqSnapshot] = None
     defect: Optional[np.ndarray] = None     # coupled modified mode only
+    cost: Optional[float] = None            # control-only method only
 
 
 class EvolutionSystem:
     """The assembled tau-IVP: layout, right-hand side, snapshot pipeline.
 
-    ``rhs``, ``residuals``, ``gradient_norm`` and the coupled method's
-    ``snapshot`` all read one ``Evaluation`` of the vector they are given.
+    ``rhs``, ``residuals``, ``gradient_norm`` and ``snapshot`` all read
+    one ``Evaluation`` of the vector they are given.  A control-only
+    evaluation is one fused forward sweep (states, transition stack and
+    cost together); a coupled one is one backward sweep along the
+    snapshot's own trajectories.
     The last evaluation is kept, keyed by the vector's exact bytes, so a
     vector seen twice in a row is evaluated once: the integrator's last
     stage of an accepted step and the convergence check on that step, or
     the assembly probe at y0, the threshold scaling and the first field
     call.  A vector that differs in any bit, including one mutated in
     place after a call, misses the cache and is evaluated afresh.  The
-    control-only snapshot propagates its states together with the cost, so
-    it runs its own evaluation and leaves the cache alone.
+    coupled snapshot adds one path-cost sweep along its states.
     """
 
     def __init__(self, problem: OcpProblem, gains: GainSet, method: str,
@@ -271,20 +256,23 @@ class EvolutionSystem:
         controls, _, tf = self.layout.unpack(vec)
         grid = self._grid(tf)
         ctrl = ControlTrajectory.from_values(grid, controls)
-        return self._along(grid, ctrl, propagate_states(
-            self.problem, ctrl, grid, self.opts))
+        states, stack, cost = fused_sweep(self.problem, ctrl, grid, self.opts)
+        return self._along(grid, ctrl, states, stack, cost=cost)
 
     def _evaluate_second(self, vec) -> Evaluation:
         controls, states_nodes, tf = self.layout.unpack(vec)
         grid = self._grid(tf)
         snap = second_eq.SecondEqSnapshot.create(grid, states_nodes, controls)
-        return self._along(grid, snap.ctrl_traj, snap.state_traj, snap)
+        stack = transition_stack(self.problem, snap.state_traj, snap.ctrl_traj,
+                                 self.opts)
+        return self._along(grid, snap.ctrl_traj, snap.state_traj, stack, snap)
 
-    def _along(self, grid, ctrl, states, snap=None) -> Evaluation:
-        """Backward sweep, node Jacobians, gradient and multipliers along
-        given trajectories; ``snap`` selects the coupled multiplier system."""
+    def _along(self, grid, ctrl, states, stack, snap=None,
+               cost=None) -> Evaluation:
+        """Node Jacobians, gradient and multipliers along given
+        trajectories and their stack; ``snap`` selects the coupled
+        multiplier system."""
         problem = self.problem
-        stack = transition_stack(problem, states, ctrl, self.opts)
         nodes = third_eq.node_inputs(problem, states, ctrl)
         gu = third_eq.control_gradient(problem, states, ctrl, stack, nodes=nodes)
         defect = (snap.defect(problem)
@@ -305,7 +293,8 @@ class EvolutionSystem:
                                         nodes=nodes)
             pi = third_eq.solve_multipliers(
                 third_eq.MultiplierSystem(mat, r, "quasi_feasible"))
-        return Evaluation(grid, ctrl, states, stack, nodes, gu, pi, snap, defect)
+        return Evaluation(grid, ctrl, states, stack, nodes, gu, pi, snap, defect,
+                          cost)
 
     def _rate_third(self, ev: Evaluation):
         udot = third_eq.control_rhs(self.problem, ev.states, ev.ctrl, ev.stack,
@@ -355,14 +344,9 @@ class EvolutionSystem:
         return float(np.max(np.abs(self.evaluate(vec).gu)))
 
     def snapshot(self, tau, vec) -> SnapshotRecord:
-        if self.method == "third":
-            controls, _, tf = self.layout.unpack(vec)
-            grid = self._grid(tf)
-            ctrl = ControlTrajectory.from_values(grid, controls)
-            states, cost = propagate_with_cost(self.problem, ctrl, grid, self.opts)
-            ev = self._along(grid, ctrl, states)
-        else:
-            ev = self.evaluate(vec)
+        ev = self.evaluate(vec)
+        cost = ev.cost
+        if cost is None:
             cost = path_cost(self.problem, ev.states, ev.ctrl, ev.grid, self.opts)
         res = third_eq.optimality_residuals(self.problem, ev.states, ev.ctrl,
                                             ev.stack, ev.gu, ev.pi,

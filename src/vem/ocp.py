@@ -5,7 +5,9 @@ constraint, and their first derivatives as plain callables of
 ``(x, u, t)`` (or ``(x_f, t_f)`` for terminal quantities).  Derivative
 callbacks may be omitted; central-difference fallbacks of O(h^2) accuracy
 are wired in at construction.  Problems are immutable after construction
-and all callbacks must be reentrant.
+and all callbacks must be reentrant.  ``dataclasses.replace`` derives every
+filled-in callback (fallbacks, adapters, zero defaults) afresh from the
+new problem's given ones.
 
 The four per-node derivatives f_x, f_u, L_x and L_u (``ROW_FORMS``) also
 have a row form, ``<name>_rows(xs, us, ts)``, which takes T rows at once --
@@ -15,12 +17,12 @@ call only the row forms; the point forms serve the oracles, validation and
 derivative checks.  A problem may give either form (or both, which must
 agree bit for bit): a missing row form becomes a per-row loop over the
 point callback, a missing point form a one-row call of the row form.
-Without a running cost both L-gradients are zero arrays.
+Without a running cost the L-gradients not given are zero arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -169,53 +171,56 @@ class OcpProblem:
 
         n, m, q = self.n, self.m, self.q
         set_ = object.__setattr__
-        if self.jac_fx is None and self.jac_fx_rows is None:
-            set_(self, "jac_fx", _fd_jac_x(self.dynamics))
-        if self.jac_fu is None and self.jac_fu_rows is None:
-            set_(self, "jac_fu", _fd_jac_u(self.dynamics))
+        # ``dataclasses.replace`` hands every field back as if given; what
+        # was derived here is dropped and derived again from the new fields.
+        for f in fields(self):
+            if getattr(getattr(self, f.name), "_derived", False):
+                set_(self, f.name, None)
 
+        def fill(name, fn):
+            if getattr(self, name) is None:
+                fn._derived = True
+                set_(self, name, fn)
+
+        if self.jac_fx_rows is None:
+            fill("jac_fx", _fd_jac_x(self.dynamics))
+        if self.jac_fu_rows is None:
+            fill("jac_fu", _fd_jac_u(self.dynamics))
         if self.running_cost is None:
-            set_(self, "running_cost", lambda x, u, t: 0.0)
-            set_(self, "grad_lx", None)
-            set_(self, "grad_lu", None)
-            set_(self, "grad_lx_rows", lambda xs, us, ts: np.zeros((len(ts), n)))
-            set_(self, "grad_lu_rows", lambda xs, us, ts: np.zeros((len(ts), m)))
+            fill("running_cost", lambda x, u, t: 0.0)
+            if self.grad_lx is None:
+                fill("grad_lx_rows", lambda xs, us, ts: np.zeros((len(ts), n)))
+            if self.grad_lu is None:
+                fill("grad_lu_rows", lambda xs, us, ts: np.zeros((len(ts), m)))
         else:
             cost_vec = lambda x, u, t: np.atleast_1d(self.running_cost(x, u, t))
-            if self.grad_lx is None and self.grad_lx_rows is None:
+            if self.grad_lx_rows is None:
                 fd = _fd_jac_x(cost_vec)
-                set_(self, "grad_lx", lambda x, u, t: fd(x, u, t).reshape(n))
-            if self.grad_lu is None and self.grad_lu_rows is None:
+                fill("grad_lx", lambda x, u, t: fd(x, u, t).reshape(n))
+            if self.grad_lu_rows is None:
                 fd_u = _fd_jac_u(cost_vec)
-                set_(self, "grad_lu", lambda x, u, t: fd_u(x, u, t).reshape(m))
+                fill("grad_lu", lambda x, u, t: fd_u(x, u, t).reshape(m))
 
         for name in ROW_FORMS:
             point, rows = getattr(self, name), getattr(self, name + "_rows")
             if rows is None:
-                set_(self, name + "_rows", _row_loop(point))
+                fill(name + "_rows", _row_loop(point))
             elif point is None:
-                set_(self, name, _one_row(rows))
+                fill(name, _one_row(rows))
 
         if self.terminal_cost is None:
-            set_(self, "terminal_cost", lambda xf, tf: 0.0)
-            set_(self, "grad_phix", lambda xf, tf: np.zeros(n))
-            set_(self, "dphi_dt", lambda xf, tf: 0.0)
+            fill("terminal_cost", lambda xf, tf: 0.0)
+            fill("grad_phix", lambda xf, tf: np.zeros(n))
+            fill("dphi_dt", lambda xf, tf: 0.0)
         else:
-            if self.grad_phix is None:
-                set_(self, "grad_phix", _fd_grad_terminal(self.terminal_cost))
-            if self.dphi_dt is None:
-                set_(self, "dphi_dt", _fd_dt_terminal(self.terminal_cost, vector=False))
+            fill("grad_phix", _fd_grad_terminal(self.terminal_cost))
+            fill("dphi_dt", _fd_dt_terminal(self.terminal_cost, vector=False))
         # Second-order terminal-cost terms default to zero.
-        if self.hess_phixx is None:
-            set_(self, "hess_phixx", lambda xf, tf: np.zeros((n, n)))
-        if self.dphi_dxdt is None:
-            set_(self, "dphi_dxdt", lambda xf, tf: np.zeros(n))
-
+        fill("hess_phixx", lambda xf, tf: np.zeros((n, n)))
+        fill("dphi_dxdt", lambda xf, tf: np.zeros(n))
         if q > 0:
-            if self.jac_gx is None:
-                set_(self, "jac_gx", _fd_jac_terminal(self.constraint))
-            if self.dg_dt is None:
-                set_(self, "dg_dt", _fd_dt_terminal(self.constraint, vector=True))
+            fill("jac_gx", _fd_jac_terminal(self.constraint))
+            fill("dg_dt", _fd_dt_terminal(self.constraint, vector=True))
 
     @property
     def tf_free(self) -> bool:

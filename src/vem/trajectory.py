@@ -4,15 +4,27 @@ The solver works on a fixed normalized grid sigma in [0, 1]; physical
 node times are an affine image of sigma, so a moving terminal time only
 stretches the grid and never resamples node values.
 
-The stack of matrices Psi(t_i) -- the transposed state transition matrix
-from t_i to the terminal time -- is obtained from one backward matrix
-initial-value problem, d(Psi)/dt = -f_x(t)^T Psi with Psi(tf) = I, which
-is equivalent to integrating the forward variational equation per node
-but costs a single n-by-n integration.  A running adjoint vector is
-integrated alongside (same backward sweep, same Jacobian evaluations):
-lam' = -f_x^T lam - L_x with lam(tf) set to the terminal-cost gradient.
-That vector is exactly the cost-gradient kernel the evolution equations
-consume.
+Both evolution equations read the stack of matrices Psi(t_i) -- the
+transposed state transition matrix from t_i to the terminal time -- and
+the cost-gradient kernel lam, the adjoint of lam' = -f_x^T lam - L_x with
+lam(tf) set to the terminal-cost gradient.  There are two routes to them.
+
+``fused_sweep`` (control-only method) integrates the states, the forward
+transition matrix Phi(t, t0), C(t) = integral of Phi(s, t0)^T L_x and the
+running cost in one forward sweep from (x0, I, 0, 0).  Psi and lam follow
+algebraically at the nodes from one stacked inverse:
+
+    Psi_i = Phi_i^{-T} Phi_N^T,    lam_i = Phi_i^{-T} (Phi_N^T lam_end + C_N - C_i).
+
+The same inverse gives the 1-norm condition estimate of every Phi_i; a
+sweep whose worst estimate exceeds ``COND_LIMIT`` (saddle-type dynamics,
+whose forward transition matrices grow like exp(2|a|T)) raises
+SingularSystem.  f_x and L_x are evaluated on the integrated state, one
+one-row ``jac_fx_rows`` and ``grad_lx_rows`` call per field evaluation.
+
+``transition_stack`` (coupled method, whose states are given node values,
+and the oracles) integrates d(Psi)/dt = -f_x^T Psi with Psi(tf) = I and
+lam backwards along given state and control trajectories.
 
 Inner sweeps are driven by trajectories that do not depend on the swept
 values: the control, and for the backward sweep the states.  Their fields
@@ -39,8 +51,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteDynamics, NonFiniteField
-from .numerics import SplineCoeffs, spline_build
+from .errors import NonFiniteDynamics, NonFiniteField, SingularSystem
+from .numerics import COND_LIMIT, SplineCoeffs, spline_build
 from .ocp import OcpProblem
 from .rk45 import IntegratorOptions, SolutionPath, rk45_integrate
 
@@ -172,16 +184,77 @@ def propagate_states(problem: OcpProblem, ctrl: ControlTrajectory,
     return StateTrajectory.from_path(grid, values, path)
 
 
+def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
+                opts: Optional[IntegratorOptions] = None):
+    """States, transition stack and performance index from one forward sweep.
+
+    Integrates z = [x, Phi(t, t0) flattened, C, running cost] from
+    (t0, [x0, I, 0, 0]) and takes Psi and the adjoint algebraically at the
+    nodes (module docstring).  Returns (StateTrajectory, TransitionStack,
+    J) with J including the terminal term.  Raises NonFiniteDynamics on a
+    non-finite field and SingularSystem when a node's Phi is singular or
+    its 1-norm condition estimate exceeds COND_LIMIT.
+    """
+    n = problem.n
+    nn = n * n
+    dynamics, running_cost = problem.dynamics, problem.running_cost
+    jac_fx_rows, grad_lx_rows = problem.jac_fx_rows, problem.grad_lx_rows
+
+    def field_fn(t, z, u):
+        x = z[:n]
+        phi = z[n:n + nn].reshape(n, n)
+        xs, us, ts = x[None], u[None], np.array([t])
+        out = np.empty(z.size)
+        out[:n] = dynamics(x, u, t)
+        np.matmul(jac_fx_rows(xs, us, ts)[0], phi, out=out[n:n + nn].reshape(n, n))
+        out[n + nn:-1] = grad_lx_rows(xs, us, ts)[0] @ phi
+        out[-1] = float(running_cost(x, u, t))
+        return out
+
+    z0 = np.concatenate([problem.x0, np.eye(n).ravel(), np.zeros(n + 1)])
+    try:
+        path = rk45_integrate(DrivenField(field_fn, ctrl.eval), z0,
+                              (grid.t0, grid.tf), opts)
+    except NonFiniteField as exc:
+        raise NonFiniteDynamics(str(exc)) from exc
+    z_nodes = path.eval(grid.times)
+    values = z_nodes[:, :n]
+    values[0] = problem.x0
+    phi = z_nodes[:, n:n + nn].reshape(grid.n_nodes, n, n)
+    c = z_nodes[:, n + nn:2 * n + nn]
+    x_end = values[-1]
+    try:
+        inv = np.linalg.inv(phi)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("singular forward transition matrix") from exc
+    cond = float(np.max(np.abs(phi).sum(axis=1).max(axis=1)
+                        * np.abs(inv).sum(axis=1).max(axis=1)))
+    if not cond <= COND_LIMIT:
+        raise SingularSystem(f"forward transition matrix condition estimate "
+                             f"{cond:.3e} exceeds {COND_LIMIT:.0e}")
+    inv_t = np.swapaxes(inv, 1, 2)
+    lam_end = np.asarray(problem.grad_phix(x_end, grid.tf), dtype=float)
+    psi = inv_t @ phi[-1].T
+    adjoint = (inv_t @ (phi[-1].T @ lam_end + c[-1] - c)[:, :, None])[:, :, 0]
+    psi[-1] = np.eye(n)
+    adjoint[-1] = lam_end
+    states = StateTrajectory(grid, values, lambda ts: path.rows(ts)[:, :n])
+    stack = TransitionStack(grid, psi, adjoint, problem=problem, states=states,
+                            ctrl=ctrl, opts=opts, _forward=phi)
+    cost = float(problem.terminal_cost(x_end, grid.tf)) + float(path.y_end[-1])
+    return states, stack, cost
+
+
 @dataclass
 class TransitionStack:
     """Per-node Psi(t_i) = transposed transition matrix to the final time.
 
-    ``psi[-1]`` is the identity exactly.  ``adjoint`` holds the backward
-    cost-gradient vector integrated on the same sweep.  The originating
-    trajectory data is kept so forward transition matrices can be built
-    lazily.  They serve only the oracles - the quadrature gradient
-    form and the backward-vs-forward consistency check; the solver
-    itself, the coupled state rate included, reads ``psi``.
+    ``psi[-1]`` is the identity and ``adjoint[-1]`` the terminal-cost
+    gradient, both exactly; ``adjoint`` holds lam at every node.  Forward
+    transition matrices Phi(t_i, t0) serve only the oracles - the
+    quadrature gradient form and the backward-vs-forward consistency
+    check.  A fused sweep stores the ones it integrated; a backward stack
+    keeps its trajectory data and builds them lazily by a separate sweep.
     """
 
     grid: TimeGrid

@@ -7,6 +7,7 @@ from vem import (
     ControlTrajectory,
     GainSet,
     IntegratorOptions,
+    OcpProblem,
     StateLayout,
     TimeGrid,
     assemble_ivp,
@@ -15,9 +16,8 @@ from vem import (
 )
 from vem import driver, second, trajectory
 from vem.driver import EvolutionSystem, path_cost, propagate_with_cost, solve_benchmark
-from vem.errors import StepFailure, TfCollapse
+from vem.errors import SingularSystem, StepFailure, TfCollapse
 from vem.ocp import ROW_FORMS
-from vem.trajectory import transition_stack
 
 
 class TestLayout:
@@ -133,31 +133,69 @@ class TestEvolve:
 
 class TestEvaluationCache:
     def test_one_pipeline_per_distinct_vector(self, di, monkeypatch):
-        # With early stop on, the convergence check after every accepted
-        # step, the threshold scaling at y0 and the first field call reuse
-        # the evaluation of the vector the last call saw.
-        sweeps = []
-        seen = set()
+        # A control-only evaluation is one fused forward sweep.  With early
+        # stop on, the convergence check after every accepted step, the
+        # threshold scaling at y0 and the first field call reuse the
+        # evaluation of the vector the last call saw, and a snapshot reads
+        # that same cached evaluation instead of sweeping on its own.
+        sweeps, others, seen, snapped = [], [], set(), []
+        phase = ["other"]
 
-        def counting_stack(*args, **kwargs):
-            sweeps.append(None)
-            return transition_stack(*args, **kwargs)
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                if name == "fused_sweep":
+                    sweeps.append(phase[0])
+                else:
+                    others.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(driver, "transition_stack", counting_stack)
-        rhs = EvolutionSystem.rhs
+        for name in ("fused_sweep", "transition_stack", "propagate_states",
+                     "propagate_with_cost", "path_cost"):
+            monkeypatch.setattr(driver, name, counting(name, getattr(driver, name)))
+        rhs, snapshot = EvolutionSystem.rhs, EvolutionSystem.snapshot
 
         def recording_rhs(self, tau, vec):
             seen.add(np.asarray(vec, dtype=float).tobytes())
-            return rhs(self, tau, vec)
+            phase[0] = "rhs"
+            try:
+                return rhs(self, tau, vec)
+            finally:
+                phase[0] = "other"
+
+        def recording_snapshot(self, tau, vec):
+            cached = np.asarray(vec, dtype=float).tobytes() == self._last_key
+            before = len(sweeps)
+            phase[0] = "snapshot"
+            try:
+                record = snapshot(self, tau, vec)
+            finally:
+                phase[0] = "other"
+            snapped.append((cached, len(sweeps) - before))
+            return record
 
         monkeypatch.setattr(EvolutionSystem, "rhs", recording_rhs)
+        monkeypatch.setattr(EvolutionSystem, "snapshot", recording_snapshot)
         system = assemble_ivp(di.problem, "third", 41, di.gains)
         history = evolve(system, 20.0, snapshot_taus=(0.0, 5.0, 20.0),
                          early_stop=True)
         assert len(history.snapshots) == 3
-        # Control-only snapshots propagate states with the cost, so each
-        # runs its own sweep.
-        assert len(sweeps) == len(seen) + len(history.snapshots)
+        # One sweep per distinct rhs vector; the convergence checks and the
+        # threshold scaling add none.
+        assert sweeps.count("rhs") == len(seen) > 0
+        assert sweeps.count("other") == 0
+        # A snapshot sweeps once when its vector is not the cached one and
+        # not at all when it is.
+        assert [added for _, added in snapped] == [
+            0 if cached else 1 for cached, _ in snapped]
+        total = len(sweeps)
+        final = system.snapshot(20.0, system.layout.pack(
+            history.final.controls))
+        assert snapped[-1] == (True, 0) and len(sweeps) == total
+        assert final.J == history.final.J
+        # The control-only solve runs neither the propagation nor the
+        # backward stack, nor a separate cost sweep.
+        assert others == []
 
     def test_coupled_solve_runs_no_forward_sweep(self, di, monkeypatch):
         # The coupled state rate takes its kernel from the backward stack,
@@ -223,24 +261,42 @@ class TestRowCallbacks:
 
     def test_one_row_call_per_evaluation_and_step_attempt(self, brach,
                                                           monkeypatch):
-        calls, sweeps, attempts = [], [], []
+        # f_u and L_u: one N-row call per evaluation.  f_x and L_x: one
+        # one-row call per field evaluation of the fused sweep, at the
+        # integrated state.  The control rows: one six-row lookup per step
+        # attempt plus one-row lookups at t0 and the starting-step probe.
+        calls, sweeps, evals, prepares, lookups = [], [], [], [], []
 
-        def counting_stack(*args, **kwargs):
+        def counting_sweep(*args, **kwargs):
             sweeps.append(None)
-            return transition_stack(*args, **kwargs)
+            return fused(*args, **kwargs)
 
         def counting_integrate(field, y0, t_span, opts=None, on_step=None):
-            if t_span[0] > t_span[1]:        # the backward sweep
-                prepare = field.prepare
+            assert t_span[0] < t_span[1]     # no backward sweep
+            fn, prepare, lookup = field.fn, field.prepare, field.lookup
+            count = [0, 0]
 
-                def counted(ts):
-                    attempts.append(None)
-                    prepare(ts)
-                field.prepare = counted
-            return integrate(field, y0, t_span, opts, on_step=on_step)
+            def counted_fn(t, y, row):
+                count[0] += 1
+                return fn(t, y, row)
 
-        integrate = trajectory.rk45_integrate
-        monkeypatch.setattr(driver, "transition_stack", counting_stack)
+            def counted_prepare(ts):
+                count[1] += 1
+                prepare(ts)
+
+            def sized_lookup(ts):
+                lookups.append(len(ts))
+                return lookup(ts)
+
+            field.fn, field.prepare, field.lookup = (counted_fn, counted_prepare,
+                                                     sized_lookup)
+            path = integrate(field, y0, t_span, opts, on_step=on_step)
+            evals.append(count[0])
+            prepares.append(count[1])
+            return path
+
+        fused, integrate = driver.fused_sweep, trajectory.rk45_integrate
+        monkeypatch.setattr(driver, "fused_sweep", counting_sweep)
         monkeypatch.setattr(trajectory, "rk45_integrate", counting_integrate)
         bench = _recording(brach, calls, [name + "_rows" for name in ROW_FORMS])
         solve_benchmark(bench, "third", n_nodes=41, tau_end=2.0)
@@ -248,12 +304,14 @@ class TestRowCallbacks:
         def sizes(name):
             return [rows for called, rows in calls if called == name]
 
+        assert len(sweeps) == len(evals) > 0
         assert sizes("jac_fu_rows") == sizes("grad_lu_rows") == [41] * len(sweeps)
-        per_attempt = sizes("jac_fx_rows")
-        assert sizes("grad_lx_rows") == per_attempt
-        assert per_attempt.count(6) == len(attempts) > 0
-        assert 0 < per_attempt.count(1) <= 2 * len(sweeps)
-        assert per_attempt.count(6) + per_attempt.count(1) == len(per_attempt)
+        assert sizes("jac_fx_rows") == sizes("grad_lx_rows") == [1] * sum(evals)
+        # t0 and the starting-step probe, then six stages per attempt.
+        assert [6 * p + 2 for p in prepares] == evals
+        assert lookups.count(6) == sum(prepares)
+        assert lookups.count(1) == 2 * len(sweeps)
+        assert len(lookups) == sum(prepares) + 2 * len(sweeps)
 
 
 class TestModifiedMode:
@@ -286,6 +344,45 @@ class TestModifiedMode:
         assert np.array_equal(pi, ev.pi)
         own = system._rate_second(dataclasses.replace(ev, pi=pi, defect=None))
         assert np.array_equal(rate, own)
+
+
+def _saddle(a):
+    """x' = diag(a, -a) x + [1, 1] u on [0, 1] with x1(tf) = 0: the forward
+    transition matrix to tf has condition number exp(2a)."""
+    mat, col = np.diag([a, -a]), np.array([1.0, 1.0])
+    return OcpProblem(
+        n=2, m=1, q=1, t0=0.0, x0=np.array([1.0, 1.0]), tf_mode="fixed", tf=1.0,
+        dynamics=lambda x, u, t: mat @ x + col * u[0],
+        jac_fx_rows=lambda xs, us, ts: np.repeat(mat[None], len(ts), axis=0),
+        jac_fu_rows=lambda xs, us, ts: np.repeat(col[None, :, None], len(ts),
+                                                 axis=0),
+        running_cost=lambda x, u, t: 0.5 * u[0] ** 2,
+        grad_lx_rows=lambda xs, us, ts: np.zeros((len(ts), 2)),
+        grad_lu_rows=lambda xs, us, ts: np.array(us, dtype=float),
+        constraint=lambda xf, tf: xf[:1],
+        jac_gx=lambda xf, tf: np.array([[1.0, 0.0]]),
+        dg_dt=lambda xf, tf: np.zeros(1),
+        name=f"saddle-{a:g}",
+    )
+
+
+class TestConditioning:
+    GAINS = GainSet(K=np.array([[0.1]]), K_g=np.array([[0.1]]))
+
+    def test_saddle_past_the_limit_raises(self):
+        # cond(Phi_N) = e^40: the node algebra cannot be trusted.
+        with pytest.raises(SingularSystem,
+                           match=r"condition estimate \d\.\d+e\+\d+ exceeds"):
+            system = assemble_ivp(_saddle(20.0), "third", 41, self.GAINS)
+            evolve(system, 5.0, early_stop=False)
+
+    def test_saddle_below_the_limit_solves(self):
+        # cond(Phi_N) = e^20, about 5e8.
+        system = assemble_ivp(_saddle(10.0), "third", 41, self.GAINS)
+        history = evolve(system, 5.0, early_stop=False)
+        assert history.termination_reason == "tau_end"
+        assert np.isfinite(history.final.J)
+        assert np.all(np.isfinite(history.final.controls))
 
 
 class TestCostEvaluation:

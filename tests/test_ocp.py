@@ -227,3 +227,56 @@ class TestRowForms:
         # The point forms are one-row calls of the zero rows.
         assert np.array_equal(p.grad_lx(xs[0], us[0], ts[0]), np.zeros(2))
         assert np.array_equal(p.grad_lu(xs[0], us[0], ts[0]), np.zeros(1))
+
+
+class TestReplace:
+    """``dataclasses.replace`` derives filled-in callbacks afresh."""
+
+    def test_finite_difference_follows_new_dynamics(self):
+        p = OcpProblem(n=1, m=1, q=0, t0=0.0, x0=np.array([1.0]),
+                       tf_mode="fixed", tf=1.0,
+                       dynamics=lambda x, u, t: np.array([u[0]]))
+        x, u = np.array([0.7]), np.array([0.2])
+        assert np.allclose(p.jac_fx(x, u, 0.3), [[0.0]], atol=1e-9)
+        q = dataclasses.replace(
+            p, dynamics=lambda x, u, t: np.array([-2.0 * x[0] + u[0]]))
+        assert np.allclose(q.jac_fx(x, u, 0.3), [[-2.0]], atol=1e-8)
+        rows = q.jac_fx_rows(np.array([x, x]), np.array([u, u]), np.array([0.3, 0.6]))
+        assert np.allclose(rows, -2.0, atol=1e-8)
+        # The original problem keeps its own derivatives.
+        assert np.allclose(p.jac_fx(x, u, 0.3), [[0.0]], atol=1e-9)
+
+    def test_row_form_follows_replaced_point_form(self):
+        p = _drift_only_problem()
+        new = lambda x, u, t: np.array([[0.0, 1.0], [-3.0 * t, 0.0]])
+        q = dataclasses.replace(p, jac_fx=new)
+        xs, us, ts = _random_rows(q, np.random.default_rng(7), count=3)
+        assert q.jac_fx is new
+        assert np.array_equal(q.jac_fx_rows(xs, us, ts),
+                              _stacked_points(new, xs, us, ts))
+        # Untouched callbacks keep following their own given forms.
+        assert np.array_equal(q.jac_fu_rows(xs, us, ts),
+                              _stacked_points(p.jac_fu, xs, us, ts))
+
+    def test_point_form_follows_replaced_row_form(self):
+        p = tracking_fixture().problem
+        new = lambda xs, us, ts: np.full((len(ts), 1, 1), -0.75)
+        q = dataclasses.replace(p, jac_fx_rows=new)
+        assert q.jac_fx_rows is new
+        assert np.array_equal(q.jac_fx(np.array([0.1]), np.array([0.2]), 0.5),
+                              [[-0.75]])
+        assert np.array_equal(p.jac_fx(np.array([0.1]), np.array([0.2]), 0.5),
+                              [[-0.5]])
+
+    def test_given_callbacks_survive_a_replace(self):
+        # A replace that touches nothing keeps every given callback and
+        # derives the others again, to the same values.
+        p = brachistochrone().problem
+        q = dataclasses.replace(p)
+        for name in ("dynamics", "jac_fx_rows", "jac_fu_rows", "terminal_cost",
+                     "constraint", "jac_gx"):
+            assert getattr(q, name) is getattr(p, name), name
+        xs, us, ts = _random_rows(p, np.random.default_rng(8), count=3)
+        for name in ROW_FORMS:
+            assert np.array_equal(getattr(q, name + "_rows")(xs, us, ts),
+                                  getattr(p, name + "_rows")(xs, us, ts)), name

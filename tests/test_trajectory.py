@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,12 @@ from conftest import smooth_controls
 from vem import (
     ControlTrajectory,
     IntegratorOptions,
+    OcpProblem,
     TimeGrid,
     propagate_states,
     transition_stack,
 )
-from vem import driver, second, trajectory
+from vem import checks, driver, second, trajectory
 from vem.problems import brachistochrone, double_integrator, tracking_fixture
 from vem.rk45 import rk45_integrate
 
@@ -135,6 +138,61 @@ class TestForwardMatrices:
             # Phi(tf, t_i) = Phi(tf, t0) Phi(t_i, t0)^{-1}
             full = np.linalg.solve(fwd[i].T, fwd[-1].T).T
             assert np.max(np.abs(full.T - stack.psi[i])) <= 1e-8
+
+
+class TestFusedSweep:
+    def test_matches_propagation_and_backward_sweep(self):
+        # The fused-vs-backward invariant of ``vem check invariants``: x,
+        # Psi, the adjoint and the cost against propagation, the backward
+        # sweep and the path cost, at TIGHT on three problems.
+        ok, detail = checks._check_fused_vs_backward(seed=0)
+        assert ok, detail
+
+    def test_state_cost_through_a_nonsymmetric_flow(self):
+        # C' = Phi^T L_x needs a transpose that n = 1 and a zero L_x hide:
+        # a double integrator with a state cost and a terminal cost.
+        a_mat = np.array([[0.0, 1.0], [0.0, -0.3]])
+        problem = OcpProblem(
+            n=2, m=1, q=0, t0=0.0, x0=np.array([1.0, -0.5]), tf_mode="fixed",
+            tf=1.5, dynamics=lambda x, u, t: a_mat @ x + np.array([0.0, u[0]]),
+            jac_fx_rows=lambda xs, us, ts: np.repeat(a_mat[None], len(ts), axis=0),
+            running_cost=lambda x, u, t: 0.5 * (x[0] ** 2 + 3.0 * x[1] ** 2 + u[0] ** 2),
+            grad_lx_rows=lambda xs, us, ts: xs * np.array([1.0, 3.0]),
+            terminal_cost=lambda xf, tf: xf[0] * xf[1],
+            grad_phix=lambda xf, tf: xf[::-1].copy())
+        gap = checks._fused_gap(SimpleNamespace(problem=problem), 41,
+                                np.random.default_rng(2))
+        assert gap <= 1e-8
+
+    @pytest.mark.parametrize("make", [double_integrator, brachistochrone,
+                                      tracking_fixture])
+    def test_pinned_end_values(self, make):
+        p = make().problem
+        grid = TimeGrid(21, p.t0, p.tf)
+        ctrl = ControlTrajectory.from_values(
+            grid, smooth_controls(grid, p.m, np.random.default_rng(9)))
+        states, stack, cost = trajectory.fused_sweep(p, ctrl, grid)
+        assert np.array_equal(states.values[0], p.x0)
+        assert np.array_equal(stack.forward_matrices()[0], np.eye(p.n))
+        assert np.array_equal(stack.psi[-1], np.eye(p.n))
+        assert np.array_equal(stack.adjoint[-1],
+                              p.grad_phix(states.values[-1], grid.tf))
+        # Psi_i = Phi(tf, t_i)^T composed from the stored forward matrices.
+        fwd = stack.forward_matrices()
+        composed = np.linalg.solve(np.swapaxes(fwd, 1, 2), fwd[-1].T)
+        assert np.max(np.abs(composed - stack.psi)) <= 1e-12
+        assert np.isfinite(cost)
+
+    def test_double_integrator_closed_form(self, di):
+        # Psi_i = [[1, 0], [tf - t_i, 1]] and, without L_x or phi, the
+        # adjoint is zero.
+        grid = TimeGrid(21, 0.0, 2.0)
+        ctrl = ControlTrajectory.from_values(grid, np.zeros((21, 1)))
+        _, stack, _ = trajectory.fused_sweep(di.problem, ctrl, grid)
+        for i, t in enumerate(grid.times):
+            exact = np.array([[1.0, 0.0], [2.0 - t, 1.0]])
+            assert np.max(np.abs(stack.psi[i] - exact)) <= 1e-12
+        assert np.max(np.abs(stack.adjoint)) <= 1e-12
 
 
 class TestDrivenSweeps:

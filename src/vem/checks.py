@@ -2,8 +2,8 @@
 
 Each check returns (name, passed, detail).  The oracles here are chosen
 to be independent of the production code paths they exercise: forward
-transition matrices check the backward sweep, propagation plus the
-backward sweep check the fused forward sweep, per-interval Gauss
+transition matrices check the batched backward stack, propagation plus
+the backward stack check the fused forward sweep, per-interval Gauss
 quadrature checks the variational state-rate problem, finite differences
 check analytic derivatives, and closed forms check the integrator.
 """
@@ -161,7 +161,7 @@ def _check_gradient_forms(seed=0):
 
 def _fused_gap(bench, n_nodes, rng):
     """Worst scaled gap of the fused forward sweep's states, Psi, adjoint
-    and cost against propagation, the backward sweep and the path cost."""
+    and cost against propagation, the backward stack and the path cost."""
     p = bench.problem
     grid = TimeGrid(n_nodes, p.t0, p.tf)
     ctrl = ControlTrajectory.from_values(grid, _smooth_controls(grid, p.m, rng))

@@ -149,7 +149,7 @@ def cmd_solve(args) -> int:
         print(f"terminal time collapsed: {exc}", file=sys.stderr)
         return EXIT_TF_COLLAPSE
     except SingularSystem as exc:
-        print(f"multiplier system singular: {exc}", file=sys.stderr)
+        print(f"singular system: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except VemError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

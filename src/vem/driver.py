@@ -23,13 +23,12 @@ from .ocp import GainSet, OcpProblem
 from .rk45 import IntegratorOptions, rk45_integrate
 from .trajectory import (
     ControlTrajectory,
-    DrivenField,
     StateTrajectory,
     TimeGrid,
     TransitionStack,
     fused_sweep,
+    interval_stencil,
     propagate_states,
-    state_control_rows,
     transition_stack,
 )
 
@@ -161,15 +160,25 @@ def propagate_with_cost(problem: OcpProblem, ctrl: ControlTrajectory,
 def path_cost(problem: OcpProblem, states: StateTrajectory,
               ctrl: ControlTrajectory, grid: TimeGrid,
               opts: Optional[IntegratorOptions] = None) -> float:
-    """Performance index along an existing state path (no re-propagation)."""
-    n = problem.n
+    """Performance index along an existing state path (no re-propagation).
 
-    def field_fn(t, z, xu):
-        return np.array([float(problem.running_cost(xu[:n], xu[n:], t))])
+    The running cost is integrated by composite Simpson on the doubling
+    interval stencil of ``transition_stack``.
+    """
+    def sample(ts):
+        xs, us = states.rows(ts), ctrl.eval(ts)
+        return np.array([float(problem.running_cost(x, u, t))
+                         for x, u, t in zip(xs, us, ts)])
 
-    field = DrivenField(field_fn, state_control_rows(states, ctrl))
-    path = rk45_integrate(field, np.zeros(1), (grid.t0, grid.tf), opts)
-    return float(problem.terminal_cost(states.values[-1], grid.tf)) + float(path.y_end[0])
+    def simpson(rows, dt):
+        weights = np.full(rows.shape[1], 2.0)
+        weights[1::2] = 4.0
+        weights[[0, -1]] = 1.0
+        s = (rows.shape[1] - 1) // 2
+        return dt / (6.0 * s) * (rows @ weights)
+
+    parts = interval_stencil(grid.times, sample, simpson, opts)
+    return float(problem.terminal_cost(states.values[-1], grid.tf)) + float(parts.sum())
 
 
 @dataclass
@@ -200,15 +209,15 @@ class EvolutionSystem:
     ``rhs``, ``residuals``, ``gradient_norm`` and ``snapshot`` all read
     one ``Evaluation`` of the vector they are given.  A control-only
     evaluation is one fused forward sweep (states, transition stack and
-    cost together); a coupled one is one backward sweep along the
-    snapshot's own trajectories.
+    cost together); a coupled one is one batched interval stencil along
+    the snapshot's own trajectories.
     The last evaluation is kept, keyed by the vector's exact bytes, so a
     vector seen twice in a row is evaluated once: the integrator's last
     stage of an accepted step and the convergence check on that step, or
     the assembly probe at y0, the threshold scaling and the first field
     call.  A vector that differs in any bit, including one mutated in
     place after a call, misses the cache and is evaluated afresh.  The
-    coupled snapshot adds one path-cost sweep along its states.
+    coupled snapshot adds the path cost along its states.
     """
 
     def __init__(self, problem: OcpProblem, gains: GainSet, method: str,

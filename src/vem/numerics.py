@@ -1,9 +1,13 @@
 """Shared numerical kernels: cubic splines, grid quadrature, dense solves.
 
-Spline construction delegates to scipy's not-a-knot cubic spline (with its
-built-in degree fallback for 2-3 nodes); evaluation goes through a light
-Horner path because the solver queries splines at scalar times inside
-inner ODE loops, where scipy's PPoly call overhead dominates.
+Spline construction solves the not-a-knot slope system, which is
+tridiagonal, with ``scipy.linalg.solve_banded`` on a band matrix cached per
+node spacing, and forms the cubic Hermite coefficients from the slopes; it
+repeats the arithmetic of scipy's ``CubicSpline``, which costs several
+times as much per build.  2-3 nodes give the interpolating line or
+parabola.  Evaluation goes through a light Horner path because the solver
+queries splines at scalar times inside inner ODE loops, where scipy's PPoly
+call overhead dominates.
 
 Scalar queries (a Python ``float``, ``np.float64`` or any 0-d value) take a
 fast path without temporary arrays.  Both paths find the interval by
@@ -16,10 +20,11 @@ for bit what the same time inside an array query of any length returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .errors import DegenerateGrid, SingularSystem
 
@@ -88,6 +93,41 @@ class SplineCoeffs:
     __call__ = eval
 
 
+@lru_cache(maxsize=8)
+def _not_a_knot_band(spacing: bytes) -> np.ndarray:
+    """Banded (1, 1) matrix of the not-a-knot slope system for the node
+    spacing given as the bytes of ``np.diff(nodes)``; read-only."""
+    dx = np.frombuffer(spacing)
+    ab = np.zeros((3, dx.size + 1))
+    ab[0, 2:] = dx[:-1]
+    ab[1, 1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    ab[2, :-2] = dx[1:]
+    ab[1, 0], ab[0, 1] = dx[1], dx[0] + dx[1]
+    ab[1, -1], ab[2, -2] = dx[-2], dx[-1] + dx[-2]
+    ab.flags.writeable = False
+    return ab
+
+
+def _node_slopes(dx, slope):
+    """Spline slopes at the nodes from the interval widths and secants."""
+    if dx.size == 1:
+        return np.concatenate([slope, slope])
+    if dx.size == 2:
+        # The parabola through three points.
+        curv = (slope[1] - slope[0]) / (dx[0] + dx[1])
+        return np.stack([slope[0] - curv * dx[0], slope[0] + curv * dx[0],
+                         slope[0] + curv * (dx[0] + 2.0 * dx[1])])
+    dxr = dx[:, None]
+    rhs = np.empty((dx.size + 1, slope.shape[1]))
+    rhs[1:-1] = 3.0 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    d = dx[0] + dx[1]
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = dx[-1] + dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    return solve_banded((1, 1), _not_a_knot_band(dx.tobytes()), rhs,
+                        overwrite_b=True, check_finite=False)
+
+
 def spline_build(nodes, values) -> SplineCoeffs:
     """Not-a-knot cubic spline through node values.
 
@@ -102,11 +142,17 @@ def spline_build(nodes, values) -> SplineCoeffs:
         vals = vals[:, None]
     if vals.shape[0] != nodes.size:
         raise DegenerateGrid("values and nodes disagree in length")
-    cs = CubicSpline(nodes, vals, axis=0, bc_type="not-a-knot")
-    coeffs = cs.c
-    if coeffs.shape[0] < 4:  # low-degree fallback pads the cubic rows
-        pad = np.zeros((4 - coeffs.shape[0],) + coeffs.shape[1:])
-        coeffs = np.concatenate([pad, coeffs], axis=0)
+    dx = np.diff(nodes)
+    dxr = dx[:, None]
+    slope = np.diff(vals, axis=0) / dxr
+    s = _node_slopes(dx, slope)
+    # Cubic Hermite coefficients on each interval.
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dxr
+    coeffs = np.empty((4,) + slope.shape)
+    coeffs[0] = t / dxr
+    coeffs[1] = (slope - s[:-1]) / dxr - t
+    coeffs[2] = s[:-1]
+    coeffs[3] = vals[:-1]
     return SplineCoeffs(nodes, coeffs, squeeze=squeeze)
 
 

@@ -3,8 +3,7 @@
 The stepper mirrors classic ode45 behaviour: a seven-stage pair with
 proportional step control on the embedded 4th/5th-order error estimate
 and a quartic interpolant for evaluation between accepted steps.  Both
-forward and backward spans are supported; backward integration is used
-throughout the solver for transition matrices and adjoint variables.
+forward and backward spans are supported.
 
 The seventh stage is evaluated at the accepted solution itself (the pair
 is first-same-as-last), so the field's last call of an accepted step sees

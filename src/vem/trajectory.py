@@ -23,25 +23,28 @@ SingularSystem.  f_x and L_x are evaluated on the integrated state, one
 one-row ``jac_fx_rows`` and ``grad_lx_rows`` call per field evaluation.
 
 ``transition_stack`` (coupled method, whose states are given node values,
-and the oracles) integrates d(Psi)/dt = -f_x^T Psi with Psi(tf) = I and
-lam backwards along given state and control trajectories.
+and the oracles) works along given state and control trajectories.  Psi
+and lam solve a linear ODE there, so no sequential sweep is needed: on
+every grid interval at once, classic RK4 takes the augmented backward
+system Y' = B(t) Y, B = [[-f_x^T, -L_x], [0, 0]], across the interval
+from Y = I, and one backward product of these propagators gives
+[[Psi_i, lam_i], [0, 1]] at every node.  ``interval_stencil`` chooses the
+substep count by step doubling under the ``IntegratorOptions``
+tolerances; each round makes one ``jac_fx_rows`` and one ``grad_lx_rows``
+call over the sample times it adds.  Intervals end at nodes, where the
+state and control splines are joined, so RK4 keeps its order on every
+interval.  The coupled snapshot's cost (``driver.path_cost``) is
+composite Simpson on the same stencil.
 
-Inner sweeps are driven by trajectories that do not depend on the swept
-values: the control, and for the backward sweep the states.  Their fields
-are ``DrivenField``s, which take those inputs as one row per time and
-use the integrator's ``prepare`` hook to look up all six stage times of a
-step attempt in one vectorised call.  The backward sweep's rows are
-[f_x(t) flattened, L_x(t)], from one ``jac_fx_rows`` and one
-``grad_lx_rows`` call on the looked-up x(t) and u(t), so its field does
-only the two matrix products.  A time that was not prepared (t0, the
-starting-step probe, or every call when the hook is hidden behind a plain
-``(t, y)`` wrapper) falls back to a one-row lookup.  The rows are
-bit-equal to scalar queries: spline rows use the same elementwise Horner
-arithmetic, and dense-output rows use the row contraction
-``einsum("sdj,sj->sd")``, whose one-row case is the scalar query, rather
-than the node-value contraction ``"sdj,js->sd"``, which may differ from it
-in the last bit.  A driven sweep therefore reproduces the one-time-at-a-
-time sweep exactly.
+The forward sweeps are driven by a trajectory that does not depend on the
+swept values: the control.  Their fields are ``DrivenField``s, which take
+it as one row per time and use the integrator's ``prepare`` hook to look
+up all six stage times of a step attempt in one vectorised call.  A time
+that was not prepared (t0, the starting-step probe, or every call when
+the hook is hidden behind a plain ``(t, y)`` wrapper) falls back to a
+one-row lookup.  The rows are bit-equal to scalar queries, since spline
+rows use the same elementwise Horner arithmetic, so a driven sweep
+reproduces the one-time-at-a-time sweep exactly.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteDynamics, NonFiniteField, SingularSystem
+from .errors import NonFiniteDynamics, NonFiniteField, SingularSystem, StepFailure
 from .numerics import COND_LIMIT, SplineCoeffs, spline_build
 from .ocp import OcpProblem
 from .rk45 import IntegratorOptions, SolutionPath, rk45_integrate
@@ -154,13 +157,6 @@ class DrivenField:
         if row is None:
             row = self.lookup(np.array([t], dtype=float))[0]
         return self.fn(t, y, row)
-
-
-def state_control_rows(states: StateTrajectory, ctrl: ControlTrajectory):
-    """Lookup of [x(t), u(t)] rows for a ``DrivenField``."""
-    def lookup(ts):
-        return np.concatenate([states.rows(ts), ctrl.eval(ts)], axis=1)
-    return lookup
 
 
 def propagate_states(problem: OcpProblem, ctrl: ControlTrajectory,
@@ -277,41 +273,103 @@ class TransitionStack:
 def transition_stack(problem: OcpProblem, states: StateTrajectory,
                      ctrl: ControlTrajectory,
                      opts: Optional[IntegratorOptions] = None) -> TransitionStack:
-    """One backward sweep producing Psi at every node plus the adjoint.
+    """Psi at every node plus the adjoint, from per-interval RK4
+    propagators of Y' = B Y and one backward product (module docstring).
 
-    Each step attempt makes one ``jac_fx_rows`` and one ``grad_lx_rows``
-    call for its six stage times; f_x is stored as given and transposed
-    inside the field.
+    Psi_N = I and lam_N = lam_end hold exactly: the product starts from
+    [[I, lam_end], [0, 1]].
     """
     grid = states.grid
     n = problem.n
-    nn = n * n
     x_end = states.values[-1]
     lam_end = np.asarray(problem.grad_phix(x_end, grid.tf), dtype=float)
 
-    def lookup(ts):
-        """Rows of [f_x(t) flattened, L_x(t)]: two row-form calls."""
+    def sample(ts):
+        """B(t) at the given times: two row-form calls."""
         xs, us = states.rows(ts), ctrl.eval(ts)
         a = np.asarray(problem.jac_fx_rows(xs, us, ts), dtype=float)
         lx = np.asarray(problem.grad_lx_rows(xs, us, ts), dtype=float)
-        return np.concatenate([a.reshape(len(ts), nn), lx], axis=1)
+        b = np.zeros((len(ts), n + 1, n + 1))
+        b[:, :n, :n] = -np.swapaxes(a, 1, 2)
+        b[:, :n, n] = -lx
+        return b
 
-    def field_fn(t, z, row):
-        at = row[:nn].reshape(n, n).T
-        dpsi = -at @ z[:nn].reshape(n, n)
-        dlam = -at @ z[nn:] - row[nn:]
-        return np.concatenate([dpsi.ravel(), dlam])
+    def propagators(b, dt):
+        """RK4 from each interval's right end to its left end, applied to
+        the identity; ``b`` holds the stencil rows (N-1, 2s+1, n+1, n+1)."""
+        s = (b.shape[1] - 1) // 2
+        h = (-dt / s)[:, None, None]
+        y = np.broadcast_to(np.eye(n + 1), b[:, 0].shape)
+        for j in range(2 * s, 0, -2):
+            b0, bm, b1 = b[:, j], b[:, j - 1], b[:, j - 2]
+            k1 = b0 @ y
+            k2 = bm @ (y + 0.5 * h * k1)
+            k3 = bm @ (y + 0.5 * h * k2)
+            k4 = b1 @ (y + h * k3)
+            y = y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        return y
 
-    z0 = np.concatenate([np.eye(n).ravel(), lam_end])
-    path = rk45_integrate(DrivenField(field_fn, lookup), z0,
-                          (grid.tf, grid.t0), opts)
-    z_nodes = path.eval(grid.times)
-    psi = z_nodes[:, :nn].reshape(grid.n_nodes, n, n)
-    adjoint = z_nodes[:, nn:]
-    psi[-1] = np.eye(n)
-    adjoint[-1] = lam_end
-    return TransitionStack(grid, psi, adjoint, problem=problem, states=states,
-                           ctrl=ctrl, opts=opts)
+    steps = interval_stencil(grid.times, sample, propagators, opts)
+    z = np.empty((grid.n_nodes, n + 1, n + 1))
+    z[-1] = np.eye(n + 1)
+    z[-1, :n, n] = lam_end
+    for i in range(grid.n_nodes - 2, -1, -1):
+        z[i] = steps[i] @ z[i + 1]
+    return TransitionStack(grid, z[:, :n, :n], z[:, :n, n], problem=problem,
+                           states=states, ctrl=ctrl, opts=opts)
+
+
+def interval_stencil(times, sample, estimate,
+                     opts: Optional[IntegratorOptions] = None) -> np.ndarray:
+    """Per-interval results of a fourth-order rule, refined by step doubling.
+
+    Every interval [t_i, t_i+1] is split into s equal substeps whose ends
+    and midpoints are the sample times (ends exactly at the nodes).
+    ``sample(ts)`` maps an array of times to one row each; ``estimate(rows,
+    dt)`` maps the (N-1, 2s+1, ...) rows of the s-substep stencil and the
+    interval widths to one result per interval.  Starting at s = 1, s
+    doubles until |E_2s - E_s| / 15 <= atol + rtol |E_2s| holds for every
+    entry (the Richardson estimate of a fourth-order rule), and E_2s is
+    returned.  Each round samples only the times the finer stencil adds.
+
+    Raises StepFailure when a stencil would need more than
+    ``opts.max_steps`` substeps and NonFiniteField on non-finite rows.
+    """
+    opts = opts or IntegratorOptions()
+    times = np.asarray(times, dtype=float)
+    n_int = times.size - 1
+    dt = np.diff(times)
+    rows = None
+    last = None
+    s = 1
+    while True:
+        if s * n_int > opts.max_steps:
+            raise StepFailure(f"interval stencil needs more than "
+                              f"max_steps={opts.max_steps} substeps")
+        # The finer stencil's even points are the coarser stencil's
+        # points, so only its odd points are new.
+        frac = np.arange(1, 2 * s, 2) / (2 * s)
+        new = (times[:-1, None] + dt[:, None] * frac).ravel()
+        if rows is None:
+            new = np.append(np.column_stack([times[:-1], new]).ravel(),
+                            times[-1])
+        fresh = sample(new)
+        if not np.all(np.isfinite(fresh)):
+            raise NonFiniteField("non-finite rows on the interval stencil")
+        if rows is None:
+            rows = fresh
+        else:
+            merged = np.empty((2 * len(rows) - 1,) + rows.shape[1:])
+            merged[0::2], merged[1::2] = rows, fresh
+            rows = merged
+        index = 2 * s * np.arange(n_int)[:, None] + np.arange(2 * s + 1)
+        result = estimate(rows[index], dt)
+        if last is not None:
+            err = np.abs(result - last) / 15.0
+            if np.all(err <= opts.atol + opts.rtol * np.abs(result)):
+                return result
+        last = result
+        s *= 2
 
 
 def _forward_stack(problem, states, ctrl, grid, opts) -> np.ndarray:

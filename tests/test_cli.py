@@ -3,8 +3,12 @@ import json
 import pytest
 
 import vem.cli as cli
+from conftest import (blowing_up, growing_horizon, saddle_benchmark,
+                      shrinking_horizon)
+from vem import IntegratorOptions, problems, solve_benchmark
 from vem.cli import main
-from vem.errors import SingularSystem, StepFailure, TfCollapse, VemError
+from vem.errors import (NonFiniteDynamics, SingularSystem, StepFailure,
+                        TfCollapse, VemError)
 
 
 def _read_csv_header(path):
@@ -94,7 +98,7 @@ class TestFailureExitCodes:
     @pytest.mark.parametrize("error,code,message", [
         (StepFailure, 3, "integration failed"),
         (TfCollapse, 4, "terminal time collapsed"),
-        (SingularSystem, 5, "multiplier system singular"),
+        (SingularSystem, 5, "singular system"),
         (VemError, 6, "solver error"),
     ])
     def test_solve_maps_failure_to_exit_code(self, tmp_path, monkeypatch,
@@ -126,6 +130,73 @@ class TestFailureExitCodes:
         rows = (tmp_path / "comparison.csv").read_text().splitlines()[1:]
         assert rows[0].startswith("double-integrator,second,error: TfCollapse")
         assert rows[1].split(",")[:3] == ["double-integrator", "third", "41"]
+
+
+class TestRealFailures:
+    """Each failure class raised by a real solve: the exception with its
+    partial history, and the exit code and message of ``vem solve``."""
+
+    @staticmethod
+    def _cli(monkeypatch, tmp_path, factory, *extra):
+        monkeypatch.setitem(problems._REGISTRY, factory().name, factory)
+        code = main(["solve", "--problem", factory().name, *extra,
+                     "--outdir", str(tmp_path)])
+        assert not (tmp_path / "report.json").exists()
+        return code
+
+    @staticmethod
+    def _history(error, bench, method, **kwargs):
+        with pytest.raises(error) as info:
+            solve_benchmark(bench, method, early_stop=False, **kwargs)
+        history = info.value.history
+        assert history.termination_reason == error.__name__
+        assert len(history.snapshots) >= 2
+        assert history.snapshots[0].tau == 0.0
+        return info.value, history
+
+    @pytest.mark.parametrize("method", ["third", "second"])
+    def test_horizon_collapse(self, monkeypatch, tmp_path, capsys, method):
+        exc, history = self._history(TfCollapse, shrinking_horizon(), method)
+        assert "horizon width" in str(exc)
+        assert history.snapshots[-1].tf < history.snapshots[0].tf
+        assert self._cli(monkeypatch, tmp_path, shrinking_horizon,
+                         "--method", method) == 4
+        assert "terminal time collapsed: horizon width" in capsys.readouterr().err
+
+    def test_non_finite_dynamics(self, monkeypatch, tmp_path, capsys):
+        exc, history = self._history(NonFiniteDynamics, blowing_up(), "third")
+        assert "non-finite" in str(exc)
+        assert history.snapshots[-1].states[-1, 0] < 2.0
+        assert self._cli(monkeypatch, tmp_path, blowing_up) == 6
+        assert "solver error: field returned non-finite" in capsys.readouterr().err
+
+    def test_interval_stencil_budget(self, monkeypatch, tmp_path, capsys):
+        # 10 intervals and a budget of 40 substeps: the stencil may refine
+        # to 4 substeps per interval, which stops sufficing once the
+        # growing horizon stretches the intervals.  The default budget
+        # solves the same problem.
+        budget = IntegratorOptions(max_steps=40)
+        exc, history = self._history(StepFailure, growing_horizon(), "second",
+                                     opts=budget)
+        assert "interval stencil needs more than max_steps=40" in str(exc)
+        assert history.snapshots[-1].tf > 2.0
+        _, report = solve_benchmark(growing_horizon(), "second",
+                                    early_stop=False)
+        assert report.tf > 30.0
+        monkeypatch.setattr(cli, "_opts_from_args", lambda args: budget)
+        assert self._cli(monkeypatch, tmp_path, growing_horizon,
+                         "--method", "second") == 3
+        assert ("integration failed: interval stencil needs more than "
+                "max_steps=40") in capsys.readouterr().err
+
+    def test_forward_transition_guard(self, monkeypatch, tmp_path, capsys):
+        # Saddle dynamics with a = 20 fail the conditioning guard of the
+        # fused sweep while the IVP is assembled, before any history.
+        assert self._cli(monkeypatch, tmp_path, saddle_benchmark) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("singular system: forward transition matrix "
+                              "condition estimate")
+        assert "multiplier" not in err
 
 
 class TestCompare:

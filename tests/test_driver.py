@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import saddle_problem
 from vem import (
     ControlTrajectory,
     GainSet,
@@ -346,26 +347,6 @@ class TestModifiedMode:
         assert np.array_equal(rate, own)
 
 
-def _saddle(a):
-    """x' = diag(a, -a) x + [1, 1] u on [0, 1] with x1(tf) = 0: the forward
-    transition matrix to tf has condition number exp(2a)."""
-    mat, col = np.diag([a, -a]), np.array([1.0, 1.0])
-    return OcpProblem(
-        n=2, m=1, q=1, t0=0.0, x0=np.array([1.0, 1.0]), tf_mode="fixed", tf=1.0,
-        dynamics=lambda x, u, t: mat @ x + col * u[0],
-        jac_fx_rows=lambda xs, us, ts: np.repeat(mat[None], len(ts), axis=0),
-        jac_fu_rows=lambda xs, us, ts: np.repeat(col[None, :, None], len(ts),
-                                                 axis=0),
-        running_cost=lambda x, u, t: 0.5 * u[0] ** 2,
-        grad_lx_rows=lambda xs, us, ts: np.zeros((len(ts), 2)),
-        grad_lu_rows=lambda xs, us, ts: np.array(us, dtype=float),
-        constraint=lambda xf, tf: xf[:1],
-        jac_gx=lambda xf, tf: np.array([[1.0, 0.0]]),
-        dg_dt=lambda xf, tf: np.zeros(1),
-        name=f"saddle-{a:g}",
-    )
-
-
 class TestConditioning:
     GAINS = GainSet(K=np.array([[0.1]]), K_g=np.array([[0.1]]))
 
@@ -373,12 +354,12 @@ class TestConditioning:
         # cond(Phi_N) = e^40: the node algebra cannot be trusted.
         with pytest.raises(SingularSystem,
                            match=r"condition estimate \d\.\d+e\+\d+ exceeds"):
-            system = assemble_ivp(_saddle(20.0), "third", 41, self.GAINS)
+            system = assemble_ivp(saddle_problem(20.0), "third", 41, self.GAINS)
             evolve(system, 5.0, early_stop=False)
 
     def test_saddle_below_the_limit_solves(self):
         # cond(Phi_N) = e^20, about 5e8.
-        system = assemble_ivp(_saddle(10.0), "third", 41, self.GAINS)
+        system = assemble_ivp(saddle_problem(10.0), "third", 41, self.GAINS)
         history = evolve(system, 5.0, early_stop=False)
         assert history.termination_reason == "tau_end"
         assert np.isfinite(history.final.J)

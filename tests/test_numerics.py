@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from vem.errors import DegenerateGrid, SingularSystem
 from vem.numerics import (
@@ -96,6 +97,32 @@ class TestSpline:
                 assert np.array_equal(s.derivative(one)[0], slopes[k])
                 assert np.array_equal(s.eval(float(t)), values[k])
                 assert np.array_equal(s.derivative(np.float64(t)), slopes[k])
+
+    @pytest.mark.parametrize("n_nodes", [2, 3, 4, 5, 41, 101, 321])
+    @pytest.mark.parametrize("spacing", ["uniform", "nonuniform"])
+    def test_matches_scipy_cubic_spline(self, n_nodes, spacing):
+        # scipy's not-a-knot CubicSpline (a line or parabola below four
+        # nodes) is the oracle of the banded slope solve.
+        rng = np.random.default_rng(n_nodes)
+        if spacing == "uniform":
+            nodes = np.linspace(0.3, 1.1, n_nodes)
+        else:
+            nodes = 0.3 + np.cumsum(rng.uniform(0.05, 1.0, n_nodes))
+        vals = rng.standard_normal((n_nodes, 3))
+        ref = CubicSpline(nodes, vals, axis=0, bc_type="not-a-knot").c
+        ref = np.concatenate([np.zeros((4 - len(ref),) + ref.shape[1:]), ref])
+        coeffs = spline_build(nodes, vals).coeffs
+        assert coeffs.shape == ref.shape
+        assert np.max(np.abs(coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_band_cache_follows_the_spacing(self):
+        # Same node count, other spacing: the cached band matrix of the
+        # first grid must not serve the second.
+        vals = np.sin(np.arange(9.0))
+        for nodes in (np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9) ** 2):
+            ref = CubicSpline(nodes, vals).c
+            coeffs = spline_build(nodes, vals).coeffs[:, :, 0]
+            assert np.max(np.abs(coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_degenerate_grid(self):
         with pytest.raises(DegenerateGrid):

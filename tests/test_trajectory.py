@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,10 +10,13 @@ from vem import (
     IntegratorOptions,
     OcpProblem,
     TimeGrid,
+    assemble_ivp,
+    evolve,
     propagate_states,
     transition_stack,
 )
 from vem import checks, driver, second, trajectory
+from vem.errors import NonFiniteField, StepFailure
 from vem.problems import brachistochrone, double_integrator, tracking_fixture
 from vem.rk45 import rk45_integrate
 
@@ -195,29 +199,162 @@ class TestFusedSweep:
         assert np.max(np.abs(stack.adjoint)) <= 1e-12
 
 
+class TestBatchedStack:
+    @staticmethod
+    def _along(problem, seed=4, n_nodes=21, opts=TIGHT):
+        grid = TimeGrid(n_nodes, problem.t0, problem.tf)
+        ctrl = ControlTrajectory.from_values(
+            grid, smooth_controls(grid, problem.m, np.random.default_rng(seed)))
+        return grid, ctrl, propagate_states(problem, ctrl, grid, opts)
+
+    @staticmethod
+    def _counting(problem, calls):
+        """The problem with its f_x and L_x row calls recorded as
+        (name, rows)."""
+        def wrap(name):
+            fn = getattr(problem, name)
+
+            def rows(xs, us, ts):
+                calls.append((name, len(ts)))
+                return fn(xs, us, ts)
+            return rows
+
+        return dataclasses.replace(problem, jac_fx_rows=wrap("jac_fx_rows"),
+                                   grad_lx_rows=wrap("grad_lx_rows"))
+
+    def test_double_integrator_closed_form(self, di):
+        # RK4 is exact for a constant f_x, so only rounding remains:
+        # Psi_i = [[1, 0], [tf - t_i, 1]] and, without L_x or phi, lam = 0.
+        grid = TimeGrid(41, 0.0, 2.0)
+        ctrl = ControlTrajectory.from_values(grid, np.zeros((41, 1)))
+        states = propagate_states(di.problem, ctrl, grid)
+        stack = transition_stack(di.problem, states, ctrl)
+        for i, t in enumerate(grid.times):
+            exact = np.array([[1.0, 0.0], [2.0 - t, 1.0]])
+            assert np.max(np.abs(stack.psi[i] - exact)) <= 1e-14
+        assert np.array_equal(stack.psi[-1], np.eye(2))
+        assert np.max(np.abs(stack.adjoint)) <= 1e-14
+
+    @pytest.mark.parametrize("make", [double_integrator, brachistochrone,
+                                      tracking_fixture])
+    def test_matches_forward_stack_and_fused_sweep(self, make):
+        # Psi against the forward transition matrices of an adaptive
+        # Dormand-Prince sweep, lam against the fused sweep's algebraic
+        # adjoint, both at TIGHT.
+        p = make().problem
+        grid, ctrl, states = self._along(p)
+        stack = transition_stack(p, states, ctrl, TIGHT)
+        fwd = trajectory._forward_stack(p, states, ctrl, grid, TIGHT)
+        composed = np.linalg.solve(np.swapaxes(fwd, 1, 2), fwd[-1].T)
+        assert np.max(np.abs(stack.psi - composed)) <= 1e-8
+        _, fused, _ = trajectory.fused_sweep(p, ctrl, grid, TIGHT)
+        scale = 1.0 + np.max(np.abs(fused.adjoint))
+        assert np.max(np.abs(stack.adjoint - fused.adjoint)) <= 1e-8 * scale
+        assert np.array_equal(stack.psi[-1], np.eye(p.n))
+        assert np.array_equal(stack.adjoint[-1],
+                              p.grad_phix(states.values[-1], grid.tf))
+
+    def test_state_cost_through_a_nonsymmetric_flow(self):
+        # B = [[-f_x^T, -L_x], [0, 0]]: a missing transpose or a sign slip
+        # in the L_x column shows against the fused sweep only with n >= 2,
+        # a non-symmetric f_x and a nonzero L_x.
+        a_mat = np.array([[0.0, 1.0], [-0.4, -0.3]])
+        problem = OcpProblem(
+            n=2, m=1, q=0, t0=0.0, x0=np.array([1.0, -0.5]), tf_mode="fixed",
+            tf=1.5, dynamics=lambda x, u, t: a_mat @ x + np.array([0.0, u[0]]),
+            jac_fx_rows=lambda xs, us, ts: np.repeat(a_mat[None], len(ts), axis=0),
+            running_cost=lambda x, u, t: 0.5 * (x[0] ** 2 + 3.0 * x[1] ** 2 + u[0] ** 2),
+            grad_lx_rows=lambda xs, us, ts: xs * np.array([1.0, 3.0]),
+            terminal_cost=lambda xf, tf: xf[0] * xf[1],
+            grad_phix=lambda xf, tf: xf[::-1].copy())
+        grid, ctrl, states = self._along(problem, n_nodes=31)
+        stack = transition_stack(problem, states, ctrl, TIGHT)
+        _, fused, _ = trajectory.fused_sweep(problem, ctrl, grid, TIGHT)
+        assert np.max(np.abs(stack.psi - fused.psi)) <= 1e-8
+        assert np.max(np.abs(stack.adjoint - fused.adjoint)) <= 1e-8
+        assert np.max(np.abs(fused.adjoint[0])) > 0.1
+
+    def test_one_row_call_each_per_round(self, brach):
+        # Round k adds the odd points of the 2^(k-1)-substep stencil: the
+        # 2(N-1)+1 ends and midpoints first, then 2(N-1), 4(N-1), ...
+        calls = []
+        p = self._counting(brach.problem, calls)
+        grid, ctrl, states = self._along(brach.problem)
+        transition_stack(p, states, ctrl, TIGHT)
+        fx = [rows for name, rows in calls if name == "jac_fx_rows"]
+        lx = [rows for name, rows in calls if name == "grad_lx_rows"]
+        assert calls[0::2] == [("jac_fx_rows", rows) for rows in fx]
+        assert calls[1::2] == [("grad_lx_rows", rows) for rows in lx]
+        assert fx == lx
+        assert fx == [41] + [20 * 2 ** k for k in range(1, len(fx))]
+
+    def test_tighter_tolerance_takes_more_rounds(self, brach):
+        rounds = {}
+        grid, ctrl, states = self._along(brach.problem)
+        for label, opts in (("default", IntegratorOptions()), ("tight", TIGHT)):
+            calls = []
+            transition_stack(self._counting(brach.problem, calls), states,
+                             ctrl, opts)
+            rounds[label] = len(calls) // 2
+        assert 2 <= rounds["default"] < rounds["tight"]
+
+    def test_non_finite_rows_raise(self, brach):
+        grid, ctrl, states = self._along(brach.problem)
+        jac = brach.problem.jac_fx_rows
+
+        def poisoned(xs, us, ts):
+            out = jac(xs, us, ts)
+            out[ts > 0.7] = np.nan
+            return out
+
+        p = dataclasses.replace(brach.problem, jac_fx_rows=poisoned)
+        with pytest.raises(NonFiniteField):
+            transition_stack(p, states, ctrl)
+
+    def test_substep_budget(self, brach):
+        # 20 intervals: TIGHT needs more than two substeps per interval, so
+        # a budget of 40 stops the doubling and a budget of 19 the first
+        # round.
+        grid, ctrl, states = self._along(brach.problem)
+        for budget in (19, 40):
+            opts = IntegratorOptions(rtol=TIGHT.rtol, atol=TIGHT.atol,
+                                     max_steps=budget)
+            with pytest.raises(StepFailure, match=f"max_steps={budget}"):
+                transition_stack(brach.problem, states, ctrl, opts)
+
+    def test_coupled_solve_integrates_nothing_after_assembly(self, brach,
+                                                             monkeypatch):
+        # Psi, lam and the snapshot cost come from the interval stencil, so
+        # the only Dormand-Prince run after assembly is the tau integration.
+        runs = []
+
+        def recording(field, y0, t_span, opts=None, on_step=None):
+            runs.append("outer" if on_step is not None else "inner")
+            return rk45_integrate(field, y0, t_span, opts, on_step=on_step)
+
+        for module in (trajectory, driver, second):
+            monkeypatch.setattr(module, "rk45_integrate", recording)
+        system = assemble_ivp(brach.problem, "second", 21, brach.gains)
+        assert runs == ["inner"]         # the starting states
+        runs.clear()
+        history = evolve(system, 20.0, early_stop=False)
+        assert len(history.snapshots) >= 3
+        assert runs == ["outer"]
+
+
 class TestDrivenSweeps:
     @staticmethod
     def _sweeps(problem, seed=12):
-        """Every driven inner sweep: propagation (with and without the
-        cost channel), backward stacks along dense-output and spline
-        states, and the path cost."""
+        """Every driven inner sweep: propagation, and the fused sweep with
+        its states, Psi, adjoint and cost."""
         rng = np.random.default_rng(seed)
         grid = TimeGrid(21, problem.t0, problem.tf)
         ctrl = ControlTrajectory.from_values(
             grid, smooth_controls(grid, problem.m, rng))
         states = propagate_states(problem, ctrl, grid)
-        with_cost, cost = driver.propagate_with_cost(problem, ctrl, grid)
-        snap = second.SecondEqSnapshot.create(
-            grid, states.values + smooth_controls(grid, problem.n, rng, 1e-2),
-            ctrl.values)
-        stacks = [transition_stack(problem, s, c)
-                  for s, c in ((states, ctrl), (with_cost, ctrl),
-                               (snap.state_traj, snap.ctrl_traj))]
-        along = driver.path_cost(problem, snap.state_traj, snap.ctrl_traj, grid)
-        out = [states.values, with_cost.values, np.array([cost, along])]
-        for stack in stacks:
-            out += [stack.psi, stack.adjoint]
-        return out
+        fused, stack, cost = trajectory.fused_sweep(problem, ctrl, grid)
+        return [states.values, fused.values, stack.psi, stack.adjoint,
+                np.array([cost])]
 
     @pytest.fixture()
     def fields(self, monkeypatch):
@@ -240,8 +377,7 @@ class TestDrivenSweeps:
                 super().__init__(seeing, sized)
                 made.append(self)
 
-        for module in (trajectory, driver):
-            monkeypatch.setattr(module, "DrivenField", RecordingField)
+        monkeypatch.setattr(trajectory, "DrivenField", RecordingField)
         return made
 
     @pytest.mark.parametrize("make", [brachistochrone, tracking_fixture])
@@ -259,11 +395,10 @@ class TestDrivenSweeps:
             return rk45_integrate(lambda t, y: field(t, y), y0, t_span, opts,
                                   on_step=on_step)
 
-        for module in (trajectory, driver):
-            monkeypatch.setattr(module, "rk45_integrate", hiding)
+        monkeypatch.setattr(trajectory, "rk45_integrate", hiding)
         hidden = self._sweeps(problem)
         assert all(set(f.sizes) == {1} for f in fields)
-        assert len(fields) == len(seen) == 6
+        assert len(fields) == len(seen) == 2
         for f, rows in zip(fields, seen):
             assert np.array_equal(np.array(f.seen), rows)
         for a, b in zip(prepared, hidden):
@@ -273,7 +408,7 @@ class TestDrivenSweeps:
         # Only t0 and the starting-step probe are asked for one at a time;
         # every step attempt looks its six stage times up at once.
         self._sweeps(brach.problem)
-        assert len(fields) == 6
+        assert len(fields) == 2
         for f in fields:
             assert f.sizes.count(1) <= 2
             assert f.sizes.count(6) >= 10

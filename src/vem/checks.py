@@ -170,7 +170,7 @@ def _fused_gap(bench, n_nodes, rng):
     ref_stack = transition_stack(p, ref_states, ctrl, TIGHT)
     ref_cost = path_cost(p, ref_states, ctrl, grid, TIGHT)
     pairs = ((states.values, ref_states.values), (stack.psi, ref_stack.psi),
-             (stack.adjoint, ref_stack.adjoint), (cost, ref_cost))
+             (stack.adjoint, ref_stack.adjoint), (cost(), ref_cost))
     return max(float(np.max(np.abs(a - b))) / (1.0 + float(np.max(np.abs(b))))
                for a, b in pairs)
 

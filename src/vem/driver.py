@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -154,7 +154,7 @@ def propagate_with_cost(problem: OcpProblem, ctrl: ControlTrajectory,
     """(StateTrajectory, J) from the fused forward sweep, with J the full
     performance index including the terminal term."""
     states, _, cost = fused_sweep(problem, ctrl, grid, opts)
-    return states, cost
+    return states, cost()
 
 
 def path_cost(problem: OcpProblem, states: StateTrajectory,
@@ -188,7 +188,8 @@ class Evaluation:
     ``states`` and ``ctrl`` are the trajectories every formula reads; for
     the coupled method they are the snapshot's own (``snap``), for the
     control-only method the propagated states under the node controls,
-    whose fused sweep also gives the performance index ``cost``.
+    whose fused sweep also gives ``cost``, the performance index formed
+    on demand (only snapshots ask for it).
     """
 
     grid: TimeGrid
@@ -200,7 +201,7 @@ class Evaluation:
     pi: Optional[np.ndarray]
     snap: Optional[second_eq.SecondEqSnapshot] = None
     defect: Optional[np.ndarray] = None     # coupled modified mode only
-    cost: Optional[float] = None            # control-only method only
+    cost: Optional[Callable[[], float]] = None  # control-only method only
 
 
 class EvolutionSystem:
@@ -208,9 +209,9 @@ class EvolutionSystem:
 
     ``rhs``, ``residuals``, ``gradient_norm`` and ``snapshot`` all read
     one ``Evaluation`` of the vector they are given.  A control-only
-    evaluation is one fused forward sweep (states, transition stack and
-    cost together); a coupled one is one batched interval stencil along
-    the snapshot's own trajectories.
+    evaluation is one fused forward sweep (states and transition stack,
+    with the cost summed only for a snapshot); a coupled one is one
+    batched interval stencil along the snapshot's own trajectories.
     The last evaluation is kept, keyed by the vector's exact bytes, so a
     vector seen twice in a row is evaluated once: the integrator's last
     stage of an accepted step and the convergence check on that step, or
@@ -354,8 +355,9 @@ class EvolutionSystem:
 
     def snapshot(self, tau, vec) -> SnapshotRecord:
         ev = self.evaluate(vec)
-        cost = ev.cost
-        if cost is None:
+        if ev.cost is not None:
+            cost = ev.cost()
+        else:
             cost = path_cost(self.problem, ev.states, ev.ctrl, ev.grid, self.opts)
         res = third_eq.optimality_residuals(self.problem, ev.states, ev.ctrl,
                                             ev.stack, ev.gu, ev.pi,

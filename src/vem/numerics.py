@@ -180,6 +180,24 @@ def cumulative_from_right(grid, samples):
     return left[-1] - left
 
 
+def cumulative_products(mats) -> np.ndarray:
+    """Running products of a matrix stack, newest factor on the left.
+
+    Entry k is ``mats[k] @ mats[k-1] @ ... @ mats[0]``; entry 0 is
+    ``mats[0]`` unchanged.  Formed by recursive doubling: after the round
+    with offset d every entry holds the product of up to 2d factors, so a
+    stack of K matrices takes ceil(log2 K) batched matmuls instead of K - 1
+    sequential ones.  The association order differs from the sequential
+    loop, so the results agree with it to rounding.
+    """
+    out = np.array(mats, dtype=float)
+    d = 1
+    while d < len(out):
+        out[d:] = out[d:] @ out[:-d]
+        d *= 2
+    return out
+
+
 def solve_dense(mat, rhs):
     """Solve a small dense system; returns (solution, condition estimate).
 

@@ -9,42 +9,48 @@ transposed state transition matrix from t_i to the terminal time -- and
 the cost-gradient kernel lam, the adjoint of lam' = -f_x^T lam - L_x with
 lam(tf) set to the terminal-cost gradient.  There are two routes to them.
 
-``fused_sweep`` (control-only method) integrates the states, the forward
-transition matrix Phi(t, t0), C(t) = integral of Phi(s, t0)^T L_x and the
-running cost in one forward sweep from (x0, I, 0, 0).  Psi and lam follow
-algebraically at the nodes from one stacked inverse:
+``fused_sweep`` (control-only method) integrates the states alone, by
+the same driven sweep as ``propagate_states``, and takes the forward
+transition matrix Phi(t, t0) and C(t) = integral of Phi(s, t0)^T L_x
+from the tangent of that run's accepted steps: one ``jac_fx_rows`` and
+one ``grad_lx_rows`` call over the 6S+1 distinct points of its stage
+record, then ``SolutionPath.linear_flow``.  Dormand-Prince applied to
+[x, Phi, C] on the same steps gives the same Phi and C.  The running
+cost is the b-weighted stage sum, formed only when asked for.  Psi and
+lam follow algebraically at the nodes from one stacked inverse:
 
     Psi_i = Phi_i^{-T} Phi_N^T,    lam_i = Phi_i^{-T} (Phi_N^T lam_end + C_N - C_i).
 
 The same inverse gives the 1-norm condition estimate of every Phi_i; a
 sweep whose worst estimate exceeds ``COND_LIMIT`` (saddle-type dynamics,
 whose forward transition matrices grow like exp(2|a|T)) raises
-SingularSystem.  f_x and L_x are evaluated on the integrated state, one
-one-row ``jac_fx_rows`` and ``grad_lx_rows`` call per field evaluation.
+SingularSystem.
 
 ``transition_stack`` (coupled method, whose states are given node values,
 and the oracles) works along given state and control trajectories.  Psi
 and lam solve a linear ODE there, so no sequential sweep is needed: on
 every grid interval at once, classic RK4 takes the augmented backward
 system Y' = B(t) Y, B = [[-f_x^T, -L_x], [0, 0]], across the interval
-from Y = I, and one backward product of these propagators gives
-[[Psi_i, lam_i], [0, 1]] at every node.  ``interval_stencil`` chooses the
-substep count by step doubling under the ``IntegratorOptions``
-tolerances; each round makes one ``jac_fx_rows`` and one ``grad_lx_rows``
-call over the sample times it adds.  Intervals end at nodes, where the
-state and control splines are joined, so RK4 keeps its order on every
-interval.  The coupled snapshot's cost (``driver.path_cost``) is
-composite Simpson on the same stencil.
+from Y = I, and the running products of these propagators from the end
+(``cumulative_products``, log-depth) give [[Psi_i, lam_i], [0, 1]] at
+every node.  ``interval_stencil`` chooses the substep count by step
+doubling under the ``IntegratorOptions`` tolerances; each round makes
+one ``jac_fx_rows`` and one ``grad_lx_rows`` call over the sample times
+it adds.  Intervals end at nodes, where the state and control splines
+are joined, so RK4 keeps its order on every interval.  The coupled
+snapshot's cost (``driver.path_cost``) is composite Simpson on the same
+stencil.
 
-The forward sweeps are driven by a trajectory that does not depend on the
-swept values: the control.  Their fields are ``DrivenField``s, which take
-it as one row per time and use the integrator's ``prepare`` hook to look
+The forward sweep is driven by a trajectory that does not depend on the
+swept values: the control.  Its field is a ``DrivenField``, which takes
+it as one row per time and uses the integrator's ``prepare`` hook to look
 up all six stage times of a step attempt in one vectorised call.  A time
 that was not prepared (t0, the starting-step probe, or every call when
 the hook is hidden behind a plain ``(t, y)`` wrapper) falls back to a
 one-row lookup.  The rows are bit-equal to scalar queries, since spline
 rows use the same elementwise Horner arithmetic, so a driven sweep
-reproduces the one-time-at-a-time sweep exactly.
+reproduces the one-time-at-a-time sweep exactly.  The tangent pass looks
+up the controls at all stage times in one ``ctrl.eval`` call.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFiniteDynamics, NonFiniteField, SingularSystem, StepFailure
-from .numerics import COND_LIMIT, SplineCoeffs, spline_build
+from .numerics import COND_LIMIT, SplineCoeffs, cumulative_products, spline_build
 from .ocp import OcpProblem
 from .rk45 import IntegratorOptions, SolutionPath, rk45_integrate
 
@@ -116,10 +122,11 @@ class StateTrajectory:
     grid: TimeGrid
     values: np.ndarray          # (N, n)
     _rows: object = None        # callable ts -> (T, n)
+    path: Optional[SolutionPath] = None     # the integration run, if any
 
     @classmethod
     def from_path(cls, grid: TimeGrid, values, path: SolutionPath) -> "StateTrajectory":
-        return cls(grid, np.asarray(values, dtype=float), path.rows)
+        return cls(grid, np.asarray(values, dtype=float), path.rows, path)
 
     @classmethod
     def from_nodes(cls, grid: TimeGrid, values) -> "StateTrajectory":
@@ -165,7 +172,8 @@ def propagate_states(problem: OcpProblem, ctrl: ControlTrajectory,
     """Integrate the dynamics under the spline-interpolated control.
 
     Runs from (t0, x0) to tf; node states are read from the dense output
-    and the initial node is pinned to x0 exactly.
+    and the initial node is pinned to x0 exactly.  The returned
+    trajectory keeps the run's path.
     """
     def field_fn(t, x, u):
         return problem.dynamics(x, u, t)
@@ -184,41 +192,31 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
                 opts: Optional[IntegratorOptions] = None):
     """States, transition stack and performance index from one forward sweep.
 
-    Integrates z = [x, Phi(t, t0) flattened, C, running cost] from
-    (t0, [x0, I, 0, 0]) and takes Psi and the adjoint algebraically at the
-    nodes (module docstring).  Returns (StateTrajectory, TransitionStack,
-    J) with J including the terminal term.  Raises NonFiniteDynamics on a
-    non-finite field and SingularSystem when a node's Phi is singular or
-    its 1-norm condition estimate exceeds COND_LIMIT.
+    Integrates x alone (``propagate_states``), then takes Phi(t_i, t0) and
+    C_i from the tangent of that run over its recorded stages, and Psi
+    and the adjoint algebraically at the nodes (module docstring).
+    Returns (StateTrajectory, TransitionStack, cost), where ``cost()``
+    gives J including the terminal term; the running cost needs one point
+    ``running_cost`` call per stage, so it is summed only when asked for.
+    Raises NonFiniteDynamics on a non-finite field or f_x/L_x stage row
+    and SingularSystem when a node's Phi is singular or its 1-norm
+    condition estimate exceeds COND_LIMIT.
     """
     n = problem.n
-    nn = n * n
-    dynamics, running_cost = problem.dynamics, problem.running_cost
-    jac_fx_rows, grad_lx_rows = problem.jac_fx_rows, problem.grad_lx_rows
-
-    def field_fn(t, z, u):
-        x = z[:n]
-        phi = z[n:n + nn].reshape(n, n)
-        xs, us, ts = x[None], u[None], np.array([t])
-        out = np.empty(z.size)
-        out[:n] = dynamics(x, u, t)
-        np.matmul(jac_fx_rows(xs, us, ts)[0], phi, out=out[n:n + nn].reshape(n, n))
-        out[n + nn:-1] = grad_lx_rows(xs, us, ts)[0] @ phi
-        out[-1] = float(running_cost(x, u, t))
-        return out
-
-    z0 = np.concatenate([problem.x0, np.eye(n).ravel(), np.zeros(n + 1)])
-    try:
-        path = rk45_integrate(DrivenField(field_fn, ctrl.eval), z0,
-                              (grid.t0, grid.tf), opts)
-    except NonFiniteField as exc:
-        raise NonFiniteDynamics(str(exc)) from exc
-    z_nodes = path.eval(grid.times)
-    values = z_nodes[:, :n]
-    values[0] = problem.x0
-    phi = z_nodes[:, n:n + nn].reshape(grid.n_nodes, n, n)
-    c = z_nodes[:, n + nn:2 * n + nn]
-    x_end = values[-1]
+    states = propagate_states(problem, ctrl, grid, opts)
+    path = states.path
+    ts, rows = path.stage_times(), path.stage_rows()
+    us = ctrl.eval(ts)
+    # Z = [[Phi, 0], [C^T, 1]] solves Z' = [[f_x, 0], [L_x^T, 0]] Z.
+    mats = np.zeros((ts.size, n + 1, n + 1))
+    mats[:, :n, :n] = problem.jac_fx_rows(rows, us, ts)
+    mats[:, n, :n] = problem.grad_lx_rows(rows, us, ts)
+    if not np.all(np.isfinite(mats)):
+        raise NonFiniteDynamics("non-finite f_x or L_x rows at the sweep's stages")
+    z = path.linear_flow(mats, grid.times)
+    phi = z[:, :n, :n]
+    c = z[:, n, :n]
+    x_end = states.values[-1]
     try:
         inv = np.linalg.inv(phi)
     except np.linalg.LinAlgError as exc:
@@ -234,10 +232,17 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
     adjoint = (inv_t @ (phi[-1].T @ lam_end + c[-1] - c)[:, :, None])[:, :, 0]
     psi[-1] = np.eye(n)
     adjoint[-1] = lam_end
-    states = StateTrajectory(grid, values, lambda ts: path.rows(ts)[:, :n])
     stack = TransitionStack(grid, psi, adjoint, problem=problem, states=states,
                             ctrl=ctrl, opts=opts, _forward=phi)
-    cost = float(problem.terminal_cost(x_end, grid.tf)) + float(path.y_end[-1])
+
+    def cost() -> float:
+        running = np.array([float(problem.running_cost(x, u, t))
+                            for x, u, t in zip(rows, us, ts)])
+        if not np.all(np.isfinite(running)):
+            raise NonFiniteDynamics("non-finite running cost at the sweep's stages")
+        return (float(problem.terminal_cost(x_end, grid.tf))
+                + path.stage_integral(running))
+
     return states, stack, cost
 
 
@@ -249,8 +254,9 @@ class TransitionStack:
     gradient, both exactly; ``adjoint`` holds lam at every node.  Forward
     transition matrices Phi(t_i, t0) serve only the oracles - the
     quadrature gradient form and the backward-vs-forward consistency
-    check.  A fused sweep stores the ones it integrated; a backward stack
-    keeps its trajectory data and builds them lazily by a separate sweep.
+    check.  A fused sweep stores the ones its tangent pass formed; a
+    backward stack keeps its trajectory data and builds them lazily by a
+    separate sweep.
     """
 
     grid: TimeGrid
@@ -274,7 +280,8 @@ def transition_stack(problem: OcpProblem, states: StateTrajectory,
                      ctrl: ControlTrajectory,
                      opts: Optional[IntegratorOptions] = None) -> TransitionStack:
     """Psi at every node plus the adjoint, from per-interval RK4
-    propagators of Y' = B Y and one backward product (module docstring).
+    propagators of Y' = B Y and their running products from the end
+    (module docstring).
 
     Psi_N = I and lam_N = lam_end hold exactly: the product starts from
     [[I, lam_end], [0, 1]].
@@ -310,11 +317,11 @@ def transition_stack(problem: OcpProblem, states: StateTrajectory,
         return y
 
     steps = interval_stencil(grid.times, sample, propagators, opts)
-    z = np.empty((grid.n_nodes, n + 1, n + 1))
-    z[-1] = np.eye(n + 1)
-    z[-1, :n, n] = lam_end
-    for i in range(grid.n_nodes - 2, -1, -1):
-        z[i] = steps[i] @ z[i + 1]
+    end = np.eye(n + 1)
+    end[:n, n] = lam_end
+    # z_i = steps_i @ ... @ steps_{N-2} @ end: running products of the
+    # reversed stack, read back in node order.
+    z = cumulative_products(np.concatenate([end[None], steps[::-1]]))[::-1]
     return TransitionStack(grid, z[:, :n, :n], z[:, :n, n], problem=problem,
                            states=states, ctrl=ctrl, opts=opts)
 

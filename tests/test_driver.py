@@ -262,15 +262,22 @@ class TestRowCallbacks:
 
     def test_one_row_call_per_evaluation_and_step_attempt(self, brach,
                                                           monkeypatch):
-        # f_u and L_u: one N-row call per evaluation.  f_x and L_x: one
-        # one-row call per field evaluation of the fused sweep, at the
-        # integrated state.  The control rows: one six-row lookup per step
-        # attempt plus one-row lookups at t0 and the starting-step probe.
-        calls, sweeps, evals, prepares, lookups = [], [], [], [], []
+        # f_u and L_u: one N-row call per evaluation.  f_x and L_x: one call
+        # each per fused sweep, over the 6S+1 distinct stage points of its
+        # S accepted steps, and no one-row call.  The control rows: one
+        # six-row lookup per step attempt plus one-row lookups at t0 and
+        # the starting-step probe.  The running cost: never inside a sweep,
+        # which leaves its stage sum to the snapshots that ask for it.
+        calls, sweeps, evals, prepares, lookups, steps = [], [], [], [], [], []
+        costs, phase = [], ["other"]
 
         def counting_sweep(*args, **kwargs):
             sweeps.append(None)
-            return fused(*args, **kwargs)
+            outer, phase[0] = phase[0], "sweep"
+            try:
+                return fused(*args, **kwargs)
+            finally:
+                phase[0] = outer
 
         def counting_integrate(field, y0, t_span, opts=None, on_step=None):
             assert t_span[0] < t_span[1]     # no backward sweep
@@ -294,25 +301,50 @@ class TestRowCallbacks:
             path = integrate(field, y0, t_span, opts, on_step=on_step)
             evals.append(count[0])
             prepares.append(count[1])
+            steps.append(len(path.hs))
             return path
 
+        def recording_snapshot(self, tau, vec):
+            phase[0] = "snapshot"
+            try:
+                return snapshot(self, tau, vec)
+            finally:
+                phase[0] = "other"
+
         fused, integrate = driver.fused_sweep, trajectory.rk45_integrate
+        snapshot = EvolutionSystem.snapshot
         monkeypatch.setattr(driver, "fused_sweep", counting_sweep)
         monkeypatch.setattr(trajectory, "rk45_integrate", counting_integrate)
+        monkeypatch.setattr(EvolutionSystem, "snapshot", recording_snapshot)
         bench = _recording(brach, calls, [name + "_rows" for name in ROW_FORMS])
-        solve_benchmark(bench, "third", n_nodes=41, tau_end=2.0)
+        running_cost = bench.problem.running_cost
+
+        def phased_cost(x, u, t):
+            costs.append(phase[0])
+            return running_cost(x, u, t)
+
+        bench = dataclasses.replace(bench, problem=dataclasses.replace(
+            bench.problem, running_cost=phased_cost))
+        history = solve_benchmark(bench, "third", n_nodes=41, tau_end=2.0)[0]
 
         def sizes(name):
             return [rows for called, rows in calls if called == name]
 
-        assert len(sweeps) == len(evals) > 0
+        assert len(sweeps) == len(evals) == len(steps) > 0
         assert sizes("jac_fu_rows") == sizes("grad_lu_rows") == [41] * len(sweeps)
-        assert sizes("jac_fx_rows") == sizes("grad_lx_rows") == [1] * sum(evals)
+        assert sizes("jac_fx_rows") == sizes("grad_lx_rows") == [
+            6 * s + 1 for s in steps]
+        assert 1 not in sizes("jac_fx_rows") + sizes("grad_lx_rows")
         # t0 and the starting-step probe, then six stages per attempt.
         assert [6 * p + 2 for p in prepares] == evals
         assert lookups.count(6) == sum(prepares)
         assert lookups.count(1) == 2 * len(sweeps)
         assert len(lookups) == sum(prepares) + 2 * len(sweeps)
+        # Outside snapshots only the terminal-time rate reads L, at the
+        # last node.
+        assert len(history.snapshots) > 0
+        assert "sweep" not in costs
+        assert costs.count("snapshot") > len(history.snapshots)
 
 
 class TestModifiedMode:

@@ -5,6 +5,7 @@ from scipy.interpolate import CubicSpline
 from vem.errors import DegenerateGrid, SingularSystem
 from vem.numerics import (
     cumulative_from_right,
+    cumulative_products,
     grid_quadrature,
     solve_dense,
     spline_build,
@@ -163,6 +164,25 @@ class TestQuadrature:
         # Trapezoid is exact on the linear channel; on the quadratic one it
         # gives 1/3 + h^2/6 = 129/384 exactly.
         assert np.allclose(tail[0], [0.5, 129.0 / 384.0], atol=1e-14)
+
+
+class TestCumulativeProducts:
+    @pytest.mark.parametrize("count", [1, 2, 7, 64, 100])
+    def test_matches_the_sequential_loop(self, count):
+        rng = np.random.default_rng(count)
+        mats = np.eye(4) + 0.2 * rng.standard_normal((count, 4, 4))
+        out = cumulative_products(mats)
+        loop = [mats[0]]
+        for mat in mats[1:]:
+            loop.append(mat @ loop[-1])
+        assert np.array_equal(out[0], mats[0])
+        assert np.max(np.abs(out - np.array(loop))) <= 1e-13 * np.max(np.abs(loop))
+
+    def test_leaves_its_input_alone(self):
+        mats = np.array([[[2.0]], [[3.0]], [[5.0]]])
+        kept = mats.copy()
+        assert np.array_equal(cumulative_products(mats)[:, 0, 0], [2.0, 6.0, 30.0])
+        assert np.array_equal(mats, kept)
 
 
 class TestSolveDense:

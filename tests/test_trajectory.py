@@ -16,11 +16,24 @@ from vem import (
     transition_stack,
 )
 from vem import checks, driver, second, trajectory
-from vem.errors import NonFiniteField, StepFailure
+from vem.errors import NonFiniteDynamics, NonFiniteField, StepFailure
 from vem.problems import brachistochrone, double_integrator, tracking_fixture
 from vem.rk45 import rk45_integrate
 
 TIGHT = IntegratorOptions(rtol=1e-10, atol=1e-12)
+
+
+def _state_cost_problem(a_mat):
+    """x' = A x + [0, u] with a state cost and a terminal cost: n = 2, a
+    non-symmetric f_x and a nonzero L_x."""
+    return OcpProblem(
+        n=2, m=1, q=0, t0=0.0, x0=np.array([1.0, -0.5]), tf_mode="fixed",
+        tf=1.5, dynamics=lambda x, u, t: a_mat @ x + np.array([0.0, u[0]]),
+        jac_fx_rows=lambda xs, us, ts: np.repeat(a_mat[None], len(ts), axis=0),
+        running_cost=lambda x, u, t: 0.5 * (x[0] ** 2 + 3.0 * x[1] ** 2 + u[0] ** 2),
+        grad_lx_rows=lambda xs, us, ts: xs * np.array([1.0, 3.0]),
+        terminal_cost=lambda xf, tf: xf[0] * xf[1],
+        grad_phix=lambda xf, tf: xf[::-1].copy())
 
 
 class TestTimeGrid:
@@ -155,15 +168,7 @@ class TestFusedSweep:
     def test_state_cost_through_a_nonsymmetric_flow(self):
         # C' = Phi^T L_x needs a transpose that n = 1 and a zero L_x hide:
         # a double integrator with a state cost and a terminal cost.
-        a_mat = np.array([[0.0, 1.0], [0.0, -0.3]])
-        problem = OcpProblem(
-            n=2, m=1, q=0, t0=0.0, x0=np.array([1.0, -0.5]), tf_mode="fixed",
-            tf=1.5, dynamics=lambda x, u, t: a_mat @ x + np.array([0.0, u[0]]),
-            jac_fx_rows=lambda xs, us, ts: np.repeat(a_mat[None], len(ts), axis=0),
-            running_cost=lambda x, u, t: 0.5 * (x[0] ** 2 + 3.0 * x[1] ** 2 + u[0] ** 2),
-            grad_lx_rows=lambda xs, us, ts: xs * np.array([1.0, 3.0]),
-            terminal_cost=lambda xf, tf: xf[0] * xf[1],
-            grad_phix=lambda xf, tf: xf[::-1].copy())
+        problem = _state_cost_problem(np.array([[0.0, 1.0], [0.0, -0.3]]))
         gap = checks._fused_gap(SimpleNamespace(problem=problem), 41,
                                 np.random.default_rng(2))
         assert gap <= 1e-8
@@ -185,7 +190,7 @@ class TestFusedSweep:
         fwd = stack.forward_matrices()
         composed = np.linalg.solve(np.swapaxes(fwd, 1, 2), fwd[-1].T)
         assert np.max(np.abs(composed - stack.psi)) <= 1e-12
-        assert np.isfinite(cost)
+        assert np.isfinite(cost())
 
     def test_double_integrator_closed_form(self, di):
         # Psi_i = [[1, 0], [tf - t_i, 1]] and, without L_x or phi, the
@@ -197,6 +202,94 @@ class TestFusedSweep:
             exact = np.array([[1.0, 0.0], [2.0 - t, 1.0]])
             assert np.max(np.abs(stack.psi[i] - exact)) <= 1e-12
         assert np.max(np.abs(stack.adjoint)) <= 1e-12
+
+
+def _augmented_sweep(problem, ctrl, grid, opts):
+    """Oracle for the tangent pass: z = [x, Phi, C, running cost]
+    integrated as one system from [x0, I, 0, 0].  Returns the path, the
+    node values of x, Phi and C, and J."""
+    n = problem.n
+    nn = n * n
+
+    def field(t, z):
+        x, phi = z[:n], z[n:n + nn].reshape(n, n)
+        u = ctrl.eval(t)
+        xs, us, ts = x[None], u[None], np.array([t])
+        out = np.empty(z.size)
+        out[:n] = problem.dynamics(x, u, t)
+        out[n:n + nn] = (problem.jac_fx_rows(xs, us, ts)[0] @ phi).ravel()
+        out[n + nn:-1] = problem.grad_lx_rows(xs, us, ts)[0] @ phi
+        out[-1] = float(problem.running_cost(x, u, t))
+        return out
+
+    z0 = np.concatenate([problem.x0, np.eye(n).ravel(), np.zeros(n + 1)])
+    path = rk45_integrate(field, z0, (grid.t0, grid.tf), opts)
+    z = path.eval(grid.times)
+    cost = float(problem.terminal_cost(z[-1, :n], grid.tf)) + float(path.y_end[-1])
+    return (path, z[:, :n], z[:, n:n + nn].reshape(-1, n, n),
+            z[:, n + nn:-1], cost)
+
+
+class TestTangentPass:
+    """The x-only sweep's tangent pass against the augmented field on the
+    same steps: Dormand-Prince applied to [x, Phi, C, cost] gives the same
+    Phi, C and cost as the tangent of the x steps."""
+
+    PROBLEMS = {
+        "double-integrator": lambda: double_integrator().problem,
+        "brachistochrone": lambda: brachistochrone().problem,
+        "tracking": lambda: tracking_fixture().problem,
+        "state-cost": lambda: _state_cost_problem(
+            np.array([[0.0, 1.0], [0.0, -0.3]])),
+    }
+
+    @staticmethod
+    def _relative(a, b):
+        return float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b))))
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_matches_augmented_field_on_the_same_steps(self, name):
+        p = self.PROBLEMS[name]()
+        grid = TimeGrid(21, p.t0, p.tf)
+        ctrl = ControlTrajectory.from_values(
+            grid, smooth_controls(grid, p.m, np.random.default_rng(5)))
+        # A fixed step small enough that neither run rejects one.
+        h = (grid.tf - grid.t0) / 64
+        opts = IntegratorOptions(initial_step=h, max_step=h)
+        states, stack, cost = trajectory.fused_sweep(p, ctrl, grid, opts)
+        path, x, phi, c, oracle_cost = _augmented_sweep(p, ctrl, grid, opts)
+        assert len(states.path.hs) == len(path.hs) == 64
+        assert np.array_equal(states.path.hs, path.hs)
+        fwd = stack.forward_matrices()
+        assert self._relative(states.values, x) <= 1e-12
+        assert self._relative(fwd, phi) <= 1e-12
+        # The oracle's adjoint by the same algebra as the sweep's.
+        lam_end = p.grad_phix(x[-1], grid.tf)
+        inv_t = np.swapaxes(np.linalg.inv(phi), 1, 2)
+        adjoint = (inv_t @ (phi[-1].T @ lam_end + c[-1] - c)[:, :, None])[:, :, 0]
+        assert self._relative(stack.adjoint, adjoint) <= 1e-12
+        # C_i = C_0 + lam_0 - Phi_i^T lam_i with C_0 = 0, read off the
+        # sweep's adjoint.
+        swept_c = stack.adjoint[0] - (np.swapaxes(fwd, 1, 2)
+                                      @ stack.adjoint[:, :, None])[:, :, 0]
+        assert self._relative(swept_c, c) <= 1e-12
+        assert abs(cost() - oracle_cost) <= 1e-12 * max(1.0, abs(oracle_cost))
+
+    def test_non_finite_stage_row_raises(self, brach):
+        # A NaN in one stage row of f_x; the x sweep itself stays finite.
+        rows = brach.problem.jac_fx_rows
+
+        def poisoned(xs, us, ts):
+            out = np.array(rows(xs, us, ts), dtype=float)
+            if len(ts) > 1:
+                out[3, 0, 0] = np.nan
+            return out
+
+        p = dataclasses.replace(brach.problem, jac_fx_rows=poisoned)
+        grid = TimeGrid(21, p.t0, p.tf)
+        ctrl = ControlTrajectory.from_values(grid, np.zeros((21, p.m)))
+        with pytest.raises(NonFiniteDynamics):
+            trajectory.fused_sweep(p, ctrl, grid)
 
 
 class TestBatchedStack:
@@ -258,15 +351,7 @@ class TestBatchedStack:
         # B = [[-f_x^T, -L_x], [0, 0]]: a missing transpose or a sign slip
         # in the L_x column shows against the fused sweep only with n >= 2,
         # a non-symmetric f_x and a nonzero L_x.
-        a_mat = np.array([[0.0, 1.0], [-0.4, -0.3]])
-        problem = OcpProblem(
-            n=2, m=1, q=0, t0=0.0, x0=np.array([1.0, -0.5]), tf_mode="fixed",
-            tf=1.5, dynamics=lambda x, u, t: a_mat @ x + np.array([0.0, u[0]]),
-            jac_fx_rows=lambda xs, us, ts: np.repeat(a_mat[None], len(ts), axis=0),
-            running_cost=lambda x, u, t: 0.5 * (x[0] ** 2 + 3.0 * x[1] ** 2 + u[0] ** 2),
-            grad_lx_rows=lambda xs, us, ts: xs * np.array([1.0, 3.0]),
-            terminal_cost=lambda xf, tf: xf[0] * xf[1],
-            grad_phix=lambda xf, tf: xf[::-1].copy())
+        problem = _state_cost_problem(np.array([[0.0, 1.0], [-0.4, -0.3]]))
         grid, ctrl, states = self._along(problem, n_nodes=31)
         stack = transition_stack(problem, states, ctrl, TIGHT)
         _, fused, _ = trajectory.fused_sweep(problem, ctrl, grid, TIGHT)
@@ -354,7 +439,7 @@ class TestDrivenSweeps:
         states = propagate_states(problem, ctrl, grid)
         fused, stack, cost = trajectory.fused_sweep(problem, ctrl, grid)
         return [states.values, fused.values, stack.psi, stack.adjoint,
-                np.array([cost])]
+                np.array([cost()])]
 
     @pytest.fixture()
     def fields(self, monkeypatch):

@@ -193,9 +193,8 @@ def _check_stationarity():
     states = propagate_states(p, ctrl, grid, TIGHT)
     stack = transition_stack(p, states, ctrl, TIGHT)
     gu = third_eq.control_gradient(p, states, ctrl, stack)
-    mat = third_eq.multiplier_matrix(p, states, ctrl, stack, bench.gains)
-    r = third_eq.multiplier_rhs(p, states, ctrl, stack, gu, bench.gains)
-    pi = third_eq.solve_multipliers(third_eq.MultiplierSystem(mat, r))
+    pi = third_eq.solve_multipliers(*third_eq.multiplier_system(
+        p, states, ctrl, stack, bench.gains, gu))
     rate = third_eq.control_rhs(p, states, ctrl, stack, gu, pi, bench.gains)
     worst = float(np.max(np.abs(rate)))
     return worst <= 1e-4, f"control rate at the optimum {worst:.2e}"
@@ -233,53 +232,33 @@ def _check_convolution_vs_ivp(seed=0):
 
 
 def _check_mode_reduction():
-    worst = 0.0
-    # Analytic optimum of the fixed-horizon benchmark: zero defect, exact
-    # initial condition, terminal constraint met exactly.
-    bench = double_integrator()
-    p = bench.problem
+    # The fixed-horizon benchmark at its analytic optimum (exact initial
+    # condition, terminal constraint met exactly) and the free-horizon one
+    # on a propagated snapshot; both snapshots take the dynamics as their
+    # derivative field, so their defect is zero by construction.
+    di, brach = double_integrator(), brachistochrone()
     grid = TimeGrid(41, 0.0, 2.0)
-    states = np.stack([bench.reference.state(t) for t in grid.times])
-    controls = np.stack([bench.reference.control(t) for t in grid.times])
-    xdot = np.stack([p.dynamics(states[i], controls[i], grid.times[i])
-                     for i in range(grid.n_nodes)])
-    snap = second_eq.SecondEqSnapshot.create(grid, states, controls, xdot=xdot)
-    stack = transition_stack(p, snap.state_traj, snap.ctrl_traj, TIGHT)
-    systems = {mode: second_eq.multiplier_system_second(p, snap, stack,
-                                                        bench.gains, mode)
-               for mode in second_eq.MODES}
-    g0 = np.asarray(p.constraint(states[-1], grid.tf), dtype=float)
-    worst = max(worst, float(np.max(np.abs(
-        systems["modified"].r - systems["quasi_feasible"].r))))
-    worst = max(worst, float(np.max(np.abs(
-        systems["quasi_feasible"].r + bench.gains.K_g @ g0 - systems["feasible"].r))))
-    worst = max(worst, float(np.max(np.abs(
-        systems["modified"].M - systems["feasible"].M))))
-
-    # Free-horizon benchmark: propagated snapshot with the defect zeroed
-    # by construction (the snapshot's derivative field is set to f).
-    bench = brachistochrone()
-    p = bench.problem
+    cases = [(di, grid, np.stack([di.reference.state(t) for t in grid.times]),
+              np.stack([di.reference.control(t) for t in grid.times]))]
     grid = TimeGrid(31, 0.0, 1.0)
-    rng = np.random.default_rng(3)
-    ctrl = ControlTrajectory.from_values(grid, _smooth_controls(grid, 1, rng))
-    prop = propagate_states(p, ctrl, grid, TIGHT)
-    xdot = np.stack([p.dynamics(prop.values[i], ctrl.values[i], grid.times[i])
-                     for i in range(grid.n_nodes)])
-    snap = second_eq.SecondEqSnapshot.create(grid, prop.values, ctrl.values,
-                                             xdot=xdot)
-    stack = transition_stack(p, snap.state_traj, snap.ctrl_traj, TIGHT)
-    sys_mod = second_eq.multiplier_system_second(p, snap, stack, bench.gains,
-                                                 "modified")
-    sys_quasi = second_eq.multiplier_system_second(p, snap, stack, bench.gains,
-                                                   "quasi_feasible")
-    sys_feas = second_eq.multiplier_system_second(p, snap, stack, bench.gains,
-                                                  "feasible")
-    g0 = np.asarray(p.constraint(prop.values[-1], grid.tf), dtype=float)
-    worst = max(worst, float(np.max(np.abs(sys_mod.r - sys_quasi.r))))
-    worst = max(worst, float(np.max(np.abs(
-        sys_quasi.r + bench.gains.K_g @ g0 - sys_feas.r))))
-    worst = max(worst, float(np.max(np.abs(sys_mod.M - sys_quasi.M))))
+    ctrl = ControlTrajectory.from_values(
+        grid, _smooth_controls(grid, 1, np.random.default_rng(3)))
+    prop = propagate_states(brach.problem, ctrl, grid, TIGHT)
+    cases.append((brach, grid, prop.values, ctrl.values))
+    worst = 0.0
+    for bench, grid, states, controls in cases:
+        p = bench.problem
+        xdot = np.stack([p.dynamics(x, u, t)
+                         for x, u, t in zip(states, controls, grid.times)])
+        snap = second_eq.SecondEqSnapshot.create(grid, states, controls, xdot=xdot)
+        stack = transition_stack(p, snap.state_traj, snap.ctrl_traj, TIGHT)
+        (m_mod, r_mod), (_, r_quasi), (m_feas, r_feas) = (
+            second_eq.multiplier_system_second(p, snap, stack, bench.gains, mode)
+            for mode in ("modified", "quasi_feasible", "feasible"))
+        g0 = np.asarray(p.constraint(states[-1], grid.tf), dtype=float)
+        worst = max(worst, float(np.max(np.abs(r_mod - r_quasi))),
+                    float(np.max(np.abs(r_quasi + bench.gains.K_g @ g0 - r_feas))),
+                    float(np.max(np.abs(m_mod - m_feas))))
     return worst <= 1e-9, f"reduction-chain gap {worst:.2e}"
 
 

@@ -142,6 +142,11 @@ def cmd_solve(args) -> int:
     except KeyError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
+    except np.linalg.LinAlgError:
+        raise   # a ValueError too, but a solver fault, not a bad option
+    except ValueError as exc:
+        print(f"invalid run option: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except StepFailure as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_STEP_FAILURE
@@ -182,6 +187,11 @@ def cmd_compare(args) -> int:
     for problem_name, method in combos:
         try:
             bench, history, report = _run_one(args, problem_name, method)
+        except np.linalg.LinAlgError:
+            raise
+        except ValueError as exc:
+            print(f"invalid run option: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         except (VemError, KeyError) as exc:
             failures += 1
             rows.append({"problem": problem_name, "method": method,
@@ -263,8 +273,6 @@ def _add_run_options(parser):
                         help="always integrate to tau-end")
     parser.add_argument("--outdir", type=str, default=_default_outdir(),
                         help=f"output directory (default: ${_ENV_OUTDIR} or '.')")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized diagnostics")
 
 
 def build_parser() -> argparse.ArgumentParser:

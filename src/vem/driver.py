@@ -36,6 +36,10 @@ METHODS = ("second", "third")
 DEFAULT_TAU_END = 300.0
 DEFAULT_SNAPSHOTS = (0.0, 1.0, 5.0, 10.0, 30.0, 100.0, 300.0)
 
+# Narrowest horizon a free terminal time may shrink to before the solve
+# stops with TfCollapse.
+TF_MIN_WIDTH = 1e-3
+
 # Early-termination thresholds on the optimality residuals.
 OPTIMALITY_RTOL = 1e-6
 CONSTRAINT_TOL = 1e-6
@@ -149,6 +153,7 @@ class SolveReport:
     wall_seconds: Optional[float] = None
 
 
+# No caller in vem; kept because perfbench/tracing.py patches this name.
 def propagate_with_cost(problem: OcpProblem, ctrl: ControlTrajectory,
                         grid: TimeGrid, opts: Optional[IntegratorOptions] = None):
     """(StateTrajectory, J) from the fused forward sweep, with J the full
@@ -241,10 +246,9 @@ class EvolutionSystem:
 
     def _grid(self, tf: Optional[float]) -> TimeGrid:
         horizon = tf if tf is not None else self.problem.tf
-        if horizon - self.problem.t0 < third_eq.TF_MIN_WIDTH:
-            raise TfCollapse(
-                f"horizon width {horizon - self.problem.t0:.3e} below "
-                f"{third_eq.TF_MIN_WIDTH:g}")
+        if horizon - self.problem.t0 < TF_MIN_WIDTH:
+            raise TfCollapse(f"horizon width {horizon - self.problem.t0:.3e} "
+                             f"below {TF_MIN_WIDTH:g}")
         return TimeGrid(self.layout.n_nodes, self.problem.t0, horizon)
 
     def evaluate(self, vec) -> Evaluation:
@@ -290,58 +294,46 @@ class EvolutionSystem:
         pi = None
         if problem.q > 0 and snap is not None:
             pi = second_eq.multiplier_second(problem, snap, stack, self.gains,
-                                             self.mode, gu=gu, nodes=nodes,
-                                             defect=defect)
+                                             self.mode, gu, nodes, defect)
         elif problem.q > 0:
             # Control-only method: always the quasi-feasible multiplier
             # system (snapshots satisfy the dynamics by construction, the
             # terminal constraint only asymptotically).
-            mat = third_eq.multiplier_matrix(problem, states, ctrl, stack,
-                                             self.gains, nodes=nodes)
-            r = third_eq.multiplier_rhs(problem, states, ctrl, stack, gu,
-                                        self.gains, mode="quasi_feasible",
-                                        nodes=nodes)
-            pi = third_eq.solve_multipliers(
-                third_eq.MultiplierSystem(mat, r, "quasi_feasible"))
+            pi = third_eq.solve_multipliers(*third_eq.multiplier_system(
+                problem, states, ctrl, stack, self.gains, gu, nodes=nodes))
         return Evaluation(grid, ctrl, states, stack, nodes, gu, pi, snap, defect,
                           cost)
 
-    def _rate_third(self, ev: Evaluation):
-        udot = third_eq.control_rhs(self.problem, ev.states, ev.ctrl, ev.stack,
+    def _rate(self, ev: Evaluation) -> np.ndarray:
+        """The tau-rate at an evaluation: the control rate, the coupled
+        method's node-state rate, and the terminal-time rate on a free
+        horizon."""
+        problem, snap, grid = self.problem, ev.snap, ev.grid
+        udot = third_eq.control_rhs(problem, ev.states, ev.ctrl, ev.stack,
                                     ev.gu, ev.pi, self.gains, nodes=ev.nodes)
-        if not self.problem.tf_free:
-            return self.layout.pack(udot)
-        tf_dot = third_eq.tf_rhs(self.problem, ev.states, ev.ctrl, ev.pi,
-                                 self.gains)
-        return self.layout.pack(udot, tf=tf_dot)
-
-    def _rate_second(self, ev: Evaluation):
-        snap, grid = ev.snap, ev.grid
-        udot = third_eq.control_rhs(self.problem, ev.states, ev.ctrl, ev.stack,
-                                    ev.gu, ev.pi, self.gains, nodes=ev.nodes)
-        wdot = second_eq.state_rhs_second(self.problem, snap, ev.stack, udot,
-                                          self.gains, self.mode, self.opts,
-                                          nodes=ev.nodes, defect=ev.defect)
-        if not self.problem.tf_free:
-            return self.layout.pack(udot, states=wdot)
-        tf_dot = second_eq.tf_rhs_second(self.problem, snap, ev.pi,
-                                         self.gains, self.mode)
-        # Nodes sit on normalized time, so a moving horizon drags their
-        # physical positions; the stored state and control functions pick
-        # up the moving-grid advection rate on top of the variational
-        # rates.  Without it the snapshot pair drifts off the dynamics and
-        # the designed constraint decay never closes.
-        stretch = grid.sigma[:, None] * tf_dot
-        wdot = wdot + snap.xdot * stretch
-        udot = udot + ev.ctrl.spline.derivative(grid.times) * stretch
+        wdot = tf_dot = None
+        if snap is not None:
+            wdot = second_eq.state_rhs_second(problem, snap, ev.stack, udot,
+                                              self.gains, self.mode, self.opts,
+                                              nodes=ev.nodes, defect=ev.defect)
+        if problem.tf_free and snap is None:
+            tf_dot = third_eq.tf_rhs(problem, ev.states, ev.ctrl, ev.pi, self.gains)
+        elif problem.tf_free:
+            tf_dot = second_eq.tf_rhs_second(problem, snap, ev.pi, self.gains,
+                                             self.mode)
+            # Nodes sit on normalized time, so a moving horizon drags their
+            # physical positions; the stored state and control functions
+            # pick up the moving-grid advection rate on top of the
+            # variational rates.  Without it the snapshot pair drifts off
+            # the dynamics and the designed constraint decay never closes.
+            stretch = grid.sigma[:, None] * tf_dot
+            wdot = wdot + snap.xdot * stretch
+            udot = udot + ev.ctrl.spline.derivative(grid.times) * stretch
         return self.layout.pack(udot, states=wdot, tf=tf_dot)
 
     # -- public surface ----------------------------------------------------
     def rhs(self, tau, vec):
-        ev = self.evaluate(vec)
-        if self.method == "third":
-            return self._rate_third(ev)
-        return self._rate_second(ev)
+        return self._rate(self.evaluate(vec))
 
     def residuals(self, vec) -> third_eq.Residuals:
         ev = self.evaluate(vec)
@@ -434,7 +426,7 @@ def evolve(system: EvolutionSystem, tau_end: float,
     history accumulated so far is attached to the raised exception as
     ``exc.history``.
     """
-    if tau_end < 0.0:
+    if not tau_end >= 0.0:
         raise ValueError("tau_end must be non-negative")
     opts = opts or system.opts
     requested = DEFAULT_SNAPSHOTS if snapshot_taus is None else snapshot_taus

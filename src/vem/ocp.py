@@ -35,63 +35,24 @@ _FD_STEP = 1e-6
 ROW_FORMS = ("jac_fx", "jac_fu", "grad_lx", "grad_lu")
 
 
-def _fd_jac_x(fun, h=_FD_STEP):
-    def jac(x, u, t):
-        x = np.asarray(x, dtype=float)
+def central_difference(fun, arg, h=_FD_STEP):
+    """Derivative of ``fun`` in its positional argument ``arg``, as a
+    callable with ``fun``'s signature: column i is the central difference
+    (fun(.., a + h e_i, ..) - fun(.., a - h e_i, ..)) / 2h, columns on the
+    last axis.  A scalar argument (a time) gives no column axis."""
+    def deriv(*args):
+        scalar = np.ndim(args[arg]) == 0
+        at = np.atleast_1d(np.asarray(args[arg], dtype=float))
         cols = []
-        for i in range(x.size):
-            e = np.zeros_like(x)
+        for i in range(at.size):
+            e = np.zeros_like(at)
             e[i] = h
-            cols.append((np.asarray(fun(x + e, u, t), dtype=float)
-                         - np.asarray(fun(x - e, u, t), dtype=float)) / (2 * h))
-        return np.stack(cols, axis=-1)
-    return jac
-
-
-def _fd_jac_u(fun, h=_FD_STEP):
-    def jac(x, u, t):
-        u = np.asarray(u, dtype=float)
-        cols = []
-        for i in range(u.size):
-            e = np.zeros_like(u)
-            e[i] = h
-            cols.append((np.asarray(fun(x, u + e, t), dtype=float)
-                         - np.asarray(fun(x, u - e, t), dtype=float)) / (2 * h))
-        return np.stack(cols, axis=-1)
-    return jac
-
-
-def _fd_grad_terminal(fun, h=_FD_STEP):
-    def grad(xf, tf):
-        xf = np.asarray(xf, dtype=float)
-        out = np.empty(xf.size)
-        for i in range(xf.size):
-            e = np.zeros_like(xf)
-            e[i] = h
-            out[i] = (fun(xf + e, tf) - fun(xf - e, tf)) / (2 * h)
-        return out
-    return grad
-
-
-def _fd_jac_terminal(fun, h=_FD_STEP):
-    def jac(xf, tf):
-        xf = np.asarray(xf, dtype=float)
-        cols = []
-        for i in range(xf.size):
-            e = np.zeros_like(xf)
-            e[i] = h
-            cols.append((np.asarray(fun(xf + e, tf), dtype=float)
-                         - np.asarray(fun(xf - e, tf), dtype=float)) / (2 * h))
-        return np.stack(cols, axis=-1)
-    return jac
-
-
-def _fd_dt_terminal(fun, vector, h=_FD_STEP):
-    def deriv(xf, tf):
-        hi = np.asarray(fun(xf, tf + h), dtype=float)
-        lo = np.asarray(fun(xf, tf - h), dtype=float)
-        out = (hi - lo) / (2 * h)
-        return out if vector else float(out)
+            hi, lo = (np.asarray(fun(*args[:arg], z[0] if scalar else z,
+                                     *args[arg + 1:]), dtype=float)
+                      for z in (at + e, at - e))
+            cols.append((hi - lo) / (2 * h))
+        out = np.stack(cols, axis=-1)
+        return out[..., 0] if scalar else out
     return deriv
 
 
@@ -183,9 +144,9 @@ class OcpProblem:
                 set_(self, name, fn)
 
         if self.jac_fx_rows is None:
-            fill("jac_fx", _fd_jac_x(self.dynamics))
+            fill("jac_fx", central_difference(self.dynamics, 0))
         if self.jac_fu_rows is None:
-            fill("jac_fu", _fd_jac_u(self.dynamics))
+            fill("jac_fu", central_difference(self.dynamics, 1))
         if self.running_cost is None:
             fill("running_cost", lambda x, u, t: 0.0)
             if self.grad_lx is None:
@@ -193,12 +154,11 @@ class OcpProblem:
             if self.grad_lu is None:
                 fill("grad_lu_rows", lambda xs, us, ts: np.zeros((len(ts), m)))
         else:
-            cost_vec = lambda x, u, t: np.atleast_1d(self.running_cost(x, u, t))
+            fd_x = central_difference(self.running_cost, 0)
+            fd_u = central_difference(self.running_cost, 1)
             if self.grad_lx_rows is None:
-                fd = _fd_jac_x(cost_vec)
-                fill("grad_lx", lambda x, u, t: fd(x, u, t).reshape(n))
+                fill("grad_lx", lambda x, u, t: fd_x(x, u, t).reshape(n))
             if self.grad_lu_rows is None:
-                fd_u = _fd_jac_u(cost_vec)
                 fill("grad_lu", lambda x, u, t: fd_u(x, u, t).reshape(m))
 
         for name in ROW_FORMS:
@@ -213,14 +173,15 @@ class OcpProblem:
             fill("grad_phix", lambda xf, tf: np.zeros(n))
             fill("dphi_dt", lambda xf, tf: 0.0)
         else:
-            fill("grad_phix", _fd_grad_terminal(self.terminal_cost))
-            fill("dphi_dt", _fd_dt_terminal(self.terminal_cost, vector=False))
+            fill("grad_phix", central_difference(self.terminal_cost, 0))
+            phi_t = central_difference(self.terminal_cost, 1)
+            fill("dphi_dt", lambda xf, tf: float(phi_t(xf, tf)))
         # Second-order terminal-cost terms default to zero.
         fill("hess_phixx", lambda xf, tf: np.zeros((n, n)))
         fill("dphi_dxdt", lambda xf, tf: np.zeros(n))
         if q > 0:
-            fill("jac_gx", _fd_jac_terminal(self.constraint))
-            fill("dg_dt", _fd_dt_terminal(self.constraint, vector=True))
+            fill("jac_gx", central_difference(self.constraint, 0))
+            fill("dg_dt", central_difference(self.constraint, 1))
 
     @property
     def tf_free(self) -> bool:
@@ -231,6 +192,8 @@ def _require_spd(name: str, mat: np.ndarray) -> np.ndarray:
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name} must be finite")
     scale = max(1.0, float(np.max(np.abs(mat))))
     if np.max(np.abs(mat - mat.T)) > 1e-12 * scale:
         raise ValueError(f"{name} must be symmetric")
@@ -262,8 +225,8 @@ class GainSet:
         set_(self, "K", _require_spd("K", self.K))
         if self.K_g is not None:
             set_(self, "K_g", _require_spd("K_g", self.K_g))
-        if self.k_tf <= 0.0:
-            raise ValueError("k_tf must be positive")
+        if not 0.0 < self.k_tf < np.inf:
+            raise ValueError("k_tf must be positive and finite")
         if self.K_x0 is not None:
             set_(self, "K_x0", _require_spd("K_x0", self.K_x0))
         if self.K_f is not None:
@@ -390,7 +353,7 @@ class DiscrepancyReport:
 def check_derivatives(problem: OcpProblem, x, u, t, h: float = 1e-6
                       ) -> DiscrepancyReport:
     """Compare derivative callbacks against central differences at a point."""
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError("step h must be positive")
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -402,23 +365,17 @@ def check_derivatives(problem: OcpProblem, x, u, t, h: float = 1e-6
         if not np.all(np.isfinite(np.asarray(out, dtype=float))):
             raise NonFiniteCallback("callback returned non-finite values at probe point")
 
-    entries = {}
-    entries["jac_fx"] = float(np.max(np.abs(
-        np.asarray(problem.jac_fx(x, u, t)) - _fd_jac_x(problem.dynamics, h)(x, u, t))))
-    entries["jac_fu"] = float(np.max(np.abs(
-        np.asarray(problem.jac_fu(x, u, t)) - _fd_jac_u(problem.dynamics, h)(x, u, t))))
-    lx_fd = _fd_jac_x(lambda *a: np.atleast_1d(problem.running_cost(*a)), h)(x, u, t)
-    entries["grad_lx"] = float(np.max(np.abs(
-        np.asarray(problem.grad_lx(x, u, t)) - lx_fd.reshape(problem.n))))
-    lu_fd = _fd_jac_u(lambda *a: np.atleast_1d(problem.running_cost(*a)), h)(x, u, t)
-    entries["grad_lu"] = float(np.max(np.abs(
-        np.asarray(problem.grad_lu(x, u, t)) - lu_fd.reshape(problem.m))))
-    tf = problem.tf
-    entries["grad_phix"] = float(np.max(np.abs(
-        np.asarray(problem.grad_phix(x, tf))
-        - _fd_grad_terminal(problem.terminal_cost, h)(x, tf))))
+    point, end = (x, u, t), (x, problem.tf)
+    pairs = [("jac_fx", "dynamics", 0, point), ("jac_fu", "dynamics", 1, point),
+             ("grad_lx", "running_cost", 0, point),
+             ("grad_lu", "running_cost", 1, point),
+             ("grad_phix", "terminal_cost", 0, end),
+             ("dphi_dt", "terminal_cost", 1, end)]
     if problem.q > 0:
-        entries["jac_gx"] = float(np.max(np.abs(
-            np.asarray(problem.jac_gx(x, tf))
-            - _fd_jac_terminal(problem.constraint, h)(x, tf))))
+        pairs += [("jac_gx", "constraint", 0, end), ("dg_dt", "constraint", 1, end)]
+    entries = {}
+    for name, of, arg, at in pairs:
+        fd = central_difference(getattr(problem, of), arg, h)(*at)
+        analytic = np.asarray(getattr(problem, name)(*at), dtype=float)
+        entries[name] = float(np.max(np.abs(analytic - fd)))
     return DiscrepancyReport(entries)

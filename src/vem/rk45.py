@@ -105,11 +105,11 @@ class IntegratorOptions:
     max_step: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.rtol <= 0.0 or self.atol <= 0.0:
-            raise ValueError("rtol and atol must be positive")
+        if not (0.0 < self.rtol < np.inf and 0.0 < self.atol < np.inf):
+            raise ValueError("rtol and atol must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if self.max_step is not None and self.max_step <= 0.0:
+        if self.max_step is not None and not self.max_step > 0.0:
             raise ValueError("max_step must be positive")
 
 

@@ -2,8 +2,10 @@
 
 Here the node states are carried in the evolving vector next to the node
 controls, so every right-hand-side evaluation works on a snapshot of
-(states, controls, tf) rather than re-propagating the dynamics.  Three
-variants share the machinery:
+(states, controls, tf) rather than re-propagating the dynamics.  The
+control rate, gradient, multiplier system and terminal-time rate are the
+control-only formulas of ``vem.third`` along the snapshot's trajectories;
+this module adds the node-state rate and the variant's terms:
 
   feasible        trajectory satisfies dynamics, initial and terminal
                   conditions; multiplier system without constraint pull.
@@ -28,23 +30,13 @@ import numpy as np
 
 from scipy.integrate import cumulative_trapezoid
 
-from .errors import TfCollapse
 from .numerics import grid_quadrature, spline_build
 from .ocp import GainSet, OcpProblem
 from .rk45 import IntegratorOptions, rk45_integrate
-from .third import (
-    MultiplierSystem,
-    NodeInputs,
-    TF_MIN_WIDTH,
-    _constraint_rate_direction,
-    _cost_rate,
-    control_gradient,
-    control_rhs,
-    multiplier_matrix,
-    multiplier_rhs,
-    node_inputs,
-    solve_multipliers,
-)
+from .third import NodeInputs, multiplier_system, node_inputs, solve_multipliers, tf_rhs
+# Not called here; perfbench/tracing.py patches these names in this module.
+from .third import (control_gradient, control_rhs, multiplier_matrix,  # noqa: F401
+                    multiplier_rhs)
 from .trajectory import ControlTrajectory, StateTrajectory, TimeGrid, TransitionStack
 
 MODES = ("feasible", "quasi_feasible", "modified")
@@ -100,43 +92,35 @@ def multiplier_system_second(problem: OcpProblem, snap: SecondEqSnapshot,
                              mode: str = "quasi_feasible",
                              gu: Optional[np.ndarray] = None,
                              nodes: Optional[NodeInputs] = None,
-                             defect: Optional[np.ndarray] = None) -> MultiplierSystem:
-    """Assemble the multiplier system for the requested variant.
+                             defect: Optional[np.ndarray] = None):
+    """(M, r) of ``third.multiplier_system`` along the snapshot for the
+    requested variant.
 
-    The modified variant replaces the dynamics with the snapshot time
-    derivative in the terminal-rate factors and appends the
-    initial-condition and dynamics-defect corrections to r.  A caller that
-    already holds ``gu``, the per-node Jacobians ``nodes`` or the dynamics
-    ``defect`` of this snapshot passes them in so they are not evaluated
-    again.
+    The modified variant passes the snapshot's end-node time derivative
+    as ``xdot_end`` and appends the initial-condition and dynamics-defect
+    corrections to r.  A caller that already holds ``gu``, the per-node
+    Jacobians ``nodes`` or the dynamics ``defect`` of this snapshot passes
+    them in so they are not evaluated again.
     """
     _check_mode(mode)
-    grid = snap.grid
-    xdot_end = snap.xdot[-1] if mode == "modified" else None
-    if nodes is None:
-        nodes = node_inputs(problem, snap.state_traj, snap.ctrl_traj)
-    mat = multiplier_matrix(problem, snap.state_traj, snap.ctrl_traj, stack,
-                            gains, xdot_end=xdot_end, nodes=nodes)
-    if gu is None:
-        gu = control_gradient(problem, snap.state_traj, snap.ctrl_traj, stack,
-                              nodes=nodes)
-    base_mode = "feasible" if mode == "feasible" else "quasi_feasible"
-    r = multiplier_rhs(problem, snap.state_traj, snap.ctrl_traj, stack, gu,
-                       gains, mode=base_mode, xdot_end=xdot_end, nodes=nodes)
-    if mode == "modified":
-        gx = np.asarray(problem.jac_gx(snap.states[-1], grid.tf), dtype=float)
-        # Initial-condition feedback through the full-horizon transition
-        # matrix: Phi(tf, t0) equals Psi(t0)^T.
-        init_err = snap.states[0] - problem.x0
-        r = r + gx @ (stack.psi[0].T @ (gains.kx0(problem.n) @ init_err))
-        # Dynamics-defect feedback, transported to the terminal time.
-        if defect is None:
-            defect = snap.defect(problem)
-        kf = gains.kf(problem.n)
-        carried = np.einsum("iba,ib->ia", stack.psi,
-                            defect @ kf.T)          # Psi^T K_f defect per node
-        r = r + gx @ grid_quadrature(grid.times, carried)
-    return MultiplierSystem(mat, r, mode=mode)
+    modified = mode == "modified"
+    mat, r = multiplier_system(
+        problem, snap.state_traj, snap.ctrl_traj, stack, gains, gu,
+        "feasible" if mode == "feasible" else "quasi_feasible",
+        snap.xdot[-1] if modified else None, nodes)
+    if not modified:
+        return mat, r
+    gx = np.asarray(problem.jac_gx(snap.states[-1], snap.grid.tf), dtype=float)
+    # Initial-condition feedback through the full-horizon transition
+    # matrix: Phi(tf, t0) equals Psi(t0)^T.
+    init_err = snap.states[0] - problem.x0
+    r = r + gx @ (stack.psi[0].T @ (gains.kx0(problem.n) @ init_err))
+    # Dynamics-defect feedback, transported to the terminal time.
+    if defect is None:
+        defect = snap.defect(problem)
+    carried = np.einsum("iba,ib->ia", stack.psi,
+                        defect @ gains.kf(problem.n).T)   # Psi^T K_f defect per node
+    return mat, r + gx @ grid_quadrature(snap.grid.times, carried)
 
 
 def multiplier_second(problem: OcpProblem, snap: SecondEqSnapshot,
@@ -145,23 +129,8 @@ def multiplier_second(problem: OcpProblem, snap: SecondEqSnapshot,
                       gu: Optional[np.ndarray] = None,
                       nodes: Optional[NodeInputs] = None,
                       defect: Optional[np.ndarray] = None) -> np.ndarray:
-    return solve_multipliers(multiplier_system_second(
+    return solve_multipliers(*multiplier_system_second(
         problem, snap, stack, gains, mode, gu, nodes, defect))
-
-
-def control_rhs_second(problem: OcpProblem, snap: SecondEqSnapshot,
-                       stack: TransitionStack, pi: Optional[np.ndarray],
-                       gains: GainSet) -> np.ndarray:
-    """Evolution rate of the node controls, shape (N, m).
-
-    The gradient kernel is evaluated along the snapshot trajectory via
-    the backward sweep, which stays valid off the feasible set; on a
-    defect-free snapshot this matches the control-only formulation
-    exactly.
-    """
-    gu = control_gradient(problem, snap.state_traj, snap.ctrl_traj, stack)
-    return control_rhs(problem, snap.state_traj, snap.ctrl_traj, stack,
-                       gu, pi, gains)
 
 
 def state_rhs_second(problem: OcpProblem, snap: SecondEqSnapshot,
@@ -250,16 +219,8 @@ def state_rhs_second(problem: OcpProblem, snap: SecondEqSnapshot,
 def tf_rhs_second(problem: OcpProblem, snap: SecondEqSnapshot,
                   pi: Optional[np.ndarray], gains: GainSet,
                   mode: str = "quasi_feasible") -> float:
-    """Evolution rate of the free terminal time for the snapshot."""
+    """``third.tf_rhs`` along the snapshot, with the snapshot's end-node
+    time derivative in place of the dynamics in modified mode."""
     _check_mode(mode)
-    grid = snap.grid
-    if grid.tf - problem.t0 < TF_MIN_WIDTH:
-        raise TfCollapse(
-            f"horizon width {grid.tf - problem.t0:.3e} below {TF_MIN_WIDTH:g}")
-    xdot_end = snap.xdot[-1] if mode == "modified" else None
-    x_end, u_end = snap.states[-1], snap.controls[-1]
-    bracket = _cost_rate(problem, x_end, u_end, grid.tf, xdot_end)
-    if pi is not None and problem.q > 0:
-        bracket += float(pi @ _constraint_rate_direction(
-            problem, x_end, u_end, grid.tf, xdot_end))
-    return -gains.k_tf * bracket
+    return tf_rhs(problem, snap.state_traj, snap.ctrl_traj, pi, gains,
+                  snap.xdot[-1] if mode == "modified" else None)

@@ -10,7 +10,14 @@ where lam solves the backward sweep lam' = -f_x^T lam - L_x with the
 terminal-cost gradient as end condition.  The terminal constraint enters
 through the multiplier vector pi, chosen at every snapshot so that the
 constraint residual decays along the virtual evolution time; pi solves
-M pi = -r with M a constraint-projected controllability Gramian.
+M pi = -r (``multiplier_system``, ``solve_multipliers``) with M a
+constraint-projected controllability Gramian.  On a free horizon the
+terminal-time rate, the transversality residual and the k_tf terms of M
+and r all read one ``terminal_bracket`` at the end node.
+
+The coupled method (``vem.second``) is these formulas along its own
+snapshot trajectories, plus its end-node time derivative (``xdot_end``)
+and defect corrections in modified mode.
 
 The per-node callback values (f_u and L_u at every node) are gathered once
 per snapshot, by one row-form call each, into a ``NodeInputs`` record;
@@ -25,12 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import TfCollapse
 from .numerics import cumulative_from_right, grid_quadrature, solve_dense
 from .ocp import GainSet, OcpProblem
 from .trajectory import ControlTrajectory, StateTrajectory, TransitionStack
-
-TF_MIN_WIDTH = 1e-3
 
 
 @dataclass
@@ -49,22 +53,6 @@ class Residuals:
         if self.transversality is not None:
             vals.append(self.transversality)
         return max(vals)
-
-
-@dataclass
-class MultiplierSystem:
-    """Dense system M pi = -r determining the constraint multipliers."""
-
-    M: np.ndarray
-    r: np.ndarray
-    mode: str = "quasi_feasible"
-
-    def __post_init__(self):
-        self.M = np.atleast_2d(np.asarray(self.M, dtype=float))
-        self.r = np.atleast_1d(np.asarray(self.r, dtype=float))
-        scale = max(1.0, float(np.max(np.abs(self.M))))
-        if np.max(np.abs(self.M - self.M.T)) > 1e-10 * scale:
-            raise ValueError("multiplier matrix must be symmetric")
 
 
 @dataclass
@@ -88,26 +76,28 @@ def node_inputs(problem: OcpProblem, states: StateTrajectory,
     return NodeInputs(xs, us, ts, fu, lu)
 
 
-def _terminal_velocity(problem, x_end, u_end, tf, xdot_end=None):
+def terminal_bracket(problem: OcpProblem, states: StateTrajectory,
+                     ctrl: ControlTrajectory, pi: Optional[np.ndarray] = None,
+                     xdot_end: Optional[np.ndarray] = None):
+    """(bracket, v) at the end node: the terminal bracket
+    L + phi_t + phi_x xdot + pi (g_x xdot + g_t) and its constraint rate
+    v = g_x xdot + g_t (None without constraints).  xdot is the dynamics
+    unless ``xdot_end`` is given; without ``pi`` the bracket is the cost
+    rate alone."""
+    x_end, u_end, tf = states.values[-1], ctrl.values[-1], states.grid.tf
     if xdot_end is None:
-        return np.asarray(problem.dynamics(x_end, u_end, tf), dtype=float)
-    return np.asarray(xdot_end, dtype=float)
-
-
-def _constraint_rate_direction(problem, x_end, u_end, tf, xdot_end=None):
-    """d(g)/d(tf) direction: g_x xdot + g_t at the terminal node."""
-    w = _terminal_velocity(problem, x_end, u_end, tf, xdot_end)
-    gx = np.asarray(problem.jac_gx(x_end, tf), dtype=float)
-    gt = np.asarray(problem.dg_dt(x_end, tf), dtype=float)
-    return gx @ w + gt
-
-
-def _cost_rate(problem, x_end, u_end, tf, xdot_end=None):
-    """L + phi_t + phi_x . xdot at the terminal node."""
-    w = _terminal_velocity(problem, x_end, u_end, tf, xdot_end)
-    return (float(problem.running_cost(x_end, u_end, tf))
-            + float(problem.dphi_dt(x_end, tf))
-            + float(np.asarray(problem.grad_phix(x_end, tf), dtype=float) @ w))
+        xdot_end = problem.dynamics(x_end, u_end, tf)
+    w = np.asarray(xdot_end, dtype=float)
+    bracket = (float(problem.running_cost(x_end, u_end, tf))
+               + float(problem.dphi_dt(x_end, tf))
+               + float(np.asarray(problem.grad_phix(x_end, tf), dtype=float) @ w))
+    if problem.q == 0:
+        return bracket, None
+    v = (np.asarray(problem.jac_gx(x_end, tf), dtype=float) @ w
+         + np.asarray(problem.dg_dt(x_end, tf), dtype=float))
+    if pi is not None:
+        bracket += float(pi @ v)
+    return bracket, v
 
 
 def control_gradient(problem: OcpProblem, states: StateTrajectory,
@@ -173,7 +163,7 @@ def multiplier_matrix(problem: OcpProblem, states: StateTrajectory,
     """
     if nodes is None:
         nodes = node_inputs(problem, states, ctrl)
-    xs, us, ts, fu = nodes.xs, nodes.us, nodes.ts, nodes.fu
+    xs, ts, fu = nodes.xs, nodes.ts, nodes.fu
     grid = states.grid
     # Psi^T fu K fu^T Psi at every node, integrated by trapezoid.
     psit_fu = np.einsum("iba,ibm->iam", stack.psi, fu)
@@ -182,7 +172,7 @@ def multiplier_matrix(problem: OcpProblem, states: StateTrajectory,
     gx = np.asarray(problem.jac_gx(xs[-1], grid.tf), dtype=float)
     mat = gx @ gram @ gx.T
     if problem.tf_free:
-        v = _constraint_rate_direction(problem, xs[-1], us[-1], grid.tf, xdot_end)
+        _, v = terminal_bracket(problem, states, ctrl, xdot_end=xdot_end)
         mat = mat + gains.k_tf * np.outer(v, v)
     return mat
 
@@ -203,25 +193,47 @@ def multiplier_rhs(problem: OcpProblem, states: StateTrajectory,
         raise ValueError(f"unknown mode {mode!r}")
     if nodes is None:
         nodes = node_inputs(problem, states, ctrl)
-    xs, us, ts, fu = nodes.xs, nodes.us, nodes.ts, nodes.fu
+    xs, ts, fu = nodes.xs, nodes.ts, nodes.fu
     grid = states.grid
     psit_fu = np.einsum("iba,ibm->iam", stack.psi, fu)
     integrand = np.einsum("iam,im->ia", psit_fu, gu @ gains.K.T)
     gx = np.asarray(problem.jac_gx(xs[-1], grid.tf), dtype=float)
     r = gx @ grid_quadrature(ts, integrand)
     if problem.tf_free:
-        v = _constraint_rate_direction(problem, xs[-1], us[-1], grid.tf, xdot_end)
-        r = r + gains.k_tf * v * _cost_rate(problem, xs[-1], us[-1], grid.tf, xdot_end)
+        cost_rate, v = terminal_bracket(problem, states, ctrl, xdot_end=xdot_end)
+        r = r + gains.k_tf * v * cost_rate
     if mode == "quasi_feasible":
         gval = np.asarray(problem.constraint(xs[-1], grid.tf), dtype=float)
         r = r - gains.K_g @ gval
     return r
 
 
-def solve_multipliers(system: MultiplierSystem) -> np.ndarray:
-    """pi = -M^{-1} r; raises SingularSystem when the constraint is
-    unreachable through the available control authority."""
-    sol, _cond = solve_dense(system.M, system.r)
+def multiplier_system(problem: OcpProblem, states: StateTrajectory,
+                      ctrl: ControlTrajectory, stack: TransitionStack,
+                      gains: GainSet, gu: Optional[np.ndarray] = None,
+                      mode: str = "quasi_feasible",
+                      xdot_end: Optional[np.ndarray] = None,
+                      nodes: Optional[NodeInputs] = None):
+    """(M, r) of the multiplier system M pi = -r; ``gu`` and ``nodes``
+    are formed here when the caller does not hold them."""
+    if nodes is None:
+        nodes = node_inputs(problem, states, ctrl)
+    if gu is None:
+        gu = control_gradient(problem, states, ctrl, stack, nodes=nodes)
+    mat = multiplier_matrix(problem, states, ctrl, stack, gains, xdot_end, nodes)
+    return mat, multiplier_rhs(problem, states, ctrl, stack, gu, gains, mode,
+                               xdot_end, nodes)
+
+
+def solve_multipliers(M: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """pi = -M^{-1} r for a symmetric M; raises SingularSystem when the
+    constraint is unreachable through the available control authority."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    scale = max(1.0, float(np.max(np.abs(M))))
+    if np.max(np.abs(M - M.T)) > 1e-10 * scale:
+        raise ValueError("multiplier matrix must be symmetric")
+    sol, _cond = solve_dense(M, r)
     return -sol
 
 
@@ -241,37 +253,31 @@ def control_rhs(problem: OcpProblem, states: StateTrajectory,
     return -(resid @ gains.K.T)
 
 
+def _multiplier_pull(problem, states, stack, pi):
+    """Psi gx^T pi at every node, shape (N, n); None without multipliers."""
+    if pi is None or problem.q == 0:
+        return None
+    gx = np.asarray(problem.jac_gx(states.values[-1], states.grid.tf), dtype=float)
+    return np.einsum("inj,j->in", stack.psi, gx.T @ pi)
+
+
 def _optimality_defect(problem, states, stack, fu, gu, pi):
     """gu + fu^T Psi gx^T pi at every node (the constraint term only
     when multipliers are present)."""
-    if pi is None or problem.q == 0:
+    pull = _multiplier_pull(problem, states, stack, pi)
+    if pull is None:
         return np.array(gu, copy=True)
-    grid = states.grid
-    gx = np.asarray(problem.jac_gx(states.values[-1], grid.tf), dtype=float)
-    psi_pull = np.einsum("inj,j->in", stack.psi, gx.T @ pi)
-    return gu + np.einsum("inm,in->im", fu, psi_pull)
+    return gu + np.einsum("inm,in->im", fu, pull)
 
 
 def tf_rhs(problem: OcpProblem, states: StateTrajectory,
            ctrl: ControlTrajectory, pi: Optional[np.ndarray],
            gains: GainSet,
            xdot_end: Optional[np.ndarray] = None) -> float:
-    """Evolution rate of the free terminal time (scalar).
-
-    Zero exactly when the transversality residual vanishes.  Raises
-    TfCollapse once the horizon has shrunk below TF_MIN_WIDTH, which
-    signals an oversized gain or a bad initial horizon.
-    """
-    grid = states.grid
-    if grid.tf - problem.t0 < TF_MIN_WIDTH:
-        raise TfCollapse(
-            f"horizon width {grid.tf - problem.t0:.3e} below {TF_MIN_WIDTH:g}")
-    x_end, u_end = states.values[-1], ctrl.values[-1]
-    bracket = _cost_rate(problem, x_end, u_end, grid.tf, xdot_end)
-    if pi is not None and problem.q > 0:
-        bracket += float(pi @ _constraint_rate_direction(
-            problem, x_end, u_end, grid.tf, xdot_end))
-    return -gains.k_tf * bracket
+    """Evolution rate of the free terminal time (scalar): -k_tf times the
+    terminal bracket, zero exactly when the transversality residual
+    vanishes."""
+    return -gains.k_tf * terminal_bracket(problem, states, ctrl, pi, xdot_end)[0]
 
 
 def optimality_residuals(problem: OcpProblem, states: StateTrajectory,
@@ -282,22 +288,15 @@ def optimality_residuals(problem: OcpProblem, states: StateTrajectory,
     (free horizon only) transversality residual for the snapshot."""
     if nodes is None:
         nodes = node_inputs(problem, states, ctrl)
-    xs, us = nodes.xs, nodes.us
-    grid = states.grid
     defect = _optimality_defect(problem, states, stack, nodes.fu, gu, pi)
     optimality = float(np.max(np.abs(defect)))
+    constraint = 0.0
     if problem.q > 0:
-        gval = np.asarray(problem.constraint(xs[-1], grid.tf), dtype=float)
-        constraint = float(np.max(np.abs(gval)))
-    else:
-        constraint = 0.0
+        gval = problem.constraint(states.values[-1], states.grid.tf)
+        constraint = float(np.max(np.abs(np.asarray(gval, dtype=float))))
     transversality = None
     if problem.tf_free:
-        bracket = _cost_rate(problem, xs[-1], us[-1], grid.tf)
-        if pi is not None and problem.q > 0:
-            bracket += float(pi @ _constraint_rate_direction(
-                problem, xs[-1], us[-1], grid.tf))
-        transversality = abs(bracket)
+        transversality = abs(terminal_bracket(problem, states, ctrl, pi)[0])
     return Residuals(optimality, constraint, transversality)
 
 
@@ -311,9 +310,7 @@ def reconstruct_costates(problem: OcpProblem, states: StateTrajectory,
     L_u + fu^T lambda at every node.
     """
     lam = np.array(stack.adjoint, copy=True)
-    if pi is not None and problem.q > 0:
-        grid = states.grid
-        gx = np.asarray(problem.jac_gx(states.values[-1], grid.tf), dtype=float)
-        pull = gx.T @ pi
-        lam += np.einsum("inj,j->in", stack.psi, pull)
+    pull = _multiplier_pull(problem, states, stack, pi)
+    if pull is not None:
+        lam += pull
     return lam

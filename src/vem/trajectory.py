@@ -85,10 +85,6 @@ class TimeGrid:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "times", self.t0 + sigma * (self.tf - self.t0))
 
-    def with_tf(self, tf: float) -> "TimeGrid":
-        """Same sigma nodes, rescaled physical times."""
-        return TimeGrid(self.n_nodes, self.t0, float(tf))
-
 
 @dataclass
 class ControlTrajectory:
@@ -127,12 +123,6 @@ class StateTrajectory:
     @classmethod
     def from_path(cls, grid: TimeGrid, values, path: SolutionPath) -> "StateTrajectory":
         return cls(grid, np.asarray(values, dtype=float), path.rows, path)
-
-    @classmethod
-    def from_nodes(cls, grid: TimeGrid, values) -> "StateTrajectory":
-        values = np.asarray(values, dtype=float)
-        spline = spline_build(grid.times, values)
-        return cls(grid, values, spline.eval)
 
     def rows(self, ts) -> np.ndarray:
         return self._rows(ts)

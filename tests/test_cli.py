@@ -54,6 +54,22 @@ class TestSolve:
         # Zero initial control guess in every row.
         assert all(float(line.split(",")[4]) == 0.0 for line in body)
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("option", [
+        ["--gain-ktf", "nan"], ["--gain-ktf", "inf"], ["--gain-k", "nan"],
+        ["--gain-kg", "nan"], ["--rtol", "nan"], ["--rtol", "inf"],
+        ["--atol", "nan"], ["--tau-end", "nan"],
+        ["--tau-end", "-1"], ["--nodes", "3"]], ids=" ".join)
+    def test_bad_run_option_is_usage_error(self, command, option, tmp_path,
+                                           capsys):
+        target = (["--problem", "brachistochrone"] if command == "solve" else
+                  ["--problems", "double-integrator", "brachistochrone"])
+        code = main([command, *target, *option, "--outdir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("invalid run option: ")
+        assert len(err.splitlines()) == 1
+
     def test_unknown_problem_is_usage_error(self, tmp_path):
         code = main(["solve", "--problem", "pendulum",
                      "--outdir", str(tmp_path)])

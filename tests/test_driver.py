@@ -375,7 +375,7 @@ class TestModifiedMode:
                                       brach.gains, "modified", gu=ev.gu,
                                       nodes=ev.nodes)
         assert np.array_equal(pi, ev.pi)
-        own = system._rate_second(dataclasses.replace(ev, pi=pi, defect=None))
+        own = system._rate(dataclasses.replace(ev, pi=pi, defect=None))
         assert np.array_equal(rate, own)
 
 

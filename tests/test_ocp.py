@@ -123,6 +123,28 @@ class TestDerivativeChecks:
         assert np.allclose(bare.grad_lx(x, u, t), full.grad_lx(x, u, t), atol=1e-7)
         assert np.allclose(bare.grad_phix(x, 1.0), full.grad_phix(x, 1.0), atol=1e-7)
         assert np.allclose(bare.jac_gx(x, 1.0), full.jac_gx(x, 1.0), atol=1e-7)
+        assert np.allclose(bare.dphi_dt(x, 1.0), full.dphi_dt(x, 1.0), atol=1e-7)
+        assert np.allclose(bare.dg_dt(x, 1.0), full.dg_dt(x, 1.0), atol=1e-7)
+
+    def test_wrong_time_derivative_is_reported(self):
+        # dphi_dt and dg_dt feed the terminal-time rate and the multiplier
+        # system, so they are checked like the other derivatives.
+        good = OcpProblem(
+            n=1, m=1, q=1, t0=0.0, x0=np.zeros(1), tf_mode="free", tf=1.0,
+            dynamics=lambda x, u, t: np.array([u[0]]),
+            terminal_cost=lambda xf, tf: xf[0] * tf ** 2,
+            dphi_dt=lambda xf, tf: 2.0 * xf[0] * tf,
+            constraint=lambda xf, tf: np.array([xf[0] - tf]),
+            dg_dt=lambda xf, tf: np.array([-1.0]),
+        )
+        x, u = np.array([0.7]), np.array([0.2])
+        report = check_derivatives(good, x, u, 0.5)
+        assert {"dphi_dt", "dg_dt"} <= set(report.entries)
+        assert report.worst <= 1e-6
+        bad = dataclasses.replace(good, dg_dt=lambda xf, tf: np.array([1.0]))
+        report = check_derivatives(bad, x, u, 0.5)
+        assert report.entries["dg_dt"] == pytest.approx(2.0)
+        assert report.entries["dphi_dt"] <= 1e-6
 
     def test_omitted_second_order_terms_default_to_zero(self):
         p = _drift_only_problem()

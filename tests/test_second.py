@@ -67,18 +67,27 @@ class TestSnapshot:
 
 
 class TestControlRhs:
-    def test_matches_control_only_method_on_feasible_data(self, di):
+    def test_matches_control_only_method_on_feasible_data(self, brach):
+        # The coupled control rate is the control-only formula along the
+        # snapshot's trajectories; on a snapshot without defect it equals
+        # the control-only method's rate along the propagated states.
         rng = np.random.default_rng(12)
-        grid = TimeGrid(41, 0.0, 2.0)
-        snap, stack = _feasible_snapshot(di.problem, grid,
-                                         smooth_controls(grid, 1, rng))
-        pi = second.multiplier_second(di.problem, snap, stack, di.gains)
-        mine = second.control_rhs_second(di.problem, snap, stack, pi, di.gains)
-        gu = third.control_gradient(di.problem, snap.state_traj,
-                                    snap.ctrl_traj, stack)
-        reference = third.control_rhs(di.problem, snap.state_traj,
-                                      snap.ctrl_traj, stack, gu, pi, di.gains)
-        assert np.array_equal(mine, reference)
+        grid = TimeGrid(41, 0.0, 1.0)
+        p = brach.problem
+        snap, snap_stack = _feasible_snapshot(p, grid, smooth_controls(grid, 1, rng),
+                                              TIGHT)
+        ctrl = snap.ctrl_traj
+        states = propagate_states(p, ctrl, grid, TIGHT)
+        rates = []
+        for traj, stack in ((snap.state_traj, snap_stack),
+                            (states, transition_stack(p, states, ctrl, TIGHT))):
+            gu = third.control_gradient(p, traj, ctrl, stack)
+            pi = third.solve_multipliers(*third.multiplier_system(
+                p, traj, ctrl, stack, brach.gains, gu))
+            rates.append(third.control_rhs(p, traj, ctrl, stack, gu, pi,
+                                           brach.gains))
+        assert np.max(np.abs(rates[0])) > 1e-2
+        assert np.max(np.abs(rates[0] - rates[1])) <= 1e-6
 
     def test_defect_enters_only_through_terminal_curvature(self, di):
         # With zero terminal-cost curvature the gradient integrand is
@@ -118,8 +127,9 @@ class TestControlRhs:
         gains = GainSet(K=np.array([[0.3]]))
         grid = TimeGrid(11, 0.0, 1.0)
         snap, stack = _feasible_snapshot(p, grid, np.full((11, 1), 0.7))
-        rate = second.control_rhs_second(p, snap, stack, None, gains)
         gu = third.control_gradient(p, snap.state_traj, snap.ctrl_traj, stack)
+        rate = third.control_rhs(p, snap.state_traj, snap.ctrl_traj, stack, gu,
+                                 None, gains)
         assert np.array_equal(rate, -gu @ gains.K.T)
 
 
@@ -269,16 +279,13 @@ class TestMultipliers:
         grid = TimeGrid(31, p.t0, p.tf)
         snap, stack = _feasible_snapshot(p, grid, smooth_controls(grid, 1, rng),
                                          TIGHT, exact_xdot=True)
-        systems = {mode: second.multiplier_system_second(p, snap, stack,
-                                                         bench.gains, mode)
-                   for mode in second.MODES}
+        (m_mod, r_mod), (m_quasi, r_quasi), (_, r_feas) = (
+            second.multiplier_system_second(p, snap, stack, bench.gains, mode)
+            for mode in ("modified", "quasi_feasible", "feasible"))
         g0 = np.asarray(p.constraint(snap.states[-1], grid.tf), dtype=float)
-        assert np.max(np.abs(systems["modified"].r
-                             - systems["quasi_feasible"].r)) <= 1e-9
-        assert np.max(np.abs(systems["quasi_feasible"].r + bench.gains.K_g @ g0
-                             - systems["feasible"].r)) <= 1e-9
-        assert np.max(np.abs(systems["modified"].M
-                             - systems["quasi_feasible"].M)) <= 1e-9
+        assert np.max(np.abs(r_mod - r_quasi)) <= 1e-9
+        assert np.max(np.abs(r_quasi + bench.gains.K_g @ g0 - r_feas)) <= 1e-9
+        assert np.max(np.abs(m_mod - m_quasi)) <= 1e-9
 
     def test_exact_optimum_makes_all_modes_agree(self, di):
         grid = TimeGrid(41, 0.0, 2.0)

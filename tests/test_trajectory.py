@@ -43,12 +43,6 @@ class TestTimeGrid:
         assert grid.times[0] == 1.0 and grid.times[-1] == 3.0
         assert np.all(np.diff(grid.times) > 0.0)
 
-    def test_rescaling_keeps_sigma(self):
-        grid = TimeGrid(9, 0.0, 1.0)
-        stretched = grid.with_tf(2.5)
-        assert np.array_equal(grid.sigma, stretched.sigma)
-        assert np.allclose(stretched.times, 2.5 * grid.sigma)
-
     def test_minimum_nodes(self):
         with pytest.raises(ValueError):
             TimeGrid(3, 0.0, 1.0)

@@ -3,7 +3,7 @@
 Each check returns (name, passed, detail).  The oracles here are chosen
 to be independent of the production code paths they exercise: forward
 transition matrices check the batched backward stack, propagation plus
-the backward stack check the fused forward sweep, per-interval Gauss
+the backward stack check the shooting solve, per-interval Gauss
 quadrature checks the variational state-rate problem, finite differences
 check analytic derivatives, and closed forms check the integrator.
 """
@@ -160,17 +160,18 @@ def _check_gradient_forms(seed=0):
 
 
 def _fused_gap(bench, n_nodes, rng):
-    """Worst scaled gap of the fused forward sweep's states, Psi, adjoint
+    """Worst scaled gap of the shooting solve's states, Psi, adjoint
     and cost against propagation, the backward stack and the path cost."""
     p = bench.problem
     grid = TimeGrid(n_nodes, p.t0, p.tf)
     ctrl = ControlTrajectory.from_values(grid, _smooth_controls(grid, p.m, rng))
-    states, stack, cost = fused_sweep(p, ctrl, grid, TIGHT)
+    states, stack = fused_sweep(p, ctrl, grid, TIGHT)
     ref_states = propagate_states(p, ctrl, grid, TIGHT)
     ref_stack = transition_stack(p, ref_states, ctrl, TIGHT)
     ref_cost = path_cost(p, ref_states, ctrl, grid, TIGHT)
     pairs = ((states.values, ref_states.values), (stack.psi, ref_stack.psi),
-             (stack.adjoint, ref_stack.adjoint), (cost(), ref_cost))
+             (stack.adjoint, ref_stack.adjoint),
+             (path_cost(p, states, ctrl, grid, TIGHT), ref_cost))
     return max(float(np.max(np.abs(a - b))) / (1.0 + float(np.max(np.abs(b))))
                for a, b in pairs)
 

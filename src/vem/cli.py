@@ -44,11 +44,13 @@ def _default_outdir() -> str:
 
 
 def _gains_from_args(bench, args) -> GainSet:
+    # np.diag places the value without multiplying the zeros off the
+    # diagonal, so inf or nan reaches GainSet's finiteness check silently.
     base = bench.gains
-    k = base.K if args.gain_k is None else args.gain_k * np.eye(bench.problem.m)
+    k = base.K if args.gain_k is None else np.diag(np.full(bench.problem.m, args.gain_k))
     kg = base.K_g
     if args.gain_kg is not None and bench.problem.q > 0:
-        kg = args.gain_kg * np.eye(bench.problem.q)
+        kg = np.diag(np.full(bench.problem.q, args.gain_kg))
     ktf = base.k_tf if args.gain_ktf is None else args.gain_ktf
     return GainSet(K=k, K_g=kg, k_tf=ktf, K_x0=base.K_x0, K_f=base.K_f)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -156,10 +156,10 @@ class SolveReport:
 # No caller in vem; kept because perfbench/tracing.py patches this name.
 def propagate_with_cost(problem: OcpProblem, ctrl: ControlTrajectory,
                         grid: TimeGrid, opts: Optional[IntegratorOptions] = None):
-    """(StateTrajectory, J) from the fused forward sweep, with J the full
-    performance index including the terminal term."""
-    states, _, cost = fused_sweep(problem, ctrl, grid, opts)
-    return states, cost()
+    """(StateTrajectory, J) from the fused sweep, with J the full
+    performance index including the terminal term (``path_cost``)."""
+    states, _ = fused_sweep(problem, ctrl, grid, opts)
+    return states, path_cost(problem, states, ctrl, grid, opts)
 
 
 def path_cost(problem: OcpProblem, states: StateTrajectory,
@@ -168,12 +168,12 @@ def path_cost(problem: OcpProblem, states: StateTrajectory,
     """Performance index along an existing state path (no re-propagation).
 
     The running cost is integrated by composite Simpson on the doubling
-    interval stencil of ``transition_stack``.
+    interval stencil of ``transition_stack``, one ``running_cost_rows``
+    call per round.
     """
     def sample(ts):
-        xs, us = states.rows(ts), ctrl.eval(ts)
-        return np.array([float(problem.running_cost(x, u, t))
-                         for x, u, t in zip(xs, us, ts)])
+        return np.asarray(problem.running_cost_rows(states.rows(ts), ctrl.eval(ts),
+                                                    ts), dtype=float)
 
     def simpson(rows, dt):
         weights = np.full(rows.shape[1], 2.0)
@@ -192,9 +192,8 @@ class Evaluation:
 
     ``states`` and ``ctrl`` are the trajectories every formula reads; for
     the coupled method they are the snapshot's own (``snap``), for the
-    control-only method the propagated states under the node controls,
-    whose fused sweep also gives ``cost``, the performance index formed
-    on demand (only snapshots ask for it).
+    control-only method the shooting solve's states under the node
+    controls.
     """
 
     grid: TimeGrid
@@ -206,7 +205,6 @@ class Evaluation:
     pi: Optional[np.ndarray]
     snap: Optional[second_eq.SecondEqSnapshot] = None
     defect: Optional[np.ndarray] = None     # coupled modified mode only
-    cost: Optional[Callable[[], float]] = None  # control-only method only
 
 
 class EvolutionSystem:
@@ -214,16 +212,16 @@ class EvolutionSystem:
 
     ``rhs``, ``residuals``, ``gradient_norm`` and ``snapshot`` all read
     one ``Evaluation`` of the vector they are given.  A control-only
-    evaluation is one fused forward sweep (states and transition stack,
-    with the cost summed only for a snapshot); a coupled one is one
-    batched interval stencil along the snapshot's own trajectories.
+    evaluation is one fused sweep (the shooting solve for the states and
+    its transition stack); a coupled one is one batched interval stencil
+    along the snapshot's own trajectories.
     The last evaluation is kept, keyed by the vector's exact bytes, so a
     vector seen twice in a row is evaluated once: the integrator's last
     stage of an accepted step and the convergence check on that step, or
     the assembly probe at y0, the threshold scaling and the first field
     call.  A vector that differs in any bit, including one mutated in
-    place after a call, misses the cache and is evaluated afresh.  The
-    coupled snapshot adds the path cost along its states.
+    place after a call, misses the cache and is evaluated afresh.  A
+    snapshot adds the path cost along the evaluation's states.
     """
 
     def __init__(self, problem: OcpProblem, gains: GainSet, method: str,
@@ -270,8 +268,8 @@ class EvolutionSystem:
         controls, _, tf = self.layout.unpack(vec)
         grid = self._grid(tf)
         ctrl = ControlTrajectory.from_values(grid, controls)
-        states, stack, cost = fused_sweep(self.problem, ctrl, grid, self.opts)
-        return self._along(grid, ctrl, states, stack, cost=cost)
+        states, stack = fused_sweep(self.problem, ctrl, grid, self.opts)
+        return self._along(grid, ctrl, states, stack)
 
     def _evaluate_second(self, vec) -> Evaluation:
         controls, states_nodes, tf = self.layout.unpack(vec)
@@ -281,8 +279,7 @@ class EvolutionSystem:
                                  self.opts)
         return self._along(grid, snap.ctrl_traj, snap.state_traj, stack, snap)
 
-    def _along(self, grid, ctrl, states, stack, snap=None,
-               cost=None) -> Evaluation:
+    def _along(self, grid, ctrl, states, stack, snap=None) -> Evaluation:
         """Node Jacobians, gradient and multipliers along given
         trajectories and their stack; ``snap`` selects the coupled
         multiplier system."""
@@ -301,8 +298,7 @@ class EvolutionSystem:
             # terminal constraint only asymptotically).
             pi = third_eq.solve_multipliers(*third_eq.multiplier_system(
                 problem, states, ctrl, stack, self.gains, gu, nodes=nodes))
-        return Evaluation(grid, ctrl, states, stack, nodes, gu, pi, snap, defect,
-                          cost)
+        return Evaluation(grid, ctrl, states, stack, nodes, gu, pi, snap, defect)
 
     def _rate(self, ev: Evaluation) -> np.ndarray:
         """The tau-rate at an evaluation: the control rate, the coupled
@@ -347,10 +343,7 @@ class EvolutionSystem:
 
     def snapshot(self, tau, vec) -> SnapshotRecord:
         ev = self.evaluate(vec)
-        if ev.cost is not None:
-            cost = ev.cost()
-        else:
-            cost = path_cost(self.problem, ev.states, ev.ctrl, ev.grid, self.opts)
+        cost = path_cost(self.problem, ev.states, ev.ctrl, ev.grid, self.opts)
         res = third_eq.optimality_residuals(self.problem, ev.states, ev.ctrl,
                                             ev.stack, ev.gu, ev.pi,
                                             nodes=ev.nodes)

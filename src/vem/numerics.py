@@ -143,10 +143,23 @@ def spline_build(nodes, values) -> SplineCoeffs:
     if vals.shape[0] != nodes.size:
         raise DegenerateGrid("values and nodes disagree in length")
     dx = np.diff(nodes)
-    dxr = dx[:, None]
-    slope = np.diff(vals, axis=0) / dxr
-    s = _node_slopes(dx, slope)
-    # Cubic Hermite coefficients on each interval.
+    slope = np.diff(vals, axis=0) / dx[:, None]
+    return _hermite(nodes, vals, slope, _node_slopes(dx, slope), squeeze)
+
+
+def hermite_build(nodes, values, slopes) -> SplineCoeffs:
+    """Cubic Hermite interpolant through node values (N, channels) with
+    the given node slopes (N, channels)."""
+    nodes = _check_grid(nodes)
+    vals = np.asarray(values, dtype=float)
+    slope = np.diff(vals, axis=0) / np.diff(nodes)[:, None]
+    return _hermite(nodes, vals, slope, np.asarray(slopes, dtype=float))
+
+
+def _hermite(nodes, vals, slope, s, squeeze=False) -> SplineCoeffs:
+    """Per-interval cubic coefficients from node values, interval secants
+    and node slopes."""
+    dxr = np.diff(nodes)[:, None]
     t = (s[:-1] + s[1:] - 2.0 * slope) / dxr
     coeffs = np.empty((4,) + slope.shape)
     coeffs[0] = t / dxr

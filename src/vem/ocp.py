@@ -9,15 +9,17 @@ and all callbacks must be reentrant.  ``dataclasses.replace`` derives every
 filled-in callback (fallbacks, adapters, zero defaults) afresh from the
 new problem's given ones.
 
-The four per-node derivatives f_x, f_u, L_x and L_u (``ROW_FORMS``) also
-have a row form, ``<name>_rows(xs, us, ts)``, which takes T rows at once --
-``xs`` (T, n), ``us`` (T, m), ``ts`` (T,) -- and returns (T, n, n),
-(T, n, m), (T, n) and (T, m).  The solver's node loops and inner sweeps
-call only the row forms; the point forms serve the oracles, validation and
+The dynamics f, the running cost L and the four per-node derivatives f_x,
+f_u, L_x and L_u (``ROW_FORMS``) also have a row form,
+``<name>_rows(xs, us, ts)``, which takes T rows at once -- ``xs`` (T, n),
+``us`` (T, m), ``ts`` (T,) -- and returns (T, n), (T,), (T, n, n),
+(T, n, m), (T, n) and (T, m).  The solver's node loops and inner solves
+call only the row forms; the point forms serve the coupled method's
+starting propagation and end-node terms, the oracles, validation and
 derivative checks.  A problem may give either form (or both, which must
 agree bit for bit): a missing row form becomes a per-row loop over the
 point callback, a missing point form a one-row call of the row form.
-Without a running cost the L-gradients not given are zero arrays.
+Without a running cost, L and the L-gradients not given are zero arrays.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .errors import NonFiniteCallback
 
 _FD_STEP = 1e-6
 
-# Per-node derivatives that also come in row form, as ``<name>_rows``.
-ROW_FORMS = ("jac_fx", "jac_fu", "grad_lx", "grad_lu")
+# Per-node callbacks that also come in row form, as ``<name>_rows``.
+ROW_FORMS = ("dynamics", "running_cost", "jac_fx", "jac_fu", "grad_lx", "grad_lu")
 
 
 def central_difference(fun, arg, h=_FD_STEP):
@@ -81,8 +83,9 @@ class OcpProblem:
     ``dx/dt = f(x, u, t)``, ``x(t0) = x0`` and, when ``q > 0``, the
     terminal condition ``g(x(tf), tf) = 0``.  ``tf_mode`` is "fixed"
     (``tf`` is the horizon) or "free" (``tf`` is the initial guess).
-    ``jac_fx_rows``, ``jac_fu_rows``, ``grad_lx_rows`` and ``grad_lu_rows``
-    are the row forms of the four per-node derivatives (module docstring).
+    The ``<name>_rows`` fields are the row forms of the dynamics, the
+    running cost and the four per-node derivatives (module docstring); a
+    problem gives ``dynamics`` or ``dynamics_rows``.
     """
 
     n: int
@@ -111,14 +114,14 @@ class OcpProblem:
     jac_fu_rows: Optional[Callable] = None
     grad_lx_rows: Optional[Callable] = None
     grad_lu_rows: Optional[Callable] = None
+    dynamics_rows: Optional[Callable] = None
+    running_cost_rows: Optional[Callable] = None
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("state and control dimensions must be positive")
         if self.q < 0:
             raise ValueError("constraint dimension must be non-negative")
-        if self.dynamics is None:
-            raise ValueError("dynamics callback is required")
         if self.tf_mode not in ("fixed", "free"):
             raise ValueError("tf_mode must be 'fixed' or 'free'")
         if self.tf <= self.t0:
@@ -137,23 +140,30 @@ class OcpProblem:
         for f in fields(self):
             if getattr(getattr(self, f.name), "_derived", False):
                 set_(self, f.name, None)
+        if self.dynamics is None and self.dynamics_rows is None:
+            raise ValueError("dynamics callback is required")
 
         def fill(name, fn):
             if getattr(self, name) is None:
                 fn._derived = True
                 set_(self, name, fn)
 
+        if self.dynamics is None:
+            fill("dynamics", _one_row(self.dynamics_rows))
         if self.jac_fx_rows is None:
             fill("jac_fx", central_difference(self.dynamics, 0))
         if self.jac_fu_rows is None:
             fill("jac_fu", central_difference(self.dynamics, 1))
-        if self.running_cost is None:
+        if self.running_cost is None and self.running_cost_rows is None:
             fill("running_cost", lambda x, u, t: 0.0)
+            fill("running_cost_rows", lambda xs, us, ts: np.zeros(len(ts)))
             if self.grad_lx is None:
                 fill("grad_lx_rows", lambda xs, us, ts: np.zeros((len(ts), n)))
             if self.grad_lu is None:
                 fill("grad_lu_rows", lambda xs, us, ts: np.zeros((len(ts), m)))
         else:
+            if self.running_cost is None:
+                fill("running_cost", _one_row(self.running_cost_rows))
             fd_x = central_difference(self.running_cost, 0)
             fd_u = central_difference(self.running_cost, 1)
             if self.grad_lx_rows is None:
@@ -277,7 +287,7 @@ def _probe(report, label, fun, expect_shape=None, scalar=False):
 
 def row_form_mismatches(problem: OcpProblem, xs, us, ts,
                         names=ROW_FORMS) -> List[str]:
-    """Rows at which a derivative's row form differs in any bit from its
+    """Rows at which a callback's row form differs in any bit from its
     point form at the same (x, u, t); empty when every row agrees."""
     found = []
     for name in names:
@@ -316,7 +326,8 @@ def validate_problem(problem: OcpProblem) -> ValidationReport:
     _probe(report, "grad_lx", lambda: problem.grad_lx(x, u, t), (n,))
     _probe(report, "grad_lu", lambda: problem.grad_lu(x, u, t), (m,))
     xs, us, ts = np.stack([x, x]), np.zeros((2, m)), np.array([t, problem.tf])
-    shapes = {"jac_fx": (n, n), "jac_fu": (n, m), "grad_lx": (n,), "grad_lu": (m,)}
+    shapes = {"dynamics": (n,), "running_cost": (), "jac_fx": (n, n),
+              "jac_fu": (n, m), "grad_lx": (n,), "grad_lu": (m,)}
     usable = [name for name in ROW_FORMS
               if _probe(report, f"{name}_rows",
                         lambda: getattr(problem, name + "_rows")(xs, us, ts),

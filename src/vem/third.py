@@ -151,29 +151,54 @@ def control_gradient(problem: OcpProblem, states: StateTrajectory,
     return gu
 
 
+@dataclass
+class MultiplierTerms:
+    """What M and r share, formed once per snapshot: Psi^T f_u at every
+    node, g_x at the end node and, on a free horizon, the terminal cost
+    rate and constraint rate v of ``terminal_bracket``."""
+
+    psit_fu: np.ndarray         # (N, n, m)
+    gx: np.ndarray              # (q, n)
+    cost_rate: Optional[float] = None
+    v: Optional[np.ndarray] = None
+
+
+def _multiplier_terms(problem: OcpProblem, states: StateTrajectory,
+                     ctrl: ControlTrajectory, stack: TransitionStack,
+                     xdot_end: Optional[np.ndarray] = None,
+                     nodes: Optional[NodeInputs] = None) -> MultiplierTerms:
+    """The shared terms of M and r: one f_u einsum, one ``jac_gx`` call
+    and, on a free horizon, one terminal bracket."""
+    if nodes is None:
+        nodes = node_inputs(problem, states, ctrl)
+    terms = MultiplierTerms(
+        np.einsum("iba,ibm->iam", stack.psi, nodes.fu),
+        np.asarray(problem.jac_gx(nodes.xs[-1], states.grid.tf), dtype=float))
+    if problem.tf_free:
+        terms.cost_rate, terms.v = terminal_bracket(problem, states, ctrl,
+                                                    xdot_end=xdot_end)
+    return terms
+
+
 def multiplier_matrix(problem: OcpProblem, states: StateTrajectory,
                       ctrl: ControlTrajectory, stack: TransitionStack,
                       gains: GainSet,
                       xdot_end: Optional[np.ndarray] = None,
-                      nodes: Optional[NodeInputs] = None) -> np.ndarray:
+                      nodes: Optional[NodeInputs] = None,
+                      terms: Optional[MultiplierTerms] = None) -> np.ndarray:
     """Constraint-projected Gramian M, symmetric positive semi-definite.
 
     Fixed-horizon problems carry only the Gramian term; free-horizon
     problems add the rank-one terminal-rate term weighted by k_tf.
     """
-    if nodes is None:
-        nodes = node_inputs(problem, states, ctrl)
-    xs, ts, fu = nodes.xs, nodes.ts, nodes.fu
-    grid = states.grid
+    if terms is None:
+        terms = _multiplier_terms(problem, states, ctrl, stack, xdot_end, nodes)
     # Psi^T fu K fu^T Psi at every node, integrated by trapezoid.
-    psit_fu = np.einsum("iba,ibm->iam", stack.psi, fu)
+    psit_fu = terms.psit_fu
     integrand = np.einsum("iak,ibk->iab", psit_fu @ gains.K, psit_fu)
-    gram = grid_quadrature(ts, integrand)
-    gx = np.asarray(problem.jac_gx(xs[-1], grid.tf), dtype=float)
-    mat = gx @ gram @ gx.T
+    mat = terms.gx @ grid_quadrature(states.grid.times, integrand) @ terms.gx.T
     if problem.tf_free:
-        _, v = terminal_bracket(problem, states, ctrl, xdot_end=xdot_end)
-        mat = mat + gains.k_tf * np.outer(v, v)
+        mat = mat + gains.k_tf * np.outer(terms.v, terms.v)
     return mat
 
 
@@ -182,7 +207,8 @@ def multiplier_rhs(problem: OcpProblem, states: StateTrajectory,
                    gu: np.ndarray, gains: GainSet,
                    mode: str = "quasi_feasible",
                    xdot_end: Optional[np.ndarray] = None,
-                   nodes: Optional[NodeInputs] = None) -> np.ndarray:
+                   nodes: Optional[NodeInputs] = None,
+                   terms: Optional[MultiplierTerms] = None) -> np.ndarray:
     """Right-hand side r of the multiplier system.
 
     ``mode`` "feasible" omits the constraint-attraction term -K_g g, which
@@ -191,19 +217,15 @@ def multiplier_rhs(problem: OcpProblem, states: StateTrajectory,
     """
     if mode not in ("feasible", "quasi_feasible"):
         raise ValueError(f"unknown mode {mode!r}")
-    if nodes is None:
-        nodes = node_inputs(problem, states, ctrl)
-    xs, ts, fu = nodes.xs, nodes.ts, nodes.fu
-    grid = states.grid
-    psit_fu = np.einsum("iba,ibm->iam", stack.psi, fu)
-    integrand = np.einsum("iam,im->ia", psit_fu, gu @ gains.K.T)
-    gx = np.asarray(problem.jac_gx(xs[-1], grid.tf), dtype=float)
-    r = gx @ grid_quadrature(ts, integrand)
+    if terms is None:
+        terms = _multiplier_terms(problem, states, ctrl, stack, xdot_end, nodes)
+    integrand = np.einsum("iam,im->ia", terms.psit_fu, gu @ gains.K.T)
+    r = terms.gx @ grid_quadrature(states.grid.times, integrand)
     if problem.tf_free:
-        cost_rate, v = terminal_bracket(problem, states, ctrl, xdot_end=xdot_end)
-        r = r + gains.k_tf * v * cost_rate
+        r = r + gains.k_tf * terms.v * terms.cost_rate
     if mode == "quasi_feasible":
-        gval = np.asarray(problem.constraint(xs[-1], grid.tf), dtype=float)
+        gval = np.asarray(problem.constraint(states.values[-1], states.grid.tf),
+                          dtype=float)
         r = r - gains.K_g @ gval
     return r
 
@@ -214,15 +236,17 @@ def multiplier_system(problem: OcpProblem, states: StateTrajectory,
                       mode: str = "quasi_feasible",
                       xdot_end: Optional[np.ndarray] = None,
                       nodes: Optional[NodeInputs] = None):
-    """(M, r) of the multiplier system M pi = -r; ``gu`` and ``nodes``
-    are formed here when the caller does not hold them."""
+    """(M, r) of the multiplier system M pi = -r, sharing one
+    ``MultiplierTerms``; ``gu`` and ``nodes`` are formed here when the
+    caller does not hold them."""
     if nodes is None:
         nodes = node_inputs(problem, states, ctrl)
     if gu is None:
         gu = control_gradient(problem, states, ctrl, stack, nodes=nodes)
-    mat = multiplier_matrix(problem, states, ctrl, stack, gains, xdot_end, nodes)
+    terms = _multiplier_terms(problem, states, ctrl, stack, xdot_end, nodes)
+    mat = multiplier_matrix(problem, states, ctrl, stack, gains, terms=terms)
     return mat, multiplier_rhs(problem, states, ctrl, stack, gu, gains, mode,
-                               xdot_end, nodes)
+                               terms=terms)
 
 
 def solve_multipliers(M: np.ndarray, r: np.ndarray) -> np.ndarray:

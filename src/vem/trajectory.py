@@ -9,22 +9,28 @@ transposed state transition matrix from t_i to the terminal time -- and
 the cost-gradient kernel lam, the adjoint of lam' = -f_x^T lam - L_x with
 lam(tf) set to the terminal-cost gradient.  There are two routes to them.
 
-``fused_sweep`` (control-only method) integrates the states alone, by
-the same driven sweep as ``propagate_states``, and takes the forward
-transition matrix Phi(t, t0) and C(t) = integral of Phi(s, t0)^T L_x
-from the tangent of that run's accepted steps: one ``jac_fx_rows`` and
-one ``grad_lx_rows`` call over the 6S+1 distinct points of its stage
-record, then ``SolutionPath.linear_flow``.  Dormand-Prince applied to
-[x, Phi, C] on the same steps gives the same Phi and C.  The running
-cost is the b-weighted stage sum, formed only when asked for.  Psi and
-lam follow algebraically at the nodes from one stacked inverse:
+``fused_sweep`` (control-only method) solves for the node states by
+multiple shooting.  Each grid interval gets a classic-RK4 map F_i of s
+substeps, sampled at the interval's stencil of ends and midpoints, and the
+node states solve X_0 = x0, X_i+1 = F_i(X_i).  Newton on all intervals at
+once needs, per pass, one batched RK4 sweep over every interval -- one
+``dynamics_rows`` call per stage and one ``jac_fx_rows``/``grad_lx_rows``
+call per substep -- and its correction delta_i+1 = G_i delta_i + r_i is a
+linear recurrence, read off log-depth running products
+(``cumulative_products``).  Dynamics affine in x converge after one
+correction.  The tangent of the maps in [x, running cost] is the
+propagator T_i = [[G_i, 0], [c_i^T, 1]] of Z' = [[f_x, 0], [L_x^T, 0]] Z;
+its running products from Z_0 = I give Phi(t_i, t0) and C_i = integral of
+Phi(s, t0)^T L_x up to t_i.  Psi and lam follow algebraically at the
+nodes from one stacked inverse:
 
     Psi_i = Phi_i^{-T} Phi_N^T,    lam_i = Phi_i^{-T} (Phi_N^T lam_end + C_N - C_i).
 
 The same inverse gives the 1-norm condition estimate of every Phi_i; a
-sweep whose worst estimate exceeds ``COND_LIMIT`` (saddle-type dynamics,
+solve whose worst estimate exceeds ``COND_LIMIT`` (saddle-type dynamics,
 whose forward transition matrices grow like exp(2|a|T)) raises
-SingularSystem.
+SingularSystem.  Off-node state rows are the cubic Hermite interpolant of
+the node states and rates.
 
 ``transition_stack`` (coupled method, whose states are given node values,
 and the oracles) works along given state and control trajectories.  Psi
@@ -37,20 +43,21 @@ every node.  ``interval_stencil`` chooses the substep count by step
 doubling under the ``IntegratorOptions`` tolerances; each round makes
 one ``jac_fx_rows`` and one ``grad_lx_rows`` call over the sample times
 it adds.  Intervals end at nodes, where the state and control splines
-are joined, so RK4 keeps its order on every interval.  The coupled
-snapshot's cost (``driver.path_cost``) is composite Simpson on the same
-stencil.
+are joined, so RK4 keeps its order on every interval.  A snapshot's
+cost (``driver.path_cost``, either method) is composite Simpson on the
+same stencil.
 
-The forward sweep is driven by a trajectory that does not depend on the
-swept values: the control.  Its field is a ``DrivenField``, which takes
-it as one row per time and uses the integrator's ``prepare`` hook to look
-up all six stage times of a step attempt in one vectorised call.  A time
-that was not prepared (t0, the starting-step probe, or every call when
-the hook is hidden behind a plain ``(t, y)`` wrapper) falls back to a
-one-row lookup.  The rows are bit-equal to scalar queries, since spline
-rows use the same elementwise Horner arithmetic, so a driven sweep
-reproduces the one-time-at-a-time sweep exactly.  The tangent pass looks
-up the controls at all stage times in one ``ctrl.eval`` call.
+``propagate_states`` (the coupled method's starting states and the
+oracles) is an adaptive Dormand-Prince sweep driven by a trajectory that
+does not depend on the swept values: the control.  Its field is a
+``DrivenField``, which takes it as one row per time and uses the
+integrator's ``prepare`` hook to look up all six stage times of a step
+attempt in one vectorised call.  A time that was not prepared (t0, the
+starting-step probe, or every call when the hook is hidden behind a plain
+``(t, y)`` wrapper) falls back to a one-row lookup.  The rows are
+bit-equal to scalar queries, since spline rows use the same elementwise
+Horner arithmetic, so a driven sweep reproduces the one-time-at-a-time
+sweep exactly.
 """
 
 from __future__ import annotations
@@ -61,10 +68,18 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFiniteDynamics, NonFiniteField, SingularSystem, StepFailure
-from .numerics import COND_LIMIT, SplineCoeffs, cumulative_products, spline_build
+from .numerics import (COND_LIMIT, SplineCoeffs, cumulative_products,
+                       hermite_build, spline_build)
 from .ocp import OcpProblem
 from .rk45 import IntegratorOptions, SolutionPath, rk45_integrate
 
+# Newton passes of the shooting solve before it falls back to composing
+# the interval maps in sequence, and the residual, relative to the largest
+# end-row entry (at least 1), at which it stops: rounding level, so the
+# nodes it returns are the sequential composition's to rounding.  Affine
+# dynamics reach about 4e-16 after one correction.
+NEWTON_PASSES = 8
+NEWTON_TOL = 1e-13
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -180,33 +195,46 @@ def propagate_states(problem: OcpProblem, ctrl: ControlTrajectory,
 
 def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
                 opts: Optional[IntegratorOptions] = None):
-    """States, transition stack and performance index from one forward sweep.
+    """States and transition stack from one multiple-shooting solve.
 
-    Integrates x alone (``propagate_states``), then takes Phi(t_i, t0) and
-    C_i from the tangent of that run over its recorded stages, and Psi
-    and the adjoint algebraically at the nodes (module docstring).
-    Returns (StateTrajectory, TransitionStack, cost), where ``cost()``
-    gives J including the terminal term; the running cost needs one point
-    ``running_cost`` call per stage, so it is summed only when asked for.
-    Raises NonFiniteDynamics on a non-finite field or f_x/L_x stage row
-    and SingularSystem when a node's Phi is singular or its 1-norm
-    condition estimate exceeds COND_LIMIT.
+    The node states solve X_0 = x0, X_i+1 = F_i(X_i) for the classic-RK4
+    maps F_i of s substeps across each grid interval (``_shoot``); Phi(t_i,
+    t0) and C_i are running products of those maps' tangents, and Psi and
+    the adjoint follow algebraically at the nodes (module docstring).
+    Starting at s = 1, s doubles until one plain 2s-substep pass from the
+    solved nodes agrees with the s-substep maps to |F^2s - F^s| / 15 <=
+    atol + rtol |F^2s| in every entry.  Off-node state rows are the cubic
+    Hermite interpolant of the node states and rates.  Returns
+    (StateTrajectory, TransitionStack).
+
+    Raises StepFailure when the check pass would need more than
+    ``opts.max_steps`` substeps, NonFiniteDynamics on non-finite dynamics
+    or f_x/L_x rows, and SingularSystem when a node's Phi is singular or
+    its 1-norm condition estimate exceeds COND_LIMIT.
     """
+    opts = opts or IntegratorOptions()
     n = problem.n
-    states = propagate_states(problem, ctrl, grid, opts)
-    path = states.path
-    ts, rows = path.stage_times(), path.stage_rows()
-    us = ctrl.eval(ts)
-    # Z = [[Phi, 0], [C^T, 1]] solves Z' = [[f_x, 0], [L_x^T, 0]] Z.
-    mats = np.zeros((ts.size, n + 1, n + 1))
-    mats[:, :n, :n] = problem.jac_fx_rows(rows, us, ts)
-    mats[:, n, :n] = problem.grad_lx_rows(rows, us, ts)
-    if not np.all(np.isfinite(mats)):
-        raise NonFiniteDynamics("non-finite f_x or L_x rows at the sweep's stages")
-    z = path.linear_flow(mats, grid.times)
+    n_int = grid.n_nodes - 1
+    nodes = np.tile(problem.x0, (grid.n_nodes, 1))
+    s = 1
+    while True:
+        if 2 * s * n_int > opts.max_steps:
+            raise StepFailure(f"interval stencil needs more than "
+                              f"max_steps={opts.max_steps} substeps")
+        # The s-substep stencil is every other point of the 2s one.
+        ts, us = _stencil(grid, ctrl, 2 * s)
+        nodes, ends, tangents = _shoot(problem, ts[:, ::2], us[:, ::2], nodes)
+        check, _ = _rk4_maps(problem, nodes[:-1], ts, us)
+        if np.all(np.abs(check - ends) / 15.0
+                  <= opts.atol + opts.rtol * np.abs(check)):
+            break
+        s *= 2
+    # Z_i = [[Phi_i, 0], [C_i^T, 1]] = T_i-1 ... T_0 from Z_0 = I.
+    z = cumulative_products(np.concatenate([np.eye(n + 1)[None], tangents]))
     phi = z[:, :n, :n]
     c = z[:, n, :n]
-    x_end = states.values[-1]
+    states = StateTrajectory(grid, nodes, _hermite_rows(problem, ctrl, grid, nodes))
+    x_end = nodes[-1]
     try:
         inv = np.linalg.inv(phi)
     except np.linalg.LinAlgError as exc:
@@ -224,16 +252,118 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
     adjoint[-1] = lam_end
     stack = TransitionStack(grid, psi, adjoint, problem=problem, states=states,
                             ctrl=ctrl, opts=opts, _forward=phi)
+    return states, stack
 
-    def cost() -> float:
-        running = np.array([float(problem.running_cost(x, u, t))
-                            for x, u, t in zip(rows, us, ts)])
-        if not np.all(np.isfinite(running)):
-            raise NonFiniteDynamics("non-finite running cost at the sweep's stages")
-        return (float(problem.terminal_cost(x_end, grid.tf))
-                + path.stage_integral(running))
 
-    return states, stack, cost
+def _stencil(grid: TimeGrid, ctrl: ControlTrajectory, s: int):
+    """Sample times (N-1, 2s+1) of s RK4 substeps per interval -- their
+    ends and midpoints, with the ends exactly at the nodes -- and the
+    controls there, (N-1, 2s+1, m), from one ``ctrl.eval``."""
+    times = grid.times
+    frac = np.arange(2 * s + 1) / (2 * s)
+    ts = times[:-1, None] + np.diff(times)[:, None] * frac
+    ts[:, -1] = times[1:]
+    return ts, ctrl.eval(ts.ravel()).reshape(ts.shape + (-1,))
+
+
+def _rk4_maps(problem: OcpProblem, starts, ts, us, tangent: bool = False):
+    """Classic RK4 with s substeps across every interval at once, from the
+    rows ``starts`` (K, n) on the stencil ``ts`` (K, 2s+1) and ``us``.
+
+    Each stage is one ``dynamics_rows`` call over all K intervals.  Returns
+    the end rows (K, n) and, with ``tangent``, each interval's propagator
+    of Z' = [[f_x, 0], [L_x^T, 0]] Z, (K, n+1, n+1): the derivative of the
+    RK4 map applied to [x, running cost], from one ``jac_fx_rows`` and one
+    ``grad_lx_rows`` call per substep over its four stage inputs.
+    """
+    n = problem.n
+    h = ((ts[:, -1] - ts[:, 0]) / ((ts.shape[1] - 1) // 2))[:, None]
+    eye = np.eye(n + 1)
+    x, g = starts, None
+
+    def rate(xs, j):
+        return np.asarray(problem.dynamics_rows(xs, us[:, j], ts[:, j]), dtype=float)
+
+    for j in range(0, ts.shape[1] - 1, 2):
+        k1 = rate(x, j)
+        x2 = x + 0.5 * h * k1
+        k2 = rate(x2, j + 1)
+        x3 = x + 0.5 * h * k2
+        k3 = rate(x3, j + 1)
+        x4 = x + h * k3
+        k4 = rate(x4, j + 2)
+        if tangent:
+            cols = [j, j + 1, j + 1, j + 2]
+            xs = np.concatenate([x, x2, x3, x4])
+            u_rows = us[:, cols].swapaxes(0, 1).reshape(len(xs), -1)
+            t_rows = ts[:, cols].T.ravel()
+            b = np.zeros((len(xs), n + 1, n + 1))
+            b[:, :n, :n] = problem.jac_fx_rows(xs, u_rows, t_rows)
+            b[:, n, :n] = problem.grad_lx_rows(xs, u_rows, t_rows)
+            b = b.reshape(4, len(x), n + 1, n + 1)
+            hh = h[:, :, None]
+            m1 = b[0]
+            m2 = b[1] @ (eye + 0.5 * hh * m1)
+            m3 = b[2] @ (eye + 0.5 * hh * m2)
+            m4 = b[3] @ (eye + hh * m3)
+            step = eye + hh / 6.0 * (m1 + 2.0 * (m2 + m3) + m4)
+            g = step if g is None else step @ g
+        x = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+    return x, g
+
+
+def _shoot(problem: OcpProblem, ts, us, nodes):
+    """Node states X with X_0 = x0 and X_i+1 = F_i(X_i) for the RK4 maps
+    on the stencil, with the maps' end rows F_i(X_i) and tangents from a
+    last pass at X.
+
+    Newton from ``nodes`` on r_i = F_i(X_i) - X_i+1 over all intervals at
+    once: the correction solves delta_i+1 = G_i delta_i + r_i from
+    delta_0 = 0, read off the running products of [[G_i, r_i], [0, 1]].
+    It stops when max |r_i| is at rounding level.  Non-finite rows, or no
+    convergence within NEWTON_PASSES passes, fall back to composing the
+    same maps one interval at a time from x0, the solution Newton
+    converges to.
+    """
+    n = problem.n
+    nodes = nodes.copy()
+    for _ in range(NEWTON_PASSES):
+        ends, tangents = _rk4_maps(problem, nodes[:-1], ts, us, tangent=True)
+        if not (np.all(np.isfinite(ends)) and np.all(np.isfinite(tangents))):
+            break
+        residual = ends - nodes[1:]
+        if np.max(np.abs(residual)) <= NEWTON_TOL * max(1.0, np.max(np.abs(ends))):
+            return nodes, ends, tangents
+        steps = tangents.copy()
+        steps[:, n, :n] = 0.0
+        steps[:, :n, n] = residual
+        nodes[1:] += cumulative_products(steps)[:, :n, n]
+    for i in range(len(ts)):
+        end, _ = _rk4_maps(problem, nodes[i:i + 1], ts[i:i + 1], us[i:i + 1])
+        if not np.all(np.isfinite(end)):
+            raise NonFiniteDynamics(f"field returned non-finite values near "
+                                    f"t={ts[i, 0]}")
+        nodes[i + 1] = end[0]
+    ends, tangents = _rk4_maps(problem, nodes[:-1], ts, us, tangent=True)
+    if not np.all(np.isfinite(tangents)):
+        raise NonFiniteDynamics("non-finite f_x or L_x rows on the shooting stencil")
+    return nodes, ends, tangents
+
+
+def _hermite_rows(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
+                  nodes):
+    """Rows of the cubic Hermite interpolant through the node states and
+    the node rates f(x_i, u_i, t_i); the rates cost one ``dynamics_rows``
+    call, made at the first query."""
+    built = []
+
+    def rows(ts):
+        if not built:
+            rates = problem.dynamics_rows(nodes, ctrl.values, grid.times)
+            built.append(hermite_build(grid.times, nodes, rates))
+        return built[0].eval(ts)
+
+    return rows
 
 
 @dataclass
@@ -244,7 +374,7 @@ class TransitionStack:
     gradient, both exactly; ``adjoint`` holds lam at every node.  Forward
     transition matrices Phi(t_i, t0) serve only the oracles - the
     quadrature gradient form and the backward-vs-forward consistency
-    check.  A fused sweep stores the ones its tangent pass formed; a
+    check.  A fused sweep stores the ones its tangents formed; a
     backward stack keeps its trajectory data and builds them lazily by a
     separate sweep.
     """

@@ -54,10 +54,14 @@ class TestSolve:
         # Zero initial control guess in every row.
         assert all(float(line.split(",")[4]) == 0.0 for line in body)
 
+    # Warnings are errors here: pytest would otherwise catch a numpy
+    # RuntimeWarning that the command line prints to stderr.
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["solve", "compare"])
     @pytest.mark.parametrize("option", [
         ["--gain-ktf", "nan"], ["--gain-ktf", "inf"], ["--gain-k", "nan"],
-        ["--gain-kg", "nan"], ["--rtol", "nan"], ["--rtol", "inf"],
+        ["--gain-k", "inf"], ["--gain-kg", "nan"], ["--gain-kg", "inf"],
+        ["--rtol", "nan"], ["--rtol", "inf"],
         ["--atol", "nan"], ["--tau-end", "nan"],
         ["--tau-end", "-1"], ["--nodes", "3"]], ids=" ".join)
     def test_bad_run_option_is_usage_error(self, command, option, tmp_path,

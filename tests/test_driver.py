@@ -195,8 +195,8 @@ class TestEvaluationCache:
         assert snapped[-1] == (True, 0) and len(sweeps) == total
         assert final.J == history.final.J
         # The control-only solve runs neither the propagation nor the
-        # backward stack, nor a separate cost sweep.
-        assert others == []
+        # backward stack; each snapshot reads its cost along the states.
+        assert others == ["path_cost"] * len(snapped)
 
     def test_coupled_solve_runs_no_forward_sweep(self, di, monkeypatch):
         # The coupled state rate takes its kernel from the backward stack,
@@ -212,6 +212,22 @@ class TestEvaluationCache:
         _, report = solve_benchmark(di, "second", tau_end=5.0)
         assert report.ivp_dimension == 123
         assert calls == []
+
+    def test_evaluation_does_not_depend_on_call_history(self, brach):
+        # The shooting solve starts every evaluation from x0 at all nodes,
+        # never from an earlier evaluation's states, so two systems that
+        # saw different vectors before give the same bits for this one.
+        seasoned = assemble_ivp(brach.problem, "third", 21, brach.gains)
+        vec = seasoned.y0.copy()
+        vec[:-1] = 0.3 * np.sin(np.arange(21.0))
+        for bump in (0.1, -0.2):
+            seasoned.rhs(0.0, vec + bump)
+        fresh = assemble_ivp(brach.problem, "third", 21, brach.gains)
+        assert np.array_equal(seasoned.rhs(0.0, vec), fresh.rhs(0.0, vec))
+        a, b = seasoned.snapshot(0.0, vec), fresh.snapshot(0.0, vec)
+        assert a.J == b.J
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.costates, b.costates)
 
     @pytest.mark.parametrize("method", ["third", "second"])
     def test_mutated_vector_misses_cache(self, brach, method):
@@ -262,89 +278,74 @@ class TestRowCallbacks:
 
     def test_one_row_call_per_evaluation_and_step_attempt(self, brach,
                                                           monkeypatch):
-        # f_u and L_u: one N-row call per evaluation.  f_x and L_x: one call
-        # each per fused sweep, over the 6S+1 distinct stage points of its
-        # S accepted steps, and no one-row call.  The control rows: one
-        # six-row lookup per step attempt plus one-row lookups at t0 and
-        # the starting-step probe.  The running cost: never inside a sweep,
-        # which leaves its stage sum to the snapshots that ask for it.
-        calls, sweeps, evals, prepares, lookups, steps = [], [], [], [], [], []
-        costs, phase = [], ["other"]
+        # f_u and L_u: one N-row call per evaluation.  A control-only
+        # evaluation's shooting solve on the affine brachistochrone, with
+        # one substep accepted: two Newton passes, each four (N-1)-row
+        # dynamics calls and one 4(N-1)-row f_x and L_x call, then the
+        # four-stage check pass at two substeps (eight dynamics calls);
+        # one control lookup on the two-substep stencil serves both.  No
+        # one-row call, no Dormand-Prince run, and no running cost inside a
+        # sweep: snapshots read it along the Hermite state rows, whose node
+        # rates are one N-row dynamics call.
+        calls, sweeps, lookups, phase = [], [], [], ["other"]
+
+        def phased(name, fn):
+            def wrapper(*args, **kwargs):
+                outer, phase[0] = phase[0], name
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phase[0] = outer
+            return wrapper
 
         def counting_sweep(*args, **kwargs):
             sweeps.append(None)
-            outer, phase[0] = phase[0], "sweep"
-            try:
-                return fused(*args, **kwargs)
-            finally:
-                phase[0] = outer
+            return fused(*args, **kwargs)
 
-        def counting_integrate(field, y0, t_span, opts=None, on_step=None):
-            assert t_span[0] < t_span[1]     # no backward sweep
-            fn, prepare, lookup = field.fn, field.prepare, field.lookup
-            count = [0, 0]
+        def sized_eval(self, ts):
+            if phase[0] == "sweep":
+                lookups.append(np.size(ts))
+            return control_eval(self, ts)
 
-            def counted_fn(t, y, row):
-                count[0] += 1
-                return fn(t, y, row)
+        def no_inner_run(*args, **kwargs):
+            raise AssertionError("inner Dormand-Prince run")
 
-            def counted_prepare(ts):
-                count[1] += 1
-                prepare(ts)
+        fused, control_eval = driver.fused_sweep, trajectory.ControlTrajectory.eval
+        monkeypatch.setattr(driver, "fused_sweep",
+                            phased("sweep", counting_sweep))
+        monkeypatch.setattr(trajectory, "rk45_integrate", no_inner_run)
+        monkeypatch.setattr(trajectory.ControlTrajectory, "eval", sized_eval)
+        monkeypatch.setattr(EvolutionSystem, "snapshot",
+                            phased("snapshot", EvolutionSystem.snapshot))
+        problem = brach.problem
 
-            def sized_lookup(ts):
-                lookups.append(len(ts))
-                return lookup(ts)
+        def recorded(name):
+            fn = getattr(problem, name)
 
-            field.fn, field.prepare, field.lookup = (counted_fn, counted_prepare,
-                                                     sized_lookup)
-            path = integrate(field, y0, t_span, opts, on_step=on_step)
-            evals.append(count[0])
-            prepares.append(count[1])
-            steps.append(len(path.hs))
-            return path
+            def rows(xs, us, ts):
+                calls.append((phase[0], name, len(ts)))
+                return fn(xs, us, ts)
+            return rows
 
-        def recording_snapshot(self, tau, vec):
-            phase[0] = "snapshot"
-            try:
-                return snapshot(self, tau, vec)
-            finally:
-                phase[0] = "other"
-
-        fused, integrate = driver.fused_sweep, trajectory.rk45_integrate
-        snapshot = EvolutionSystem.snapshot
-        monkeypatch.setattr(driver, "fused_sweep", counting_sweep)
-        monkeypatch.setattr(trajectory, "rk45_integrate", counting_integrate)
-        monkeypatch.setattr(EvolutionSystem, "snapshot", recording_snapshot)
-        bench = _recording(brach, calls, [name + "_rows" for name in ROW_FORMS])
-        running_cost = bench.problem.running_cost
-
-        def phased_cost(x, u, t):
-            costs.append(phase[0])
-            return running_cost(x, u, t)
-
-        bench = dataclasses.replace(bench, problem=dataclasses.replace(
-            bench.problem, running_cost=phased_cost))
+        bench = dataclasses.replace(brach, problem=dataclasses.replace(
+            problem, **{name + "_rows": recorded(name + "_rows")
+                        for name in ROW_FORMS}))
         history = solve_benchmark(bench, "third", n_nodes=41, tau_end=2.0)[0]
+        assert len(history.snapshots) > 0 and len(sweeps) > 0
 
-        def sizes(name):
-            return [rows for called, rows in calls if called == name]
+        def sizes(name, *where):
+            return [rows for tag, called, rows in calls
+                    if called == name and (not where or tag in where)]
 
-        assert len(sweeps) == len(evals) == len(steps) > 0
-        assert sizes("jac_fu_rows") == sizes("grad_lu_rows") == [41] * len(sweeps)
-        assert sizes("jac_fx_rows") == sizes("grad_lx_rows") == [
-            6 * s + 1 for s in steps]
-        assert 1 not in sizes("jac_fx_rows") + sizes("grad_lx_rows")
-        # t0 and the starting-step probe, then six stages per attempt.
-        assert [6 * p + 2 for p in prepares] == evals
-        assert lookups.count(6) == sum(prepares)
-        assert lookups.count(1) == 2 * len(sweeps)
-        assert len(lookups) == sum(prepares) + 2 * len(sweeps)
-        # Outside snapshots only the terminal-time rate reads L, at the
-        # last node.
-        assert len(history.snapshots) > 0
-        assert "sweep" not in costs
-        assert costs.count("snapshot") > len(history.snapshots)
+        in_sweeps = len(sweeps)
+        assert sizes("dynamics_rows", "sweep") == [40] * 16 * in_sweeps
+        assert sizes("jac_fx_rows", "sweep") == [160] * 2 * in_sweeps
+        assert sizes("grad_lx_rows", "sweep") == [160] * 2 * in_sweeps
+        assert lookups == [200] * in_sweeps
+        assert sizes("jac_fu_rows") == sizes("grad_lu_rows") == [41] * in_sweeps
+        assert sizes("running_cost_rows", "sweep") == []
+        assert len(sizes("running_cost_rows", "snapshot")) >= len(history.snapshots)
+        assert sizes("dynamics_rows", "snapshot") == [41] * len(history.snapshots)
 
 
 class TestModifiedMode:

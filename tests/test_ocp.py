@@ -69,6 +69,18 @@ class TestValidation:
         report = validate_problem(p)
         assert report.findings == ["jac_fx_rows: row 1 (t=1) differs from jac_fx"]
 
+    def test_dynamics_and_cost_rows_are_checked_too(self):
+        p = dataclasses.replace(
+            _drift_only_problem(),
+            dynamics_rows=lambda xs, us, ts: np.stack(
+                [xs[:, 1], us[:, 0] + ts], axis=1),
+            running_cost=lambda x, u, t: 0.5 * u[0] ** 2,
+            running_cost_rows=lambda xs, us, ts: 0.5 * us[:, 0] ** 2 - ts)
+        report = validate_problem(p)
+        assert report.findings == [
+            "dynamics_rows: row 1 (t=1) differs from dynamics",
+            "running_cost_rows: row 1 (t=1) differs from running_cost"]
+
     def test_validation_is_pure(self):
         p = double_integrator().problem
         assert validate_problem(p).findings == validate_problem(p).findings
@@ -220,8 +232,7 @@ class TestRowForms:
         points = {name: (lambda x, u, t, f=getattr(full, name): f(x, u, t) + 0.25 * t)
                   for name in ROW_FORMS}
         p = OcpProblem(n=1, m=1, q=0, t0=0.0, x0=np.array([0.5]),
-                       tf_mode="fixed", tf=1.0, dynamics=full.dynamics,
-                       running_cost=full.running_cost, **points)
+                       tf_mode="fixed", tf=1.0, **points)
         xs, us, ts = _random_rows(p, np.random.default_rng(4))
         for name in ROW_FORMS:
             assert getattr(p, name) is points[name]
@@ -246,9 +257,31 @@ class TestRowForms:
         xs, us, ts = _random_rows(p, np.random.default_rng(6), count=4)
         assert np.array_equal(p.grad_lx_rows(xs, us, ts), np.zeros((4, 2)))
         assert np.array_equal(p.grad_lu_rows(xs, us, ts), np.zeros((4, 1)))
+        assert np.array_equal(p.running_cost_rows(xs, us, ts), np.zeros(4))
         # The point forms are one-row calls of the zero rows.
         assert np.array_equal(p.grad_lx(xs[0], us[0], ts[0]), np.zeros(2))
         assert np.array_equal(p.grad_lu(xs[0], us[0], ts[0]), np.zeros(1))
+
+
+    def test_row_only_problem_gets_point_forms_and_fallbacks(self):
+        full = tracking_fixture().problem
+        p = OcpProblem(n=1, m=1, q=0, t0=0.0, x0=np.array([0.5]),
+                       tf_mode="fixed", tf=1.0,
+                       dynamics_rows=lambda xs, us, ts: -0.5 * xs + us,
+                       running_cost_rows=lambda xs, us, ts: 0.5 * (
+                           (xs[:, 0] - 1.0) * (xs[:, 0] - 1.0) + us[:, 0] * us[:, 0]))
+        assert validate_problem(p).ok
+        xs, us, ts = _random_rows(p, np.random.default_rng(7))
+        for name in ROW_FORMS:
+            rows = getattr(p, name + "_rows")(xs, us, ts)
+            assert np.array_equal(rows, _stacked_points(getattr(p, name), xs, us, ts))
+            assert np.allclose(rows, getattr(full, name + "_rows")(xs, us, ts),
+                               atol=1e-7), name
+
+    def test_dynamics_required_in_some_form(self):
+        with pytest.raises(ValueError, match="dynamics"):
+            OcpProblem(n=1, m=1, q=0, t0=0.0, x0=np.zeros(1), tf_mode="fixed",
+                       tf=1.0)
 
 
 class TestReplace:

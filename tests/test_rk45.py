@@ -160,57 +160,3 @@ def test_option_validation():
         IntegratorOptions(max_steps=0)
     with pytest.raises(ValueError):
         IntegratorOptions(max_step=-1.0)
-
-
-def _linear_field(t, y):
-    return _coefficients(t) @ y
-
-
-def _coefficients(t):
-    """A(t) of a damped oscillator with a time-varying stiffness."""
-    return np.array([[0.0, 1.0], [-1.0 - 0.5 * np.sin(t), -0.1]])
-
-
-@pytest.mark.parametrize("t_span", [(0.0, 3.0), (3.0, 0.0)])
-@pytest.mark.parametrize("fixed", [False, True])
-def test_stage_record_holds_the_points_the_field_saw(t_span, fixed):
-    # stages 1-7 of every accepted step, with stage 7 shared by the next
-    # step: 6S+1 points, each bit-equal to a (t, y) the field was called at.
-    seen = set()
-
-    def field(t, y):
-        seen.add((float(t), y.tobytes()))
-        return np.array([1.0 / (1e-3 + (t - 1.3) ** 2), -y[0]])
-
-    if fixed:
-        path = rk45_fixed(field, [0.0, 1.0], t_span, 40)
-    else:
-        path = rk45_integrate(field, [0.0, 1.0], t_span)
-    times, rows = path.stage_times(), path.stage_rows()
-    assert times.shape == (6 * len(path.hs) + 1,)
-    assert rows.shape == (times.size, 2)
-    assert np.array_equal(rows[0::6], path.ys)
-    assert all((float(t), row.tobytes()) in seen for t, row in zip(times, rows))
-
-
-@pytest.mark.parametrize("t_span", [(0.0, 4.0), (4.0, 0.0)])
-def test_linear_flow_matches_the_integrated_linear_field(t_span):
-    # For y' = A(t) y the steps are linear in y0, so the flow of the same
-    # steps applied to y0 reproduces the path to rounding.
-    y0 = np.array([1.0, -0.5])
-    path = rk45_integrate(_linear_field, y0, t_span)
-    mats = np.array([_coefficients(t) for t in path.stage_times()])
-    ts = np.linspace(*t_span, 17)
-    flow = path.linear_flow(mats, ts)
-    assert np.array_equal(flow[0], np.eye(2))
-    assert np.max(np.abs(flow @ y0 - path.eval(ts))) <= 1e-13
-
-
-def test_stage_integral_matches_the_integrated_quadrature():
-    # y' = g(t) integrates g with the 5th-order weights.
-    def g(t):
-        return np.exp(np.sin(3.0 * t))
-
-    path = rk45_integrate(lambda t, y: np.array([g(t)]), [0.0], (0.0, 2.0))
-    total = path.stage_integral(g(path.stage_times()))
-    assert abs(total - path.y_end[0]) <= 1e-14 * abs(path.y_end[0])

@@ -28,9 +28,11 @@ from .trajectory import (
     TransitionStack,
     fused_sweep,
     interval_stencil,
-    propagate_states,
+    shooting_nodes,
     transition_stack,
 )
+# Not called here; perfbench/tracing.py patches this name in this module.
+from .trajectory import propagate_states  # noqa: F401
 
 METHODS = ("second", "third")
 DEFAULT_TAU_END = 300.0
@@ -362,11 +364,15 @@ def assemble_ivp(problem: OcpProblem, method: str, n_nodes: int,
                  mode: str = "quasi_feasible") -> EvolutionSystem:
     """Build the tau-IVP for a problem and probe its right-hand side once.
 
-    ``init_controls`` defaults to all-zero node controls; the coupled
-    method initializes its node states by integrating the dynamics under
-    that control, so the starting snapshot satisfies the dynamics and the
-    initial condition.  The same integrator options drive both the inner
-    (physical-time) and the outer (tau) integrations.
+    ``init_controls`` defaults to all-zero node controls.  The coupled
+    method starts from the node states of the control-only method's
+    shooting solve under that control (``shooting_nodes``), so the
+    starting snapshot satisfies the dynamics to the solve's tolerance and
+    the initial condition exactly.  Its feasible mode also needs a start
+    that meets the terminal constraint, ||g(x(tf), tf)||_inf <=
+    CONSTRAINT_TOL, and raises ValueError naming the miss otherwise.  The
+    same integrator options drive both the inner (physical-time) and the
+    outer (tau) integrations.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -388,8 +394,14 @@ def assemble_ivp(problem: OcpProblem, method: str, n_nodes: int,
     grid = TimeGrid(n_nodes, problem.t0, tf0)
     if method == "second":
         ctrl = ControlTrajectory.from_values(grid, init_controls)
-        states = propagate_states(problem, ctrl, grid, opts)
-        y0 = layout.pack(init_controls, states=states.values,
+        states, _ = shooting_nodes(problem, ctrl, grid, opts)
+        if mode == "feasible" and problem.q > 0:
+            miss = float(np.max(np.abs(problem.constraint(states[-1], tf0))))
+            if not miss <= CONSTRAINT_TOL:
+                raise ValueError(f"feasible mode needs a start that meets the "
+                                 f"terminal constraint: max |g(x(tf), tf)| = "
+                                 f"{miss:.3e} exceeds {CONSTRAINT_TOL:g}")
+        y0 = layout.pack(init_controls, states=states,
                          tf=tf0 if problem.tf_free else None)
     else:
         y0 = layout.pack(init_controls, tf=tf0 if problem.tf_free else None)

@@ -14,9 +14,8 @@ f_u, L_x and L_u (``ROW_FORMS``) also have a row form,
 ``<name>_rows(xs, us, ts)``, which takes T rows at once -- ``xs`` (T, n),
 ``us`` (T, m), ``ts`` (T,) -- and returns (T, n), (T,), (T, n, n),
 (T, n, m), (T, n) and (T, m).  The solver's node loops and inner solves
-call only the row forms; the point forms serve the coupled method's
-starting propagation and end-node terms, the oracles, validation and
-derivative checks.  A problem may give either form (or both, which must
+call only the row forms; the point forms serve the end-node terms, the
+oracles, validation and derivative checks.  A problem may give either form (or both, which must
 agree bit for bit): a missing row form becomes a per-row loop over the
 point callback, a missing point form a one-row call of the row form.
 Without a running cost, L and the L-gradients not given are zero arrays.

@@ -10,24 +10,12 @@ is first-same-as-last), so the field's last call of an accepted step sees
 an array bit-equal to the ``y`` handed to ``on_step``; a field that caches
 its work keyed on the vector's bytes can reuse it there.
 
-Stage times are known before any stage is evaluated.  A field with a
-``prepare`` attribute has it called once per step attempt with the six
-new stage times ``t + c_i h`` (i = 1..6), computed elementwise by the
-same expression as each stage's own time, so the floats match exactly;
-such a field can look up everything that depends on time alone in one
-vectorised call.  Any other call -- at t0, the starting-step probe, or a
-field whose ``prepare`` is hidden behind a plain ``(t, y)`` wrapper --
-reaches the field without preparation and must be served on its own.
-The field is looked up for ``prepare`` once per run.
-
-Dense output has two contractions.  ``rows(ts)`` returns one row per
+Dense output is one contraction.  ``rows(ts)`` returns one row per
 query time, contracting each step's coefficients with C-contiguous
 (T, 4) powers via ``einsum("sdj,sj->sd")``; the result of each row does
-not depend on how many rows are asked for, so a scalar query (a Python
-``float``, ``np.float64`` or any 0-d value) is simply the one-row case.
-``eval`` on an array of times keeps ``einsum("sdj,js->sd")`` with (4, T)
-powers, which sums in another order and may differ from the row query in
-the last bit; node values are read that way.  Powers are always formed
+not depend on how many rows are asked for, so ``eval`` on an array of
+times is ``rows`` and a scalar query (a Python ``float``, ``np.float64``
+or any 0-d value) is simply the one-row case.  Powers are always formed
 as ``theta, theta**2, theta**3, theta**4`` on arrays: Python-scalar
 powers differ in the last bit on some queries.  The step index comes from
 ``searchsorted`` on the interior step boundaries, which clamps queries
@@ -131,17 +119,12 @@ class SolutionPath:
     def y_end(self) -> np.ndarray:
         return self.ys[-1]
 
-    def _locate(self, tq):
-        """Step index and normalized offset theta of every query time."""
-        idx = self._inner.searchsorted(self.direction * tq, side="right")
-        return idx, (tq - self.ts[idx]) / self.hs[idx]
-
     def rows(self, ts) -> np.ndarray:
         """Dense output at the times ``ts`` as (T, dim) rows; each row is
         bit-equal to the scalar query at its time."""
         tq = np.asarray(ts, dtype=float)
-        idx, theta = self._locate(tq)
-        theta = theta[:, None]
+        idx = self._inner.searchsorted(self.direction * tq, side="right")
+        theta = ((tq - self.ts[idx]) / self.hs[idx])[:, None]
         powers = np.concatenate([theta, theta**2, theta**3, theta**4], axis=1)
         return self.ys[idx] + self.hs[idx, None] * np.einsum(
             "sdj,sj->sd", self.qs[idx], powers
@@ -154,12 +137,7 @@ class SolutionPath:
         """
         if isinstance(t, float) or np.ndim(t) == 0:
             return self.rows(np.array([t], dtype=float))[0]
-        tq = np.asarray(t, dtype=float)
-        idx, theta = self._locate(tq)
-        powers = np.vstack([theta, theta**2, theta**3, theta**4])  # (4, T)
-        return self.ys[idx] + self.hs[idx, None] * np.einsum(
-            "sdj,js->sd", self.qs[idx], powers
-        )
+        return self.rows(t)
 
     __call__ = eval
 
@@ -188,18 +166,14 @@ def _initial_step(field, t0, y0, f0, direction, span, rtol, atol):
     return min(100 * h0, h1, abs(span))
 
 
-def _stages(field, prepare, t, y, h, f0):
+def _stages(field, t, y, h, f0):
     """Evaluate the seven stage derivatives.
 
     Returns (K, y_new): K of shape (7, dim) and the 5th-order solution at
-    t + h, the very array the last stage was evaluated at.  The field's
-    ``prepare`` hook (None when it has none) first receives stages 2-7's
-    times at once.
+    t + h, the very array the last stage was evaluated at.
     """
     k = np.empty((7, y.size))
     k[0] = f0
-    if prepare is not None:
-        prepare(t + _C[1:] * h)
     for i, a_row in enumerate(_A, start=1):
         yi = y + h * (a_row @ k[:i])
         k[i] = np.asarray(field(t + _C[i] * h, yi), dtype=float)
@@ -237,7 +211,6 @@ def rk45_integrate(field, y0, t_span, opts: Optional[IntegratorOptions] = None,
     else:
         h_abs = _initial_step(field, t0, y, f0, direction, span, opts.rtol, opts.atol)
     h_abs = min(max(h_abs, 1e-12), h_max)
-    prepare = getattr(field, "prepare", None)
 
     ts = [t0]
     ys = [y.copy()]
@@ -258,7 +231,7 @@ def rk45_integrate(field, y0, t_span, opts: Optional[IntegratorOptions] = None,
         if direction * (t + h - t_end) >= 0.0:  # final step snaps to t_end
             h = t_end - t
 
-        k, y_new = _stages(field, prepare, t, y, h, f0)
+        k, y_new = _stages(field, t, y, h, f0)
         if not np.all(np.isfinite(k)):
             raise NonFiniteField(f"field returned non-finite values near t={t}")
         err_vec = h * (_E @ k)
@@ -294,7 +267,6 @@ def rk45_fixed(field, y0, t_span, n_steps: int) -> SolutionPath:
     h = (t_end - t0) / n_steps
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     f0 = np.asarray(field(t0, y), dtype=float)
-    prepare = getattr(field, "prepare", None)
 
     ts = [t0]
     ys = [y.copy()]
@@ -302,7 +274,7 @@ def rk45_fixed(field, y0, t_span, n_steps: int) -> SolutionPath:
     hs = []
     t = t0
     for i in range(n_steps):
-        k, y = _stages(field, prepare, t, y, h, f0)
+        k, y = _stages(field, t, y, h, f0)
         if not np.all(np.isfinite(k)):
             raise NonFiniteField(f"field returned non-finite values near t={t}")
         qs.append(k.T @ _P)

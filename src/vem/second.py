@@ -74,12 +74,8 @@ class SecondEqSnapshot:
 
     def defect(self, problem: OcpProblem) -> np.ndarray:
         """Dynamics defect xdot - f at the nodes, shape (N, n)."""
-        out = np.empty_like(self.xdot)
-        for i in range(self.grid.n_nodes):
-            out[i] = self.xdot[i] - np.asarray(
-                problem.dynamics(self.states[i], self.controls[i],
-                                 self.grid.times[i]), dtype=float)
-        return out
+        return self.xdot - np.asarray(problem.dynamics_rows(
+            self.states, self.controls, self.grid.times), dtype=float)
 
 
 def _check_mode(mode: str) -> None:

@@ -9,20 +9,21 @@ transposed state transition matrix from t_i to the terminal time -- and
 the cost-gradient kernel lam, the adjoint of lam' = -f_x^T lam - L_x with
 lam(tf) set to the terminal-cost gradient.  There are two routes to them.
 
-``fused_sweep`` (control-only method) solves for the node states by
-multiple shooting.  Each grid interval gets a classic-RK4 map F_i of s
-substeps, sampled at the interval's stencil of ends and midpoints, and the
-node states solve X_0 = x0, X_i+1 = F_i(X_i).  Newton on all intervals at
-once needs, per pass, one batched RK4 sweep over every interval -- one
-``dynamics_rows`` call per stage and one ``jac_fx_rows``/``grad_lx_rows``
-call per substep -- and its correction delta_i+1 = G_i delta_i + r_i is a
-linear recurrence, read off log-depth running products
-(``cumulative_products``).  Dynamics affine in x converge after one
-correction.  The tangent of the maps in [x, running cost] is the
-propagator T_i = [[G_i, 0], [c_i^T, 1]] of Z' = [[f_x, 0], [L_x^T, 0]] Z;
-its running products from Z_0 = I give Phi(t_i, t0) and C_i = integral of
-Phi(s, t0)^T L_x up to t_i.  Psi and lam follow algebraically at the
-nodes from one stacked inverse:
+``shooting_nodes`` solves for the node states by multiple shooting: the
+control-only method's states and the coupled method's starting states.
+Each grid interval gets a classic-RK4 map F_i of s substeps, sampled at
+the interval's stencil of ends and midpoints, and the node states solve
+X_0 = x0, X_i+1 = F_i(X_i).  Newton on all intervals at once needs, per
+pass, one batched RK4 sweep over every interval -- one ``dynamics_rows``
+call per stage and one ``jac_fx_rows``/``grad_lx_rows`` call per substep
+-- and its correction delta_i+1 = G_i delta_i + r_i is a linear
+recurrence, read off log-depth running products (``cumulative_products``).
+Dynamics affine in x converge after one correction.  The tangent of the
+maps in [x, running cost] is the propagator T_i = [[G_i, 0], [c_i^T, 1]]
+of Z' = [[f_x, 0], [L_x^T, 0]] Z.  ``fused_sweep`` (control-only method)
+takes their running products from Z_0 = I, which give Phi(t_i, t0) and
+C_i = integral of Phi(s, t0)^T L_x up to t_i; Psi and lam follow
+algebraically at the nodes from one stacked inverse:
 
     Psi_i = Phi_i^{-T} Phi_N^T,    lam_i = Phi_i^{-T} (Phi_N^T lam_end + C_N - C_i).
 
@@ -47,17 +48,9 @@ are joined, so RK4 keeps its order on every interval.  A snapshot's
 cost (``driver.path_cost``, either method) is composite Simpson on the
 same stencil.
 
-``propagate_states`` (the coupled method's starting states and the
-oracles) is an adaptive Dormand-Prince sweep driven by a trajectory that
-does not depend on the swept values: the control.  Its field is a
-``DrivenField``, which takes it as one row per time and uses the
-integrator's ``prepare`` hook to look up all six stage times of a step
-attempt in one vectorised call.  A time that was not prepared (t0, the
-starting-step probe, or every call when the hook is hidden behind a plain
-``(t, y)`` wrapper) falls back to a one-row lookup.  The rows are
-bit-equal to scalar queries, since spline rows use the same elementwise
-Horner arithmetic, so a driven sweep reproduces the one-time-at-a-time
-sweep exactly.
+``propagate_states`` is an oracle: an adaptive Dormand-Prince sweep of
+the dynamics under the spline control, which the checks and tests hold
+the shooting solve against.
 """
 
 from __future__ import annotations
@@ -71,7 +64,7 @@ from .errors import NonFiniteDynamics, NonFiniteField, SingularSystem, StepFailu
 from .numerics import (COND_LIMIT, SplineCoeffs, cumulative_products,
                        hermite_build, spline_build)
 from .ocp import OcpProblem
-from .rk45 import IntegratorOptions, SolutionPath, rk45_integrate
+from .rk45 import IntegratorOptions, rk45_integrate
 
 # Newton passes of the shooting solve before it falls back to composing
 # the interval maps in sequence, and the residual, relative to the largest
@@ -133,11 +126,6 @@ class StateTrajectory:
     grid: TimeGrid
     values: np.ndarray          # (N, n)
     _rows: object = None        # callable ts -> (T, n)
-    path: Optional[SolutionPath] = None     # the integration run, if any
-
-    @classmethod
-    def from_path(cls, grid: TimeGrid, values, path: SolutionPath) -> "StateTrajectory":
-        return cls(grid, np.asarray(values, dtype=float), path.rows, path)
 
     def rows(self, ts) -> np.ndarray:
         return self._rows(ts)
@@ -148,87 +136,74 @@ class StateTrajectory:
         return self._rows(t)
 
 
-class DrivenField:
-    """Inner-sweep field ``fn(t, y, row)`` fed by time-only rows.
-
-    ``lookup(ts)`` returns one row per time, (T, k).  ``prepare`` looks up
-    a step attempt's stage times at once; a call at any other time falls
-    back to ``lookup(np.array([t]))[0]``.
-    """
-
-    def __init__(self, fn, lookup):
-        self.fn = fn
-        self.lookup = lookup
-        self._rows = {}
-
-    def prepare(self, ts) -> None:
-        self._rows = dict(zip(ts.tolist(), self.lookup(ts)))
-
-    def __call__(self, t, y):
-        row = self._rows.get(t)
-        if row is None:
-            row = self.lookup(np.array([t], dtype=float))[0]
-        return self.fn(t, y, row)
-
-
 def propagate_states(problem: OcpProblem, ctrl: ControlTrajectory,
                      grid: TimeGrid, opts: Optional[IntegratorOptions] = None
                      ) -> StateTrajectory:
     """Integrate the dynamics under the spline-interpolated control.
 
     Runs from (t0, x0) to tf; node states are read from the dense output
-    and the initial node is pinned to x0 exactly.  The returned
-    trajectory keeps the run's path.
+    and the initial node is pinned to x0 exactly.
     """
-    def field_fn(t, x, u):
-        return problem.dynamics(x, u, t)
+    def field_fn(t, x):
+        return problem.dynamics(x, ctrl.eval(t), t)
 
     try:
-        path = rk45_integrate(DrivenField(field_fn, ctrl.eval), problem.x0,
-                              (grid.t0, grid.tf), opts)
+        path = rk45_integrate(field_fn, problem.x0, (grid.t0, grid.tf), opts)
     except NonFiniteField as exc:
         raise NonFiniteDynamics(str(exc)) from exc
     values = path.eval(grid.times)
     values[0] = problem.x0
-    return StateTrajectory.from_path(grid, values, path)
+    return StateTrajectory(grid, values, path.rows)
+
+
+def shooting_nodes(problem: OcpProblem, ctrl: ControlTrajectory,
+                   grid: TimeGrid, opts: Optional[IntegratorOptions] = None):
+    """Node states of the multiple-shooting solve and the tangents of its
+    maps.
+
+    The node states solve X_0 = x0, X_i+1 = F_i(X_i) for the classic-RK4
+    maps F_i of s substeps across each grid interval (``_shoot``); X_0 is
+    x0 exactly.  Starting at s = 1, s doubles until one plain 2s-substep
+    pass from the solved nodes passes ``_refined`` against the s-substep
+    maps.  Returns the nodes (N, n) and the tangents (N-1, n+1, n+1) of
+    the maps in [x, running cost] at them.
+
+    Raises StepFailure when the check pass would need more than
+    ``opts.max_steps`` substeps and NonFiniteDynamics on non-finite
+    dynamics or f_x/L_x rows.
+    """
+    opts = opts or IntegratorOptions()
+    n_int = grid.n_nodes - 1
+    nodes = np.tile(problem.x0, (grid.n_nodes, 1))
+    s = 1
+    while True:
+        _check_budget(2 * s * n_int, opts)
+        # The s-substep stencil is every other point of the 2s one.
+        ts, us = _stencil(grid, ctrl, 2 * s)
+        nodes, ends, tangents = _shoot(problem, ts[:, ::2], us[:, ::2], nodes)
+        check, _ = _rk4_maps(problem, nodes[:-1], ts, us)
+        if _refined(check, ends, opts):
+            return nodes, tangents
+        s *= 2
 
 
 def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
                 opts: Optional[IntegratorOptions] = None):
     """States and transition stack from one multiple-shooting solve.
 
-    The node states solve X_0 = x0, X_i+1 = F_i(X_i) for the classic-RK4
-    maps F_i of s substeps across each grid interval (``_shoot``); Phi(t_i,
-    t0) and C_i are running products of those maps' tangents, and Psi and
-    the adjoint follow algebraically at the nodes (module docstring).
-    Starting at s = 1, s doubles until one plain 2s-substep pass from the
-    solved nodes agrees with the s-substep maps to |F^2s - F^s| / 15 <=
-    atol + rtol |F^2s| in every entry.  Off-node state rows are the cubic
-    Hermite interpolant of the node states and rates.  Returns
-    (StateTrajectory, TransitionStack).
+    The node states and the maps' tangents come from ``shooting_nodes``;
+    Phi(t_i, t0) and C_i are running products of the tangents, and Psi
+    and the adjoint follow algebraically at the nodes (module docstring).
+    Off-node state rows are the cubic Hermite interpolant of the node
+    states and rates.  Returns (StateTrajectory, TransitionStack).
 
-    Raises StepFailure when the check pass would need more than
-    ``opts.max_steps`` substeps, NonFiniteDynamics on non-finite dynamics
-    or f_x/L_x rows, and SingularSystem when a node's Phi is singular or
-    its 1-norm condition estimate exceeds COND_LIMIT.
+    Raises what ``shooting_nodes`` raises, and SingularSystem when a
+    node's Phi is singular or its 1-norm condition estimate exceeds
+    COND_LIMIT.
     """
     opts = opts or IntegratorOptions()
     n = problem.n
-    n_int = grid.n_nodes - 1
-    nodes = np.tile(problem.x0, (grid.n_nodes, 1))
-    s = 1
-    while True:
-        if 2 * s * n_int > opts.max_steps:
-            raise StepFailure(f"interval stencil needs more than "
-                              f"max_steps={opts.max_steps} substeps")
-        # The s-substep stencil is every other point of the 2s one.
-        ts, us = _stencil(grid, ctrl, 2 * s)
-        nodes, ends, tangents = _shoot(problem, ts[:, ::2], us[:, ::2], nodes)
-        check, _ = _rk4_maps(problem, nodes[:-1], ts, us)
-        if np.all(np.abs(check - ends) / 15.0
-                  <= opts.atol + opts.rtol * np.abs(check)):
-            break
-        s *= 2
+    nodes, tangents = shooting_nodes(problem, ctrl, grid, opts)
     # Z_i = [[Phi_i, 0], [C_i^T, 1]] = T_i-1 ... T_0 from Z_0 = I.
     z = cumulative_products(np.concatenate([np.eye(n + 1)[None], tangents]))
     phi = z[:, :n, :n]
@@ -253,6 +228,21 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
     stack = TransitionStack(grid, psi, adjoint, problem=problem, states=states,
                             ctrl=ctrl, opts=opts, _forward=phi)
     return states, stack
+
+
+def _check_budget(substeps: int, opts: IntegratorOptions) -> None:
+    """The substep budget of a stencil pass: StepFailure past
+    ``opts.max_steps``."""
+    if substeps > opts.max_steps:
+        raise StepFailure(f"interval stencil needs more than "
+                          f"max_steps={opts.max_steps} substeps")
+
+
+def _refined(fine, coarse, opts: IntegratorOptions) -> bool:
+    """The step-doubling test of a fourth-order rule: the Richardson
+    estimate |E_2s - E_s| / 15 <= atol + rtol |E_2s| in every entry."""
+    return bool(np.all(np.abs(fine - coarse) / 15.0
+                       <= opts.atol + opts.rtol * np.abs(fine)))
 
 
 def _stencil(grid: TimeGrid, ctrl: ControlTrajectory, s: int):
@@ -455,8 +445,7 @@ def interval_stencil(times, sample, estimate,
     ``sample(ts)`` maps an array of times to one row each; ``estimate(rows,
     dt)`` maps the (N-1, 2s+1, ...) rows of the s-substep stencil and the
     interval widths to one result per interval.  Starting at s = 1, s
-    doubles until |E_2s - E_s| / 15 <= atol + rtol |E_2s| holds for every
-    entry (the Richardson estimate of a fourth-order rule), and E_2s is
+    doubles until E_2s passes ``_refined`` against E_s, and E_2s is
     returned.  Each round samples only the times the finer stencil adds.
 
     Raises StepFailure when a stencil would need more than
@@ -470,9 +459,7 @@ def interval_stencil(times, sample, estimate,
     last = None
     s = 1
     while True:
-        if s * n_int > opts.max_steps:
-            raise StepFailure(f"interval stencil needs more than "
-                              f"max_steps={opts.max_steps} substeps")
+        _check_budget(s * n_int, opts)
         # The finer stencil's even points are the coarser stencil's
         # points, so only its odd points are new.
         frac = np.arange(1, 2 * s, 2) / (2 * s)
@@ -491,10 +478,8 @@ def interval_stencil(times, sample, estimate,
             rows = merged
         index = 2 * s * np.arange(n_int)[:, None] + np.arange(2 * s + 1)
         result = estimate(rows[index], dt)
-        if last is not None:
-            err = np.abs(result - last) / 15.0
-            if np.all(err <= opts.atol + opts.rtol * np.abs(result)):
-                return result
+        if last is not None and _refined(result, last, opts):
+            return result
         last = result
         s *= 2
 

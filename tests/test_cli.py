@@ -74,6 +74,17 @@ class TestSolve:
         assert err.startswith("invalid run option: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("problem", ["double-integrator", "brachistochrone"])
+    def test_feasible_mode_from_infeasible_start_is_usage_error(
+            self, problem, tmp_path, capsys):
+        code = main(["solve", "--problem", problem, "--method", "second",
+                     "--mode", "feasible", "--outdir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("invalid run option: feasible mode needs a start")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "report.json").exists()
+
     def test_unknown_problem_is_usage_error(self, tmp_path):
         code = main(["solve", "--problem", "pendulum",
                      "--outdir", str(tmp_path)])

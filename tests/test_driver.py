@@ -79,6 +79,37 @@ class TestAssembly:
         expected = np.stack([1.0 + np.linspace(0, 2, 41), np.ones(41)], axis=1)
         assert np.max(np.abs(states - expected)) <= 1e-9
 
+    @pytest.mark.parametrize("name", ["di", "brach"])
+    def test_coupled_start_is_the_shooting_nodes(self, name, request):
+        bench = request.getfixturevalue(name)
+        p = bench.problem
+        system = assemble_ivp(p, "second", 41, bench.gains)
+        _, states, _ = system.layout.unpack(system.y0)
+        grid = TimeGrid(41, p.t0, p.tf)
+        ctrl = ControlTrajectory.from_values(grid, np.zeros((41, p.m)))
+        nodes, _ = trajectory.shooting_nodes(p, ctrl, grid)
+        assert np.array_equal(states, nodes)
+        assert np.array_equal(states[0], p.x0)
+
+    @pytest.mark.parametrize("name", ["di", "brach"])
+    def test_feasible_mode_rejects_an_infeasible_start(self, name, request):
+        # From the zero controls both benchmarks miss their terminal
+        # constraint by 3, a miss the feasible multiplier system never pulls
+        # back.
+        bench = request.getfixturevalue(name)
+        with pytest.raises(ValueError, match=r"max \|g\(x\(tf\), tf\)\| = "
+                                             r"3\.000e\+00 exceeds 1e-06"):
+            assemble_ivp(bench.problem, "second", 41, bench.gains,
+                         mode="feasible")
+
+    def test_feasible_mode_takes_the_reference_start(self, di):
+        grid = TimeGrid(41, di.problem.t0, di.problem.tf)
+        controls = np.stack([di.reference.control(t) for t in grid.times])
+        system = assemble_ivp(di.problem, "second", 41, di.gains,
+                              init_controls=controls, mode="feasible")
+        _, states, _ = system.layout.unpack(system.y0)
+        assert np.max(np.abs(di.problem.constraint(states[-1], 2.0))) <= 1e-6
+
     def test_assembled_rhs_terminal_time_slot(self, brach):
         # The tf component of the assembled right-hand side must equal the
         # hand-evaluated rate -0.03 of the vertical-drop snapshot.
@@ -389,6 +420,16 @@ class TestConditioning:
                            match=r"condition estimate \d\.\d+e\+\d+ exceeds"):
             system = assemble_ivp(saddle_problem(20.0), "third", 41, self.GAINS)
             evolve(system, 5.0, early_stop=False)
+
+    def test_coupled_saddle_past_the_limit_evolves(self):
+        # The coupled method never forms the forward matrices, and its
+        # starting states come from the shooting solve without the guard.
+        system = assemble_ivp(saddle_problem(20.0), "second", 41, self.GAINS)
+        history = evolve(system, 5.0, early_stop=False)
+        assert history.termination_reason == "tau_end"
+        assert history.final.tau == 5.0
+        assert np.isfinite(history.final.J)
+        assert np.all(np.isfinite(history.final.controls))
 
     def test_saddle_below_the_limit_solves(self):
         # cond(Phi_N) = e^20, about 5e8.

@@ -544,8 +544,9 @@ class TestBatchedStack:
 
     def test_coupled_solve_integrates_nothing_after_assembly(self, brach,
                                                              monkeypatch):
-        # Psi, lam and the snapshot cost come from the interval stencil, so
-        # the only Dormand-Prince run after assembly is the tau integration.
+        # The starting states come from the shooting solve and Psi, lam and
+        # the snapshot cost from the interval stencil, so the only
+        # Dormand-Prince run is the tau integration.
         runs = []
 
         def recording(field, y0, t_span, opts=None, on_step=None):
@@ -555,79 +556,7 @@ class TestBatchedStack:
         for module in (trajectory, driver, second):
             monkeypatch.setattr(module, "rk45_integrate", recording)
         system = assemble_ivp(brach.problem, "second", 21, brach.gains)
-        assert runs == ["inner"]         # the starting states
-        runs.clear()
+        assert runs == []
         history = evolve(system, 20.0, early_stop=False)
         assert len(history.snapshots) >= 3
         assert runs == ["outer"]
-
-
-class TestDrivenSweeps:
-    @staticmethod
-    def _sweeps(problem, seed=12):
-        """The driven inner sweep, propagation: its node states and dense
-        output."""
-        rng = np.random.default_rng(seed)
-        grid = TimeGrid(21, problem.t0, problem.tf)
-        ctrl = ControlTrajectory.from_values(
-            grid, smooth_controls(grid, problem.m, rng))
-        states = propagate_states(problem, ctrl, grid)
-        return [states.values, states.rows(np.linspace(grid.t0, grid.tf, 57))]
-
-    @pytest.fixture()
-    def fields(self, monkeypatch):
-        """Every DrivenField made, recording its lookup sizes and the
-        (t, row) pairs its function sees."""
-        made = []
-
-        class RecordingField(trajectory.DrivenField):
-            def __init__(self, fn, lookup):
-                self.sizes, self.seen = [], []
-
-                def sized(ts):
-                    self.sizes.append(len(ts))
-                    return lookup(ts)
-
-                def seeing(t, y, row):
-                    self.seen.append(np.concatenate([[t], row]))
-                    return fn(t, y, row)
-
-                super().__init__(seeing, sized)
-                made.append(self)
-
-        monkeypatch.setattr(trajectory, "DrivenField", RecordingField)
-        return made
-
-    @pytest.mark.parametrize("make", [brachistochrone, tracking_fixture])
-    def test_hidden_prepare_gives_identical_sweeps(self, make, fields,
-                                                   monkeypatch):
-        # A wrapper that exposes only ``(t, y)``, as a tracer does, sends
-        # every call through the one-row fallback; the rows each field
-        # sees and the paths must not change in any bit.
-        problem = make().problem
-        prepared = self._sweeps(problem)
-        seen = [np.array(f.seen) for f in fields]
-        fields.clear()
-
-        def hiding(field, y0, t_span, opts=None, on_step=None):
-            return rk45_integrate(lambda t, y: field(t, y), y0, t_span, opts,
-                                  on_step=on_step)
-
-        monkeypatch.setattr(trajectory, "rk45_integrate", hiding)
-        hidden = self._sweeps(problem)
-        assert all(set(f.sizes) == {1} for f in fields)
-        assert len(fields) == len(seen) == 1
-        for f, rows in zip(fields, seen):
-            assert np.array_equal(np.array(f.seen), rows)
-        for a, b in zip(prepared, hidden):
-            assert np.array_equal(a, b)
-
-    def test_untraced_sweep_falls_back_at_most_twice(self, brach, fields):
-        # Only t0 and the starting-step probe are asked for one at a time;
-        # every step attempt looks its six stage times up at once.
-        self._sweeps(brach.problem)
-        assert len(fields) == 1
-        for f in fields:
-            assert f.sizes.count(1) <= 2
-            assert f.sizes.count(6) >= 10
-            assert set(f.sizes) == {1, 6}

@@ -2,10 +2,12 @@
 
 Each check returns (name, passed, detail).  The oracles here are chosen
 to be independent of the production code paths they exercise: forward
-transition matrices check the batched backward stack, propagation plus
-the backward stack check the shooting solve, per-interval Gauss
-quadrature checks the variational state-rate problem, finite differences
-check analytic derivatives, and closed forms check the integrator.
+transition matrices check the batched backward stack and, through the
+quadrature gradient form (``quadrature_gradient``), the adjoint
+gradient; propagation plus the backward stack check the shooting solve,
+per-interval Gauss quadrature checks the variational state-rate problem,
+finite differences check analytic derivatives, and closed forms check
+the integrator.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from . import second as second_eq
 from . import third as third_eq
+from . import trajectory
 from .driver import StateLayout, path_cost
 from .numerics import cumulative_from_right, grid_quadrature, solve_dense, spline_build
 from .ocp import check_derivatives, row_form_mismatches, validate_problem
@@ -117,13 +120,48 @@ def _check_pack_roundtrip():
     return True, "exact for both layouts"
 
 
+def quadrature_gradient(problem, states, ctrl, fwd, xdot_nodes=None):
+    """The cost gradient gu at the nodes, (N, m), rebuilt from the forward
+    transition matrices ``fwd`` = Phi(t_i, t0) and a right-cumulative
+    trapezoid of the integrand
+
+        L_x + phi_tx + phi_xx^T xdot + f_x^T phi_x
+
+    (phi derivatives taken at the running point).  It equals the adjoint
+    form ``third.control_gradient`` analytically because the phi-terms
+    telescope.  When ``xdot_nodes`` is given it replaces the dynamics in
+    the phi_xx term, which extends the form to trajectories that do not
+    satisfy the dynamics.
+    """
+    nodes = third_eq.node_inputs(problem, states, ctrl)
+    xs, us, ts, fu, lu = nodes.xs, nodes.us, nodes.ts, nodes.fu, nodes.lu
+    n_nodes = states.grid.n_nodes
+    omega = np.empty((n_nodes, problem.n))
+    phix = np.empty((n_nodes, problem.n))
+    for i in range(n_nodes):
+        xdot = xdot_nodes[i] if xdot_nodes is not None else np.asarray(
+            problem.dynamics(xs[i], us[i], ts[i]), dtype=float)
+        phix[i] = problem.grad_phix(xs[i], ts[i])
+        omega[i] = (np.asarray(problem.grad_lx(xs[i], us[i], ts[i]), dtype=float)
+                    + np.asarray(problem.dphi_dxdt(xs[i], ts[i]), dtype=float)
+                    + np.asarray(problem.hess_phixx(xs[i], ts[i]), dtype=float).T @ xdot
+                    + np.asarray(problem.jac_fx(xs[i], us[i], ts[i]), dtype=float).T @ phix[i])
+    kernel = np.einsum("inj,in->ij", fwd, omega)      # Phi(t_i,t0)^T omega_i
+    tail = cumulative_from_right(ts, kernel)
+    gu = np.empty((n_nodes, problem.m))
+    for i in range(n_nodes):
+        integral = np.linalg.solve(fwd[i].T, tail[i])
+        gu[i] = lu[i] + fu[i].T @ (phix[i] + integral)
+    return gu
+
+
 def _psi_consistency(bench, rng):
     p = bench.problem
     grid = TimeGrid(21, p.t0, p.tf)
     ctrl = ControlTrajectory.from_values(grid, _smooth_controls(grid, p.m, rng))
     states = propagate_states(p, ctrl, grid, TIGHT)
     stack = transition_stack(p, states, ctrl, TIGHT)
-    fwd = stack.forward_matrices()
+    fwd = trajectory._forward_stack(p, states, ctrl, grid, TIGHT)
     worst = 0.0
     for i in range(grid.n_nodes):
         direct = np.linalg.solve(fwd[i].T, fwd[-1].T).T  # Phi(tf, t_i)
@@ -144,8 +182,9 @@ def _gradient_form_gap(bench, n_nodes, rng):
     ctrl = ControlTrajectory.from_values(grid, _smooth_controls(grid, p.m, rng))
     states = propagate_states(p, ctrl, grid, TIGHT)
     stack = transition_stack(p, states, ctrl, TIGHT)
-    adj = third_eq.control_gradient(p, states, ctrl, stack, form="adjoint")
-    quad = third_eq.control_gradient(p, states, ctrl, stack, form="quadrature")
+    adj = third_eq.control_gradient(p, states, ctrl, stack)
+    quad = quadrature_gradient(p, states, ctrl,
+                               trajectory._forward_stack(p, states, ctrl, grid, TIGHT))
     return float(np.max(np.abs(adj - quad))) / (1.0 + float(np.max(np.abs(adj))))
 
 

@@ -431,8 +431,8 @@ def evolve(system: EvolutionSystem, tau_end: float,
     history accumulated so far is attached to the raised exception as
     ``exc.history``.
     """
-    if not tau_end >= 0.0:
-        raise ValueError("tau_end must be non-negative")
+    if not 0.0 <= tau_end < np.inf:
+        raise ValueError("tau_end must be finite and non-negative")
     opts = opts or system.opts
     requested = DEFAULT_SNAPSHOTS if snapshot_taus is None else snapshot_taus
 

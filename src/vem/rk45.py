@@ -85,6 +85,8 @@ class IntegratorOptions:
             raise ValueError("rtol and atol must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
+        if self.initial_step is not None and not 0.0 < self.initial_step < np.inf:
+            raise ValueError("initial_step must be positive and finite")
         if self.max_step is not None and not self.max_step > 0.0:
             raise ValueError("max_step must be positive")
 

@@ -7,7 +7,9 @@ central quantity is the function-space cost gradient
     gu(t) = L_u(t) + f_u(t)^T lam(t),
 
 where lam solves the backward sweep lam' = -f_x^T lam - L_x with the
-terminal-cost gradient as end condition.  The terminal constraint enters
+terminal-cost gradient as end condition; ``control_gradient`` reads lam
+off the transition stack, and its quadrature form over forward transition
+matrices is an oracle in ``vem.checks``.  The terminal constraint enters
 through the multiplier vector pi, chosen at every snapshot so that the
 constraint residual decays along the virtual evolution time; pi solves
 M pi = -r (``multiplier_system``, ``solve_multipliers``) with M a
@@ -32,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import cumulative_from_right, grid_quadrature, solve_dense
+from .numerics import grid_quadrature, solve_dense
 from .ocp import GainSet, OcpProblem
 from .trajectory import ControlTrajectory, StateTrajectory, TransitionStack
 
@@ -102,53 +104,14 @@ def terminal_bracket(problem: OcpProblem, states: StateTrajectory,
 
 def control_gradient(problem: OcpProblem, states: StateTrajectory,
                      ctrl: ControlTrajectory, stack: TransitionStack,
-                     form: str = "adjoint",
-                     xdot_nodes: Optional[np.ndarray] = None,
                      nodes: Optional[NodeInputs] = None) -> np.ndarray:
-    """Node values of the function-space cost gradient gu, shape (N, m).
-
-    The adjoint form (default) reads the backward sweep cached on the
-    stack.  The quadrature form rebuilds the same quantity from forward
-    transition matrices and a right-cumulative trapezoid of the integrand
-
-        L_x + phi_tx + phi_xx^T xdot + f_x^T phi_x
-
-    (with phi derivatives taken at the running point); the two forms
-    coincide analytically because the phi-terms telescope.  When
-    ``xdot_nodes`` is given it replaces the dynamics in the phi_xx term,
-    which extends the quadrature form to trajectories that do not satisfy
-    the dynamics.
-    """
+    """Node values of the function-space cost gradient gu, shape (N, m),
+    from the adjoint on the stack.  The quadrature form of the same
+    quantity, an oracle, is ``checks.quadrature_gradient``."""
     if nodes is None:
         nodes = node_inputs(problem, states, ctrl)
-    xs, us, ts, fu, lu = nodes.xs, nodes.us, nodes.ts, nodes.fu, nodes.lu
-    n_nodes = states.grid.n_nodes
-
-    if form == "adjoint":
-        # A stacked matmul (not einsum) keeps the bits of fu[i].T @ lam[i].
-        return lu + (np.swapaxes(fu, 1, 2) @ stack.adjoint[:, :, None])[:, :, 0]
-
-    if form != "quadrature":
-        raise ValueError(f"unknown form {form!r}")
-
-    fwd = stack.forward_matrices()
-    omega = np.empty((n_nodes, problem.n))
-    for i in range(n_nodes):
-        xdot = xdot_nodes[i] if xdot_nodes is not None else np.asarray(
-            problem.dynamics(xs[i], us[i], ts[i]), dtype=float)
-        phix = np.asarray(problem.grad_phix(xs[i], ts[i]), dtype=float)
-        omega[i] = (np.asarray(problem.grad_lx(xs[i], us[i], ts[i]), dtype=float)
-                    + np.asarray(problem.dphi_dxdt(xs[i], ts[i]), dtype=float)
-                    + np.asarray(problem.hess_phixx(xs[i], ts[i]), dtype=float).T @ xdot
-                    + np.asarray(problem.jac_fx(xs[i], us[i], ts[i]), dtype=float).T @ phix)
-    kernel = np.einsum("inj,in->ij", fwd, omega)      # Phi(t_i,t0)^T omega_i
-    tail = cumulative_from_right(ts, kernel)
-    gu = np.empty((n_nodes, problem.m))
-    for i in range(n_nodes):
-        integral = np.linalg.solve(fwd[i].T, tail[i])
-        phix_here = np.asarray(problem.grad_phix(xs[i], ts[i]), dtype=float)
-        gu[i] = lu[i] + fu[i].T @ (phix_here + integral)
-    return gu
+    # A stacked matmul (not einsum) keeps the bits of fu[i].T @ lam[i].
+    return nodes.lu + (np.swapaxes(nodes.fu, 1, 2) @ stack.adjoint[:, :, None])[:, :, 0]
 
 
 @dataclass

@@ -7,7 +7,14 @@ stretches the grid and never resamples node values.
 Both evolution equations read the stack of matrices Psi(t_i) -- the
 transposed state transition matrix from t_i to the terminal time -- and
 the cost-gradient kernel lam, the adjoint of lam' = -f_x^T lam - L_x with
-lam(tf) set to the terminal-cost gradient.  There are two routes to them.
+lam(tf) set to the terminal-cost gradient.  Both are the discrete adjoint
+of per-interval maps: given each interval's step S_i, the one backward
+product (``_backward``, log-depth ``cumulative_products``)
+
+    [[Psi_i, lam_i], [0, 1]] = S_i S_i+1 ... S_N-2 [[I, lam_end], [0, 1]]
+
+gives them at every node.  The two routes differ in where the steps come
+from.
 
 ``shooting_nodes`` solves for the node states by multiple shooting: the
 control-only method's states and the coupled method's starting states.
@@ -17,40 +24,33 @@ X_0 = x0, X_i+1 = F_i(X_i).  Newton on all intervals at once needs, per
 pass, one batched RK4 sweep over every interval -- one ``dynamics_rows``
 call per stage and one ``jac_fx_rows``/``grad_lx_rows`` call per substep
 -- and its correction delta_i+1 = G_i delta_i + r_i is a linear
-recurrence, read off log-depth running products (``cumulative_products``).
-Dynamics affine in x converge after one correction.  The tangent of the
-maps in [x, running cost] is the propagator T_i = [[G_i, 0], [c_i^T, 1]]
-of Z' = [[f_x, 0], [L_x^T, 0]] Z.  ``fused_sweep`` (control-only method)
-takes their running products from Z_0 = I, which give Phi(t_i, t0) and
-C_i = integral of Phi(s, t0)^T L_x up to t_i; Psi and lam follow
-algebraically at the nodes from one stacked inverse:
-
-    Psi_i = Phi_i^{-T} Phi_N^T,    lam_i = Phi_i^{-T} (Phi_N^T lam_end + C_N - C_i).
-
-The same inverse gives the 1-norm condition estimate of every Phi_i; a
-solve whose worst estimate exceeds ``COND_LIMIT`` (saddle-type dynamics,
-whose forward transition matrices grow like exp(2|a|T)) raises
-SingularSystem.  Off-node state rows are the cubic Hermite interpolant of
-the node states and rates.
+recurrence, read off log-depth running products.  Dynamics affine in x
+converge after one correction.  The tangent of the maps in [x, running
+cost] is the propagator T_i = [[G_i, 0], [c_i^T, 1]] of
+Z' = [[f_x, 0], [L_x^T, 0]] Z.  ``fused_sweep`` (control-only method)
+takes S_i = T_i^T = [[G_i^T, c_i], [0, 1]].  Psi_0 = Phi(tf, t0)^T, so
+its 1-norm condition number guards the solve: past ``COND_LIMIT``
+(saddle-type dynamics, whose transition matrices grow like exp(2|a|T))
+it raises SingularSystem.  Off-node state rows are the cubic Hermite
+interpolant of the node states and rates.
 
 ``transition_stack`` (coupled method, whose states are given node values,
 and the oracles) works along given state and control trajectories.  Psi
 and lam solve a linear ODE there, so no sequential sweep is needed: on
 every grid interval at once, classic RK4 takes the augmented backward
 system Y' = B(t) Y, B = [[-f_x^T, -L_x], [0, 0]], across the interval
-from Y = I, and the running products of these propagators from the end
-(``cumulative_products``, log-depth) give [[Psi_i, lam_i], [0, 1]] at
-every node.  ``interval_stencil`` chooses the substep count by step
-doubling under the ``IntegratorOptions`` tolerances; each round makes
-one ``jac_fx_rows`` and one ``grad_lx_rows`` call over the sample times
-it adds.  Intervals end at nodes, where the state and control splines
-are joined, so RK4 keeps its order on every interval.  A snapshot's
-cost (``driver.path_cost``, either method) is composite Simpson on the
-same stencil.
+from Y = I, and these propagators are the steps S_i.
+``interval_stencil`` chooses the substep count by step doubling under
+the ``IntegratorOptions`` tolerances; each round makes one
+``jac_fx_rows`` and one ``grad_lx_rows`` call over the sample times it
+adds.  Intervals end at nodes, where the state and control splines are
+joined, so RK4 keeps its order on every interval.  A snapshot's cost
+(``driver.path_cost``, either method) is composite Simpson on the same
+stencil.
 
-``propagate_states`` is an oracle: an adaptive Dormand-Prince sweep of
-the dynamics under the spline control, which the checks and tests hold
-the shooting solve against.
+``propagate_states`` and ``_forward_stack`` (the forward transition
+matrices Phi(t_i, t0)) are oracles: adaptive Dormand-Prince sweeps, which
+the checks and tests hold the shooting solve and both stacks against.
 """
 
 from __future__ import annotations
@@ -192,42 +192,39 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
     """States and transition stack from one multiple-shooting solve.
 
     The node states and the maps' tangents come from ``shooting_nodes``;
-    Phi(t_i, t0) and C_i are running products of the tangents, and Psi
-    and the adjoint follow algebraically at the nodes (module docstring).
-    Off-node state rows are the cubic Hermite interpolant of the node
-    states and rates.  Returns (StateTrajectory, TransitionStack).
+    Psi and the adjoint are the backward running products of the
+    transposed tangents (``_backward``).  Off-node state rows are the
+    cubic Hermite interpolant of the node states and rates.  Returns
+    (StateTrajectory, TransitionStack).
 
-    Raises what ``shooting_nodes`` raises, and SingularSystem when a
-    node's Phi is singular or its 1-norm condition estimate exceeds
-    COND_LIMIT.
+    Raises what ``shooting_nodes`` raises, and SingularSystem when
+    Psi_0 = Phi(tf, t0)^T is singular or its 1-norm condition number
+    exceeds COND_LIMIT.
     """
-    opts = opts or IntegratorOptions()
-    n = problem.n
     nodes, tangents = shooting_nodes(problem, ctrl, grid, opts)
-    # Z_i = [[Phi_i, 0], [C_i^T, 1]] = T_i-1 ... T_0 from Z_0 = I.
-    z = cumulative_products(np.concatenate([np.eye(n + 1)[None], tangents]))
-    phi = z[:, :n, :n]
-    c = z[:, n, :n]
-    states = StateTrajectory(grid, nodes, _hermite_rows(problem, ctrl, grid, nodes))
-    x_end = nodes[-1]
-    try:
-        inv = np.linalg.inv(phi)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("singular forward transition matrix") from exc
-    cond = float(np.max(np.abs(phi).sum(axis=1).max(axis=1)
-                        * np.abs(inv).sum(axis=1).max(axis=1)))
+    lam_end = np.asarray(problem.grad_phix(nodes[-1], grid.tf), dtype=float)
+    # T_i^T = [[G_i^T, c_i], [0, 1]].
+    psi, adjoint = _backward(np.swapaxes(tangents, 1, 2), lam_end)
+    cond = float(np.linalg.cond(psi[0], 1))
+    if cond == np.inf:
+        raise SingularSystem("singular forward transition matrix")
     if not cond <= COND_LIMIT:
         raise SingularSystem(f"forward transition matrix condition estimate "
                              f"{cond:.3e} exceeds {COND_LIMIT:.0e}")
-    inv_t = np.swapaxes(inv, 1, 2)
-    lam_end = np.asarray(problem.grad_phix(x_end, grid.tf), dtype=float)
-    psi = inv_t @ phi[-1].T
-    adjoint = (inv_t @ (phi[-1].T @ lam_end + c[-1] - c)[:, :, None])[:, :, 0]
-    psi[-1] = np.eye(n)
-    adjoint[-1] = lam_end
-    stack = TransitionStack(grid, psi, adjoint, problem=problem, states=states,
-                            ctrl=ctrl, opts=opts, _forward=phi)
-    return states, stack
+    states = StateTrajectory(grid, nodes, _hermite_rows(problem, ctrl, grid, nodes))
+    return states, TransitionStack(grid, psi, adjoint)
+
+
+def _backward(steps, lam_end):
+    """(psi, adjoint) at every node from the interval steps (N-1, n+1, n+1)
+    taken from the end: [[Psi_i, lam_i], [0, 1]] = steps_i ... steps_N-2
+    [[I, lam_end], [0, 1]], so Psi_N = I and lam_N = lam_end exactly."""
+    n = len(lam_end)
+    end = np.eye(n + 1)
+    end[:n, n] = lam_end
+    # Running products of the reversed stack, read back in node order.
+    z = cumulative_products(np.concatenate([end[None], steps[::-1]]))[::-1]
+    return z[:, :n, :n], z[:, :n, n]
 
 
 def _check_budget(substeps: int, opts: IntegratorOptions) -> None:
@@ -358,48 +355,26 @@ def _hermite_rows(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
 
 @dataclass
 class TransitionStack:
-    """Per-node Psi(t_i) = transposed transition matrix to the final time.
+    """Per-node Psi(t_i) = transposed transition matrix to the final time,
+    and the cost-gradient kernel lam at every node.
 
     ``psi[-1]`` is the identity and ``adjoint[-1]`` the terminal-cost
-    gradient, both exactly; ``adjoint`` holds lam at every node.  Forward
-    transition matrices Phi(t_i, t0) serve only the oracles - the
-    quadrature gradient form and the backward-vs-forward consistency
-    check.  A fused sweep stores the ones its tangents formed; a
-    backward stack keeps its trajectory data and builds them lazily by a
-    separate sweep.
+    gradient, both exactly.
     """
 
     grid: TimeGrid
     psi: np.ndarray             # (N, n, n)
     adjoint: np.ndarray         # (N, n)
-    problem: OcpProblem = field(repr=False, default=None)
-    states: StateTrajectory = field(repr=False, default=None)
-    ctrl: ControlTrajectory = field(repr=False, default=None)
-    opts: IntegratorOptions = field(repr=False, default=None)
-    _forward: Optional[np.ndarray] = field(repr=False, default=None)
-
-    def forward_matrices(self) -> np.ndarray:
-        """Transition matrices from t0 to every node, cached."""
-        if self._forward is None:
-            self._forward = _forward_stack(self.problem, self.states,
-                                           self.ctrl, self.grid, self.opts)
-        return self._forward
 
 
 def transition_stack(problem: OcpProblem, states: StateTrajectory,
                      ctrl: ControlTrajectory,
                      opts: Optional[IntegratorOptions] = None) -> TransitionStack:
-    """Psi at every node plus the adjoint, from per-interval RK4
-    propagators of Y' = B Y and their running products from the end
-    (module docstring).
-
-    Psi_N = I and lam_N = lam_end hold exactly: the product starts from
-    [[I, lam_end], [0, 1]].
-    """
+    """Psi at every node plus the adjoint: per-interval RK4 propagators
+    of Y' = B Y, taken from the end by ``_backward`` (module docstring)."""
     grid = states.grid
     n = problem.n
-    x_end = states.values[-1]
-    lam_end = np.asarray(problem.grad_phix(x_end, grid.tf), dtype=float)
+    lam_end = np.asarray(problem.grad_phix(states.values[-1], grid.tf), dtype=float)
 
     def sample(ts):
         """B(t) at the given times: two row-form calls."""
@@ -427,13 +402,7 @@ def transition_stack(problem: OcpProblem, states: StateTrajectory,
         return y
 
     steps = interval_stencil(grid.times, sample, propagators, opts)
-    end = np.eye(n + 1)
-    end[:n, n] = lam_end
-    # z_i = steps_i @ ... @ steps_{N-2} @ end: running products of the
-    # reversed stack, read back in node order.
-    z = cumulative_products(np.concatenate([end[None], steps[::-1]]))[::-1]
-    return TransitionStack(grid, z[:, :n, :n], z[:, :n, n], problem=problem,
-                           states=states, ctrl=ctrl, opts=opts)
+    return TransitionStack(grid, *_backward(steps, lam_end))
 
 
 def interval_stencil(times, sample, estimate,
@@ -485,6 +454,8 @@ def interval_stencil(times, sample, estimate,
 
 
 def _forward_stack(problem, states, ctrl, grid, opts) -> np.ndarray:
+    """Oracle: Phi(t_i, t0) at every node, (N, n, n), from one adaptive
+    Dormand-Prince run of Phi' = f_x Phi along the given trajectories."""
     n = problem.n
 
     def field_fn(t, z):

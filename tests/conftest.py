@@ -96,6 +96,25 @@ def saddle_benchmark():
                       GainSet(K=np.array([[0.1]]), K_g=np.array([[0.1]])), 41, 5.0)
 
 
+def unreachable_benchmark():
+    """x' = [u, 0] with x2(tf) = 1: no control moves x2, so the multiplier
+    matrix is zero and the multiplier system is singular."""
+    problem = OcpProblem(
+        n=2, m=1, q=1, t0=0.0, x0=np.zeros(2), tf_mode="fixed", tf=1.0,
+        dynamics=lambda x, u, t: np.array([u[0], 0.0]),
+        jac_fx_rows=lambda xs, us, ts: np.zeros((len(ts), 2, 2)),
+        jac_fu_rows=lambda xs, us, ts: np.repeat(
+            np.array([[[1.0], [0.0]]]), len(ts), axis=0),
+        running_cost=lambda x, u, t: 0.5 * u[0] ** 2,
+        grad_lx_rows=lambda xs, us, ts: np.zeros((len(ts), 2)),
+        grad_lu_rows=lambda xs, us, ts: np.array(us, dtype=float),
+        constraint=lambda xf, tf: xf[1:] - 1.0,
+        jac_gx=lambda xf, tf: np.array([[0.0, 1.0]]),
+        dg_dt=lambda xf, tf: np.zeros(1), name="unreachable")
+    return _benchmark(problem, GainSet(K=np.array([[0.1]]), K_g=np.array([[0.1]])),
+                      11, 5.0)
+
+
 def _free_horizon(name, direction, dynamics, jac_fx_rows):
     """Free horizon, no terminal constraint, phi = direction * tf: the
     terminal-time rate is -k_tf (L(tf) + direction), so the horizon

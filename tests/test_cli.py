@@ -4,8 +4,8 @@ import pytest
 
 import vem.cli as cli
 from conftest import (blowing_up, growing_horizon, saddle_benchmark,
-                      shrinking_horizon)
-from vem import IntegratorOptions, problems, solve_benchmark
+                      shrinking_horizon, unreachable_benchmark)
+from vem import IntegratorOptions, assemble_ivp, problems, solve_benchmark
 from vem.cli import main
 from vem.errors import (NonFiniteDynamics, SingularSystem, StepFailure,
                         TfCollapse, VemError)
@@ -62,8 +62,9 @@ class TestSolve:
         ["--gain-ktf", "nan"], ["--gain-ktf", "inf"], ["--gain-k", "nan"],
         ["--gain-k", "inf"], ["--gain-kg", "nan"], ["--gain-kg", "inf"],
         ["--rtol", "nan"], ["--rtol", "inf"],
-        ["--atol", "nan"], ["--tau-end", "nan"],
-        ["--tau-end", "-1"], ["--nodes", "3"]], ids=" ".join)
+        ["--atol", "nan"], ["--atol", "inf"], ["--tau-end", "nan"],
+        ["--tau-end", "inf"], ["--tau-end", "-1"], ["--nodes", "3"]],
+        ids=" ".join)
     def test_bad_run_option_is_usage_error(self, command, option, tmp_path,
                                            capsys):
         target = (["--problem", "brachistochrone"] if command == "solve" else
@@ -73,6 +74,8 @@ class TestSolve:
         assert code == 2
         assert err.startswith("invalid run option: ")
         assert len(err.splitlines()) == 1
+        if option[0] == "--tau-end":
+            assert "tau_end" in err
 
     @pytest.mark.parametrize("problem", ["double-integrator", "brachistochrone"])
     def test_feasible_mode_from_infeasible_start_is_usage_error(
@@ -228,6 +231,21 @@ class TestRealFailures:
         assert err.startswith("singular system: forward transition matrix "
                               "condition estimate")
         assert "multiplier" not in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["third", "second"])
+    def test_unreachable_constraint(self, monkeypatch, tmp_path, capsys, method):
+        # No control moves x2, so the multiplier matrix is zero and its
+        # system singular while the IVP is assembled, before any history.
+        bench = unreachable_benchmark()
+        with pytest.raises(SingularSystem,
+                           match=r"^condition estimate inf exceeds 1e\+12$"):
+            assemble_ivp(bench.problem, method, bench.default_nodes, bench.gains)
+        assert self._cli(monkeypatch, tmp_path, unreachable_benchmark,
+                         "--method", method) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("singular system: condition estimate")
+        assert len(err.splitlines()) == 1
 
 
 class TestCompare:

@@ -141,3 +141,6 @@ def test_option_validation():
         IntegratorOptions(max_steps=0)
     with pytest.raises(ValueError):
         IntegratorOptions(max_step=-1.0)
+    for bad in (float("nan"), float("inf"), 0.0, -1e-3):
+        with pytest.raises(ValueError, match="initial_step"):
+            IntegratorOptions(initial_step=bad)

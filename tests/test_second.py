@@ -13,6 +13,7 @@ from scipy.integrate import cumulative_trapezoid
 import vem.second as second
 import vem.third as third
 from conftest import smooth_controls
+from vem import checks, trajectory
 from vem import (
     ControlTrajectory,
     GainSet,
@@ -93,27 +94,28 @@ class TestControlRhs:
         # With zero terminal-cost curvature the gradient integrand is
         # unchanged when the snapshot derivative replaces the dynamics.
         grid = TimeGrid(41, 0.0, 2.0)
-        snap, stack = _feasible_snapshot(di.problem, grid, np.zeros((41, 1)),
-                                         TIGHT)
+        snap, _ = _feasible_snapshot(di.problem, grid, np.zeros((41, 1)), TIGHT)
         rigged = snap.xdot + 0.5  # artificial defect
-        plain = third.control_gradient(di.problem, snap.state_traj,
-                                       snap.ctrl_traj, stack, form="quadrature")
-        with_defect = third.control_gradient(di.problem, snap.state_traj,
-                                             snap.ctrl_traj, stack,
-                                             form="quadrature",
-                                             xdot_nodes=rigged)
+        fwd = trajectory._forward_stack(di.problem, snap.state_traj,
+                                        snap.ctrl_traj, grid, TIGHT)
+        plain = checks.quadrature_gradient(di.problem, snap.state_traj,
+                                           snap.ctrl_traj, fwd)
+        with_defect = checks.quadrature_gradient(di.problem, snap.state_traj,
+                                                 snap.ctrl_traj, fwd,
+                                                 xdot_nodes=rigged)
         assert np.array_equal(plain, with_defect)
 
         bench = tracking_fixture()  # live phi_xx: the defect must show up
         grid = TimeGrid(41, 0.0, 1.0)
-        snap, stack = _feasible_snapshot(bench.problem, grid,
-                                         np.full((41, 1), 0.2), TIGHT)
-        plain = third.control_gradient(bench.problem, snap.state_traj,
-                                       snap.ctrl_traj, stack, form="quadrature")
-        with_defect = third.control_gradient(bench.problem, snap.state_traj,
-                                             snap.ctrl_traj, stack,
-                                             form="quadrature",
-                                             xdot_nodes=snap.xdot + 0.5)
+        snap, _ = _feasible_snapshot(bench.problem, grid,
+                                     np.full((41, 1), 0.2), TIGHT)
+        fwd = trajectory._forward_stack(bench.problem, snap.state_traj,
+                                        snap.ctrl_traj, grid, TIGHT)
+        plain = checks.quadrature_gradient(bench.problem, snap.state_traj,
+                                           snap.ctrl_traj, fwd)
+        with_defect = checks.quadrature_gradient(bench.problem, snap.state_traj,
+                                                 snap.ctrl_traj, fwd,
+                                                 xdot_nodes=snap.xdot + 0.5)
         assert np.max(np.abs(plain - with_defect)) > 1e-3
 
     def test_unconstrained_rate(self):
@@ -198,7 +200,8 @@ class TestStateRhs:
         stack = transition_stack(p, snap.state_traj, snap.ctrl_traj, TIGHT)
         udot = smooth_controls(grid, p.m, rng, scale=0.5)
 
-        fwd = stack.forward_matrices()
+        fwd = trajectory._forward_stack(p, snap.state_traj, snap.ctrl_traj, grid,
+                                        TIGHT)
         forcing = np.stack([p.jac_fu(snap.states[i], snap.controls[i],
                                      grid.times[i]) @ udot[i]
                             for i in range(grid.n_nodes)])

@@ -16,7 +16,8 @@ from vem import (
     transition_stack,
 )
 from vem import checks, driver, second, trajectory
-from vem.errors import NonFiniteDynamics, NonFiniteField, StepFailure
+from vem.errors import NonFiniteDynamics, NonFiniteField, SingularSystem, StepFailure
+from vem.numerics import cumulative_products
 from vem.problems import brachistochrone, double_integrator, tracking_fixture
 from vem.rk45 import rk45_integrate
 
@@ -47,6 +48,15 @@ def _counting(problem, calls, *names):
         return rows
 
     return dataclasses.replace(problem, **{name: wrap(name) for name in names})
+
+
+def _shooting_phi(problem, ctrl, grid, opts=None):
+    """Phi(t_i, t0) of the shooting solve: running products of its maps'
+    tangents from the identity."""
+    n = problem.n
+    _, tangents = trajectory.shooting_nodes(problem, ctrl, grid, opts)
+    z = cumulative_products(np.concatenate([np.eye(n + 1)[None], tangents]))
+    return z[:, :n, :n]
 
 
 def _pendulum_problem():
@@ -145,7 +155,7 @@ class TestTransitionStack:
         ctrl = ControlTrajectory.from_values(grid, smooth_controls(grid, p.m, rng))
         states = propagate_states(p, ctrl, grid, TIGHT)
         stack = transition_stack(p, states, ctrl, TIGHT)
-        fwd = stack.forward_matrices()
+        fwd = trajectory._forward_stack(p, states, ctrl, grid, TIGHT)
         worst = 0.0
         for i in range(grid.n_nodes):
             direct = np.linalg.solve(fwd[i].T, fwd[-1].T).T  # Phi(tf, t_i)
@@ -159,22 +169,21 @@ class TestForwardMatrices:
         grid = TimeGrid(21, 0.0, 2.0)
         ctrl = ControlTrajectory.from_values(grid, np.zeros((21, 1)))
         states = propagate_states(di.problem, ctrl, grid, TIGHT)
-        return grid, transition_stack(di.problem, states, ctrl, TIGHT)
+        return (grid, transition_stack(di.problem, states, ctrl, TIGHT),
+                trajectory._forward_stack(di.problem, states, ctrl, grid, TIGHT))
 
     def test_start_at_identity(self, di_stack):
-        _, stack = di_stack
-        assert np.array_equal(stack.forward_matrices()[0], np.eye(2))
+        _, _, fwd = di_stack
+        assert np.array_equal(fwd[0], np.eye(2))
 
     def test_closed_form(self, di_stack):
-        grid, stack = di_stack
-        fwd = stack.forward_matrices()
+        grid, _, fwd = di_stack
         for i in (0, 2, 13, 20):
             expected = np.array([[1.0, grid.times[i]], [0.0, 1.0]])
             assert np.max(np.abs(fwd[i] - expected)) <= 1e-9
 
     def test_consistent_with_psi(self, di_stack):
-        _, stack = di_stack
-        fwd = stack.forward_matrices()
+        _, stack, fwd = di_stack
         for i in (0, 9, 17):
             # Phi(tf, t_i) = Phi(tf, t0) Phi(t_i, t0)^{-1}
             full = np.linalg.solve(fwd[i].T, fwd[-1].T).T
@@ -206,15 +215,53 @@ class TestFusedSweep:
             grid, smooth_controls(grid, p.m, np.random.default_rng(9)))
         states, stack = trajectory.fused_sweep(p, ctrl, grid)
         assert np.array_equal(states.values[0], p.x0)
-        assert np.array_equal(stack.forward_matrices()[0], np.eye(p.n))
         assert np.array_equal(stack.psi[-1], np.eye(p.n))
         assert np.array_equal(stack.adjoint[-1],
                               p.grad_phix(states.values[-1], grid.tf))
-        # Psi_i = Phi(tf, t_i)^T composed from the stored forward matrices.
-        fwd = stack.forward_matrices()
+        # Psi_i = Phi(tf, t_i)^T composed from the forward products of the
+        # same tangents.
+        fwd = _shooting_phi(p, ctrl, grid)
         composed = np.linalg.solve(np.swapaxes(fwd, 1, 2), fwd[-1].T)
         assert np.max(np.abs(composed - stack.psi)) <= 1e-12
         assert np.isfinite(driver.path_cost(p, states, ctrl, grid))
+
+    def test_no_stacked_inverse(self, brach, monkeypatch):
+        # Psi and the adjoint are one backward product of the transposed
+        # tangents: no matrix stack is inverted.
+        inv = np.linalg.inv
+
+        def flat_only(a):
+            if np.ndim(a) > 2:
+                raise AssertionError("stacked inverse")
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", flat_only)
+        p = brach.problem
+        grid = TimeGrid(21, p.t0, p.tf)
+        ctrl = ControlTrajectory.from_values(
+            grid, smooth_controls(grid, p.m, np.random.default_rng(9)))
+        _, stack = trajectory.fused_sweep(p, ctrl, grid)
+        assert np.array_equal(stack.psi[-1], np.eye(p.n))
+        assert np.all(np.isfinite(stack.psi)) and np.all(np.isfinite(stack.adjoint))
+
+    def test_singular_transition_raises(self, brach, monkeypatch):
+        # A first map whose tangent has a zero state block makes
+        # Psi_0 = Phi(tf, t0)^T exactly singular.
+        shoot = trajectory.shooting_nodes
+
+        def flattened(*args):
+            nodes, tangents = shoot(*args)
+            tangents = tangents.copy()
+            tangents[0, :-1, :-1] = 0.0
+            return nodes, tangents
+
+        monkeypatch.setattr(trajectory, "shooting_nodes", flattened)
+        p = brach.problem
+        grid = TimeGrid(21, p.t0, p.tf)
+        ctrl = ControlTrajectory.from_values(grid, np.zeros((21, p.m)))
+        with pytest.raises(SingularSystem,
+                           match="^singular forward transition matrix$"):
+            trajectory.fused_sweep(p, ctrl, grid)
 
     def test_double_integrator_closed_form(self, di):
         # Psi_i = [[1, 0], [tf - t_i, 1]] and, without L_x or phi, the
@@ -304,8 +351,9 @@ class TestTangentPass:
         return p, grid, ctrl
 
     @staticmethod
-    def _check(p, grid, states, stack, x, phi, c, bound):
-        fwd = stack.forward_matrices()
+    def _check(p, ctrl, opts, states, stack, x, phi, c, bound):
+        grid = ctrl.grid
+        fwd = _shooting_phi(p, ctrl, grid, opts)
         assert _relative(states.values, x) <= bound
         assert _relative(fwd, phi) <= bound
         # The oracle's adjoint by the same algebra as the sweep's.
@@ -325,14 +373,15 @@ class TestTangentPass:
         # these grids, so the shooting solve's maps are single RK4 steps.
         p, grid, ctrl = self._case(name)
         states, stack = trajectory.fused_sweep(p, ctrl, grid)
-        self._check(p, grid, states, stack, *_augmented_rk4(p, ctrl, grid), 1e-12)
+        self._check(p, ctrl, None, states, stack, *_augmented_rk4(p, ctrl, grid),
+                    1e-12)
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_matches_adaptive_oracle_at_tight(self, name):
         p, grid, ctrl = self._case(name)
         states, stack = trajectory.fused_sweep(p, ctrl, grid, TIGHT)
-        self._check(p, grid, states, stack, *_augmented_sweep(p, ctrl, grid, TIGHT),
-                    1e-8)
+        self._check(p, ctrl, TIGHT, states, stack,
+                    *_augmented_sweep(p, ctrl, grid, TIGHT), 1e-8)
 
     def test_non_finite_stage_row_raises(self, brach):
         # A NaN in one stage row of f_x; the x sweep itself stays finite.
@@ -390,7 +439,7 @@ class TestShooting:
         states, stack = trajectory.fused_sweep(self._counting(p, calls), ctrl,
                                                grid, TIGHT)
         assert {rows for name, rows in calls if name == "dynamics_rows"} == {30}
-        TestTangentPass._check(p, grid, states, stack,
+        TestTangentPass._check(p, ctrl, TIGHT, states, stack,
                                *_augmented_sweep(p, ctrl, grid, TIGHT), 1e-8)
 
     @pytest.mark.parametrize("make", [brachistochrone, _pendulum_problem])

@@ -4,10 +4,12 @@ Each check returns (name, passed, detail).  The oracles here are chosen
 to be independent of the production code paths they exercise: forward
 transition matrices check the batched backward stack and, through the
 quadrature gradient form (``quadrature_gradient``), the adjoint
-gradient; propagation plus the backward stack check the shooting solve,
-per-interval Gauss quadrature checks the variational state-rate problem,
-finite differences check analytic derivatives, and closed forms check
-the integrator.
+gradient; propagation plus the backward stack check the shooting solve;
+the coupled state rate's variational initial-value problem
+(``variational_state_rate``), integrated by Dormand-Prince along the
+snapshot's splines, is checked in turn by per-interval Gauss quadrature
+of a closed-form kernel; finite differences check analytic derivatives,
+and closed forms check the integrator.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .driver import StateLayout, path_cost
 from .numerics import cumulative_from_right, grid_quadrature, solve_dense, spline_build
 from .ocp import check_derivatives, row_form_mismatches, validate_problem
 from .problems import brachistochrone, double_integrator, tracking_fixture
-from .rk45 import IntegratorOptions, rk45_fixed
+from .rk45 import IntegratorOptions, rk45_fixed, rk45_integrate
 from .trajectory import (ControlTrajectory, TimeGrid, fused_sweep, propagate_states,
                          transition_stack)
 
@@ -134,7 +136,7 @@ def quadrature_gradient(problem, states, ctrl, fwd, xdot_nodes=None):
     satisfy the dynamics.
     """
     nodes = third_eq.node_inputs(problem, states, ctrl)
-    xs, us, ts, fu, lu = nodes.xs, nodes.us, nodes.ts, nodes.fu, nodes.lu
+    xs, us, ts, fu, lu = nodes.xs, nodes.us, nodes.grid.times, nodes.fu, nodes.lu
     n_nodes = states.grid.n_nodes
     omega = np.empty((n_nodes, problem.n))
     phix = np.empty((n_nodes, problem.n))
@@ -153,6 +155,48 @@ def quadrature_gradient(problem, states, ctrl, fwd, xdot_nodes=None):
         integral = np.linalg.solve(fwd[i].T, tail[i])
         gu[i] = lu[i] + fu[i].T @ (phix[i] + integral)
     return gu
+
+
+def variational_state_rate(problem, snap, udot_nodes, gains,
+                           mode="quasi_feasible", opts=None):
+    """The coupled node-state rate, (N, n), from its forward variational
+    problem
+
+        w' = f_x w + f_u udot(t) [- K_f (xdot - f)],  w(t0) = 0
+        (modified: -K_x0 (x(t0) - x0))
+
+    on the spline-interpolated rates, integrated by Dormand-Prince.  It
+    equals the convolution ``second.state_rhs_second`` up to quadrature
+    and integration error.
+    """
+    second_eq._check_mode(mode)
+    grid = snap.grid
+    udot_nodes = np.atleast_2d(np.asarray(udot_nodes, dtype=float))
+    modified = mode == "modified"
+    if modified:
+        kf = gains.kf(problem.n)
+        w0 = -gains.kx0(problem.n) @ (snap.states[0] - problem.x0)
+    else:
+        w0 = np.zeros(problem.n)
+    udot_spline = spline_build(grid.times, udot_nodes)
+    if modified:
+        xdot_spline = spline_build(grid.times, snap.xdot)
+
+    def field_fn(t, w):
+        x = snap.state_traj.eval(t)
+        u = snap.ctrl_traj.eval(t)
+        a = np.asarray(problem.jac_fx(x, u, t), dtype=float)
+        b = np.asarray(problem.jac_fu(x, u, t), dtype=float)
+        out = a @ w + b @ udot_spline.eval(t)
+        if modified:
+            f_here = np.asarray(problem.dynamics(x, u, t), dtype=float)
+            out = out - kf @ (xdot_spline.eval(t) - f_here)
+        return out
+
+    path = rk45_integrate(field_fn, w0, (grid.t0, grid.tf), opts)
+    values = path.eval(grid.times)
+    values[0] = w0
+    return values
 
 
 def _psi_consistency(bench, rng):
@@ -182,7 +226,7 @@ def _gradient_form_gap(bench, n_nodes, rng):
     ctrl = ControlTrajectory.from_values(grid, _smooth_controls(grid, p.m, rng))
     states = propagate_states(p, ctrl, grid, TIGHT)
     stack = transition_stack(p, states, ctrl, TIGHT)
-    adj = third_eq.control_gradient(p, states, ctrl, stack)
+    adj = third_eq.control_gradient(third_eq.node_inputs(p, states, ctrl), stack)
     quad = quadrature_gradient(p, states, ctrl,
                                trajectory._forward_stack(p, states, ctrl, grid, TIGHT))
     return float(np.max(np.abs(adj - quad))) / (1.0 + float(np.max(np.abs(adj))))
@@ -232,10 +276,11 @@ def _check_stationarity():
         grid, np.stack([bench.reference.control(t) for t in grid.times]))
     states = propagate_states(p, ctrl, grid, TIGHT)
     stack = transition_stack(p, states, ctrl, TIGHT)
-    gu = third_eq.control_gradient(p, states, ctrl, stack)
+    nodes = third_eq.node_inputs(p, states, ctrl)
+    gu = third_eq.control_gradient(nodes, stack)
     pi = third_eq.solve_multipliers(*third_eq.multiplier_system(
-        p, states, ctrl, stack, bench.gains, gu))
-    rate = third_eq.control_rhs(p, states, ctrl, stack, gu, pi, bench.gains)
+        p, nodes, stack, gu, bench.gains))
+    rate = third_eq.control_rhs(p, nodes, stack, gu, pi, bench.gains)
     worst = float(np.max(np.abs(rate)))
     return worst <= 1e-4, f"control rate at the optimum {worst:.2e}"
 
@@ -254,9 +299,7 @@ def _check_convolution_vs_ivp(seed=0):
     snap = second_eq.SecondEqSnapshot.create(
         grid, np.stack([bench.reference.state(t) for t in grid.times]),
         np.stack([bench.reference.control(t) for t in grid.times]))
-    stack = transition_stack(p, snap.state_traj, snap.ctrl_traj, TIGHT)
-    via_ivp = second_eq.state_rhs_second(p, snap, stack, udot, bench.gains,
-                                         opts=TIGHT, via="ivp")
+    via_ivp = variational_state_rate(p, snap, udot, bench.gains, opts=TIGHT)
     spline = spline_build(grid.times, udot)
 
     worst = 0.0
@@ -292,8 +335,11 @@ def _check_mode_reduction():
                          for x, u, t in zip(states, controls, grid.times)])
         snap = second_eq.SecondEqSnapshot.create(grid, states, controls, xdot=xdot)
         stack = transition_stack(p, snap.state_traj, snap.ctrl_traj, TIGHT)
+        nodes = third_eq.node_inputs(p, snap.state_traj, snap.ctrl_traj)
+        gu, defect = third_eq.control_gradient(nodes, stack), snap.defect(p)
         (m_mod, r_mod), (_, r_quasi), (m_feas, r_feas) = (
-            second_eq.multiplier_system_second(p, snap, stack, bench.gains, mode)
+            second_eq.multiplier_system_second(p, snap, nodes, stack, gu,
+                                               bench.gains, mode, defect=defect)
             for mode in ("modified", "quasi_feasible", "feasible"))
         g0 = np.asarray(p.constraint(states[-1], grid.tf), dtype=float)
         worst = max(worst, float(np.max(np.abs(r_mod - r_quasi))),

@@ -192,13 +192,12 @@ def path_cost(problem: OcpProblem, states: StateTrajectory,
 class Evaluation:
     """The snapshot pipeline run once at one evolving vector.
 
-    ``states`` and ``ctrl`` are the trajectories every formula reads; for
-    the coupled method they are the snapshot's own (``snap``), for the
-    control-only method the shooting solve's states under the node
-    controls.
+    ``nodes`` is the node record every formula reads, taken along
+    ``states`` and ``ctrl``: for the coupled method the snapshot's own
+    trajectories (``snap``), for the control-only method the shooting
+    solve's states under the node controls.
     """
 
-    grid: TimeGrid
     ctrl: ControlTrajectory
     states: StateTrajectory
     stack: TransitionStack
@@ -271,7 +270,7 @@ class EvolutionSystem:
         grid = self._grid(tf)
         ctrl = ControlTrajectory.from_values(grid, controls)
         states, stack = fused_sweep(self.problem, ctrl, grid, self.opts)
-        return self._along(grid, ctrl, states, stack)
+        return self._along(ctrl, states, stack)
 
     def _evaluate_second(self, vec) -> Evaluation:
         controls, states_nodes, tf = self.layout.unpack(vec)
@@ -279,54 +278,54 @@ class EvolutionSystem:
         snap = second_eq.SecondEqSnapshot.create(grid, states_nodes, controls)
         stack = transition_stack(self.problem, snap.state_traj, snap.ctrl_traj,
                                  self.opts)
-        return self._along(grid, snap.ctrl_traj, snap.state_traj, stack, snap)
+        return self._along(snap.ctrl_traj, snap.state_traj, stack, snap)
 
-    def _along(self, grid, ctrl, states, stack, snap=None) -> Evaluation:
-        """Node Jacobians, gradient and multipliers along given
-        trajectories and their stack; ``snap`` selects the coupled
-        multiplier system."""
+    def _along(self, ctrl, states, stack, snap=None) -> Evaluation:
+        """Node record, gradient and multipliers along given trajectories
+        and their stack; ``snap`` selects the coupled multiplier system
+        and, in modified mode, forms the snapshot's dynamics defect once."""
         problem = self.problem
         nodes = third_eq.node_inputs(problem, states, ctrl)
-        gu = third_eq.control_gradient(problem, states, ctrl, stack, nodes=nodes)
+        gu = third_eq.control_gradient(nodes, stack)
         defect = (snap.defect(problem)
                   if snap is not None and self.mode == "modified" else None)
         pi = None
         if problem.q > 0 and snap is not None:
-            pi = second_eq.multiplier_second(problem, snap, stack, self.gains,
-                                             self.mode, gu, nodes, defect)
+            pi = second_eq.multiplier_second(problem, snap, nodes, stack, gu,
+                                             self.gains, self.mode, defect=defect)
         elif problem.q > 0:
             # Control-only method: always the quasi-feasible multiplier
             # system (snapshots satisfy the dynamics by construction, the
             # terminal constraint only asymptotically).
             pi = third_eq.solve_multipliers(*third_eq.multiplier_system(
-                problem, states, ctrl, stack, self.gains, gu, nodes=nodes))
-        return Evaluation(grid, ctrl, states, stack, nodes, gu, pi, snap, defect)
+                problem, nodes, stack, gu, self.gains))
+        return Evaluation(ctrl, states, stack, nodes, gu, pi, snap, defect)
 
     def _rate(self, ev: Evaluation) -> np.ndarray:
         """The tau-rate at an evaluation: the control rate, the coupled
         method's node-state rate, and the terminal-time rate on a free
         horizon."""
-        problem, snap, grid = self.problem, ev.snap, ev.grid
-        udot = third_eq.control_rhs(problem, ev.states, ev.ctrl, ev.stack,
-                                    ev.gu, ev.pi, self.gains, nodes=ev.nodes)
+        problem, snap, nodes = self.problem, ev.snap, ev.nodes
+        udot = third_eq.control_rhs(problem, nodes, ev.stack, ev.gu, ev.pi,
+                                    self.gains)
         wdot = tf_dot = None
         if snap is not None:
-            wdot = second_eq.state_rhs_second(problem, snap, ev.stack, udot,
-                                              self.gains, self.mode, self.opts,
-                                              nodes=ev.nodes, defect=ev.defect)
+            wdot = second_eq.state_rhs_second(problem, nodes, ev.stack, udot,
+                                              self.gains, self.mode,
+                                              defect=ev.defect)
         if problem.tf_free and snap is None:
-            tf_dot = third_eq.tf_rhs(problem, ev.states, ev.ctrl, ev.pi, self.gains)
+            tf_dot = third_eq.tf_rhs(problem, nodes, ev.pi, self.gains)
         elif problem.tf_free:
-            tf_dot = second_eq.tf_rhs_second(problem, snap, ev.pi, self.gains,
-                                             self.mode)
+            tf_dot = second_eq.tf_rhs_second(problem, snap, nodes, ev.pi,
+                                             self.gains, self.mode)
             # Nodes sit on normalized time, so a moving horizon drags their
             # physical positions; the stored state and control functions
             # pick up the moving-grid advection rate on top of the
             # variational rates.  Without it the snapshot pair drifts off
             # the dynamics and the designed constraint decay never closes.
-            stretch = grid.sigma[:, None] * tf_dot
+            stretch = nodes.grid.sigma[:, None] * tf_dot
             wdot = wdot + snap.xdot * stretch
-            udot = udot + ev.ctrl.spline.derivative(grid.times) * stretch
+            udot = udot + ev.ctrl.spline.derivative(nodes.grid.times) * stretch
         return self.layout.pack(udot, states=wdot, tf=tf_dot)
 
     # -- public surface ----------------------------------------------------
@@ -335,9 +334,8 @@ class EvolutionSystem:
 
     def residuals(self, vec) -> third_eq.Residuals:
         ev = self.evaluate(vec)
-        return third_eq.optimality_residuals(self.problem, ev.states, ev.ctrl,
-                                             ev.stack, ev.gu, ev.pi,
-                                             nodes=ev.nodes)
+        return third_eq.optimality_residuals(self.problem, ev.nodes, ev.stack,
+                                             ev.gu, ev.pi)
 
     def gradient_norm(self, vec) -> float:
         """Sup-norm of the cost gradient at a snapshot (threshold scaling)."""
@@ -345,17 +343,17 @@ class EvolutionSystem:
 
     def snapshot(self, tau, vec) -> SnapshotRecord:
         ev = self.evaluate(vec)
-        cost = path_cost(self.problem, ev.states, ev.ctrl, ev.grid, self.opts)
-        res = third_eq.optimality_residuals(self.problem, ev.states, ev.ctrl,
-                                            ev.stack, ev.gu, ev.pi,
-                                            nodes=ev.nodes)
-        costates = third_eq.reconstruct_costates(self.problem, ev.states,
+        grid = ev.nodes.grid
+        cost = path_cost(self.problem, ev.states, ev.ctrl, grid, self.opts)
+        res = third_eq.optimality_residuals(self.problem, ev.nodes, ev.stack,
+                                            ev.gu, ev.pi)
+        costates = third_eq.reconstruct_costates(self.problem, ev.nodes,
                                                  ev.stack, ev.pi)
-        return SnapshotRecord(float(tau), ev.grid.times.copy(),
+        return SnapshotRecord(float(tau), grid.times.copy(),
                               ev.ctrl.values.copy(), ev.states.values.copy(),
                               costates, cost,
                               None if ev.pi is None else np.asarray(ev.pi, dtype=float),
-                              ev.grid.tf, res)
+                              grid.tf, res)
 
 
 def assemble_ivp(problem: OcpProblem, method: str, n_nodes: int,
@@ -370,12 +368,14 @@ def assemble_ivp(problem: OcpProblem, method: str, n_nodes: int,
     starting snapshot satisfies the dynamics to the solve's tolerance and
     the initial condition exactly.  Its feasible mode also needs a start
     that meets the terminal constraint, ||g(x(tf), tf)||_inf <=
-    CONSTRAINT_TOL, and raises ValueError naming the miss otherwise.  The
-    same integrator options drive both the inner (physical-time) and the
-    outer (tau) integrations.
+    CONSTRAINT_TOL, and raises ValueError naming the miss otherwise.  An
+    unknown ``mode`` raises ValueError for either method.  The same
+    integrator options drive both the inner (physical-time) and the outer
+    (tau) integrations.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    second_eq._check_mode(mode)
     if n_nodes < 4:
         raise ValueError("need at least 4 discretization nodes")
     if problem.q > 0 and gains.K_g is None:
@@ -419,6 +419,11 @@ def _select_snapshots(requested, tau_end) -> List[float]:
     return sorted(taus)
 
 
+def _check_tau_end(tau_end: float) -> None:
+    if not 0.0 <= tau_end < np.inf:
+        raise ValueError("tau_end must be finite and non-negative")
+
+
 def evolve(system: EvolutionSystem, tau_end: float,
            snapshot_taus: Optional[Sequence[float]] = None,
            opts: Optional[IntegratorOptions] = None,
@@ -431,8 +436,7 @@ def evolve(system: EvolutionSystem, tau_end: float,
     history accumulated so far is attached to the raised exception as
     ``exc.history``.
     """
-    if not 0.0 <= tau_end < np.inf:
-        raise ValueError("tau_end must be finite and non-negative")
+    _check_tau_end(tau_end)
     opts = opts or system.opts
     requested = DEFAULT_SNAPSHOTS if snapshot_taus is None else snapshot_taus
 
@@ -522,10 +526,12 @@ def solve_benchmark(benchmark, method: str, n_nodes: Optional[int] = None,
                     early_stop: bool = True, mode: str = "quasi_feasible",
                     init_controls=None, init_tf=None):
     """Assemble, evolve, and summarize one benchmark run; returns
-    (history, report) with wall time recorded on the report."""
+    (history, report) with wall time recorded on the report.  ``tau_end``
+    is checked as ``evolve`` checks it, before the IVP is assembled."""
     n_nodes = n_nodes if n_nodes is not None else benchmark.default_nodes
     tau_end = tau_end if tau_end is not None else benchmark.default_tau_end
     gains = gains or benchmark.gains
+    _check_tau_end(tau_end)
     system = assemble_ivp(benchmark.problem, method, n_nodes, gains,
                           init_controls=init_controls, init_tf=init_tf,
                           opts=opts, mode=mode)

@@ -5,9 +5,11 @@ tridiagonal, with ``scipy.linalg.solve_banded`` on a band matrix cached per
 node spacing, and forms the cubic Hermite coefficients from the slopes; it
 repeats the arithmetic of scipy's ``CubicSpline``, which costs several
 times as much per build.  2-3 nodes give the interpolating line or
-parabola.  Evaluation goes through a light Horner path because the solver
-queries splines at scalar times inside inner ODE loops, where scipy's PPoly
-call overhead dominates.
+parabola.  Evaluation goes through a light Horner path.  A solve queries
+splines only at arrays of times; the Dormand-Prince oracles
+(``trajectory.propagate_states``, ``checks.variational_state_rate``) query
+them at one time per field call, where scipy's PPoly call overhead would
+dominate.
 
 Scalar queries (a Python ``float``, ``np.float64`` or any 0-d value) take a
 fast path without temporary arrays.  Both paths find the interval by

@@ -1,8 +1,10 @@
 """Control-only evolution dynamics and costate-free optimality residuals.
 
-Everything here is a pure function of one trajectory snapshot: node
-controls, the states they induce, and the transition-matrix stack.  The
-central quantity is the function-space cost gradient
+Every formula here is an algebraic function of one snapshot's node
+record (``NodeInputs``: the grid, node states and controls, and f_u and
+L_u at every node, gathered once per snapshot by ``node_inputs`` with one
+row-form call each) and, where it needs the sweep, its transition stack.
+The central quantity is the function-space cost gradient
 
     gu(t) = L_u(t) + f_u(t)^T lam(t),
 
@@ -15,16 +17,12 @@ constraint residual decays along the virtual evolution time; pi solves
 M pi = -r (``multiplier_system``, ``solve_multipliers``) with M a
 constraint-projected controllability Gramian.  On a free horizon the
 terminal-time rate, the transversality residual and the k_tf terms of M
-and r all read one ``terminal_bracket`` at the end node.
+and r all read one ``terminal_bracket`` at the end node, whose time is
+the grid's ``tf`` exactly.
 
-The coupled method (``vem.second``) is these formulas along its own
-snapshot trajectories, plus its end-node time derivative (``xdot_end``)
+The coupled method (``vem.second``) is these formulas on its own
+snapshot's node record, plus its end-node time derivative (``xdot_end``)
 and defect corrections in modified mode.
-
-The per-node callback values (f_u and L_u at every node) are gathered once
-per snapshot, by one row-form call each, into a ``NodeInputs`` record;
-every formula below accepts it as ``nodes`` and only gathers its own when
-none is passed.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import numpy as np
 
 from .numerics import grid_quadrature, solve_dense
 from .ocp import GainSet, OcpProblem
-from .trajectory import ControlTrajectory, StateTrajectory, TransitionStack
+from .trajectory import ControlTrajectory, StateTrajectory, TimeGrid, TransitionStack
 
 
 @dataclass
@@ -59,11 +57,12 @@ class Residuals:
 
 @dataclass
 class NodeInputs:
-    """Node states, controls and times with f_u and L_u at every node."""
+    """One snapshot's node record: its grid, node states and controls,
+    and f_u and L_u at every node."""
 
+    grid: TimeGrid
     xs: np.ndarray              # (N, n)
     us: np.ndarray              # (N, m)
-    ts: np.ndarray              # (N,)
     fu: np.ndarray              # (N, n, m)
     lu: np.ndarray              # (N, m)
 
@@ -72,21 +71,22 @@ def node_inputs(problem: OcpProblem, states: StateTrajectory,
                 ctrl: ControlTrajectory) -> NodeInputs:
     """Evaluate the per-node Jacobians of one snapshot once: one row-form
     call each for f_u and L_u over all nodes."""
-    xs, us, ts = states.values, ctrl.values, states.grid.times
+    grid = states.grid
+    xs, us, ts = states.values, ctrl.values, grid.times
     fu = np.asarray(problem.jac_fu_rows(xs, us, ts), dtype=float)
     lu = np.asarray(problem.grad_lu_rows(xs, us, ts), dtype=float)
-    return NodeInputs(xs, us, ts, fu, lu)
+    return NodeInputs(grid, xs, us, fu, lu)
 
 
-def terminal_bracket(problem: OcpProblem, states: StateTrajectory,
-                     ctrl: ControlTrajectory, pi: Optional[np.ndarray] = None,
+def terminal_bracket(problem: OcpProblem, nodes: NodeInputs,
+                     pi: Optional[np.ndarray] = None,
                      xdot_end: Optional[np.ndarray] = None):
     """(bracket, v) at the end node: the terminal bracket
     L + phi_t + phi_x xdot + pi (g_x xdot + g_t) and its constraint rate
     v = g_x xdot + g_t (None without constraints).  xdot is the dynamics
     unless ``xdot_end`` is given; without ``pi`` the bracket is the cost
     rate alone."""
-    x_end, u_end, tf = states.values[-1], ctrl.values[-1], states.grid.tf
+    x_end, u_end, tf = nodes.xs[-1], nodes.us[-1], nodes.grid.tf
     if xdot_end is None:
         xdot_end = problem.dynamics(x_end, u_end, tf)
     w = np.asarray(xdot_end, dtype=float)
@@ -102,14 +102,10 @@ def terminal_bracket(problem: OcpProblem, states: StateTrajectory,
     return bracket, v
 
 
-def control_gradient(problem: OcpProblem, states: StateTrajectory,
-                     ctrl: ControlTrajectory, stack: TransitionStack,
-                     nodes: Optional[NodeInputs] = None) -> np.ndarray:
+def control_gradient(nodes: NodeInputs, stack: TransitionStack) -> np.ndarray:
     """Node values of the function-space cost gradient gu, shape (N, m),
     from the adjoint on the stack.  The quadrature form of the same
     quantity, an oracle, is ``checks.quadrature_gradient``."""
-    if nodes is None:
-        nodes = node_inputs(problem, states, ctrl)
     # A stacked matmul (not einsum) keeps the bits of fu[i].T @ lam[i].
     return nodes.lu + (np.swapaxes(nodes.fu, 1, 2) @ stack.adjoint[:, :, None])[:, :, 0]
 
@@ -126,52 +122,39 @@ class MultiplierTerms:
     v: Optional[np.ndarray] = None
 
 
-def _multiplier_terms(problem: OcpProblem, states: StateTrajectory,
-                     ctrl: ControlTrajectory, stack: TransitionStack,
-                     xdot_end: Optional[np.ndarray] = None,
-                     nodes: Optional[NodeInputs] = None) -> MultiplierTerms:
+def _multiplier_terms(problem: OcpProblem, nodes: NodeInputs,
+                      stack: TransitionStack,
+                      xdot_end: Optional[np.ndarray]) -> MultiplierTerms:
     """The shared terms of M and r: one f_u einsum, one ``jac_gx`` call
     and, on a free horizon, one terminal bracket."""
-    if nodes is None:
-        nodes = node_inputs(problem, states, ctrl)
     terms = MultiplierTerms(
         np.einsum("iba,ibm->iam", stack.psi, nodes.fu),
-        np.asarray(problem.jac_gx(nodes.xs[-1], states.grid.tf), dtype=float))
+        np.asarray(problem.jac_gx(nodes.xs[-1], nodes.grid.tf), dtype=float))
     if problem.tf_free:
-        terms.cost_rate, terms.v = terminal_bracket(problem, states, ctrl,
+        terms.cost_rate, terms.v = terminal_bracket(problem, nodes,
                                                     xdot_end=xdot_end)
     return terms
 
 
-def multiplier_matrix(problem: OcpProblem, states: StateTrajectory,
-                      ctrl: ControlTrajectory, stack: TransitionStack,
-                      gains: GainSet,
-                      xdot_end: Optional[np.ndarray] = None,
-                      nodes: Optional[NodeInputs] = None,
-                      terms: Optional[MultiplierTerms] = None) -> np.ndarray:
+def multiplier_matrix(problem: OcpProblem, nodes: NodeInputs,
+                      terms: MultiplierTerms, gains: GainSet) -> np.ndarray:
     """Constraint-projected Gramian M, symmetric positive semi-definite.
 
     Fixed-horizon problems carry only the Gramian term; free-horizon
     problems add the rank-one terminal-rate term weighted by k_tf.
     """
-    if terms is None:
-        terms = _multiplier_terms(problem, states, ctrl, stack, xdot_end, nodes)
     # Psi^T fu K fu^T Psi at every node, integrated by trapezoid.
     psit_fu = terms.psit_fu
     integrand = np.einsum("iak,ibk->iab", psit_fu @ gains.K, psit_fu)
-    mat = terms.gx @ grid_quadrature(states.grid.times, integrand) @ terms.gx.T
+    mat = terms.gx @ grid_quadrature(nodes.grid.times, integrand) @ terms.gx.T
     if problem.tf_free:
         mat = mat + gains.k_tf * np.outer(terms.v, terms.v)
     return mat
 
 
-def multiplier_rhs(problem: OcpProblem, states: StateTrajectory,
-                   ctrl: ControlTrajectory, stack: TransitionStack,
-                   gu: np.ndarray, gains: GainSet,
-                   mode: str = "quasi_feasible",
-                   xdot_end: Optional[np.ndarray] = None,
-                   nodes: Optional[NodeInputs] = None,
-                   terms: Optional[MultiplierTerms] = None) -> np.ndarray:
+def multiplier_rhs(problem: OcpProblem, nodes: NodeInputs,
+                   terms: MultiplierTerms, gu: np.ndarray, gains: GainSet,
+                   mode: str) -> np.ndarray:
     """Right-hand side r of the multiplier system.
 
     ``mode`` "feasible" omits the constraint-attraction term -K_g g, which
@@ -180,36 +163,26 @@ def multiplier_rhs(problem: OcpProblem, states: StateTrajectory,
     """
     if mode not in ("feasible", "quasi_feasible"):
         raise ValueError(f"unknown mode {mode!r}")
-    if terms is None:
-        terms = _multiplier_terms(problem, states, ctrl, stack, xdot_end, nodes)
     integrand = np.einsum("iam,im->ia", terms.psit_fu, gu @ gains.K.T)
-    r = terms.gx @ grid_quadrature(states.grid.times, integrand)
+    r = terms.gx @ grid_quadrature(nodes.grid.times, integrand)
     if problem.tf_free:
         r = r + gains.k_tf * terms.v * terms.cost_rate
     if mode == "quasi_feasible":
-        gval = np.asarray(problem.constraint(states.values[-1], states.grid.tf),
+        gval = np.asarray(problem.constraint(nodes.xs[-1], nodes.grid.tf),
                           dtype=float)
         r = r - gains.K_g @ gval
     return r
 
 
-def multiplier_system(problem: OcpProblem, states: StateTrajectory,
-                      ctrl: ControlTrajectory, stack: TransitionStack,
-                      gains: GainSet, gu: Optional[np.ndarray] = None,
+def multiplier_system(problem: OcpProblem, nodes: NodeInputs,
+                      stack: TransitionStack, gu: np.ndarray, gains: GainSet,
                       mode: str = "quasi_feasible",
-                      xdot_end: Optional[np.ndarray] = None,
-                      nodes: Optional[NodeInputs] = None):
+                      xdot_end: Optional[np.ndarray] = None):
     """(M, r) of the multiplier system M pi = -r, sharing one
-    ``MultiplierTerms``; ``gu`` and ``nodes`` are formed here when the
-    caller does not hold them."""
-    if nodes is None:
-        nodes = node_inputs(problem, states, ctrl)
-    if gu is None:
-        gu = control_gradient(problem, states, ctrl, stack, nodes=nodes)
-    terms = _multiplier_terms(problem, states, ctrl, stack, xdot_end, nodes)
-    mat = multiplier_matrix(problem, states, ctrl, stack, gains, terms=terms)
-    return mat, multiplier_rhs(problem, states, ctrl, stack, gu, gains, mode,
-                               terms=terms)
+    ``MultiplierTerms``."""
+    terms = _multiplier_terms(problem, nodes, stack, xdot_end)
+    mat = multiplier_matrix(problem, nodes, terms, gains)
+    return mat, multiplier_rhs(problem, nodes, terms, gu, gains, mode)
 
 
 def solve_multipliers(M: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -224,70 +197,61 @@ def solve_multipliers(M: np.ndarray, r: np.ndarray) -> np.ndarray:
     return -sol
 
 
-def control_rhs(problem: OcpProblem, states: StateTrajectory,
-                ctrl: ControlTrajectory, stack: TransitionStack,
+def control_rhs(problem: OcpProblem, nodes: NodeInputs, stack: TransitionStack,
                 gu: np.ndarray, pi: Optional[np.ndarray],
-                gains: GainSet,
-                nodes: Optional[NodeInputs] = None) -> np.ndarray:
+                gains: GainSet) -> np.ndarray:
     """Evolution rate of the node controls, shape (N, m).
 
     Vanishes identically exactly when the first-order optimality residual
     is zero at every node.
     """
-    if nodes is None:
-        nodes = node_inputs(problem, states, ctrl)
-    resid = _optimality_defect(problem, states, stack, nodes.fu, gu, pi)
+    resid = _optimality_defect(problem, nodes, stack, gu, pi)
     return -(resid @ gains.K.T)
 
 
-def _multiplier_pull(problem, states, stack, pi):
+def _multiplier_pull(problem, nodes, stack, pi):
     """Psi gx^T pi at every node, shape (N, n); None without multipliers."""
     if pi is None or problem.q == 0:
         return None
-    gx = np.asarray(problem.jac_gx(states.values[-1], states.grid.tf), dtype=float)
+    gx = np.asarray(problem.jac_gx(nodes.xs[-1], nodes.grid.tf), dtype=float)
     return np.einsum("inj,j->in", stack.psi, gx.T @ pi)
 
 
-def _optimality_defect(problem, states, stack, fu, gu, pi):
+def _optimality_defect(problem, nodes, stack, gu, pi):
     """gu + fu^T Psi gx^T pi at every node (the constraint term only
     when multipliers are present)."""
-    pull = _multiplier_pull(problem, states, stack, pi)
+    pull = _multiplier_pull(problem, nodes, stack, pi)
     if pull is None:
         return np.array(gu, copy=True)
-    return gu + np.einsum("inm,in->im", fu, pull)
+    return gu + np.einsum("inm,in->im", nodes.fu, pull)
 
 
-def tf_rhs(problem: OcpProblem, states: StateTrajectory,
-           ctrl: ControlTrajectory, pi: Optional[np.ndarray],
-           gains: GainSet,
-           xdot_end: Optional[np.ndarray] = None) -> float:
+def tf_rhs(problem: OcpProblem, nodes: NodeInputs, pi: Optional[np.ndarray],
+           gains: GainSet, xdot_end: Optional[np.ndarray] = None) -> float:
     """Evolution rate of the free terminal time (scalar): -k_tf times the
     terminal bracket, zero exactly when the transversality residual
     vanishes."""
-    return -gains.k_tf * terminal_bracket(problem, states, ctrl, pi, xdot_end)[0]
+    return -gains.k_tf * terminal_bracket(problem, nodes, pi, xdot_end)[0]
 
 
-def optimality_residuals(problem: OcpProblem, states: StateTrajectory,
-                         ctrl: ControlTrajectory, stack: TransitionStack,
-                         gu: np.ndarray, pi: Optional[np.ndarray],
-                         nodes: Optional[NodeInputs] = None) -> Residuals:
+def optimality_residuals(problem: OcpProblem, nodes: NodeInputs,
+                         stack: TransitionStack, gu: np.ndarray,
+                         pi: Optional[np.ndarray]) -> Residuals:
     """Sup-norm first-order optimality, terminal-constraint miss, and
     (free horizon only) transversality residual for the snapshot."""
-    if nodes is None:
-        nodes = node_inputs(problem, states, ctrl)
-    defect = _optimality_defect(problem, states, stack, nodes.fu, gu, pi)
+    defect = _optimality_defect(problem, nodes, stack, gu, pi)
     optimality = float(np.max(np.abs(defect)))
     constraint = 0.0
     if problem.q > 0:
-        gval = problem.constraint(states.values[-1], states.grid.tf)
+        gval = problem.constraint(nodes.xs[-1], nodes.grid.tf)
         constraint = float(np.max(np.abs(np.asarray(gval, dtype=float))))
     transversality = None
     if problem.tf_free:
-        transversality = abs(terminal_bracket(problem, states, ctrl, pi)[0])
+        transversality = abs(terminal_bracket(problem, nodes, pi)[0])
     return Residuals(optimality, constraint, transversality)
 
 
-def reconstruct_costates(problem: OcpProblem, states: StateTrajectory,
+def reconstruct_costates(problem: OcpProblem, nodes: NodeInputs,
                          stack: TransitionStack,
                          pi: Optional[np.ndarray]) -> np.ndarray:
     """Diagnostic costate estimates at the nodes, shape (N, n).
@@ -297,7 +261,7 @@ def reconstruct_costates(problem: OcpProblem, states: StateTrajectory,
     L_u + fu^T lambda at every node.
     """
     lam = np.array(stack.adjoint, copy=True)
-    pull = _multiplier_pull(problem, states, stack, pi)
+    pull = _multiplier_pull(problem, nodes, stack, pi)
     if pull is not None:
         lam += pull
     return lam

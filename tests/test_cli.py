@@ -232,6 +232,17 @@ class TestRealFailures:
                               "condition estimate")
         assert "multiplier" not in err
 
+    @pytest.mark.parametrize("tau_end", ["inf", "-1"])
+    def test_bad_tau_end_named_before_assembly(self, monkeypatch, tmp_path,
+                                               capsys, tau_end):
+        # The saddle would fail the conditioning guard while the IVP is
+        # assembled; the bad span is reported first.
+        assert self._cli(monkeypatch, tmp_path, saddle_benchmark,
+                         "--tau-end", tau_end) == 2
+        err = capsys.readouterr().err
+        assert err == ("invalid run option: tau_end must be finite and "
+                       "non-negative\n")
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", ["third", "second"])
     def test_unreachable_constraint(self, monkeypatch, tmp_path, capsys, method):

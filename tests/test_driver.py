@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import saddle_problem
+from conftest import saddle_benchmark, saddle_problem
 from vem import (
     ControlTrajectory,
     GainSet,
@@ -59,6 +59,15 @@ class TestAssembly:
     def test_too_few_nodes(self, di):
         with pytest.raises(ValueError):
             assemble_ivp(di.problem, "third", 3, di.gains)
+
+    @pytest.mark.parametrize("method", ["third", "second"])
+    def test_unknown_mode_rejected_for_both_methods(self, di, method):
+        # The control-only method reads no mode, yet a misspelt one is
+        # still a bad run option, caught before any evaluation.
+        with pytest.raises(ValueError, match="unknown mode 'sloppy'"):
+            assemble_ivp(di.problem, method, 41, di.gains, mode="sloppy")
+        with pytest.raises(ValueError, match="unknown mode 'sloppy'"):
+            solve_benchmark(di, method, tau_end=1.0, mode="sloppy")
 
     def test_constraint_gain_required(self, di):
         with pytest.raises(ValueError):
@@ -403,11 +412,11 @@ class TestModifiedMode:
 
         ev = system.evaluate(vec)
         assert np.max(np.abs(ev.defect)) > 1e-3
-        pi = second.multiplier_second(brach.problem, ev.snap, ev.stack,
-                                      brach.gains, "modified", gu=ev.gu,
-                                      nodes=ev.nodes)
+        defect = ev.snap.defect(brach.problem)
+        pi = second.multiplier_second(brach.problem, ev.snap, ev.nodes, ev.stack,
+                                      ev.gu, brach.gains, "modified", defect=defect)
         assert np.array_equal(pi, ev.pi)
-        own = system._rate(dataclasses.replace(ev, pi=pi, defect=None))
+        own = system._rate(dataclasses.replace(ev, pi=pi, defect=defect))
         assert np.array_equal(rate, own)
 
 
@@ -480,6 +489,14 @@ class TestSummarize:
         report = summarize(system, history)
         assert report.e_J is None and report.e_u is None and report.e_x is None
         assert report.ivp_dimension == 41
+
+    @pytest.mark.parametrize("tau_end", [np.inf, -1.0, np.nan])
+    def test_solve_benchmark_checks_tau_end_before_assembly(self, tau_end):
+        # The saddle fails its conditioning guard while the IVP is
+        # assembled, so only a check ahead of assembly names the option.
+        with pytest.raises(ValueError,
+                           match="^tau_end must be finite and non-negative$"):
+            solve_benchmark(saddle_benchmark(), "third", tau_end=tau_end)
 
     def test_solve_benchmark_wrapper(self, di):
         history, report = solve_benchmark(di, "third", tau_end=1.0,

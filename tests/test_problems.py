@@ -99,8 +99,9 @@ class TestReferenceQuality:
             grid, np.stack([bench.reference.control(t) for t in grid.times]))
         states = propagate_states(p, ctrl, grid, TIGHT)
         stack = transition_stack(p, states, ctrl, TIGHT)
-        gu = third.control_gradient(p, states, ctrl, stack)
-        res = third.optimality_residuals(p, states, ctrl, stack, gu,
+        nodes = third.node_inputs(p, states, ctrl)
+        gu = third.control_gradient(nodes, stack)
+        res = third.optimality_residuals(p, nodes, stack, gu,
                                          bench.reference.multipliers)
         assert res.optimality_inf <= 1e-3
         assert res.constraint_inf <= 1e-3

@@ -49,6 +49,21 @@ def _feasible_snapshot(problem, grid, controls, opts=None, exact_xdot=False):
     return snap, stack
 
 
+def _record(problem, snap, stack):
+    """Node record and cost gradient of a coupled snapshot."""
+    nodes = third.node_inputs(problem, snap.state_traj, snap.ctrl_traj)
+    return nodes, third.control_gradient(nodes, stack)
+
+
+def _state_rate(via, problem, snap, stack, udot, gains, opts=None):
+    """The quasi-feasible node-state rate by the convolution or by the
+    variational-problem oracle."""
+    if via == "ivp":
+        return checks.variational_state_rate(problem, snap, udot, gains, opts=opts)
+    nodes = third.node_inputs(problem, snap.state_traj, snap.ctrl_traj)
+    return second.state_rhs_second(problem, nodes, stack, udot, gains, defect=None)
+
+
 class TestSnapshot:
     def test_default_xdot_is_spline_derivative(self, di):
         # Reference states are cubic polynomials, which the spline
@@ -62,9 +77,10 @@ class TestSnapshot:
     def test_unknown_mode_rejected(self, di):
         grid = TimeGrid(11, 0.0, 2.0)
         snap, stack = _feasible_snapshot(di.problem, grid, np.zeros((11, 1)))
+        nodes, gu = _record(di.problem, snap, stack)
         with pytest.raises(ValueError):
-            second.multiplier_system_second(di.problem, snap, stack, di.gains,
-                                            "sloppy")
+            second.multiplier_system_second(di.problem, snap, nodes, stack, gu,
+                                            di.gains, "sloppy", defect=None)
 
 
 class TestControlRhs:
@@ -82,11 +98,11 @@ class TestControlRhs:
         rates = []
         for traj, stack in ((snap.state_traj, snap_stack),
                             (states, transition_stack(p, states, ctrl, TIGHT))):
-            gu = third.control_gradient(p, traj, ctrl, stack)
+            nodes = third.node_inputs(p, traj, ctrl)
+            gu = third.control_gradient(nodes, stack)
             pi = third.solve_multipliers(*third.multiplier_system(
-                p, traj, ctrl, stack, brach.gains, gu))
-            rates.append(third.control_rhs(p, traj, ctrl, stack, gu, pi,
-                                           brach.gains))
+                p, nodes, stack, gu, brach.gains))
+            rates.append(third.control_rhs(p, nodes, stack, gu, pi, brach.gains))
         assert np.max(np.abs(rates[0])) > 1e-2
         assert np.max(np.abs(rates[0] - rates[1])) <= 1e-6
 
@@ -129,9 +145,8 @@ class TestControlRhs:
         gains = GainSet(K=np.array([[0.3]]))
         grid = TimeGrid(11, 0.0, 1.0)
         snap, stack = _feasible_snapshot(p, grid, np.full((11, 1), 0.7))
-        gu = third.control_gradient(p, snap.state_traj, snap.ctrl_traj, stack)
-        rate = third.control_rhs(p, snap.state_traj, snap.ctrl_traj, stack, gu,
-                                 None, gains)
+        nodes, gu = _record(p, snap, stack)
+        rate = third.control_rhs(p, nodes, stack, gu, None, gains)
         assert np.array_equal(rate, -gu @ gains.K.T)
 
 
@@ -140,8 +155,8 @@ class TestStateRhs:
         grid = TimeGrid(21, 0.0, 2.0)
         snap, stack = _feasible_snapshot(di.problem, grid, np.zeros((21, 1)))
         for via in ("convolution", "ivp"):
-            out = second.state_rhs_second(di.problem, snap, stack,
-                                          np.zeros((21, 1)), di.gains, via=via)
+            out = _state_rate(via, di.problem, snap, stack, np.zeros((21, 1)),
+                              di.gains)
             assert np.max(np.abs(out)) <= 1e-14
 
     @pytest.mark.parametrize("via", ["convolution", "ivp"])
@@ -151,9 +166,8 @@ class TestStateRhs:
         grid = TimeGrid(41, 0.0, 2.0)
         snap, stack = _feasible_snapshot(di.problem, grid, np.zeros((41, 1)),
                                          TIGHT)
-        out = second.state_rhs_second(di.problem, snap, stack,
-                                      np.ones((41, 1)), di.gains, opts=TIGHT,
-                                      via=via)
+        out = _state_rate(via, di.problem, snap, stack, np.ones((41, 1)),
+                          di.gains, opts=TIGHT)
         t = grid.times
         expected = np.stack([0.5 * t**2, t], axis=1)
         assert np.max(np.abs(out - expected)) <= 1e-9
@@ -163,11 +177,10 @@ class TestStateRhs:
         # closed-form kernel against the variational-problem route.
         rng = np.random.default_rng(13)
         grid = TimeGrid(41, 0.0, 2.0)
-        snap, stack = _feasible_snapshot(di.problem, grid, np.zeros((41, 1)),
-                                         TIGHT)
+        snap, _ = _feasible_snapshot(di.problem, grid, np.zeros((41, 1)), TIGHT)
         udot = smooth_controls(grid, 1, rng, scale=0.5)
-        via_ivp = second.state_rhs_second(di.problem, snap, stack, udot,
-                                          di.gains, opts=TIGHT, via="ivp")
+        via_ivp = checks.variational_state_rate(di.problem, snap, udot, di.gains,
+                                                opts=TIGHT)
         spline = spline_build(grid.times, udot)
         worst = 0.0
         for i, ti in enumerate(grid.times):
@@ -213,14 +226,11 @@ class TestStateRhs:
         summed = cumulative_trapezoid(pulled, grid.times, axis=0, initial=0.0)
         oracle = np.einsum("inj,ij->in", fwd, summed + w0)
 
-        out = second.state_rhs_second(p, snap, stack, udot, bench.gains,
-                                      mode=mode)
+        nodes = third.node_inputs(p, snap.state_traj, snap.ctrl_traj)
+        out = second.state_rhs_second(p, nodes, stack, udot, bench.gains,
+                                      mode=mode, defect=snap.defect(p))
         assert np.max(np.abs(out)) > 1e-3
         assert np.max(np.abs(out - oracle)) <= 1e-8
-        nodes = third.node_inputs(p, snap.state_traj, snap.ctrl_traj)
-        with_nodes = second.state_rhs_second(p, snap, stack, udot, bench.gains,
-                                             mode=mode, nodes=nodes)
-        assert np.array_equal(with_nodes, out)
 
     def test_batched_forcing_equals_node_loop(self):
         # Three controls per node with state-dependent f_u, so each
@@ -240,9 +250,9 @@ class TestStateRhs:
         grid = TimeGrid(21, p.t0, p.tf)
         snap, stack = _feasible_snapshot(p, grid, smooth_controls(grid, 3, rng))
         udot = smooth_controls(grid, 3, rng, scale=0.5)
-        out = second.state_rhs_second(p, snap, stack, udot, gains)
-
         nodes = third.node_inputs(p, snap.state_traj, snap.ctrl_traj)
+        out = second.state_rhs_second(p, nodes, stack, udot, gains, defect=None)
+
         forcing = np.empty((grid.n_nodes, p.n))
         for i in range(grid.n_nodes):
             forcing[i] = nodes.fu[i] @ udot[i]
@@ -260,10 +270,12 @@ class TestStateRhs:
                                          np.full((21, 1), 0.4), TIGHT,
                                          exact_xdot=True)
         udot = np.linspace(-1.0, 1.0, 21)[:, None]
-        quasi = second.state_rhs_second(di.problem, snap, stack, udot,
-                                        di.gains, mode="quasi_feasible")
-        modified = second.state_rhs_second(di.problem, snap, stack, udot,
-                                           di.gains, mode="modified")
+        nodes, _ = _record(di.problem, snap, stack)
+        defect = snap.defect(di.problem)
+        quasi = second.state_rhs_second(di.problem, nodes, stack, udot, di.gains,
+                                        mode="quasi_feasible", defect=defect)
+        modified = second.state_rhs_second(di.problem, nodes, stack, udot, di.gains,
+                                           mode="modified", defect=defect)
         assert np.max(np.abs(quasi - modified)) <= 1e-12
 
 
@@ -271,7 +283,9 @@ class TestMultipliers:
     def test_initial_snapshot_matches_control_only_solve(self, di):
         grid = TimeGrid(41, 0.0, 2.0)
         snap, stack = _feasible_snapshot(di.problem, grid, np.zeros((41, 1)))
-        pi = second.multiplier_second(di.problem, snap, stack, di.gains)
+        nodes, gu = _record(di.problem, snap, stack)
+        pi = second.multiplier_second(di.problem, snap, nodes, stack, gu, di.gains,
+                                      defect=None)
         assert np.allclose(pi, [800.0 / 267.0, -666.5 / 267.0], atol=1e-6)
 
     @pytest.mark.parametrize("fixture_name", ["di", "brach"])
@@ -282,8 +296,11 @@ class TestMultipliers:
         grid = TimeGrid(31, p.t0, p.tf)
         snap, stack = _feasible_snapshot(p, grid, smooth_controls(grid, 1, rng),
                                          TIGHT, exact_xdot=True)
+        nodes, gu = _record(p, snap, stack)
+        defect = snap.defect(p)
         (m_mod, r_mod), (m_quasi, r_quasi), (_, r_feas) = (
-            second.multiplier_system_second(p, snap, stack, bench.gains, mode)
+            second.multiplier_system_second(p, snap, nodes, stack, gu, bench.gains,
+                                            mode, defect=defect)
             for mode in ("modified", "quasi_feasible", "feasible"))
         g0 = np.asarray(p.constraint(snap.states[-1], grid.tf), dtype=float)
         assert np.max(np.abs(r_mod - r_quasi)) <= 1e-9
@@ -300,7 +317,10 @@ class TestMultipliers:
         snap = second.SecondEqSnapshot.create(grid, states, controls, xdot=xdot)
         stack = transition_stack(di.problem, snap.state_traj, snap.ctrl_traj,
                                  TIGHT)
-        pis = [second.multiplier_second(di.problem, snap, stack, di.gains, mode)
+        nodes, gu = _record(di.problem, snap, stack)
+        defect = snap.defect(di.problem)
+        pis = [second.multiplier_second(di.problem, snap, nodes, stack, gu,
+                                        di.gains, mode, defect=defect)
                for mode in second.MODES]
         for pi in pis:
             assert np.allclose(pi, [3.0, -2.5], atol=1e-8)
@@ -313,16 +333,19 @@ class TestTerminalTimeRhs:
         snap, stack = _feasible_snapshot(brach.problem, grid,
                                          smooth_controls(grid, 1, rng), TIGHT,
                                          exact_xdot=True)
-        pi = second.multiplier_second(brach.problem, snap, stack, brach.gains)
-        mine = second.tf_rhs_second(brach.problem, snap, pi, brach.gains)
-        reference = third.tf_rhs(brach.problem, snap.state_traj,
-                                 snap.ctrl_traj, pi, brach.gains)
+        nodes, gu = _record(brach.problem, snap, stack)
+        pi = second.multiplier_second(brach.problem, snap, nodes, stack, gu,
+                                      brach.gains, defect=None)
+        mine = second.tf_rhs_second(brach.problem, snap, nodes, pi, brach.gains)
+        reference = third.tf_rhs(brach.problem, nodes, pi, brach.gains)
         assert abs(mine - reference) <= 1e-10
 
     def test_brachistochrone_initial_rate(self, brach):
         grid = TimeGrid(101, 0.0, 1.0)
         snap, stack = _feasible_snapshot(brach.problem, grid,
                                          np.zeros((101, 1)))
-        pi = second.multiplier_second(brach.problem, snap, stack, brach.gains)
-        rate = second.tf_rhs_second(brach.problem, snap, pi, brach.gains)
+        nodes, gu = _record(brach.problem, snap, stack)
+        pi = second.multiplier_second(brach.problem, snap, nodes, stack, gu,
+                                      brach.gains, defect=None)
+        rate = second.tf_rhs_second(brach.problem, snap, nodes, pi, brach.gains)
         assert rate == pytest.approx(-0.03, abs=1e-6)

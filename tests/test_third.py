@@ -29,11 +29,23 @@ from vem.problems import brachistochrone, tracking_fixture
 TIGHT = IntegratorOptions(rtol=1e-10, atol=1e-12)
 
 
-def _snapshot(problem, grid, controls, opts=None):
+def _trajectories(problem, grid, controls, opts=None):
     ctrl = ControlTrajectory.from_values(grid, controls)
     states = propagate_states(problem, ctrl, grid, opts)
     stack = transition_stack(problem, states, ctrl, opts)
     return ctrl, states, stack
+
+
+def _snapshot(problem, grid, controls, opts=None):
+    """Node record and transition stack of the propagated snapshot."""
+    ctrl, states, stack = _trajectories(problem, grid, controls, opts)
+    return third.node_inputs(problem, states, ctrl), stack
+
+
+def _system(problem, nodes, stack, gains):
+    """(gu, M, r) of the snapshot, r in the default quasi-feasible mode."""
+    gu = third.control_gradient(nodes, stack)
+    return (gu,) + third.multiplier_system(problem, nodes, stack, gu, gains)
 
 
 def _di_reference_controls(di, grid):
@@ -47,16 +59,15 @@ class TestControlGradient:
         rng = np.random.default_rng(5)
         grid = TimeGrid(41, 0.0, 2.0)
         controls = rng.standard_normal((41, 1))
-        ctrl, states, stack = _snapshot(di.problem, grid, controls)
-        gu = third.control_gradient(di.problem, states, ctrl, stack)
+        nodes, stack = _snapshot(di.problem, grid, controls)
+        gu = third.control_gradient(nodes, stack)
         assert np.max(np.abs(gu - controls)) <= 1e-9
 
     def test_brachistochrone_gradient_vanishes(self, brach):
         rng = np.random.default_rng(6)
         grid = TimeGrid(31, 0.0, 1.0)
-        ctrl, states, stack = _snapshot(brach.problem, grid,
-                                        smooth_controls(grid, 1, rng))
-        gu = third.control_gradient(brach.problem, states, ctrl, stack)
+        nodes, stack = _snapshot(brach.problem, grid, smooth_controls(grid, 1, rng))
+        gu = third.control_gradient(nodes, stack)
         assert np.max(np.abs(gu)) <= 1e-10
 
     def test_costless_problem_gradient_vanishes(self):
@@ -65,8 +76,8 @@ class TestControlGradient:
                        jac_fx=lambda x, u, t: np.zeros((1, 1)),
                        jac_fu=lambda x, u, t: np.eye(1))
         grid = TimeGrid(11, 0.0, 1.0)
-        ctrl, states, stack = _snapshot(p, grid, np.ones((11, 1)))
-        gu = third.control_gradient(p, states, ctrl, stack)
+        nodes, stack = _snapshot(p, grid, np.ones((11, 1)))
+        gu = third.control_gradient(nodes, stack)
         assert np.max(np.abs(gu)) == 0.0
 
     def test_quadrature_form_matches_adjoint_form(self):
@@ -76,9 +87,10 @@ class TestControlGradient:
         bench = tracking_fixture()
         rng = np.random.default_rng(7)
         grid = TimeGrid(801, 0.0, 1.0)
-        ctrl, states, stack = _snapshot(bench.problem, grid,
-                                        smooth_controls(grid, 1, rng), TIGHT)
-        adj = third.control_gradient(bench.problem, states, ctrl, stack)
+        ctrl, states, stack = _trajectories(bench.problem, grid,
+                                            smooth_controls(grid, 1, rng), TIGHT)
+        adj = third.control_gradient(third.node_inputs(bench.problem, states, ctrl),
+                                     stack)
         quad = checks.quadrature_gradient(
             bench.problem, states, ctrl,
             trajectory._forward_stack(bench.problem, states, ctrl, grid, TIGHT))
@@ -89,9 +101,10 @@ class TestControlGradient:
     def test_forms_agree_on_double_integrator(self, di, form):
         grid = TimeGrid(41, 0.0, 2.0)
         controls = _di_reference_controls(di, grid)
-        ctrl, states, stack = _snapshot(di.problem, grid, controls, TIGHT)
+        ctrl, states, stack = _trajectories(di.problem, grid, controls, TIGHT)
         if form == "adjoint":
-            gu = third.control_gradient(di.problem, states, ctrl, stack)
+            gu = third.control_gradient(third.node_inputs(di.problem, states, ctrl),
+                                        stack)
         else:
             fwd = trajectory._forward_stack(di.problem, states, ctrl, grid, TIGHT)
             gu = checks.quadrature_gradient(di.problem, states, ctrl, fwd)
@@ -104,13 +117,13 @@ class TestNodeInputs:
         p = make().problem
         rng = np.random.default_rng(17)
         grid = TimeGrid(41, p.t0, p.tf)
-        ctrl, states, stack = _snapshot(p, grid, smooth_controls(grid, p.m, rng))
+        nodes, stack = _snapshot(p, grid, smooth_controls(grid, p.m, rng))
         # The brachistochrone's own adjoint vanishes; a random one makes
         # every product count.
         stack = dataclasses.replace(
             stack, adjoint=rng.standard_normal(stack.adjoint.shape))
-        gu = third.control_gradient(p, states, ctrl, stack)
-        xs, us, ts = states.values, ctrl.values, grid.times
+        gu = third.control_gradient(nodes, stack)
+        xs, us, ts = nodes.xs, nodes.us, grid.times
         loop = np.empty((grid.n_nodes, p.m))
         for i in range(grid.n_nodes):
             loop[i] = (p.grad_lu(xs[i], us[i], ts[i])
@@ -132,7 +145,7 @@ class TestNodeInputs:
         p = dataclasses.replace(brach.problem, jac_fu_rows=counted("jac_fu"),
                                 grad_lu_rows=counted("grad_lu"))
         grid = TimeGrid(31, 0.0, 1.0)
-        ctrl, states, _ = _snapshot(p, grid, np.zeros((31, 1)))
+        ctrl, states, _ = _trajectories(p, grid, np.zeros((31, 1)))
         third.node_inputs(p, states, ctrl)
         assert calls == [("jac_fu", 31), ("grad_lu", 31)]
 
@@ -142,24 +155,21 @@ class TestMultiplierSystem:
         # Trapezoid of the quadratic Gramian integrand is exact:
         # M = 0.1 * [[8/3 + 1/1200, 2], [2, 2]].
         grid = TimeGrid(41, 0.0, 2.0)
-        ctrl, states, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
-        mat = third.multiplier_matrix(di.problem, states, ctrl, stack, di.gains)
+        nodes, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
+        _, mat, _ = _system(di.problem, nodes, stack, di.gains)
         expected = 0.1 * np.array([[8.0 / 3.0 + 1.0 / 1200.0, 2.0], [2.0, 2.0]])
         assert np.max(np.abs(mat - expected)) <= 1e-9
 
     def test_double_integrator_rhs_at_zero_control(self, di):
         grid = TimeGrid(41, 0.0, 2.0)
-        ctrl, states, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
-        gu = third.control_gradient(di.problem, states, ctrl, stack)
-        r = third.multiplier_rhs(di.problem, states, ctrl, stack, gu, di.gains)
+        nodes, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
+        _, _, r = _system(di.problem, nodes, stack, di.gains)
         assert np.max(np.abs(r - np.array([-0.3, -0.1]))) <= 1e-9
 
     def test_initial_multipliers_match_hand_solve(self, di):
         grid = TimeGrid(41, 0.0, 2.0)
-        ctrl, states, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
-        gu = third.control_gradient(di.problem, states, ctrl, stack)
-        mat = third.multiplier_matrix(di.problem, states, ctrl, stack, di.gains)
-        r = third.multiplier_rhs(di.problem, states, ctrl, stack, gu, di.gains)
+        nodes, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
+        _, mat, r = _system(di.problem, nodes, stack, di.gains)
         pi = third.solve_multipliers(mat, r)
         # Hand inversion of the trapezoid system: pi = [800/267, -666.5/267].
         assert np.allclose(pi, [800.0 / 267.0, -666.5 / 267.0], atol=1e-9)
@@ -170,11 +180,8 @@ class TestMultiplierSystem:
         # The same trapezoid appears in M and r, so the discrete solve
         # returns the continuum multipliers exactly at the optimum.
         grid = TimeGrid(41, 0.0, 2.0)
-        ctrl, states, stack = _snapshot(di.problem, grid,
-                                        _di_reference_controls(di, grid))
-        gu = third.control_gradient(di.problem, states, ctrl, stack)
-        mat = third.multiplier_matrix(di.problem, states, ctrl, stack, di.gains)
-        r = third.multiplier_rhs(di.problem, states, ctrl, stack, gu, di.gains)
+        nodes, stack = _snapshot(di.problem, grid, _di_reference_controls(di, grid))
+        _, mat, r = _system(di.problem, nodes, stack, di.gains)
         pi = third.solve_multipliers(mat, r)
         assert np.allclose(pi, [3.0, -2.5], atol=1e-9)
 
@@ -182,12 +189,8 @@ class TestMultiplierSystem:
         # Along the vertical-drop trajectory everything is polynomial:
         # M = [[10/3 + 1/6000, 0], [0, 5]], r = [0.2, -0.2].
         grid = TimeGrid(101, 0.0, 1.0)
-        ctrl, states, stack = _snapshot(brach.problem, grid, np.zeros((101, 1)))
-        gu = third.control_gradient(brach.problem, states, ctrl, stack)
-        mat = third.multiplier_matrix(brach.problem, states, ctrl, stack,
-                                      brach.gains)
-        r = third.multiplier_rhs(brach.problem, states, ctrl, stack, gu,
-                                 brach.gains)
+        nodes, stack = _snapshot(brach.problem, grid, np.zeros((101, 1)))
+        _, mat, r = _system(brach.problem, nodes, stack, brach.gains)
         expected_m = np.array([[10.0 / 3.0 + 1.0 / 6000.0, 0.0], [0.0, 5.0]])
         assert np.max(np.abs(mat - expected_m)) <= 1e-7
         assert np.max(np.abs(r - np.array([0.2, -0.2]))) <= 1e-8
@@ -206,10 +209,8 @@ class TestMultiplierSystem:
     def test_matrix_symmetry_on_generic_trajectory(self, brach):
         rng = np.random.default_rng(9)
         grid = TimeGrid(51, 0.0, 1.0)
-        ctrl, states, stack = _snapshot(brach.problem, grid,
-                                        smooth_controls(grid, 1, rng))
-        mat = third.multiplier_matrix(brach.problem, states, ctrl, stack,
-                                      brach.gains)
+        nodes, stack = _snapshot(brach.problem, grid, smooth_controls(grid, 1, rng))
+        _, mat, _ = _system(brach.problem, nodes, stack, brach.gains)
         assert np.max(np.abs(mat - mat.T)) <= 1e-12 * np.max(np.abs(mat))
 
     def test_constraint_on_time_only(self):
@@ -224,8 +225,8 @@ class TestMultiplierSystem:
                        dg_dt=lambda xf, tf: np.ones(1))
         gains = GainSet(K=np.eye(1), K_g=np.eye(1), k_tf=0.05)
         grid = TimeGrid(11, 0.0, 0.8)
-        ctrl, states, stack = _snapshot(p, grid, np.zeros((11, 1)))
-        mat = third.multiplier_matrix(p, states, ctrl, stack, gains)
+        nodes, stack = _snapshot(p, grid, np.zeros((11, 1)))
+        _, mat, _ = _system(p, nodes, stack, gains)
         assert np.allclose(mat, [[0.05]], atol=1e-12)
 
     def test_rhs_vanishes_on_costless_constrained_optimum(self):
@@ -239,9 +240,8 @@ class TestMultiplierSystem:
                        dg_dt=lambda xf, tf: np.zeros(1))
         gains = GainSet(K=np.eye(1), K_g=np.eye(1))
         grid = TimeGrid(11, 0.0, 1.0)
-        ctrl, states, stack = _snapshot(p, grid, np.zeros((11, 1)))
-        gu = third.control_gradient(p, states, ctrl, stack)
-        r = third.multiplier_rhs(p, states, ctrl, stack, gu, gains)
+        nodes, stack = _snapshot(p, grid, np.zeros((11, 1)))
+        _, _, r = _system(p, nodes, stack, gains)
         assert np.max(np.abs(r)) <= 1e-12
 
     def test_multipliers_respond_smoothly_to_control(self, di):
@@ -250,12 +250,8 @@ class TestMultiplierSystem:
         grid = TimeGrid(41, 0.0, 2.0)
 
         def solve_for(controls):
-            ctrl, states, stack = _snapshot(di.problem, grid, controls)
-            gu = third.control_gradient(di.problem, states, ctrl, stack)
-            mat = third.multiplier_matrix(di.problem, states, ctrl, stack,
-                                          di.gains)
-            r = third.multiplier_rhs(di.problem, states, ctrl, stack, gu,
-                                     di.gains)
+            nodes, stack = _snapshot(di.problem, grid, controls)
+            _, mat, r = _system(di.problem, nodes, stack, di.gains)
             return third.solve_multipliers(mat, r)
 
         base = solve_for(np.zeros((41, 1)))
@@ -269,14 +265,11 @@ class TestMultiplierSystem:
         # Bit-identical outputs under wildly different k_tf prove the
         # terminal-rate terms never enter fixed-horizon systems.
         grid = TimeGrid(41, 0.0, 2.0)
-        ctrl, states, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
-        gu = third.control_gradient(di.problem, states, ctrl, stack)
+        nodes, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
         g1 = GainSet(K=di.gains.K, K_g=di.gains.K_g, k_tf=0.05)
         g2 = GainSet(K=di.gains.K, K_g=di.gains.K_g, k_tf=1e6)
-        m1 = third.multiplier_matrix(di.problem, states, ctrl, stack, g1)
-        m2 = third.multiplier_matrix(di.problem, states, ctrl, stack, g2)
-        r1 = third.multiplier_rhs(di.problem, states, ctrl, stack, gu, g1)
-        r2 = third.multiplier_rhs(di.problem, states, ctrl, stack, gu, g2)
+        _, m1, r1 = _system(di.problem, nodes, stack, g1)
+        _, m2, r2 = _system(di.problem, nodes, stack, g2)
         assert np.array_equal(m1, m2)
         assert np.array_equal(r1, r2)
 
@@ -285,32 +278,27 @@ class TestControlRhs:
     def test_zero_control_rate_closed_form(self, di):
         # With continuum multipliers [3, -2.5] the rate is 0.3 t - 0.35.
         grid = TimeGrid(41, 0.0, 2.0)
-        ctrl, states, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
-        gu = third.control_gradient(di.problem, states, ctrl, stack)
-        rate = third.control_rhs(di.problem, states, ctrl, stack, gu,
+        nodes, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
+        gu = third.control_gradient(nodes, stack)
+        rate = third.control_rhs(di.problem, nodes, stack, gu,
                                  np.array([3.0, -2.5]), di.gains)
         expected = (0.3 * grid.times - 0.35)[:, None]
         assert np.max(np.abs(rate - expected)) <= 1e-9
 
     def test_stationarity_at_reference(self, di):
         grid = TimeGrid(41, 0.0, 2.0)
-        ctrl, states, stack = _snapshot(di.problem, grid,
-                                        _di_reference_controls(di, grid))
-        gu = third.control_gradient(di.problem, states, ctrl, stack)
-        rate = third.control_rhs(di.problem, states, ctrl, stack, gu,
+        nodes, stack = _snapshot(di.problem, grid, _di_reference_controls(di, grid))
+        gu = third.control_gradient(nodes, stack)
+        rate = third.control_rhs(di.problem, nodes, stack, gu,
                                  np.array([3.0, -2.5]), di.gains)
         assert np.max(np.abs(rate)) <= 1e-12
 
     def test_stationarity_with_solved_multipliers(self, di):
         grid = TimeGrid(41, 0.0, 2.0)
-        ctrl, states, stack = _snapshot(di.problem, grid,
-                                        _di_reference_controls(di, grid))
-        gu = third.control_gradient(di.problem, states, ctrl, stack)
-        mat = third.multiplier_matrix(di.problem, states, ctrl, stack, di.gains)
-        r = third.multiplier_rhs(di.problem, states, ctrl, stack, gu, di.gains)
+        nodes, stack = _snapshot(di.problem, grid, _di_reference_controls(di, grid))
+        gu, mat, r = _system(di.problem, nodes, stack, di.gains)
         pi = third.solve_multipliers(mat, r)
-        rate = third.control_rhs(di.problem, states, ctrl, stack, gu, pi,
-                                 di.gains)
+        rate = third.control_rhs(di.problem, nodes, stack, gu, pi, di.gains)
         assert np.max(np.abs(rate)) <= 1e-4
 
     def test_unconstrained_rate_is_scaled_gradient(self):
@@ -324,9 +312,9 @@ class TestControlRhs:
                        grad_lx=bench.problem.grad_lx,
                        grad_lu=bench.problem.grad_lu)
         grid = TimeGrid(21, 0.0, 1.0)
-        ctrl, states, stack = _snapshot(p, grid, np.full((21, 1), 0.3))
-        gu = third.control_gradient(p, states, ctrl, stack)
-        rate = third.control_rhs(p, states, ctrl, stack, gu, None, bench.gains)
+        nodes, stack = _snapshot(p, grid, np.full((21, 1), 0.3))
+        gu = third.control_gradient(nodes, stack)
+        rate = third.control_rhs(p, nodes, stack, gu, None, bench.gains)
         assert np.array_equal(rate, -gu @ bench.gains.K.T)
 
     def test_descent_direction_on_feasible_trajectory(self, di):
@@ -335,20 +323,16 @@ class TestControlRhs:
         grid = TimeGrid(41, 0.0, 2.0)
         t = grid.times
         perturbed = (3.0 * t - 3.5 + (t**2 - 2.0 * t + 2.0 / 3.0))[:, None]
-        ctrl, states, stack = _snapshot(di.problem, grid, perturbed, TIGHT)
-        assert np.max(np.abs(states.values[-1])) <= 1e-8
-        gu = third.control_gradient(di.problem, states, ctrl, stack)
-        mat = third.multiplier_matrix(di.problem, states, ctrl, stack, di.gains)
-        r = third.multiplier_rhs(di.problem, states, ctrl, stack, gu, di.gains)
+        nodes, stack = _snapshot(di.problem, grid, perturbed, TIGHT)
+        assert np.max(np.abs(nodes.xs[-1])) <= 1e-8
+        gu, mat, r = _system(di.problem, nodes, stack, di.gains)
         pi = third.solve_multipliers(mat, r)
-        rate = third.control_rhs(di.problem, states, ctrl, stack, gu, pi,
-                                 di.gains)
+        rate = third.control_rhs(di.problem, nodes, stack, gu, pi, di.gains)
         defect = gu + np.einsum(
-            "inm,in->im", np.stack([di.problem.jac_fu(states.values[i],
-                                                      ctrl.values[i], t[i])
+            "inm,in->im", np.stack([di.problem.jac_fu(nodes.xs[i], nodes.us[i], t[i])
                                     for i in range(41)]),
             np.einsum("inj,j->in", stack.psi,
-                      di.problem.jac_gx(states.values[-1], 2.0).T @ pi))
+                      di.problem.jac_gx(nodes.xs[-1], 2.0).T @ pi))
         d_cost = grid_quadrature(t, np.sum(defect * rate, axis=1))
         assert d_cost <= 0.0
 
@@ -356,14 +340,10 @@ class TestControlRhs:
 class TestTerminalTimeRhs:
     def test_brachistochrone_initial_rate(self, brach):
         grid = TimeGrid(101, 0.0, 1.0)
-        ctrl, states, stack = _snapshot(brach.problem, grid, np.zeros((101, 1)))
-        gu = third.control_gradient(brach.problem, states, ctrl, stack)
-        mat = third.multiplier_matrix(brach.problem, states, ctrl, stack,
-                                      brach.gains)
-        r = third.multiplier_rhs(brach.problem, states, ctrl, stack, gu,
-                                 brach.gains)
+        nodes, stack = _snapshot(brach.problem, grid, np.zeros((101, 1)))
+        _, mat, r = _system(brach.problem, nodes, stack, brach.gains)
         pi = third.solve_multipliers(mat, r)
-        rate = third.tf_rhs(brach.problem, states, ctrl, pi, brach.gains)
+        rate = third.tf_rhs(brach.problem, nodes, pi, brach.gains)
         # Hand evaluation: -0.05 (1 + pi . [0, -10]) with pi_2 = 0.04.
         assert rate == pytest.approx(-0.03, abs=1e-9)
 
@@ -374,17 +354,16 @@ class TestTerminalTimeRhs:
                        jac_fu=lambda x, u, t: np.eye(1))
         gains = GainSet(K=np.eye(1), k_tf=0.5)
         grid = TimeGrid(11, 0.0, 1.0)
-        ctrl, states, stack = _snapshot(p, grid, np.zeros((11, 1)))
-        assert third.tf_rhs(p, states, ctrl, None, gains) == 0.0
+        nodes, _ = _snapshot(p, grid, np.zeros((11, 1)))
+        assert third.tf_rhs(p, nodes, None, gains) == 0.0
 
 
 class TestResidualsAndCostates:
     def test_residuals_at_reference(self, di):
         grid = TimeGrid(41, 0.0, 2.0)
-        ctrl, states, stack = _snapshot(di.problem, grid,
-                                        _di_reference_controls(di, grid))
-        gu = third.control_gradient(di.problem, states, ctrl, stack)
-        res = third.optimality_residuals(di.problem, states, ctrl, stack, gu,
+        nodes, stack = _snapshot(di.problem, grid, _di_reference_controls(di, grid))
+        gu = third.control_gradient(nodes, stack)
+        res = third.optimality_residuals(di.problem, nodes, stack, gu,
                                          np.array([3.0, -2.5]))
         assert res.optimality_inf <= 1e-5
         assert res.constraint_inf <= 1e-5
@@ -392,25 +371,23 @@ class TestResidualsAndCostates:
 
     def test_initial_constraint_residual(self, di):
         grid = TimeGrid(41, 0.0, 2.0)
-        ctrl, states, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
-        gu = third.control_gradient(di.problem, states, ctrl, stack)
-        res = third.optimality_residuals(di.problem, states, ctrl, stack, gu,
-                                         np.zeros(2))
+        nodes, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
+        gu = third.control_gradient(nodes, stack)
+        res = third.optimality_residuals(di.problem, nodes, stack, gu, np.zeros(2))
         assert res.constraint_inf == pytest.approx(3.0, abs=1e-9)
 
     def test_costates_closed_form(self, di):
         grid = TimeGrid(41, 0.0, 2.0)
-        ctrl, states, stack = _snapshot(di.problem, grid,
-                                        _di_reference_controls(di, grid))
-        lam = third.reconstruct_costates(di.problem, states, stack,
+        nodes, stack = _snapshot(di.problem, grid, _di_reference_controls(di, grid))
+        lam = third.reconstruct_costates(di.problem, nodes, stack,
                                          np.array([3.0, -2.5]))
         expected = np.stack([di.reference.costate(t) for t in grid.times])
         assert np.max(np.abs(lam - expected)) <= 1e-9
 
     def test_costates_vanish_without_multipliers(self, di):
         grid = TimeGrid(41, 0.0, 2.0)
-        ctrl, states, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
-        lam = third.reconstruct_costates(di.problem, states, stack, np.zeros(2))
+        nodes, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
+        lam = third.reconstruct_costates(di.problem, nodes, stack, np.zeros(2))
         assert np.max(np.abs(lam)) == 0.0
 
     def test_brachistochrone_hamiltonian_constancy(self, brach):
@@ -419,11 +396,11 @@ class TestResidualsAndCostates:
         p = brach.problem
         grid = TimeGrid(101, 0.0, brach.reference.tf)
         controls = np.stack([brach.reference.control(t) for t in grid.times])
-        ctrl, states, stack = _snapshot(p, grid, controls, TIGHT)
-        lam = third.reconstruct_costates(p, states, stack,
+        nodes, stack = _snapshot(p, grid, controls, TIGHT)
+        lam = third.reconstruct_costates(p, nodes, stack,
                                          brach.reference.multipliers)
         h_vals = np.array([
-            lam[i] @ p.dynamics(states.values[i], controls[i], grid.times[i])
+            lam[i] @ p.dynamics(nodes.xs[i], controls[i], grid.times[i])
             for i in range(grid.n_nodes)])
         assert np.max(h_vals) - np.min(h_vals) <= 1e-2
         assert abs(h_vals[-1] + 1.0) <= 1e-2

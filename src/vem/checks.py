@@ -4,12 +4,13 @@ Each check returns (name, passed, detail).  The oracles here are chosen
 to be independent of the production code paths they exercise: forward
 transition matrices check the batched backward stack and, through the
 quadrature gradient form (``quadrature_gradient``), the adjoint
-gradient; propagation plus the backward stack check the shooting solve;
-the coupled state rate's variational initial-value problem
-(``variational_state_rate``), integrated by Dormand-Prince along the
-snapshot's splines, is checked in turn by per-interval Gauss quadrature
-of a closed-form kernel; finite differences check analytic derivatives,
-and closed forms check the integrator.
+gradient; propagation plus the backward stack check the shooting solve,
+and log-depth running matrix products (``cumulative_products``) its
+banded recurrences; the coupled state rate's variational initial-value
+problem (``variational_state_rate``), integrated by Dormand-Prince along
+the snapshot's splines, is checked in turn by per-interval Gauss
+quadrature of a closed-form kernel; finite differences check analytic
+derivatives, and closed forms check the integrator.
 """
 
 from __future__ import annotations
@@ -43,6 +44,25 @@ def _smooth_controls(grid, m, rng, scale=0.3, waves=2):
         amp = scale * rng.standard_normal(m)
         vals += np.sin(np.pi * k * t)[:, None] * amp
     return vals
+
+
+def cumulative_products(mats) -> np.ndarray:
+    """Running products of a matrix stack, newest factor on the left.
+
+    Entry k is ``mats[k] @ mats[k-1] @ ... @ mats[0]``; entry 0 is
+    ``mats[0]`` unchanged.  Formed by recursive doubling: after the round
+    with offset d every entry holds the product of up to 2d factors, so a
+    stack of K matrices takes ceil(log2 K) batched matmuls instead of K - 1
+    sequential ones.  The association order differs from the sequential
+    loop, so the results agree with it to rounding.  The oracle of the
+    shooting solve's banded recurrences (``_check_banded_vs_products``).
+    """
+    out = np.array(mats, dtype=float)
+    d = 1
+    while d < len(out):
+        out[d:] = out[d:] @ out[:-d]
+        d *= 2
+    return out
 
 
 def derivative_checks(seed: int = 0):
@@ -268,6 +288,45 @@ def _check_fused_vs_backward(seed=0):
     return worst <= 1e-8, f"fused-vs-backward gap {worst:.2e}"
 
 
+def _banded_gap(bench, n_nodes, rng):
+    """Worst scaled gap of the banded recurrences against running matrix
+    products at one shooting solve's tangents T_i = [[G_i, 0], [c_i^T, 1]]:
+    Psi and lam from [[Psi_i, lam_i], [0, 1]] = T_i^T ... T_N-2^T
+    [[I, lam_end], [0, 1]], and a Newton correction for a drawn residual r
+    from the products of [[G_i, r_i], [0, 1]]."""
+    p = bench.problem
+    n = p.n
+    grid = TimeGrid(n_nodes, p.t0, p.tf)
+    ctrl = ControlTrajectory.from_values(grid, _smooth_controls(grid, p.m, rng))
+    nodes, tangents = trajectory.shooting_nodes(p, ctrl, grid)
+    lam_end = np.asarray(p.grad_phix(nodes[-1], grid.tf), dtype=float)
+    psi, adjoint = trajectory._backward(tangents[:, :n, :n], tangents[:, n, :n],
+                                        lam_end)
+    end = np.eye(n + 1)
+    end[:n, n] = lam_end
+    z = cumulative_products(np.concatenate(
+        [end[None], np.swapaxes(tangents, 1, 2)[::-1]]))[::-1]
+    residual = rng.standard_normal((n_nodes - 1, n))
+    rhs = np.concatenate([np.zeros(n), residual.ravel()])[:, None]
+    delta = trajectory._bidiagonal_solve(tangents[:, :n, :n], rhs, "N")
+    steps = tangents.copy()
+    steps[:, n, :n] = 0.0
+    steps[:, :n, n] = residual
+    pairs = ((psi, z[:, :n, :n]), (adjoint, z[:, :n, n]),
+             (delta.reshape(-1, n)[1:], cumulative_products(steps)[:, :n, n]))
+    return max(float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b))))
+               for a, b in pairs)
+
+
+def _check_banded_vs_products(seed=0):
+    rng = np.random.default_rng(seed)
+    worst = max(_banded_gap(bench, n_nodes, rng)
+                for bench, n_nodes in ((double_integrator(), 41),
+                                       (brachistochrone(), 101),
+                                       (tracking_fixture(), 801)))
+    return worst <= 1e-12, f"banded-vs-products gap {worst:.2e}"
+
+
 def _check_stationarity():
     bench = double_integrator()
     p = bench.problem
@@ -279,7 +338,7 @@ def _check_stationarity():
     nodes = third_eq.node_inputs(p, states, ctrl)
     gu = third_eq.control_gradient(nodes, stack)
     pi = third_eq.solve_multipliers(*third_eq.multiplier_system(
-        p, nodes, stack, gu, bench.gains))
+        p, nodes, stack, gu, bench.gains, bracket=None))
     rate = third_eq.control_rhs(p, nodes, stack, gu, pi, bench.gains)
     worst = float(np.max(np.abs(rate)))
     return worst <= 1e-4, f"control rate at the optimum {worst:.2e}"
@@ -338,8 +397,11 @@ def _check_mode_reduction():
         nodes = third_eq.node_inputs(p, snap.state_traj, snap.ctrl_traj)
         gu, defect = third_eq.control_gradient(nodes, stack), snap.defect(p)
         (m_mod, r_mod), (_, r_quasi), (m_feas, r_feas) = (
-            second_eq.multiplier_system_second(p, snap, nodes, stack, gu,
-                                               bench.gains, mode, defect=defect)
+            second_eq.multiplier_system_second(
+                p, nodes, stack, gu, bench.gains, mode, defect=defect,
+                bracket=third_eq.terminal_bracket(
+                    p, nodes, snap.xdot[-1] if mode == "modified" else None)
+                if p.tf_free else None)
             for mode in ("modified", "quasi_feasible", "feasible"))
         g0 = np.asarray(p.constraint(states[-1], grid.tf), dtype=float)
         worst = max(worst, float(np.max(np.abs(r_mod - r_quasi))),
@@ -359,6 +421,7 @@ def invariant_checks(seed: int = 0):
     results.append(("psi-forward-backward",) + _check_psi_consistency(seed))
     results.append(("gradient-forms",) + _check_gradient_forms(seed))
     results.append(("fused-vs-backward",) + _check_fused_vs_backward(seed))
+    results.append(("banded-vs-products",) + _check_banded_vs_products(seed))
     results.append(("stationarity",) + _check_stationarity())
     results.append(("convolution-vs-variational",) + _check_convolution_vs_ivp(seed))
     results.append(("mode-reduction",) + _check_mode_reduction())

@@ -206,6 +206,9 @@ class Evaluation:
     pi: Optional[np.ndarray]
     snap: Optional[second_eq.SecondEqSnapshot] = None
     defect: Optional[np.ndarray] = None     # coupled modified mode only
+    # Free horizon only: the terminal bracket's terms along the end-node
+    # rate the tau-rate reads (the snapshot's own in modified mode).
+    bracket: Optional[tuple] = None
 
 
 class EvolutionSystem:
@@ -282,24 +285,31 @@ class EvolutionSystem:
 
     def _along(self, ctrl, states, stack, snap=None) -> Evaluation:
         """Node record, gradient and multipliers along given trajectories
-        and their stack; ``snap`` selects the coupled multiplier system
-        and, in modified mode, forms the snapshot's dynamics defect once."""
+        and their stack; ``snap`` selects the coupled multiplier system.
+        The modified-mode dynamics defect and, on a free horizon, the
+        terminal bracket's terms are formed once here."""
         problem = self.problem
         nodes = third_eq.node_inputs(problem, states, ctrl)
         gu = third_eq.control_gradient(nodes, stack)
-        defect = (snap.defect(problem)
-                  if snap is not None and self.mode == "modified" else None)
+        modified = snap is not None and self.mode == "modified"
+        defect = snap.defect(problem) if modified else None
+        bracket = None
+        if problem.tf_free:
+            bracket = third_eq.terminal_bracket(
+                problem, nodes, snap.xdot[-1] if modified else None)
         pi = None
         if problem.q > 0 and snap is not None:
-            pi = second_eq.multiplier_second(problem, snap, nodes, stack, gu,
-                                             self.gains, self.mode, defect=defect)
+            pi = second_eq.multiplier_second(problem, nodes, stack, gu,
+                                             self.gains, self.mode,
+                                             defect=defect, bracket=bracket)
         elif problem.q > 0:
             # Control-only method: always the quasi-feasible multiplier
             # system (snapshots satisfy the dynamics by construction, the
             # terminal constraint only asymptotically).
             pi = third_eq.solve_multipliers(*third_eq.multiplier_system(
-                problem, nodes, stack, gu, self.gains))
-        return Evaluation(ctrl, states, stack, nodes, gu, pi, snap, defect)
+                problem, nodes, stack, gu, self.gains, bracket=bracket))
+        return Evaluation(ctrl, states, stack, nodes, gu, pi, snap, defect,
+                          bracket)
 
     def _rate(self, ev: Evaluation) -> np.ndarray:
         """The tau-rate at an evaluation: the control rate, the coupled
@@ -314,10 +324,9 @@ class EvolutionSystem:
                                               self.gains, self.mode,
                                               defect=ev.defect)
         if problem.tf_free and snap is None:
-            tf_dot = third_eq.tf_rhs(problem, nodes, ev.pi, self.gains)
+            tf_dot = third_eq.tf_rhs(ev.bracket, ev.pi, self.gains)
         elif problem.tf_free:
-            tf_dot = second_eq.tf_rhs_second(problem, snap, nodes, ev.pi,
-                                             self.gains, self.mode)
+            tf_dot = second_eq.tf_rhs_second(ev.bracket, ev.pi, self.gains)
             # Nodes sit on normalized time, so a moving horizon drags their
             # physical positions; the stored state and control functions
             # pick up the moving-grid advection rate on top of the
@@ -333,9 +342,16 @@ class EvolutionSystem:
         return self._rate(self.evaluate(vec))
 
     def residuals(self, vec) -> third_eq.Residuals:
-        ev = self.evaluate(vec)
+        return self._residuals(self.evaluate(vec))
+
+    def _residuals(self, ev: Evaluation) -> third_eq.Residuals:
+        bracket = ev.bracket
+        if bracket is not None and ev.defect is not None:
+            # The transversality residual reads the dynamics, not the
+            # modified-mode rate's snapshot derivative.
+            bracket = third_eq.terminal_bracket(self.problem, ev.nodes)
         return third_eq.optimality_residuals(self.problem, ev.nodes, ev.stack,
-                                             ev.gu, ev.pi)
+                                             ev.gu, ev.pi, bracket=bracket)
 
     def gradient_norm(self, vec) -> float:
         """Sup-norm of the cost gradient at a snapshot (threshold scaling)."""
@@ -345,8 +361,7 @@ class EvolutionSystem:
         ev = self.evaluate(vec)
         grid = ev.nodes.grid
         cost = path_cost(self.problem, ev.states, ev.ctrl, grid, self.opts)
-        res = third_eq.optimality_residuals(self.problem, ev.nodes, ev.stack,
-                                            ev.gu, ev.pi)
+        res = self._residuals(ev)
         costates = third_eq.reconstruct_costates(self.problem, ev.nodes,
                                                  ev.stack, ev.pi)
         return SnapshotRecord(float(tau), grid.times.copy(),

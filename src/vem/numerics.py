@@ -1,10 +1,14 @@
 """Shared numerical kernels: cubic splines, grid quadrature, dense solves.
 
+The running trapezoid sums repeat scipy's ``cumulative_trapezoid``
+arithmetic, and nothing here imports ``scipy.integrate``.
+
 Spline construction solves the not-a-knot slope system, which is
-tridiagonal, with ``scipy.linalg.solve_banded`` on a band matrix cached per
-node spacing, and forms the cubic Hermite coefficients from the slopes; it
-repeats the arithmetic of scipy's ``CubicSpline``, which costs several
-times as much per build.  2-3 nodes give the interpolating line or
+tridiagonal, with LAPACK's ``dgtsv`` on diagonals cached per node spacing
+-- the routine ``scipy.linalg.solve_banded`` calls for a (1, 1) band,
+without its wrapper -- and forms the cubic Hermite coefficients from the
+slopes; it repeats the arithmetic of scipy's ``CubicSpline``, which costs
+several times as much per build.  2-3 nodes give the interpolating line or
 parabola.  Evaluation goes through a light Horner path.  A solve queries
 splines only at arrays of times; the Dormand-Prince oracles
 (``trajectory.propagate_states``, ``checks.variational_state_rate``) query
@@ -25,8 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import DegenerateGrid, SingularSystem
 
@@ -96,18 +99,19 @@ class SplineCoeffs:
 
 
 @lru_cache(maxsize=8)
-def _not_a_knot_band(spacing: bytes) -> np.ndarray:
-    """Banded (1, 1) matrix of the not-a-knot slope system for the node
-    spacing given as the bytes of ``np.diff(nodes)``; read-only."""
+def _not_a_knot_band(spacing: bytes):
+    """Sub-, main and super-diagonal of the not-a-knot slope system for the
+    node spacing given as the bytes of ``np.diff(nodes)``; read-only."""
     dx = np.frombuffer(spacing)
-    ab = np.zeros((3, dx.size + 1))
-    ab[0, 2:] = dx[:-1]
-    ab[1, 1:-1] = 2.0 * (dx[:-1] + dx[1:])
-    ab[2, :-2] = dx[1:]
-    ab[1, 0], ab[0, 1] = dx[1], dx[0] + dx[1]
-    ab[1, -1], ab[2, -2] = dx[-2], dx[-1] + dx[-2]
-    ab.flags.writeable = False
-    return ab
+    sub, main, sup = np.zeros(dx.size), np.zeros(dx.size + 1), np.zeros(dx.size)
+    sub[:-1] = dx[1:]
+    main[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    sup[1:] = dx[:-1]
+    main[0], sup[0] = dx[1], dx[0] + dx[1]
+    main[-1], sub[-1] = dx[-2], dx[-1] + dx[-2]
+    for diagonal in (sub, main, sup):
+        diagonal.flags.writeable = False
+    return sub, main, sup
 
 
 def _node_slopes(dx, slope):
@@ -126,8 +130,11 @@ def _node_slopes(dx, slope):
     rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
     d = dx[-1] + dx[-2]
     rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    return solve_banded((1, 1), _not_a_knot_band(dx.tobytes()), rhs,
-                        overwrite_b=True, check_finite=False)
+    # dgtsv overwrites its diagonals, so it gets copies of the cached ones.
+    *_, slopes, info = dgtsv(*_not_a_knot_band(dx.tobytes()), rhs, overwrite_b=1)
+    if info:
+        raise np.linalg.LinAlgError("singular not-a-knot system")
+    return slopes
 
 
 def spline_build(nodes, values) -> SplineCoeffs:
@@ -180,6 +187,23 @@ def grid_quadrature(grid, samples):
     return np.trapezoid(samples, grid, axis=0)
 
 
+def cumulative_from_left(grid, samples):
+    """Per-node running integrals from the first node to each node.
+
+    Entry i is the composite-trapezoid integral of the samples over
+    [t_0, t_i]; the first entry is exactly zero.  This is the arithmetic of
+    scipy's ``cumulative_trapezoid(samples, grid, axis=0, initial=0)``.
+    """
+    grid = _check_grid(grid)
+    samples = np.asarray(samples, dtype=float)
+    if samples.shape[0] != grid.size:
+        raise DegenerateGrid("samples and grid disagree in length")
+    d = np.diff(grid).reshape((-1,) + (1,) * (samples.ndim - 1))
+    out = np.zeros(samples.shape)
+    np.cumsum(d * (samples[1:] + samples[:-1]) / 2.0, axis=0, out=out[1:])
+    return out
+
+
 def cumulative_from_right(grid, samples):
     """Per-node running integrals from each node to the final node.
 
@@ -187,30 +211,8 @@ def cumulative_from_right(grid, samples):
     with the composite trapezoid rule; the last entry is exactly zero and
     the first equals ``grid_quadrature`` of the same samples.
     """
-    grid = _check_grid(grid)
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape[0] != grid.size:
-        raise DegenerateGrid("samples and grid disagree in length")
-    left = cumulative_trapezoid(samples, grid, axis=0, initial=0.0)
+    left = cumulative_from_left(grid, samples)
     return left[-1] - left
-
-
-def cumulative_products(mats) -> np.ndarray:
-    """Running products of a matrix stack, newest factor on the left.
-
-    Entry k is ``mats[k] @ mats[k-1] @ ... @ mats[0]``; entry 0 is
-    ``mats[0]`` unchanged.  Formed by recursive doubling: after the round
-    with offset d every entry holds the product of up to 2d factors, so a
-    stack of K matrices takes ceil(log2 K) batched matmuls instead of K - 1
-    sequential ones.  The association order differs from the sequential
-    loop, so the results agree with it to rounding.
-    """
-    out = np.array(mats, dtype=float)
-    d = 1
-    while d < len(out):
-        out[d:] = out[d:] @ out[:-d]
-        d *= 2
-    return out
 
 
 def solve_dense(mat, rhs):

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ocp import GainSet, OcpProblem
 
@@ -103,9 +102,18 @@ def cycloid_geometry(target_x: float = 2.0, drop: float = 2.0,
     def gap(theta):
         return (theta - np.sin(theta)) * drop - (1.0 - np.cos(theta)) * target_x
 
-    # The lower bracket stays clear of the degenerate root at theta = 0,
-    # where both terms underflow to zero.
-    theta_f = brentq(gap, 1e-3, 2.0 * np.pi)
+    # Bisection until the bracket holds two adjacent floats.  The lower
+    # end stays clear of the degenerate root at theta = 0, where both
+    # terms underflow to zero.
+    lo, hi = 1e-3, 2.0 * np.pi
+    rising = gap(hi) > 0.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if (gap(mid) > 0.0) == rising:
+            hi = mid
+        else:
+            lo = mid
+    theta_f = lo if abs(gap(lo)) <= abs(gap(hi)) else hi
     radius = target_x / (theta_f - np.sin(theta_f))
     tf = theta_f * np.sqrt(radius / gravity)
     return theta_f, radius, tf

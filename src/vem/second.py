@@ -20,9 +20,9 @@ variant's terms:
 
 On a defect-free snapshot the modified form reduces exactly to the
 quasi-feasible one, which in turn matches the control-only formulation.
-The modified-mode dynamics defect (``SecondEqSnapshot.defect``) is
-formed once per snapshot by the caller and passed to each formula that
-reads it.
+The modified-mode dynamics defect (``SecondEqSnapshot.defect``) and, on a
+free horizon, the terminal bracket's terms are formed once per snapshot
+by the caller and passed to each formula that reads them.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from scipy.integrate import cumulative_trapezoid
-
-from .numerics import grid_quadrature, spline_build
+from .numerics import cumulative_from_left, grid_quadrature, spline_build
 from .ocp import GainSet, OcpProblem
 from .third import NodeInputs, multiplier_system, solve_multipliers, tf_rhs
 # Not called here; perfbench/tracing.py patches these names in this module.
@@ -87,26 +85,25 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
-def multiplier_system_second(problem: OcpProblem, snap: SecondEqSnapshot,
-                             nodes: NodeInputs, stack: TransitionStack,
-                             gu: np.ndarray, gains: GainSet,
-                             mode: str = "quasi_feasible", *,
-                             defect: Optional[np.ndarray]):
+def multiplier_system_second(problem: OcpProblem, nodes: NodeInputs,
+                             stack: TransitionStack, gu: np.ndarray,
+                             gains: GainSet, mode: str = "quasi_feasible", *,
+                             defect: Optional[np.ndarray], bracket):
     """(M, r) of ``third.multiplier_system`` on the snapshot's node record
     for the requested variant.
 
-    The modified variant passes the snapshot's end-node time derivative
-    as ``xdot_end`` and appends the initial-condition and dynamics-defect
+    ``bracket`` holds the ``third.terminal_bracket`` terms, read on a free
+    horizon only; in modified mode the caller forms them with the
+    snapshot's end-node time derivative in place of the dynamics.  The
+    modified variant appends the initial-condition and dynamics-defect
     corrections to r; ``defect`` is the snapshot's dynamics defect
     (``SecondEqSnapshot.defect``), read in modified mode only.
     """
     _check_mode(mode)
-    modified = mode == "modified"
     mat, r = multiplier_system(
         problem, nodes, stack, gu, gains,
-        "feasible" if mode == "feasible" else "quasi_feasible",
-        snap.xdot[-1] if modified else None)
-    if not modified:
+        "feasible" if mode == "feasible" else "quasi_feasible", bracket=bracket)
+    if mode != "modified":
         return mat, r
     gx = np.asarray(problem.jac_gx(nodes.xs[-1], nodes.grid.tf), dtype=float)
     # Initial-condition feedback through the full-horizon transition
@@ -119,13 +116,12 @@ def multiplier_system_second(problem: OcpProblem, snap: SecondEqSnapshot,
     return mat, r + gx @ grid_quadrature(nodes.grid.times, carried)
 
 
-def multiplier_second(problem: OcpProblem, snap: SecondEqSnapshot,
-                      nodes: NodeInputs, stack: TransitionStack,
-                      gu: np.ndarray, gains: GainSet,
+def multiplier_second(problem: OcpProblem, nodes: NodeInputs,
+                      stack: TransitionStack, gu: np.ndarray, gains: GainSet,
                       mode: str = "quasi_feasible", *,
-                      defect: Optional[np.ndarray]) -> np.ndarray:
+                      defect: Optional[np.ndarray], bracket) -> np.ndarray:
     return solve_multipliers(*multiplier_system_second(
-        problem, snap, nodes, stack, gu, gains, mode, defect=defect))
+        problem, nodes, stack, gu, gains, mode, defect=defect, bracket=bracket))
 
 
 def state_rhs_second(problem: OcpProblem, nodes: NodeInputs,
@@ -160,17 +156,14 @@ def state_rhs_second(problem: OcpProblem, nodes: NodeInputs,
     # accumulate by the composite trapezoid, add the carried initial
     # value and bring each sum back to its node with one stacked solve.
     carried = np.einsum("jba,jb->ja", stack.psi, forcing)
-    summed = cumulative_trapezoid(carried, nodes.grid.times, axis=0, initial=0.0)
+    summed = cumulative_from_left(nodes.grid.times, carried)
     summed += stack.psi[0].T @ w0
     psi_t = np.swapaxes(stack.psi, 1, 2)
     return np.linalg.solve(psi_t, summed[:, :, None])[:, :, 0]
 
 
-def tf_rhs_second(problem: OcpProblem, snap: SecondEqSnapshot,
-                  nodes: NodeInputs, pi: Optional[np.ndarray],
-                  gains: GainSet, mode: str = "quasi_feasible") -> float:
-    """``third.tf_rhs`` on the snapshot's node record, with the snapshot's
-    end-node time derivative in place of the dynamics in modified mode."""
-    _check_mode(mode)
-    return tf_rhs(problem, nodes, pi, gains,
-                  snap.xdot[-1] if mode == "modified" else None)
+def tf_rhs_second(bracket, pi: Optional[np.ndarray], gains: GainSet) -> float:
+    """``third.tf_rhs`` for the coupled method, whose ``bracket`` the
+    caller forms with the snapshot's end-node time derivative in place of
+    the dynamics in modified mode."""
+    return tf_rhs(bracket, pi, gains)

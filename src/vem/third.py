@@ -17,8 +17,9 @@ constraint residual decays along the virtual evolution time; pi solves
 M pi = -r (``multiplier_system``, ``solve_multipliers``) with M a
 constraint-projected controllability Gramian.  On a free horizon the
 terminal-time rate, the transversality residual and the k_tf terms of M
-and r all read one ``terminal_bracket`` at the end node, whose time is
-the grid's ``tf`` exactly.
+and r all read the terms of one ``terminal_bracket`` at the end node,
+whose time is the grid's ``tf`` exactly; the caller forms them once per
+snapshot and end-node rate and passes them in.
 
 The coupled method (``vem.second``) is these formulas on its own
 snapshot's node record, plus its end-node time derivative (``xdot_end``)
@@ -79,27 +80,33 @@ def node_inputs(problem: OcpProblem, states: StateTrajectory,
 
 
 def terminal_bracket(problem: OcpProblem, nodes: NodeInputs,
-                     pi: Optional[np.ndarray] = None,
                      xdot_end: Optional[np.ndarray] = None):
-    """(bracket, v) at the end node: the terminal bracket
-    L + phi_t + phi_x xdot + pi (g_x xdot + g_t) and its constraint rate
-    v = g_x xdot + g_t (None without constraints).  xdot is the dynamics
-    unless ``xdot_end`` is given; without ``pi`` the bracket is the cost
-    rate alone."""
+    """(cost_rate, v) at the end node: the cost rate L + phi_t + phi_x xdot
+    and the constraint rate v = g_x xdot + g_t (None without constraints)
+    of the terminal bracket L + phi_t + phi_x xdot + pi v.  xdot is the
+    dynamics unless ``xdot_end`` is given.  The caller forms them once per
+    snapshot and end-node rate; ``bracket_value`` adds pi v."""
     x_end, u_end, tf = nodes.xs[-1], nodes.us[-1], nodes.grid.tf
     if xdot_end is None:
         xdot_end = problem.dynamics(x_end, u_end, tf)
     w = np.asarray(xdot_end, dtype=float)
-    bracket = (float(problem.running_cost(x_end, u_end, tf))
-               + float(problem.dphi_dt(x_end, tf))
-               + float(np.asarray(problem.grad_phix(x_end, tf), dtype=float) @ w))
+    cost_rate = (float(problem.running_cost(x_end, u_end, tf))
+                 + float(problem.dphi_dt(x_end, tf))
+                 + float(np.asarray(problem.grad_phix(x_end, tf), dtype=float) @ w))
     if problem.q == 0:
-        return bracket, None
+        return cost_rate, None
     v = (np.asarray(problem.jac_gx(x_end, tf), dtype=float) @ w
          + np.asarray(problem.dg_dt(x_end, tf), dtype=float))
-    if pi is not None:
-        bracket += float(pi @ v)
-    return bracket, v
+    return cost_rate, v
+
+
+def bracket_value(bracket, pi: Optional[np.ndarray]) -> float:
+    """The terminal bracket from its ``terminal_bracket`` terms: the cost
+    rate plus pi v when there are multipliers and constraints."""
+    cost_rate, v = bracket
+    if pi is None or v is None:
+        return cost_rate
+    return cost_rate + float(pi @ v)
 
 
 def control_gradient(nodes: NodeInputs, stack: TransitionStack) -> np.ndarray:
@@ -123,16 +130,14 @@ class MultiplierTerms:
 
 
 def _multiplier_terms(problem: OcpProblem, nodes: NodeInputs,
-                      stack: TransitionStack,
-                      xdot_end: Optional[np.ndarray]) -> MultiplierTerms:
+                      stack: TransitionStack, bracket) -> MultiplierTerms:
     """The shared terms of M and r: one f_u einsum, one ``jac_gx`` call
-    and, on a free horizon, one terminal bracket."""
+    and, on a free horizon, the terminal bracket's terms."""
     terms = MultiplierTerms(
         np.einsum("iba,ibm->iam", stack.psi, nodes.fu),
         np.asarray(problem.jac_gx(nodes.xs[-1], nodes.grid.tf), dtype=float))
     if problem.tf_free:
-        terms.cost_rate, terms.v = terminal_bracket(problem, nodes,
-                                                    xdot_end=xdot_end)
+        terms.cost_rate, terms.v = bracket
     return terms
 
 
@@ -176,11 +181,11 @@ def multiplier_rhs(problem: OcpProblem, nodes: NodeInputs,
 
 def multiplier_system(problem: OcpProblem, nodes: NodeInputs,
                       stack: TransitionStack, gu: np.ndarray, gains: GainSet,
-                      mode: str = "quasi_feasible",
-                      xdot_end: Optional[np.ndarray] = None):
+                      mode: str = "quasi_feasible", *, bracket):
     """(M, r) of the multiplier system M pi = -r, sharing one
-    ``MultiplierTerms``."""
-    terms = _multiplier_terms(problem, nodes, stack, xdot_end)
+    ``MultiplierTerms``; ``bracket`` holds the ``terminal_bracket`` terms,
+    read on a free horizon only."""
+    terms = _multiplier_terms(problem, nodes, stack, bracket)
     mat = multiplier_matrix(problem, nodes, terms, gains)
     return mat, multiplier_rhs(problem, nodes, terms, gu, gains, mode)
 
@@ -226,19 +231,20 @@ def _optimality_defect(problem, nodes, stack, gu, pi):
     return gu + np.einsum("inm,in->im", nodes.fu, pull)
 
 
-def tf_rhs(problem: OcpProblem, nodes: NodeInputs, pi: Optional[np.ndarray],
-           gains: GainSet, xdot_end: Optional[np.ndarray] = None) -> float:
+def tf_rhs(bracket, pi: Optional[np.ndarray], gains: GainSet) -> float:
     """Evolution rate of the free terminal time (scalar): -k_tf times the
-    terminal bracket, zero exactly when the transversality residual
-    vanishes."""
-    return -gains.k_tf * terminal_bracket(problem, nodes, pi, xdot_end)[0]
+    terminal bracket (``bracket_value``), zero exactly when the
+    transversality residual vanishes."""
+    return -gains.k_tf * bracket_value(bracket, pi)
 
 
 def optimality_residuals(problem: OcpProblem, nodes: NodeInputs,
                          stack: TransitionStack, gu: np.ndarray,
-                         pi: Optional[np.ndarray]) -> Residuals:
+                         pi: Optional[np.ndarray], *, bracket) -> Residuals:
     """Sup-norm first-order optimality, terminal-constraint miss, and
-    (free horizon only) transversality residual for the snapshot."""
+    (free horizon only) transversality residual for the snapshot; the
+    last reads ``bracket``, the ``terminal_bracket`` terms along the
+    dynamics."""
     defect = _optimality_defect(problem, nodes, stack, gu, pi)
     optimality = float(np.max(np.abs(defect)))
     constraint = 0.0
@@ -247,7 +253,7 @@ def optimality_residuals(problem: OcpProblem, nodes: NodeInputs,
         constraint = float(np.max(np.abs(np.asarray(gval, dtype=float))))
     transversality = None
     if problem.tf_free:
-        transversality = abs(terminal_bracket(problem, nodes, pi)[0])
+        transversality = abs(bracket_value(bracket, pi))
     return Residuals(optimality, constraint, transversality)
 
 

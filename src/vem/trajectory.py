@@ -8,38 +8,51 @@ Both evolution equations read the stack of matrices Psi(t_i) -- the
 transposed state transition matrix from t_i to the terminal time -- and
 the cost-gradient kernel lam, the adjoint of lam' = -f_x^T lam - L_x with
 lam(tf) set to the terminal-cost gradient.  Both are the discrete adjoint
-of per-interval maps: given each interval's step S_i, the one backward
-product (``_backward``, log-depth ``cumulative_products``)
+of per-interval maps: given each interval's blocks g_i (n, n) and c_i,
+the backward recurrence (``_backward``)
 
-    [[Psi_i, lam_i], [0, 1]] = S_i S_i+1 ... S_N-2 [[I, lam_end], [0, 1]]
+    Psi_i = g_i^T Psi_i+1,  lam_i = g_i^T lam_i+1 + c_i,
+    Psi_N-1 = I,  lam_N-1 = lam_end
 
-gives them at every node.  The two routes differ in where the steps come
-from.
+gives them at every node.  It is a unit block-bidiagonal triangular
+system -- the condensing structure of multiple shooting -- so one LAPACK
+banded triangular solve (``dtbtrs``, bandwidth 2n-1, in
+``_bidiagonal_solve``) takes all n+1 columns [Psi | lam] at once, and
+pins Psi_N-1 and lam_N-1 exactly.  The two routes differ in where the
+blocks come from.
 
 ``shooting_nodes`` solves for the node states by multiple shooting: the
 control-only method's states and the coupled method's starting states.
 Each grid interval gets a classic-RK4 map F_i of s substeps, sampled at
-the interval's stencil of ends and midpoints, and the node states solve
+the interval's stencil of ends and midpoints (whose controls are the
+control spline's interval polynomials), and the node states solve
 X_0 = x0, X_i+1 = F_i(X_i).  Newton on all intervals at once needs, per
 pass, one batched RK4 sweep over every interval -- one ``dynamics_rows``
 call per stage and one ``jac_fx_rows``/``grad_lx_rows`` call per substep
--- and its correction delta_i+1 = G_i delta_i + r_i is a linear
-recurrence, read off log-depth running products.  Dynamics affine in x
-converge after one correction.  The tangent of the maps in [x, running
-cost] is the propagator T_i = [[G_i, 0], [c_i^T, 1]] of
-Z' = [[f_x, 0], [L_x^T, 0]] Z.  ``fused_sweep`` (control-only method)
-takes S_i = T_i^T = [[G_i^T, c_i], [0, 1]].  Psi_0 = Phi(tf, t0)^T, so
-its 1-norm condition number guards the solve: past ``COND_LIMIT``
-(saddle-type dynamics, whose transition matrices grow like exp(2|a|T))
-it raises SingularSystem.  Off-node state rows are the cubic Hermite
-interpolant of the node states and rates.
+-- and its correction delta_i+1 = G_i delta_i + r_i is the forward
+recurrence of the same banded system, one more ``dtbtrs`` call.
+Dynamics affine in x converge after one correction.  The tangent of the
+maps in [x, running cost] is the propagator T_i = [[G_i, 0], [c_i^T, 1]]
+of Z' = [[f_x, 0], [L_x^T, 0]] Z; within one solve a substep's
+propagator is reused while its f_x/L_x stage rows stay bit-equal, so
+dynamics whose Jacobians do not depend on x assemble it once.  The
+step-doubling check of the s-substep maps against 2s-substep ones rides
+along: each pass after a correction runs the first s of the 2s substeps
+in the same stage calls, and the last s run once a pass confirms
+convergence, so an affine problem at s = 1 makes 12 stage calls.  Nothing
+is kept between solves.  ``fused_sweep`` (control-only method) takes
+g_i = G_i and c_i from T_i.  Psi_0 = Phi(tf, t0)^T, so its 1-norm
+condition number guards the solve: past ``COND_LIMIT`` (saddle-type
+dynamics, whose transition matrices grow like exp(2|a|T)) it raises
+SingularSystem.  Off-node state rows are the cubic Hermite interpolant of
+the node states and rates.
 
 ``transition_stack`` (coupled method, whose states are given node values,
 and the oracles) works along given state and control trajectories.  Psi
 and lam solve a linear ODE there, so no sequential sweep is needed: on
 every grid interval at once, classic RK4 takes the augmented backward
 system Y' = B(t) Y, B = [[-f_x^T, -L_x], [0, 0]], across the interval
-from Y = I, and these propagators are the steps S_i.
+from Y = I, and each propagator [[g_i^T, c_i], [0, 1]] gives the blocks.
 ``interval_stencil`` chooses the substep count by step doubling under
 the ``IntegratorOptions`` tolerances; each round makes one
 ``jac_fx_rows`` and one ``grad_lx_rows`` call over the sample times it
@@ -51,18 +64,21 @@ stencil.
 ``propagate_states`` and ``_forward_stack`` (the forward transition
 matrices Phi(t_i, t0)) are oracles: adaptive Dormand-Prince sweeps, which
 the checks and tests hold the shooting solve and both stacks against.
+The banded recurrences are held against log-depth running matrix
+products (``checks.cumulative_products``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import NonFiniteDynamics, NonFiniteField, SingularSystem, StepFailure
-from .numerics import (COND_LIMIT, SplineCoeffs, cumulative_products,
-                       hermite_build, spline_build)
+from .numerics import COND_LIMIT, SplineCoeffs, hermite_build, spline_build
 from .ocp import OcpProblem
 from .rk45 import IntegratorOptions, rk45_integrate
 
@@ -163,12 +179,12 @@ def shooting_nodes(problem: OcpProblem, ctrl: ControlTrajectory,
 
     The node states solve X_0 = x0, X_i+1 = F_i(X_i) for the classic-RK4
     maps F_i of s substeps across each grid interval (``_shoot``); X_0 is
-    x0 exactly.  Starting at s = 1, s doubles until one plain 2s-substep
-    pass from the solved nodes passes ``_refined`` against the s-substep
-    maps.  Returns the nodes (N, n) and the tangents (N-1, n+1, n+1) of
-    the maps in [x, running cost] at them.
+    x0 exactly.  Starting at s = 1, s doubles until the 2s-substep maps
+    from the solved nodes pass ``_refined`` against the s-substep maps.
+    Returns the nodes (N, n) and the tangents (N-1, n+1, n+1) of the maps
+    in [x, running cost] at them.
 
-    Raises StepFailure when the check pass would need more than
+    Raises StepFailure when the check would need more than
     ``opts.max_steps`` substeps and NonFiniteDynamics on non-finite
     dynamics or f_x/L_x rows.
     """
@@ -178,10 +194,8 @@ def shooting_nodes(problem: OcpProblem, ctrl: ControlTrajectory,
     s = 1
     while True:
         _check_budget(2 * s * n_int, opts)
-        # The s-substep stencil is every other point of the 2s one.
-        ts, us = _stencil(grid, ctrl, 2 * s)
-        nodes, ends, tangents = _shoot(problem, ts[:, ::2], us[:, ::2], nodes)
-        check, _ = _rk4_maps(problem, nodes[:-1], ts, us)
+        nodes, ends, tangents, check = _shoot(problem, *_stencil(grid, ctrl, 2 * s),
+                                              nodes)
         if _refined(check, ends, opts):
             return nodes, tangents
         s *= 2
@@ -192,9 +206,9 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
     """States and transition stack from one multiple-shooting solve.
 
     The node states and the maps' tangents come from ``shooting_nodes``;
-    Psi and the adjoint are the backward running products of the
-    transposed tangents (``_backward``).  Off-node state rows are the
-    cubic Hermite interpolant of the node states and rates.  Returns
+    Psi and the adjoint are the backward recurrence of the tangents
+    (``_backward``).  Off-node state rows are the cubic Hermite
+    interpolant of the node states and rates.  Returns
     (StateTrajectory, TransitionStack).
 
     Raises what ``shooting_nodes`` raises, and SingularSystem when
@@ -202,9 +216,10 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
     exceeds COND_LIMIT.
     """
     nodes, tangents = shooting_nodes(problem, ctrl, grid, opts)
+    n = problem.n
     lam_end = np.asarray(problem.grad_phix(nodes[-1], grid.tf), dtype=float)
-    # T_i^T = [[G_i^T, c_i], [0, 1]].
-    psi, adjoint = _backward(np.swapaxes(tangents, 1, 2), lam_end)
+    # T_i = [[G_i, 0], [c_i^T, 1]].
+    psi, adjoint = _backward(tangents[:, :n, :n], tangents[:, n, :n], lam_end)
     cond = float(np.linalg.cond(psi[0], 1))
     if cond == np.inf:
         raise SingularSystem("singular forward transition matrix")
@@ -215,16 +230,54 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
     return states, TransitionStack(grid, psi, adjoint)
 
 
-def _backward(steps, lam_end):
-    """(psi, adjoint) at every node from the interval steps (N-1, n+1, n+1)
-    taken from the end: [[Psi_i, lam_i], [0, 1]] = steps_i ... steps_N-2
-    [[I, lam_end], [0, 1]], so Psi_N = I and lam_N = lam_end exactly."""
-    n = len(lam_end)
-    end = np.eye(n + 1)
-    end[:n, n] = lam_end
-    # Running products of the reversed stack, read back in node order.
-    z = cumulative_products(np.concatenate([end[None], steps[::-1]]))[::-1]
-    return z[:, :n, :n], z[:, :n, n]
+@lru_cache(maxsize=8)
+def _band_index(blocks: int, n: int) -> np.ndarray:
+    """Flat positions of the entries of the sub-diagonal blocks of
+    ``_bidiagonal_solve``'s matrix in its band array; read-only."""
+    i = np.arange(blocks - 1)[:, None, None]
+    a = np.arange(n)[:, None]
+    b = np.arange(n)
+    # Block row i+1, block column i: entry (a, b) is matrix entry
+    # ((i+1) n + a, i n + b), band row n + a - b of column i n + b.
+    index = (i * n + b) * (2 * n) + n + a - b
+    index.flags.writeable = False
+    return index
+
+
+def _bidiagonal_solve(g, rhs, trans: str):
+    """Solve L z = rhs (``trans`` "N") or L^T z = rhs ("T") for the unit
+    block lower bidiagonal L with blocks -g_i (N-1, n, n) below the
+    diagonal; rhs is (N n, k).  L z = r is the forward recurrence
+    z_0 = r_0, z_i+1 = g_i z_i + r_i+1, and L^T z = r the backward one
+    z_N-1 = r_N-1, z_i = g_i^T z_i+1 + r_i.  One LAPACK banded triangular
+    solve (``dtbtrs``, bandwidth 2n-1, unit diagonal not stored), whose
+    substitution makes the first (forward) or last (backward) block
+    exactly its right-hand side."""
+    blocks, n = len(g) + 1, g.shape[1]
+    band = np.zeros(blocks * n * 2 * n)
+    band[_band_index(blocks, n)] = -g
+    # The row-major (N n, 2n) array is the column-major band storage
+    # (2n, N n) LAPACK reads.
+    z, info = dtbtrs(band.reshape(blocks * n, 2 * n).T, rhs, uplo="L",
+                     trans=trans, diag="U")
+    if info:
+        raise ValueError(f"dtbtrs rejected argument {-info}")
+    return z
+
+
+def _backward(g, c, lam_end):
+    """(psi, adjoint) at every node from the interval blocks g (N-1, n, n)
+    and c (N-1, n), taken from the end: Psi_i = g_i^T Psi_i+1 and
+    lam_i = g_i^T lam_i+1 + c_i, with Psi_N = I and lam_N = lam_end
+    exactly; one banded solve for all n+1 columns [Psi | lam]."""
+    blocks, n = len(g) + 1, len(lam_end)
+    rhs = np.zeros((blocks, n, n + 1))
+    rhs[:-1, :, n] = c
+    rhs[-1, :, :n] = np.eye(n)
+    rhs[-1, :, n] = lam_end
+    z = _bidiagonal_solve(g, rhs.reshape(blocks * n, n + 1), "T")
+    z = z.reshape(blocks, n, n + 1)
+    return z[:, :, :n], z[:, :, n]
 
 
 def _check_budget(substeps: int, opts: IntegratorOptions) -> None:
@@ -245,28 +298,33 @@ def _refined(fine, coarse, opts: IntegratorOptions) -> bool:
 def _stencil(grid: TimeGrid, ctrl: ControlTrajectory, s: int):
     """Sample times (N-1, 2s+1) of s RK4 substeps per interval -- their
     ends and midpoints, with the ends exactly at the nodes -- and the
-    controls there, (N-1, 2s+1, m), from one ``ctrl.eval``."""
+    controls there, (N-1, 2s+1, m).
+
+    The control spline's breakpoints are the grid nodes, so each row is
+    its interval's polynomial by Horner, as ``ctrl.eval`` computes it;
+    an interval's right end, like a spline query there, takes the next
+    interval's value at offset zero, its node value, except on the last
+    interval."""
     times = grid.times
     frac = np.arange(2 * s + 1) / (2 * s)
     ts = times[:-1, None] + np.diff(times)[:, None] * frac
     ts[:, -1] = times[1:]
-    return ts, ctrl.eval(ts.ravel()).reshape(ts.shape + (-1,))
+    c = ctrl.spline.coeffs[:, :, None, :]
+    dt = (ts - times[:-1, None])[:, :, None]
+    us = ((c[0] * dt + c[1]) * dt + c[2]) * dt + c[3]
+    us[:-1, -1] = ctrl.spline.coeffs[3, 1:]
+    return ts, us
 
 
-def _rk4_maps(problem: OcpProblem, starts, ts, us, tangent: bool = False):
-    """Classic RK4 with s substeps across every interval at once, from the
-    rows ``starts`` (K, n) on the stencil ``ts`` (K, 2s+1) and ``us``.
+def _rk4_maps(problem: OcpProblem, starts, ts, us, h):
+    """Classic RK4 with s substeps of width ``h`` (K, 1) across every row's
+    interval at once, from the rows ``starts`` (K, n) on the stencil
+    ``ts`` (K, 2s+1) and ``us``.
 
-    Each stage is one ``dynamics_rows`` call over all K intervals.  Returns
-    the end rows (K, n) and, with ``tangent``, each interval's propagator
-    of Z' = [[f_x, 0], [L_x^T, 0]] Z, (K, n+1, n+1): the derivative of the
-    RK4 map applied to [x, running cost], from one ``jac_fx_rows`` and one
-    ``grad_lx_rows`` call per substep over its four stage inputs.
+    Each stage is one ``dynamics_rows`` call over all K rows.  Returns the
+    end rows (K, n) and, per substep, its four stage inputs.
     """
-    n = problem.n
-    h = ((ts[:, -1] - ts[:, 0]) / ((ts.shape[1] - 1) // 2))[:, None]
-    eye = np.eye(n + 1)
-    x, g = starts, None
+    x, stages = starts, []
 
     def rate(xs, j):
         return np.asarray(problem.dynamics_rows(xs, us[:, j], ts[:, j]), dtype=float)
@@ -279,62 +337,136 @@ def _rk4_maps(problem: OcpProblem, starts, ts, us, tangent: bool = False):
         k3 = rate(x3, j + 1)
         x4 = x + h * k3
         k4 = rate(x4, j + 2)
-        if tangent:
-            cols = [j, j + 1, j + 1, j + 2]
-            xs = np.concatenate([x, x2, x3, x4])
-            u_rows = us[:, cols].swapaxes(0, 1).reshape(len(xs), -1)
-            t_rows = ts[:, cols].T.ravel()
-            b = np.zeros((len(xs), n + 1, n + 1))
-            b[:, :n, :n] = problem.jac_fx_rows(xs, u_rows, t_rows)
-            b[:, n, :n] = problem.grad_lx_rows(xs, u_rows, t_rows)
-            b = b.reshape(4, len(x), n + 1, n + 1)
-            hh = h[:, :, None]
-            m1 = b[0]
-            m2 = b[1] @ (eye + 0.5 * hh * m1)
-            m3 = b[2] @ (eye + 0.5 * hh * m2)
-            m4 = b[3] @ (eye + hh * m3)
-            step = eye + hh / 6.0 * (m1 + 2.0 * (m2 + m3) + m4)
-            g = step if g is None else step @ g
+        stages.append((x, x2, x3, x4))
         x = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-    return x, g
+    return x, stages
+
+
+def _tangent_step(fx, lx, h):
+    """One RK4 substep's propagator of Z' = [[f_x, 0], [L_x^T, 0]] Z,
+    (K, n+1, n+1), from the f_x (4K, n, n) and L_x (4K, n) rows at its
+    four stage inputs, stage-major."""
+    k, n = len(h), fx.shape[1]
+    eye = np.eye(n + 1)
+    b = np.zeros((4 * k, n + 1, n + 1))
+    b[:, :n, :n] = fx
+    b[:, n, :n] = lx
+    b = b.reshape(4, k, n + 1, n + 1)
+    hh = h[:, :, None]
+    m1 = b[0]
+    m2 = b[1] @ (eye + 0.5 * hh * m1)
+    m3 = b[2] @ (eye + 0.5 * hh * m2)
+    m4 = b[3] @ (eye + hh * m3)
+    return eye + hh / 6.0 * (m1 + 2.0 * (m2 + m3) + m4)
+
+
+class _Tangents:
+    """The tangents of one shooting solve's s-substep maps on the stencil
+    ``ts``, ``us`` with substep width ``h``: each interval's propagator
+    of Z' = [[f_x, 0], [L_x^T, 0]] Z, the derivative of its RK4 map
+    applied to [x, running cost].
+
+    Each pass makes one ``jac_fx_rows`` and one ``grad_lx_rows`` call per
+    substep over its four stage inputs.  A substep whose rows are bit-equal
+    to those its step was built from in an earlier pass keeps that step
+    (``_tangent_step``), and the chained product is rebuilt only when a
+    step is, so dynamics whose f_x and L_x do not depend on x assemble
+    the tangents once per solve.
+    """
+
+    def __init__(self, problem: OcpProblem, ts, us, h):
+        self.problem, self.ts, self.us, self.h = problem, ts, us, h
+        # Per substep: the f_x and L_x rows and the step built from them.
+        self.built = [None] * ((ts.shape[1] - 1) // 2)
+        self.chain = None
+
+    def at(self, stages):
+        """The tangents (K, n+1, n+1) from the per-substep stage inputs of
+        ``_rk4_maps``; only the first K rows of each are read."""
+        k = len(self.h)
+        fresh = False
+        for j, stage in enumerate(stages):
+            xs = np.concatenate([x[:k] for x in stage])
+            cols = [2 * j, 2 * j + 1, 2 * j + 1, 2 * j + 2]
+            u_rows = self.us[:, cols].swapaxes(0, 1).reshape(len(xs), -1)
+            t_rows = self.ts[:, cols].T.ravel()
+            fx = np.asarray(self.problem.jac_fx_rows(xs, u_rows, t_rows), dtype=float)
+            lx = np.asarray(self.problem.grad_lx_rows(xs, u_rows, t_rows), dtype=float)
+            old = self.built[j]
+            if not (old is not None and np.array_equal(fx, old[0])
+                    and np.array_equal(lx, old[1])):
+                self.built[j] = (fx, lx, _tangent_step(fx, lx, self.h))
+                fresh = True
+        if fresh:
+            self.chain = self.built[0][2]
+            for _, _, step in self.built[1:]:
+                self.chain = step @ self.chain
+        return self.chain
 
 
 def _shoot(problem: OcpProblem, ts, us, nodes):
-    """Node states X with X_0 = x0 and X_i+1 = F_i(X_i) for the RK4 maps
-    on the stencil, with the maps' end rows F_i(X_i) and tangents from a
-    last pass at X.
+    """Node states X with X_0 = x0 and X_i+1 = F_i(X_i) for the s-substep
+    RK4 maps on every other point of the 2s-substep stencil ``ts``,
+    ``us``.  Returns X, the maps' end rows F_i(X_i) and tangents from a
+    last pass at X, and the end rows of the 2s-substep maps from X, which
+    ``shooting_nodes`` checks F_i against.
 
     Newton from ``nodes`` on r_i = F_i(X_i) - X_i+1 over all intervals at
     once: the correction solves delta_i+1 = G_i delta_i + r_i from
-    delta_0 = 0, read off the running products of [[G_i, r_i], [0, 1]].
-    It stops when max |r_i| is at rounding level.  Non-finite rows, or no
-    convergence within NEWTON_PASSES passes, fall back to composing the
-    same maps one interval at a time from x0, the solution Newton
-    converges to.
+    delta_0 = 0 by one banded solve (``_bidiagonal_solve``).  It stops
+    when max |r_i| is at rounding level.  Each pass after a correction
+    runs the first s substeps of the 2s-substep maps in the same stage
+    calls, and the last s run once a pass confirms convergence.
+    Non-finite rows, or no convergence within NEWTON_PASSES passes, fall
+    back to composing the same maps one interval at a time from x0, the
+    solution Newton converges to.
     """
-    n = problem.n
+    n, k = problem.n, len(ts)
+    s = (ts.shape[1] - 1) // 4
+    dt = (ts[:, -1] - ts[:, 0])[:, None]
+    coarse = (ts[:, ::2], us[:, ::2], dt / s)
+    # The 2s-substep maps' first and last s substeps.
+    first = (ts[:, :2 * s + 1], us[:, :2 * s + 1], dt / (2 * s))
+    last = (ts[:, 2 * s:], us[:, 2 * s:], dt / (2 * s))
+    stacked = tuple(np.concatenate(pair) for pair in zip(coarse, first))
+    tangent = _Tangents(problem, *coarse)
     nodes = nodes.copy()
-    for _ in range(NEWTON_PASSES):
-        ends, tangents = _rk4_maps(problem, nodes[:-1], ts, us, tangent=True)
+
+    def sweep(with_check: bool):
+        """(ends, midpoint rows of the 2s-substep maps or None, tangents)
+        at the current nodes."""
+        if not with_check:
+            ends, stages = _rk4_maps(problem, nodes[:-1], *coarse)
+            return ends, None, tangent.at(stages)
+        both, stages = _rk4_maps(problem, np.concatenate([nodes[:-1]] * 2),
+                                 *stacked)
+        return both[:k], both[k:], tangent.at(stages)
+
+    def solved(ends, mid, tangents):
+        if mid is None:
+            mid, _ = _rk4_maps(problem, nodes[:-1], *first)
+        return nodes, ends, tangents, _rk4_maps(problem, mid, *last)[0]
+
+    for p in range(NEWTON_PASSES):
+        ends, mid, tangents = sweep(p > 0)
         if not (np.all(np.isfinite(ends)) and np.all(np.isfinite(tangents))):
             break
         residual = ends - nodes[1:]
         if np.max(np.abs(residual)) <= NEWTON_TOL * max(1.0, np.max(np.abs(ends))):
-            return nodes, ends, tangents
-        steps = tangents.copy()
-        steps[:, n, :n] = 0.0
-        steps[:, :n, n] = residual
-        nodes[1:] += cumulative_products(steps)[:, :n, n]
-    for i in range(len(ts)):
-        end, _ = _rk4_maps(problem, nodes[i:i + 1], ts[i:i + 1], us[i:i + 1])
+            return solved(ends, mid, tangents)
+        rhs = np.concatenate([np.zeros(n), residual.ravel()])[:, None]
+        nodes[1:] += _bidiagonal_solve(tangents[:, :n, :n], rhs,
+                                       "N").reshape(-1, n)[1:]
+    for i in range(k):
+        end, _ = _rk4_maps(problem, nodes[i:i + 1], *(a[i:i + 1] for a in coarse))
         if not np.all(np.isfinite(end)):
             raise NonFiniteDynamics(f"field returned non-finite values near "
                                     f"t={ts[i, 0]}")
         nodes[i + 1] = end[0]
-    ends, tangents = _rk4_maps(problem, nodes[:-1], ts, us, tangent=True)
+    ends, mid, tangents = sweep(True)
     if not np.all(np.isfinite(tangents)):
         raise NonFiniteDynamics("non-finite f_x or L_x rows on the shooting stencil")
-    return nodes, ends, tangents
+    return solved(ends, mid, tangents)
 
 
 def _hermite_rows(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
@@ -402,7 +534,9 @@ def transition_stack(problem: OcpProblem, states: StateTrajectory,
         return y
 
     steps = interval_stencil(grid.times, sample, propagators, opts)
-    return TransitionStack(grid, *_backward(steps, lam_end))
+    # S_i = [[g_i^T, c_i], [0, 1]].
+    return TransitionStack(grid, *_backward(np.swapaxes(steps[:, :n, :n], 1, 2),
+                                            steps[:, :n, n], lam_end))
 
 
 def interval_stencil(times, sample, estimate,

@@ -320,13 +320,15 @@ class TestRowCallbacks:
                                                           monkeypatch):
         # f_u and L_u: one N-row call per evaluation.  A control-only
         # evaluation's shooting solve on the affine brachistochrone, with
-        # one substep accepted: two Newton passes, each four (N-1)-row
-        # dynamics calls and one 4(N-1)-row f_x and L_x call, then the
-        # four-stage check pass at two substeps (eight dynamics calls);
-        # one control lookup on the two-substep stencil serves both.  No
-        # one-row call, no Dormand-Prince run, and no running cost inside a
-        # sweep: snapshots read it along the Hermite state rows, whose node
-        # rates are one N-row dynamics call.
+        # one substep accepted: two Newton passes, each four dynamics calls
+        # and one 4(N-1)-row f_x and L_x call; the confirming pass's stages
+        # also carry the first substep of the two-substep check maps
+        # (2(N-1) rows), and four (N-1)-row stages finish them: twelve
+        # dynamics calls.  The stencil's controls come from the spline
+        # coefficients, with no control lookup.  No one-row call, no
+        # Dormand-Prince run, and no running cost inside a sweep: snapshots
+        # read it along the Hermite state rows, whose node rates are one
+        # N-row dynamics call.
         calls, sweeps, lookups, phase = [], [], [], ["other"]
 
         def phased(name, fn):
@@ -378,10 +380,11 @@ class TestRowCallbacks:
                     if called == name and (not where or tag in where)]
 
         in_sweeps = len(sweeps)
-        assert sizes("dynamics_rows", "sweep") == [40] * 16 * in_sweeps
+        assert sizes("dynamics_rows", "sweep") == \
+            ([40] * 4 + [80] * 4 + [40] * 4) * in_sweeps
         assert sizes("jac_fx_rows", "sweep") == [160] * 2 * in_sweeps
         assert sizes("grad_lx_rows", "sweep") == [160] * 2 * in_sweeps
-        assert lookups == [200] * in_sweeps
+        assert lookups == []
         assert sizes("jac_fu_rows") == sizes("grad_lu_rows") == [41] * in_sweeps
         assert sizes("running_cost_rows", "sweep") == []
         assert len(sizes("running_cost_rows", "snapshot")) >= len(history.snapshots)
@@ -413,11 +416,47 @@ class TestModifiedMode:
         ev = system.evaluate(vec)
         assert np.max(np.abs(ev.defect)) > 1e-3
         defect = ev.snap.defect(brach.problem)
-        pi = second.multiplier_second(brach.problem, ev.snap, ev.nodes, ev.stack,
-                                      ev.gu, brach.gains, "modified", defect=defect)
+        pi = second.multiplier_second(brach.problem, ev.nodes, ev.stack, ev.gu,
+                                      brach.gains, "modified", defect=defect,
+                                      bracket=ev.bracket)
         assert np.array_equal(pi, ev.pi)
         own = system._rate(dataclasses.replace(ev, pi=pi, defect=defect))
         assert np.array_equal(rate, own)
+
+
+class TestTerminalBracket:
+    @pytest.mark.parametrize("method,mode", [("third", "quasi_feasible"),
+                                             ("second", "quasi_feasible"),
+                                             ("second", "modified")])
+    def test_formed_once_per_evaluation(self, brach, method, mode):
+        # The end-node dynamics, phi_t and g_t: one call each per tau-RHS,
+        # shared by the multiplier system and the terminal-time rate, and
+        # by the transversality residual.  In modified mode the rate reads
+        # the snapshot's derivative instead of the dynamics, so only the
+        # residual calls the dynamics, and it forms its own bracket.
+        calls, problem = [], brach.problem
+
+        def counted(name):
+            fn = getattr(problem, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        p = dataclasses.replace(problem, **{name: counted(name) for name in
+                                            ("dynamics", "dphi_dt", "dg_dt")})
+        system = assemble_ivp(p, method, 21, brach.gains, mode=mode)
+        vec = system.y0 * (1.0 + 1e-3)
+        calls.clear()
+        system.rhs(0.0, vec)
+        modified = mode == "modified"
+        assert sorted(calls) == ["dg_dt", "dphi_dt"] + ([] if modified
+                                                        else ["dynamics"])
+        calls.clear()
+        system.residuals(vec)
+        assert sorted(calls) == (["dg_dt", "dphi_dt", "dynamics"] if modified
+                                 else [])
 
 
 class TestConditioning:

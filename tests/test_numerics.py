@@ -1,15 +1,46 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
+from vem.checks import cumulative_products
 from vem.errors import DegenerateGrid, SingularSystem
 from vem.numerics import (
+    cumulative_from_left,
     cumulative_from_right,
-    cumulative_products,
     grid_quadrature,
     solve_dense,
     spline_build,
 )
+
+
+def test_import_leaves_out_scipy_integrate_and_optimize():
+    # A fresh ``import vem`` needs neither subpackage: the trapezoid sums
+    # and the cycloid root are computed in vem.
+    script = ("import sys, vem; print(sorted(m for m in sys.modules if "
+              "m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+class TestCumulativeFromLeft:
+    @pytest.mark.parametrize("shape", [(9,), (9, 2), (9, 2, 3)])
+    def test_matches_scipy_cumulative_trapezoid(self, shape):
+        # Bit for bit, with an uneven grid and stacked channels.
+        rng = np.random.default_rng(4)
+        grid = np.cumsum(rng.uniform(0.1, 1.0, 9))
+        samples = rng.standard_normal(shape)
+        expected = cumulative_trapezoid(samples, grid, axis=0, initial=0.0)
+        assert np.array_equal(cumulative_from_left(grid, samples), expected)
 
 
 class TestSpline:

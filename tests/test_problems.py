@@ -101,8 +101,10 @@ class TestReferenceQuality:
         stack = transition_stack(p, states, ctrl, TIGHT)
         nodes = third.node_inputs(p, states, ctrl)
         gu = third.control_gradient(nodes, stack)
+        bracket = third.terminal_bracket(p, nodes) if p.tf_free else None
         res = third.optimality_residuals(p, nodes, stack, gu,
-                                         bench.reference.multipliers)
+                                         bench.reference.multipliers,
+                                         bracket=bracket)
         assert res.optimality_inf <= 1e-3
         assert res.constraint_inf <= 1e-3
         if res.transversality is not None:

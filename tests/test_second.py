@@ -55,6 +55,16 @@ def _record(problem, snap, stack):
     return nodes, third.control_gradient(nodes, stack)
 
 
+def _bracket(problem, snap, nodes, mode="quasi_feasible"):
+    """The terminal bracket's terms on a free horizon: along the
+    snapshot's end-node time derivative in modified mode, else along the
+    dynamics."""
+    if not problem.tf_free:
+        return None
+    return third.terminal_bracket(problem, nodes,
+                                  snap.xdot[-1] if mode == "modified" else None)
+
+
 def _state_rate(via, problem, snap, stack, udot, gains, opts=None):
     """The quasi-feasible node-state rate by the convolution or by the
     variational-problem oracle."""
@@ -79,8 +89,9 @@ class TestSnapshot:
         snap, stack = _feasible_snapshot(di.problem, grid, np.zeros((11, 1)))
         nodes, gu = _record(di.problem, snap, stack)
         with pytest.raises(ValueError):
-            second.multiplier_system_second(di.problem, snap, nodes, stack, gu,
-                                            di.gains, "sloppy", defect=None)
+            second.multiplier_system_second(di.problem, nodes, stack, gu,
+                                            di.gains, "sloppy", defect=None,
+                                            bracket=None)
 
 
 class TestControlRhs:
@@ -101,7 +112,8 @@ class TestControlRhs:
             nodes = third.node_inputs(p, traj, ctrl)
             gu = third.control_gradient(nodes, stack)
             pi = third.solve_multipliers(*third.multiplier_system(
-                p, nodes, stack, gu, brach.gains))
+                p, nodes, stack, gu, brach.gains,
+                bracket=third.terminal_bracket(p, nodes)))
             rates.append(third.control_rhs(p, nodes, stack, gu, pi, brach.gains))
         assert np.max(np.abs(rates[0])) > 1e-2
         assert np.max(np.abs(rates[0] - rates[1])) <= 1e-6
@@ -232,6 +244,29 @@ class TestStateRhs:
         assert np.max(np.abs(out)) > 1e-3
         assert np.max(np.abs(out - oracle)) <= 1e-8
 
+    def test_modified_convolution_matches_variational_problem(self, di):
+        # Both modified-mode routes on double-integrator states offset by a
+        # constant from the optimum: an initial-condition error, a constant
+        # dynamics defect and a unit control rate make every forcing
+        # polynomial, so both are exact to the closed-form test's bound.
+        grid = TimeGrid(41, 0.0, 2.0)
+        p = di.problem
+        states = np.stack([di.reference.state(t) for t in grid.times])
+        controls = np.stack([di.reference.control(t) for t in grid.times])
+        snap = second.SecondEqSnapshot.create(grid, states + [0.02, -0.03],
+                                              controls)
+        stack = transition_stack(p, snap.state_traj, snap.ctrl_traj, TIGHT)
+        nodes = third.node_inputs(p, snap.state_traj, snap.ctrl_traj)
+        udot = np.ones((41, 1))
+        out = second.state_rhs_second(p, nodes, stack, udot, di.gains,
+                                      mode="modified", defect=snap.defect(p))
+        quasi = second.state_rhs_second(p, nodes, stack, udot, di.gains,
+                                        defect=None)
+        via_ivp = checks.variational_state_rate(p, snap, udot, di.gains,
+                                                mode="modified", opts=TIGHT)
+        assert np.max(np.abs(out - quasi)) > 1e-2
+        assert np.max(np.abs(out - via_ivp)) <= 1e-9
+
     def test_batched_forcing_equals_node_loop(self):
         # Three controls per node with state-dependent f_u, so each
         # forcing row is a sum whose rounding depends on the order.  The
@@ -284,8 +319,8 @@ class TestMultipliers:
         grid = TimeGrid(41, 0.0, 2.0)
         snap, stack = _feasible_snapshot(di.problem, grid, np.zeros((41, 1)))
         nodes, gu = _record(di.problem, snap, stack)
-        pi = second.multiplier_second(di.problem, snap, nodes, stack, gu, di.gains,
-                                      defect=None)
+        pi = second.multiplier_second(di.problem, nodes, stack, gu, di.gains,
+                                      defect=None, bracket=None)
         assert np.allclose(pi, [800.0 / 267.0, -666.5 / 267.0], atol=1e-6)
 
     @pytest.mark.parametrize("fixture_name", ["di", "brach"])
@@ -299,8 +334,9 @@ class TestMultipliers:
         nodes, gu = _record(p, snap, stack)
         defect = snap.defect(p)
         (m_mod, r_mod), (m_quasi, r_quasi), (_, r_feas) = (
-            second.multiplier_system_second(p, snap, nodes, stack, gu, bench.gains,
-                                            mode, defect=defect)
+            second.multiplier_system_second(p, nodes, stack, gu, bench.gains,
+                                            mode, defect=defect,
+                                            bracket=_bracket(p, snap, nodes, mode))
             for mode in ("modified", "quasi_feasible", "feasible"))
         g0 = np.asarray(p.constraint(snap.states[-1], grid.tf), dtype=float)
         assert np.max(np.abs(r_mod - r_quasi)) <= 1e-9
@@ -319,8 +355,9 @@ class TestMultipliers:
                                  TIGHT)
         nodes, gu = _record(di.problem, snap, stack)
         defect = snap.defect(di.problem)
-        pis = [second.multiplier_second(di.problem, snap, nodes, stack, gu,
-                                        di.gains, mode, defect=defect)
+        pis = [second.multiplier_second(di.problem, nodes, stack, gu,
+                                        di.gains, mode, defect=defect,
+                                        bracket=None)
                for mode in second.MODES]
         for pi in pis:
             assert np.allclose(pi, [3.0, -2.5], atol=1e-8)
@@ -334,10 +371,14 @@ class TestTerminalTimeRhs:
                                          smooth_controls(grid, 1, rng), TIGHT,
                                          exact_xdot=True)
         nodes, gu = _record(brach.problem, snap, stack)
-        pi = second.multiplier_second(brach.problem, snap, nodes, stack, gu,
-                                      brach.gains, defect=None)
-        mine = second.tf_rhs_second(brach.problem, snap, nodes, pi, brach.gains)
-        reference = third.tf_rhs(brach.problem, nodes, pi, brach.gains)
+        pi = second.multiplier_second(brach.problem, nodes, stack, gu,
+                                      brach.gains, defect=None,
+                                      bracket=_bracket(brach.problem, snap, nodes))
+        # The modified-mode bracket reads the snapshot's own derivative.
+        mine = second.tf_rhs_second(
+            _bracket(brach.problem, snap, nodes, "modified"), pi, brach.gains)
+        reference = third.tf_rhs(third.terminal_bracket(brach.problem, nodes), pi,
+                                 brach.gains)
         assert abs(mine - reference) <= 1e-10
 
     def test_brachistochrone_initial_rate(self, brach):
@@ -345,7 +386,8 @@ class TestTerminalTimeRhs:
         snap, stack = _feasible_snapshot(brach.problem, grid,
                                          np.zeros((101, 1)))
         nodes, gu = _record(brach.problem, snap, stack)
-        pi = second.multiplier_second(brach.problem, snap, nodes, stack, gu,
-                                      brach.gains, defect=None)
-        rate = second.tf_rhs_second(brach.problem, snap, nodes, pi, brach.gains)
+        bracket = _bracket(brach.problem, snap, nodes)
+        pi = second.multiplier_second(brach.problem, nodes, stack, gu,
+                                      brach.gains, defect=None, bracket=bracket)
+        rate = second.tf_rhs_second(bracket, pi, brach.gains)
         assert rate == pytest.approx(-0.03, abs=1e-6)

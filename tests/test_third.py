@@ -42,10 +42,16 @@ def _snapshot(problem, grid, controls, opts=None):
     return third.node_inputs(problem, states, ctrl), stack
 
 
+def _bracket(problem, nodes):
+    """The terminal bracket's terms along the dynamics on a free horizon."""
+    return third.terminal_bracket(problem, nodes) if problem.tf_free else None
+
+
 def _system(problem, nodes, stack, gains):
     """(gu, M, r) of the snapshot, r in the default quasi-feasible mode."""
     gu = third.control_gradient(nodes, stack)
-    return (gu,) + third.multiplier_system(problem, nodes, stack, gu, gains)
+    return (gu,) + third.multiplier_system(problem, nodes, stack, gu, gains,
+                                           bracket=_bracket(problem, nodes))
 
 
 def _di_reference_controls(di, grid):
@@ -343,7 +349,7 @@ class TestTerminalTimeRhs:
         nodes, stack = _snapshot(brach.problem, grid, np.zeros((101, 1)))
         _, mat, r = _system(brach.problem, nodes, stack, brach.gains)
         pi = third.solve_multipliers(mat, r)
-        rate = third.tf_rhs(brach.problem, nodes, pi, brach.gains)
+        rate = third.tf_rhs(_bracket(brach.problem, nodes), pi, brach.gains)
         # Hand evaluation: -0.05 (1 + pi . [0, -10]) with pi_2 = 0.04.
         assert rate == pytest.approx(-0.03, abs=1e-9)
 
@@ -355,7 +361,7 @@ class TestTerminalTimeRhs:
         gains = GainSet(K=np.eye(1), k_tf=0.5)
         grid = TimeGrid(11, 0.0, 1.0)
         nodes, _ = _snapshot(p, grid, np.zeros((11, 1)))
-        assert third.tf_rhs(p, nodes, None, gains) == 0.0
+        assert third.tf_rhs(_bracket(p, nodes), None, gains) == 0.0
 
 
 class TestResidualsAndCostates:
@@ -364,7 +370,7 @@ class TestResidualsAndCostates:
         nodes, stack = _snapshot(di.problem, grid, _di_reference_controls(di, grid))
         gu = third.control_gradient(nodes, stack)
         res = third.optimality_residuals(di.problem, nodes, stack, gu,
-                                         np.array([3.0, -2.5]))
+                                         np.array([3.0, -2.5]), bracket=None)
         assert res.optimality_inf <= 1e-5
         assert res.constraint_inf <= 1e-5
         assert res.transversality is None
@@ -373,7 +379,8 @@ class TestResidualsAndCostates:
         grid = TimeGrid(41, 0.0, 2.0)
         nodes, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
         gu = third.control_gradient(nodes, stack)
-        res = third.optimality_residuals(di.problem, nodes, stack, gu, np.zeros(2))
+        res = third.optimality_residuals(di.problem, nodes, stack, gu, np.zeros(2),
+                                         bracket=None)
         assert res.constraint_inf == pytest.approx(3.0, abs=1e-9)
 
     def test_costates_closed_form(self, di):

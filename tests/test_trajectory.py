@@ -17,7 +17,7 @@ from vem import (
 )
 from vem import checks, driver, second, trajectory
 from vem.errors import NonFiniteDynamics, NonFiniteField, SingularSystem, StepFailure
-from vem.numerics import cumulative_products
+from vem.checks import cumulative_products
 from vem.problems import brachistochrone, double_integrator, tracking_fixture
 from vem.rk45 import rk45_integrate
 
@@ -410,20 +410,24 @@ class TestShooting:
 
     @pytest.mark.parametrize("name", sorted(TestTangentPass.PROBLEMS))
     def test_affine_dynamics_take_two_newton_passes(self, name):
-        # A correction and a confirming pass, each four 20-row stages and
-        # one f_x call over the 80 stage inputs, then the check pass at two
-        # substeps: eight more stages.
+        # A correction and a confirming pass, each four stages and one f_x
+        # call over the 80 stage inputs.  The confirming pass stacks the
+        # first substep of the two-substep check maps (20 more rows) into
+        # its stages, and once it confirms, the check's second substep
+        # takes four 20-row stages.
         p, grid, ctrl = TestTangentPass._case(name)
         calls = []
         trajectory.fused_sweep(self._counting(p, calls), ctrl, grid)
-        assert calls == 2 * ([("dynamics_rows", 20)] * 4 + [("jac_fx_rows", 80)]) \
-            + [("dynamics_rows", 20)] * 8
+        assert calls == [("dynamics_rows", 20)] * 4 + [("jac_fx_rows", 80)] \
+            + [("dynamics_rows", 40)] * 4 + [("jac_fx_rows", 80)] \
+            + [("dynamics_rows", 20)] * 4
 
     def test_nonlinear_dynamics_converge(self):
         # A forced pendulum with a state cost: f_x depends on x, so Newton
         # takes more than one correction, and it converges without falling
-        # back (every dynamics call spans all 30 intervals).  At TIGHT the
-        # states, Phi, C and adjoint match the adaptive oracle.
+        # back (every dynamics call spans all 30 intervals, or them and the
+        # check maps' first substeps).  At TIGHT the states, Phi, C and
+        # adjoint match the adaptive oracle.
         p = _pendulum_problem()
         grid = TimeGrid(31, p.t0, p.tf)
         ctrl = ControlTrajectory.from_values(
@@ -432,13 +436,65 @@ class TestShooting:
         trajectory.fused_sweep(self._counting(p, calls), ctrl, grid)
         passes = calls.count(("jac_fx_rows", 120))
         assert 2 < passes < trajectory.NEWTON_PASSES
-        assert calls == passes * ([("dynamics_rows", 30)] * 4
-                                  + [("jac_fx_rows", 120)]) \
-            + [("dynamics_rows", 30)] * 8
+        assert calls == [("dynamics_rows", 30)] * 4 + [("jac_fx_rows", 120)] \
+            + (passes - 1) * ([("dynamics_rows", 60)] * 4 + [("jac_fx_rows", 120)]) \
+            + [("dynamics_rows", 30)] * 4
         calls.clear()
         states, stack = trajectory.fused_sweep(self._counting(p, calls), ctrl,
                                                grid, TIGHT)
-        assert {rows for name, rows in calls if name == "dynamics_rows"} == {30}
+        assert {rows for name, rows in calls if name == "dynamics_rows"} == {30, 60}
+        TestTangentPass._check(p, ctrl, TIGHT, states, stack,
+                               *_augmented_sweep(p, ctrl, grid, TIGHT), 1e-8)
+
+    @pytest.mark.parametrize("name", ["double-integrator", "brachistochrone"])
+    def test_state_free_jacobians_assemble_the_tangents_once(self, name,
+                                                             monkeypatch):
+        # f_x and L_x do not depend on x on the shipped problems, so the
+        # confirming pass's rows equal the correction pass's bit for bit
+        # and its tangents are reused: one step assembly per solve, and
+        # the same bits as an assembly per pass.
+        p, grid, ctrl = TestTangentPass._case(name)
+        built, step = [], trajectory._tangent_step
+
+        def counting(*args):
+            built.append(None)
+            return step(*args)
+
+        monkeypatch.setattr(trajectory, "_tangent_step", counting)
+        _, tangents = trajectory.shooting_nodes(p, ctrl, grid)
+        assert len(built) == 1
+        fresh = trajectory._Tangents.at
+
+        def rebuilt(self, stages):
+            self.built = [None] * len(self.built)
+            return fresh(self, stages)
+
+        monkeypatch.setattr(trajectory._Tangents, "at", rebuilt)
+        _, again = trajectory.shooting_nodes(p, ctrl, grid)
+        assert len(built) == 3
+        assert np.array_equal(tangents, again)
+
+    @pytest.mark.parametrize("name", ["tracking", "pendulum"])
+    def test_state_dependent_jacobians_rebuild_every_pass(self, name,
+                                                          monkeypatch):
+        # An x-dependent L_x (tracking fixture) or f_x (pendulum) changes
+        # the stage rows with every correction, so each pass builds its
+        # own tangents, and the solve still matches the adaptive oracle.
+        p = tracking_fixture().problem if name == "tracking" else _pendulum_problem()
+        grid = TimeGrid(31, p.t0, p.tf)
+        ctrl = ControlTrajectory.from_values(
+            grid, smooth_controls(grid, p.m, np.random.default_rng(8)))
+        calls, built, step = [], [], trajectory._tangent_step
+
+        def counting(*args):
+            built.append(None)
+            return step(*args)
+
+        monkeypatch.setattr(trajectory, "_tangent_step", counting)
+        states, stack = trajectory.fused_sweep(self._counting(p, calls), ctrl,
+                                               grid, TIGHT)
+        assert calls.count(("jac_fx_rows", 120)) >= 2
+        assert len(built) == sum(1 for name, _ in calls if name == "jac_fx_rows")
         TestTangentPass._check(p, ctrl, TIGHT, states, stack,
                                *_augmented_sweep(p, ctrl, grid, TIGHT), 1e-8)
 

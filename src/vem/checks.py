@@ -9,8 +9,11 @@ and log-depth running matrix products (``cumulative_products``) its
 banded recurrences; the coupled state rate's variational initial-value
 problem (``variational_state_rate``), integrated by Dormand-Prince along
 the snapshot's splines, is checked in turn by per-interval Gauss
-quadrature of a closed-form kernel; finite differences check analytic
-derivatives, and closed forms check the integrator.
+quadrature of a closed-form kernel; the Psi^T f_u-first multiplier
+assembly with einsums and ``grid_quadrature`` (``multiplier_assembly``)
+checks the constraint projection every multiplier formula reads; finite
+differences check analytic derivatives, and closed forms check the
+integrator.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from . import second as second_eq
 from . import third as third_eq
 from . import trajectory
-from .driver import StateLayout, path_cost
+from .driver import EvolutionSystem, StateLayout, path_cost
 from .numerics import cumulative_from_right, grid_quadrature, solve_dense, spline_build
 from .ocp import check_derivatives, row_form_mismatches, validate_problem
 from .problems import brachistochrone, double_integrator, tracking_fixture
@@ -337,9 +340,10 @@ def _check_stationarity():
     stack = transition_stack(p, states, ctrl, TIGHT)
     nodes = third_eq.node_inputs(p, states, ctrl)
     gu = third_eq.control_gradient(nodes, stack)
+    terms = third_eq.multiplier_terms(p, nodes, stack)
     pi = third_eq.solve_multipliers(*third_eq.multiplier_system(
-        p, nodes, stack, gu, bench.gains, bracket=None))
-    rate = third_eq.control_rhs(p, nodes, stack, gu, pi, bench.gains)
+        p, nodes, terms, gu, bench.gains))
+    rate = third_eq.control_rhs(terms, gu, pi, bench.gains)
     worst = float(np.max(np.abs(rate)))
     return worst <= 1e-4, f"control rate at the optimum {worst:.2e}"
 
@@ -373,6 +377,88 @@ def _check_convolution_vs_ivp(seed=0):
     return worst <= 1e-6, f"convolution-vs-variational gap {worst:.2e}"
 
 
+def multiplier_assembly(problem, nodes, stack, gu, gains, mode="quasi_feasible",
+                        defect=None, xdot_end=None):
+    """Oracle of the multiplier kernel (``third.multiplier_terms`` and the
+    formulas that read its projections): (M, r, pi, control rate,
+    costates) by the Psi^T f_u-first assembly, with einsums over every
+    node, ``grid_quadrature`` of the integrands, and g_x and phi_x read
+    where each term needs them.  ``mode`` is a coupled variant; the
+    modified one adds the K_x0 and K_f corrections for the dynamics
+    ``defect`` and takes the terminal bracket along ``xdot_end``."""
+    times, x_end, tf = nodes.grid.times, nodes.xs[-1], nodes.grid.tf
+    gx = np.asarray(problem.jac_gx(x_end, tf), dtype=float)
+    psit_fu = np.einsum("iba,ibm->iam", stack.psi, nodes.fu)
+    integrand = np.einsum("iak,ibk->iab", psit_fu @ gains.K, psit_fu)
+    mat = gx @ grid_quadrature(times, integrand) @ gx.T
+    r = gx @ grid_quadrature(times, np.einsum("iam,im->ia", psit_fu,
+                                              gu @ gains.K.T))
+    if problem.tf_free:
+        u_end = nodes.us[-1]
+        w = np.asarray(problem.dynamics(x_end, u_end, tf) if xdot_end is None
+                       else xdot_end, dtype=float)
+        cost_rate = (float(problem.running_cost(x_end, u_end, tf))
+                     + float(problem.dphi_dt(x_end, tf))
+                     + float(np.asarray(problem.grad_phix(x_end, tf), dtype=float) @ w))
+        v = gx @ w + np.asarray(problem.dg_dt(x_end, tf), dtype=float)
+        mat = mat + gains.k_tf * np.outer(v, v)
+        r = r + gains.k_tf * v * cost_rate
+    if mode != "feasible":
+        r = r - gains.K_g @ np.asarray(problem.constraint(x_end, tf), dtype=float)
+    if mode == "modified":
+        init_err = nodes.xs[0] - problem.x0
+        r = r + gx @ (stack.psi[0].T @ (gains.kx0(problem.n) @ init_err))
+        carried = np.einsum("iba,ib->ia", stack.psi, defect @ gains.kf(problem.n).T)
+        r = r + gx @ grid_quadrature(times, carried)
+    pi = -np.linalg.solve(mat, r)
+    pull = np.einsum("inj,j->in", stack.psi, gx.T @ pi)
+    rate = -((gu + np.einsum("inm,in->im", nodes.fu, pull)) @ gains.K.T)
+    return mat, r, pi, rate, stack.adjoint + pull
+
+
+def _projection_gap(bench, method, mode, rng):
+    """Worst relative gap of M, r, pi, the control rate and the costates
+    of one evaluation against ``multiplier_assembly``, at drawn controls
+    and, for the coupled method, the shooting nodes offset by noise (so
+    the modified variant sees initial-condition and dynamics defects)."""
+    p, gains = bench.problem, bench.gains
+    grid = TimeGrid(bench.default_nodes, p.t0, p.tf)
+    controls = _smooth_controls(grid, p.m, rng)
+    states = None
+    if method == "second":
+        nodes, _ = trajectory.shooting_nodes(
+            p, ControlTrajectory.from_values(grid, controls), grid)
+        states = nodes + 1e-3 * rng.standard_normal(nodes.shape)
+    layout = StateLayout(method, grid.n_nodes, p.n, p.m, p.tf_free)
+    vec = layout.pack(controls, states=states, tf=p.tf if p.tf_free else None)
+    ev = EvolutionSystem(p, gains, method, grid.n_nodes, IntegratorOptions(), vec,
+                         mode).evaluate(vec)
+    if method == "third":
+        mat, r = third_eq.multiplier_system(p, ev.nodes, ev.terms, ev.gu, gains)
+    else:
+        mat, r = second_eq.multiplier_system_second(
+            p, ev.nodes, ev.terms, ev.gu, gains, mode, defect=ev.defect)
+    kernel = (mat, r, ev.pi, third_eq.control_rhs(ev.terms, ev.gu, ev.pi, gains),
+              third_eq.reconstruct_costates(ev.stack, ev.terms, ev.pi))
+    oracle = multiplier_assembly(
+        p, ev.nodes, ev.stack, ev.gu, gains, mode, ev.defect,
+        ev.snap.xdot[-1] if ev.defect is not None else None)
+    return max(float(np.max(np.abs(a - b))) / float(np.max(np.abs(b)))
+               for a, b in zip(kernel, oracle))
+
+
+def _check_multiplier_projection(seed=0):
+    rng = np.random.default_rng(seed)
+    worst = max(_projection_gap(bench, method, mode, rng)
+                for bench in (double_integrator(), brachistochrone(),
+                              tracking_fixture())
+                for method, mode in (("third", "quasi_feasible"),
+                                     ("second", "feasible"),
+                                     ("second", "quasi_feasible"),
+                                     ("second", "modified")))
+    return worst <= 1e-12, f"projection-vs-assembly gap {worst:.2e}"
+
+
 def _check_mode_reduction():
     # The fixed-horizon benchmark at its analytic optimum (exact initial
     # condition, terminal constraint met exactly) and the free-horizon one
@@ -398,10 +484,9 @@ def _check_mode_reduction():
         gu, defect = third_eq.control_gradient(nodes, stack), snap.defect(p)
         (m_mod, r_mod), (_, r_quasi), (m_feas, r_feas) = (
             second_eq.multiplier_system_second(
-                p, nodes, stack, gu, bench.gains, mode, defect=defect,
-                bracket=third_eq.terminal_bracket(
-                    p, nodes, snap.xdot[-1] if mode == "modified" else None)
-                if p.tf_free else None)
+                p, nodes, third_eq.multiplier_terms(
+                    p, nodes, stack, snap.xdot[-1] if mode == "modified" else None),
+                gu, bench.gains, mode, defect=defect)
             for mode in ("modified", "quasi_feasible", "feasible"))
         g0 = np.asarray(p.constraint(states[-1], grid.tf), dtype=float)
         worst = max(worst, float(np.max(np.abs(r_mod - r_quasi))),
@@ -425,6 +510,7 @@ def invariant_checks(seed: int = 0):
     results.append(("stationarity",) + _check_stationarity())
     results.append(("convolution-vs-variational",) + _check_convolution_vs_ivp(seed))
     results.append(("mode-reduction",) + _check_mode_reduction())
+    results.append(("multiplier-projection",) + _check_multiplier_projection(seed))
     return results
 
 

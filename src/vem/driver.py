@@ -173,9 +173,9 @@ def path_cost(problem: OcpProblem, states: StateTrajectory,
     interval stencil of ``transition_stack``, one ``running_cost_rows``
     call per round.
     """
-    def sample(ts):
-        return np.asarray(problem.running_cost_rows(states.rows(ts), ctrl.eval(ts),
-                                                    ts), dtype=float)
+    def sample(ts, frac):
+        return np.asarray(problem.running_cost_rows(
+            states.stencil_rows(ts, frac), ctrl.stencil_rows(frac), ts), dtype=float)
 
     def simpson(rows, dt):
         weights = np.full(rows.shape[1], 2.0)
@@ -195,7 +195,10 @@ class Evaluation:
     ``nodes`` is the node record every formula reads, taken along
     ``states`` and ``ctrl``: for the coupled method the snapshot's own
     trajectories (``snap``), for the control-only method the shooting
-    solve's states under the node controls.
+    solve's states under the node controls.  ``terms`` holds the end-node
+    terms every formula reads: g_x, its projections and, on a free
+    horizon, the terminal bracket along the end-node rate the tau-rate
+    reads (the snapshot's own in modified mode).
     """
 
     ctrl: ControlTrajectory
@@ -203,12 +206,10 @@ class Evaluation:
     stack: TransitionStack
     nodes: third_eq.NodeInputs
     gu: np.ndarray
+    terms: third_eq.MultiplierTerms
     pi: Optional[np.ndarray]
     snap: Optional[second_eq.SecondEqSnapshot] = None
     defect: Optional[np.ndarray] = None     # coupled modified mode only
-    # Free horizon only: the terminal bracket's terms along the end-node
-    # rate the tau-rate reads (the snapshot's own in modified mode).
-    bracket: Optional[tuple] = None
 
 
 class EvolutionSystem:
@@ -284,49 +285,46 @@ class EvolutionSystem:
         return self._along(snap.ctrl_traj, snap.state_traj, stack, snap)
 
     def _along(self, ctrl, states, stack, snap=None) -> Evaluation:
-        """Node record, gradient and multipliers along given trajectories
-        and their stack; ``snap`` selects the coupled multiplier system.
-        The modified-mode dynamics defect and, on a free horizon, the
-        terminal bracket's terms are formed once here."""
+        """Node record, gradient, end-node terms and multipliers along
+        given trajectories and their stack; ``snap`` selects the coupled
+        multiplier system.  The modified-mode dynamics defect and the
+        end-node terms are formed once here."""
         problem = self.problem
         nodes = third_eq.node_inputs(problem, states, ctrl)
         gu = third_eq.control_gradient(nodes, stack)
         modified = snap is not None and self.mode == "modified"
         defect = snap.defect(problem) if modified else None
-        bracket = None
-        if problem.tf_free:
-            bracket = third_eq.terminal_bracket(
-                problem, nodes, snap.xdot[-1] if modified else None)
+        terms = third_eq.multiplier_terms(problem, nodes, stack,
+                                          snap.xdot[-1] if modified else None)
         pi = None
         if problem.q > 0 and snap is not None:
-            pi = second_eq.multiplier_second(problem, nodes, stack, gu,
+            pi = second_eq.multiplier_second(problem, nodes, terms, gu,
                                              self.gains, self.mode,
-                                             defect=defect, bracket=bracket)
+                                             defect=defect)
         elif problem.q > 0:
             # Control-only method: always the quasi-feasible multiplier
             # system (snapshots satisfy the dynamics by construction, the
             # terminal constraint only asymptotically).
             pi = third_eq.solve_multipliers(*third_eq.multiplier_system(
-                problem, nodes, stack, gu, self.gains, bracket=bracket))
-        return Evaluation(ctrl, states, stack, nodes, gu, pi, snap, defect,
-                          bracket)
+                problem, nodes, terms, gu, self.gains))
+        return Evaluation(ctrl, states, stack, nodes, gu, terms, pi, snap,
+                          defect)
 
     def _rate(self, ev: Evaluation) -> np.ndarray:
         """The tau-rate at an evaluation: the control rate, the coupled
         method's node-state rate, and the terminal-time rate on a free
         horizon."""
         problem, snap, nodes = self.problem, ev.snap, ev.nodes
-        udot = third_eq.control_rhs(problem, nodes, ev.stack, ev.gu, ev.pi,
-                                    self.gains)
+        udot = third_eq.control_rhs(ev.terms, ev.gu, ev.pi, self.gains)
         wdot = tf_dot = None
         if snap is not None:
             wdot = second_eq.state_rhs_second(problem, nodes, ev.stack, udot,
                                               self.gains, self.mode,
                                               defect=ev.defect)
         if problem.tf_free and snap is None:
-            tf_dot = third_eq.tf_rhs(ev.bracket, ev.pi, self.gains)
+            tf_dot = third_eq.tf_rhs(ev.terms.bracket, ev.pi, self.gains)
         elif problem.tf_free:
-            tf_dot = second_eq.tf_rhs_second(ev.bracket, ev.pi, self.gains)
+            tf_dot = second_eq.tf_rhs_second(ev.terms.bracket, ev.pi, self.gains)
             # Nodes sit on normalized time, so a moving horizon drags their
             # physical positions; the stored state and control functions
             # pick up the moving-grid advection rate on top of the
@@ -334,7 +332,7 @@ class EvolutionSystem:
             # the dynamics and the designed constraint decay never closes.
             stretch = nodes.grid.sigma[:, None] * tf_dot
             wdot = wdot + snap.xdot * stretch
-            udot = udot + ev.ctrl.spline.derivative(nodes.grid.times) * stretch
+            udot = udot + snap.du_dt * stretch
         return self.layout.pack(udot, states=wdot, tf=tf_dot)
 
     # -- public surface ----------------------------------------------------
@@ -345,12 +343,13 @@ class EvolutionSystem:
         return self._residuals(self.evaluate(vec))
 
     def _residuals(self, ev: Evaluation) -> third_eq.Residuals:
-        bracket = ev.bracket
+        bracket = ev.terms.bracket
         if bracket is not None and ev.defect is not None:
             # The transversality residual reads the dynamics, not the
             # modified-mode rate's snapshot derivative.
-            bracket = third_eq.terminal_bracket(self.problem, ev.nodes)
-        return third_eq.optimality_residuals(self.problem, ev.nodes, ev.stack,
+            bracket = third_eq.terminal_bracket(self.problem, ev.nodes, ev.stack,
+                                                ev.terms.gx)
+        return third_eq.optimality_residuals(self.problem, ev.nodes, ev.terms,
                                              ev.gu, ev.pi, bracket=bracket)
 
     def gradient_norm(self, vec) -> float:
@@ -362,8 +361,7 @@ class EvolutionSystem:
         grid = ev.nodes.grid
         cost = path_cost(self.problem, ev.states, ev.ctrl, grid, self.opts)
         res = self._residuals(ev)
-        costates = third_eq.reconstruct_costates(self.problem, ev.nodes,
-                                                 ev.stack, ev.pi)
+        costates = third_eq.reconstruct_costates(ev.stack, ev.terms, ev.pi)
         return SnapshotRecord(float(tau), grid.times.copy(),
                               ev.ctrl.values.copy(), ev.states.values.copy(),
                               costates, cost,

@@ -9,18 +9,25 @@ tridiagonal, with LAPACK's ``dgtsv`` on diagonals cached per node spacing
 without its wrapper -- and forms the cubic Hermite coefficients from the
 slopes; it repeats the arithmetic of scipy's ``CubicSpline``, which costs
 several times as much per build.  2-3 nodes give the interpolating line or
-parabola.  Evaluation goes through a light Horner path.  A solve queries
-splines only at arrays of times; the Dormand-Prince oracles
+parabola.  Evaluation goes through a light Horner path.  A solve reads
+splines on interval stencils -- the same fractions of every interval --
+by ``SplineCoeffs.at_fractions``, which runs Horner on each interval's
+coefficients with no interval search; other array queries serve node
+derivatives and snapshots, and the Dormand-Prince oracles
 (``trajectory.propagate_states``, ``checks.variational_state_rate``) query
-them at one time per field call, where scipy's PPoly call overhead would
-dominate.
+splines at one time per field call, where scipy's PPoly call overhead
+would dominate.
 
 Scalar queries (a Python ``float``, ``np.float64`` or any 0-d value) take a
 fast path without temporary arrays.  Both paths find the interval by
 ``searchsorted`` on the interior breakpoints, which clamps outside queries
 to the edge intervals without ``np.clip``, and run the same elementwise
 Horner arithmetic on the same coefficients, so a scalar query returns bit
-for bit what the same time inside an array query of any length returns.
+for bit what the same time inside an array query of any length returns,
+and what the fraction reader returns at a stencil time.
+
+``solve_dense`` takes the 2-norm condition number from one singular-value
+call, as ``np.linalg.cond`` computes it, without that wrapper.
 """
 
 from __future__ import annotations
@@ -96,6 +103,31 @@ class SplineCoeffs:
         return self._shaped((3.0 * c[0] * dt + 2.0 * c[1]) * dt + c[2])
 
     __call__ = eval
+
+    def at_fractions(self, frac) -> np.ndarray:
+        """Values at the fractions ``frac`` (K,) of every interval,
+        (N-1, K, channels): interval j's polynomial by Horner at
+        t_j + (t_j+1 - t_j) frac_k, the bits ``eval`` returns at that time,
+        with no interval search.  A last fraction of exactly 1 is each
+        interval's right end t_j+1, where, as for a query there, the next
+        interval's node value is taken, except on the last interval."""
+        left, right = self.breakpoints[:-1, None], self.breakpoints[1:, None]
+        ts = left + (right - left) * frac
+        right_end = frac[-1] == 1.0
+        if right_end:
+            ts[:, -1] = right[:, 0]
+        c = self.coeffs[:, :, None, :]
+        dt = (ts - left)[:, :, None]
+        # ((c0 dt + c1) dt + c2) dt + c3, in place.
+        out = c[0] * dt
+        out += c[1]
+        out *= dt
+        out += c[2]
+        out *= dt
+        out += c[3]
+        if right_end:
+            out[:-1, -1] = self.coeffs[3, 1:]
+        return out
 
 
 @lru_cache(maxsize=8)
@@ -226,7 +258,10 @@ def solve_dense(mat, rhs):
     rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
     if not np.all(np.isfinite(mat)):
         raise SingularSystem("matrix contains non-finite entries")
-    cond = float(np.linalg.cond(mat))
+    # The 2-norm condition number as np.linalg.cond forms it, without its
+    # wrapper; a zero singular value gives inf.
+    sv = np.linalg.svd(mat, compute_uv=False)
+    cond = float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else np.inf
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularSystem(f"condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
     return np.linalg.solve(mat, rhs), cond

@@ -20,9 +20,12 @@ variant's terms:
 
 On a defect-free snapshot the modified form reduces exactly to the
 quasi-feasible one, which in turn matches the control-only formulation.
-The modified-mode dynamics defect (``SecondEqSnapshot.defect``) and, on a
-free horizon, the terminal bracket's terms are formed once per snapshot
-by the caller and passed to each formula that reads them.
+The modified-mode dynamics defect (``SecondEqSnapshot.defect``) and the
+end-node terms (``third.MultiplierTerms``: the constraint projection and,
+on a free horizon, the terminal bracket) are formed once per snapshot by
+the caller and passed to each formula that reads them; the modified-mode
+corrections read the projection Q = Psi g_x^T.  A snapshot builds one
+spline over [states | controls] and reads its node derivatives once.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import cumulative_from_left, grid_quadrature, spline_build
+from .numerics import SplineCoeffs, cumulative_from_left, spline_build
 from .ocp import GainSet, OcpProblem
-from .third import NodeInputs, multiplier_system, solve_multipliers, tf_rhs
+from .third import (MultiplierTerms, NodeInputs, multiplier_system,
+                    solve_multipliers, tf_rhs, weighted_rows)
 # Not called here; perfbench/tracing.py patches these names in this module.
 from .rk45 import rk45_integrate  # noqa: F401
 from .third import (control_gradient, control_rhs, multiplier_matrix,  # noqa: F401
@@ -48,15 +52,18 @@ MODES = ("feasible", "quasi_feasible", "modified")
 class SecondEqSnapshot:
     """One (states, controls, tf) snapshot of the coupled evolution.
 
-    ``xdot`` holds the discrete time derivative of the states at the
-    nodes; by default it is the state spline differentiated, which is how
-    the dynamics defect is discretized.  Tests may inject exact values.
+    One spline over [states | controls] serves both trajectories, whose
+    splines are views of its coefficients, and one derivative read at the
+    nodes gives ``du_dt``, the control spline's time derivative, and
+    ``xdot``, the discrete time derivative of the states, which is how the
+    dynamics defect is discretized.  Tests may inject exact ``xdot``.
     """
 
     grid: TimeGrid
     states: np.ndarray          # (N, n)
     controls: np.ndarray        # (N, m)
     xdot: np.ndarray            # (N, n)
+    du_dt: np.ndarray           # (N, m)
     state_traj: StateTrajectory
     ctrl_traj: ControlTrajectory
 
@@ -67,12 +74,18 @@ class SecondEqSnapshot:
         controls = np.atleast_2d(np.asarray(controls, dtype=float))
         if controls.shape[0] != grid.n_nodes:
             controls = controls.T
-        state_spline = spline_build(grid.times, states)
+        n = states.shape[1]
+        # The slope solve treats each channel alone, so the joint spline's
+        # columns are bit for bit those of separate builds.
+        joint = spline_build(grid.times, np.concatenate([states, controls], axis=1))
+        state_spline = SplineCoeffs(joint.breakpoints, joint.coeffs[:, :, :n])
+        slopes = joint.derivative(grid.times)
         if xdot is None:
-            xdot = state_spline.derivative(grid.times)
+            xdot = slopes[:, :n]
         return cls(grid, states, controls, np.asarray(xdot, dtype=float),
-                   StateTrajectory(grid, states, state_spline.eval),
-                   ControlTrajectory(grid, controls, spline_build(grid.times, controls)))
+                   slopes[:, n:], StateTrajectory(grid, states, lambda: state_spline),
+                   ControlTrajectory(grid, controls, SplineCoeffs(
+                       joint.breakpoints, joint.coeffs[:, :, n:])))
 
     def defect(self, problem: OcpProblem) -> np.ndarray:
         """Dynamics defect xdot - f at the nodes, shape (N, n)."""
@@ -86,42 +99,42 @@ def _check_mode(mode: str) -> None:
 
 
 def multiplier_system_second(problem: OcpProblem, nodes: NodeInputs,
-                             stack: TransitionStack, gu: np.ndarray,
+                             terms: MultiplierTerms, gu: np.ndarray,
                              gains: GainSet, mode: str = "quasi_feasible", *,
-                             defect: Optional[np.ndarray], bracket):
+                             defect: Optional[np.ndarray]):
     """(M, r) of ``third.multiplier_system`` on the snapshot's node record
     for the requested variant.
 
-    ``bracket`` holds the ``third.terminal_bracket`` terms, read on a free
-    horizon only; in modified mode the caller forms them with the
-    snapshot's end-node time derivative in place of the dynamics.  The
-    modified variant appends the initial-condition and dynamics-defect
-    corrections to r; ``defect`` is the snapshot's dynamics defect
-    (``SecondEqSnapshot.defect``), read in modified mode only.
+    In modified mode the caller forms the terms' terminal bracket with the
+    snapshot's end-node time derivative in place of the dynamics, and the
+    variant appends the initial-condition and dynamics-defect corrections
+    to r through the projection Q = Psi g_x^T; ``defect`` is the
+    snapshot's dynamics defect (``SecondEqSnapshot.defect``), read in
+    modified mode only.
     """
     _check_mode(mode)
     mat, r = multiplier_system(
-        problem, nodes, stack, gu, gains,
-        "feasible" if mode == "feasible" else "quasi_feasible", bracket=bracket)
+        problem, nodes, terms, gu, gains,
+        "feasible" if mode == "feasible" else "quasi_feasible")
     if mode != "modified":
         return mat, r
-    gx = np.asarray(problem.jac_gx(nodes.xs[-1], nodes.grid.tf), dtype=float)
+    q = terms.psi_gx
     # Initial-condition feedback through the full-horizon transition
-    # matrix: Phi(tf, t0) equals Psi(t0)^T.
+    # matrix: g_x Phi(tf, t0) = Q_0^T.
     init_err = nodes.xs[0] - problem.x0
-    r = r + gx @ (stack.psi[0].T @ (gains.kx0(problem.n) @ init_err))
-    # Dynamics-defect feedback, transported to the terminal time.
-    carried = np.einsum("iba,ib->ia", stack.psi,
-                        defect @ gains.kf(problem.n).T)   # Psi^T K_f defect per node
-    return mat, r + gx @ grid_quadrature(nodes.grid.times, carried)
+    r = r + q[0].T @ (gains.kx0(problem.n) @ init_err)
+    # Dynamics-defect feedback, transported to the terminal time: the
+    # trapezoid sum of Q_i^T K_f defect_i.
+    carried = defect @ gains.kf(problem.n).T
+    return mat, r + weighted_rows(nodes, q).T @ carried.ravel()
 
 
 def multiplier_second(problem: OcpProblem, nodes: NodeInputs,
-                      stack: TransitionStack, gu: np.ndarray, gains: GainSet,
+                      terms: MultiplierTerms, gu: np.ndarray, gains: GainSet,
                       mode: str = "quasi_feasible", *,
-                      defect: Optional[np.ndarray], bracket) -> np.ndarray:
+                      defect: Optional[np.ndarray]) -> np.ndarray:
     return solve_multipliers(*multiplier_system_second(
-        problem, nodes, stack, gu, gains, mode, defect=defect, bracket=bracket))
+        problem, nodes, terms, gu, gains, mode, defect=defect))
 
 
 def state_rhs_second(problem: OcpProblem, nodes: NodeInputs,

@@ -15,11 +15,21 @@ matrices is an oracle in ``vem.checks``.  The terminal constraint enters
 through the multiplier vector pi, chosen at every snapshot so that the
 constraint residual decays along the virtual evolution time; pi solves
 M pi = -r (``multiplier_system``, ``solve_multipliers``) with M a
-constraint-projected controllability Gramian.  On a free horizon the
+constraint-projected controllability Gramian.
+
+The constraint enters every formula through one projection per snapshot
+(``multiplier_terms``, carried as ``MultiplierTerms``): g_x is read once
+at the end node, and Q = Psi g_x^T (N, n, q) and P = f_u^T Q (N, m, q)
+are formed once.  M = sum_i w_i P_i^T K P_i + k_tf v v^T and
+r = sum_i w_i P_i^T K gu_i + k_tf v cost_rate - K_g g are sums over the
+grid's trapezoid weights w; the constraint pull in the control rate and
+the residuals is P pi and the costates add Q pi.  The Psi^T f_u-first
+assembly with einsums and ``grid_quadrature`` is an oracle in
+``vem.checks`` (``multiplier_assembly``).  On a free horizon the
 terminal-time rate, the transversality residual and the k_tf terms of M
 and r all read the terms of one ``terminal_bracket`` at the end node,
-whose time is the grid's ``tf`` exactly; the caller forms them once per
-snapshot and end-node rate and passes them in.
+whose time is the grid's ``tf`` exactly and whose phi_x is the adjoint's
+end value; it is formed once per snapshot and end-node rate.
 
 The coupled method (``vem.second``) is these formulas on its own
 snapshot's node record, plus its end-node time derivative (``xdot_end``)
@@ -33,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import grid_quadrature, solve_dense
+from .numerics import solve_dense
 from .ocp import GainSet, OcpProblem
 from .trajectory import ControlTrajectory, StateTrajectory, TimeGrid, TransitionStack
 
@@ -80,24 +90,25 @@ def node_inputs(problem: OcpProblem, states: StateTrajectory,
 
 
 def terminal_bracket(problem: OcpProblem, nodes: NodeInputs,
+                     stack: TransitionStack, gx: Optional[np.ndarray],
                      xdot_end: Optional[np.ndarray] = None):
     """(cost_rate, v) at the end node: the cost rate L + phi_t + phi_x xdot
     and the constraint rate v = g_x xdot + g_t (None without constraints)
     of the terminal bracket L + phi_t + phi_x xdot + pi v.  xdot is the
-    dynamics unless ``xdot_end`` is given.  The caller forms them once per
-    snapshot and end-node rate; ``bracket_value`` adds pi v."""
+    dynamics unless ``xdot_end`` is given; phi_x is the adjoint's end
+    value, which the stack pins to the terminal-cost gradient exactly, and
+    ``gx`` the evaluation's g_x (``MultiplierTerms``).  The caller forms
+    them once per snapshot and end-node rate; ``bracket_value`` adds pi v."""
     x_end, u_end, tf = nodes.xs[-1], nodes.us[-1], nodes.grid.tf
     if xdot_end is None:
         xdot_end = problem.dynamics(x_end, u_end, tf)
     w = np.asarray(xdot_end, dtype=float)
     cost_rate = (float(problem.running_cost(x_end, u_end, tf))
                  + float(problem.dphi_dt(x_end, tf))
-                 + float(np.asarray(problem.grad_phix(x_end, tf), dtype=float) @ w))
-    if problem.q == 0:
+                 + float(stack.adjoint[-1] @ w))
+    if gx is None:
         return cost_rate, None
-    v = (np.asarray(problem.jac_gx(x_end, tf), dtype=float) @ w
-         + np.asarray(problem.dg_dt(x_end, tf), dtype=float))
-    return cost_rate, v
+    return cost_rate, gx @ w + np.asarray(problem.dg_dt(x_end, tf), dtype=float)
 
 
 def bracket_value(bracket, pi: Optional[np.ndarray]) -> float:
@@ -119,48 +130,65 @@ def control_gradient(nodes: NodeInputs, stack: TransitionStack) -> np.ndarray:
 
 @dataclass
 class MultiplierTerms:
-    """What M and r share, formed once per snapshot: Psi^T f_u at every
-    node, g_x at the end node and, on a free horizon, the terminal cost
-    rate and constraint rate v of ``terminal_bracket``."""
+    """The end-node terms of one evaluation, formed once by
+    ``multiplier_terms`` and read by every formula: g_x at the end node,
+    the constraint projection Q = Psi g_x^T and P = f_u^T Q at every node
+    (all None without constraints) and, on a free horizon, the terminal
+    bracket's terms."""
 
-    psit_fu: np.ndarray         # (N, n, m)
-    gx: np.ndarray              # (q, n)
-    cost_rate: Optional[float] = None
-    v: Optional[np.ndarray] = None
+    gx: Optional[np.ndarray]            # (q, n)
+    psi_gx: Optional[np.ndarray]        # Q, (N, n, q)
+    fu_psi_gx: Optional[np.ndarray]     # P, (N, m, q)
+    bracket: Optional[tuple] = None     # terminal_bracket's (cost_rate, v)
 
 
-def _multiplier_terms(problem: OcpProblem, nodes: NodeInputs,
-                      stack: TransitionStack, bracket) -> MultiplierTerms:
-    """The shared terms of M and r: one f_u einsum, one ``jac_gx`` call
-    and, on a free horizon, the terminal bracket's terms."""
-    terms = MultiplierTerms(
-        np.einsum("iba,ibm->iam", stack.psi, nodes.fu),
-        np.asarray(problem.jac_gx(nodes.xs[-1], nodes.grid.tf), dtype=float))
+def multiplier_terms(problem: OcpProblem, nodes: NodeInputs,
+                     stack: TransitionStack,
+                     xdot_end: Optional[np.ndarray] = None) -> MultiplierTerms:
+    """One ``jac_gx`` call, the projections Q and P, and on a free horizon
+    the terminal bracket along ``xdot_end`` (the dynamics when None)."""
+    gx = None
+    if problem.q > 0:
+        gx = np.asarray(problem.jac_gx(nodes.xs[-1], nodes.grid.tf), dtype=float)
+    bracket = None
     if problem.tf_free:
-        terms.cost_rate, terms.v = bracket
-    return terms
+        bracket = terminal_bracket(problem, nodes, stack, gx, xdot_end)
+    if gx is None:
+        return MultiplierTerms(None, None, None, bracket)
+    n_nodes, n = stack.adjoint.shape
+    psi_gx = (stack.psi.reshape(-1, n) @ gx.T).reshape(n_nodes, n, -1)
+    return MultiplierTerms(gx, psi_gx, np.einsum("inm,inq->imq", nodes.fu, psi_gx),
+                           bracket)
+
+
+def weighted_rows(nodes: NodeInputs, per_node: np.ndarray) -> np.ndarray:
+    """(N, k, q) node terms times the grid's trapezoid weights, as
+    (N k, q) rows: their transpose times node rows is the trapezoid sum."""
+    return (per_node * nodes.grid.weights[:, None, None]).reshape(
+        -1, per_node.shape[2])
 
 
 def multiplier_matrix(problem: OcpProblem, nodes: NodeInputs,
                       terms: MultiplierTerms, gains: GainSet) -> np.ndarray:
-    """Constraint-projected Gramian M, symmetric positive semi-definite.
+    """Constraint-projected Gramian M = sum_i w_i P_i^T K P_i over the
+    grid's trapezoid weights, symmetric positive semi-definite.
 
     Fixed-horizon problems carry only the Gramian term; free-horizon
-    problems add the rank-one terminal-rate term weighted by k_tf.
+    problems add the rank-one terminal-rate term k_tf v v^T.
     """
-    # Psi^T fu K fu^T Psi at every node, integrated by trapezoid.
-    psit_fu = terms.psit_fu
-    integrand = np.einsum("iak,ibk->iab", psit_fu @ gains.K, psit_fu)
-    mat = terms.gx @ grid_quadrature(nodes.grid.times, integrand) @ terms.gx.T
+    p = terms.fu_psi_gx
+    mat = weighted_rows(nodes, p).T @ (gains.K @ p).reshape(-1, p.shape[2])
     if problem.tf_free:
-        mat = mat + gains.k_tf * np.outer(terms.v, terms.v)
+        v = terms.bracket[1]
+        mat = mat + gains.k_tf * np.outer(v, v)
     return mat
 
 
 def multiplier_rhs(problem: OcpProblem, nodes: NodeInputs,
                    terms: MultiplierTerms, gu: np.ndarray, gains: GainSet,
                    mode: str) -> np.ndarray:
-    """Right-hand side r of the multiplier system.
+    """Right-hand side r = sum_i w_i P_i^T K gu_i [+ k_tf v cost_rate]
+    [- K_g g] of the multiplier system.
 
     ``mode`` "feasible" omits the constraint-attraction term -K_g g, which
     "quasi_feasible" includes; on a trajectory already satisfying g = 0
@@ -168,10 +196,10 @@ def multiplier_rhs(problem: OcpProblem, nodes: NodeInputs,
     """
     if mode not in ("feasible", "quasi_feasible"):
         raise ValueError(f"unknown mode {mode!r}")
-    integrand = np.einsum("iam,im->ia", terms.psit_fu, gu @ gains.K.T)
-    r = terms.gx @ grid_quadrature(nodes.grid.times, integrand)
+    r = weighted_rows(nodes, terms.fu_psi_gx).T @ (gu @ gains.K.T).ravel()
     if problem.tf_free:
-        r = r + gains.k_tf * terms.v * terms.cost_rate
+        cost_rate, v = terms.bracket
+        r = r + gains.k_tf * v * cost_rate
     if mode == "quasi_feasible":
         gval = np.asarray(problem.constraint(nodes.xs[-1], nodes.grid.tf),
                           dtype=float)
@@ -180,12 +208,10 @@ def multiplier_rhs(problem: OcpProblem, nodes: NodeInputs,
 
 
 def multiplier_system(problem: OcpProblem, nodes: NodeInputs,
-                      stack: TransitionStack, gu: np.ndarray, gains: GainSet,
-                      mode: str = "quasi_feasible", *, bracket):
-    """(M, r) of the multiplier system M pi = -r, sharing one
-    ``MultiplierTerms``; ``bracket`` holds the ``terminal_bracket`` terms,
-    read on a free horizon only."""
-    terms = _multiplier_terms(problem, nodes, stack, bracket)
+                      terms: MultiplierTerms, gu: np.ndarray, gains: GainSet,
+                      mode: str = "quasi_feasible"):
+    """(M, r) of the multiplier system M pi = -r from one evaluation's
+    ``MultiplierTerms``."""
     mat = multiplier_matrix(problem, nodes, terms, gains)
     return mat, multiplier_rhs(problem, nodes, terms, gu, gains, mode)
 
@@ -202,33 +228,22 @@ def solve_multipliers(M: np.ndarray, r: np.ndarray) -> np.ndarray:
     return -sol
 
 
-def control_rhs(problem: OcpProblem, nodes: NodeInputs, stack: TransitionStack,
-                gu: np.ndarray, pi: Optional[np.ndarray],
-                gains: GainSet) -> np.ndarray:
+def control_rhs(terms: MultiplierTerms, gu: np.ndarray,
+                pi: Optional[np.ndarray], gains: GainSet) -> np.ndarray:
     """Evolution rate of the node controls, shape (N, m).
 
     Vanishes identically exactly when the first-order optimality residual
     is zero at every node.
     """
-    resid = _optimality_defect(problem, nodes, stack, gu, pi)
-    return -(resid @ gains.K.T)
+    return -(_optimality_defect(terms, gu, pi) @ gains.K.T)
 
 
-def _multiplier_pull(problem, nodes, stack, pi):
-    """Psi gx^T pi at every node, shape (N, n); None without multipliers."""
-    if pi is None or problem.q == 0:
-        return None
-    gx = np.asarray(problem.jac_gx(nodes.xs[-1], nodes.grid.tf), dtype=float)
-    return np.einsum("inj,j->in", stack.psi, gx.T @ pi)
-
-
-def _optimality_defect(problem, nodes, stack, gu, pi):
-    """gu + fu^T Psi gx^T pi at every node (the constraint term only
-    when multipliers are present)."""
-    pull = _multiplier_pull(problem, nodes, stack, pi)
-    if pull is None:
-        return np.array(gu, copy=True)
-    return gu + np.einsum("inm,in->im", nodes.fu, pull)
+def _optimality_defect(terms, gu, pi):
+    """gu + P pi at every node, P = f_u^T Psi g_x^T (the constraint pull
+    only when multipliers are present)."""
+    if pi is None:
+        return gu
+    return gu + terms.fu_psi_gx @ pi
 
 
 def tf_rhs(bracket, pi: Optional[np.ndarray], gains: GainSet) -> float:
@@ -239,13 +254,13 @@ def tf_rhs(bracket, pi: Optional[np.ndarray], gains: GainSet) -> float:
 
 
 def optimality_residuals(problem: OcpProblem, nodes: NodeInputs,
-                         stack: TransitionStack, gu: np.ndarray,
+                         terms: MultiplierTerms, gu: np.ndarray,
                          pi: Optional[np.ndarray], *, bracket) -> Residuals:
     """Sup-norm first-order optimality, terminal-constraint miss, and
     (free horizon only) transversality residual for the snapshot; the
     last reads ``bracket``, the ``terminal_bracket`` terms along the
     dynamics."""
-    defect = _optimality_defect(problem, nodes, stack, gu, pi)
+    defect = _optimality_defect(terms, gu, pi)
     optimality = float(np.max(np.abs(defect)))
     constraint = 0.0
     if problem.q > 0:
@@ -257,17 +272,14 @@ def optimality_residuals(problem: OcpProblem, nodes: NodeInputs,
     return Residuals(optimality, constraint, transversality)
 
 
-def reconstruct_costates(problem: OcpProblem, nodes: NodeInputs,
-                         stack: TransitionStack,
+def reconstruct_costates(stack: TransitionStack, terms: MultiplierTerms,
                          pi: Optional[np.ndarray]) -> np.ndarray:
     """Diagnostic costate estimates at the nodes, shape (N, n).
 
     Combines the backward cost-gradient sweep with the multiplier pull-in
-    Psi gx^T pi, so that gu plus the constraint term equals
+    Q pi = Psi g_x^T pi, so that gu plus the constraint term equals
     L_u + fu^T lambda at every node.
     """
-    lam = np.array(stack.adjoint, copy=True)
-    pull = _multiplier_pull(problem, nodes, stack, pi)
-    if pull is not None:
-        lam += pull
-    return lam
+    if pi is None:
+        return np.array(stack.adjoint, copy=True)
+    return stack.adjoint + terms.psi_gx @ pi

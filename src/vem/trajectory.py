@@ -59,7 +59,13 @@ the ``IntegratorOptions`` tolerances; each round makes one
 adds.  Intervals end at nodes, where the state and control splines are
 joined, so RK4 keeps its order on every interval.  A snapshot's cost
 (``driver.path_cost``, either method) is composite Simpson on the same
-stencil.
+stencil.  Each round hands its sampler the fractions of the points it
+adds, and the trajectories read their splines there -- the shooting
+stencil's controls too -- with ``SplineCoeffs.at_fractions`` (Horner on
+each interval's coefficients, no interval search), bit for bit what a
+query at those times returns.  A grid carries its trapezoid weights
+(``TimeGrid.weights``, the unit grid's, kept per node count, times the
+width), which the multiplier sums read.
 
 ``propagate_states`` and ``_forward_stack`` (the forward transition
 matrices Phi(t_i, t0)) are oracles: adaptive Dormand-Prince sweeps, which
@@ -71,7 +77,7 @@ products (``checks.cumulative_products``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -92,22 +98,40 @@ NEWTON_TOL = 1e-13
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform normalized grid with its physical image on [t0, tf]."""
+    """Uniform normalized grid with its physical image on [t0, tf], and
+    the composite-trapezoid weights of the physical nodes."""
 
     n_nodes: int
     t0: float
     tf: float
     sigma: np.ndarray = field(repr=False, default=None)
     times: np.ndarray = field(repr=False, default=None)
+    weights: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.n_nodes < 4:
             raise ValueError("need at least 4 grid nodes")
         if self.tf <= self.t0:
             raise ValueError("tf must exceed t0")
-        sigma = np.linspace(0.0, 1.0, self.n_nodes)
+        sigma, unit_weights = _unit_grid(self.n_nodes)
+        width = self.tf - self.t0
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "times", self.t0 + sigma * (self.tf - self.t0))
+        object.__setattr__(self, "times", self.t0 + sigma * width)
+        object.__setattr__(self, "weights", width * unit_weights)
+
+
+@lru_cache(maxsize=8)
+def _unit_grid(n_nodes: int):
+    """The normalized nodes on [0, 1] and their trapezoid weights;
+    read-only."""
+    sigma = np.linspace(0.0, 1.0, n_nodes)
+    half = 0.5 * np.diff(sigma)
+    weights = np.zeros(n_nodes)
+    weights[:-1] += half
+    weights[1:] += half
+    for arr in (sigma, weights):
+        arr.flags.writeable = False
+    return sigma, weights
 
 
 @dataclass
@@ -130,26 +154,58 @@ class ControlTrajectory:
     def eval(self, t):
         return self.spline.eval(t)
 
+    def stencil_rows(self, frac) -> np.ndarray:
+        """Rows at the times of one ``interval_stencil`` round with
+        fractions ``frac``."""
+        return _stencil_rows(self.spline, frac)
+
 
 @dataclass
 class StateTrajectory:
     """Node states plus a dense evaluator for off-node queries.
 
-    ``_rows`` maps an array of times to (T, n) rows, each bit-equal to the
-    scalar query at its time; a scalar ``eval`` is its one-row case.
+    ``_spline`` returns a spline through the node states (the coupled
+    snapshot's cubic, or the shooting solve's Hermite interpolant, built at
+    the first query); rows come from its ``eval`` and an interval
+    stencil's from its ``at_fractions`` reader.  The oracles' propagated
+    states have no spline, and ``_rows`` maps an array of times to (T, n)
+    rows of their dense output.  Each row is bit-equal to the scalar
+    query at its time; a scalar ``eval`` is the one-row case.
     """
 
     grid: TimeGrid
     values: np.ndarray          # (N, n)
-    _rows: object = None        # callable ts -> (T, n)
+    _spline: object = None      # callable () -> SplineCoeffs
+    _rows: object = None        # callable ts -> (T, n), without a spline
 
     def rows(self, ts) -> np.ndarray:
-        return self._rows(ts)
+        if self._spline is None:
+            return self._rows(ts)
+        return self._spline().eval(ts)
+
+    def stencil_rows(self, ts, frac) -> np.ndarray:
+        """Rows at the times ``ts`` of one ``interval_stencil`` round with
+        fractions ``frac``."""
+        if self._spline is None:
+            return self._rows(ts)
+        return _stencil_rows(self._spline(), frac)
 
     def eval(self, t):
         if np.ndim(t) == 0:
-            return self._rows([t])[0]
-        return self._rows(t)
+            return self.rows([t])[0]
+        return self.rows(t)
+
+
+def _stencil_rows(spline: SplineCoeffs, frac) -> np.ndarray:
+    """A spline's rows at one ``interval_stencil`` round's times, in its
+    order: the ``at_fractions`` rows interval by interval, where a round
+    that takes the interval ends (fractions from 0 to 1) takes each node
+    once, as the left end of its interval, and the last node last."""
+    rows = spline.at_fractions(frac)
+    channels = rows.shape[2]
+    if frac[-1] == 1.0:
+        return np.concatenate([rows[:, :-1].reshape(-1, channels), rows[-1, -1:]])
+    return rows.reshape(-1, channels)
 
 
 def propagate_states(problem: OcpProblem, ctrl: ControlTrajectory,
@@ -169,7 +225,7 @@ def propagate_states(problem: OcpProblem, ctrl: ControlTrajectory,
         raise NonFiniteDynamics(str(exc)) from exc
     values = path.eval(grid.times)
     values[0] = problem.x0
-    return StateTrajectory(grid, values, path.rows)
+    return StateTrajectory(grid, values, _rows=path.rows)
 
 
 def shooting_nodes(problem: OcpProblem, ctrl: ControlTrajectory,
@@ -226,7 +282,7 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
     if not cond <= COND_LIMIT:
         raise SingularSystem(f"forward transition matrix condition estimate "
                              f"{cond:.3e} exceeds {COND_LIMIT:.0e}")
-    states = StateTrajectory(grid, nodes, _hermite_rows(problem, ctrl, grid, nodes))
+    states = StateTrajectory(grid, nodes, _hermite_spline(problem, ctrl, grid, nodes))
     return states, TransitionStack(grid, psi, adjoint)
 
 
@@ -309,11 +365,7 @@ def _stencil(grid: TimeGrid, ctrl: ControlTrajectory, s: int):
     frac = np.arange(2 * s + 1) / (2 * s)
     ts = times[:-1, None] + np.diff(times)[:, None] * frac
     ts[:, -1] = times[1:]
-    c = ctrl.spline.coeffs[:, :, None, :]
-    dt = (ts - times[:-1, None])[:, :, None]
-    us = ((c[0] * dt + c[1]) * dt + c[2]) * dt + c[3]
-    us[:-1, -1] = ctrl.spline.coeffs[3, 1:]
-    return ts, us
+    return ts, ctrl.spline.at_fractions(frac)
 
 
 def _rk4_maps(problem: OcpProblem, starts, ts, us, h):
@@ -469,20 +521,17 @@ def _shoot(problem: OcpProblem, ts, us, nodes):
     return solved(ends, mid, tangents)
 
 
-def _hermite_rows(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
-                  nodes):
-    """Rows of the cubic Hermite interpolant through the node states and
-    the node rates f(x_i, u_i, t_i); the rates cost one ``dynamics_rows``
-    call, made at the first query."""
-    built = []
+def _hermite_spline(problem: OcpProblem, ctrl: ControlTrajectory,
+                    grid: TimeGrid, nodes):
+    """The cubic Hermite interpolant through the node states and the node
+    rates f(x_i, u_i, t_i), as a callable that builds it at its first call;
+    the rates cost one ``dynamics_rows`` call."""
+    @cache
+    def spline():
+        rates = problem.dynamics_rows(nodes, ctrl.values, grid.times)
+        return hermite_build(grid.times, nodes, rates)
 
-    def rows(ts):
-        if not built:
-            rates = problem.dynamics_rows(nodes, ctrl.values, grid.times)
-            built.append(hermite_build(grid.times, nodes, rates))
-        return built[0].eval(ts)
-
-    return rows
+    return spline
 
 
 @dataclass
@@ -508,9 +557,9 @@ def transition_stack(problem: OcpProblem, states: StateTrajectory,
     n = problem.n
     lam_end = np.asarray(problem.grad_phix(states.values[-1], grid.tf), dtype=float)
 
-    def sample(ts):
-        """B(t) at the given times: two row-form calls."""
-        xs, us = states.rows(ts), ctrl.eval(ts)
+    def sample(ts, frac):
+        """B(t) at one stencil round's times: two row-form calls."""
+        xs, us = states.stencil_rows(ts, frac), ctrl.stencil_rows(frac)
         a = np.asarray(problem.jac_fx_rows(xs, us, ts), dtype=float)
         lx = np.asarray(problem.grad_lx_rows(xs, us, ts), dtype=float)
         b = np.zeros((len(ts), n + 1, n + 1))
@@ -545,7 +594,10 @@ def interval_stencil(times, sample, estimate,
 
     Every interval [t_i, t_i+1] is split into s equal substeps whose ends
     and midpoints are the sample times (ends exactly at the nodes).
-    ``sample(ts)`` maps an array of times to one row each; ``estimate(rows,
+    ``sample(ts, frac)`` maps a round's array of times to one row each; the
+    times are the points at the fractions ``frac`` of every interval, a
+    node shared by two intervals taken once (``_stencil_rows``), so a
+    spline's rows there are its ``at_fractions`` reader.  ``estimate(rows,
     dt)`` maps the (N-1, 2s+1, ...) rows of the s-substep stencil and the
     interval widths to one result per interval.  Starting at s = 1, s
     doubles until E_2s passes ``_refined`` against E_s, and E_2s is
@@ -570,7 +622,8 @@ def interval_stencil(times, sample, estimate,
         if rows is None:
             new = np.append(np.column_stack([times[:-1], new]).ravel(),
                             times[-1])
-        fresh = sample(new)
+            frac = np.array([0.0, 0.5, 1.0])
+        fresh = sample(new, frac)
         if not np.all(np.isfinite(fresh)):
             raise NonFiniteField("non-finite rows on the interval stencil")
         if rows is None:

@@ -416,9 +416,8 @@ class TestModifiedMode:
         ev = system.evaluate(vec)
         assert np.max(np.abs(ev.defect)) > 1e-3
         defect = ev.snap.defect(brach.problem)
-        pi = second.multiplier_second(brach.problem, ev.nodes, ev.stack, ev.gu,
-                                      brach.gains, "modified", defect=defect,
-                                      bracket=ev.bracket)
+        pi = second.multiplier_second(brach.problem, ev.nodes, ev.terms, ev.gu,
+                                      brach.gains, "modified", defect=defect)
         assert np.array_equal(pi, ev.pi)
         own = system._rate(dataclasses.replace(ev, pi=pi, defect=defect))
         assert np.array_equal(rate, own)
@@ -433,7 +432,10 @@ class TestTerminalBracket:
         # shared by the multiplier system and the terminal-time rate, and
         # by the transversality residual.  In modified mode the rate reads
         # the snapshot's derivative instead of the dynamics, so only the
-        # residual calls the dynamics, and it forms its own bracket.
+        # residual calls the dynamics, and it forms its own bracket.  g_x
+        # is read once per evaluation, for the bracket and the constraint
+        # projection, and phi_x once, for the adjoint's end value, which
+        # the bracket reads; the residual reads neither.
         calls, problem = [], brach.problem
 
         def counted(name):
@@ -445,14 +447,15 @@ class TestTerminalBracket:
             return wrapper
 
         p = dataclasses.replace(problem, **{name: counted(name) for name in
-                                            ("dynamics", "dphi_dt", "dg_dt")})
+                                            ("dynamics", "dphi_dt", "dg_dt",
+                                             "jac_gx", "grad_phix")})
         system = assemble_ivp(p, method, 21, brach.gains, mode=mode)
         vec = system.y0 * (1.0 + 1e-3)
         calls.clear()
         system.rhs(0.0, vec)
         modified = mode == "modified"
-        assert sorted(calls) == ["dg_dt", "dphi_dt"] + ([] if modified
-                                                        else ["dynamics"])
+        assert sorted(calls) == sorted(["dg_dt", "dphi_dt", "grad_phix", "jac_gx"]
+                                       + ([] if modified else ["dynamics"]))
         calls.clear()
         system.residuals(vec)
         assert sorted(calls) == (["dg_dt", "dphi_dt", "dynamics"] if modified

@@ -101,10 +101,10 @@ class TestReferenceQuality:
         stack = transition_stack(p, states, ctrl, TIGHT)
         nodes = third.node_inputs(p, states, ctrl)
         gu = third.control_gradient(nodes, stack)
-        bracket = third.terminal_bracket(p, nodes) if p.tf_free else None
-        res = third.optimality_residuals(p, nodes, stack, gu,
+        terms = third.multiplier_terms(p, nodes, stack)
+        res = third.optimality_residuals(p, nodes, terms, gu,
                                          bench.reference.multipliers,
-                                         bracket=bracket)
+                                         bracket=terms.bracket)
         assert res.optimality_inf <= 1e-3
         assert res.constraint_inf <= 1e-3
         if res.transversality is not None:

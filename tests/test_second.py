@@ -55,13 +55,11 @@ def _record(problem, snap, stack):
     return nodes, third.control_gradient(nodes, stack)
 
 
-def _bracket(problem, snap, nodes, mode="quasi_feasible"):
-    """The terminal bracket's terms on a free horizon: along the
-    snapshot's end-node time derivative in modified mode, else along the
-    dynamics."""
-    if not problem.tf_free:
-        return None
-    return third.terminal_bracket(problem, nodes,
+def _terms(problem, snap, nodes, stack, mode="quasi_feasible"):
+    """The snapshot's end-node terms, whose terminal bracket on a free
+    horizon is along the snapshot's end-node time derivative in modified
+    mode and along the dynamics otherwise."""
+    return third.multiplier_terms(problem, nodes, stack,
                                   snap.xdot[-1] if mode == "modified" else None)
 
 
@@ -84,14 +82,32 @@ class TestSnapshot:
         snap = second.SecondEqSnapshot.create(grid, states, controls)
         assert np.max(np.abs(snap.defect(di.problem))) <= 1e-10
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 1), (2, 2)])
+    @pytest.mark.parametrize("n_nodes", [4, 5, 41, 101])
+    def test_joint_spline_equals_separate_builds(self, n, m, n_nodes):
+        # The slope solve treats each channel alone, so the joint spline
+        # over [states | controls] gives each trajectory the coefficients,
+        # and each node derivative the bits, of a spline of its own.
+        rng = np.random.default_rng(100 * n + 10 * m + n_nodes)
+        grid = TimeGrid(n_nodes, 0.2, 1.7)
+        states = rng.standard_normal((n_nodes, n))
+        controls = rng.standard_normal((n_nodes, m))
+        snap = second.SecondEqSnapshot.create(grid, states, controls)
+        state_spline = spline_build(grid.times, states)
+        control_spline = spline_build(grid.times, controls)
+        assert np.array_equal(snap.state_traj._spline().coeffs, state_spline.coeffs)
+        assert np.array_equal(snap.ctrl_traj.spline.coeffs, control_spline.coeffs)
+        assert np.array_equal(snap.xdot, state_spline.derivative(grid.times))
+        assert np.array_equal(snap.du_dt, control_spline.derivative(grid.times))
+
     def test_unknown_mode_rejected(self, di):
         grid = TimeGrid(11, 0.0, 2.0)
         snap, stack = _feasible_snapshot(di.problem, grid, np.zeros((11, 1)))
         nodes, gu = _record(di.problem, snap, stack)
         with pytest.raises(ValueError):
-            second.multiplier_system_second(di.problem, nodes, stack, gu,
-                                            di.gains, "sloppy", defect=None,
-                                            bracket=None)
+            second.multiplier_system_second(di.problem, nodes,
+                                            _terms(di.problem, snap, nodes, stack),
+                                            gu, di.gains, "sloppy", defect=None)
 
 
 class TestControlRhs:
@@ -111,10 +127,10 @@ class TestControlRhs:
                             (states, transition_stack(p, states, ctrl, TIGHT))):
             nodes = third.node_inputs(p, traj, ctrl)
             gu = third.control_gradient(nodes, stack)
+            terms = third.multiplier_terms(p, nodes, stack)
             pi = third.solve_multipliers(*third.multiplier_system(
-                p, nodes, stack, gu, brach.gains,
-                bracket=third.terminal_bracket(p, nodes)))
-            rates.append(third.control_rhs(p, nodes, stack, gu, pi, brach.gains))
+                p, nodes, terms, gu, brach.gains))
+            rates.append(third.control_rhs(terms, gu, pi, brach.gains))
         assert np.max(np.abs(rates[0])) > 1e-2
         assert np.max(np.abs(rates[0] - rates[1])) <= 1e-6
 
@@ -158,7 +174,7 @@ class TestControlRhs:
         grid = TimeGrid(11, 0.0, 1.0)
         snap, stack = _feasible_snapshot(p, grid, np.full((11, 1), 0.7))
         nodes, gu = _record(p, snap, stack)
-        rate = third.control_rhs(p, nodes, stack, gu, None, gains)
+        rate = third.control_rhs(_terms(p, snap, nodes, stack), gu, None, gains)
         assert np.array_equal(rate, -gu @ gains.K.T)
 
 
@@ -319,8 +335,9 @@ class TestMultipliers:
         grid = TimeGrid(41, 0.0, 2.0)
         snap, stack = _feasible_snapshot(di.problem, grid, np.zeros((41, 1)))
         nodes, gu = _record(di.problem, snap, stack)
-        pi = second.multiplier_second(di.problem, nodes, stack, gu, di.gains,
-                                      defect=None, bracket=None)
+        pi = second.multiplier_second(di.problem, nodes,
+                                      _terms(di.problem, snap, nodes, stack), gu,
+                                      di.gains, defect=None)
         assert np.allclose(pi, [800.0 / 267.0, -666.5 / 267.0], atol=1e-6)
 
     @pytest.mark.parametrize("fixture_name", ["di", "brach"])
@@ -334,9 +351,9 @@ class TestMultipliers:
         nodes, gu = _record(p, snap, stack)
         defect = snap.defect(p)
         (m_mod, r_mod), (m_quasi, r_quasi), (_, r_feas) = (
-            second.multiplier_system_second(p, nodes, stack, gu, bench.gains,
-                                            mode, defect=defect,
-                                            bracket=_bracket(p, snap, nodes, mode))
+            second.multiplier_system_second(p, nodes,
+                                            _terms(p, snap, nodes, stack, mode),
+                                            gu, bench.gains, mode, defect=defect)
             for mode in ("modified", "quasi_feasible", "feasible"))
         g0 = np.asarray(p.constraint(snap.states[-1], grid.tf), dtype=float)
         assert np.max(np.abs(r_mod - r_quasi)) <= 1e-9
@@ -355,9 +372,9 @@ class TestMultipliers:
                                  TIGHT)
         nodes, gu = _record(di.problem, snap, stack)
         defect = snap.defect(di.problem)
-        pis = [second.multiplier_second(di.problem, nodes, stack, gu,
-                                        di.gains, mode, defect=defect,
-                                        bracket=None)
+        pis = [second.multiplier_second(di.problem, nodes,
+                                        _terms(di.problem, snap, nodes, stack, mode),
+                                        gu, di.gains, mode, defect=defect)
                for mode in second.MODES]
         for pi in pis:
             assert np.allclose(pi, [3.0, -2.5], atol=1e-8)
@@ -371,14 +388,14 @@ class TestTerminalTimeRhs:
                                          smooth_controls(grid, 1, rng), TIGHT,
                                          exact_xdot=True)
         nodes, gu = _record(brach.problem, snap, stack)
-        pi = second.multiplier_second(brach.problem, nodes, stack, gu,
-                                      brach.gains, defect=None,
-                                      bracket=_bracket(brach.problem, snap, nodes))
+        terms = _terms(brach.problem, snap, nodes, stack)
+        pi = second.multiplier_second(brach.problem, nodes, terms, gu,
+                                      brach.gains, defect=None)
         # The modified-mode bracket reads the snapshot's own derivative.
         mine = second.tf_rhs_second(
-            _bracket(brach.problem, snap, nodes, "modified"), pi, brach.gains)
-        reference = third.tf_rhs(third.terminal_bracket(brach.problem, nodes), pi,
-                                 brach.gains)
+            _terms(brach.problem, snap, nodes, stack, "modified").bracket, pi,
+            brach.gains)
+        reference = third.tf_rhs(terms.bracket, pi, brach.gains)
         assert abs(mine - reference) <= 1e-10
 
     def test_brachistochrone_initial_rate(self, brach):
@@ -386,8 +403,8 @@ class TestTerminalTimeRhs:
         snap, stack = _feasible_snapshot(brach.problem, grid,
                                          np.zeros((101, 1)))
         nodes, gu = _record(brach.problem, snap, stack)
-        bracket = _bracket(brach.problem, snap, nodes)
-        pi = second.multiplier_second(brach.problem, nodes, stack, gu,
-                                      brach.gains, defect=None, bracket=bracket)
-        rate = second.tf_rhs_second(bracket, pi, brach.gains)
+        terms = _terms(brach.problem, snap, nodes, stack)
+        pi = second.multiplier_second(brach.problem, nodes, terms, gu,
+                                      brach.gains, defect=None)
+        rate = second.tf_rhs_second(terms.bracket, pi, brach.gains)
         assert rate == pytest.approx(-0.03, abs=1e-6)

@@ -42,16 +42,11 @@ def _snapshot(problem, grid, controls, opts=None):
     return third.node_inputs(problem, states, ctrl), stack
 
 
-def _bracket(problem, nodes):
-    """The terminal bracket's terms along the dynamics on a free horizon."""
-    return third.terminal_bracket(problem, nodes) if problem.tf_free else None
-
-
 def _system(problem, nodes, stack, gains):
     """(gu, M, r) of the snapshot, r in the default quasi-feasible mode."""
     gu = third.control_gradient(nodes, stack)
-    return (gu,) + third.multiplier_system(problem, nodes, stack, gu, gains,
-                                           bracket=_bracket(problem, nodes))
+    terms = third.multiplier_terms(problem, nodes, stack)
+    return (gu,) + third.multiplier_system(problem, nodes, terms, gu, gains)
 
 
 def _di_reference_controls(di, grid):
@@ -286,8 +281,8 @@ class TestControlRhs:
         grid = TimeGrid(41, 0.0, 2.0)
         nodes, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
         gu = third.control_gradient(nodes, stack)
-        rate = third.control_rhs(di.problem, nodes, stack, gu,
-                                 np.array([3.0, -2.5]), di.gains)
+        terms = third.multiplier_terms(di.problem, nodes, stack)
+        rate = third.control_rhs(terms, gu, np.array([3.0, -2.5]), di.gains)
         expected = (0.3 * grid.times - 0.35)[:, None]
         assert np.max(np.abs(rate - expected)) <= 1e-9
 
@@ -295,8 +290,8 @@ class TestControlRhs:
         grid = TimeGrid(41, 0.0, 2.0)
         nodes, stack = _snapshot(di.problem, grid, _di_reference_controls(di, grid))
         gu = third.control_gradient(nodes, stack)
-        rate = third.control_rhs(di.problem, nodes, stack, gu,
-                                 np.array([3.0, -2.5]), di.gains)
+        terms = third.multiplier_terms(di.problem, nodes, stack)
+        rate = third.control_rhs(terms, gu, np.array([3.0, -2.5]), di.gains)
         assert np.max(np.abs(rate)) <= 1e-12
 
     def test_stationarity_with_solved_multipliers(self, di):
@@ -304,7 +299,8 @@ class TestControlRhs:
         nodes, stack = _snapshot(di.problem, grid, _di_reference_controls(di, grid))
         gu, mat, r = _system(di.problem, nodes, stack, di.gains)
         pi = third.solve_multipliers(mat, r)
-        rate = third.control_rhs(di.problem, nodes, stack, gu, pi, di.gains)
+        terms = third.multiplier_terms(di.problem, nodes, stack)
+        rate = third.control_rhs(terms, gu, pi, di.gains)
         assert np.max(np.abs(rate)) <= 1e-4
 
     def test_unconstrained_rate_is_scaled_gradient(self):
@@ -320,7 +316,8 @@ class TestControlRhs:
         grid = TimeGrid(21, 0.0, 1.0)
         nodes, stack = _snapshot(p, grid, np.full((21, 1), 0.3))
         gu = third.control_gradient(nodes, stack)
-        rate = third.control_rhs(p, nodes, stack, gu, None, bench.gains)
+        rate = third.control_rhs(third.multiplier_terms(p, nodes, stack), gu, None,
+                                 bench.gains)
         assert np.array_equal(rate, -gu @ bench.gains.K.T)
 
     def test_descent_direction_on_feasible_trajectory(self, di):
@@ -333,7 +330,8 @@ class TestControlRhs:
         assert np.max(np.abs(nodes.xs[-1])) <= 1e-8
         gu, mat, r = _system(di.problem, nodes, stack, di.gains)
         pi = third.solve_multipliers(mat, r)
-        rate = third.control_rhs(di.problem, nodes, stack, gu, pi, di.gains)
+        terms = third.multiplier_terms(di.problem, nodes, stack)
+        rate = third.control_rhs(terms, gu, pi, di.gains)
         defect = gu + np.einsum(
             "inm,in->im", np.stack([di.problem.jac_fu(nodes.xs[i], nodes.us[i], t[i])
                                     for i in range(41)]),
@@ -349,7 +347,8 @@ class TestTerminalTimeRhs:
         nodes, stack = _snapshot(brach.problem, grid, np.zeros((101, 1)))
         _, mat, r = _system(brach.problem, nodes, stack, brach.gains)
         pi = third.solve_multipliers(mat, r)
-        rate = third.tf_rhs(_bracket(brach.problem, nodes), pi, brach.gains)
+        bracket = third.multiplier_terms(brach.problem, nodes, stack).bracket
+        rate = third.tf_rhs(bracket, pi, brach.gains)
         # Hand evaluation: -0.05 (1 + pi . [0, -10]) with pi_2 = 0.04.
         assert rate == pytest.approx(-0.03, abs=1e-9)
 
@@ -360,8 +359,9 @@ class TestTerminalTimeRhs:
                        jac_fu=lambda x, u, t: np.eye(1))
         gains = GainSet(K=np.eye(1), k_tf=0.5)
         grid = TimeGrid(11, 0.0, 1.0)
-        nodes, _ = _snapshot(p, grid, np.zeros((11, 1)))
-        assert third.tf_rhs(_bracket(p, nodes), None, gains) == 0.0
+        nodes, stack = _snapshot(p, grid, np.zeros((11, 1)))
+        bracket = third.multiplier_terms(p, nodes, stack).bracket
+        assert third.tf_rhs(bracket, None, gains) == 0.0
 
 
 class TestResidualsAndCostates:
@@ -369,7 +369,8 @@ class TestResidualsAndCostates:
         grid = TimeGrid(41, 0.0, 2.0)
         nodes, stack = _snapshot(di.problem, grid, _di_reference_controls(di, grid))
         gu = third.control_gradient(nodes, stack)
-        res = third.optimality_residuals(di.problem, nodes, stack, gu,
+        terms = third.multiplier_terms(di.problem, nodes, stack)
+        res = third.optimality_residuals(di.problem, nodes, terms, gu,
                                          np.array([3.0, -2.5]), bracket=None)
         assert res.optimality_inf <= 1e-5
         assert res.constraint_inf <= 1e-5
@@ -379,22 +380,24 @@ class TestResidualsAndCostates:
         grid = TimeGrid(41, 0.0, 2.0)
         nodes, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
         gu = third.control_gradient(nodes, stack)
-        res = third.optimality_residuals(di.problem, nodes, stack, gu, np.zeros(2),
+        terms = third.multiplier_terms(di.problem, nodes, stack)
+        res = third.optimality_residuals(di.problem, nodes, terms, gu, np.zeros(2),
                                          bracket=None)
         assert res.constraint_inf == pytest.approx(3.0, abs=1e-9)
 
     def test_costates_closed_form(self, di):
         grid = TimeGrid(41, 0.0, 2.0)
         nodes, stack = _snapshot(di.problem, grid, _di_reference_controls(di, grid))
-        lam = third.reconstruct_costates(di.problem, nodes, stack,
-                                         np.array([3.0, -2.5]))
+        terms = third.multiplier_terms(di.problem, nodes, stack)
+        lam = third.reconstruct_costates(stack, terms, np.array([3.0, -2.5]))
         expected = np.stack([di.reference.costate(t) for t in grid.times])
         assert np.max(np.abs(lam - expected)) <= 1e-9
 
     def test_costates_vanish_without_multipliers(self, di):
         grid = TimeGrid(41, 0.0, 2.0)
         nodes, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
-        lam = third.reconstruct_costates(di.problem, nodes, stack, np.zeros(2))
+        lam = third.reconstruct_costates(
+            stack, third.multiplier_terms(di.problem, nodes, stack), np.zeros(2))
         assert np.max(np.abs(lam)) == 0.0
 
     def test_brachistochrone_hamiltonian_constancy(self, brach):
@@ -404,8 +407,8 @@ class TestResidualsAndCostates:
         grid = TimeGrid(101, 0.0, brach.reference.tf)
         controls = np.stack([brach.reference.control(t) for t in grid.times])
         nodes, stack = _snapshot(p, grid, controls, TIGHT)
-        lam = third.reconstruct_costates(p, nodes, stack,
-                                         brach.reference.multipliers)
+        terms = third.multiplier_terms(p, nodes, stack)
+        lam = third.reconstruct_costates(stack, terms, brach.reference.multipliers)
         h_vals = np.array([
             lam[i] @ p.dynamics(nodes.xs[i], controls[i], grid.times[i])
             for i in range(grid.n_nodes)])

@@ -18,6 +18,7 @@ from vem import (
 from vem import checks, driver, second, trajectory
 from vem.errors import NonFiniteDynamics, NonFiniteField, SingularSystem, StepFailure
 from vem.checks import cumulative_products
+from vem.numerics import hermite_build, spline_build
 from vem.problems import brachistochrone, double_integrator, tracking_fixture
 from vem.rk45 import rk45_integrate
 
@@ -541,6 +542,39 @@ class TestShooting:
         history = evolve(system, 20.0, early_stop=False)
         assert len(history.snapshots) >= 3
         assert runs == ["outer"]
+
+
+class TestIntervalStencil:
+    @pytest.mark.parametrize("kind", ["cubic", "hermite"])
+    def test_rounds_read_splines_at_their_times(self, kind):
+        # Each round's sampler gets the fractions of the points it adds: the
+        # nodes and midpoints first, each node once, then the odd points of
+        # the 2, 4 and 8-substep stencils.  The trajectories' stencil rows
+        # there are eval's bits at the round's times.
+        rng = np.random.default_rng(21)
+        grid = TimeGrid(17, 0.3, 1.4)
+        vals = rng.standard_normal((17, 2))
+        spline = (spline_build(grid.times, vals) if kind == "cubic" else
+                  hermite_build(grid.times, vals, rng.standard_normal((17, 2))))
+        states = trajectory.StateTrajectory(grid, vals, lambda: spline)
+        ctrl = ControlTrajectory(grid, vals, spline)
+        rounds = []
+
+        def sample(ts, frac):
+            rows = states.stencil_rows(ts, frac)
+            assert np.array_equal(rows, spline.eval(ts))
+            assert np.array_equal(ctrl.stencil_rows(frac), rows)
+            rounds.append(len(ts))
+            return rows
+
+        def estimate(rows, dt):
+            # A new value every round: the doubling runs into the budget.
+            return np.full(len(dt), float(rows.shape[1]))
+
+        with pytest.raises(StepFailure):
+            trajectory.interval_stencil(grid.times, sample, estimate,
+                                        IntegratorOptions(max_steps=8 * 16))
+        assert rounds == [33, 32, 64, 128]
 
 
 class TestBatchedStack:

@@ -6,9 +6,11 @@ transition matrices check the batched backward stack and, through the
 quadrature gradient form (``quadrature_gradient``), the adjoint
 gradient; propagation plus the backward stack check the shooting solve,
 and log-depth running matrix products (``cumulative_products``) its
-banded recurrences; the coupled state rate's variational initial-value
-problem (``variational_state_rate``), integrated by Dormand-Prince along
-the snapshot's splines, is checked in turn by per-interval Gauss
+banded recurrences; the step-doubling loop one stencil per round
+(``sequential_stencil``) checks the interval stencil's fused first
+round; the coupled state rate's variational initial-value problem
+(``variational_state_rate``), integrated by Dormand-Prince along the
+snapshot's splines, is checked in turn by per-interval Gauss
 quadrature of a closed-form kernel; the Psi^T f_u-first multiplier
 assembly with einsums and ``grid_quadrature`` (``multiplier_assembly``)
 checks the constraint projection every multiplier formula reads; finite
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import driver
 from . import second as second_eq
 from . import third as third_eq
 from . import trajectory
@@ -66,6 +69,83 @@ def cumulative_products(mats) -> np.ndarray:
         out[d:] = out[d:] @ out[:-d]
         d *= 2
     return out
+
+
+def sequential_stencil(grid, sample, estimate, opts=None):
+    """Oracle of ``trajectory.interval_stencil``: the doubling loop one
+    stencil per round.  The first round samples the 1-substep stencil's
+    ends and midpoints, each later round the odd points of the next finer
+    stencil.  The fused loop samples the same times in fewer calls and
+    estimates the same rows, so the results agree bit for bit.  Returns
+    the result and its substep count s."""
+    opts = opts or IntegratorOptions()
+    times = grid.times
+    n_int = times.size - 1
+    dt = np.diff(times)
+    rows = last = None
+    s = 1
+    while True:
+        trajectory._check_budget(s * n_int, opts)
+        frac = np.arange(1, 2 * s, 2) / (2 * s)
+        new = (times[:-1, None] + dt[:, None] * frac).ravel()
+        if rows is None:
+            new = np.append(np.column_stack([times[:-1], new]).ravel(), times[-1])
+            frac = np.array([0.0, 0.5, 1.0])
+        fresh = sample(new, frac)
+        if rows is None:
+            rows = fresh
+        else:
+            merged = np.empty((2 * len(rows) - 1,) + rows.shape[1:])
+            merged[0::2], merged[1::2] = rows, fresh
+            rows = merged
+        index = 2 * s * np.arange(n_int)[:, None] + np.arange(2 * s + 1)
+        result = estimate(rows[index], dt)
+        if last is not None and trajectory._refined(result, last, opts):
+            return result, s
+        last = result
+        s *= 2
+
+
+def stencil_cases(bench, rng):
+    """The benchmark's default grid and (label, sample, estimate) of both
+    stencil estimates -- the RK4 propagators of ``transition_stack`` and
+    the Simpson cost of ``path_cost`` -- along a coupled snapshot's
+    trajectories (one joint spline) and the shooting solve's (separate
+    splines), at drawn controls."""
+    p = bench.problem
+    grid = TimeGrid(bench.default_nodes, p.t0, p.tf)
+    ctrl = ControlTrajectory.from_values(grid, _smooth_controls(grid, p.m, rng))
+    nodes, _ = trajectory.shooting_nodes(p, ctrl, grid)
+    snap = second_eq.SecondEqSnapshot.create(
+        grid, nodes + 1e-3 * rng.standard_normal(nodes.shape), ctrl.values)
+    shot, _ = fused_sweep(p, ctrl, grid)
+    cases = []
+    for route, states, controls in (("coupled", snap.state_traj, snap.ctrl_traj),
+                                    ("control-only", shot, ctrl)):
+        cases.append((f"{bench.name}/{route}/propagators",
+                      trajectory._backward_field(p, states, controls),
+                      trajectory._propagators))
+        cases.append((f"{bench.name}/{route}/simpson",
+                      driver._running_cost_field(p, states, controls), driver._simpson))
+    return grid, cases
+
+
+def _check_stencil_doubling(seed=0):
+    """The fused first round against ``sequential_stencil``, bit for bit,
+    at the default tolerances and at TIGHT."""
+    rng = np.random.default_rng(seed)
+    finest, count = 0, 0
+    for bench in (double_integrator(), brachistochrone()):
+        grid, cases = stencil_cases(bench, rng)
+        for label, sample, estimate in cases:
+            for opts in (IntegratorOptions(), TIGHT):
+                fused = trajectory.interval_stencil(grid, sample, estimate, opts)
+                ref, s = sequential_stencil(grid, sample, estimate, opts)
+                if not np.array_equal(fused, ref):
+                    return False, f"{label} differs from the sequential loop"
+                finest, count = max(finest, s), count + 1
+    return finest >= 4, (f"bit-equal to the sequential loop in {count} cases, "
+                         f"up to {finest} substeps")
 
 
 def derivative_checks(seed: int = 0):
@@ -507,6 +587,7 @@ def invariant_checks(seed: int = 0):
     results.append(("gradient-forms",) + _check_gradient_forms(seed))
     results.append(("fused-vs-backward",) + _check_fused_vs_backward(seed))
     results.append(("banded-vs-products",) + _check_banded_vs_products(seed))
+    results.append(("stencil-doubling",) + _check_stencil_doubling(seed))
     results.append(("stationarity",) + _check_stationarity())
     results.append(("convolution-vs-variational",) + _check_convolution_vs_ivp(seed))
     results.append(("mode-reduction",) + _check_mode_reduction())

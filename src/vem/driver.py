@@ -28,6 +28,7 @@ from .trajectory import (
     TransitionStack,
     fused_sweep,
     interval_stencil,
+    path_rows,
     shooting_nodes,
     transition_stack,
 )
@@ -169,23 +170,34 @@ def path_cost(problem: OcpProblem, states: StateTrajectory,
               opts: Optional[IntegratorOptions] = None) -> float:
     """Performance index along an existing state path (no re-propagation).
 
-    The running cost is integrated by composite Simpson on the doubling
-    interval stencil of ``transition_stack``, one ``running_cost_rows``
-    call per round.
+    The running cost is integrated by composite Simpson (``_simpson``) on
+    the doubling interval stencil of ``transition_stack``.
     """
+    parts = interval_stencil(grid, _running_cost_field(problem, states, ctrl),
+                             _simpson, opts)
+    return float(problem.terminal_cost(states.values[-1], grid.tf)) + float(parts.sum())
+
+
+def _running_cost_field(problem: OcpProblem, states: StateTrajectory,
+                        ctrl: ControlTrajectory):
+    """The sampler of the running cost along the given trajectories for
+    ``interval_stencil``: one ``path_rows`` read and one
+    ``running_cost_rows`` call per round."""
     def sample(ts, frac):
         return np.asarray(problem.running_cost_rows(
-            states.stencil_rows(ts, frac), ctrl.stencil_rows(frac), ts), dtype=float)
+            *path_rows(states, ctrl, ts, frac), ts), dtype=float)
 
-    def simpson(rows, dt):
-        weights = np.full(rows.shape[1], 2.0)
-        weights[1::2] = 4.0
-        weights[[0, -1]] = 1.0
-        s = (rows.shape[1] - 1) // 2
-        return dt / (6.0 * s) * (rows @ weights)
+    return sample
 
-    parts = interval_stencil(grid.times, sample, simpson, opts)
-    return float(problem.terminal_cost(states.values[-1], grid.tf)) + float(parts.sum())
+
+def _simpson(rows, dt):
+    """Composite Simpson on the s-substep stencil's running-cost rows
+    (N-1, 2s+1): one integral per interval."""
+    weights = np.full(rows.shape[1], 2.0)
+    weights[1::2] = 4.0
+    weights[[0, -1]] = 1.0
+    s = (rows.shape[1] - 1) // 2
+    return dt / (6.0 * s) * (rows @ weights)
 
 
 @dataclass

@@ -26,8 +26,10 @@ Horner arithmetic on the same coefficients, so a scalar query returns bit
 for bit what the same time inside an array query of any length returns,
 and what the fraction reader returns at a stencil time.
 
-``solve_dense`` takes the 2-norm condition number from one singular-value
-call, as ``np.linalg.cond`` computes it, without that wrapper.
+``solve_dense`` calls LAPACK directly: ``dgesdd`` for the singular values
+of the 2-norm condition number, as ``np.linalg.cond`` forms it, and
+``dgesv`` for the solve, the routines behind ``np.linalg.svd`` and
+``np.linalg.solve``, without their wrapper layers.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgesdd, dgesv, dgtsv
 
 from .errors import DegenerateGrid, SingularSystem
 
@@ -258,10 +260,15 @@ def solve_dense(mat, rhs):
     rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
     if not np.all(np.isfinite(mat)):
         raise SingularSystem("matrix contains non-finite entries")
-    # The 2-norm condition number as np.linalg.cond forms it, without its
-    # wrapper; a zero singular value gives inf.
-    sv = np.linalg.svd(mat, compute_uv=False)
+    # The 2-norm condition number as np.linalg.cond forms it; a zero
+    # singular value gives inf.
+    _, sv, _, info = dgesdd(mat, compute_uv=0)
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
     cond = float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else np.inf
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularSystem(f"condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    return np.linalg.solve(mat, rhs), cond
+    _, _, sol, info = dgesv(mat, rhs)
+    if info:
+        raise SingularSystem("singular matrix")
+    return sol, cond

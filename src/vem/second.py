@@ -53,7 +53,9 @@ class SecondEqSnapshot:
     """One (states, controls, tf) snapshot of the coupled evolution.
 
     One spline over [states | controls] serves both trajectories, whose
-    splines are views of its coefficients, and one derivative read at the
+    splines are views of its coefficients and which carry it as their
+    ``joint``, so a stencil round reads it once for both
+    (``trajectory.path_rows``).  One derivative read at the
     nodes gives ``du_dt``, the control spline's time derivative, and
     ``xdot``, the discrete time derivative of the states, which is how the
     dynamics defect is discretized.  Tests may inject exact ``xdot``.
@@ -83,9 +85,10 @@ class SecondEqSnapshot:
         if xdot is None:
             xdot = slopes[:, :n]
         return cls(grid, states, controls, np.asarray(xdot, dtype=float),
-                   slopes[:, n:], StateTrajectory(grid, states, lambda: state_spline),
+                   slopes[:, n:],
+                   StateTrajectory(grid, states, lambda: state_spline, joint=joint),
                    ControlTrajectory(grid, controls, SplineCoeffs(
-                       joint.breakpoints, joint.coeffs[:, :, n:])))
+                       joint.breakpoints, joint.coeffs[:, :, n:]), joint=joint))
 
     def defect(self, problem: OcpProblem) -> np.ndarray:
         """Dynamics defect xdot - f at the nodes, shape (N, n)."""

@@ -54,18 +54,26 @@ every grid interval at once, classic RK4 takes the augmented backward
 system Y' = B(t) Y, B = [[-f_x^T, -L_x], [0, 0]], across the interval
 from Y = I, and each propagator [[g_i^T, c_i], [0, 1]] gives the blocks.
 ``interval_stencil`` chooses the substep count by step doubling under
-the ``IntegratorOptions`` tolerances; each round makes one
-``jac_fx_rows`` and one ``grad_lx_rows`` call over the sample times it
-adds.  Intervals end at nodes, where the state and control splines are
-joined, so RK4 keeps its order on every interval.  A snapshot's cost
+the ``IntegratorOptions`` tolerances.  The first test always compares two
+substeps with one, so the first round samples all five points per
+interval of the 2-substep stencil in one call and the 1-substep estimate
+reads their even points; each later round adds the odd points of the
+next finer stencil.  Each round makes one ``jac_fx_rows`` and one
+``grad_lx_rows`` call over the times it adds.  A propagator's first
+substep starts from Y = I, so its first stage is B without a product.
+Intervals end at nodes, where the state and control splines are joined,
+so RK4 keeps its order on every interval.  A snapshot's cost
 (``driver.path_cost``, either method) is composite Simpson on the same
 stencil.  Each round hands its sampler the fractions of the points it
 adds, and the trajectories read their splines there -- the shooting
 stencil's controls too -- with ``SplineCoeffs.at_fractions`` (Horner on
 each interval's coefficients, no interval search), bit for bit what a
-query at those times returns.  A grid carries its trapezoid weights
-(``TimeGrid.weights``, the unit grid's, kept per node count, times the
-width), which the multiplier sums read.
+query at those times returns.  A coupled snapshot's state and control
+splines are column views of one joint spline, which both trajectories
+carry, so ``path_rows`` reads it once per round for both.  A grid
+carries its interval widths (``TimeGrid.widths``), which the stencils
+read, and its trapezoid weights (``TimeGrid.weights``, the unit grid's,
+kept per node count, times the width), which the multiplier sums read.
 
 ``propagate_states`` and ``_forward_stack`` (the forward transition
 matrices Phi(t_i, t0)) are oracles: adaptive Dormand-Prince sweeps, which
@@ -98,14 +106,16 @@ NEWTON_TOL = 1e-13
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform normalized grid with its physical image on [t0, tf], and
-    the composite-trapezoid weights of the physical nodes."""
+    """Uniform normalized grid with its physical image on [t0, tf], the
+    physical interval widths (read-only, ``np.diff(times)`` bit for bit)
+    and the composite-trapezoid weights of the physical nodes."""
 
     n_nodes: int
     t0: float
     tf: float
     sigma: np.ndarray = field(repr=False, default=None)
     times: np.ndarray = field(repr=False, default=None)
+    widths: np.ndarray = field(repr=False, default=None)
     weights: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
@@ -115,8 +125,12 @@ class TimeGrid:
             raise ValueError("tf must exceed t0")
         sigma, unit_weights = _unit_grid(self.n_nodes)
         width = self.tf - self.t0
+        times = self.t0 + sigma * width
+        widths = np.diff(times)
+        widths.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "times", self.t0 + sigma * width)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "weights", width * unit_weights)
 
 
@@ -136,11 +150,14 @@ def _unit_grid(n_nodes: int):
 
 @dataclass
 class ControlTrajectory:
-    """Node controls on a grid plus their spline interpolant."""
+    """Node controls on a grid plus their spline interpolant; ``joint`` is
+    the spline over [states | controls] whose last m columns are
+    ``spline``, when the controls belong to a coupled snapshot."""
 
     grid: TimeGrid
     values: np.ndarray          # (N, m)
     spline: SplineCoeffs
+    joint: Optional[SplineCoeffs] = None
 
     @classmethod
     def from_values(cls, grid: TimeGrid, values) -> "ControlTrajectory":
@@ -170,13 +187,16 @@ class StateTrajectory:
     stencil's from its ``at_fractions`` reader.  The oracles' propagated
     states have no spline, and ``_rows`` maps an array of times to (T, n)
     rows of their dense output.  Each row is bit-equal to the scalar
-    query at its time; a scalar ``eval`` is the one-row case.
+    query at its time; a scalar ``eval`` is the one-row case.  A coupled
+    snapshot's states also carry its ``joint`` spline, whose first n
+    columns ``_spline`` returns.
     """
 
     grid: TimeGrid
     values: np.ndarray          # (N, n)
     _spline: object = None      # callable () -> SplineCoeffs
     _rows: object = None        # callable ts -> (T, n), without a spline
+    joint: Optional[SplineCoeffs] = None
 
     def rows(self, ts) -> np.ndarray:
         if self._spline is None:
@@ -194,6 +214,19 @@ class StateTrajectory:
         if np.ndim(t) == 0:
             return self.rows([t])[0]
         return self.rows(t)
+
+
+def path_rows(states: StateTrajectory, ctrl: ControlTrajectory, ts, frac):
+    """State and control rows (T, n), (T, m) at the times ``ts`` of one
+    ``interval_stencil`` round with fractions ``frac``.  Trajectories that
+    are column views of one joint spline (a coupled snapshot's) take one
+    ``at_fractions`` read of it; others read their own."""
+    joint = ctrl.joint
+    if joint is not None and states.joint is joint:
+        rows = _stencil_rows(joint, frac)
+        n = states.values.shape[1]
+        return rows[:, :n], rows[:, n:]
+    return states.stencil_rows(ts, frac), ctrl.stencil_rows(frac)
 
 
 def _stencil_rows(spline: SplineCoeffs, frac) -> np.ndarray:
@@ -363,7 +396,7 @@ def _stencil(grid: TimeGrid, ctrl: ControlTrajectory, s: int):
     interval."""
     times = grid.times
     frac = np.arange(2 * s + 1) / (2 * s)
-    ts = times[:-1, None] + np.diff(times)[:, None] * frac
+    ts = times[:-1, None] + grid.widths[:, None] * frac
     ts[:, -1] = times[1:]
     return ts, ctrl.spline.at_fractions(frac)
 
@@ -552,14 +585,27 @@ def transition_stack(problem: OcpProblem, states: StateTrajectory,
                      ctrl: ControlTrajectory,
                      opts: Optional[IntegratorOptions] = None) -> TransitionStack:
     """Psi at every node plus the adjoint: per-interval RK4 propagators
-    of Y' = B Y, taken from the end by ``_backward`` (module docstring)."""
+    of Y' = B Y (``_propagators``), taken from the end by ``_backward``
+    (module docstring)."""
     grid = states.grid
-    n = problem.n
     lam_end = np.asarray(problem.grad_phix(states.values[-1], grid.tf), dtype=float)
+    steps = interval_stencil(grid, _backward_field(problem, states, ctrl),
+                             _propagators, opts)
+    n = problem.n
+    # S_i = [[g_i^T, c_i], [0, 1]].
+    return TransitionStack(grid, *_backward(np.swapaxes(steps[:, :n, :n], 1, 2),
+                                            steps[:, :n, n], lam_end))
+
+
+def _backward_field(problem: OcpProblem, states: StateTrajectory,
+                    ctrl: ControlTrajectory):
+    """The sampler of B(t) = [[-f_x^T, -L_x], [0, 0]] along the given
+    trajectories for ``interval_stencil``: one ``path_rows`` read and two
+    row-form calls per round."""
+    n = problem.n
 
     def sample(ts, frac):
-        """B(t) at one stencil round's times: two row-form calls."""
-        xs, us = states.stencil_rows(ts, frac), ctrl.stencil_rows(frac)
+        xs, us = path_rows(states, ctrl, ts, frac)
         a = np.asarray(problem.jac_fx_rows(xs, us, ts), dtype=float)
         lx = np.asarray(problem.grad_lx_rows(xs, us, ts), dtype=float)
         b = np.zeros((len(ts), n + 1, n + 1))
@@ -567,28 +613,31 @@ def transition_stack(problem: OcpProblem, states: StateTrajectory,
         b[:, :n, n] = -lx
         return b
 
-    def propagators(b, dt):
-        """RK4 from each interval's right end to its left end, applied to
-        the identity; ``b`` holds the stencil rows (N-1, 2s+1, n+1, n+1)."""
-        s = (b.shape[1] - 1) // 2
-        h = (-dt / s)[:, None, None]
-        y = np.broadcast_to(np.eye(n + 1), b[:, 0].shape)
-        for j in range(2 * s, 0, -2):
-            b0, bm, b1 = b[:, j], b[:, j - 1], b[:, j - 2]
-            k1 = b0 @ y
-            k2 = bm @ (y + 0.5 * h * k1)
-            k3 = bm @ (y + 0.5 * h * k2)
-            k4 = b1 @ (y + h * k3)
-            y = y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-        return y
-
-    steps = interval_stencil(grid.times, sample, propagators, opts)
-    # S_i = [[g_i^T, c_i], [0, 1]].
-    return TransitionStack(grid, *_backward(np.swapaxes(steps[:, :n, :n], 1, 2),
-                                            steps[:, :n, n], lam_end))
+    return sample
 
 
-def interval_stencil(times, sample, estimate,
+def _propagators(b, dt):
+    """RK4 from each interval's right end to its left end, applied to the
+    identity; ``b`` holds the stencil rows (N-1, 2s+1, n+1, n+1).  The
+    first substep starts from Y = I, where k1 is B at the right end."""
+    s = (b.shape[1] - 1) // 2
+    h = (-dt / s)[:, None, None]
+    y = _rk4_linear_step(np.eye(b.shape[2]), b[:, -1], b[:, -2], b[:, -3], h)
+    for j in range(2 * s - 2, 0, -2):
+        y = _rk4_linear_step(y, b[:, j] @ y, b[:, j - 1], b[:, j - 2], h)
+    return y
+
+
+def _rk4_linear_step(y, k1, bm, b1, h):
+    """One classic-RK4 step of Y' = B Y from Y with first stage k1 = B0 Y,
+    midpoint rows ``bm`` and end rows ``b1``."""
+    k2 = bm @ (y + 0.5 * h * k1)
+    k3 = bm @ (y + 0.5 * h * k2)
+    k4 = b1 @ (y + h * k3)
+    return y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def interval_stencil(grid: TimeGrid, sample, estimate,
                      opts: Optional[IntegratorOptions] = None) -> np.ndarray:
     """Per-interval results of a fourth-order rule, refined by step doubling.
 
@@ -597,47 +646,52 @@ def interval_stencil(times, sample, estimate,
     ``sample(ts, frac)`` maps a round's array of times to one row each; the
     times are the points at the fractions ``frac`` of every interval, a
     node shared by two intervals taken once (``_stencil_rows``), so a
-    spline's rows there are its ``at_fractions`` reader.  ``estimate(rows,
-    dt)`` maps the (N-1, 2s+1, ...) rows of the s-substep stencil and the
-    interval widths to one result per interval.  Starting at s = 1, s
+    spline's rows there are its ``at_fractions`` reader, and a coupled
+    snapshot's state and control rows are one read of its joint spline
+    (``path_rows``).  ``estimate(rows, dt)`` maps the (N-1, 2s+1, ...)
+    rows of the s-substep stencil and the interval widths
+    (``grid.widths``) to one result per interval.  The first test always
+    compares E_2 with E_1, so the first round samples every point of the
+    2-substep stencil, fractions 0, 1/4, 1/2, 3/4 and 1, in one call, and
+    reads E_1 from its even points and E_2 from all of them; each later
+    round samples only the odd points of the next finer stencil.  s
     doubles until E_2s passes ``_refined`` against E_s, and E_2s is
-    returned.  Each round samples only the times the finer stencil adds.
+    returned.
 
     Raises StepFailure when a stencil would need more than
     ``opts.max_steps`` substeps and NonFiniteField on non-finite rows.
     """
     opts = opts or IntegratorOptions()
-    times = np.asarray(times, dtype=float)
-    n_int = times.size - 1
-    dt = np.diff(times)
-    rows = None
-    last = None
-    s = 1
-    while True:
+    times, dt = grid.times, grid.widths
+    n_int = dt.size
+
+    def take(ts, frac, s):
+        """Rows at the points ``frac`` of the s-substep stencil."""
         _check_budget(s * n_int, opts)
+        rows = sample(ts, frac)
+        if not np.all(np.isfinite(rows)):
+            raise NonFiniteField("non-finite rows on the interval stencil")
+        return rows
+
+    s = 2
+    frac = np.arange(5) / 4.0
+    rows = take(np.append((times[:-1, None] + dt[:, None] * frac[:-1]).ravel(),
+                          times[-1]), frac, s)
+    index = 4 * np.arange(n_int)[:, None] + np.arange(5)
+    last, result = estimate(rows[index[:, ::2]], dt), estimate(rows[index], dt)
+    while not _refined(result, last, opts):
+        last = result
+        s *= 2
         # The finer stencil's even points are the coarser stencil's
         # points, so only its odd points are new.
         frac = np.arange(1, 2 * s, 2) / (2 * s)
-        new = (times[:-1, None] + dt[:, None] * frac).ravel()
-        if rows is None:
-            new = np.append(np.column_stack([times[:-1], new]).ravel(),
-                            times[-1])
-            frac = np.array([0.0, 0.5, 1.0])
-        fresh = sample(new, frac)
-        if not np.all(np.isfinite(fresh)):
-            raise NonFiniteField("non-finite rows on the interval stencil")
-        if rows is None:
-            rows = fresh
-        else:
-            merged = np.empty((2 * len(rows) - 1,) + rows.shape[1:])
-            merged[0::2], merged[1::2] = rows, fresh
-            rows = merged
+        fresh = take((times[:-1, None] + dt[:, None] * frac).ravel(), frac, s)
+        merged = np.empty((2 * len(rows) - 1,) + rows.shape[1:])
+        merged[0::2], merged[1::2] = rows, fresh
+        rows = merged
         index = 2 * s * np.arange(n_int)[:, None] + np.arange(2 * s + 1)
         result = estimate(rows[index], dt)
-        if last is not None and _refined(result, last, opts):
-            return result
-        last = result
-        s *= 2
+    return result
 
 
 def _forward_stack(problem, states, ctrl, grid, opts) -> np.ndarray:

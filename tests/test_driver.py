@@ -513,6 +513,17 @@ class TestCostEvaluation:
         assert along_path == pytest.approx(cost, abs=1e-6)
 
 
+@pytest.mark.xfail(strict=True, raises=StepFailure,
+                   reason="the coupled brachistochrone's interval stencil "
+                          "exceeds its substep budget at N >= 181")
+def test_coupled_brachistochrone_at_201_nodes(brach):
+    # The pre-regression run reached tau = 300 with e_x 3.9e-2; today the
+    # stencil fails near tau = 8.5.
+    _, report = solve_benchmark(brach, "second", n_nodes=201, tau_end=300.0,
+                                early_stop=False)
+    assert float(np.max(report.e_x)) <= 3.9e-2
+
+
 class TestSummarize:
     def test_self_comparison_hits_discretization_floor(self, di):
         system = assemble_ivp(

@@ -276,6 +276,18 @@ class TestSolveDense:
             _, cond = solve_dense(mat, rng.standard_normal(size))
             assert cond == np.linalg.cond(mat)
 
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_solution_is_numpy_solve(self, size):
+        # The direct LAPACK solve returns np.linalg.solve's bits on
+        # symmetric positive definite systems of multiplier size.
+        rng = np.random.default_rng(10 + size)
+        for _ in range(200):
+            a = rng.standard_normal((size, size))
+            mat = (a @ a.T + 1e-3 * np.eye(size)) * 10.0 ** rng.uniform(-4.0, 4.0)
+            rhs = rng.standard_normal(size)
+            sol, _ = solve_dense(mat, rhs)
+            assert np.array_equal(sol, np.linalg.solve(mat, rhs))
+
     def test_zero_matrix_has_infinite_condition(self):
         # A multiplier system without control authority: no warning (the
         # tier-1 run turns RuntimeWarnings into errors), and the estimate

@@ -92,6 +92,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(5, 1.0, 1.0)
 
+    def test_widths_are_diff_of_times(self):
+        grid = TimeGrid(37, 0.3, 1.7)
+        assert np.array_equal(grid.widths, np.diff(grid.times))
+        assert not grid.widths.flags.writeable
+
 
 class TestPropagation:
     def test_zero_control_double_integrator(self, di):
@@ -547,10 +552,11 @@ class TestShooting:
 class TestIntervalStencil:
     @pytest.mark.parametrize("kind", ["cubic", "hermite"])
     def test_rounds_read_splines_at_their_times(self, kind):
-        # Each round's sampler gets the fractions of the points it adds: the
-        # nodes and midpoints first, each node once, then the odd points of
-        # the 2, 4 and 8-substep stencils.  The trajectories' stencil rows
-        # there are eval's bits at the round's times.
+        # Each round's sampler gets the fractions of the points it adds:
+        # every point of the 2-substep stencil first, each node once, then
+        # the odd points of the 4 and 8-substep stencils.  The
+        # trajectories' stencil rows there are eval's bits at the round's
+        # times.
         rng = np.random.default_rng(21)
         grid = TimeGrid(17, 0.3, 1.4)
         vals = rng.standard_normal((17, 2))
@@ -568,13 +574,90 @@ class TestIntervalStencil:
             return rows
 
         def estimate(rows, dt):
-            # A new value every round: the doubling runs into the budget.
+            # A new value every stencil: the doubling runs into the budget.
             return np.full(len(dt), float(rows.shape[1]))
 
         with pytest.raises(StepFailure):
-            trajectory.interval_stencil(grid.times, sample, estimate,
+            trajectory.interval_stencil(grid, sample, estimate,
                                         IntegratorOptions(max_steps=8 * 16))
-        assert rounds == [33, 32, 64, 128]
+        assert rounds == [65, 64, 128]
+
+    @pytest.mark.parametrize("make", [double_integrator, brachistochrone])
+    def test_fused_first_round_matches_sequential_loop(self, make):
+        # Both estimates, along a coupled snapshot (joint spline) and the
+        # shooting solve (separate splines): the fused loop returns the
+        # bits of the loop that samples and estimates one stencil per
+        # round, and TIGHT refines past the fused round.
+        grid, cases = checks.stencil_cases(make(), np.random.default_rng(8))
+        finest = []
+        for _, sample, estimate in cases:
+            for opts in (IntegratorOptions(), TIGHT):
+                ref, s = checks.sequential_stencil(grid, sample, estimate, opts)
+                assert np.array_equal(
+                    trajectory.interval_stencil(grid, sample, estimate, opts), ref)
+                finest.append(s)
+        assert max(finest) >= 4
+
+    def test_budget_failure_in_the_first_round(self):
+        # The first round takes 2 substeps per interval, so a budget below
+        # 2(N-1) stops it before any sampling.
+        grid = TimeGrid(17, 0.0, 1.0)
+        sampled = []
+
+        def sample(ts, frac):
+            sampled.append(len(ts))
+            return np.zeros(len(ts))
+
+        def estimate(rows, dt):
+            return np.zeros(len(dt))
+
+        with pytest.raises(StepFailure, match="max_steps=31"):
+            trajectory.interval_stencil(grid, sample, estimate,
+                                        IntegratorOptions(max_steps=31))
+        assert sampled == []
+        trajectory.interval_stencil(grid, sample, estimate,
+                                    IntegratorOptions(max_steps=32))
+        assert sampled == [65]
+
+    @pytest.mark.parametrize("method", ["second", "third"])
+    def test_one_spline_read_per_round(self, brach, monkeypatch, method):
+        # A coupled snapshot's state and control rows are one at_fractions
+        # read of its joint spline per round; the control-only states (the
+        # shooting solve's Hermite interpolant) and controls read their own
+        # splines.  Each round checks the substep budget once.
+        p = brach.problem
+        grid = TimeGrid(21, p.t0, p.tf)
+        ctrl = ControlTrajectory.from_values(
+            grid, smooth_controls(grid, p.m, np.random.default_rng(5)))
+        if method == "second":
+            nodes, _ = trajectory.shooting_nodes(p, ctrl, grid)
+            snap = second.SecondEqSnapshot.create(grid, nodes, ctrl.values)
+            states, ctrl, reads = snap.state_traj, snap.ctrl_traj, 1
+        else:
+            states, _ = trajectory.fused_sweep(p, ctrl, grid)
+            reads = 2
+        spline_reads = []
+        at_fractions = trajectory.SplineCoeffs.at_fractions
+
+        def counted(spline, frac):
+            spline_reads.append(len(frac))
+            return at_fractions(spline, frac)
+
+        rounds = []
+        check_budget = trajectory._check_budget
+
+        def counted_round(substeps, opts):
+            rounds.append(substeps)
+            check_budget(substeps, opts)
+
+        monkeypatch.setattr(trajectory.SplineCoeffs, "at_fractions", counted)
+        monkeypatch.setattr(trajectory, "_check_budget", counted_round)
+        for opts in (IntegratorOptions(), TIGHT):
+            transition_stack(p, states, ctrl, opts)
+            driver.path_cost(p, states, ctrl, grid, opts)
+        assert len(rounds) >= 5 and max(rounds) >= 80
+        assert len(spline_reads) == reads * len(rounds)
+        assert spline_reads[:reads] == [5] * reads
 
 
 class TestBatchedStack:
@@ -634,8 +717,9 @@ class TestBatchedStack:
         assert np.max(np.abs(fused.adjoint[0])) > 0.1
 
     def test_one_row_call_each_per_round(self, brach):
-        # Round k adds the odd points of the 2^(k-1)-substep stencil: the
-        # 2(N-1)+1 ends and midpoints first, then 2(N-1), 4(N-1), ...
+        # The first round takes the 4(N-1)+1 points of the 2-substep
+        # stencil, round k > 1 the odd points of the 2^k-substep stencil:
+        # 4(N-1), 8(N-1), ...
         calls = []
         p = self._counting(brach.problem, calls)
         grid, ctrl, states = self._along(brach.problem)
@@ -645,7 +729,7 @@ class TestBatchedStack:
         assert calls[0::2] == [("jac_fx_rows", rows) for rows in fx]
         assert calls[1::2] == [("grad_lx_rows", rows) for rows in lx]
         assert fx == lx
-        assert fx == [41] + [20 * 2 ** k for k in range(1, len(fx))]
+        assert fx == [81] + [20 * 2 ** k for k in range(2, len(fx) + 1)]
 
     def test_tighter_tolerance_takes_more_rounds(self, brach):
         rounds = {}
@@ -655,7 +739,7 @@ class TestBatchedStack:
             transition_stack(self._counting(brach.problem, calls), states,
                              ctrl, opts)
             rounds[label] = len(calls) // 2
-        assert 2 <= rounds["default"] < rounds["tight"]
+        assert 1 <= rounds["default"] < rounds["tight"]
 
     def test_non_finite_rows_raise(self, brach):
         grid, ctrl, states = self._along(brach.problem)

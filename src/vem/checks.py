@@ -79,27 +79,21 @@ def sequential_stencil(grid, sample, estimate, opts=None):
     estimates the same rows, so the results agree bit for bit.  Returns
     the result and its substep count s."""
     opts = opts or IntegratorOptions()
-    times = grid.times
-    n_int = times.size - 1
-    dt = np.diff(times)
+    dt = grid.widths
     rows = last = None
     s = 1
     while True:
-        trajectory._check_budget(s * n_int, opts)
-        frac = np.arange(1, 2 * s, 2) / (2 * s)
-        new = (times[:-1, None] + dt[:, None] * frac).ravel()
+        trajectory._check_budget(s * dt.size, opts)
         if rows is None:
-            new = np.append(np.column_stack([times[:-1], new]).ravel(), times[-1])
             frac = np.array([0.0, 0.5, 1.0])
-        fresh = sample(new, frac)
-        if rows is None:
-            rows = fresh
+            rows = sample(trajectory.stencil_times(grid, frac), frac)
         else:
-            merged = np.empty((2 * len(rows) - 1,) + rows.shape[1:])
-            merged[0::2], merged[1::2] = rows, fresh
+            frac = np.arange(1, 2 * s, 2) / (2 * s)
+            merged = np.empty((dt.size, 2 * s + 1) + rows.shape[2:])
+            merged[:, 0::2] = rows
+            merged[:, 1::2] = sample(trajectory.stencil_times(grid, frac), frac)
             rows = merged
-        index = 2 * s * np.arange(n_int)[:, None] + np.arange(2 * s + 1)
-        result = estimate(rows[index], dt)
+        result = estimate(rows, dt)
         if last is not None and trajectory._refined(result, last, opts):
             return result, s
         last = result

@@ -134,9 +134,6 @@ class EvolutionHistory:
     def costs(self) -> np.ndarray:
         return np.array([s.J for s in self.snapshots])
 
-    def tf_values(self) -> np.ndarray:
-        return np.array([s.tf for s in self.snapshots])
-
 
 @dataclass
 class SolveReport:
@@ -185,7 +182,7 @@ def _running_cost_field(problem: OcpProblem, states: StateTrajectory,
     ``running_cost_rows`` call per round."""
     def sample(ts, frac):
         return np.asarray(problem.running_cost_rows(
-            *path_rows(states, ctrl, ts, frac), ts), dtype=float)
+            *path_rows(states, ctrl, ts, frac)), dtype=float).reshape(ts.shape)
 
     return sample
 
@@ -387,16 +384,18 @@ def assemble_ivp(problem: OcpProblem, method: str, n_nodes: int,
                  mode: str = "quasi_feasible") -> EvolutionSystem:
     """Build the tau-IVP for a problem and probe its right-hand side once.
 
-    ``init_controls`` defaults to all-zero node controls.  The coupled
-    method starts from the node states of the control-only method's
-    shooting solve under that control (``shooting_nodes``), so the
-    starting snapshot satisfies the dynamics to the solve's tolerance and
-    the initial condition exactly.  Its feasible mode also needs a start
-    that meets the terminal constraint, ||g(x(tf), tf)||_inf <=
-    CONSTRAINT_TOL, and raises ValueError naming the miss otherwise.  An
-    unknown ``mode`` raises ValueError for either method.  The same
-    integrator options drive both the inner (physical-time) and the outer
-    (tau) integrations.
+    ``init_controls`` defaults to all-zero node controls, and ``init_tf``,
+    the starting horizon of a free-horizon problem, to ``problem.tf``; an
+    ``init_tf`` on a fixed horizon, or a non-finite one, raises
+    ValueError.  The coupled method starts from the node states of the
+    control-only method's shooting solve under that control
+    (``shooting_nodes``), so the starting snapshot satisfies the dynamics
+    to the solve's tolerance and the initial condition exactly.  Its
+    feasible mode also needs a start that meets the terminal constraint,
+    ||g(x(tf), tf)||_inf <= CONSTRAINT_TOL, and raises ValueError naming
+    the miss otherwise.  An unknown ``mode`` raises ValueError for either
+    method.  The same integrator options drive both the inner
+    (physical-time) and the outer (tau) integrations.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -413,7 +412,14 @@ def assemble_ivp(problem: OcpProblem, method: str, n_nodes: int,
     if init_controls.shape != (n_nodes, problem.m):
         raise ValueError(
             f"init_controls must have shape {(n_nodes, problem.m)}")
-    tf0 = float(init_tf) if init_tf is not None else problem.tf
+    tf0 = problem.tf
+    if init_tf is not None:
+        if not problem.tf_free:
+            raise ValueError("init_tf needs a free terminal time; this "
+                             "problem's horizon is fixed")
+        tf0 = float(init_tf)
+        if not np.isfinite(tf0):
+            raise ValueError("init_tf must be finite")
 
     layout = StateLayout(method, n_nodes, problem.n, problem.m, problem.tf_free)
     grid = TimeGrid(n_nodes, problem.t0, tf0)

@@ -45,13 +45,15 @@ from .errors import DegenerateGrid, SingularSystem
 COND_LIMIT = 1e12
 
 
-def _check_grid(nodes: np.ndarray) -> np.ndarray:
+def _check_grid(nodes: np.ndarray):
+    """The nodes as a float array and their interval widths."""
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2:
         raise DegenerateGrid("need at least two grid nodes")
-    if not np.all(np.diff(nodes) > 0.0):
+    dx = np.diff(nodes)
+    if not np.all(dx > 0.0):
         raise DegenerateGrid("grid nodes must be strictly increasing")
-    return nodes
+    return nodes, dx
 
 
 @dataclass
@@ -66,10 +68,6 @@ class SplineCoeffs:
     breakpoints: np.ndarray     # (N,)
     coeffs: np.ndarray          # (4, N-1, channels)
     squeeze: bool = False
-
-    @property
-    def n_channels(self) -> int:
-        return self.coeffs.shape[2]
 
     def _locate(self, t):
         """Interval coefficients and offsets for the query times.
@@ -178,31 +176,30 @@ def spline_build(nodes, values) -> SplineCoeffs:
     reproduces cubic polynomials for N >= 4; 2-3 nodes fall back to the
     interpolating line or parabola.
     """
-    nodes = _check_grid(nodes)
+    nodes, dx = _check_grid(nodes)
     vals = np.asarray(values, dtype=float)
     squeeze = vals.ndim == 1
     if squeeze:
         vals = vals[:, None]
     if vals.shape[0] != nodes.size:
         raise DegenerateGrid("values and nodes disagree in length")
-    dx = np.diff(nodes)
     slope = np.diff(vals, axis=0) / dx[:, None]
-    return _hermite(nodes, vals, slope, _node_slopes(dx, slope), squeeze)
+    return _hermite(nodes, dx, vals, slope, _node_slopes(dx, slope), squeeze)
 
 
 def hermite_build(nodes, values, slopes) -> SplineCoeffs:
     """Cubic Hermite interpolant through node values (N, channels) with
     the given node slopes (N, channels)."""
-    nodes = _check_grid(nodes)
+    nodes, dx = _check_grid(nodes)
     vals = np.asarray(values, dtype=float)
-    slope = np.diff(vals, axis=0) / np.diff(nodes)[:, None]
-    return _hermite(nodes, vals, slope, np.asarray(slopes, dtype=float))
+    slope = np.diff(vals, axis=0) / dx[:, None]
+    return _hermite(nodes, dx, vals, slope, np.asarray(slopes, dtype=float))
 
 
-def _hermite(nodes, vals, slope, s, squeeze=False) -> SplineCoeffs:
-    """Per-interval cubic coefficients from node values, interval secants
-    and node slopes."""
-    dxr = np.diff(nodes)[:, None]
+def _hermite(nodes, dx, vals, slope, s, squeeze=False) -> SplineCoeffs:
+    """Per-interval cubic coefficients from node values, interval widths
+    and secants, and node slopes."""
+    dxr = dx[:, None]
     t = (s[:-1] + s[1:] - 2.0 * slope) / dxr
     coeffs = np.empty((4,) + slope.shape)
     coeffs[0] = t / dxr
@@ -214,7 +211,7 @@ def _hermite(nodes, vals, slope, s, squeeze=False) -> SplineCoeffs:
 
 def grid_quadrature(grid, samples):
     """Composite-trapezoid integral of per-node samples over the grid."""
-    grid = _check_grid(grid)
+    grid, _ = _check_grid(grid)
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != grid.size:
         raise DegenerateGrid("samples and grid disagree in length")
@@ -228,11 +225,11 @@ def cumulative_from_left(grid, samples):
     [t_0, t_i]; the first entry is exactly zero.  This is the arithmetic of
     scipy's ``cumulative_trapezoid(samples, grid, axis=0, initial=0)``.
     """
-    grid = _check_grid(grid)
+    grid, d = _check_grid(grid)
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != grid.size:
         raise DegenerateGrid("samples and grid disagree in length")
-    d = np.diff(grid).reshape((-1,) + (1,) * (samples.ndim - 1))
+    d = d.reshape((-1,) + (1,) * (samples.ndim - 1))
     out = np.zeros(samples.shape)
     np.cumsum(d * (samples[1:] + samples[:-1]) / 2.0, axis=0, out=out[1:])
     return out

@@ -58,15 +58,11 @@ def double_integrator() -> Benchmark:
         n=2, m=1, q=2,
         t0=0.0, x0=np.array([1.0, 1.0]),
         tf_mode="fixed", tf=2.0,
-        dynamics=lambda x, u, t: a_mat @ x + b_vec * u[0],
         dynamics_rows=lambda xs, us, ts: np.stack([xs[:, 1], us[:, 0]], axis=1),
         jac_fx_rows=lambda xs, us, ts: np.repeat(a_mat[None], len(ts), axis=0),
         jac_fu_rows=lambda xs, us, ts: np.repeat(b_vec[None, :, None], len(ts),
                                                  axis=0),
-        running_cost=lambda x, u, t: 0.5 * u[0] ** 2,
-        # float_power takes libm's pow like the scalar ``**`` above (an
-        # array ``** 2`` squares instead), so the two forms agree bit for bit.
-        running_cost_rows=lambda xs, us, ts: 0.5 * np.float_power(us[:, 0], 2.0),
+        running_cost_rows=lambda xs, us, ts: 0.5 * us[:, 0] ** 2,
         grad_lx_rows=lambda xs, us, ts: np.zeros((len(ts), 2)),
         grad_lu_rows=lambda xs, us, ts: np.array(us, dtype=float),
         constraint=lambda xf, tf: np.array([xf[0], xf[1]]),
@@ -123,10 +119,6 @@ def brachistochrone() -> Benchmark:
     """Fastest-descent problem; path angle is the control, time the cost."""
     gravity = 10.0
 
-    def dynamics(x, u, t):
-        s, c = np.sin(u[0]), np.cos(u[0])
-        return np.array([x[2] * s, -x[2] * c, gravity * c])
-
     def dynamics_rows(xs, us, ts):
         s, c = np.sin(us[:, 0]), np.cos(us[:, 0])
         return np.stack([xs[:, 2] * s, -xs[:, 2] * c, gravity * c], axis=1)
@@ -146,7 +138,7 @@ def brachistochrone() -> Benchmark:
         n=3, m=1, q=2,
         t0=0.0, x0=np.zeros(3),
         tf_mode="free", tf=1.0,
-        dynamics=dynamics, dynamics_rows=dynamics_rows,
+        dynamics_rows=dynamics_rows,
         jac_fx_rows=jac_fx_rows, jac_fu_rows=jac_fu_rows,
         terminal_cost=lambda xf, tf: tf,
         grad_phix=lambda xf, tf: np.zeros(3),

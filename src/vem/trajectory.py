@@ -59,21 +59,29 @@ substeps with one, so the first round samples all five points per
 interval of the 2-substep stencil in one call and the 1-substep estimate
 reads their even points; each later round adds the odd points of the
 next finer stencil.  Each round makes one ``jac_fx_rows`` and one
-``grad_lx_rows`` call over the times it adds.  A propagator's first
-substep starts from Y = I, so its first stage is B without a product.
-Intervals end at nodes, where the state and control splines are joined,
-so RK4 keeps its order on every interval.  A snapshot's cost
-(``driver.path_cost``, either method) is composite Simpson on the same
-stencil.  Each round hands its sampler the fractions of the points it
-adds, and the trajectories read their splines there -- the shooting
+``grad_lx_rows`` call over the times it adds.  Both RK4 propagators --
+these and the shooting tangents -- take their steps by one
+``_rk4_linear_step``, and a first substep from Y = I has B as its first
+stage, without a product.  Intervals end at nodes, where the state and
+control splines are joined, so RK4 keeps its order on every interval.  A
+snapshot's cost (``driver.path_cost``, either method) is composite
+Simpson on the same stencil.
+
+Every stencil -- the shooting solve's and each ``interval_stencil``
+round -- is laid out per interval, (N-1, K) for the fractions (K,) of
+every interval it samples: ``stencil_times`` forms the times from the
+grid's widths (``TimeGrid.widths``), with the right ends pinned to the
+nodes, so a node shared by two intervals is sampled for each.  The
+trajectories read their splines at the same points -- the shooting
 stencil's controls too -- with ``SplineCoeffs.at_fractions`` (Horner on
 each interval's coefficients, no interval search), bit for bit what a
-query at those times returns.  A coupled snapshot's state and control
-splines are column views of one joint spline, which both trajectories
-carry, so ``path_rows`` reads it once per round for both.  A grid
-carries its interval widths (``TimeGrid.widths``), which the stencils
-read, and its trapezoid weights (``TimeGrid.weights``, the unit grid's,
-kept per node count, times the width), which the multiplier sums read.
+query at those times returns.  ``path_rows`` flattens a round's rows to
+(T, .) for the row callbacks, and a sampler hands its rows back as
+(N-1, K, ...) blocks.  A coupled snapshot's state and control splines
+are column views of one joint spline, which both trajectories carry, so
+``path_rows`` reads it once per round for both.  A grid also carries its
+trapezoid weights (``TimeGrid.weights``, the unit grid's, kept per node
+count, times the width), which the multiplier sums read.
 
 ``propagate_states`` and ``_forward_stack`` (the forward transition
 matrices Phi(t_i, t0)) are oracles: adaptive Dormand-Prince sweeps, which
@@ -171,11 +179,6 @@ class ControlTrajectory:
     def eval(self, t):
         return self.spline.eval(t)
 
-    def stencil_rows(self, frac) -> np.ndarray:
-        """Rows at the times of one ``interval_stencil`` round with
-        fractions ``frac``."""
-        return _stencil_rows(self.spline, frac)
-
 
 @dataclass
 class StateTrajectory:
@@ -203,42 +206,41 @@ class StateTrajectory:
             return self._rows(ts)
         return self._spline().eval(ts)
 
-    def stencil_rows(self, ts, frac) -> np.ndarray:
-        """Rows at the times ``ts`` of one ``interval_stencil`` round with
-        fractions ``frac``."""
-        if self._spline is None:
-            return self._rows(ts)
-        return _stencil_rows(self._spline(), frac)
-
     def eval(self, t):
         if np.ndim(t) == 0:
             return self.rows([t])[0]
         return self.rows(t)
 
 
+def stencil_times(grid: TimeGrid, frac) -> np.ndarray:
+    """The times (N-1, K) at the fractions ``frac`` (K,) of every grid
+    interval, t_i + (t_i+1 - t_i) frac_k from ``grid.widths``; a last
+    fraction of exactly 1 is pinned to the next node.  These are bit for
+    bit the times ``SplineCoeffs.at_fractions`` reads a spline on the
+    grid's nodes at."""
+    ts = grid.times[:-1, None] + grid.widths[:, None] * frac
+    if frac[-1] == 1.0:
+        ts[:, -1] = grid.times[1:]
+    return ts
+
+
 def path_rows(states: StateTrajectory, ctrl: ControlTrajectory, ts, frac):
-    """State and control rows (T, n), (T, m) at the times ``ts`` of one
-    ``interval_stencil`` round with fractions ``frac``.  Trajectories that
-    are column views of one joint spline (a coupled snapshot's) take one
-    ``at_fractions`` read of it; others read their own."""
+    """The row-callback arguments (xs, us, ts) -- (T, n), (T, m), (T,) --
+    at the stencil times ``ts`` (N-1, K) of fractions ``frac``, flattened
+    interval by interval.  Trajectories that are column views of one joint
+    spline (a coupled snapshot's) take one ``at_fractions`` read of it;
+    others read their own spline, or the oracles' dense output at the
+    times."""
+    flat = ts.ravel()
     joint = ctrl.joint
     if joint is not None and states.joint is joint:
-        rows = _stencil_rows(joint, frac)
+        rows = joint.at_fractions(frac).reshape(flat.size, -1)
         n = states.values.shape[1]
-        return rows[:, :n], rows[:, n:]
-    return states.stencil_rows(ts, frac), ctrl.stencil_rows(frac)
-
-
-def _stencil_rows(spline: SplineCoeffs, frac) -> np.ndarray:
-    """A spline's rows at one ``interval_stencil`` round's times, in its
-    order: the ``at_fractions`` rows interval by interval, where a round
-    that takes the interval ends (fractions from 0 to 1) takes each node
-    once, as the left end of its interval, and the last node last."""
-    rows = spline.at_fractions(frac)
-    channels = rows.shape[2]
-    if frac[-1] == 1.0:
-        return np.concatenate([rows[:, :-1].reshape(-1, channels), rows[-1, -1:]])
-    return rows.reshape(-1, channels)
+        return rows[:, :n], rows[:, n:], flat
+    us = ctrl.spline.at_fractions(frac).reshape(flat.size, -1)
+    if states._spline is None:
+        return states._rows(flat), us, flat
+    return states._spline().at_fractions(frac).reshape(flat.size, -1), us, flat
 
 
 def propagate_states(problem: OcpProblem, ctrl: ControlTrajectory,
@@ -283,8 +285,10 @@ def shooting_nodes(problem: OcpProblem, ctrl: ControlTrajectory,
     s = 1
     while True:
         _check_budget(2 * s * n_int, opts)
-        nodes, ends, tangents, check = _shoot(problem, *_stencil(grid, ctrl, 2 * s),
-                                              nodes)
+        # The 2s-substep stencil: ends and midpoints, ends at the nodes.
+        frac = np.arange(4 * s + 1) / (4 * s)
+        nodes, ends, tangents, check = _shoot(problem, stencil_times(grid, frac),
+                                              ctrl.spline.at_fractions(frac), nodes)
         if _refined(check, ends, opts):
             return nodes, tangents
         s *= 2
@@ -384,23 +388,6 @@ def _refined(fine, coarse, opts: IntegratorOptions) -> bool:
                        <= opts.atol + opts.rtol * np.abs(fine)))
 
 
-def _stencil(grid: TimeGrid, ctrl: ControlTrajectory, s: int):
-    """Sample times (N-1, 2s+1) of s RK4 substeps per interval -- their
-    ends and midpoints, with the ends exactly at the nodes -- and the
-    controls there, (N-1, 2s+1, m).
-
-    The control spline's breakpoints are the grid nodes, so each row is
-    its interval's polynomial by Horner, as ``ctrl.eval`` computes it;
-    an interval's right end, like a spline query there, takes the next
-    interval's value at offset zero, its node value, except on the last
-    interval."""
-    times = grid.times
-    frac = np.arange(2 * s + 1) / (2 * s)
-    ts = times[:-1, None] + grid.widths[:, None] * frac
-    ts[:, -1] = times[1:]
-    return ts, ctrl.spline.at_fractions(frac)
-
-
 def _rk4_maps(problem: OcpProblem, starts, ts, us, h):
     """Classic RK4 with s substeps of width ``h`` (K, 1) across every row's
     interval at once, from the rows ``starts`` (K, n) on the stencil
@@ -432,17 +419,12 @@ def _tangent_step(fx, lx, h):
     (K, n+1, n+1), from the f_x (4K, n, n) and L_x (4K, n) rows at its
     four stage inputs, stage-major."""
     k, n = len(h), fx.shape[1]
-    eye = np.eye(n + 1)
     b = np.zeros((4 * k, n + 1, n + 1))
     b[:, :n, :n] = fx
     b[:, n, :n] = lx
+    # From Z = I the first stage is B itself.
     b = b.reshape(4, k, n + 1, n + 1)
-    hh = h[:, :, None]
-    m1 = b[0]
-    m2 = b[1] @ (eye + 0.5 * hh * m1)
-    m3 = b[2] @ (eye + 0.5 * hh * m2)
-    m4 = b[3] @ (eye + hh * m3)
-    return eye + hh / 6.0 * (m1 + 2.0 * (m2 + m3) + m4)
+    return _rk4_linear_step(np.eye(n + 1), *b, h[:, :, None])
 
 
 class _Tangents:
@@ -605,13 +587,13 @@ def _backward_field(problem: OcpProblem, states: StateTrajectory,
     n = problem.n
 
     def sample(ts, frac):
-        xs, us = path_rows(states, ctrl, ts, frac)
-        a = np.asarray(problem.jac_fx_rows(xs, us, ts), dtype=float)
-        lx = np.asarray(problem.grad_lx_rows(xs, us, ts), dtype=float)
-        b = np.zeros((len(ts), n + 1, n + 1))
+        rows = path_rows(states, ctrl, ts, frac)
+        a = np.asarray(problem.jac_fx_rows(*rows), dtype=float)
+        lx = np.asarray(problem.grad_lx_rows(*rows), dtype=float)
+        b = np.zeros((ts.size, n + 1, n + 1))
         b[:, :n, :n] = -np.swapaxes(a, 1, 2)
         b[:, :n, n] = -lx
-        return b
+        return b.reshape(ts.shape + b.shape[1:])
 
     return sample
 
@@ -622,18 +604,19 @@ def _propagators(b, dt):
     first substep starts from Y = I, where k1 is B at the right end."""
     s = (b.shape[1] - 1) // 2
     h = (-dt / s)[:, None, None]
-    y = _rk4_linear_step(np.eye(b.shape[2]), b[:, -1], b[:, -2], b[:, -3], h)
+    y = _rk4_linear_step(np.eye(b.shape[2]), b[:, -1], b[:, -2], b[:, -2], b[:, -3], h)
     for j in range(2 * s - 2, 0, -2):
-        y = _rk4_linear_step(y, b[:, j] @ y, b[:, j - 1], b[:, j - 2], h)
+        y = _rk4_linear_step(y, b[:, j] @ y, b[:, j - 1], b[:, j - 1], b[:, j - 2], h)
     return y
 
 
-def _rk4_linear_step(y, k1, bm, b1, h):
-    """One classic-RK4 step of Y' = B Y from Y with first stage k1 = B0 Y,
-    midpoint rows ``bm`` and end rows ``b1``."""
-    k2 = bm @ (y + 0.5 * h * k1)
-    k3 = bm @ (y + 0.5 * h * k2)
-    k4 = b1 @ (y + h * k3)
+def _rk4_linear_step(y, k1, b2, b3, b4, h):
+    """One classic-RK4 step of Y' = B Y from Y, given its first stage
+    k1 = B Y and the matrices B of stages 2, 3 and 4 (at a midpoint, the
+    midpoint again and the step's end, for a fixed linear field)."""
+    k2 = b2 @ (y + 0.5 * h * k1)
+    k3 = b3 @ (y + 0.5 * h * k2)
+    k4 = b4 @ (y + h * k3)
     return y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
@@ -642,55 +625,48 @@ def interval_stencil(grid: TimeGrid, sample, estimate,
     """Per-interval results of a fourth-order rule, refined by step doubling.
 
     Every interval [t_i, t_i+1] is split into s equal substeps whose ends
-    and midpoints are the sample times (ends exactly at the nodes).
-    ``sample(ts, frac)`` maps a round's array of times to one row each; the
-    times are the points at the fractions ``frac`` of every interval, a
-    node shared by two intervals taken once (``_stencil_rows``), so a
-    spline's rows there are its ``at_fractions`` reader, and a coupled
-    snapshot's state and control rows are one read of its joint spline
-    (``path_rows``).  ``estimate(rows, dt)`` maps the (N-1, 2s+1, ...)
-    rows of the s-substep stencil and the interval widths
+    and midpoints are the sample times (ends exactly at the nodes).  Each
+    round samples the points at the fractions ``frac`` of every interval:
+    ``sample(ts, frac)`` maps their times (N-1, K) (``stencil_times``) to
+    rows (N-1, K, ...), so a spline's rows there are its ``at_fractions``
+    reader, and a coupled snapshot's state and control rows are one read
+    of its joint spline (``path_rows``).  ``estimate(rows, dt)`` maps the
+    (N-1, 2s+1, ...) rows of the s-substep stencil and the interval widths
     (``grid.widths``) to one result per interval.  The first test always
     compares E_2 with E_1, so the first round samples every point of the
     2-substep stencil, fractions 0, 1/4, 1/2, 3/4 and 1, in one call, and
     reads E_1 from its even points and E_2 from all of them; each later
-    round samples only the odd points of the next finer stencil.  s
-    doubles until E_2s passes ``_refined`` against E_s, and E_2s is
-    returned.
+    round samples only the odd points of the next finer stencil, and
+    merges them between the rows it has.  s doubles until E_2s passes
+    ``_refined`` against E_s, and E_2s is returned.
 
     Raises StepFailure when a stencil would need more than
     ``opts.max_steps`` substeps and NonFiniteField on non-finite rows.
     """
     opts = opts or IntegratorOptions()
-    times, dt = grid.times, grid.widths
-    n_int = dt.size
+    dt = grid.widths
 
-    def take(ts, frac, s):
+    def take(frac, s):
         """Rows at the points ``frac`` of the s-substep stencil."""
-        _check_budget(s * n_int, opts)
-        rows = sample(ts, frac)
+        _check_budget(s * dt.size, opts)
+        rows = sample(stencil_times(grid, frac), frac)
         if not np.all(np.isfinite(rows)):
             raise NonFiniteField("non-finite rows on the interval stencil")
         return rows
 
     s = 2
-    frac = np.arange(5) / 4.0
-    rows = take(np.append((times[:-1, None] + dt[:, None] * frac[:-1]).ravel(),
-                          times[-1]), frac, s)
-    index = 4 * np.arange(n_int)[:, None] + np.arange(5)
-    last, result = estimate(rows[index[:, ::2]], dt), estimate(rows[index], dt)
+    rows = take(np.arange(5) / 4.0, s)
+    last, result = estimate(rows[:, ::2], dt), estimate(rows, dt)
     while not _refined(result, last, opts):
         last = result
         s *= 2
         # The finer stencil's even points are the coarser stencil's
         # points, so only its odd points are new.
-        frac = np.arange(1, 2 * s, 2) / (2 * s)
-        fresh = take((times[:-1, None] + dt[:, None] * frac).ravel(), frac, s)
-        merged = np.empty((2 * len(rows) - 1,) + rows.shape[1:])
-        merged[0::2], merged[1::2] = rows, fresh
+        fresh = take(np.arange(1, 2 * s, 2) / (2 * s), s)
+        merged = np.empty((dt.size, 2 * s + 1) + rows.shape[2:])
+        merged[:, 0::2], merged[:, 1::2] = rows, fresh
         rows = merged
-        index = 2 * s * np.arange(n_int)[:, None] + np.arange(2 * s + 1)
-        result = estimate(rows[index], dt)
+        result = estimate(rows, dt)
     return result
 
 

@@ -82,6 +82,31 @@ class TestAssembly:
         with pytest.raises(TfCollapse):
             assemble_ivp(brach.problem, "third", 11, brach.gains, init_tf=5e-4)
 
+    @pytest.mark.parametrize("method", ["third", "second"])
+    def test_initial_horizon_on_a_fixed_horizon(self, di, method):
+        # A fixed horizon's evolution grid is [t0, problem.tf], so a start
+        # on any other horizon is refused, not built on it.
+        with pytest.raises(ValueError, match="init_tf needs a free terminal time"):
+            assemble_ivp(di.problem, method, 41, di.gains, init_tf=1.5)
+
+    @pytest.mark.parametrize("method", ["third", "second"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_initial_horizon(self, brach, method, value):
+        with pytest.raises(ValueError, match="init_tf must be finite"):
+            assemble_ivp(brach.problem, method, 21, brach.gains, init_tf=value)
+
+    @pytest.mark.parametrize("method", ["third", "second"])
+    def test_initial_horizon_on_a_free_horizon(self, brach, method):
+        # The coupled start is the shooting solve on [t0, init_tf].
+        p = brach.problem
+        system = assemble_ivp(p, method, 21, brach.gains, init_tf=1.2)
+        _, states, tf = system.layout.unpack(system.y0)
+        assert tf == 1.2
+        if method == "second":
+            grid = TimeGrid(21, p.t0, 1.2)
+            ctrl = ControlTrajectory.from_values(grid, np.zeros((21, p.m)))
+            assert np.array_equal(states, trajectory.shooting_nodes(p, ctrl, grid)[0])
+
     def test_coupled_method_starts_from_propagated_states(self, di):
         system = assemble_ivp(di.problem, "second", 41, di.gains)
         _, states, _ = system.layout.unpack(system.y0)
@@ -328,7 +353,9 @@ class TestRowCallbacks:
         # coefficients, with no control lookup.  No one-row call, no
         # Dormand-Prince run, and no running cost inside a sweep: snapshots
         # read it along the Hermite state rows, whose node rates are one
-        # N-row dynamics call.
+        # N-row dynamics call.  The shipped problems write row forms only,
+        # so the end-node bracket of each evaluation is one one-row
+        # dynamics call.
         calls, sweeps, lookups, phase = [], [], [], ["other"]
 
         def phased(name, fn):
@@ -388,7 +415,9 @@ class TestRowCallbacks:
         assert sizes("jac_fu_rows") == sizes("grad_lu_rows") == [41] * in_sweeps
         assert sizes("running_cost_rows", "sweep") == []
         assert len(sizes("running_cost_rows", "snapshot")) >= len(history.snapshots)
-        assert sizes("dynamics_rows", "snapshot") == [41] * len(history.snapshots)
+        assert sizes("dynamics_rows", "snapshot") == [1, 41] * len(history.snapshots)
+        assert sizes("dynamics_rows", "other") == \
+            [1] * (in_sweeps - len(history.snapshots))
 
 
 class TestModifiedMode:

@@ -328,7 +328,7 @@ class TestReplace:
         # derives the others again, to the same values.
         p = brachistochrone().problem
         q = dataclasses.replace(p)
-        for name in ("dynamics", "jac_fx_rows", "jac_fu_rows", "terminal_cost",
+        for name in ("dynamics_rows", "jac_fx_rows", "jac_fu_rows", "terminal_cost",
                      "constraint", "jac_gx"):
             assert getattr(q, name) is getattr(p, name), name
         xs, us, ts = _random_rows(p, np.random.default_rng(8), count=3)

@@ -552,11 +552,11 @@ class TestShooting:
 class TestIntervalStencil:
     @pytest.mark.parametrize("kind", ["cubic", "hermite"])
     def test_rounds_read_splines_at_their_times(self, kind):
-        # Each round's sampler gets the fractions of the points it adds:
-        # every point of the 2-substep stencil first, each node once, then
-        # the odd points of the 4 and 8-substep stencils.  The
-        # trajectories' stencil rows there are eval's bits at the round's
-        # times.
+        # Each round's sampler gets the times (N-1, K) of the points it
+        # adds: every point of the 2-substep stencil first, both ends of
+        # every interval, then the odd points of the 4 and 8-substep
+        # stencils.  The trajectories' rows there are eval's bits at the
+        # round's times.
         rng = np.random.default_rng(21)
         grid = TimeGrid(17, 0.3, 1.4)
         vals = rng.standard_normal((17, 2))
@@ -567,11 +567,12 @@ class TestIntervalStencil:
         rounds = []
 
         def sample(ts, frac):
-            rows = states.stencil_rows(ts, frac)
-            assert np.array_equal(rows, spline.eval(ts))
-            assert np.array_equal(ctrl.stencil_rows(frac), rows)
-            rounds.append(len(ts))
-            return rows
+            xs, us, flat = trajectory.path_rows(states, ctrl, ts, frac)
+            assert np.array_equal(flat, ts.ravel())
+            assert np.array_equal(xs, spline.eval(flat))
+            assert np.array_equal(us, xs)
+            rounds.append(ts.shape)
+            return xs.reshape(ts.shape + (2,))
 
         def estimate(rows, dt):
             # A new value every stencil: the doubling runs into the budget.
@@ -580,7 +581,17 @@ class TestIntervalStencil:
         with pytest.raises(StepFailure):
             trajectory.interval_stencil(grid, sample, estimate,
                                         IntegratorOptions(max_steps=8 * 16))
-        assert rounds == [65, 64, 128]
+        assert rounds == [(16, 5), (16, 4), (16, 8)]
+
+    def test_stencil_times(self):
+        # Both ends of every interval are its nodes exactly, and an
+        # interior fraction is t_i + w_i frac from the grid's widths.
+        grid = TimeGrid(17, 0.3, 1.4)
+        ts = trajectory.stencil_times(grid, np.arange(5) / 4.0)
+        assert ts.shape == (16, 5)
+        assert np.array_equal(ts[:, 0], grid.times[:-1])
+        assert np.array_equal(ts[:, -1], grid.times[1:])
+        assert np.array_equal(ts[:, 2], grid.times[:-1] + grid.widths * 0.5)
 
     @pytest.mark.parametrize("make", [double_integrator, brachistochrone])
     def test_fused_first_round_matches_sequential_loop(self, make):
@@ -605,8 +616,8 @@ class TestIntervalStencil:
         sampled = []
 
         def sample(ts, frac):
-            sampled.append(len(ts))
-            return np.zeros(len(ts))
+            sampled.append(ts.size)
+            return np.zeros(ts.shape)
 
         def estimate(rows, dt):
             return np.zeros(len(dt))
@@ -617,7 +628,7 @@ class TestIntervalStencil:
         assert sampled == []
         trajectory.interval_stencil(grid, sample, estimate,
                                     IntegratorOptions(max_steps=32))
-        assert sampled == [65]
+        assert sampled == [80]
 
     @pytest.mark.parametrize("method", ["second", "third"])
     def test_one_spline_read_per_round(self, brach, monkeypatch, method):
@@ -717,9 +728,9 @@ class TestBatchedStack:
         assert np.max(np.abs(fused.adjoint[0])) > 0.1
 
     def test_one_row_call_each_per_round(self, brach):
-        # The first round takes the 4(N-1)+1 points of the 2-substep
-        # stencil, round k > 1 the odd points of the 2^k-substep stencil:
-        # 4(N-1), 8(N-1), ...
+        # The first round takes the 5(N-1) points of the 2-substep
+        # stencil, both ends of every interval, round k > 1 the odd points
+        # of the 2^k-substep stencil: 4(N-1), 8(N-1), ...
         calls = []
         p = self._counting(brach.problem, calls)
         grid, ctrl, states = self._along(brach.problem)
@@ -729,7 +740,7 @@ class TestBatchedStack:
         assert calls[0::2] == [("jac_fx_rows", rows) for rows in fx]
         assert calls[1::2] == [("grad_lx_rows", rows) for rows in lx]
         assert fx == lx
-        assert fx == [81] + [20 * 2 ** k for k in range(2, len(fx) + 1)]
+        assert fx == [100] + [20 * 2 ** k for k in range(2, len(fx) + 1)]
 
     def test_tighter_tolerance_takes_more_rounds(self, brach):
         rounds = {}

@@ -1,6 +1,7 @@
 """Self-contained diagnostic suites behind the ``check`` command.
 
-Each check returns (name, passed, detail).  The oracles here are chosen
+Each check returns (name, passed, detail); most compare a gap with the
+bound ``invariant_checks`` gives it.  The oracles here are chosen
 to be independent of the production code paths they exercise: forward
 transition matrices check the batched backward stack and, through the
 quadrature gradient form (``quadrature_gradient``), the adjoint
@@ -52,6 +53,27 @@ def _smooth_controls(grid, m, rng, scale=0.3, waves=2):
     return vals
 
 
+def _drawn_case(bench, n_nodes, rng):
+    """The benchmark's problem, an ``n_nodes`` grid on its horizon and
+    drawn smooth controls on it."""
+    p = bench.problem
+    grid = TimeGrid(n_nodes, p.t0, p.tf)
+    return p, grid, ControlTrajectory.from_values(grid, _smooth_controls(grid, p.m, rng))
+
+
+def _oracle_path(p, ctrl, grid):
+    """Propagated states and the backward stack along them, at TIGHT."""
+    states = propagate_states(p, ctrl, grid, TIGHT)
+    return states, transition_stack(p, states, ctrl, TIGHT)
+
+
+def worst_gap(gap, cases, seed, draws=1):
+    """The largest ``gap(*case, rng)`` over the cases, ``draws`` per case,
+    drawn in that order from one generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    return max(gap(*case, rng) for case in cases for _ in range(draws))
+
+
 def cumulative_products(mats) -> np.ndarray:
     """Running products of a matrix stack, newest factor on the left.
 
@@ -61,7 +83,7 @@ def cumulative_products(mats) -> np.ndarray:
     stack of K matrices takes ceil(log2 K) batched matmuls instead of K - 1
     sequential ones.  The association order differs from the sequential
     loop, so the results agree with it to rounding.  The oracle of the
-    shooting solve's banded recurrences (``_check_banded_vs_products``).
+    shooting solve's banded recurrences (``_banded_gap``).
     """
     out = np.array(mats, dtype=float)
     d = 1
@@ -106,9 +128,7 @@ def stencil_cases(bench, rng):
     the Simpson cost of ``path_cost`` -- along a coupled snapshot's
     trajectories (one joint spline) and the shooting solve's (separate
     splines), at drawn controls."""
-    p = bench.problem
-    grid = TimeGrid(bench.default_nodes, p.t0, p.tf)
-    ctrl = ControlTrajectory.from_values(grid, _smooth_controls(grid, p.m, rng))
+    p, grid, ctrl = _drawn_case(bench, bench.default_nodes, rng)
     nodes, _ = trajectory.shooting_nodes(p, ctrl, grid)
     snap = second_eq.SecondEqSnapshot.create(
         grid, nodes + 1e-3 * rng.standard_normal(nodes.shape), ctrl.values)
@@ -182,12 +202,11 @@ def _check_integrator_order():
     return slope >= 4.0, f"observed order {slope:.2f}"
 
 
-def _check_spline_cubic():
+def _spline_cubic_gap():
     nodes = np.linspace(0.0, 2.0, 5)
     s = spline_build(nodes, nodes**3)
     t = np.linspace(0.0, 2.0, 101)
-    err = float(np.max(np.abs(s.eval(t) - t**3)))
-    return err <= 1e-12, f"cubic reproduction error {err:.2e}"
+    return float(np.max(np.abs(s.eval(t) - t**3)))
 
 
 def _check_quadrature():
@@ -296,12 +315,9 @@ def variational_state_rate(problem, snap, udot_nodes, gains,
     return values
 
 
-def _psi_consistency(bench, rng):
-    p = bench.problem
-    grid = TimeGrid(21, p.t0, p.tf)
-    ctrl = ControlTrajectory.from_values(grid, _smooth_controls(grid, p.m, rng))
-    states = propagate_states(p, ctrl, grid, TIGHT)
-    stack = transition_stack(p, states, ctrl, TIGHT)
+def _psi_gap(bench, n_nodes, rng):
+    p, grid, ctrl = _drawn_case(bench, n_nodes, rng)
+    states, stack = _oracle_path(p, ctrl, grid)
     fwd = trajectory._forward_stack(p, states, ctrl, grid, TIGHT)
     worst = 0.0
     for i in range(grid.n_nodes):
@@ -310,44 +326,21 @@ def _psi_consistency(bench, rng):
     return worst
 
 
-def _check_psi_consistency(seed=0):
-    rng = np.random.default_rng(seed)
-    worst = max(_psi_consistency(double_integrator(), rng),
-                _psi_consistency(brachistochrone(), rng))
-    return worst <= 1e-7, f"backward-vs-forward gap {worst:.2e}"
-
-
 def _gradient_form_gap(bench, n_nodes, rng):
-    p = bench.problem
-    grid = TimeGrid(n_nodes, p.t0, p.tf)
-    ctrl = ControlTrajectory.from_values(grid, _smooth_controls(grid, p.m, rng))
-    states = propagate_states(p, ctrl, grid, TIGHT)
-    stack = transition_stack(p, states, ctrl, TIGHT)
+    p, grid, ctrl = _drawn_case(bench, n_nodes, rng)
+    states, stack = _oracle_path(p, ctrl, grid)
     adj = third_eq.control_gradient(third_eq.node_inputs(p, states, ctrl), stack)
     quad = quadrature_gradient(p, states, ctrl,
                                trajectory._forward_stack(p, states, ctrl, grid, TIGHT))
     return float(np.max(np.abs(adj - quad))) / (1.0 + float(np.max(np.abs(adj))))
 
 
-def _check_gradient_forms(seed=0):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for bench, n_nodes in ((double_integrator(), 41), (brachistochrone(), 101),
-                           (tracking_fixture(), 801)):
-        for _ in range(3):
-            worst = max(worst, _gradient_form_gap(bench, n_nodes, rng))
-    return worst <= 1e-6, f"adjoint-vs-quadrature gap {worst:.2e}"
-
-
 def _fused_gap(bench, n_nodes, rng):
     """Worst scaled gap of the shooting solve's states, Psi, adjoint
     and cost against propagation, the backward stack and the path cost."""
-    p = bench.problem
-    grid = TimeGrid(n_nodes, p.t0, p.tf)
-    ctrl = ControlTrajectory.from_values(grid, _smooth_controls(grid, p.m, rng))
+    p, grid, ctrl = _drawn_case(bench, n_nodes, rng)
     states, stack = fused_sweep(p, ctrl, grid, TIGHT)
-    ref_states = propagate_states(p, ctrl, grid, TIGHT)
-    ref_stack = transition_stack(p, ref_states, ctrl, TIGHT)
+    ref_states, ref_stack = _oracle_path(p, ctrl, grid)
     ref_cost = path_cost(p, ref_states, ctrl, grid, TIGHT)
     pairs = ((states.values, ref_states.values), (stack.psi, ref_stack.psi),
              (stack.adjoint, ref_stack.adjoint),
@@ -356,25 +349,14 @@ def _fused_gap(bench, n_nodes, rng):
                for a, b in pairs)
 
 
-def _check_fused_vs_backward(seed=0):
-    rng = np.random.default_rng(seed)
-    worst = max(_fused_gap(bench, n_nodes, rng)
-                for bench, n_nodes in ((double_integrator(), 41),
-                                       (brachistochrone(), 101),
-                                       (tracking_fixture(), 801)))
-    return worst <= 1e-8, f"fused-vs-backward gap {worst:.2e}"
-
-
 def _banded_gap(bench, n_nodes, rng):
     """Worst scaled gap of the banded recurrences against running matrix
     products at one shooting solve's tangents T_i = [[G_i, 0], [c_i^T, 1]]:
     Psi and lam from [[Psi_i, lam_i], [0, 1]] = T_i^T ... T_N-2^T
     [[I, lam_end], [0, 1]], and a Newton correction for a drawn residual r
     from the products of [[G_i, r_i], [0, 1]]."""
-    p = bench.problem
+    p, grid, ctrl = _drawn_case(bench, n_nodes, rng)
     n = p.n
-    grid = TimeGrid(n_nodes, p.t0, p.tf)
-    ctrl = ControlTrajectory.from_values(grid, _smooth_controls(grid, p.m, rng))
     nodes, tangents = trajectory.shooting_nodes(p, ctrl, grid)
     lam_end = np.asarray(p.grad_phix(nodes[-1], grid.tf), dtype=float)
     psi, adjoint = trajectory._backward(tangents[:, :n, :n], tangents[:, n, :n],
@@ -395,34 +377,23 @@ def _banded_gap(bench, n_nodes, rng):
                for a, b in pairs)
 
 
-def _check_banded_vs_products(seed=0):
-    rng = np.random.default_rng(seed)
-    worst = max(_banded_gap(bench, n_nodes, rng)
-                for bench, n_nodes in ((double_integrator(), 41),
-                                       (brachistochrone(), 101),
-                                       (tracking_fixture(), 801)))
-    return worst <= 1e-12, f"banded-vs-products gap {worst:.2e}"
-
-
-def _check_stationarity():
+def _stationarity_gap():
+    """The largest control rate at the double integrator's optimum."""
     bench = double_integrator()
     p = bench.problem
     grid = TimeGrid(41, 0.0, 2.0)
     ctrl = ControlTrajectory.from_values(
         grid, np.stack([bench.reference.control(t) for t in grid.times]))
-    states = propagate_states(p, ctrl, grid, TIGHT)
-    stack = transition_stack(p, states, ctrl, TIGHT)
+    states, stack = _oracle_path(p, ctrl, grid)
     nodes = third_eq.node_inputs(p, states, ctrl)
     gu = third_eq.control_gradient(nodes, stack)
     terms = third_eq.multiplier_terms(p, nodes, stack)
     pi = third_eq.solve_multipliers(*third_eq.multiplier_system(
         p, nodes, terms, gu, bench.gains))
-    rate = third_eq.control_rhs(terms, gu, pi, bench.gains)
-    worst = float(np.max(np.abs(rate)))
-    return worst <= 1e-4, f"control rate at the optimum {worst:.2e}"
+    return float(np.max(np.abs(third_eq.control_rhs(terms, gu, pi, bench.gains))))
 
 
-def _check_convolution_vs_ivp(seed=0):
+def _convolution_gap(seed):
     """Gauss-quadrature convolution against the variational problem.
 
     Uses the double integrator, whose transition kernel is closed-form, so
@@ -448,7 +419,7 @@ def _check_convolution_vs_ivp(seed=0):
             rate = spline.eval(s)[:, 0]
             acc += np.array([np.sum(w * (ti - s) * rate), np.sum(w * rate)])
         worst = max(worst, float(np.max(np.abs(via_ivp[i] - acc))))
-    return worst <= 1e-6, f"convolution-vs-variational gap {worst:.2e}"
+    return worst
 
 
 def multiplier_assembly(problem, nodes, stack, gu, gains, mode="quasi_feasible",
@@ -495,16 +466,13 @@ def _projection_gap(bench, method, mode, rng):
     of one evaluation against ``multiplier_assembly``, at drawn controls
     and, for the coupled method, the shooting nodes offset by noise (so
     the modified variant sees initial-condition and dynamics defects)."""
-    p, gains = bench.problem, bench.gains
-    grid = TimeGrid(bench.default_nodes, p.t0, p.tf)
-    controls = _smooth_controls(grid, p.m, rng)
-    states = None
+    p, grid, ctrl = _drawn_case(bench, bench.default_nodes, rng)
+    gains, states = bench.gains, None
     if method == "second":
-        nodes, _ = trajectory.shooting_nodes(
-            p, ControlTrajectory.from_values(grid, controls), grid)
+        nodes, _ = trajectory.shooting_nodes(p, ctrl, grid)
         states = nodes + 1e-3 * rng.standard_normal(nodes.shape)
     layout = StateLayout(method, grid.n_nodes, p.n, p.m, p.tf_free)
-    vec = layout.pack(controls, states=states, tf=p.tf if p.tf_free else None)
+    vec = layout.pack(ctrl.values, states=states, tf=p.tf if p.tf_free else None)
     ev = EvolutionSystem(p, gains, method, grid.n_nodes, IntegratorOptions(), vec,
                          mode).evaluate(vec)
     if method == "third":
@@ -521,19 +489,7 @@ def _projection_gap(bench, method, mode, rng):
                for a, b in zip(kernel, oracle))
 
 
-def _check_multiplier_projection(seed=0):
-    rng = np.random.default_rng(seed)
-    worst = max(_projection_gap(bench, method, mode, rng)
-                for bench in (double_integrator(), brachistochrone(),
-                              tracking_fixture())
-                for method, mode in (("third", "quasi_feasible"),
-                                     ("second", "feasible"),
-                                     ("second", "quasi_feasible"),
-                                     ("second", "modified")))
-    return worst <= 1e-12, f"projection-vs-assembly gap {worst:.2e}"
-
-
-def _check_mode_reduction():
+def _mode_reduction_gap():
     # The fixed-horizon benchmark at its analytic optimum (exact initial
     # condition, terminal constraint met exactly) and the free-horizon one
     # on a propagated snapshot; both snapshots take the dynamics as their
@@ -542,9 +498,7 @@ def _check_mode_reduction():
     grid = TimeGrid(41, 0.0, 2.0)
     cases = [(di, grid, np.stack([di.reference.state(t) for t in grid.times]),
               np.stack([di.reference.control(t) for t in grid.times]))]
-    grid = TimeGrid(31, 0.0, 1.0)
-    ctrl = ControlTrajectory.from_values(
-        grid, _smooth_controls(grid, 1, np.random.default_rng(3)))
+    _, grid, ctrl = _drawn_case(brach, 31, np.random.default_rng(3))
     prop = propagate_states(brach.problem, ctrl, grid, TIGHT)
     cases.append((brach, grid, prop.values, ctrl.values))
     worst = 0.0
@@ -566,27 +520,45 @@ def _check_mode_reduction():
         worst = max(worst, float(np.max(np.abs(r_mod - r_quasi))),
                     float(np.max(np.abs(r_quasi + bench.gains.K_g @ g0 - r_feas))),
                     float(np.max(np.abs(m_mod - m_feas))))
-    return worst <= 1e-9, f"reduction-chain gap {worst:.2e}"
+    return worst
+
+
+def _bounded(name, gap, bound, what):
+    return name, gap <= bound, f"{what} {gap:.2e}"
 
 
 def invariant_checks(seed: int = 0):
-    """The cross-module equivalence and consistency properties."""
-    results = []
-    results.append(("integrator-order",) + _check_integrator_order())
-    results.append(("spline-cubic",) + _check_spline_cubic())
-    results.append(("quadrature-cumulative",) + _check_quadrature())
-    results.append(("dense-solve",) + _check_solve_dense())
-    results.append(("pack-roundtrip",) + _check_pack_roundtrip())
-    results.append(("psi-forward-backward",) + _check_psi_consistency(seed))
-    results.append(("gradient-forms",) + _check_gradient_forms(seed))
-    results.append(("fused-vs-backward",) + _check_fused_vs_backward(seed))
-    results.append(("banded-vs-products",) + _check_banded_vs_products(seed))
-    results.append(("stencil-doubling",) + _check_stencil_doubling(seed))
-    results.append(("stationarity",) + _check_stationarity())
-    results.append(("convolution-vs-variational",) + _check_convolution_vs_ivp(seed))
-    results.append(("mode-reduction",) + _check_mode_reduction())
-    results.append(("multiplier-projection",) + _check_multiplier_projection(seed))
-    return results
+    """The cross-module equivalence and consistency properties, in order.
+    A gap row holds its bound and message; a drawn-control gap is the
+    worst over its cases, from a generator of its own seeded with
+    ``seed``."""
+    di, brach, track = double_integrator(), brachistochrone(), tracking_fixture()
+    shooting = ((di, 41), (brach, 101), (track, 801))
+    projections = [(bench, method, mode) for bench in (di, brach, track)
+                   for method, mode in (("third", "quasi_feasible"), ("second", "feasible"),
+                                        ("second", "quasi_feasible"), ("second", "modified"))]
+    return [
+        ("integrator-order",) + _check_integrator_order(),
+        _bounded("spline-cubic", _spline_cubic_gap(), 1e-12, "cubic reproduction error"),
+        ("quadrature-cumulative",) + _check_quadrature(),
+        ("dense-solve",) + _check_solve_dense(),
+        ("pack-roundtrip",) + _check_pack_roundtrip(),
+        _bounded("psi-forward-backward", worst_gap(_psi_gap, ((di, 21), (brach, 21)), seed),
+                 1e-7, "backward-vs-forward gap"),
+        _bounded("gradient-forms", worst_gap(_gradient_form_gap, shooting, seed, draws=3),
+                 1e-6, "adjoint-vs-quadrature gap"),
+        _bounded("fused-vs-backward", worst_gap(_fused_gap, shooting, seed),
+                 1e-8, "fused-vs-backward gap"),
+        _bounded("banded-vs-products", worst_gap(_banded_gap, shooting, seed),
+                 1e-12, "banded-vs-products gap"),
+        ("stencil-doubling",) + _check_stencil_doubling(seed),
+        _bounded("stationarity", _stationarity_gap(), 1e-4, "control rate at the optimum"),
+        _bounded("convolution-vs-variational", _convolution_gap(seed), 1e-6,
+                 "convolution-vs-variational gap"),
+        _bounded("mode-reduction", _mode_reduction_gap(), 1e-9, "reduction-chain gap"),
+        _bounded("multiplier-projection", worst_gap(_projection_gap, projections, seed),
+                 1e-12, "projection-vs-assembly gap"),
+    ]
 
 
 def run_suite(suite: str, seed: int = 0):

@@ -253,6 +253,14 @@ def cmd_check(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
+def _seed(text: str) -> int:
+    """A draw seed; numpy's generators take non-negative integers only."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _add_run_options(parser):
     parser.add_argument("--nodes", type=int, default=None,
                         help="discretization nodes (default: per problem)")
@@ -300,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chk = sub.add_parser("check", help="run the diagnostic suites")
     p_chk.add_argument("suite", choices=["derivatives", "invariants", "all"])
-    p_chk.add_argument("--seed", type=int, default=0)
+    p_chk.add_argument("--seed", type=_seed, default=0)
     p_chk.set_defaults(func=cmd_check)
     return parser
 

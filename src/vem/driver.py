@@ -36,7 +36,6 @@ from .trajectory import (
 from .trajectory import propagate_states  # noqa: F401
 
 METHODS = ("second", "third")
-DEFAULT_TAU_END = 300.0
 DEFAULT_SNAPSHOTS = (0.0, 1.0, 5.0, 10.0, 30.0, 100.0, 300.0)
 
 # Narrowest horizon a free terminal time may shrink to before the solve
@@ -130,9 +129,6 @@ class EvolutionHistory:
     @property
     def final(self) -> SnapshotRecord:
         return self.snapshots[-1]
-
-    def costs(self) -> np.ndarray:
-        return np.array([s.J for s in self.snapshots])
 
 
 @dataclass

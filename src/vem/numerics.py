@@ -18,13 +18,13 @@ derivatives and snapshots, and the Dormand-Prince oracles
 splines at one time per field call, where scipy's PPoly call overhead
 would dominate.
 
-Scalar queries (a Python ``float``, ``np.float64`` or any 0-d value) take a
-fast path without temporary arrays.  Both paths find the interval by
-``searchsorted`` on the interior breakpoints, which clamps outside queries
-to the edge intervals without ``np.clip``, and run the same elementwise
-Horner arithmetic on the same coefficients, so a scalar query returns bit
-for bit what the same time inside an array query of any length returns,
-and what the fraction reader returns at a stencil time.
+Scalar queries (a Python ``float``, ``np.float64`` or any 0-d value), which
+only the oracles and tests make, are 0-d array queries.  A query finds the
+interval by ``searchsorted`` on the interior breakpoints, which clamps
+outside queries to the edge intervals without ``np.clip``, and runs
+elementwise Horner arithmetic on that interval's coefficients, so a time
+returns bit for bit what the same time inside an array query of any length
+returns, and what the fraction reader returns at a stencil time.
 
 ``solve_dense`` calls LAPACK directly: ``dgesdd`` for the singular values
 of the 2-norm condition number, as ``np.linalg.cond`` forms it, and
@@ -72,20 +72,15 @@ class SplineCoeffs:
     def _locate(self, t):
         """Interval coefficients and offsets for the query times.
 
-        Scalar t gives coefficients (4, channels) and a scalar offset; an
+        Scalar t gives coefficients (4, channels) and offsets (1,); an
         array gives (4, T, channels) and offsets (T, 1).  Queries outside
         the breakpoints use the edge intervals.
         """
         # The insertion index among the interior breakpoints is the
         # interval, clamped to the edge intervals.
-        inner = self.breakpoints[1:-1]
-        if isinstance(t, float) or np.ndim(t) == 0:
-            t = float(t)
-            i = int(inner.searchsorted(t, side="right"))
-            return self.coeffs[:, i, :], t - self.breakpoints[i]
-        t_arr = np.asarray(t, dtype=float)
-        idx = inner.searchsorted(t_arr, side="right")
-        return self.coeffs[:, idx, :], (t_arr - self.breakpoints[idx])[:, None]
+        t = np.asarray(t, dtype=float)
+        idx = self.breakpoints[1:-1].searchsorted(t, side="right")
+        return self.coeffs[:, idx, :], (t - self.breakpoints[idx])[..., None]
 
     def _shaped(self, out):
         if not self.squeeze:

@@ -121,10 +121,10 @@ class TimeGrid:
     n_nodes: int
     t0: float
     tf: float
-    sigma: np.ndarray = field(repr=False, default=None)
-    times: np.ndarray = field(repr=False, default=None)
-    widths: np.ndarray = field(repr=False, default=None)
-    weights: np.ndarray = field(repr=False, default=None)
+    sigma: np.ndarray = field(init=False, repr=False)
+    times: np.ndarray = field(init=False, repr=False)
+    widths: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_nodes < 4:

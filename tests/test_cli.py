@@ -288,3 +288,22 @@ class TestCheck:
         with pytest.raises(SystemExit) as info:
             main(["check", "everything"])
         assert info.value.code == 2
+
+    def test_invariant_suite_names_in_order(self, capsys):
+        assert main(["check", "invariants", "--seed", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            f"[ok] {name}" for name in (
+                "integrator-order", "spline-cubic", "quadrature-cumulative",
+                "dense-solve", "pack-roundtrip", "psi-forward-backward",
+                "gradient-forms", "fused-vs-backward", "banded-vs-products",
+                "stencil-doubling", "stationarity", "convolution-vs-variational",
+                "mode-reduction", "multiplier-projection")]
+        assert lines[-1] == "14/14 checks passed"
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_is_usage_error(self, seed, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["check", "invariants", "--seed", seed])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err

@@ -359,8 +359,7 @@ def _banded_gap(bench, n_nodes, rng):
     n = p.n
     nodes, tangents = trajectory.shooting_nodes(p, ctrl, grid)
     lam_end = np.asarray(p.grad_phix(nodes[-1], grid.tf), dtype=float)
-    psi, adjoint = trajectory._backward(tangents[:, :n, :n], tangents[:, n, :n],
-                                        lam_end)
+    stack = trajectory._backward(tangents[:, :n, :n], tangents[:, n, :n], lam_end)
     end = np.eye(n + 1)
     end[:n, n] = lam_end
     z = cumulative_products(np.concatenate(
@@ -371,7 +370,7 @@ def _banded_gap(bench, n_nodes, rng):
     steps = tangents.copy()
     steps[:, n, :n] = 0.0
     steps[:, :n, n] = residual
-    pairs = ((psi, z[:, :n, :n]), (adjoint, z[:, :n, n]),
+    pairs = ((stack.psi, z[:, :n, :n]), (stack.adjoint, z[:, :n, n]),
              (delta.reshape(-1, n)[1:], cumulative_products(steps)[:, :n, n]))
     return max(float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b))))
                for a, b in pairs)

@@ -1,7 +1,8 @@
 """Shared numerical kernels: cubic splines, grid quadrature, dense solves.
 
-The running trapezoid sums repeat scipy's ``cumulative_trapezoid``
-arithmetic, and nothing here imports ``scipy.integrate``.
+The running trapezoid sums (``cumulative_from_right``, read by the
+oracles) repeat scipy's ``cumulative_trapezoid`` arithmetic, and nothing
+here imports ``scipy.integrate``.
 
 Spline construction solves the not-a-knot slope system, which is
 tridiagonal, with LAPACK's ``dgtsv`` on diagonals cached per node spacing
@@ -213,31 +214,23 @@ def grid_quadrature(grid, samples):
     return np.trapezoid(samples, grid, axis=0)
 
 
-def cumulative_from_left(grid, samples):
-    """Per-node running integrals from the first node to each node.
+def cumulative_from_right(grid, samples):
+    """Per-node running integrals from each node to the final node.
 
     Entry i is the composite-trapezoid integral of the samples over
-    [t_0, t_i]; the first entry is exactly zero.  This is the arithmetic of
-    scipy's ``cumulative_trapezoid(samples, grid, axis=0, initial=0)``.
+    [t_i, t_last]: the total less the running sum from the left, which is
+    the arithmetic of scipy's
+    ``cumulative_trapezoid(samples, grid, axis=0, initial=0)``.  The last
+    entry is exactly zero and the first equals ``grid_quadrature`` of the
+    same samples.
     """
     grid, d = _check_grid(grid)
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != grid.size:
         raise DegenerateGrid("samples and grid disagree in length")
     d = d.reshape((-1,) + (1,) * (samples.ndim - 1))
-    out = np.zeros(samples.shape)
-    np.cumsum(d * (samples[1:] + samples[:-1]) / 2.0, axis=0, out=out[1:])
-    return out
-
-
-def cumulative_from_right(grid, samples):
-    """Per-node running integrals from each node to the final node.
-
-    Entry i approximates the integral of the samples over [t_i, t_last]
-    with the composite trapezoid rule; the last entry is exactly zero and
-    the first equals ``grid_quadrature`` of the same samples.
-    """
-    left = cumulative_from_left(grid, samples)
+    left = np.zeros(samples.shape)
+    np.cumsum(d * (samples[1:] + samples[:-1]) / 2.0, axis=0, out=left[1:])
     return left[-1] - left
 
 

@@ -26,6 +26,11 @@ on a free horizon, the terminal bracket) are formed once per snapshot by
 the caller and passed to each formula that reads them; the modified-mode
 corrections read the projection Q = Psi g_x^T.  A snapshot builds one
 spline over [states | controls] and reads its node derivatives once.
+
+The node-state rate is the discrete variational equation: the trapezoid
+recurrence of w' = f_x w + f_u udot along the transition stack's
+interval maps g_i, one forward banded solve over the blocks whose
+backward solve gave Psi and lam.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import SplineCoeffs, cumulative_from_left, spline_build
+from .numerics import SplineCoeffs, spline_build
 from .ocp import GainSet, OcpProblem
 from .third import (MultiplierTerms, NodeInputs, multiplier_system,
                     solve_multipliers, tf_rhs, weighted_rows)
@@ -43,7 +48,8 @@ from .third import (MultiplierTerms, NodeInputs, multiplier_system,
 from .rk45 import rk45_integrate  # noqa: F401
 from .third import (control_gradient, control_rhs, multiplier_matrix,  # noqa: F401
                     multiplier_rhs)
-from .trajectory import ControlTrajectory, StateTrajectory, TimeGrid, TransitionStack
+from .trajectory import (ControlTrajectory, StateTrajectory, TimeGrid, TransitionStack,
+                         _bidiagonal_solve)
 
 MODES = ("feasible", "quasi_feasible", "modified")
 
@@ -146,36 +152,32 @@ def state_rhs_second(problem: OcpProblem, nodes: NodeInputs,
                      defect: Optional[np.ndarray]) -> np.ndarray:
     """Evolution rate of the node states, shape (N, n).
 
-    The state rate is the convolution of the control rate - and in
-    modified mode the defect (``defect``, read in that mode only) and
-    initial-condition feedback - against the forward transition kernel,
-    by the grid-trapezoid rule of the multiplier system.  Sharing the rule
-    makes the designed constraint decay exact at the discrete level, and
-    the node controls see the same quadrature error as the multipliers.
-    The kernel comes from the backward stack alone: with
-    Psi_k = Phi(tf, t_k)^T, Phi(t_i, s_j) = Psi_i^{-T} Psi_j^T, so w_i
-    solves Psi_i^T w_i = Psi_0^T w0 + trapezoid of Psi_j^T forcing_j up to
-    t_i.  This is the forward-matrix form of the same rule scaled by the
-    constant Phi(tf, t0), and it needs no forward sweep.  The equivalent
-    variational problem is an oracle in ``vem.checks``
+    The variational equation w' = f_x w + F, w(t0) = w0, with forcing
+    F = f_u udot -- and in modified mode the defect feedback -K_f defect
+    (``defect``, read in that mode only) and w0 = -K_x0 (x_0 - x0) -- by
+    the grid-trapezoid rule of the multiplier system along the stack's
+    interval maps g_i = Phi(t_i+1, t_i):
+
+        w_0 = w0,  w_i+1 = g_i (w_i + h_i/2 F_i) + h_i/2 F_i+1.
+
+    Sharing the rule makes the designed constraint decay exact at the
+    discrete level, and the node controls see the same quadrature error
+    as the multipliers.  The recurrence is the forward solve of the banded
+    system whose backward solve gave Psi and lam (``_bidiagonal_solve``).
+    The equivalent variational problem is an oracle in ``vem.checks``
     (``variational_state_rate``).
     """
     _check_mode(mode)
     udot_nodes = np.atleast_2d(np.asarray(udot_nodes, dtype=float))
     forcing = (nodes.fu @ udot_nodes[:, :, None])[:, :, 0]
+    rhs = np.zeros_like(forcing)
     if mode == "modified":
-        w0 = -gains.kx0(problem.n) @ (nodes.xs[0] - problem.x0)
+        rhs[0] = -gains.kx0(problem.n) @ (nodes.xs[0] - problem.x0)
         forcing -= defect @ gains.kf(problem.n).T
-    else:
-        w0 = np.zeros(problem.n)
-    # Phi(t_i, s_j) = Psi_i^{-T} Psi_j^T: carry the forcing to tf,
-    # accumulate by the composite trapezoid, add the carried initial
-    # value and bring each sum back to its node with one stacked solve.
-    carried = np.einsum("jba,jb->ja", stack.psi, forcing)
-    summed = cumulative_from_left(nodes.grid.times, carried)
-    summed += stack.psi[0].T @ w0
-    psi_t = np.swapaxes(stack.psi, 1, 2)
-    return np.linalg.solve(psi_t, summed[:, :, None])[:, :, 0]
+    g = stack.blocks
+    half = 0.5 * nodes.grid.widths[:, None]
+    rhs[1:] = half * ((g @ forcing[:-1, :, None])[:, :, 0] + forcing[1:])
+    return _bidiagonal_solve(g, rhs.reshape(-1, 1), "N").reshape(forcing.shape)
 
 
 def tf_rhs_second(bracket, pi: Optional[np.ndarray], gains: GainSet) -> float:

@@ -18,8 +18,12 @@ gives them at every node.  It is a unit block-bidiagonal triangular
 system -- the condensing structure of multiple shooting -- so one LAPACK
 banded triangular solve (``dtbtrs``, bandwidth 2n-1, in
 ``_bidiagonal_solve``) takes all n+1 columns [Psi | lam] at once, and
-pins Psi_N-1 and lam_N-1 exactly.  The two routes differ in where the
-blocks come from.
+pins Psi_N-1 and lam_N-1 exactly.  The same banded system, solved
+forward (z_0 = r_0, z_i+1 = g_i z_i + r_i+1), is the shooting solve's
+Newton correction and the coupled method's node-state rate
+(``second.state_rhs_second``), so ``TransitionStack`` keeps the blocks
+g_i = Phi(t_i+1, t_i) next to Psi and lam.  The two routes differ in
+where the blocks come from.
 
 ``shooting_nodes`` solves for the node states by multiple shooting: the
 control-only method's states and the coupled method's starting states.
@@ -72,16 +76,18 @@ round -- is laid out per interval, (N-1, K) for the fractions (K,) of
 every interval it samples: ``stencil_times`` forms the times from the
 grid's widths (``TimeGrid.widths``), with the right ends pinned to the
 nodes, so a node shared by two intervals is sampled for each.  The
-trajectories read their splines at the same points -- the shooting
-stencil's controls too -- with ``SplineCoeffs.at_fractions`` (Horner on
-each interval's coefficients, no interval search), bit for bit what a
-query at those times returns.  ``path_rows`` flattens a round's rows to
-(T, .) for the row callbacks, and a sampler hands its rows back as
-(N-1, K, ...) blocks.  A coupled snapshot's state and control splines
-are column views of one joint spline, which both trajectories carry, so
-``path_rows`` reads it once per round for both.  A grid also carries its
-trapezoid weights (``TimeGrid.weights``, the unit grid's, kept per node
-count, times the width), which the multiplier sums read.
+control splines are read at the same points -- the shooting stencil's
+too -- with ``SplineCoeffs.at_fractions`` (Horner on each interval's
+coefficients, no interval search), bit for bit what a query at those
+times returns.  ``path_rows`` flattens a round's rows to (T, .) for the
+row callbacks, and a sampler hands its rows back as (N-1, K, ...)
+blocks.  A coupled snapshot's state and control splines are column views
+of one joint spline, which both trajectories carry, so ``path_rows``
+reads it once per round for both; other states (the shooting solve's
+Hermite interpolant, the oracles' dense output), read only at snapshots
+and in the oracles, answer a query at the flat times.  A grid also
+carries its trapezoid weights (``TimeGrid.weights``, the unit grid's,
+kept per node count, times the width), which the multiplier sums read.
 
 ``propagate_states`` and ``_forward_stack`` (the forward transition
 matrices Phi(t_i, t0)) are oracles: adaptive Dormand-Prince sweeps, which
@@ -121,10 +127,12 @@ class TimeGrid:
     n_nodes: int
     t0: float
     tf: float
-    sigma: np.ndarray = field(init=False, repr=False)
-    times: np.ndarray = field(init=False, repr=False)
-    widths: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
+    # Derived from the three fields above, so equality and hashing read
+    # those alone.
+    sigma: np.ndarray = field(init=False, repr=False, compare=False)
+    times: np.ndarray = field(init=False, repr=False, compare=False)
+    widths: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nodes < 4:
@@ -186,8 +194,7 @@ class StateTrajectory:
 
     ``_spline`` returns a spline through the node states (the coupled
     snapshot's cubic, or the shooting solve's Hermite interpolant, built at
-    the first query); rows come from its ``eval`` and an interval
-    stencil's from its ``at_fractions`` reader.  The oracles' propagated
+    the first query); rows come from its ``eval``.  The oracles' propagated
     states have no spline, and ``_rows`` maps an array of times to (T, n)
     rows of their dense output.  Each row is bit-equal to the scalar
     query at its time; a scalar ``eval`` is the one-row case.  A coupled
@@ -229,18 +236,15 @@ def path_rows(states: StateTrajectory, ctrl: ControlTrajectory, ts, frac):
     at the stencil times ``ts`` (N-1, K) of fractions ``frac``, flattened
     interval by interval.  Trajectories that are column views of one joint
     spline (a coupled snapshot's) take one ``at_fractions`` read of it;
-    others read their own spline, or the oracles' dense output at the
-    times."""
+    otherwise the controls read their spline's and the states their
+    ``rows`` at the flat times."""
     flat = ts.ravel()
     joint = ctrl.joint
     if joint is not None and states.joint is joint:
         rows = joint.at_fractions(frac).reshape(flat.size, -1)
         n = states.values.shape[1]
         return rows[:, :n], rows[:, n:], flat
-    us = ctrl.spline.at_fractions(frac).reshape(flat.size, -1)
-    if states._spline is None:
-        return states._rows(flat), us, flat
-    return states._spline().at_fractions(frac).reshape(flat.size, -1), us, flat
+    return states.rows(flat), ctrl.spline.at_fractions(frac).reshape(flat.size, -1), flat
 
 
 def propagate_states(problem: OcpProblem, ctrl: ControlTrajectory,
@@ -312,15 +316,15 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
     n = problem.n
     lam_end = np.asarray(problem.grad_phix(nodes[-1], grid.tf), dtype=float)
     # T_i = [[G_i, 0], [c_i^T, 1]].
-    psi, adjoint = _backward(tangents[:, :n, :n], tangents[:, n, :n], lam_end)
-    cond = float(np.linalg.cond(psi[0], 1))
+    stack = _backward(tangents[:, :n, :n], tangents[:, n, :n], lam_end)
+    cond = float(np.linalg.cond(stack.psi[0], 1))
     if cond == np.inf:
         raise SingularSystem("singular forward transition matrix")
     if not cond <= COND_LIMIT:
         raise SingularSystem(f"forward transition matrix condition estimate "
                              f"{cond:.3e} exceeds {COND_LIMIT:.0e}")
     states = StateTrajectory(grid, nodes, _hermite_spline(problem, ctrl, grid, nodes))
-    return states, TransitionStack(grid, psi, adjoint)
+    return states, stack
 
 
 @lru_cache(maxsize=8)
@@ -358,11 +362,12 @@ def _bidiagonal_solve(g, rhs, trans: str):
     return z
 
 
-def _backward(g, c, lam_end):
-    """(psi, adjoint) at every node from the interval blocks g (N-1, n, n)
-    and c (N-1, n), taken from the end: Psi_i = g_i^T Psi_i+1 and
-    lam_i = g_i^T lam_i+1 + c_i, with Psi_N = I and lam_N = lam_end
-    exactly; one banded solve for all n+1 columns [Psi | lam]."""
+def _backward(g, c, lam_end) -> TransitionStack:
+    """The stack of Psi and the adjoint at every node from the interval
+    blocks g (N-1, n, n) and c (N-1, n), taken from the end:
+    Psi_i = g_i^T Psi_i+1 and lam_i = g_i^T lam_i+1 + c_i, with Psi_N = I
+    and lam_N = lam_end exactly; one banded solve for all n+1 columns
+    [Psi | lam].  The stack keeps the blocks g."""
     blocks, n = len(g) + 1, len(lam_end)
     rhs = np.zeros((blocks, n, n + 1))
     rhs[:-1, :, n] = c
@@ -370,7 +375,7 @@ def _backward(g, c, lam_end):
     rhs[-1, :, n] = lam_end
     z = _bidiagonal_solve(g, rhs.reshape(blocks * n, n + 1), "T")
     z = z.reshape(blocks, n, n + 1)
-    return z[:, :, :n], z[:, :, n]
+    return TransitionStack(z[:, :, :n], z[:, :, n], g)
 
 
 def _check_budget(substeps: int, opts: IntegratorOptions) -> None:
@@ -552,15 +557,16 @@ def _hermite_spline(problem: OcpProblem, ctrl: ControlTrajectory,
 @dataclass
 class TransitionStack:
     """Per-node Psi(t_i) = transposed transition matrix to the final time,
-    and the cost-gradient kernel lam at every node.
+    the cost-gradient kernel lam at every node, and the interval blocks
+    g_i = Phi(t_i+1, t_i) of the recurrence that gave them.
 
     ``psi[-1]`` is the identity and ``adjoint[-1]`` the terminal-cost
     gradient, both exactly.
     """
 
-    grid: TimeGrid
     psi: np.ndarray             # (N, n, n)
     adjoint: np.ndarray         # (N, n)
+    blocks: np.ndarray          # (N-1, n, n)
 
 
 def transition_stack(problem: OcpProblem, states: StateTrajectory,
@@ -575,8 +581,7 @@ def transition_stack(problem: OcpProblem, states: StateTrajectory,
                              _propagators, opts)
     n = problem.n
     # S_i = [[g_i^T, c_i], [0, 1]].
-    return TransitionStack(grid, *_backward(np.swapaxes(steps[:, :n, :n], 1, 2),
-                                            steps[:, :n, n], lam_end))
+    return _backward(np.swapaxes(steps[:, :n, :n], 1, 2), steps[:, :n, n], lam_end)
 
 
 def _backward_field(problem: OcpProblem, states: StateTrajectory,

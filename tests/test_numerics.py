@@ -11,7 +11,6 @@ from scipy.interpolate import CubicSpline
 from vem.checks import cumulative_products
 from vem.errors import DegenerateGrid, SingularSystem
 from vem.numerics import (
-    cumulative_from_left,
     cumulative_from_right,
     grid_quadrature,
     hermite_build,
@@ -33,15 +32,16 @@ def test_import_leaves_out_scipy_integrate_and_optimize():
     assert done.stdout.strip() == "[]"
 
 
-class TestCumulativeFromLeft:
+class TestCumulativeFromRight:
     @pytest.mark.parametrize("shape", [(9,), (9, 2), (9, 2, 3)])
     def test_matches_scipy_cumulative_trapezoid(self, shape):
-        # Bit for bit, with an uneven grid and stacked channels.
+        # Bit for bit the total less the running sum from the left, with an
+        # uneven grid and stacked channels.
         rng = np.random.default_rng(4)
         grid = np.cumsum(rng.uniform(0.1, 1.0, 9))
         samples = rng.standard_normal(shape)
-        expected = cumulative_trapezoid(samples, grid, axis=0, initial=0.0)
-        assert np.array_equal(cumulative_from_left(grid, samples), expected)
+        left = cumulative_trapezoid(samples, grid, axis=0, initial=0.0)
+        assert np.array_equal(cumulative_from_right(grid, samples), left[-1] - left)
 
 
 class TestSpline:

@@ -24,7 +24,8 @@ from vem import (
     transition_stack,
 )
 from vem.numerics import spline_build
-from vem.problems import brachistochrone, tracking_fixture
+from vem.driver import EvolutionSystem
+from vem.problems import brachistochrone, double_integrator, tracking_fixture
 
 TIGHT = IntegratorOptions(rtol=1e-10, atol=1e-12)
 
@@ -286,8 +287,10 @@ class TestStateRhs:
     def test_batched_forcing_equals_node_loop(self):
         # Three controls per node with state-dependent f_u, so each
         # forcing row is a sum whose rounding depends on the order.  The
-        # reference is the convolution route with the per-node product
-        # fu[i] @ udot[i] written out.
+        # reference is the trapezoid recurrence over the stack's interval
+        # blocks with the per-node product fu[i] @ udot[i] written out:
+        # bit for bit as the banded forward solve takes it, and to
+        # rounding as a loop over the nodes.
         def jac_fu(x, u, t):
             return np.array([[np.cos(x[0]), 0.7 * x[1], 0.3],
                              [0.45, 1.0 + x[0], -np.sin(x[1])]])
@@ -307,13 +310,46 @@ class TestStateRhs:
         forcing = np.empty((grid.n_nodes, p.n))
         for i in range(grid.n_nodes):
             forcing[i] = nodes.fu[i] @ udot[i]
-        carried = np.einsum("jba,jb->ja", stack.psi, forcing)
-        summed = cumulative_trapezoid(carried, grid.times, axis=0, initial=0.0)
-        summed += stack.psi[0].T @ np.zeros(p.n)
-        loop = np.linalg.solve(np.swapaxes(stack.psi, 1, 2),
-                               summed[:, :, None])[:, :, 0]
+        g, half = stack.blocks, 0.5 * grid.widths[:, None]
+        rhs = np.zeros_like(forcing)
+        rhs[1:] = half * ((g @ forcing[:-1, :, None])[:, :, 0] + forcing[1:])
+        banded = trajectory._bidiagonal_solve(g, rhs.reshape(-1, 1), "N")
+        loop = np.zeros_like(forcing)
+        for i in range(grid.n_nodes - 1):
+            loop[i + 1] = g[i] @ (loop[i] + half[i] * forcing[i]) + half[i] * forcing[i + 1]
         assert np.max(np.abs(out)) > 1e-3
-        assert np.array_equal(out, loop)
+        assert np.array_equal(out, banded.reshape(out.shape))
+        assert np.max(np.abs(out - loop)) <= 1e-15
+
+    @pytest.mark.parametrize("mode", ["feasible", "quasi_feasible", "modified"])
+    @pytest.mark.parametrize("make", [double_integrator, tracking_fixture])
+    def test_rate_shares_the_multiplier_quadrature(self, make, mode):
+        # The state rate and the multiplier system take the same trapezoid
+        # rule along the same interval maps, so at the end node the full
+        # coupled tau-rate moves the terminal constraint by exactly the
+        # designed decay -K_g g (none in feasible mode), to rounding, even
+        # on a snapshot with an initial-condition error and a dynamics
+        # defect; and the first node's rate is w0 bit for bit.
+        bench = make()
+        p, gains = bench.problem, bench.gains
+        rng = np.random.default_rng(19)
+        grid = TimeGrid(31, p.t0, p.tf)
+        ctrl = ControlTrajectory.from_values(grid, smooth_controls(grid, p.m, rng))
+        nodes, _ = trajectory.shooting_nodes(p, ctrl, grid)
+        nodes = nodes + 1e-3 * rng.standard_normal(nodes.shape)
+        system = EvolutionSystem(p, gains, "second", grid.n_nodes,
+                                 IntegratorOptions(), None, mode)
+        vec = system.layout.pack(ctrl.values, states=nodes)
+        _, wdot, _ = system.layout.unpack(system.rhs(0.0, vec))
+        xf = nodes[-1]
+        decay = (np.zeros(p.q) if mode == "feasible"
+                 else -gains.K_g @ p.constraint(xf, p.tf))
+        assert np.max(np.abs(decay)) > 1e-4 or mode == "feasible"
+        assert np.max(np.abs(p.jac_gx(xf, p.tf) @ wdot[-1] - decay)) <= 1e-13
+        w0 = (-gains.kx0(p.n) @ (nodes[0] - p.x0) if mode == "modified"
+              else np.zeros(p.n))
+        assert np.array_equal(wdot[0], w0)
+        assert mode != "modified" or np.max(np.abs(w0)) > 1e-4
 
     def test_modified_reduces_on_clean_snapshot(self, di):
         grid = TimeGrid(21, 0.0, 2.0)

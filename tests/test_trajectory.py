@@ -104,6 +104,14 @@ class TestTimeGrid:
         with pytest.raises(TypeError):
             TimeGrid(5, 0.0, 1.0, **{name: np.zeros(5)})
 
+    def test_equal_grids_compare_and_hash_equal(self):
+        # The derived arrays follow from (n_nodes, t0, tf), which alone
+        # decide equality and the hash.
+        grid, same = TimeGrid(5, 0.0, 1.0), TimeGrid(5, 0.0, 1.0)
+        assert grid == same and hash(grid) == hash(same)
+        assert len({grid, same}) == 1
+        assert grid != TimeGrid(6, 0.0, 1.0) and grid != TimeGrid(5, 0.0, 2.0)
+
 
 class TestPropagation:
     def test_zero_control_double_integrator(self, di):
@@ -641,9 +649,10 @@ class TestIntervalStencil:
     @pytest.mark.parametrize("method", ["second", "third"])
     def test_one_spline_read_per_round(self, brach, monkeypatch, method):
         # A coupled snapshot's state and control rows are one at_fractions
-        # read of its joint spline per round; the control-only states (the
-        # shooting solve's Hermite interpolant) and controls read their own
-        # splines.  Each round checks the substep budget once.
+        # read of its joint spline per round; the control-only controls
+        # take one at_fractions read of their own spline, and the states
+        # (the shooting solve's Hermite interpolant) one eval at the
+        # round's times.  Each round checks the substep budget once.
         p = brach.problem
         grid = TimeGrid(21, p.t0, p.tf)
         ctrl = ControlTrajectory.from_values(
@@ -651,16 +660,21 @@ class TestIntervalStencil:
         if method == "second":
             nodes, _ = trajectory.shooting_nodes(p, ctrl, grid)
             snap = second.SecondEqSnapshot.create(grid, nodes, ctrl.values)
-            states, ctrl, reads = snap.state_traj, snap.ctrl_traj, 1
+            states, ctrl, evals = snap.state_traj, snap.ctrl_traj, 0
         else:
             states, _ = trajectory.fused_sweep(p, ctrl, grid)
-            reads = 2
-        spline_reads = []
+            evals = 1
+        spline_reads, eval_reads = [], []
         at_fractions = trajectory.SplineCoeffs.at_fractions
+        spline_eval = trajectory.SplineCoeffs.eval
 
         def counted(spline, frac):
             spline_reads.append(len(frac))
             return at_fractions(spline, frac)
+
+        def counted_eval(spline, ts):
+            eval_reads.append(np.size(ts))
+            return spline_eval(spline, ts)
 
         rounds = []
         check_budget = trajectory._check_budget
@@ -670,13 +684,15 @@ class TestIntervalStencil:
             check_budget(substeps, opts)
 
         monkeypatch.setattr(trajectory.SplineCoeffs, "at_fractions", counted)
+        monkeypatch.setattr(trajectory.SplineCoeffs, "eval", counted_eval)
         monkeypatch.setattr(trajectory, "_check_budget", counted_round)
         for opts in (IntegratorOptions(), TIGHT):
             transition_stack(p, states, ctrl, opts)
             driver.path_cost(p, states, ctrl, grid, opts)
         assert len(rounds) >= 5 and max(rounds) >= 80
-        assert len(spline_reads) == reads * len(rounds)
-        assert spline_reads[:reads] == [5] * reads
+        assert len(spline_reads) == len(rounds) and spline_reads[0] == 5
+        assert len(eval_reads) == evals * len(rounds)
+        assert eval_reads[:evals] == [5 * (grid.n_nodes - 1)] * evals
 
 
 class TestBatchedStack:

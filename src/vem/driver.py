@@ -23,6 +23,7 @@ from .ocp import GainSet, OcpProblem
 from .rk45 import IntegratorOptions, rk45_integrate
 from .trajectory import (
     ControlTrajectory,
+    KeptBlocks,
     StateTrajectory,
     TimeGrid,
     TransitionStack,
@@ -232,6 +233,12 @@ class EvolutionSystem:
     call.  A vector that differs in any bit, including one mutated in
     place after a call, misses the cache and is evaluated afresh.  A
     snapshot adds the path cost along the evaluation's states.
+
+    Below that, the system keeps the Jacobian-derived blocks of its last
+    evaluation (``trajectory.KeptBlocks``), each reused while the f_x/L_x
+    rows and widths it was built from repeat bit for bit: on a fixed
+    horizon with f_x and L_x free of x and u, such as the double
+    integrator's, one build serves the whole solve.
     """
 
     def __init__(self, problem: OcpProblem, gains: GainSet, method: str,
@@ -247,6 +254,7 @@ class EvolutionSystem:
         self.y0 = y0
         self._last_key: Optional[bytes] = None
         self._last: Optional[Evaluation] = None
+        self._kept = KeptBlocks()
 
     @property
     def dimension(self) -> int:
@@ -278,7 +286,8 @@ class EvolutionSystem:
         controls, _, tf = self.layout.unpack(vec)
         grid = self._grid(tf)
         ctrl = ControlTrajectory.from_values(grid, controls)
-        states, stack = fused_sweep(self.problem, ctrl, grid, self.opts)
+        states, stack = fused_sweep(self.problem, ctrl, grid, self.opts,
+                                    kept=self._kept)
         return self._along(ctrl, states, stack)
 
     def _evaluate_second(self, vec) -> Evaluation:
@@ -286,7 +295,7 @@ class EvolutionSystem:
         grid = self._grid(tf)
         snap = second_eq.SecondEqSnapshot.create(grid, states_nodes, controls)
         stack = transition_stack(self.problem, snap.state_traj, snap.ctrl_traj,
-                                 self.opts)
+                                 self.opts, kept=self._kept)
         return self._along(snap.ctrl_traj, snap.state_traj, stack, snap)
 
     def _along(self, ctrl, states, stack, snap=None) -> Evaluation:

@@ -30,7 +30,7 @@ spline over [states | controls] and reads its node derivatives once.
 The node-state rate is the discrete variational equation: the trapezoid
 recurrence of w' = f_x w + f_u udot along the transition stack's
 interval maps g_i, one forward banded solve over the blocks whose
-backward solve gave Psi and lam.
+backward solve gave Psi and lam, against the band that solve built.
 """
 
 from __future__ import annotations
@@ -163,7 +163,8 @@ def state_rhs_second(problem: OcpProblem, nodes: NodeInputs,
     Sharing the rule makes the designed constraint decay exact at the
     discrete level, and the node controls see the same quadrature error
     as the multipliers.  The recurrence is the forward solve of the banded
-    system whose backward solve gave Psi and lam (``_bidiagonal_solve``).
+    system whose backward solve gave Psi and lam (``_bidiagonal_solve``),
+    against the band that solve built (``TransitionStack.band``).
     The equivalent variational problem is an oracle in ``vem.checks``
     (``variational_state_rate``).
     """
@@ -177,7 +178,8 @@ def state_rhs_second(problem: OcpProblem, nodes: NodeInputs,
     g = stack.blocks
     half = 0.5 * nodes.grid.widths[:, None]
     rhs[1:] = half * ((g @ forcing[:-1, :, None])[:, :, 0] + forcing[1:])
-    return _bidiagonal_solve(g, rhs.reshape(-1, 1), "N").reshape(forcing.shape)
+    return _bidiagonal_solve(g, rhs.reshape(-1, 1), "N",
+                             stack.band).reshape(forcing.shape)
 
 
 def tf_rhs_second(bracket, pi: Optional[np.ndarray], gains: GainSet) -> float:

@@ -37,18 +37,19 @@ call per stage and one ``jac_fx_rows``/``grad_lx_rows`` call per substep
 recurrence of the same banded system, one more ``dtbtrs`` call.
 Dynamics affine in x converge after one correction.  The tangent of the
 maps in [x, running cost] is the propagator T_i = [[G_i, 0], [c_i^T, 1]]
-of Z' = [[f_x, 0], [L_x^T, 0]] Z; within one solve a substep's
-propagator is reused while its f_x/L_x stage rows stay bit-equal, so
-dynamics whose Jacobians do not depend on x assemble it once.  The
+of Z' = [[f_x, 0], [L_x^T, 0]] Z; a substep's propagator is reused
+while its width and f_x/L_x stage rows stay bit-equal, so dynamics whose
+Jacobians do not depend on x assemble it once per solve.  The
 step-doubling check of the s-substep maps against 2s-substep ones rides
 along: each pass after a correction runs the first s of the 2s substeps
 in the same stage calls, and the last s run once a pass confirms
-convergence, so an affine problem at s = 1 makes 12 stage calls.  Nothing
-is kept between solves.  ``fused_sweep`` (control-only method) takes
-g_i = G_i and c_i from T_i.  Psi_0 = Phi(tf, t0)^T, so its 1-norm
-condition number guards the solve: past ``COND_LIMIT`` (saddle-type
-dynamics, whose transition matrices grow like exp(2|a|T)) it raises
-SingularSystem.  Off-node state rows are the cubic Hermite interpolant of
+convergence, so an affine problem at s = 1 makes 12 stage calls.
+``fused_sweep`` (control-only method) takes g_i = G_i and c_i from T_i,
+and the band of the G_i, built once per product of propagators, serves
+its Newton corrections and the backward solve.  Psi_0 = Phi(tf, t0)^T,
+so its 1-norm condition number guards the solve: past ``COND_LIMIT``
+(saddle-type dynamics, whose transition matrices grow like exp(2|a|T))
+it raises SingularSystem.  Off-node state rows are the cubic Hermite interpolant of
 the node states and rates.
 
 ``transition_stack`` (coupled method, whose states are given node values,
@@ -88,6 +89,20 @@ Hermite interpolant, the oracles' dense output), read only at snapshots
 and in the oracles, answer a query at the flat times.  A grid also
 carries its trapezoid weights (``TimeGrid.weights``, the unit grid's,
 kept per node count, times the width), which the multiplier sums read.
+
+What a solve keeps for the next (``KeptBlocks``, one per evolution
+system; a direct call of ``fused_sweep``, ``shooting_nodes`` or
+``transition_stack`` keeps nothing): each shooting substep's propagator
+and their product, keyed on the substep widths and the f_x/L_x rows it
+was built from; each stencil round's propagators, keyed on the grid
+widths and the rows sampled up to that round; and the last stack with
+its band, keyed on the very array its blocks were read from and on
+lam_end -- in ``fused_sweep`` kept only once Psi_0 passed its condition
+guard.  Every kept value is a pure function of its key, compared bit for
+bit, so output is the same as with fresh builds, and a problem whose
+f_x/L_x rows never move on a fixed horizon (the double integrator) builds
+each once for a whole tau run.  A moving horizon changes the widths and
+rebuilds all three.
 
 ``propagate_states`` and ``_forward_stack`` (the forward transition
 matrices Phi(t_i, t0)) are oracles: adaptive Dormand-Prince sweeps, which
@@ -268,7 +283,8 @@ def propagate_states(problem: OcpProblem, ctrl: ControlTrajectory,
 
 
 def shooting_nodes(problem: OcpProblem, ctrl: ControlTrajectory,
-                   grid: TimeGrid, opts: Optional[IntegratorOptions] = None):
+                   grid: TimeGrid, opts: Optional[IntegratorOptions] = None,
+                   kept: Optional[KeptBlocks] = None):
     """Node states of the multiple-shooting solve and the tangents of its
     maps.
 
@@ -276,14 +292,16 @@ def shooting_nodes(problem: OcpProblem, ctrl: ControlTrajectory,
     maps F_i of s substeps across each grid interval (``_shoot``); X_0 is
     x0 exactly.  Starting at s = 1, s doubles until the 2s-substep maps
     from the solved nodes pass ``_refined`` against the s-substep maps.
-    Returns the nodes (N, n) and the tangents (N-1, n+1, n+1) of the maps
-    in [x, running cost] at them.
+    Returns the nodes (N, n) and the tangents (N-1, n+1, n+1, read-only)
+    of the maps in [x, running cost] at them; the tangent steps are
+    ``kept``'s, fresh ones without it.
 
     Raises StepFailure when the check would need more than
     ``opts.max_steps`` substeps and NonFiniteDynamics on non-finite
     dynamics or f_x/L_x rows.
     """
     opts = opts or IntegratorOptions()
+    shot = (kept or KeptBlocks()).tangents
     n_int = grid.n_nodes - 1
     nodes = np.tile(problem.x0, (grid.n_nodes, 1))
     s = 1
@@ -291,38 +309,52 @@ def shooting_nodes(problem: OcpProblem, ctrl: ControlTrajectory,
         _check_budget(2 * s * n_int, opts)
         # The 2s-substep stencil: ends and midpoints, ends at the nodes.
         frac = np.arange(4 * s + 1) / (4 * s)
-        nodes, ends, tangents, check = _shoot(problem, stencil_times(grid, frac),
-                                              ctrl.spline.at_fractions(frac), nodes)
+        nodes, ends, chain, check = _shoot(problem, stencil_times(grid, frac),
+                                           ctrl.spline.at_fractions(frac), nodes,
+                                           shot)
         if _refined(check, ends, opts):
-            return nodes, tangents
+            return nodes, chain
         s *= 2
 
 
 def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
-                opts: Optional[IntegratorOptions] = None):
+                opts: Optional[IntegratorOptions] = None,
+                kept: Optional[KeptBlocks] = None):
     """States and transition stack from one multiple-shooting solve.
 
     The node states and the maps' tangents come from ``shooting_nodes``;
     Psi and the adjoint are the backward recurrence of the tangents
     (``_backward``).  Off-node state rows are the cubic Hermite
     interpolant of the node states and rates.  Returns
-    (StateTrajectory, TransitionStack).
+    (StateTrajectory, TransitionStack).  With ``kept`` the tangent steps
+    and the stack are ``kept``'s while their keys repeat; without it all
+    are built afresh.
 
     Raises what ``shooting_nodes`` raises, and SingularSystem when
     Psi_0 = Phi(tf, t0)^T is singular or its 1-norm condition number
     exceeds COND_LIMIT.
     """
-    nodes, tangents = shooting_nodes(problem, ctrl, grid, opts)
-    n = problem.n
+    kept = kept or KeptBlocks()
+    nodes, tangents = shooting_nodes(problem, ctrl, grid, opts, kept)
     lam_end = np.asarray(problem.grad_phix(nodes[-1], grid.tf), dtype=float)
-    # T_i = [[G_i, 0], [c_i^T, 1]].
-    stack = _backward(tangents[:, :n, :n], tangents[:, n, :n], lam_end)
-    cond = float(np.linalg.cond(stack.psi[0], 1))
-    if cond == np.inf:
-        raise SingularSystem("singular forward transition matrix")
-    if not cond <= COND_LIMIT:
-        raise SingularSystem(f"forward transition matrix condition estimate "
-                             f"{cond:.3e} exceeds {COND_LIMIT:.0e}")
+
+    def guarded():
+        n, shot = problem.n, kept.tangents
+        # T_i = [[G_i, 0], [c_i^T, 1]], whose G_i's band the kept tangents
+        # built along with them.
+        stack = _backward(tangents[:, :n, :n], tangents[:, n, :n], lam_end,
+                          shot.band if shot.chain is tangents else None)
+        cond = float(np.linalg.cond(stack.psi[0], 1))
+        if cond == np.inf:
+            raise SingularSystem("singular forward transition matrix")
+        if not cond <= COND_LIMIT:
+            raise SingularSystem(f"forward transition matrix condition estimate "
+                                 f"{cond:.3e} exceeds {COND_LIMIT:.0e}")
+        return stack
+
+    # A stack is kept only once it passed the guard, so a kept one needs
+    # none.
+    stack = kept.stack(tangents, lam_end, guarded)
     states = StateTrajectory(grid, nodes, _hermite_spline(problem, ctrl, grid, nodes))
     return states, stack
 
@@ -341,41 +373,52 @@ def _band_index(blocks: int, n: int) -> np.ndarray:
     return index
 
 
-def _bidiagonal_solve(g, rhs, trans: str):
-    """Solve L z = rhs (``trans`` "N") or L^T z = rhs ("T") for the unit
-    block lower bidiagonal L with blocks -g_i (N-1, n, n) below the
-    diagonal; rhs is (N n, k).  L z = r is the forward recurrence
-    z_0 = r_0, z_i+1 = g_i z_i + r_i+1, and L^T z = r the backward one
-    z_N-1 = r_N-1, z_i = g_i^T z_i+1 + r_i.  One LAPACK banded triangular
-    solve (``dtbtrs``, bandwidth 2n-1, unit diagonal not stored), whose
-    substitution makes the first (forward) or last (backward) block
-    exactly its right-hand side."""
+def _band(g) -> np.ndarray:
+    """The band storage (2n, N n) of ``_bidiagonal_solve``'s matrix for the
+    blocks g (N-1, n, n), read-only: the unit diagonal is not stored."""
     blocks, n = len(g) + 1, g.shape[1]
     band = np.zeros(blocks * n * 2 * n)
     band[_band_index(blocks, n)] = -g
     # The row-major (N n, 2n) array is the column-major band storage
     # (2n, N n) LAPACK reads.
-    z, info = dtbtrs(band.reshape(blocks * n, 2 * n).T, rhs, uplo="L",
+    band = band.reshape(blocks * n, 2 * n).T
+    band.flags.writeable = False
+    return band
+
+
+def _bidiagonal_solve(g, rhs, trans: str, band=None):
+    """Solve L z = rhs (``trans`` "N") or L^T z = rhs ("T") for the unit
+    block lower bidiagonal L with blocks -g_i (N-1, n, n) below the
+    diagonal; rhs is (N n, k).  L z = r is the forward recurrence
+    z_0 = r_0, z_i+1 = g_i z_i + r_i+1, and L^T z = r the backward one
+    z_N-1 = r_N-1, z_i = g_i^T z_i+1 + r_i.  One LAPACK banded triangular
+    solve (``dtbtrs``, bandwidth 2n-1), whose substitution makes the
+    first (forward) or last (backward) block exactly its right-hand side.
+    ``band`` is g's ``_band`` when the caller has it."""
+    z, info = dtbtrs(_band(g) if band is None else band, rhs, uplo="L",
                      trans=trans, diag="U")
     if info:
         raise ValueError(f"dtbtrs rejected argument {-info}")
     return z
 
 
-def _backward(g, c, lam_end) -> TransitionStack:
+def _backward(g, c, lam_end, band=None) -> TransitionStack:
     """The stack of Psi and the adjoint at every node from the interval
     blocks g (N-1, n, n) and c (N-1, n), taken from the end:
     Psi_i = g_i^T Psi_i+1 and lam_i = g_i^T lam_i+1 + c_i, with Psi_N = I
     and lam_N = lam_end exactly; one banded solve for all n+1 columns
-    [Psi | lam].  The stack keeps the blocks g."""
+    [Psi | lam], against g's ``band`` when given.  The stack keeps the
+    blocks g and their band, and its arrays are read-only."""
     blocks, n = len(g) + 1, len(lam_end)
     rhs = np.zeros((blocks, n, n + 1))
     rhs[:-1, :, n] = c
     rhs[-1, :, :n] = np.eye(n)
     rhs[-1, :, n] = lam_end
-    z = _bidiagonal_solve(g, rhs.reshape(blocks * n, n + 1), "T")
+    band = _band(g) if band is None else band
+    z = _bidiagonal_solve(g, rhs.reshape(blocks * n, n + 1), "T", band)
     z = z.reshape(blocks, n, n + 1)
-    return TransitionStack(z[:, :, :n], z[:, :, n], g)
+    z.flags.writeable = False
+    return TransitionStack(z[:, :, :n], z[:, :, n], g, band)
 
 
 def _check_budget(substeps: int, opts: IntegratorOptions) -> None:
@@ -432,31 +475,52 @@ def _tangent_step(fx, lx, h):
     return _rk4_linear_step(np.eye(n + 1), *b, h[:, :, None])
 
 
+def _same(a, b) -> bool:
+    """Whether float arrays a and b (b may be None) hold the same bits, so
+    -0.0 differs from 0.0 and a NaN matches its own bits; neither is
+    copied."""
+    return a is b or (b is not None and a.shape == b.shape
+                      and bool((a.view(np.int64) == b.view(np.int64)).all()))
+
+
 class _Tangents:
-    """The tangents of one shooting solve's s-substep maps on the stencil
-    ``ts``, ``us`` with substep width ``h``: each interval's propagator
-    of Z' = [[f_x, 0], [L_x^T, 0]] Z, the derivative of its RK4 map
-    applied to [x, running cost].
+    """The tangents of the shooting solves' s-substep maps: each interval's
+    propagator of Z' = [[f_x, 0], [L_x^T, 0]] Z, the derivative of its RK4
+    map applied to [x, running cost], on the stencil of ``on``.
 
     Each pass makes one ``jac_fx_rows`` and one ``grad_lx_rows`` call per
-    substep over its four stage inputs.  A substep whose rows are bit-equal
-    to those its step was built from in an earlier pass keeps that step
+    substep over its four stage inputs.  A substep whose width and rows
+    are bit-equal to those its step was built from, in an earlier pass or
+    an earlier solve with the same tangents, keeps that step
     (``_tangent_step``), and the chained product is rebuilt only when a
-    step is, so dynamics whose f_x and L_x do not depend on x assemble
-    the tangents once per solve.
+    step is, so dynamics whose f_x and L_x do not depend on x assemble the
+    tangents once per solve, and once for all solves on one horizon when
+    they do not depend on u either.  ``band`` is the ``_band`` of the
+    chain's blocks G_i, built with it, which the Newton corrections and
+    ``fused_sweep``'s backward solve read.
     """
 
-    def __init__(self, problem: OcpProblem, ts, us, h):
+    def __init__(self):
+        # Per substep: its width, the f_x and L_x rows and the step built
+        # from them.
+        self.built = []
+        self.chain = self.band = None
+
+    def on(self, problem: OcpProblem, ts, us, h):
+        """Point the next passes at the stencil ``ts``, ``us`` with
+        substep width ``h`` (K, 1)."""
         self.problem, self.ts, self.us, self.h = problem, ts, us, h
-        # Per substep: the f_x and L_x rows and the step built from them.
-        self.built = [None] * ((ts.shape[1] - 1) // 2)
-        self.chain = None
+        substeps = (ts.shape[1] - 1) // 2
+        if len(self.built) != substeps:
+            self.built, self.chain = [None] * substeps, None
+        return self
 
     def at(self, stages):
-        """The tangents (K, n+1, n+1) from the per-substep stage inputs of
-        ``_rk4_maps``; only the first K rows of each are read."""
-        k = len(self.h)
-        fresh = False
+        """The tangents (K, n+1, n+1), read-only, from the per-substep
+        stage inputs of ``_rk4_maps``; only the first K rows of each are
+        read."""
+        h = self.h
+        k = len(h)
         for j, stage in enumerate(stages):
             xs = np.concatenate([x[:k] for x in stage])
             cols = [2 * j, 2 * j + 1, 2 * j + 1, 2 * j + 2]
@@ -465,27 +529,31 @@ class _Tangents:
             fx = np.asarray(self.problem.jac_fx_rows(xs, u_rows, t_rows), dtype=float)
             lx = np.asarray(self.problem.grad_lx_rows(xs, u_rows, t_rows), dtype=float)
             old = self.built[j]
-            if not (old is not None and np.array_equal(fx, old[0])
-                    and np.array_equal(lx, old[1])):
-                self.built[j] = (fx, lx, _tangent_step(fx, lx, self.h))
-                fresh = True
-        if fresh:
-            self.chain = self.built[0][2]
-            for _, _, step in self.built[1:]:
-                self.chain = step @ self.chain
+            if not (old is not None and _same(h, old[0]) and _same(fx, old[1])
+                    and _same(lx, old[2])):
+                self.chain = None
+                self.built[j] = (h, fx, lx, _tangent_step(fx, lx, h))
+        if self.chain is None:
+            chain = self.built[0][3]
+            for *_, step in self.built[1:]:
+                chain = step @ chain
+            chain.flags.writeable = False
+            n = chain.shape[1] - 1
+            self.chain, self.band = chain, _band(chain[:, :n, :n])
         return self.chain
 
 
-def _shoot(problem: OcpProblem, ts, us, nodes):
+def _shoot(problem: OcpProblem, ts, us, nodes, shot: _Tangents):
     """Node states X with X_0 = x0 and X_i+1 = F_i(X_i) for the s-substep
     RK4 maps on every other point of the 2s-substep stencil ``ts``,
-    ``us``.  Returns X, the maps' end rows F_i(X_i) and tangents from a
-    last pass at X, and the end rows of the 2s-substep maps from X, which
-    ``shooting_nodes`` checks F_i against.
+    ``us``.  Returns X, the maps' end rows F_i(X_i) and tangents (from
+    ``shot``) from a last pass at X, and the end rows of the 2s-substep
+    maps from X, which ``shooting_nodes`` checks F_i against.
 
     Newton from ``nodes`` on r_i = F_i(X_i) - X_i+1 over all intervals at
     once: the correction solves delta_i+1 = G_i delta_i + r_i from
-    delta_0 = 0 by one banded solve (``_bidiagonal_solve``).  It stops
+    delta_0 = 0 by one banded solve (``_bidiagonal_solve``) against the
+    tangents' band.  It stops
     when max |r_i| is at rounding level.  Each pass after a correction
     runs the first s substeps of the 2s-substep maps in the same stage
     calls, and the last s run once a pass confirms convergence.
@@ -501,7 +569,7 @@ def _shoot(problem: OcpProblem, ts, us, nodes):
     first = (ts[:, :2 * s + 1], us[:, :2 * s + 1], dt / (2 * s))
     last = (ts[:, 2 * s:], us[:, 2 * s:], dt / (2 * s))
     stacked = tuple(np.concatenate(pair) for pair in zip(coarse, first))
-    tangent = _Tangents(problem, *coarse)
+    tangent = shot.on(problem, *coarse)
     nodes = nodes.copy()
 
     def sweep(with_check: bool):
@@ -527,8 +595,8 @@ def _shoot(problem: OcpProblem, ts, us, nodes):
         if np.max(np.abs(residual)) <= NEWTON_TOL * max(1.0, np.max(np.abs(ends))):
             return solved(ends, mid, tangents)
         rhs = np.concatenate([np.zeros(n), residual.ravel()])[:, None]
-        nodes[1:] += _bidiagonal_solve(tangents[:, :n, :n], rhs,
-                                       "N").reshape(-1, n)[1:]
+        nodes[1:] += _bidiagonal_solve(tangents[:, :n, :n], rhs, "N",
+                                       tangent.band).reshape(-1, n)[1:]
     for i in range(k):
         end, _ = _rk4_maps(problem, nodes[i:i + 1], *(a[i:i + 1] for a in coarse))
         if not np.all(np.isfinite(end)):
@@ -567,21 +635,58 @@ class TransitionStack:
     psi: np.ndarray             # (N, n, n)
     adjoint: np.ndarray         # (N, n)
     blocks: np.ndarray          # (N-1, n, n)
+    band: np.ndarray            # the blocks' ``_band``
+
+
+class KeptBlocks:
+    """The Jacobian-derived blocks of one system's last evaluation, kept
+    for the next while their keys repeat bit for bit:
+
+    - ``tangents``: each shooting substep's tangent step, keyed on its
+      width and f_x/L_x rows, and their chained product (``_Tangents``);
+    - ``rounds``: each ``interval_stencil`` round's propagators, keyed on
+      the grid widths and the rows sampled up to that round (``_Rounds``);
+    - the last stack, keyed on the very array its blocks were read from
+      and lam_end, kept by ``fused_sweep`` only after its condition guard
+      passed.
+
+    Every kept value is a pure function of its key, so an evaluation gives
+    the same bits with these as with fresh ones.
+    """
+
+    def __init__(self):
+        self.tangents = _Tangents()
+        self.rounds = _Rounds()
+        self._stack = None      # (source array, lam_end, TransitionStack)
+
+    def stack(self, source, lam_end, build) -> TransitionStack:
+        """The kept stack when its blocks came from ``source`` itself and
+        its lam_end has the bits of ``lam_end``; else ``build()``'s, kept
+        once it returns."""
+        kept = self._stack
+        if kept is None or kept[0] is not source or not _same(lam_end, kept[1]):
+            self._stack = kept = (source, lam_end, build())
+        return kept[2]
 
 
 def transition_stack(problem: OcpProblem, states: StateTrajectory,
                      ctrl: ControlTrajectory,
-                     opts: Optional[IntegratorOptions] = None) -> TransitionStack:
+                     opts: Optional[IntegratorOptions] = None,
+                     kept: Optional[KeptBlocks] = None) -> TransitionStack:
     """Psi at every node plus the adjoint: per-interval RK4 propagators
     of Y' = B Y (``_propagators``), taken from the end by ``_backward``
-    (module docstring)."""
+    (module docstring).  With ``kept`` the propagators and the stack are
+    ``kept``'s while their keys repeat; without it both are built
+    afresh."""
+    kept = kept or KeptBlocks()
     grid = states.grid
     lam_end = np.asarray(problem.grad_phix(states.values[-1], grid.tf), dtype=float)
     steps = interval_stencil(grid, _backward_field(problem, states, ctrl),
-                             _propagators, opts)
+                             _propagators, opts, kept.rounds)
     n = problem.n
     # S_i = [[g_i^T, c_i], [0, 1]].
-    return _backward(np.swapaxes(steps[:, :n, :n], 1, 2), steps[:, :n, n], lam_end)
+    return kept.stack(steps, lam_end, lambda: _backward(
+        np.swapaxes(steps[:, :n, :n], 1, 2), steps[:, :n, n], lam_end))
 
 
 def _backward_field(problem: OcpProblem, states: StateTrajectory,
@@ -625,8 +730,33 @@ def _rk4_linear_step(y, k1, b2, b3, b4, h):
     return y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+class _Rounds:
+    """``interval_stencil``'s estimates, kept per round: round r's are
+    reused while the widths and the rows sampled in rounds 0..r repeat bit
+    for bit, for they are a function of those alone."""
+
+    def __init__(self):
+        self.widths = None
+        self.kept = []          # per round: (sampled rows, estimates)
+
+    def estimates(self, r: int, dt, rows, compute):
+        """Round r's estimates at the widths ``dt`` and its sampled
+        ``rows``: the kept ones, or ``compute()``'s, kept read-only."""
+        if r == 0 and not _same(dt, self.widths):
+            self.widths, self.kept = dt, []
+        if r < len(self.kept) and _same(rows, self.kept[r][0]):
+            return self.kept[r][1]
+        del self.kept[r:]
+        out = compute()
+        for result in out:
+            result.flags.writeable = False
+        self.kept.append((rows, out))
+        return out
+
+
 def interval_stencil(grid: TimeGrid, sample, estimate,
-                     opts: Optional[IntegratorOptions] = None) -> np.ndarray:
+                     opts: Optional[IntegratorOptions] = None,
+                     kept: Optional[_Rounds] = None) -> np.ndarray:
     """Per-interval results of a fourth-order rule, refined by step doubling.
 
     Every interval [t_i, t_i+1] is split into s equal substeps whose ends
@@ -643,12 +773,15 @@ def interval_stencil(grid: TimeGrid, sample, estimate,
     reads E_1 from its even points and E_2 from all of them; each later
     round samples only the odd points of the next finer stencil, and
     merges them between the rows it has.  s doubles until E_2s passes
-    ``_refined`` against E_s, and E_2s is returned.
+    ``_refined`` against E_s, and E_2s is returned, read-only.  A round
+    takes its estimates from ``kept`` when its rows repeat there (one
+    ``_Rounds`` per ``estimate``); without it all are computed.
 
     Raises StepFailure when a stencil would need more than
     ``opts.max_steps`` substeps and NonFiniteField on non-finite rows.
     """
     opts = opts or IntegratorOptions()
+    kept = kept or _Rounds()
     dt = grid.widths
 
     def take(frac, s):
@@ -659,19 +792,20 @@ def interval_stencil(grid: TimeGrid, sample, estimate,
             raise NonFiniteField("non-finite rows on the interval stencil")
         return rows
 
-    s = 2
+    s, r = 2, 0
     rows = take(np.arange(5) / 4.0, s)
-    last, result = estimate(rows[:, ::2], dt), estimate(rows, dt)
+    last, result = kept.estimates(
+        r, dt, rows, lambda: (estimate(rows[:, ::2], dt), estimate(rows, dt)))
     while not _refined(result, last, opts):
-        last = result
-        s *= 2
+        s, r = 2 * s, r + 1
         # The finer stencil's even points are the coarser stencil's
         # points, so only its odd points are new.
         fresh = take(np.arange(1, 2 * s, 2) / (2 * s), s)
         merged = np.empty((dt.size, 2 * s + 1) + rows.shape[2:])
         merged[:, 0::2], merged[:, 1::2] = rows, fresh
         rows = merged
-        result = estimate(rows, dt)
+        last = result
+        (result,) = kept.estimates(r, dt, fresh, lambda: (estimate(rows, dt),))
     return result
 
 

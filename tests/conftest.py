@@ -6,6 +6,8 @@ reproducible, fixed-span setting) and are session-scoped because they
 back several test modules plus the acceptance suite.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,21 @@ def growing_horizon():
     return _free_horizon("growing-horizon", -1.0,
                          lambda x, u, t: np.array([np.cos(3.0 * t) * x[0] + u[0]]),
                          lambda xs, us, ts: np.cos(3.0 * ts)[:, None, None])
+
+
+def growing_saddle():
+    """The saddle with a = 10 on the growing horizon's free terminal time,
+    without its terminal constraint: cond(Phi(tf, t0)) = exp(20 tf) passes
+    the forward-transition guard once tf passes about 1.38, while the f_x
+    and L_x rows stay the same at every evaluation.  On 101 nodes the
+    shooting solve keeps one substep per interval up to there."""
+    grow = growing_horizon()
+    problem = dataclasses.replace(
+        saddle_problem(10.0), q=0, constraint=None, jac_gx=None, dg_dt=None,
+        tf_mode="free", terminal_cost=grow.problem.terminal_cost,
+        grad_phix=lambda xf, tf: np.zeros(2), dphi_dt=grow.problem.dphi_dt,
+        name="growing-saddle")
+    return _benchmark(problem, grow.gains, 101, grow.default_tau_end)
 
 
 def blowing_up():

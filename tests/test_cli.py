@@ -1,14 +1,16 @@
 import json
 
+import numpy as np
 import pytest
 
 import vem.cli as cli
-from conftest import (blowing_up, growing_horizon, saddle_benchmark,
-                      shrinking_horizon, unreachable_benchmark)
+from conftest import (blowing_up, growing_horizon, growing_saddle,
+                      saddle_benchmark, shrinking_horizon, unreachable_benchmark)
 from vem import IntegratorOptions, assemble_ivp, problems, solve_benchmark
 from vem.cli import main
 from vem.errors import (NonFiniteDynamics, SingularSystem, StepFailure,
                         TfCollapse, VemError)
+from vem.numerics import COND_LIMIT
 
 
 def _read_csv_header(path):
@@ -231,6 +233,22 @@ class TestRealFailures:
         assert err.startswith("singular system: forward transition matrix "
                               "condition estimate")
         assert "multiplier" not in err
+
+    def test_forward_transition_guard_mid_run(self, monkeypatch, tmp_path,
+                                              capsys):
+        # The growing saddle passes the guard at its starting horizon and
+        # fails it once cond(Phi(tf, t0)) = exp(20 tf) passes the limit,
+        # though its f_x and L_x rows never change: the substep widths key
+        # the kept tangents, so every new horizon rebuilds them and checks
+        # the condition afresh, and no accepted step gets past the limit.
+        exc, history = self._history(SingularSystem, growing_saddle(), "third")
+        assert str(exc).startswith("forward transition matrix condition "
+                                   "estimate")
+        assert (history.snapshots[0].tf < history.snapshots[-1].tf
+                < np.log(COND_LIMIT) / 20.0)
+        assert self._cli(monkeypatch, tmp_path, growing_saddle) == 5
+        assert capsys.readouterr().err.startswith(
+            "singular system: forward transition matrix condition estimate")
 
     @pytest.mark.parametrize("tau_end", ["inf", "-1"])
     def test_bad_tau_end_named_before_assembly(self, monkeypatch, tmp_path,

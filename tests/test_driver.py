@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import saddle_benchmark, saddle_problem
+from conftest import (growing_horizon, saddle_benchmark, saddle_problem,
+                      shrinking_horizon)
 from vem import (
     ControlTrajectory,
     GainSet,
@@ -314,6 +315,108 @@ class TestEvaluationCache:
         assert after == fresh.residuals(vec)
         assert after != before
         assert not np.array_equal(system.rhs(0.0, vec), rate)
+
+
+def _oscillator():
+    """x' = cos(3t) x + u on the fixed horizon [0, 20]: f_x rows that move
+    with t alone, on intervals wide enough that the interval stencil
+    refines past its first round."""
+    bench = growing_horizon()
+    return dataclasses.replace(bench, problem=dataclasses.replace(
+        bench.problem, tf_mode="fixed", tf=20.0, name="oscillator"))
+
+
+class TestKeptBlocks:
+    """A system keeps the Jacobian-derived blocks of its last evaluation
+    (``trajectory.KeptBlocks``) and reuses them while the rows and widths
+    they were built from repeat bit for bit."""
+
+    @staticmethod
+    def _builds(monkeypatch):
+        """Calls of the three builders and of the two evaluations, by
+        name."""
+        counts = dict.fromkeys(("_tangent_step", "_propagators", "_backward",
+                                "fused_sweep", "transition_stack"), 0)
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("_tangent_step", "_propagators", "_backward"):
+            counting(trajectory, name)
+        for name in ("fused_sweep", "transition_stack"):
+            counting(driver, name)
+        return counts
+
+    @pytest.mark.parametrize("method", ["third", "second"])
+    @pytest.mark.parametrize("name", ["di", "brach", "oscillator"])
+    def test_reuse_changes_no_result(self, name, method, request):
+        # One system evaluated at A, B and A again gives, at each, the
+        # bits of a system that evaluates that vector first.
+        bench = _oscillator() if name == "oscillator" else request.getfixturevalue(name)
+        p, n_nodes = bench.problem, bench.default_nodes
+        system = assemble_ivp(p, method, n_nodes, bench.gains)
+        rng = np.random.default_rng(12)
+        vecs = [system.y0 + 1e-2 * rng.standard_normal(system.dimension)
+                for _ in range(2)]
+        for vec in (vecs[0], vecs[1], vecs[0]):
+            fresh = EvolutionSystem(p, bench.gains, method, n_nodes,
+                                    IntegratorOptions(), system.y0)
+            rate = system.rhs(0.0, vec)
+            assert rate.tobytes() == fresh.rhs(0.0, vec).tobytes()
+            assert system.residuals(vec) == fresh.residuals(vec)
+
+    def test_time_varying_rows_reuse_every_round(self, monkeypatch):
+        # The oscillator's stencil takes more than one round, and rows that
+        # move with t alone repeat at every evaluation on a fixed horizon:
+        # every round is built once.
+        counts = self._builds(monkeypatch)
+        bench = _oscillator()
+        system = assemble_ivp(bench.problem, "second", bench.default_nodes,
+                              bench.gains)
+        built = counts["_propagators"]
+        assert built > 2
+        system.rhs(0.0, system.y0 + 0.1)
+        assert counts["_propagators"] == built
+        assert counts["_backward"] == 1
+
+    @pytest.mark.parametrize("method", ["third", "second"])
+    def test_double_integrator_builds_once_per_solve(self, di, method,
+                                                     monkeypatch):
+        # f_x and L_x do not move and the horizon is fixed: one tangent
+        # step (the coupled start's shooting solve makes its own), the
+        # first stencil round's two propagator calls, and one backward
+        # solve, for the whole solve.
+        counts = self._builds(monkeypatch)
+        solve_benchmark(di, method, tau_end=5.0, early_stop=False)
+        evaluations = counts["fused_sweep"] + counts["transition_stack"]
+        assert evaluations > 10
+        assert counts["_tangent_step"] == 1
+        assert counts["_propagators"] == (2 if method == "second" else 0)
+        assert counts["_backward"] == 1
+
+    @pytest.mark.parametrize("method", ["third", "second"])
+    @pytest.mark.parametrize("make", ["brach", "shrinking"])
+    def test_moving_rows_or_widths_rebuild_every_evaluation(
+            self, make, method, request, monkeypatch):
+        # The brachistochrone's f_x rows move with its controls; the
+        # shrinking horizon's rows are zeros throughout, but its widths
+        # move.  Either way each evaluation builds its own blocks.
+        bench = (shrinking_horizon() if make == "shrinking"
+                 else request.getfixturevalue(make))
+        counts = self._builds(monkeypatch)
+        solve_benchmark(bench, method, tau_end=0.5, early_stop=False)
+        evaluations = counts["fused_sweep"] + counts["transition_stack"]
+        assert evaluations > 10
+        assert counts["_backward"] == evaluations
+        if method == "third":
+            assert counts["_tangent_step"] == evaluations
+        else:
+            assert counts["_propagators"] >= 2 * evaluations
 
 
 def _recording(bench, calls, names):

@@ -129,7 +129,7 @@ def stencil_cases(bench, rng):
     trajectories (one joint spline) and the shooting solve's (separate
     splines), at drawn controls."""
     p, grid, ctrl = _drawn_case(bench, bench.default_nodes, rng)
-    nodes, _ = trajectory.shooting_nodes(p, ctrl, grid)
+    nodes, *_ = trajectory.shooting_nodes(p, ctrl, grid)
     snap = second_eq.SecondEqSnapshot.create(
         grid, nodes + 1e-3 * rng.standard_normal(nodes.shape), ctrl.values)
     shot, _ = fused_sweep(p, ctrl, grid)
@@ -357,7 +357,7 @@ def _banded_gap(bench, n_nodes, rng):
     from the products of [[G_i, r_i], [0, 1]]."""
     p, grid, ctrl = _drawn_case(bench, n_nodes, rng)
     n = p.n
-    nodes, tangents = trajectory.shooting_nodes(p, ctrl, grid)
+    nodes, tangents, _ = trajectory.shooting_nodes(p, ctrl, grid)
     lam_end = np.asarray(p.grad_phix(nodes[-1], grid.tf), dtype=float)
     stack = trajectory._backward(tangents[:, :n, :n], tangents[:, n, :n], lam_end)
     end = np.eye(n + 1)
@@ -468,7 +468,7 @@ def _projection_gap(bench, method, mode, rng):
     p, grid, ctrl = _drawn_case(bench, bench.default_nodes, rng)
     gains, states = bench.gains, None
     if method == "second":
-        nodes, _ = trajectory.shooting_nodes(p, ctrl, grid)
+        nodes, *_ = trajectory.shooting_nodes(p, ctrl, grid)
         states = nodes + 1e-3 * rng.standard_normal(nodes.shape)
     layout = StateLayout(method, grid.n_nodes, p.n, p.m, p.tf_free)
     vec = layout.pack(ctrl.values, states=states, tf=p.tf if p.tf_free else None)

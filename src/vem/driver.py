@@ -225,19 +225,20 @@ class EvolutionSystem:
     one ``Evaluation`` of the vector they are given.  A control-only
     evaluation is one fused sweep (the shooting solve for the states and
     its transition stack); a coupled one is one batched interval stencil
-    along the snapshot's own trajectories.
-    The last evaluation is kept, keyed by the vector's exact bytes, so a
-    vector seen twice in a row is evaluated once: the integrator's last
-    stage of an accepted step and the convergence check on that step, or
-    the assembly probe at y0, the threshold scaling and the first field
-    call.  A vector that differs in any bit, including one mutated in
-    place after a call, misses the cache and is evaluated afresh.  A
-    snapshot adds the path cost along the evaluation's states.
+    along the snapshot's own trajectories.  A snapshot adds the path cost
+    along the evaluation's states.
 
-    Below that, the system keeps the Jacobian-derived blocks of its last
-    evaluation (``trajectory.KeptBlocks``), each reused while the f_x/L_x
-    rows and widths it was built from repeat bit for bit: on a fixed
-    horizon with f_x and L_x free of x and u, such as the double
+    What the system keeps between evaluations sits in one store
+    (``trajectory.KeptBlocks``), each value reused while the arrays it was
+    built from repeat bit for bit.  Its ``"evaluation"`` slot, keyed on a
+    private copy of the vector, makes a vector seen twice in a row one
+    evaluation: the integrator's last stage of an accepted step and the
+    convergence check on that step, or the assembly probe at y0, the
+    threshold scaling and the first field call.  A vector that differs in
+    any bit, including one mutated in place after a call, is evaluated
+    afresh.  Its other slots hold the Jacobian-derived blocks of the last
+    evaluation, keyed on the f_x/L_x rows and widths they came from: on a
+    fixed horizon with f_x and L_x free of x and u, such as the double
     integrator's, one build serves the whole solve.
     """
 
@@ -252,8 +253,6 @@ class EvolutionSystem:
         self.layout = StateLayout(method, n_nodes, problem.n, problem.m,
                                   problem.tf_free)
         self.y0 = y0
-        self._last_key: Optional[bytes] = None
-        self._last: Optional[Evaluation] = None
         self._kept = KeptBlocks()
 
     @property
@@ -269,18 +268,12 @@ class EvolutionSystem:
 
     def evaluate(self, vec) -> Evaluation:
         """The pipeline at ``vec``, reused when the last call saw the same
-        bytes."""
-        vec = np.asarray(vec, dtype=float)
-        key = vec.tobytes()
-        if key != self._last_key:
-            # The evaluation keeps views of the vector it unpacks, so it
-            # gets a private copy.
-            if self.method == "third":
-                evaluation = self._evaluate_third(vec.copy())
-            else:
-                evaluation = self._evaluate_second(vec.copy())
-            self._last_key, self._last = key, evaluation
-        return self._last
+        bits."""
+        # The evaluation keeps views of the vector it unpacks and the store
+        # keeps it as the key, so both get a private copy.
+        vec = np.array(vec, dtype=float)
+        build = self._evaluate_third if self.method == "third" else self._evaluate_second
+        return self._kept.get("evaluation", (vec,), lambda: build(vec))
 
     def _evaluate_third(self, vec) -> Evaluation:
         controls, _, tf = self.layout.unpack(vec)
@@ -430,7 +423,7 @@ def assemble_ivp(problem: OcpProblem, method: str, n_nodes: int,
     grid = TimeGrid(n_nodes, problem.t0, tf0)
     if method == "second":
         ctrl = ControlTrajectory.from_values(grid, init_controls)
-        states, _ = shooting_nodes(problem, ctrl, grid, opts)
+        states, *_ = shooting_nodes(problem, ctrl, grid, opts)
         if mode == "feasible" and problem.q > 0:
             miss = float(np.max(np.abs(problem.constraint(states[-1], tf0))))
             if not miss <= CONSTRAINT_TOL:

@@ -45,8 +45,8 @@ along: each pass after a correction runs the first s of the 2s substeps
 in the same stage calls, and the last s run once a pass confirms
 convergence, so an affine problem at s = 1 makes 12 stage calls.
 ``fused_sweep`` (control-only method) takes g_i = G_i and c_i from T_i,
-and the band of the G_i, built once per product of propagators, serves
-its Newton corrections and the backward solve.  Psi_0 = Phi(tf, t0)^T,
+and the band of the G_i, built with them, serves its Newton corrections
+and the backward solve.  Psi_0 = Phi(tf, t0)^T,
 so its 1-norm condition number guards the solve: past ``COND_LIMIT``
 (saddle-type dynamics, whose transition matrices grow like exp(2|a|T))
 it raises SingularSystem.  Off-node state rows are the cubic Hermite interpolant of
@@ -90,19 +90,24 @@ and in the oracles, answer a query at the flat times.  A grid also
 carries its trapezoid weights (``TimeGrid.weights``, the unit grid's,
 kept per node count, times the width), which the multiplier sums read.
 
-What a solve keeps for the next (``KeptBlocks``, one per evolution
-system; a direct call of ``fused_sweep``, ``shooting_nodes`` or
-``transition_stack`` keeps nothing): each shooting substep's propagator
-and their product, keyed on the substep widths and the f_x/L_x rows it
-was built from; each stencil round's propagators, keyed on the grid
-widths and the rows sampled up to that round; and the last stack with
-its band, keyed on the very array its blocks were read from and on
-lam_end -- in ``fused_sweep`` kept only once Psi_0 passed its condition
-guard.  Every kept value is a pure function of its key, compared bit for
-bit, so output is the same as with fresh builds, and a problem whose
-f_x/L_x rows never move on a fixed horizon (the double integrator) builds
-each once for a whole tau run.  A moving horizon changes the widths and
-rebuilds all three.
+What a solve keeps for the next is one store, ``KeptBlocks``, one per
+evolution system (a direct call of ``fused_sweep``, ``shooting_nodes`` or
+``transition_stack`` keeps nothing past the call): ``get(slot, key,
+build)`` returns the value kept under a slot while every array of its key
+has the bits it was built from, and otherwise keeps ``build()``'s once it
+returns.  Its slots hold each shooting substep's propagator (keyed on the
+substep width and the f_x/L_x rows) and their product with its band (on
+the steps); each stencil round's propagators (on the grid
+widths and the round's rows); the last stack with its band (on the array
+its blocks were read from and lam_end -- in ``fused_sweep`` kept only once
+Psi_0 passed its condition guard); and the driver's last evaluation (on
+the tau-vector).  Every kept value is a pure function of its key, so
+output is the same as with fresh builds, and a problem whose f_x/L_x rows
+never move on a fixed horizon (the double integrator) builds each once
+for a whole tau run.  A moving horizon changes the widths and rebuilds
+the steps and rounds; the stack is rebuilt too unless its blocks come out
+bit for bit the same, as on a horizon where f_x = L_x = 0 and every step
+is the identity at any width.
 
 ``propagate_states`` and ``_forward_stack`` (the forward transition
 matrices Phi(t_i, t0)) are oracles: adaptive Dormand-Prince sweeps, which
@@ -114,7 +119,7 @@ products (``checks.cumulative_products``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -207,25 +212,21 @@ class ControlTrajectory:
 class StateTrajectory:
     """Node states plus a dense evaluator for off-node queries.
 
-    ``_spline`` returns a spline through the node states (the coupled
-    snapshot's cubic, or the shooting solve's Hermite interpolant, built at
-    the first query); rows come from its ``eval``.  The oracles' propagated
-    states have no spline, and ``_rows`` maps an array of times to (T, n)
-    rows of their dense output.  Each row is bit-equal to the scalar
-    query at its time; a scalar ``eval`` is the one-row case.  A coupled
-    snapshot's states also carry its ``joint`` spline, whose first n
-    columns ``_spline`` returns.
+    ``_spline`` returns the dense reader of the states: a spline through
+    the node states (the coupled snapshot's cubic, or the shooting solve's
+    Hermite interpolant, built at the first query), or the oracles'
+    ``SolutionPath``; rows come from its ``eval``.  Each row is bit-equal
+    to the scalar query at its time; a scalar ``eval`` is the one-row
+    case.  A coupled snapshot's states also carry its ``joint`` spline,
+    whose first n columns ``_spline`` returns.
     """
 
     grid: TimeGrid
     values: np.ndarray          # (N, n)
-    _spline: object = None      # callable () -> SplineCoeffs
-    _rows: object = None        # callable ts -> (T, n), without a spline
+    _spline: object = None      # callable () -> SplineCoeffs or SolutionPath
     joint: Optional[SplineCoeffs] = None
 
     def rows(self, ts) -> np.ndarray:
-        if self._spline is None:
-            return self._rows(ts)
         return self._spline().eval(ts)
 
     def eval(self, t):
@@ -279,7 +280,7 @@ def propagate_states(problem: OcpProblem, ctrl: ControlTrajectory,
         raise NonFiniteDynamics(str(exc)) from exc
     values = path.eval(grid.times)
     values[0] = problem.x0
-    return StateTrajectory(grid, values, _rows=path.rows)
+    return StateTrajectory(grid, values, lambda: path)
 
 
 def shooting_nodes(problem: OcpProblem, ctrl: ControlTrajectory,
@@ -292,16 +293,16 @@ def shooting_nodes(problem: OcpProblem, ctrl: ControlTrajectory,
     maps F_i of s substeps across each grid interval (``_shoot``); X_0 is
     x0 exactly.  Starting at s = 1, s doubles until the 2s-substep maps
     from the solved nodes pass ``_refined`` against the s-substep maps.
-    Returns the nodes (N, n) and the tangents (N-1, n+1, n+1, read-only)
-    of the maps in [x, running cost] at them; the tangent steps are
-    ``kept``'s, fresh ones without it.
+    Returns the nodes (N, n), the tangents (N-1, n+1, n+1, read-only) of
+    the maps in [x, running cost] at them and the ``_band`` of their
+    blocks G_i; the tangent steps are ``kept``'s, fresh ones without it.
 
     Raises StepFailure when the check would need more than
     ``opts.max_steps`` substeps and NonFiniteDynamics on non-finite
     dynamics or f_x/L_x rows.
     """
     opts = opts or IntegratorOptions()
-    shot = (kept or KeptBlocks()).tangents
+    kept = kept or KeptBlocks()
     n_int = grid.n_nodes - 1
     nodes = np.tile(problem.x0, (grid.n_nodes, 1))
     s = 1
@@ -309,11 +310,11 @@ def shooting_nodes(problem: OcpProblem, ctrl: ControlTrajectory,
         _check_budget(2 * s * n_int, opts)
         # The 2s-substep stencil: ends and midpoints, ends at the nodes.
         frac = np.arange(4 * s + 1) / (4 * s)
-        nodes, ends, chain, check = _shoot(problem, stencil_times(grid, frac),
-                                           ctrl.spline.at_fractions(frac), nodes,
-                                           shot)
+        nodes, ends, chain, band, check = _shoot(
+            problem, stencil_times(grid, frac), ctrl.spline.at_fractions(frac),
+            nodes, kept)
         if _refined(check, ends, opts):
-            return nodes, chain
+            return nodes, chain, band
         s *= 2
 
 
@@ -335,15 +336,14 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
     exceeds COND_LIMIT.
     """
     kept = kept or KeptBlocks()
-    nodes, tangents = shooting_nodes(problem, ctrl, grid, opts, kept)
+    nodes, tangents, band = shooting_nodes(problem, ctrl, grid, opts, kept)
     lam_end = np.asarray(problem.grad_phix(nodes[-1], grid.tf), dtype=float)
 
     def guarded():
-        n, shot = problem.n, kept.tangents
-        # T_i = [[G_i, 0], [c_i^T, 1]], whose G_i's band the kept tangents
+        n = problem.n
+        # T_i = [[G_i, 0], [c_i^T, 1]], whose G_i's band the shooting solve
         # built along with them.
-        stack = _backward(tangents[:, :n, :n], tangents[:, n, :n], lam_end,
-                          shot.band if shot.chain is tangents else None)
+        stack = _backward(tangents[:, :n, :n], tangents[:, n, :n], lam_end, band)
         cond = float(np.linalg.cond(stack.psi[0], 1))
         if cond == np.inf:
             raise SingularSystem("singular forward transition matrix")
@@ -354,7 +354,7 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
 
     # A stack is kept only once it passed the guard, so a kept one needs
     # none.
-    stack = kept.stack(tangents, lam_end, guarded)
+    stack = kept.get("stack", (tangents, lam_end), guarded)
     states = StateTrajectory(grid, nodes, _hermite_spline(problem, ctrl, grid, nodes))
     return states, stack
 
@@ -476,79 +476,53 @@ def _tangent_step(fx, lx, h):
 
 
 def _same(a, b) -> bool:
-    """Whether float arrays a and b (b may be None) hold the same bits, so
-    -0.0 differs from 0.0 and a NaN matches its own bits; neither is
-    copied."""
-    return a is b or (b is not None and a.shape == b.shape
+    """Whether float arrays a and b hold the same bits, so -0.0 differs
+    from 0.0 and a NaN matches its own bits; neither is copied."""
+    return a is b or (a.shape == b.shape
                       and bool((a.view(np.int64) == b.view(np.int64)).all()))
 
 
-class _Tangents:
-    """The tangents of the shooting solves' s-substep maps: each interval's
-    propagator of Z' = [[f_x, 0], [L_x^T, 0]] Z, the derivative of its RK4
-    map applied to [x, running cost], on the stencil of ``on``.
+def _tangents(problem: OcpProblem, ts, us, h, stages, kept: KeptBlocks):
+    """The tangents (K, n+1, n+1), read-only, of the s-substep RK4 maps on
+    the stencil ``ts``, ``us`` with substep width ``h`` (K, 1), and the
+    ``_band`` of their blocks G_i: each tangent is the interval's
+    propagator of Z' = [[f_x, 0], [L_x^T, 0]] Z, the derivative of its map
+    applied to [x, running cost], from the per-substep stage inputs
+    ``stages`` of ``_rk4_maps``; only the first K rows of each are read.
 
-    Each pass makes one ``jac_fx_rows`` and one ``grad_lx_rows`` call per
-    substep over its four stage inputs.  A substep whose width and rows
-    are bit-equal to those its step was built from, in an earlier pass or
-    an earlier solve with the same tangents, keeps that step
-    (``_tangent_step``), and the chained product is rebuilt only when a
-    step is, so dynamics whose f_x and L_x do not depend on x assemble the
-    tangents once per solve, and once for all solves on one horizon when
-    they do not depend on u either.  ``band`` is the ``_band`` of the
-    chain's blocks G_i, built with it, which the Newton corrections and
-    ``fused_sweep``'s backward solve read.
+    One ``jac_fx_rows`` and one ``grad_lx_rows`` call per substep over its
+    four stage inputs.  Each substep's step (``_tangent_step``) is
+    ``kept``'s while its width and rows repeat, and their product and its
+    band while the steps do, so dynamics whose f_x and L_x do not depend
+    on x assemble the tangents once per solve, and once for all solves on
+    one horizon when they do not depend on u either.
     """
+    k, steps = len(h), []
+    for j, stage in enumerate(stages):
+        xs = np.concatenate([x[:k] for x in stage])
+        cols = [2 * j, 2 * j + 1, 2 * j + 1, 2 * j + 2]
+        u_rows = us[:, cols].swapaxes(0, 1).reshape(len(xs), -1)
+        t_rows = ts[:, cols].T.ravel()
+        fx = np.asarray(problem.jac_fx_rows(xs, u_rows, t_rows), dtype=float)
+        lx = np.asarray(problem.grad_lx_rows(xs, u_rows, t_rows), dtype=float)
+        steps.append(kept.get(("step", j), (h, fx, lx),
+                              lambda: _tangent_step(fx, lx, h)))
 
-    def __init__(self):
-        # Per substep: its width, the f_x and L_x rows and the step built
-        # from them.
-        self.built = []
-        self.chain = self.band = None
+    def chained():
+        chain = reduce(lambda chain, step: step @ chain, steps)
+        chain.flags.writeable = False
+        n = chain.shape[1] - 1
+        return chain, _band(chain[:, :n, :n])
 
-    def on(self, problem: OcpProblem, ts, us, h):
-        """Point the next passes at the stencil ``ts``, ``us`` with
-        substep width ``h`` (K, 1)."""
-        self.problem, self.ts, self.us, self.h = problem, ts, us, h
-        substeps = (ts.shape[1] - 1) // 2
-        if len(self.built) != substeps:
-            self.built, self.chain = [None] * substeps, None
-        return self
-
-    def at(self, stages):
-        """The tangents (K, n+1, n+1), read-only, from the per-substep
-        stage inputs of ``_rk4_maps``; only the first K rows of each are
-        read."""
-        h = self.h
-        k = len(h)
-        for j, stage in enumerate(stages):
-            xs = np.concatenate([x[:k] for x in stage])
-            cols = [2 * j, 2 * j + 1, 2 * j + 1, 2 * j + 2]
-            u_rows = self.us[:, cols].swapaxes(0, 1).reshape(len(xs), -1)
-            t_rows = self.ts[:, cols].T.ravel()
-            fx = np.asarray(self.problem.jac_fx_rows(xs, u_rows, t_rows), dtype=float)
-            lx = np.asarray(self.problem.grad_lx_rows(xs, u_rows, t_rows), dtype=float)
-            old = self.built[j]
-            if not (old is not None and _same(h, old[0]) and _same(fx, old[1])
-                    and _same(lx, old[2])):
-                self.chain = None
-                self.built[j] = (h, fx, lx, _tangent_step(fx, lx, h))
-        if self.chain is None:
-            chain = self.built[0][3]
-            for *_, step in self.built[1:]:
-                chain = step @ chain
-            chain.flags.writeable = False
-            n = chain.shape[1] - 1
-            self.chain, self.band = chain, _band(chain[:, :n, :n])
-        return self.chain
+    return kept.get("chain", steps, chained)
 
 
-def _shoot(problem: OcpProblem, ts, us, nodes, shot: _Tangents):
+def _shoot(problem: OcpProblem, ts, us, nodes, kept: KeptBlocks):
     """Node states X with X_0 = x0 and X_i+1 = F_i(X_i) for the s-substep
     RK4 maps on every other point of the 2s-substep stencil ``ts``,
-    ``us``.  Returns X, the maps' end rows F_i(X_i) and tangents (from
-    ``shot``) from a last pass at X, and the end rows of the 2s-substep
-    maps from X, which ``shooting_nodes`` checks F_i against.
+    ``us``.  Returns X, the maps' end rows F_i(X_i), tangents and their
+    band (``_tangents``) from a last pass at X, and the end rows of the
+    2s-substep maps from X, which ``shooting_nodes`` checks F_i against.
 
     Newton from ``nodes`` on r_i = F_i(X_i) - X_i+1 over all intervals at
     once: the correction solves delta_i+1 = G_i delta_i + r_i from
@@ -569,44 +543,43 @@ def _shoot(problem: OcpProblem, ts, us, nodes, shot: _Tangents):
     first = (ts[:, :2 * s + 1], us[:, :2 * s + 1], dt / (2 * s))
     last = (ts[:, 2 * s:], us[:, 2 * s:], dt / (2 * s))
     stacked = tuple(np.concatenate(pair) for pair in zip(coarse, first))
-    tangent = shot.on(problem, *coarse)
     nodes = nodes.copy()
 
     def sweep(with_check: bool):
-        """(ends, midpoint rows of the 2s-substep maps or None, tangents)
-        at the current nodes."""
+        """(ends, midpoint rows of the 2s-substep maps or None, tangents,
+        band) at the current nodes."""
         if not with_check:
             ends, stages = _rk4_maps(problem, nodes[:-1], *coarse)
-            return ends, None, tangent.at(stages)
+            return ends, None, *_tangents(problem, *coarse, stages, kept)
         both, stages = _rk4_maps(problem, np.concatenate([nodes[:-1]] * 2),
                                  *stacked)
-        return both[:k], both[k:], tangent.at(stages)
+        return both[:k], both[k:], *_tangents(problem, *coarse, stages, kept)
 
-    def solved(ends, mid, tangents):
+    def solved(ends, mid, tangents, band):
         if mid is None:
             mid, _ = _rk4_maps(problem, nodes[:-1], *first)
-        return nodes, ends, tangents, _rk4_maps(problem, mid, *last)[0]
+        return nodes, ends, tangents, band, _rk4_maps(problem, mid, *last)[0]
 
     for p in range(NEWTON_PASSES):
-        ends, mid, tangents = sweep(p > 0)
+        ends, mid, tangents, band = sweep(p > 0)
         if not (np.all(np.isfinite(ends)) and np.all(np.isfinite(tangents))):
             break
         residual = ends - nodes[1:]
         if np.max(np.abs(residual)) <= NEWTON_TOL * max(1.0, np.max(np.abs(ends))):
-            return solved(ends, mid, tangents)
+            return solved(ends, mid, tangents, band)
         rhs = np.concatenate([np.zeros(n), residual.ravel()])[:, None]
         nodes[1:] += _bidiagonal_solve(tangents[:, :n, :n], rhs, "N",
-                                       tangent.band).reshape(-1, n)[1:]
+                                       band).reshape(-1, n)[1:]
     for i in range(k):
         end, _ = _rk4_maps(problem, nodes[i:i + 1], *(a[i:i + 1] for a in coarse))
         if not np.all(np.isfinite(end)):
             raise NonFiniteDynamics(f"field returned non-finite values near "
                                     f"t={ts[i, 0]}")
         nodes[i + 1] = end[0]
-    ends, mid, tangents = sweep(True)
+    ends, mid, tangents, band = sweep(True)
     if not np.all(np.isfinite(tangents)):
         raise NonFiniteDynamics("non-finite f_x or L_x rows on the shooting stencil")
-    return solved(ends, mid, tangents)
+    return solved(ends, mid, tangents, band)
 
 
 def _hermite_spline(problem: OcpProblem, ctrl: ControlTrajectory,
@@ -639,34 +612,42 @@ class TransitionStack:
 
 
 class KeptBlocks:
-    """The Jacobian-derived blocks of one system's last evaluation, kept
-    for the next while their keys repeat bit for bit:
+    """What one evolution system keeps from one evaluation for the next:
+    per slot, the last value built and the key it was built from.  The
+    slots are
 
-    - ``tangents``: each shooting substep's tangent step, keyed on its
-      width and f_x/L_x rows, and their chained product (``_Tangents``);
-    - ``rounds``: each ``interval_stencil`` round's propagators, keyed on
-      the grid widths and the rows sampled up to that round (``_Rounds``);
-    - the last stack, keyed on the very array its blocks were read from
-      and lam_end, kept by ``fused_sweep`` only after its condition guard
-      passed.
+    - ``("step", j)``: shooting substep j's tangent step, keyed on its
+      width h and f_x/L_x rows; ``"chain"``: their product and the
+      ``_band`` of its blocks G_i, keyed on the steps;
+    - ``("round", s)``: the ``interval_stencil`` estimates on the
+      s-substep stencil, keyed on the grid widths and the stencil's rows;
+    - ``"stack"``: the ``TransitionStack``, keyed on the array its blocks
+      were read from and lam_end, kept by ``fused_sweep`` only once its
+      condition guard passed;
+    - ``"evaluation"``: the driver's pipeline, keyed on the tau-vector.
 
     Every kept value is a pure function of its key, so an evaluation gives
-    the same bits with these as with fresh ones.
+    the same bits with these as with fresh ones.  A system runs one
+    method, so the ``"stack"`` slot sees one kind of source.  A slot keeps
+    its value until it is rebuilt, so what a system holds is bounded by
+    the most substeps and the finest round any of its evaluations reached,
+    not by its last evaluation's.
     """
 
     def __init__(self):
-        self.tangents = _Tangents()
-        self.rounds = _Rounds()
-        self._stack = None      # (source array, lam_end, TransitionStack)
+        self._slots = {}
 
-    def stack(self, source, lam_end, build) -> TransitionStack:
-        """The kept stack when its blocks came from ``source`` itself and
-        its lam_end has the bits of ``lam_end``; else ``build()``'s, kept
-        once it returns."""
-        kept = self._stack
-        if kept is None or kept[0] is not source or not _same(lam_end, kept[1]):
-            self._stack = kept = (source, lam_end, build())
-        return kept[2]
+    def get(self, slot, key, build):
+        """The value kept under ``slot`` while every array of ``key`` has
+        the bits it was built from (``_same``); else ``build()``'s, kept
+        once it returns, so a ``build`` that raises keeps nothing.  The
+        key's arrays are held, not copied: the caller does not change
+        them."""
+        kept = self._slots.get(slot)
+        if not (kept and len(key) == len(kept[0])
+                and all(map(_same, key, kept[0]))):
+            kept = self._slots[slot] = (key, build())
+        return kept[1]
 
 
 def transition_stack(problem: OcpProblem, states: StateTrajectory,
@@ -682,10 +663,10 @@ def transition_stack(problem: OcpProblem, states: StateTrajectory,
     grid = states.grid
     lam_end = np.asarray(problem.grad_phix(states.values[-1], grid.tf), dtype=float)
     steps = interval_stencil(grid, _backward_field(problem, states, ctrl),
-                             _propagators, opts, kept.rounds)
+                             _propagators, opts, kept)
     n = problem.n
     # S_i = [[g_i^T, c_i], [0, 1]].
-    return kept.stack(steps, lam_end, lambda: _backward(
+    return kept.get("stack", (steps, lam_end), lambda: _backward(
         np.swapaxes(steps[:, :n, :n], 1, 2), steps[:, :n, n], lam_end))
 
 
@@ -730,33 +711,9 @@ def _rk4_linear_step(y, k1, b2, b3, b4, h):
     return y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-class _Rounds:
-    """``interval_stencil``'s estimates, kept per round: round r's are
-    reused while the widths and the rows sampled in rounds 0..r repeat bit
-    for bit, for they are a function of those alone."""
-
-    def __init__(self):
-        self.widths = None
-        self.kept = []          # per round: (sampled rows, estimates)
-
-    def estimates(self, r: int, dt, rows, compute):
-        """Round r's estimates at the widths ``dt`` and its sampled
-        ``rows``: the kept ones, or ``compute()``'s, kept read-only."""
-        if r == 0 and not _same(dt, self.widths):
-            self.widths, self.kept = dt, []
-        if r < len(self.kept) and _same(rows, self.kept[r][0]):
-            return self.kept[r][1]
-        del self.kept[r:]
-        out = compute()
-        for result in out:
-            result.flags.writeable = False
-        self.kept.append((rows, out))
-        return out
-
-
 def interval_stencil(grid: TimeGrid, sample, estimate,
                      opts: Optional[IntegratorOptions] = None,
-                     kept: Optional[_Rounds] = None) -> np.ndarray:
+                     kept: Optional[KeptBlocks] = None) -> np.ndarray:
     """Per-interval results of a fourth-order rule, refined by step doubling.
 
     Every interval [t_i, t_i+1] is split into s equal substeps whose ends
@@ -773,15 +730,15 @@ def interval_stencil(grid: TimeGrid, sample, estimate,
     reads E_1 from its even points and E_2 from all of them; each later
     round samples only the odd points of the next finer stencil, and
     merges them between the rows it has.  s doubles until E_2s passes
-    ``_refined`` against E_s, and E_2s is returned, read-only.  A round
-    takes its estimates from ``kept`` when its rows repeat there (one
-    ``_Rounds`` per ``estimate``); without it all are computed.
+    ``_refined`` against E_s, and E_2s is returned, read-only.  A round's
+    estimates are ``kept``'s while the widths and the stencil's rows
+    repeat (one store per ``estimate``); without it all are computed.
 
     Raises StepFailure when a stencil would need more than
     ``opts.max_steps`` substeps and NonFiniteField on non-finite rows.
     """
     opts = opts or IntegratorOptions()
-    kept = kept or _Rounds()
+    kept = kept or KeptBlocks()
     dt = grid.widths
 
     def take(frac, s):
@@ -792,12 +749,23 @@ def interval_stencil(grid: TimeGrid, sample, estimate,
             raise NonFiniteField("non-finite rows on the interval stencil")
         return rows
 
-    s, r = 2, 0
+    def estimates(s, *stencils):
+        """The estimates on ``stencils``, kept under round s while the
+        widths and the s-substep stencil's rows, the last of them, repeat;
+        read-only."""
+        def build():
+            out = tuple(estimate(stencil, dt) for stencil in stencils)
+            for values in out:
+                values.flags.writeable = False
+            return out
+
+        return kept.get(("round", s), (dt, stencils[-1]), build)
+
+    s = 2
     rows = take(np.arange(5) / 4.0, s)
-    last, result = kept.estimates(
-        r, dt, rows, lambda: (estimate(rows[:, ::2], dt), estimate(rows, dt)))
+    last, result = estimates(s, rows[:, ::2], rows)
     while not _refined(result, last, opts):
-        s, r = 2 * s, r + 1
+        s *= 2
         # The finer stencil's even points are the coarser stencil's
         # points, so only its odd points are new.
         fresh = take(np.arange(1, 2 * s, 2) / (2 * s), s)
@@ -805,7 +773,7 @@ def interval_stencil(grid: TimeGrid, sample, estimate,
         merged[:, 0::2], merged[:, 1::2] = rows, fresh
         rows = merged
         last = result
-        (result,) = kept.estimates(r, dt, fresh, lambda: (estimate(rows, dt),))
+        (result,) = estimates(s, rows)
     return result
 
 

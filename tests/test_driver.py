@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ class TestAssembly:
         _, states, _ = system.layout.unpack(system.y0)
         grid = TimeGrid(41, p.t0, p.tf)
         ctrl = ControlTrajectory.from_values(grid, np.zeros((41, p.m)))
-        nodes, _ = trajectory.shooting_nodes(p, ctrl, grid)
+        nodes, *_ = trajectory.shooting_nodes(p, ctrl, grid)
         assert np.array_equal(states, nodes)
         assert np.array_equal(states[0], p.x0)
 
@@ -221,6 +222,12 @@ class TestEvaluationCache:
                      "propagate_with_cost", "path_cost"):
             monkeypatch.setattr(driver, name, counting(name, getattr(driver, name)))
         rhs, snapshot = EvolutionSystem.rhs, EvolutionSystem.snapshot
+        evaluate, last = EvolutionSystem.evaluate, [None]
+
+        def recording_evaluate(self, vec):
+            evaluation = evaluate(self, vec)
+            last[0] = np.asarray(vec, dtype=float).tobytes()
+            return evaluation
 
         def recording_rhs(self, tau, vec):
             seen.add(np.asarray(vec, dtype=float).tobytes())
@@ -231,7 +238,7 @@ class TestEvaluationCache:
                 phase[0] = "other"
 
         def recording_snapshot(self, tau, vec):
-            cached = np.asarray(vec, dtype=float).tobytes() == self._last_key
+            cached = np.asarray(vec, dtype=float).tobytes() == last[0]
             before = len(sweeps)
             phase[0] = "snapshot"
             try:
@@ -241,6 +248,7 @@ class TestEvaluationCache:
             snapped.append((cached, len(sweeps) - before))
             return record
 
+        monkeypatch.setattr(EvolutionSystem, "evaluate", recording_evaluate)
         monkeypatch.setattr(EvolutionSystem, "rhs", recording_rhs)
         monkeypatch.setattr(EvolutionSystem, "snapshot", recording_snapshot)
         system = assemble_ivp(di.problem, "third", 41, di.gains)
@@ -326,6 +334,31 @@ def _oscillator():
         bench.problem, tf_mode="fixed", tf=20.0, name="oscillator"))
 
 
+def _store_case(name, request):
+    """(benchmark, start controls or None) for the store's bit test:
+    "fixed" is the brachistochrone on the fixed horizon [0, 0.9], whose
+    rows move while its widths stay (from u = 0.5, as the zero start's
+    multiplier system is singular); "penalty" is the double integrator
+    with a terminal penalty 5 |x(tf)|^2 in place of its constraint, whose
+    lam_end moves while its blocks repeat."""
+    if name == "oscillator":
+        return _oscillator(), None
+    if name == "fixed":
+        brach = request.getfixturevalue("brach")
+        problem = dataclasses.replace(brach.problem, tf_mode="fixed", tf=0.9)
+        return (dataclasses.replace(brach, problem=problem),
+                np.full((brach.default_nodes, 1), 0.5))
+    if name == "penalty":
+        di = request.getfixturevalue("di")
+        problem = dataclasses.replace(
+            di.problem, q=0, constraint=None, jac_gx=None, dg_dt=None,
+            terminal_cost=lambda xf, tf: 5.0 * xf @ xf,
+            grad_phix=lambda xf, tf: 10.0 * xf)
+        return dataclasses.replace(di, problem=problem,
+                                   gains=GainSet(K=np.array([[0.1]]))), None
+    return request.getfixturevalue(name), None
+
+
 class TestKeptBlocks:
     """A system keeps the Jacobian-derived blocks of its last evaluation
     (``trajectory.KeptBlocks``) and reuses them while the rows and widths
@@ -370,6 +403,27 @@ class TestKeptBlocks:
             assert rate.tobytes() == fresh.rhs(0.0, vec).tobytes()
             assert system.residuals(vec) == fresh.residuals(vec)
 
+    @pytest.mark.parametrize("method", ["third", "second"])
+    @pytest.mark.parametrize("name", ["di", "brach", "oscillator", "fixed",
+                                      "penalty"])
+    def test_store_changes_no_bit(self, name, method, request, monkeypatch):
+        # A solve whose store builds every value afresh, the evaluation's
+        # included, records the same snapshots bit for bit.  The last two
+        # cases move one key alone: the rows on a fixed horizon, and lam_end
+        # under blocks that repeat.
+        bench, start = _store_case(name, request)
+
+        def recorded():
+            history, _ = solve_benchmark(bench, method, tau_end=2.0,
+                                         snapshot_taus=(0.0, 0.5, 2.0),
+                                         early_stop=False, init_controls=start)
+            return history.termination_reason, pickle.dumps(history.snapshots)
+
+        kept = recorded()
+        monkeypatch.setattr(trajectory.KeptBlocks, "get",
+                            lambda self, slot, key, build: build())
+        assert recorded() == kept
+
     def test_time_varying_rows_reuse_every_round(self, monkeypatch):
         # The oscillator's stencil takes more than one round, and rows that
         # move with t alone repeat at every evaluation on a fixed horizon:
@@ -405,14 +459,18 @@ class TestKeptBlocks:
             self, make, method, request, monkeypatch):
         # The brachistochrone's f_x rows move with its controls; the
         # shrinking horizon's rows are zeros throughout, but its widths
-        # move.  Either way each evaluation builds its own blocks.
+        # move.  Either way each evaluation builds its own steps or
+        # propagators.  The brachistochrone's blocks move with them, so
+        # each evaluation solves for its own stack; the shrinking
+        # horizon's steps are the identity at any width, so its blocks and
+        # lam_end repeat bit for bit and one backward solve serves all.
         bench = (shrinking_horizon() if make == "shrinking"
                  else request.getfixturevalue(make))
         counts = self._builds(monkeypatch)
         solve_benchmark(bench, method, tau_end=0.5, early_stop=False)
         evaluations = counts["fused_sweep"] + counts["transition_stack"]
         assert evaluations > 10
-        assert counts["_backward"] == evaluations
+        assert counts["_backward"] == (1 if make == "shrinking" else evaluations)
         if method == "third":
             assert counts["_tangent_step"] == evaluations
         else:
@@ -645,9 +703,18 @@ class TestCostEvaluation:
         assert along_path == pytest.approx(cost, abs=1e-6)
 
 
+def test_coupled_brachistochrone_at_181_nodes(brach):
+    # Unlike at N = 201 (below), the interval stencil stays inside its
+    # substep budget for the whole run.
+    history, _ = solve_benchmark(brach, "second", n_nodes=181, tau_end=300.0,
+                                 early_stop=False)
+    assert history.termination_reason == "tau_end"
+
+
 @pytest.mark.xfail(strict=True, raises=StepFailure,
                    reason="the coupled brachistochrone's interval stencil "
-                          "exceeds its substep budget at N >= 181")
+                          "exceeds its substep budget near tau = 8.5 at "
+                          "N = 201")
 def test_coupled_brachistochrone_at_201_nodes(brach):
     # The pre-regression run reached tau = 300 with e_x 3.9e-2; today the
     # stencil fails near tau = 8.5.

@@ -335,7 +335,7 @@ class TestStateRhs:
         rng = np.random.default_rng(19)
         grid = TimeGrid(31, p.t0, p.tf)
         ctrl = ControlTrajectory.from_values(grid, smooth_controls(grid, p.m, rng))
-        nodes, _ = trajectory.shooting_nodes(p, ctrl, grid)
+        nodes, *_ = trajectory.shooting_nodes(p, ctrl, grid)
         nodes = nodes + 1e-3 * rng.standard_normal(nodes.shape)
         system = EvolutionSystem(p, gains, "second", grid.n_nodes,
                                  IntegratorOptions(), None, mode)

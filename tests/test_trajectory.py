@@ -55,7 +55,7 @@ def _shooting_phi(problem, ctrl, grid, opts=None):
     """Phi(t_i, t0) of the shooting solve: running products of its maps'
     tangents from the identity."""
     n = problem.n
-    _, tangents = trajectory.shooting_nodes(problem, ctrl, grid, opts)
+    _, tangents, _ = trajectory.shooting_nodes(problem, ctrl, grid, opts)
     z = cumulative_products(np.concatenate([np.eye(n + 1)[None], tangents]))
     return z[:, :n, :n]
 
@@ -272,10 +272,10 @@ class TestFusedSweep:
         shoot = trajectory.shooting_nodes
 
         def flattened(*args):
-            nodes, tangents = shoot(*args)
+            nodes, tangents, _ = shoot(*args)
             tangents = tangents.copy()
             tangents[0, :-1, :-1] = 0.0
-            return nodes, tangents
+            return nodes, tangents, trajectory._band(tangents[:, :-1, :-1])
 
         monkeypatch.setattr(trajectory, "shooting_nodes", flattened)
         p = brach.problem
@@ -483,16 +483,11 @@ class TestShooting:
             return step(*args)
 
         monkeypatch.setattr(trajectory, "_tangent_step", counting)
-        _, tangents = trajectory.shooting_nodes(p, ctrl, grid)
+        _, tangents, _ = trajectory.shooting_nodes(p, ctrl, grid)
         assert len(built) == 1
-        fresh = trajectory._Tangents.at
-
-        def rebuilt(self, stages):
-            self.built = [None] * len(self.built)
-            return fresh(self, stages)
-
-        monkeypatch.setattr(trajectory._Tangents, "at", rebuilt)
-        _, again = trajectory.shooting_nodes(p, ctrl, grid)
+        monkeypatch.setattr(trajectory.KeptBlocks, "get",
+                            lambda self, slot, key, build: build())
+        _, again, _ = trajectory.shooting_nodes(p, ctrl, grid)
         assert len(built) == 3
         assert np.array_equal(tangents, again)
 
@@ -658,7 +653,7 @@ class TestIntervalStencil:
         ctrl = ControlTrajectory.from_values(
             grid, smooth_controls(grid, p.m, np.random.default_rng(5)))
         if method == "second":
-            nodes, _ = trajectory.shooting_nodes(p, ctrl, grid)
+            nodes, *_ = trajectory.shooting_nodes(p, ctrl, grid)
             snap = second.SecondEqSnapshot.create(grid, nodes, ctrl.values)
             states, ctrl, evals = snap.state_traj, snap.ctrl_traj, 0
         else:
@@ -818,3 +813,25 @@ class TestBatchedStack:
         history = evolve(system, 20.0, early_stop=False)
         assert len(history.snapshots) >= 3
         assert runs == ["outer"]
+
+
+def test_kept_values_follow_key_bits():
+    # The store's keys match a NaN to its own bits and tell -0.0 from 0.0;
+    # a build that raises keeps nothing, and a key of another length
+    # misses.
+    kept = trajectory.KeptBlocks()
+    a = np.zeros(8)
+    a[-1] = np.nan
+    assert kept.get("slot", (a,), lambda: 1) == 1
+    assert kept.get("slot", (a.copy(),), lambda: 2) == 1
+    b = a.copy()
+    b[0] = -0.0
+    assert kept.get("slot", (b,), lambda: 3) == 3
+
+    def raising():
+        raise ValueError("no value")
+
+    with pytest.raises(ValueError):
+        kept.get("slot", (a,), raising)
+    assert kept.get("slot", (b.copy(),), lambda: 4) == 3
+    assert kept.get("slot", (b, b), lambda: 5) == 5

@@ -357,16 +357,16 @@ def _banded_gap(bench, n_nodes, rng):
     from the products of [[G_i, r_i], [0, 1]]."""
     p, grid, ctrl = _drawn_case(bench, n_nodes, rng)
     n = p.n
-    nodes, tangents, _ = trajectory.shooting_nodes(p, ctrl, grid)
+    nodes, tangents, band = trajectory.shooting_nodes(p, ctrl, grid)
     lam_end = np.asarray(p.grad_phix(nodes[-1], grid.tf), dtype=float)
-    stack = trajectory._backward(tangents[:, :n, :n], tangents[:, n, :n], lam_end)
+    stack = trajectory._backward(tangents[:, :n, :n], tangents[:, n, :n], lam_end, band)
     end = np.eye(n + 1)
     end[:n, n] = lam_end
     z = cumulative_products(np.concatenate(
         [end[None], np.swapaxes(tangents, 1, 2)[::-1]]))[::-1]
     residual = rng.standard_normal((n_nodes - 1, n))
     rhs = np.concatenate([np.zeros(n), residual.ravel()])[:, None]
-    delta = trajectory._bidiagonal_solve(tangents[:, :n, :n], rhs, "N")
+    delta = trajectory._bidiagonal_solve(band, rhs, "N")
     steps = tangents.copy()
     steps[:, n, :n] = 0.0
     steps[:, :n, n] = residual

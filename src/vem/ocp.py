@@ -123,6 +123,8 @@ class OcpProblem:
             raise ValueError("constraint dimension must be non-negative")
         if self.tf_mode not in ("fixed", "free"):
             raise ValueError("tf_mode must be 'fixed' or 'free'")
+        if not (np.isfinite(self.t0) and np.isfinite(self.tf)):
+            raise ValueError("initial and terminal times must be finite")
         if self.tf <= self.t0:
             raise ValueError("terminal time must exceed the initial time")
         if self.q > 0 and self.constraint is None:

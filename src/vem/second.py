@@ -178,8 +178,7 @@ def state_rhs_second(problem: OcpProblem, nodes: NodeInputs,
     g = stack.blocks
     half = 0.5 * nodes.grid.widths[:, None]
     rhs[1:] = half * ((g @ forcing[:-1, :, None])[:, :, 0] + forcing[1:])
-    return _bidiagonal_solve(g, rhs.reshape(-1, 1), "N",
-                             stack.band).reshape(forcing.shape)
+    return _bidiagonal_solve(stack.band, rhs.reshape(-1, 1), "N").reshape(forcing.shape)
 
 
 def tf_rhs_second(bracket, pi: Optional[np.ndarray], gains: GainSet) -> float:

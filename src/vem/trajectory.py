@@ -32,14 +32,15 @@ the interval's stencil of ends and midpoints (whose controls are the
 control spline's interval polynomials), and the node states solve
 X_0 = x0, X_i+1 = F_i(X_i).  Newton on all intervals at once needs, per
 pass, one batched RK4 sweep over every interval -- one ``dynamics_rows``
-call per stage and one ``jac_fx_rows``/``grad_lx_rows`` call per substep
--- and its correction delta_i+1 = G_i delta_i + r_i is the forward
-recurrence of the same banded system, one more ``dtbtrs`` call.
-Dynamics affine in x converge after one correction.  The tangent of the
-maps in [x, running cost] is the propagator T_i = [[G_i, 0], [c_i^T, 1]]
-of Z' = [[f_x, 0], [L_x^T, 0]] Z; a substep's propagator is reused
-while its width and f_x/L_x stage rows stay bit-equal, so dynamics whose
-Jacobians do not depend on x assemble it once per solve.  The
+call per stage and one ``jac_fx_rows``/``grad_lx_rows`` call over all
+4s stage inputs of every interval -- and its correction
+delta_i+1 = G_i delta_i + r_i is the forward recurrence of the same
+banded system, one more ``dtbtrs`` call.  Dynamics affine in x converge
+after one correction.  The tangent of the maps in [x, running cost] is
+the propagator T_i = [[G_i, 0], [c_i^T, 1]] of
+Z' = [[f_x, 0], [L_x^T, 0]] Z; the tangents of a round are reused while
+its width and f_x/L_x stage rows stay bit-equal, so dynamics whose
+Jacobians do not depend on x assemble them once per solve.  The
 step-doubling check of the s-substep maps against 2s-substep ones rides
 along: each pass after a correction runs the first s of the 2s substeps
 in the same stage calls, and the last s run once a pass confirms
@@ -95,19 +96,18 @@ evolution system (a direct call of ``fused_sweep``, ``shooting_nodes`` or
 ``transition_stack`` keeps nothing past the call): ``get(slot, key,
 build)`` returns the value kept under a slot while every array of its key
 has the bits it was built from, and otherwise keeps ``build()``'s once it
-returns.  Its slots hold each shooting substep's propagator (keyed on the
-substep width and the f_x/L_x rows) and their product with its band (on
-the steps); each stencil round's propagators (on the grid
-widths and the round's rows); the last stack with its band (on the array
-its blocks were read from and lam_end -- in ``fused_sweep`` kept only once
-Psi_0 passed its condition guard); and the driver's last evaluation (on
-the tau-vector).  Every kept value is a pure function of its key, so
-output is the same as with fresh builds, and a problem whose f_x/L_x rows
-never move on a fixed horizon (the double integrator) builds each once
-for a whole tau run.  A moving horizon changes the widths and rebuilds
-the steps and rounds; the stack is rebuilt too unless its blocks come out
-bit for bit the same, as on a horizon where f_x = L_x = 0 and every step
-is the identity at any width.
+returns.  Its slots hold each shooting round's tangents with their band
+(keyed on the substep width and the f_x/L_x rows); each stencil round's
+propagators (on the grid widths and the round's rows); the last stack
+with its band (on the array its blocks were read from and lam_end -- in
+``fused_sweep`` kept only once Psi_0 passed its condition guard); and
+the driver's last evaluation (on the tau-vector).  Every kept value is
+a pure function of its key, so output is the same as with fresh builds,
+and a problem whose f_x/L_x rows never move on a fixed horizon (the
+double integrator) builds each once for a whole tau run.  A moving
+horizon changes the widths and rebuilds the rounds; the stack is rebuilt
+too unless its blocks come out bit for bit the same, as on a horizon
+where f_x = L_x = 0 and every tangent is the identity at any width.
 
 ``propagate_states`` and ``_forward_stack`` (the forward transition
 matrices Phi(t_i, t0)) are oracles: adaptive Dormand-Prince sweeps, which
@@ -295,7 +295,7 @@ def shooting_nodes(problem: OcpProblem, ctrl: ControlTrajectory,
     from the solved nodes pass ``_refined`` against the s-substep maps.
     Returns the nodes (N, n), the tangents (N-1, n+1, n+1, read-only) of
     the maps in [x, running cost] at them and the ``_band`` of their
-    blocks G_i; the tangent steps are ``kept``'s, fresh ones without it.
+    blocks G_i; the tangents are ``kept``'s, fresh ones without it.
 
     Raises StepFailure when the check would need more than
     ``opts.max_steps`` substeps and NonFiniteDynamics on non-finite
@@ -327,7 +327,7 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
     Psi and the adjoint are the backward recurrence of the tangents
     (``_backward``).  Off-node state rows are the cubic Hermite
     interpolant of the node states and rates.  Returns
-    (StateTrajectory, TransitionStack).  With ``kept`` the tangent steps
+    (StateTrajectory, TransitionStack).  With ``kept`` the tangents
     and the stack are ``kept``'s while their keys repeat; without it all
     are built afresh.
 
@@ -386,36 +386,34 @@ def _band(g) -> np.ndarray:
     return band
 
 
-def _bidiagonal_solve(g, rhs, trans: str, band=None):
+def _bidiagonal_solve(band, rhs, trans: str):
     """Solve L z = rhs (``trans`` "N") or L^T z = rhs ("T") for the unit
     block lower bidiagonal L with blocks -g_i (N-1, n, n) below the
-    diagonal; rhs is (N n, k).  L z = r is the forward recurrence
-    z_0 = r_0, z_i+1 = g_i z_i + r_i+1, and L^T z = r the backward one
-    z_N-1 = r_N-1, z_i = g_i^T z_i+1 + r_i.  One LAPACK banded triangular
-    solve (``dtbtrs``, bandwidth 2n-1), whose substitution makes the
-    first (forward) or last (backward) block exactly its right-hand side.
-    ``band`` is g's ``_band`` when the caller has it."""
-    z, info = dtbtrs(_band(g) if band is None else band, rhs, uplo="L",
-                     trans=trans, diag="U")
+    diagonal, given as their ``_band``; rhs is (N n, k).  L z = r is the
+    forward recurrence z_0 = r_0, z_i+1 = g_i z_i + r_i+1, and L^T z = r
+    the backward one z_N-1 = r_N-1, z_i = g_i^T z_i+1 + r_i.  One LAPACK
+    banded triangular solve (``dtbtrs``, bandwidth 2n-1), whose
+    substitution makes the first (forward) or last (backward) block
+    exactly its right-hand side."""
+    z, info = dtbtrs(band, rhs, uplo="L", trans=trans, diag="U")
     if info:
         raise ValueError(f"dtbtrs rejected argument {-info}")
     return z
 
 
-def _backward(g, c, lam_end, band=None) -> TransitionStack:
+def _backward(g, c, lam_end, band) -> TransitionStack:
     """The stack of Psi and the adjoint at every node from the interval
-    blocks g (N-1, n, n) and c (N-1, n), taken from the end:
-    Psi_i = g_i^T Psi_i+1 and lam_i = g_i^T lam_i+1 + c_i, with Psi_N = I
-    and lam_N = lam_end exactly; one banded solve for all n+1 columns
-    [Psi | lam], against g's ``band`` when given.  The stack keeps the
-    blocks g and their band, and its arrays are read-only."""
+    blocks g (N-1, n, n), their ``band`` and c (N-1, n), taken from the
+    end: Psi_i = g_i^T Psi_i+1 and lam_i = g_i^T lam_i+1 + c_i, with
+    Psi_N = I and lam_N = lam_end exactly; one banded solve for all n+1
+    columns [Psi | lam].  The stack keeps the blocks g and their band, and
+    its arrays are read-only."""
     blocks, n = len(g) + 1, len(lam_end)
     rhs = np.zeros((blocks, n, n + 1))
     rhs[:-1, :, n] = c
     rhs[-1, :, :n] = np.eye(n)
     rhs[-1, :, n] = lam_end
-    band = _band(g) if band is None else band
-    z = _bidiagonal_solve(g, rhs.reshape(blocks * n, n + 1), "T", band)
+    z = _bidiagonal_solve(band, rhs.reshape(blocks * n, n + 1), "T")
     z = z.reshape(blocks, n, n + 1)
     z.flags.writeable = False
     return TransitionStack(z[:, :, :n], z[:, :, n], g, band)
@@ -462,17 +460,22 @@ def _rk4_maps(problem: OcpProblem, starts, ts, us, h):
     return x, stages
 
 
-def _tangent_step(fx, lx, h):
-    """One RK4 substep's propagator of Z' = [[f_x, 0], [L_x^T, 0]] Z,
-    (K, n+1, n+1), from the f_x (4K, n, n) and L_x (4K, n) rows at its
-    four stage inputs, stage-major."""
+def _tangent_chain(fx, lx, h):
+    """The s-substep RK4 propagators of Z' = [[f_x, 0], [L_x^T, 0]] Z
+    across every interval, (K, n+1, n+1) read-only, and the ``_band`` of
+    their blocks G_i, from the f_x (4sK, n, n) and L_x (4sK, n) rows at
+    the substeps' stage inputs, ordered by stage, substep, interval; all s
+    substep propagators are one batched ``_rk4_linear_step``."""
     k, n = len(h), fx.shape[1]
-    b = np.zeros((4 * k, n + 1, n + 1))
+    b = np.zeros((len(fx), n + 1, n + 1))
     b[:, :n, :n] = fx
     b[:, n, :n] = lx
-    # From Z = I the first stage is B itself.
-    b = b.reshape(4, k, n + 1, n + 1)
-    return _rk4_linear_step(np.eye(n + 1), *b, h[:, :, None])
+    # From Z = I a substep's first stage is B itself.
+    steps = _rk4_linear_step(np.eye(n + 1), *b.reshape(4, -1, k, n + 1, n + 1),
+                             h[:, :, None])
+    chain = reduce(lambda chain, step: step @ chain, steps)
+    chain.flags.writeable = False
+    return chain, _band(chain[:, :n, :n])
 
 
 def _same(a, b) -> bool:
@@ -490,31 +493,21 @@ def _tangents(problem: OcpProblem, ts, us, h, stages, kept: KeptBlocks):
     applied to [x, running cost], from the per-substep stage inputs
     ``stages`` of ``_rk4_maps``; only the first K rows of each are read.
 
-    One ``jac_fx_rows`` and one ``grad_lx_rows`` call per substep over its
-    four stage inputs.  Each substep's step (``_tangent_step``) is
-    ``kept``'s while its width and rows repeat, and their product and its
-    band while the steps do, so dynamics whose f_x and L_x do not depend
-    on x assemble the tangents once per solve, and once for all solves on
-    one horizon when they do not depend on u either.
+    One ``jac_fx_rows`` and one ``grad_lx_rows`` call over all 4sK stage
+    inputs.  The tangents (``_tangent_chain``) are ``kept``'s under
+    ``("tangents", s)`` while the width and the rows repeat, so dynamics
+    whose f_x and L_x do not depend on x assemble them once per solve, and
+    once for all solves on one horizon when they do not depend on u either.
     """
-    k, steps = len(h), []
-    for j, stage in enumerate(stages):
-        xs = np.concatenate([x[:k] for x in stage])
-        cols = [2 * j, 2 * j + 1, 2 * j + 1, 2 * j + 2]
-        u_rows = us[:, cols].swapaxes(0, 1).reshape(len(xs), -1)
-        t_rows = ts[:, cols].T.ravel()
-        fx = np.asarray(problem.jac_fx_rows(xs, u_rows, t_rows), dtype=float)
-        lx = np.asarray(problem.grad_lx_rows(xs, u_rows, t_rows), dtype=float)
-        steps.append(kept.get(("step", j), (h, fx, lx),
-                              lambda: _tangent_step(fx, lx, h)))
-
-    def chained():
-        chain = reduce(lambda chain, step: step @ chain, steps)
-        chain.flags.writeable = False
-        n = chain.shape[1] - 1
-        return chain, _band(chain[:, :n, :n])
-
-    return kept.get("chain", steps, chained)
+    k, s = len(h), len(stages)
+    # Stage i of substep j reads stencil column 2j + (0, 1, 1, 2)[i].
+    xs = np.concatenate([stage[i][:k] for i in range(4) for stage in stages])
+    cols = (2 * np.arange(s) + np.array([[0], [1], [1], [2]])).ravel()
+    u_rows = us[:, cols].swapaxes(0, 1).reshape(len(xs), -1)
+    t_rows = ts[:, cols].T.ravel()
+    fx = np.asarray(problem.jac_fx_rows(xs, u_rows, t_rows), dtype=float)
+    lx = np.asarray(problem.grad_lx_rows(xs, u_rows, t_rows), dtype=float)
+    return kept.get(("tangents", s), (h, fx, lx), lambda: _tangent_chain(fx, lx, h))
 
 
 def _shoot(problem: OcpProblem, ts, us, nodes, kept: KeptBlocks):
@@ -568,8 +561,7 @@ def _shoot(problem: OcpProblem, ts, us, nodes, kept: KeptBlocks):
         if np.max(np.abs(residual)) <= NEWTON_TOL * max(1.0, np.max(np.abs(ends))):
             return solved(ends, mid, tangents, band)
         rhs = np.concatenate([np.zeros(n), residual.ravel()])[:, None]
-        nodes[1:] += _bidiagonal_solve(tangents[:, :n, :n], rhs, "N",
-                                       band).reshape(-1, n)[1:]
+        nodes[1:] += _bidiagonal_solve(band, rhs, "N").reshape(-1, n)[1:]
     for i in range(k):
         end, _ = _rk4_maps(problem, nodes[i:i + 1], *(a[i:i + 1] for a in coarse))
         if not np.all(np.isfinite(end)):
@@ -616,9 +608,9 @@ class KeptBlocks:
     per slot, the last value built and the key it was built from.  The
     slots are
 
-    - ``("step", j)``: shooting substep j's tangent step, keyed on its
-      width h and f_x/L_x rows; ``"chain"``: their product and the
-      ``_band`` of its blocks G_i, keyed on the steps;
+    - ``("tangents", s)``: the shooting solve's s-substep tangents and
+      the ``_band`` of their blocks G_i, keyed on the substep width h and
+      the f_x/L_x rows;
     - ``("round", s)``: the ``interval_stencil`` estimates on the
       s-substep stencil, keyed on the grid widths and the stencil's rows;
     - ``"stack"``: the ``TransitionStack``, keyed on the array its blocks
@@ -630,7 +622,7 @@ class KeptBlocks:
     the same bits with these as with fresh ones.  A system runs one
     method, so the ``"stack"`` slot sees one kind of source.  A slot keeps
     its value until it is rebuilt, so what a system holds is bounded by
-    the most substeps and the finest round any of its evaluations reached,
+    the finest shooting and stencil rounds any of its evaluations reached,
     not by its last evaluation's.
     """
 
@@ -665,9 +657,10 @@ def transition_stack(problem: OcpProblem, states: StateTrajectory,
     steps = interval_stencil(grid, _backward_field(problem, states, ctrl),
                              _propagators, opts, kept)
     n = problem.n
+    g = np.swapaxes(steps[:, :n, :n], 1, 2)
     # S_i = [[g_i^T, c_i], [0, 1]].
     return kept.get("stack", (steps, lam_end), lambda: _backward(
-        np.swapaxes(steps[:, :n, :n], 1, 2), steps[:, :n, n], lam_end))
+        g, steps[:, :n, n], lam_end, _band(g)))
 
 
 def _backward_field(problem: OcpProblem, states: StateTrajectory,

@@ -368,7 +368,7 @@ class TestKeptBlocks:
     def _builds(monkeypatch):
         """Calls of the three builders and of the two evaluations, by
         name."""
-        counts = dict.fromkeys(("_tangent_step", "_propagators", "_backward",
+        counts = dict.fromkeys(("_tangent_chain", "_propagators", "_backward",
                                 "fused_sweep", "transition_stack"), 0)
 
         def counting(module, name):
@@ -379,7 +379,7 @@ class TestKeptBlocks:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("_tangent_step", "_propagators", "_backward"):
+        for name in ("_tangent_chain", "_propagators", "_backward"):
             counting(trajectory, name)
         for name in ("fused_sweep", "transition_stack"):
             counting(driver, name)
@@ -441,15 +441,15 @@ class TestKeptBlocks:
     @pytest.mark.parametrize("method", ["third", "second"])
     def test_double_integrator_builds_once_per_solve(self, di, method,
                                                      monkeypatch):
-        # f_x and L_x do not move and the horizon is fixed: one tangent
-        # step (the coupled start's shooting solve makes its own), the
+        # f_x and L_x do not move and the horizon is fixed: one set of
+        # tangents (the coupled start's shooting solve makes its own), the
         # first stencil round's two propagator calls, and one backward
         # solve, for the whole solve.
         counts = self._builds(monkeypatch)
         solve_benchmark(di, method, tau_end=5.0, early_stop=False)
         evaluations = counts["fused_sweep"] + counts["transition_stack"]
         assert evaluations > 10
-        assert counts["_tangent_step"] == 1
+        assert counts["_tangent_chain"] == 1
         assert counts["_propagators"] == (2 if method == "second" else 0)
         assert counts["_backward"] == 1
 
@@ -459,10 +459,10 @@ class TestKeptBlocks:
             self, make, method, request, monkeypatch):
         # The brachistochrone's f_x rows move with its controls; the
         # shrinking horizon's rows are zeros throughout, but its widths
-        # move.  Either way each evaluation builds its own steps or
+        # move.  Either way each evaluation builds its own tangents or
         # propagators.  The brachistochrone's blocks move with them, so
         # each evaluation solves for its own stack; the shrinking
-        # horizon's steps are the identity at any width, so its blocks and
+        # horizon's tangents are the identity at any width, so its blocks and
         # lam_end repeat bit for bit and one backward solve serves all.
         bench = (shrinking_horizon() if make == "shrinking"
                  else request.getfixturevalue(make))
@@ -472,7 +472,7 @@ class TestKeptBlocks:
         assert evaluations > 10
         assert counts["_backward"] == (1 if make == "shrinking" else evaluations)
         if method == "third":
-            assert counts["_tangent_step"] == evaluations
+            assert counts["_tangent_chain"] == evaluations
         else:
             assert counts["_propagators"] >= 2 * evaluations
 

@@ -170,6 +170,15 @@ class TestProblemConstruction:
             OcpProblem(n=1, m=1, q=0, t0=1.0, x0=np.zeros(1), tf_mode="fixed",
                        tf=0.5, dynamics=lambda x, u, t: u)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["t0", "tf"])
+    def test_horizon_ends_must_be_finite(self, name, value):
+        # A NaN or infinite end would construct and fail later, at
+        # assembly, as a degenerate grid.
+        with pytest.raises(ValueError,
+                           match="^initial and terminal times must be finite$"):
+            dataclasses.replace(double_integrator().problem, **{name: value})
+
     def test_constraint_callback_required(self):
         with pytest.raises(ValueError):
             OcpProblem(n=1, m=1, q=1, t0=0.0, x0=np.zeros(1), tf_mode="fixed",

@@ -313,7 +313,8 @@ class TestStateRhs:
         g, half = stack.blocks, 0.5 * grid.widths[:, None]
         rhs = np.zeros_like(forcing)
         rhs[1:] = half * ((g @ forcing[:-1, :, None])[:, :, 0] + forcing[1:])
-        banded = trajectory._bidiagonal_solve(g, rhs.reshape(-1, 1), "N")
+        banded = trajectory._bidiagonal_solve(trajectory._band(g),
+                                              rhs.reshape(-1, 1), "N")
         loop = np.zeros_like(forcing)
         for i in range(grid.n_nodes - 1):
             loop[i + 1] = g[i] @ (loop[i] + half[i] * forcing[i]) + half[i] * forcing[i + 1]

@@ -473,16 +473,16 @@ class TestShooting:
                                                              monkeypatch):
         # f_x and L_x do not depend on x on the shipped problems, so the
         # confirming pass's rows equal the correction pass's bit for bit
-        # and its tangents are reused: one step assembly per solve, and
+        # and its tangents are reused: one assembly per solve, and
         # the same bits as an assembly per pass.
         p, grid, ctrl = TestTangentPass._case(name)
-        built, step = [], trajectory._tangent_step
+        built, step = [], trajectory._tangent_chain
 
         def counting(*args):
             built.append(None)
             return step(*args)
 
-        monkeypatch.setattr(trajectory, "_tangent_step", counting)
+        monkeypatch.setattr(trajectory, "_tangent_chain", counting)
         _, tangents, _ = trajectory.shooting_nodes(p, ctrl, grid)
         assert len(built) == 1
         monkeypatch.setattr(trajectory.KeptBlocks, "get",
@@ -501,19 +501,59 @@ class TestShooting:
         grid = TimeGrid(31, p.t0, p.tf)
         ctrl = ControlTrajectory.from_values(
             grid, smooth_controls(grid, p.m, np.random.default_rng(8)))
-        calls, built, step = [], [], trajectory._tangent_step
+        calls, built, step = [], [], trajectory._tangent_chain
 
         def counting(*args):
             built.append(None)
             return step(*args)
 
-        monkeypatch.setattr(trajectory, "_tangent_step", counting)
+        monkeypatch.setattr(trajectory, "_tangent_chain", counting)
         states, stack = trajectory.fused_sweep(self._counting(p, calls), ctrl,
                                                grid, TIGHT)
         assert calls.count(("jac_fx_rows", 120)) >= 2
         assert len(built) == sum(1 for name, _ in calls if name == "jac_fx_rows")
         TestTangentPass._check(p, ctrl, TIGHT, states, stack,
                                *_augmented_sweep(p, ctrl, grid, TIGHT), 1e-8)
+
+    def test_two_substep_round_takes_one_row_call_per_pass(self, brach):
+        # At the checks' tolerance the brachistochrone's N = 101 solve
+        # refines to two substeps.  Each pass of either round makes one
+        # f_x and one L_x call over all its stage inputs, 4 s (N - 1)
+        # rows, and the round's tangents are bit for bit the product of
+        # per-substep steps built from each substep's own rows.
+        p = brach.problem
+        grid = TimeGrid(101, p.t0, p.tf)
+        ctrl = ControlTrajectory.from_values(
+            grid, smooth_controls(grid, p.m, np.random.default_rng(1)))
+        calls, last = [], {}
+
+        def wrap(name):
+            fn = getattr(p, name)
+
+            def rows(xs, us, ts):
+                calls.append((name, len(ts)))
+                last[name] = (xs, us, ts)
+                return fn(xs, us, ts)
+            return rows
+
+        names = ("jac_fx_rows", "grad_lx_rows")
+        counted = dataclasses.replace(p, **{name: wrap(name) for name in names})
+        _, tangents, _ = trajectory.shooting_nodes(counted, ctrl, grid, checks.TIGHT)
+        assert calls == [(name, rows) for rows in (400, 400, 800, 800)
+                         for name in names]
+        xs, us, ts = (a.reshape((4, 2, 100) + a.shape[1:])
+                      for a in last["jac_fx_rows"])
+        n, h = p.n, (grid.widths / 2)[:, None, None]
+        steps = []
+        for j in range(2):
+            rows = (xs[:, j].reshape(400, n), us[:, j].reshape(400, -1),
+                    ts[:, j].ravel())
+            b = np.zeros((400, n + 1, n + 1))
+            b[:, :n, :n] = p.jac_fx_rows(*rows)
+            b[:, n, :n] = p.grad_lx_rows(*rows)
+            steps.append(trajectory._rk4_linear_step(
+                np.eye(n + 1), *b.reshape(4, 100, n + 1, n + 1), h))
+        assert np.array_equal(tangents, steps[1] @ steps[0])
 
     @pytest.mark.parametrize("make", [brachistochrone, _pendulum_problem])
     def test_forced_fallback_matches_newton(self, make, monkeypatch):

@@ -35,8 +35,13 @@ EXIT_CHECK_FAILED = 1
 _ENV_OUTDIR = "VEM_OUTPUT_DIR"
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def _fmt(value, spec: str = ".17g") -> str:
+    """``value`` formatted by ``spec``; blank for a missing value."""
+    return "" if value is None else format(value, spec)
+
+
+def _listed(values):
+    return None if values is None else list(values)
 
 
 def _default_outdir() -> str:
@@ -65,14 +70,6 @@ def _parse_snapshots(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _residuals_dict(res):
-    return {
-        "optimality_inf": res.optimality_inf,
-        "constraint_inf": res.constraint_inf,
-        "transversality": res.transversality,
-    }
-
-
 def _write_trajectory_csv(path: Path, history, n, m):
     cols = (["tau", "t"] + [f"x{i+1}" for i in range(n)]
             + [f"u{i+1}" for i in range(m)] + [f"lambda{i+1}" for i in range(n)])
@@ -87,37 +84,42 @@ def _write_trajectory_csv(path: Path, history, n, m):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_history_json(path: Path, history):
-    payload = {
-        "tau": [s.tau for s in history.snapshots],
-        "J": [s.J for s in history.snapshots],
-        "tf": [s.tf for s in history.snapshots],
-        "pi": [None if s.pi is None else list(s.pi) for s in history.snapshots],
-        "residual_optimality": [s.residuals.optimality_inf for s in history.snapshots],
-        "residual_constraint": [s.residuals.constraint_inf for s in history.snapshots],
-        "residual_transversality": [s.residuals.transversality for s in history.snapshots],
-        "termination_reason": history.termination_reason,
-    }
+def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
 
 
-def _write_report_json(path: Path, report):
-    payload = {
+def _history_payload(history):
+    snaps = history.snapshots
+    return {
+        "tau": [s.tau for s in snaps],
+        "J": [s.J for s in snaps],
+        "tf": [s.tf for s in snaps],
+        "pi": [_listed(s.pi) for s in snaps],
+        "residual_optimality": [s.residuals.optimality_inf for s in snaps],
+        "residual_constraint": [s.residuals.constraint_inf for s in snaps],
+        "residual_transversality": [s.residuals.transversality for s in snaps],
+        "termination_reason": history.termination_reason,
+    }
+
+
+def _report_payload(report):
+    res = report.residuals
+    return {
         "problem": report.problem,
         "method": report.method,
         "ivp_dimension": report.ivp_dimension,
         "J": report.J,
         "tf": report.tf,
-        "pi": None if report.pi is None else list(report.pi),
-        "residuals": _residuals_dict(report.residuals),
+        "pi": _listed(report.pi),
+        "residuals": {"optimality_inf": res.optimality_inf,
+                      "constraint_inf": res.constraint_inf,
+                      "transversality": res.transversality},
         "termination_reason": report.termination_reason,
         "e_J": report.e_J,
-        "e_u": None if report.e_u is None else list(report.e_u),
-        "e_x": None if report.e_x is None else list(report.e_x),
+        "e_u": _listed(report.e_u),
+        "e_x": _listed(report.e_x),
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
 
 
 def _run_one(args, problem_name: str, method: str):
@@ -136,36 +138,35 @@ def _run_one(args, problem_name: str, method: str):
     return bench, history, report
 
 
+# How ``vem solve`` reports a failed run: the first row whose exception
+# type matches gives the exit code and the prefix of the one stderr line.
+_FAILURES = (
+    (KeyError, EXIT_USAGE, ""),
+    (ValueError, EXIT_USAGE, "invalid run option: "),
+    (StepFailure, EXIT_STEP_FAILURE, "integration failed: "),
+    (TfCollapse, EXIT_TF_COLLAPSE, "terminal time collapsed: "),
+    (SingularSystem, EXIT_SINGULAR, "singular system: "),
+    (VemError, EXIT_SOLVER, "solver error: "),
+)
+
+
 def cmd_solve(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         bench, history, report = _run_one(args, args.problem, args.method)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
     except np.linalg.LinAlgError:
         raise   # a ValueError too, but a solver fault, not a bad option
-    except ValueError as exc:
-        print(f"invalid run option: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except StepFailure as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return EXIT_STEP_FAILURE
-    except TfCollapse as exc:
-        print(f"terminal time collapsed: {exc}", file=sys.stderr)
-        return EXIT_TF_COLLAPSE
-    except SingularSystem as exc:
-        print(f"singular system: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except VemError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        code, prefix = next((code, prefix) for kind, code, prefix in _FAILURES
+                            if isinstance(exc, kind))
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
 
     _write_trajectory_csv(outdir / "trajectory.csv", history,
                           bench.problem.n, bench.problem.m)
-    _write_history_json(outdir / "history.json", history)
-    _write_report_json(outdir / "report.json", report)
+    _write_json(outdir / "history.json", _history_payload(history))
+    _write_json(outdir / "report.json", _report_payload(report))
     last = history.final
     print(f"{args.problem} [{args.method}] tau={last.tau:g} J={last.J:.8g} "
           f"tf={last.tf:.8g} reason={history.termination_reason}")
@@ -183,63 +184,47 @@ def cmd_compare(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    failures = 0
+    # (problem, method, report or error text) per run
+    runs = []
     max_n = 0
     for problem_name, method in combos:
         try:
-            bench, history, report = _run_one(args, problem_name, method)
+            bench, _, outcome = _run_one(args, problem_name, method)
         except np.linalg.LinAlgError:
             raise
         except ValueError as exc:
             print(f"invalid run option: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except (VemError, KeyError) as exc:
-            failures += 1
-            rows.append({"problem": problem_name, "method": method,
-                         "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        max_n = max(max_n, bench.problem.n)
-        rows.append({
-            "problem": problem_name,
-            "method": method,
-            "ivp_dimension": report.ivp_dimension,
-            "wall_seconds": report.wall_seconds,
-            "e_J": report.e_J,
-            "e_u": float(np.max(report.e_u)) if report.e_u is not None else None,
-            "e_x": list(report.e_x) if report.e_x is not None else None,
-        })
+            outcome = f"{type(exc).__name__}: {exc}"
+        else:
+            max_n = max(max_n, bench.problem.n)
+        runs.append((problem_name, method, outcome))
 
     cols = (["problem", "method", "ivp_dimension", "wall_seconds", "e_J", "e_u"]
             + [f"e_x{i+1}" for i in range(max_n)])
     lines = [",".join(cols)]
-    for row in rows:
-        if "error" in row:
-            lines.append(f"{row['problem']},{row['method']},error: {row['error']}"
+    print(f"{'problem':<20}{'method':<8}{'dim':>5}{'wall[s]':>9}"
+          f"{'e_J':>12}{'e_u':>12}{'e_x (per state)':>24}")
+    for problem_name, method, report in runs:
+        if isinstance(report, str):
+            lines.append(f"{problem_name},{method},error: {report}"
                          + "," * (len(cols) - 3))
+            print(f"{problem_name:<20}{method:<8} {report}")
             continue
-        e_x = row["e_x"] or []
-        cells = [row["problem"], row["method"], str(row["ivp_dimension"]),
-                 _fmt(row["wall_seconds"]),
-                 _fmt(row["e_J"]) if row["e_J"] is not None else "",
-                 _fmt(row["e_u"]) if row["e_u"] is not None else ""]
-        cells += [_fmt(v) for v in e_x] + [""] * (max_n - len(e_x))
-        lines.append(",".join(cells))
+        e_u = None if report.e_u is None else float(np.max(report.e_u))
+        e_x = [] if report.e_x is None else list(report.e_x)
+        lines.append(",".join(
+            [problem_name, method, str(report.ivp_dimension),
+             _fmt(report.wall_seconds), _fmt(report.e_J), _fmt(e_u)]
+            + [_fmt(v) for v in e_x] + [""] * (max_n - len(e_x))))
+        print(f"{problem_name:<20}{method:<8}{report.ivp_dimension:>5}"
+              f"{report.wall_seconds:>9.2f}{_fmt(report.e_J, '.3e'):>12}"
+              f"{_fmt(e_u, '.3e'):>12}  " + " ".join(f"{v:.3e}" for v in e_x))
     (outdir / "comparison.csv").write_text("\n".join(lines) + "\n",
                                            encoding="utf-8")
-
-    header = (f"{'problem':<20}{'method':<8}{'dim':>5}{'wall[s]':>9}"
-              f"{'e_J':>12}{'e_u':>12}{'e_x (per state)':>24}")
-    print(header)
-    for row in rows:
-        if "error" in row:
-            print(f"{row['problem']:<20}{row['method']:<8} {row['error']}")
-            continue
-        e_x = " ".join(f"{v:.3e}" for v in (row["e_x"] or []))
-        print(f"{row['problem']:<20}{row['method']:<8}{row['ivp_dimension']:>5}"
-              f"{row['wall_seconds']:>9.2f}{row['e_J']:>12.3e}"
-              f"{row['e_u']:>12.3e}  {e_x}")
     print(f"wrote {outdir / 'comparison.csv'}")
+    failures = sum(isinstance(report, str) for _, _, report in runs)
     return EXIT_OK if failures == 0 else EXIT_SOLVER
 
 

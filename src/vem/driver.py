@@ -60,26 +60,24 @@ class StateLayout:
     tf_free: bool
 
     @property
+    def _sizes(self):
+        """Lengths of the node-state, node-control and terminal-time parts,
+        in vector order; a part the layout does not hold has length 0."""
+        return (self.n_nodes * self.n_states if self.method == "second" else 0,
+                self.n_nodes * self.n_controls, int(self.tf_free))
+
+    @property
     def dimension(self) -> int:
-        size = self.n_nodes * self.n_controls
-        if self.method == "second":
-            size += self.n_nodes * self.n_states
-        if self.tf_free:
-            size += 1
-        return size
+        return sum(self._sizes)
 
     def pack(self, controls, states=None, tf=None) -> np.ndarray:
-        parts = []
-        if self.method == "second":
-            if states is None:
-                raise ValueError("coupled layout requires node states")
-            parts.append(np.asarray(states, dtype=float).ravel())
-        parts.append(np.asarray(controls, dtype=float).ravel())
-        if self.tf_free:
-            if tf is None:
-                raise ValueError("free-horizon layout requires tf")
-            parts.append(np.array([float(tf)]))
-        vec = np.concatenate(parts)
+        n_states, _, n_tf = self._sizes
+        if n_states and states is None:
+            raise ValueError("coupled layout requires node states")
+        if n_tf and tf is None:
+            raise ValueError("free-horizon layout requires tf")
+        parts = (states if n_states else [], controls, [tf] if n_tf else [])
+        vec = np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
         if vec.size != self.dimension:
             raise ValueError(f"packed size {vec.size} != layout dimension {self.dimension}")
         return vec
@@ -88,17 +86,12 @@ class StateLayout:
         vec = np.asarray(vec, dtype=float)
         if vec.size != self.dimension:
             raise ValueError(f"vector size {vec.size} != layout dimension {self.dimension}")
-        pos = 0
-        states = None
-        if self.method == "second":
-            size = self.n_nodes * self.n_states
-            states = vec[pos:pos + size].reshape(self.n_nodes, self.n_states)
-            pos += size
-        size = self.n_nodes * self.n_controls
-        controls = vec[pos:pos + size].reshape(self.n_nodes, self.n_controls)
-        pos += size
-        tf = float(vec[pos]) if self.tf_free else None
-        return controls, states, tf
+        n_states, n_controls, n_tf = self._sizes
+        states = (vec[:n_states].reshape(self.n_nodes, self.n_states)
+                  if n_states else None)
+        controls = vec[n_states:n_states + n_controls].reshape(self.n_nodes,
+                                                               self.n_controls)
+        return controls, states, float(vec[-1]) if n_tf else None
 
 
 @dataclass
@@ -421,6 +414,7 @@ def assemble_ivp(problem: OcpProblem, method: str, n_nodes: int,
 
     layout = StateLayout(method, n_nodes, problem.n, problem.m, problem.tf_free)
     grid = TimeGrid(n_nodes, problem.t0, tf0)
+    states = None
     if method == "second":
         ctrl = ControlTrajectory.from_values(grid, init_controls)
         states, *_ = shooting_nodes(problem, ctrl, grid, opts)
@@ -430,10 +424,7 @@ def assemble_ivp(problem: OcpProblem, method: str, n_nodes: int,
                 raise ValueError(f"feasible mode needs a start that meets the "
                                  f"terminal constraint: max |g(x(tf), tf)| = "
                                  f"{miss:.3e} exceeds {CONSTRAINT_TOL:g}")
-        y0 = layout.pack(init_controls, states=states,
-                         tf=tf0 if problem.tf_free else None)
-    else:
-        y0 = layout.pack(init_controls, tf=tf0 if problem.tf_free else None)
+    y0 = layout.pack(init_controls, states=states, tf=tf0)
 
     system = EvolutionSystem(problem, gains, method, n_nodes, opts, y0, mode)
     system.rhs(0.0, y0)  # surfaces singular multipliers and shape errors now

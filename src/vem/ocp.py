@@ -232,16 +232,12 @@ class GainSet:
     K_f: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        set_ = object.__setattr__
-        set_(self, "K", _require_spd("K", self.K))
-        if self.K_g is not None:
-            set_(self, "K_g", _require_spd("K_g", self.K_g))
+        for name in ("K", "K_g", "K_x0", "K_f"):
+            mat = getattr(self, name)
+            if name == "K" or mat is not None:
+                object.__setattr__(self, name, _require_spd(name, mat))
         if not 0.0 < self.k_tf < np.inf:
             raise ValueError("k_tf must be positive and finite")
-        if self.K_x0 is not None:
-            set_(self, "K_x0", _require_spd("K_x0", self.K_x0))
-        if self.K_f is not None:
-            set_(self, "K_f", _require_spd("K_f", self.K_f))
 
     def kx0(self, n: int) -> np.ndarray:
         return self.K_x0 if self.K_x0 is not None else np.eye(n)
@@ -264,20 +260,21 @@ class ValidationReport:
         self.findings.append(message)
 
 
-def _probe(report, label, fun, expect_shape=None, scalar=False):
+def _probe(report, label, fun, expect_shape):
     """Record what is wrong with ``fun()``'s output; return the output as
-    an array when nothing is, else None."""
+    an array when nothing is, else None.  An expected shape () takes a
+    scalar or a one-element vector."""
     try:
         out = fun()
     except Exception as exc:  # callbacks are user code
         report.add(f"{label}: raised {type(exc).__name__}: {exc}")
         return
     arr = np.asarray(out, dtype=float)
-    if scalar:
+    if expect_shape == ():
         if arr.shape not in ((), (1,)):
             report.add(f"{label}: expected a scalar, got shape {arr.shape}")
             return
-    elif expect_shape is not None and arr.shape != expect_shape:
+    elif arr.shape != expect_shape:
         report.add(f"{label}: expected shape {expect_shape}, got {arr.shape}")
         return
     if not np.all(np.isfinite(arr)):
@@ -320,15 +317,13 @@ def validate_problem(problem: OcpProblem) -> ValidationReport:
 
     x, u, t = problem.x0, np.zeros(m), problem.t0
     xf, tf = problem.x0, problem.tf
-    _probe(report, "dynamics", lambda: problem.dynamics(x, u, t), (n,))
-    _probe(report, "jac_fx", lambda: problem.jac_fx(x, u, t), (n, n))
-    _probe(report, "jac_fu", lambda: problem.jac_fu(x, u, t), (n, m))
-    _probe(report, "running_cost", lambda: problem.running_cost(x, u, t), scalar=True)
-    _probe(report, "grad_lx", lambda: problem.grad_lx(x, u, t), (n,))
-    _probe(report, "grad_lu", lambda: problem.grad_lu(x, u, t), (m,))
-    xs, us, ts = np.stack([x, x]), np.zeros((2, m)), np.array([t, problem.tf])
-    shapes = {"dynamics": (n,), "running_cost": (), "jac_fx": (n, n),
-              "jac_fu": (n, m), "grad_lx": (n,), "grad_lu": (m,)}
+    # Output shape of each per-node point form, in probe order; its row
+    # form returns two of them stacked.
+    shapes = {"dynamics": (n,), "jac_fx": (n, n), "jac_fu": (n, m),
+              "running_cost": (), "grad_lx": (n,), "grad_lu": (m,)}
+    for name, shape in shapes.items():
+        _probe(report, name, lambda: getattr(problem, name)(x, u, t), shape)
+    xs, us, ts = np.stack([x, x]), np.zeros((2, m)), np.array([t, tf])
     usable = [name for name in ROW_FORMS
               if _probe(report, f"{name}_rows",
                         lambda: getattr(problem, name + "_rows")(xs, us, ts),
@@ -339,15 +334,13 @@ def validate_problem(problem: OcpProblem) -> ValidationReport:
     except Exception as exc:  # callbacks are user code
         report.add(f"point form at the row probe: raised "
                    f"{type(exc).__name__}: {exc}")
-    _probe(report, "terminal_cost", lambda: problem.terminal_cost(xf, tf), scalar=True)
-    _probe(report, "grad_phix", lambda: problem.grad_phix(xf, tf), (n,))
-    _probe(report, "dphi_dt", lambda: problem.dphi_dt(xf, tf), scalar=True)
-    _probe(report, "hess_phixx", lambda: problem.hess_phixx(xf, tf), (n, n))
-    _probe(report, "dphi_dxdt", lambda: problem.dphi_dxdt(xf, tf), (n,))
+    # The terminal callbacks of (x_f, t_f), probed at (x0, tf).
+    ends = {"terminal_cost": (), "grad_phix": (n,), "dphi_dt": (),
+            "hess_phixx": (n, n), "dphi_dxdt": (n,)}
     if q > 0:
-        _probe(report, "constraint", lambda: problem.constraint(xf, tf), (q,))
-        _probe(report, "jac_gx", lambda: problem.jac_gx(xf, tf), (q, n))
-        _probe(report, "dg_dt", lambda: problem.dg_dt(xf, tf), (q,))
+        ends.update(constraint=(q,), jac_gx=(q, n), dg_dt=(q,))
+    for name, shape in ends.items():
+        _probe(report, name, lambda: getattr(problem, name)(xf, tf), shape)
     return report
 
 

@@ -79,9 +79,7 @@ class SecondEqSnapshot:
     def create(cls, grid: TimeGrid, states, controls,
                xdot: Optional[np.ndarray] = None) -> "SecondEqSnapshot":
         states = np.asarray(states, dtype=float)
-        controls = np.atleast_2d(np.asarray(controls, dtype=float))
-        if controls.shape[0] != grid.n_nodes:
-            controls = controls.T
+        controls = np.asarray(controls, dtype=float)
         n = states.shape[1]
         # The slope solve treats each channel alone, so the joint spline's
         # columns are bit for bit those of separate builds.

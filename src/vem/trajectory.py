@@ -197,11 +197,10 @@ class ControlTrajectory:
 
     @classmethod
     def from_values(cls, grid: TimeGrid, values) -> "ControlTrajectory":
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape[0] != grid.n_nodes:
-            values = values.T
-        if values.shape[0] != grid.n_nodes:
-            raise ValueError("control values do not match the grid")
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2 or values.shape[0] != grid.n_nodes:
+            raise ValueError(f"control values must have shape ({grid.n_nodes}, m), "
+                             f"got {values.shape}")
         return cls(grid, values, spline_build(grid.times, values))
 
     def eval(self, t):
@@ -215,10 +214,10 @@ class StateTrajectory:
     ``_spline`` returns the dense reader of the states: a spline through
     the node states (the coupled snapshot's cubic, or the shooting solve's
     Hermite interpolant, built at the first query), or the oracles'
-    ``SolutionPath``; rows come from its ``eval``.  Each row is bit-equal
-    to the scalar query at its time; a scalar ``eval`` is the one-row
-    case.  A coupled snapshot's states also carry its ``joint`` spline,
-    whose first n columns ``_spline`` returns.
+    ``SolutionPath``.  ``eval`` hands a scalar time or an array of times
+    to that reader's ``eval``, whose row at a time is bit-equal to its
+    scalar query there.  A coupled snapshot's states also carry its
+    ``joint`` spline, whose first n columns ``_spline`` returns.
     """
 
     grid: TimeGrid
@@ -226,13 +225,8 @@ class StateTrajectory:
     _spline: object = None      # callable () -> SplineCoeffs or SolutionPath
     joint: Optional[SplineCoeffs] = None
 
-    def rows(self, ts) -> np.ndarray:
-        return self._spline().eval(ts)
-
     def eval(self, t):
-        if np.ndim(t) == 0:
-            return self.rows([t])[0]
-        return self.rows(t)
+        return self._spline().eval(t)
 
 
 def stencil_times(grid: TimeGrid, frac) -> np.ndarray:
@@ -252,15 +246,15 @@ def path_rows(states: StateTrajectory, ctrl: ControlTrajectory, ts, frac):
     at the stencil times ``ts`` (N-1, K) of fractions ``frac``, flattened
     interval by interval.  Trajectories that are column views of one joint
     spline (a coupled snapshot's) take one ``at_fractions`` read of it;
-    otherwise the controls read their spline's and the states their
-    ``rows`` at the flat times."""
+    otherwise the controls read their spline's and the states ``eval``
+    at the flat times."""
     flat = ts.ravel()
     joint = ctrl.joint
     if joint is not None and states.joint is joint:
         rows = joint.at_fractions(frac).reshape(flat.size, -1)
         n = states.values.shape[1]
         return rows[:, :n], rows[:, n:], flat
-    return states.rows(flat), ctrl.spline.at_fractions(frac).reshape(flat.size, -1), flat
+    return states.eval(flat), ctrl.spline.at_fractions(frac).reshape(flat.size, -1), flat
 
 
 def propagate_states(problem: OcpProblem, ctrl: ControlTrajectory,

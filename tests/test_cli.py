@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -90,10 +91,14 @@ class TestSolve:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "report.json").exists()
 
-    def test_unknown_problem_is_usage_error(self, tmp_path):
+    def test_unknown_problem_is_usage_error(self, tmp_path, capsys):
         code = main(["solve", "--problem", "pendulum",
                      "--outdir", str(tmp_path)])
         assert code == 2
+        # The KeyError's message, as str() of a KeyError quotes it.
+        assert capsys.readouterr().err == (
+            f"\"unknown problem 'pendulum'; known: "
+            f"{problems.benchmark_names()}\"\n")
 
     def test_deterministic_outputs(self, tmp_path):
         args = ["solve", "--problem", "double-integrator", "--tau-end", "5"]
@@ -147,6 +152,20 @@ class TestFailureExitCodes:
                      "--outdir", str(tmp_path)]) == code
         assert f"{message}: injected" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_linear_algebra_error_propagates(self, tmp_path, monkeypatch,
+                                             command):
+        # LinAlgError is a ValueError, but a solver fault: it is re-raised
+        # before a bad option would be reported, by both commands.
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(cli, "solve_benchmark", failing)
+        target = (["--problem", "double-integrator"] if command == "solve" else
+                  ["--problems", "double-integrator", "brachistochrone"])
+        with pytest.raises(np.linalg.LinAlgError, match="^injected$"):
+            main([command, *target, "--outdir", str(tmp_path)])
 
     def test_compare_reports_one_failed_combination(self, tmp_path,
                                                     monkeypatch, capsys):
@@ -294,6 +313,25 @@ class TestCompare:
                               "wall_seconds", "e_J", "e_u"]
         dims = {row.split(",")[1]: int(row.split(",")[2]) for row in lines[1:]}
         assert dims == {"second": 123, "third": 41}
+
+
+    def test_run_without_reference_prints_blank_errors(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # A registered benchmark may have no reference; its error cells
+        # are blank in the table as in the CSV.
+        monkeypatch.setitem(problems._REGISTRY, "di-noref", lambda: dataclasses.replace(
+            problems.double_integrator(), name="di-noref", reference=None))
+        code = main(["compare", "--problems", "double-integrator", "di-noref",
+                     "--methods", "third", "--tau-end", "1",
+                     "--outdir", str(tmp_path)])
+        assert code == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[2].startswith(f"{'di-noref':<20}{'third':<8}{41:>5}")
+        assert table[2][42:] == " " * 26     # blank e_J, e_u, no e_x
+        assert table[1][42:54].strip() != ""
+        rows = (tmp_path / "comparison.csv").read_text().splitlines()
+        assert rows[2].split(",")[:3] == ["di-noref", "third", "41"]
+        assert rows[2].split(",")[4:] == ["", "", "", ""]
 
 
 class TestCheck:

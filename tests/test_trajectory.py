@@ -113,6 +113,22 @@ class TestTimeGrid:
         assert grid != TimeGrid(6, 0.0, 1.0) and grid != TimeGrid(5, 0.0, 2.0)
 
 
+class TestControlTrajectory:
+    @pytest.mark.parametrize("shape", [(1, 11), (11,)], ids=["m-by-N", "1-D"])
+    def test_values_are_node_rows_only(self, shape):
+        # Control values are (N, m) rows; an (m, N) or 1-D array is refused,
+        # not transposed, as assemble_ivp refuses it as a starting guess.
+        di = double_integrator()
+        grid = TimeGrid(11, 0.0, 2.0)
+        values = np.linspace(0.0, 1.0, 11).reshape(shape)
+        with pytest.raises(ValueError, match=r"^control values must have shape"):
+            ControlTrajectory.from_values(grid, values)
+        with pytest.raises(ValueError, match=r"^init_controls must have shape"):
+            assemble_ivp(di.problem, "third", 11, di.gains, init_controls=values)
+        rows = ControlTrajectory.from_values(grid, values.reshape(11, 1))
+        assert np.array_equal(rows.values, values.reshape(11, 1))
+
+
 class TestPropagation:
     def test_zero_control_double_integrator(self, di):
         grid = TimeGrid(41, 0.0, 2.0)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import solve_benchmark
+from .driver import _check_nodes, _check_tau_end, solve_benchmark
 from .errors import SingularSystem, StepFailure, TfCollapse, VemError
 from .ocp import GainSet
 from .problems import benchmark_names, get_benchmark
@@ -122,20 +122,18 @@ def _report_payload(report):
     }
 
 
-def _run_one(args, problem_name: str, method: str):
-    bench = get_benchmark(problem_name)
-    gains = _gains_from_args(bench, args)
-    history, report = solve_benchmark(
-        bench, method,
-        n_nodes=args.nodes,
-        tau_end=args.tau_end,
-        gains=gains,
-        opts=_opts_from_args(args),
-        snapshot_taus=_parse_snapshots(args.snapshots),
-        early_stop=not args.no_early_stop,
-        mode=args.mode.replace("-", "_"),
-    )
-    return bench, history, report
+def _run_options(args, bench) -> dict:
+    """The ``solve_benchmark`` keywords of a run on ``bench``, every option
+    checked in the order a solve checks them: a bad one raises ValueError
+    here, before any solve starts."""
+    options = dict(gains=_gains_from_args(bench, args), opts=_opts_from_args(args),
+                   snapshot_taus=_parse_snapshots(args.snapshots),
+                   early_stop=not args.no_early_stop, mode=args.mode.replace("-", "_"),
+                   n_nodes=bench.default_nodes if args.nodes is None else args.nodes,
+                   tau_end=bench.default_tau_end if args.tau_end is None else args.tau_end)
+    _check_tau_end(options["tau_end"])
+    _check_nodes(options["n_nodes"])
+    return options
 
 
 # How ``vem solve`` reports a failed run: the first row whose exception
@@ -154,7 +152,9 @@ def cmd_solve(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        bench, history, report = _run_one(args, args.problem, args.method)
+        bench = get_benchmark(args.problem)
+        history, report = solve_benchmark(bench, args.method,
+                                          **_run_options(args, bench))
     except np.linalg.LinAlgError:
         raise   # a ValueError too, but a solver fault, not a bad option
     except tuple(kind for kind, _, _ in _FAILURES) as exc:
@@ -184,21 +184,36 @@ def cmd_compare(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    # (problem, method, report or error text) per run
-    runs = []
-    max_n = 0
-    for problem_name, method in combos:
+    # Every run's options are checked before the first solve: a bad one
+    # ends the comparison with no run made.  Per problem, the benchmark
+    # and its solve keywords, or the error text of an unknown name.
+    prepared = {}
+    for problem_name in args.problems:
         try:
-            bench, _, outcome = _run_one(args, problem_name, method)
-        except np.linalg.LinAlgError:
-            raise
+            bench = get_benchmark(problem_name)
+            prepared[problem_name] = (bench, _run_options(args, bench))
+        except KeyError as exc:
+            prepared[problem_name] = f"KeyError: {exc}"
         except ValueError as exc:
             print(f"invalid run option: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        except (VemError, KeyError) as exc:
-            outcome = f"{type(exc).__name__}: {exc}"
-        else:
-            max_n = max(max_n, bench.problem.n)
+
+    # (problem, method, report or error text) per run; what one solve
+    # raises, a failed start check too, is that run's error row.
+    runs = []
+    max_n = 0
+    for problem_name, method in combos:
+        outcome = prepared[problem_name]
+        if not isinstance(outcome, str):
+            bench, options = outcome
+            try:
+                _, outcome = solve_benchmark(bench, method, **options)
+            except np.linalg.LinAlgError:
+                raise
+            except (VemError, KeyError, ValueError) as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+            else:
+                max_n = max(max_n, bench.problem.n)
         runs.append((problem_name, method, outcome))
 
     cols = (["problem", "method", "ivp_dimension", "wall_seconds", "e_J", "e_u"]

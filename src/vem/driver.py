@@ -71,15 +71,17 @@ class StateLayout:
         return sum(self._sizes)
 
     def pack(self, controls, states=None, tf=None) -> np.ndarray:
-        n_states, _, n_tf = self._sizes
+        sizes = self._sizes
+        n_states, _, n_tf = sizes
         if n_states and states is None:
             raise ValueError("coupled layout requires node states")
         if n_tf and tf is None:
             raise ValueError("free-horizon layout requires tf")
-        parts = (states if n_states else [], controls, [tf] if n_tf else [])
-        vec = np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
-        if vec.size != self.dimension:
-            raise ValueError(f"packed size {vec.size} != layout dimension {self.dimension}")
+        vec = np.concatenate([np.asarray(p, dtype=float).ravel()
+                              for p, size in zip((states, controls, [tf]), sizes)
+                              if size])
+        if vec.size != sum(sizes):
+            raise ValueError(f"packed size {vec.size} != layout dimension {sum(sizes)}")
         return vec
 
     def unpack(self, vec):
@@ -354,7 +356,7 @@ class EvolutionSystem:
 
     def gradient_norm(self, vec) -> float:
         """Sup-norm of the cost gradient at a snapshot (threshold scaling)."""
-        return float(np.max(np.abs(self.evaluate(vec).gu)))
+        return float(np.abs(self.evaluate(vec).gu).max())
 
     def snapshot(self, tau, vec) -> SnapshotRecord:
         ev = self.evaluate(vec)
@@ -391,8 +393,7 @@ def assemble_ivp(problem: OcpProblem, method: str, n_nodes: int,
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     second_eq._check_mode(mode)
-    if n_nodes < 4:
-        raise ValueError("need at least 4 discretization nodes")
+    _check_nodes(n_nodes)
     if problem.q > 0 and gains.K_g is None:
         raise ValueError("problems with terminal constraints need a K_g gain")
     opts = opts or IntegratorOptions()
@@ -442,6 +443,11 @@ def _select_snapshots(requested, tau_end) -> List[float]:
 def _check_tau_end(tau_end: float) -> None:
     if not 0.0 <= tau_end < np.inf:
         raise ValueError("tau_end must be finite and non-negative")
+
+
+def _check_nodes(n_nodes: int) -> None:
+    if n_nodes < 4:
+        raise ValueError("need at least 4 discretization nodes")
 
 
 def evolve(system: EvolutionSystem, tau_end: float,
@@ -546,8 +552,9 @@ def solve_benchmark(benchmark, method: str, n_nodes: Optional[int] = None,
                     early_stop: bool = True, mode: str = "quasi_feasible",
                     init_controls=None, init_tf=None):
     """Assemble, evolve, and summarize one benchmark run; returns
-    (history, report) with wall time recorded on the report.  ``tau_end``
-    is checked as ``evolve`` checks it, before the IVP is assembled."""
+    (history, report) with wall time recorded on the report, which is
+    named after the benchmark.  ``tau_end`` is checked as ``evolve``
+    checks it, before the IVP is assembled."""
     n_nodes = n_nodes if n_nodes is not None else benchmark.default_nodes
     tau_end = tau_end if tau_end is not None else benchmark.default_tau_end
     gains = gains or benchmark.gains
@@ -560,4 +567,5 @@ def solve_benchmark(benchmark, method: str, n_nodes: Optional[int] = None,
                      opts=opts, early_stop=early_stop)
     wall = time.perf_counter() - start
     report = summarize(system, history, benchmark.reference, wall_seconds=wall)
+    report.problem = benchmark.name
     return history, report

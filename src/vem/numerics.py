@@ -30,7 +30,9 @@ returns, and what the fraction reader returns at a stencil time.
 ``solve_dense`` calls LAPACK directly: ``dgesdd`` for the singular values
 of the 2-norm condition number, as ``np.linalg.cond`` forms it, and
 ``dgesv`` for the solve, the routines behind ``np.linalg.svd`` and
-``np.linalg.solve``, without their wrapper layers.
+``np.linalg.solve``, without their wrapper layers.  ``_one_norm_cond`` is
+``np.linalg.cond(a, 1)`` the same way: numpy's inverse gufunc and the
+column-sum norms.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg.lapack import dgesdd, dgesv, dgtsv
 
 from .errors import DegenerateGrid, SingularSystem
@@ -51,8 +54,9 @@ def _check_grid(nodes: np.ndarray):
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2:
         raise DegenerateGrid("need at least two grid nodes")
-    dx = np.diff(nodes)
-    if not np.all(dx > 0.0):
+    # np.diff's arithmetic.
+    dx = nodes[1:] - nodes[:-1]
+    if not (dx > 0.0).all():
         raise DegenerateGrid("grid nodes must be strictly increasing")
     return nodes, dx
 
@@ -107,12 +111,14 @@ class SplineCoeffs:
         with no interval search.  A last fraction of exactly 1 is each
         interval's right end t_j+1, where, as for a query there, the next
         interval's node value is taken, except on the last interval."""
-        left, right = self.breakpoints[:-1, None], self.breakpoints[1:, None]
-        ts = left + (right - left) * frac
+        left, right = self.breakpoints[:-1], self.breakpoints[1:]
+        # Fraction-major (K, N-1) times, so each coefficient row runs
+        # along whole rows; the result is copied to (N-1, K, channels).
+        ts = left + (right - left) * frac[:, None]
         right_end = frac[-1] == 1.0
         if right_end:
-            ts[:, -1] = right[:, 0]
-        c = self.coeffs[:, :, None, :]
+            ts[-1] = right
+        c = self.coeffs
         dt = (ts - left)[:, :, None]
         # ((c0 dt + c1) dt + c2) dt + c3, in place.
         out = c[0] * dt
@@ -121,8 +127,9 @@ class SplineCoeffs:
         out += c[2]
         out *= dt
         out += c[3]
+        out = out.transpose(1, 0, 2).copy()
         if right_end:
-            out[:-1, -1] = self.coeffs[3, 1:]
+            out[:-1, -1] = c[3, 1:]
         return out
 
 
@@ -179,7 +186,7 @@ def spline_build(nodes, values) -> SplineCoeffs:
         vals = vals[:, None]
     if vals.shape[0] != nodes.size:
         raise DegenerateGrid("values and nodes disagree in length")
-    slope = np.diff(vals, axis=0) / dx[:, None]
+    slope = (vals[1:] - vals[:-1]) / dx[:, None]
     return _hermite(nodes, dx, vals, slope, _node_slopes(dx, slope), squeeze)
 
 
@@ -188,7 +195,7 @@ def hermite_build(nodes, values, slopes) -> SplineCoeffs:
     the given node slopes (N, channels)."""
     nodes, dx = _check_grid(nodes)
     vals = np.asarray(values, dtype=float)
-    slope = np.diff(vals, axis=0) / dx[:, None]
+    slope = (vals[1:] - vals[:-1]) / dx[:, None]
     return _hermite(nodes, dx, vals, slope, np.asarray(slopes, dtype=float))
 
 
@@ -243,7 +250,7 @@ def solve_dense(mat, rhs):
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise SingularSystem("matrix contains non-finite entries")
     # The 2-norm condition number as np.linalg.cond forms it; a zero
     # singular value gives inf.
@@ -257,3 +264,16 @@ def solve_dense(mat, rhs):
     if info:
         raise SingularSystem("singular matrix")
     return sol, cond
+
+
+def _one_norm_cond(a):
+    """``np.linalg.cond(a, 1)`` of a square float matrix, bit for bit:
+    the largest column sum of |a| times that of |a^-1|, the inverse by
+    numpy's own gufunc, all with floating-point errors ignored.  An
+    exactly singular ``a``, whose inverse that gufunc fills with NaN,
+    gives inf; an ``a`` with a NaN entry gives NaN."""
+    with np.errstate(all="ignore"):
+        inv = _umath_linalg.inv(a, signature="d->d")
+        cond = (np.add.reduce(np.abs(a), axis=0).max()
+                * np.add.reduce(np.abs(inv), axis=0).max())
+    return np.inf if np.isnan(cond) and not np.isnan(a).any() else cond

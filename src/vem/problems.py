@@ -58,7 +58,7 @@ def double_integrator() -> Benchmark:
         n=2, m=1, q=2,
         t0=0.0, x0=np.array([1.0, 1.0]),
         tf_mode="fixed", tf=2.0,
-        dynamics_rows=lambda xs, us, ts: np.stack([xs[:, 1], us[:, 0]], axis=1),
+        dynamics_rows=lambda xs, us, ts: np.concatenate((xs[:, 1:], us[:, :1]), axis=1),
         jac_fx_rows=lambda xs, us, ts: np.repeat(a_mat[None], len(ts), axis=0),
         jac_fu_rows=lambda xs, us, ts: np.repeat(b_vec[None, :, None], len(ts),
                                                  axis=0),
@@ -119,9 +119,12 @@ def brachistochrone() -> Benchmark:
     """Fastest-descent problem; path angle is the control, time the cost."""
     gravity = 10.0
 
+    # The row kernels take sin and cos into contiguous temporaries, once
+    # per call, and each product into a column of its own, which one
+    # concatenate copies into the rows: no row's bits depend on strides.
     def dynamics_rows(xs, us, ts):
-        s, c = np.sin(us[:, 0]), np.cos(us[:, 0])
-        return np.stack([xs[:, 2] * s, -xs[:, 2] * c, gravity * c], axis=1)
+        s, c, v = np.sin(us[:, 0])[:, None], np.cos(us[:, 0])[:, None], xs[:, 2:]
+        return np.concatenate((v * s, -v * c, gravity * c), axis=1)
 
     def jac_fx_rows(xs, us, ts):
         out = np.zeros((len(ts), 3, 3))
@@ -130,9 +133,8 @@ def brachistochrone() -> Benchmark:
         return out
 
     def jac_fu_rows(xs, us, ts):
-        s, c = np.sin(us[:, 0]), np.cos(us[:, 0])
-        rows = np.stack([xs[:, 2] * c, xs[:, 2] * s, -gravity * s], axis=1)
-        return rows[:, :, None]
+        s, c, v = np.sin(us[:, 0])[:, None], np.cos(us[:, 0])[:, None], xs[:, 2:]
+        return np.concatenate((v * c, v * s, -gravity * s), axis=1)[:, :, None]
 
     problem = OcpProblem(
         n=3, m=1, q=2,

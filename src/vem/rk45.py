@@ -204,7 +204,7 @@ def rk45_integrate(field, y0, t_span, opts: Optional[IntegratorOptions] = None,
 
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     f0 = np.asarray(field(t0, y), dtype=float)
-    if not np.all(np.isfinite(f0)):
+    if not np.isfinite(f0).all():
         raise NonFiniteField(f"field returned non-finite values at t={t0}")
 
     h_max = abs(float(opts.max_step)) if opts.max_step is not None else 0.1 * abs(span)
@@ -234,7 +234,7 @@ def rk45_integrate(field, y0, t_span, opts: Optional[IntegratorOptions] = None,
             h = t_end - t
 
         k, y_new = _stages(field, t, y, h, f0)
-        if not np.all(np.isfinite(k)):
+        if not np.isfinite(k).all():
             raise NonFiniteField(f"field returned non-finite values near t={t}")
         err_vec = h * (_E @ k)
         scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
@@ -277,7 +277,7 @@ def rk45_fixed(field, y0, t_span, n_steps: int) -> SolutionPath:
     t = t0
     for i in range(n_steps):
         k, y = _stages(field, t, y, h, f0)
-        if not np.all(np.isfinite(k)):
+        if not np.isfinite(k).all():
             raise NonFiniteField(f"field returned non-finite values near t={t}")
         qs.append(k.T @ _P)
         hs.append(h)

@@ -125,7 +125,7 @@ def control_gradient(nodes: NodeInputs, stack: TransitionStack) -> np.ndarray:
     from the adjoint on the stack.  The quadrature form of the same
     quantity, an oracle, is ``checks.quadrature_gradient``."""
     # A stacked matmul (not einsum) keeps the bits of fu[i].T @ lam[i].
-    return nodes.lu + (np.swapaxes(nodes.fu, 1, 2) @ stack.adjoint[:, :, None])[:, :, 0]
+    return nodes.lu + (nodes.fu.swapaxes(1, 2) @ stack.adjoint[:, :, None])[:, :, 0]
 
 
 @dataclass
@@ -180,7 +180,8 @@ def multiplier_matrix(problem: OcpProblem, nodes: NodeInputs,
     mat = weighted_rows(nodes, p).T @ (gains.K @ p).reshape(-1, p.shape[2])
     if problem.tf_free:
         v = terms.bracket[1]
-        mat = mat + gains.k_tf * np.outer(v, v)
+        # np.outer's product.
+        mat = mat + gains.k_tf * (v[:, None] * v)
     return mat
 
 
@@ -221,8 +222,8 @@ def solve_multipliers(M: np.ndarray, r: np.ndarray) -> np.ndarray:
     constraint is unreachable through the available control authority."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if np.max(np.abs(M - M.T)) > 1e-10 * scale:
+    scale = max(1.0, float(np.abs(M).max()))
+    if np.abs(M - M.T).max() > 1e-10 * scale:
         raise ValueError("multiplier matrix must be symmetric")
     sol, _cond = solve_dense(M, r)
     return -sol
@@ -261,11 +262,11 @@ def optimality_residuals(problem: OcpProblem, nodes: NodeInputs,
     last reads ``bracket``, the ``terminal_bracket`` terms along the
     dynamics."""
     defect = _optimality_defect(terms, gu, pi)
-    optimality = float(np.max(np.abs(defect)))
+    optimality = float(np.abs(defect).max())
     constraint = 0.0
     if problem.q > 0:
         gval = problem.constraint(nodes.xs[-1], nodes.grid.tf)
-        constraint = float(np.max(np.abs(np.asarray(gval, dtype=float))))
+        constraint = float(np.abs(np.asarray(gval, dtype=float)).max())
     transversality = None
     if problem.tf_free:
         transversality = abs(bracket_value(bracket, pi))

@@ -126,7 +126,8 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
 from .errors import NonFiniteDynamics, NonFiniteField, SingularSystem, StepFailure
-from .numerics import COND_LIMIT, SplineCoeffs, hermite_build, spline_build
+from .numerics import (COND_LIMIT, SplineCoeffs, _one_norm_cond, hermite_build,
+                       spline_build)
 from .ocp import OcpProblem
 from .rk45 import IntegratorOptions, rk45_integrate
 
@@ -162,7 +163,8 @@ class TimeGrid:
         sigma, unit_weights = _unit_grid(self.n_nodes)
         width = self.tf - self.t0
         times = self.t0 + sigma * width
-        widths = np.diff(times)
+        # np.diff's arithmetic.
+        widths = times[1:] - times[:-1]
         widths.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "times", times)
@@ -298,7 +300,7 @@ def shooting_nodes(problem: OcpProblem, ctrl: ControlTrajectory,
     opts = opts or IntegratorOptions()
     kept = kept or KeptBlocks()
     n_int = grid.n_nodes - 1
-    nodes = np.tile(problem.x0, (grid.n_nodes, 1))
+    nodes = problem.x0[None].repeat(grid.n_nodes, axis=0)
     s = 1
     while True:
         _check_budget(2 * s * n_int, opts)
@@ -338,7 +340,7 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
         # T_i = [[G_i, 0], [c_i^T, 1]], whose G_i's band the shooting solve
         # built along with them.
         stack = _backward(tangents[:, :n, :n], tangents[:, n, :n], lam_end, band)
-        cond = float(np.linalg.cond(stack.psi[0], 1))
+        cond = float(_one_norm_cond(stack.psi[0]))
         if cond == np.inf:
             raise SingularSystem("singular forward transition matrix")
         if not cond <= COND_LIMIT:
@@ -424,33 +426,38 @@ def _check_budget(substeps: int, opts: IntegratorOptions) -> None:
 def _refined(fine, coarse, opts: IntegratorOptions) -> bool:
     """The step-doubling test of a fourth-order rule: the Richardson
     estimate |E_2s - E_s| / 15 <= atol + rtol |E_2s| in every entry."""
-    return bool(np.all(np.abs(fine - coarse) / 15.0
-                       <= opts.atol + opts.rtol * np.abs(fine)))
+    return bool((np.abs(fine - coarse) / 15.0
+                 <= opts.atol + opts.rtol * np.abs(fine)).all())
 
 
 def _rk4_maps(problem: OcpProblem, starts, ts, us, h):
-    """Classic RK4 with s substeps of width ``h`` (K, 1) across every row's
-    interval at once, from the rows ``starts`` (K, n) on the stencil
-    ``ts`` (K, 2s+1) and ``us``.
+    """Classic RK4 with s substeps of width ``h`` ((K, 1) or (K, n))
+    across every row's interval at once, from the rows ``starts`` (K, n)
+    on the stencil ``ts`` (K, 2s+1) and ``us``.
 
     Each stage is one ``dynamics_rows`` call over all K rows.  Returns the
-    end rows (K, n) and, per substep, its four stage inputs.
+    end rows (K, n) and, per substep, its four stage inputs.  The half and
+    sixth step factors are formed once per call, and stages 2 and 3 read
+    one slice of the substep's midpoint column.
     """
     x, stages = starts, []
+    half, sixth = 0.5 * h, h / 6.0
+    rows = problem.dynamics_rows
 
-    def rate(xs, j):
-        return np.asarray(problem.dynamics_rows(xs, us[:, j], ts[:, j]), dtype=float)
+    def rate(xs, u, t):
+        return np.asarray(rows(xs, u, t), dtype=float)
 
     for j in range(0, ts.shape[1] - 1, 2):
-        k1 = rate(x, j)
-        x2 = x + 0.5 * h * k1
-        k2 = rate(x2, j + 1)
-        x3 = x + 0.5 * h * k2
-        k3 = rate(x3, j + 1)
+        um, tm = us[:, j + 1], ts[:, j + 1]
+        k1 = rate(x, us[:, j], ts[:, j])
+        x2 = x + half * k1
+        k2 = rate(x2, um, tm)
+        x3 = x + half * k2
+        k3 = rate(x3, um, tm)
         x4 = x + h * k3
-        k4 = rate(x4, j + 2)
+        k4 = rate(x4, us[:, j + 2], ts[:, j + 2])
         stages.append((x, x2, x3, x4))
-        x = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
     return x, stages
 
 
@@ -474,18 +481,20 @@ def _tangent_chain(fx, lx, h):
 
 def _same(a, b) -> bool:
     """Whether float arrays a and b hold the same bits, so -0.0 differs
-    from 0.0 and a NaN matches its own bits; neither is copied."""
-    return a is b or (a.shape == b.shape
-                      and bool((a.view(np.int64) == b.view(np.int64)).all()))
+    from 0.0 and a NaN matches its own bits: same shape and the same
+    bytes."""
+    return a is b or (a.shape == b.shape and a.tobytes() == b.tobytes())
 
 
-def _tangents(problem: OcpProblem, ts, us, h, stages, kept: KeptBlocks):
-    """The tangents (K, n+1, n+1), read-only, of the s-substep RK4 maps on
-    the stencil ``ts``, ``us`` with substep width ``h`` (K, 1), and the
-    ``_band`` of their blocks G_i: each tangent is the interval's
-    propagator of Z' = [[f_x, 0], [L_x^T, 0]] Z, the derivative of its map
-    applied to [x, running cost], from the per-substep stage inputs
-    ``stages`` of ``_rk4_maps``; only the first K rows of each are read.
+def _tangents(problem: OcpProblem, rows, h, stages, kept: KeptBlocks):
+    """The tangents (K, n+1, n+1), read-only, of the s-substep RK4 maps
+    with substep width ``h`` (K, 1), and the ``_band`` of their blocks
+    G_i: each tangent is the interval's propagator of
+    Z' = [[f_x, 0], [L_x^T, 0]] Z, the derivative of its map applied to
+    [x, running cost], from the per-substep stage inputs ``stages`` of
+    ``_rk4_maps`` (only the first K rows of each are read) and their
+    controls and times ``rows`` (4sK, m) and (4sK,), ordered by stage,
+    substep, interval.
 
     One ``jac_fx_rows`` and one ``grad_lx_rows`` call over all 4sK stage
     inputs.  The tangents (``_tangent_chain``) are ``kept``'s under
@@ -494,13 +503,9 @@ def _tangents(problem: OcpProblem, ts, us, h, stages, kept: KeptBlocks):
     once for all solves on one horizon when they do not depend on u either.
     """
     k, s = len(h), len(stages)
-    # Stage i of substep j reads stencil column 2j + (0, 1, 1, 2)[i].
     xs = np.concatenate([stage[i][:k] for i in range(4) for stage in stages])
-    cols = (2 * np.arange(s) + np.array([[0], [1], [1], [2]])).ravel()
-    u_rows = us[:, cols].swapaxes(0, 1).reshape(len(xs), -1)
-    t_rows = ts[:, cols].T.ravel()
-    fx = np.asarray(problem.jac_fx_rows(xs, u_rows, t_rows), dtype=float)
-    lx = np.asarray(problem.grad_lx_rows(xs, u_rows, t_rows), dtype=float)
+    fx = np.asarray(problem.jac_fx_rows(xs, *rows), dtype=float)
+    lx = np.asarray(problem.grad_lx_rows(xs, *rows), dtype=float)
     return kept.get(("tangents", s), (h, fx, lx), lambda: _tangent_chain(fx, lx, h))
 
 
@@ -525,22 +530,36 @@ def _shoot(problem: OcpProblem, ts, us, nodes, kept: KeptBlocks):
     n, k = problem.n, len(ts)
     s = (ts.shape[1] - 1) // 4
     dt = (ts[:, -1] - ts[:, 0])[:, None]
-    coarse = (ts[:, ::2], us[:, ::2], dt / s)
+    # The maps take their substep widths spread over the n state columns,
+    # so each RK4 product runs over contiguous rows; the tangents take
+    # them as (K, 1).
+    wide = dt.repeat(n, axis=1)
+    coarse = (ts[:, ::2], us[:, ::2], wide / s)
     # The 2s-substep maps' first and last s substeps.
-    first = (ts[:, :2 * s + 1], us[:, :2 * s + 1], dt / (2 * s))
-    last = (ts[:, 2 * s:], us[:, 2 * s:], dt / (2 * s))
+    first = (ts[:, :2 * s + 1], us[:, :2 * s + 1], wide / (2 * s))
+    last = (ts[:, 2 * s:], us[:, 2 * s:], first[2])
     stacked = tuple(np.concatenate(pair) for pair in zip(coarse, first))
+    # The stage inputs' controls and times for the Jacobian rows, the same
+    # every pass: stage i of substep j reads coarse column 2j + (0, 1, 1, 2)[i].
+    cols = (2 * np.arange(s) + np.array([[0], [1], [1], [2]])).ravel()
+    h = dt / s
+    rows = (coarse[1][:, cols].swapaxes(0, 1).reshape(cols.size * k, -1),
+            coarse[0][:, cols].T.ravel())
     nodes = nodes.copy()
+    # The correction's right-hand side [0, r_0, ..., r_N-2]: the residual
+    # rows are written into it in place, below a zero first block.
+    rhs = np.zeros(((k + 1) * n, 1))
+    residual = rhs[n:].reshape(k, n)
 
     def sweep(with_check: bool):
         """(ends, midpoint rows of the 2s-substep maps or None, tangents,
         band) at the current nodes."""
         if not with_check:
             ends, stages = _rk4_maps(problem, nodes[:-1], *coarse)
-            return ends, None, *_tangents(problem, *coarse, stages, kept)
+            return ends, None, *_tangents(problem, rows, h, stages, kept)
         both, stages = _rk4_maps(problem, np.concatenate([nodes[:-1]] * 2),
                                  *stacked)
-        return both[:k], both[k:], *_tangents(problem, *coarse, stages, kept)
+        return both[:k], both[k:], *_tangents(problem, rows, h, stages, kept)
 
     def solved(ends, mid, tangents, band):
         if mid is None:
@@ -549,21 +568,22 @@ def _shoot(problem: OcpProblem, ts, us, nodes, kept: KeptBlocks):
 
     for p in range(NEWTON_PASSES):
         ends, mid, tangents, band = sweep(p > 0)
-        if not (np.all(np.isfinite(ends)) and np.all(np.isfinite(tangents))):
+        # max |F_i| is finite exactly when every end row is.
+        top = np.abs(ends).max()
+        if not (np.isfinite(top) and np.isfinite(tangents).all()):
             break
-        residual = ends - nodes[1:]
-        if np.max(np.abs(residual)) <= NEWTON_TOL * max(1.0, np.max(np.abs(ends))):
+        np.subtract(ends, nodes[1:], out=residual)
+        if np.abs(residual).max() <= NEWTON_TOL * max(1.0, top):
             return solved(ends, mid, tangents, band)
-        rhs = np.concatenate([np.zeros(n), residual.ravel()])[:, None]
         nodes[1:] += _bidiagonal_solve(band, rhs, "N").reshape(-1, n)[1:]
     for i in range(k):
         end, _ = _rk4_maps(problem, nodes[i:i + 1], *(a[i:i + 1] for a in coarse))
-        if not np.all(np.isfinite(end)):
+        if not np.isfinite(end).all():
             raise NonFiniteDynamics(f"field returned non-finite values near "
                                     f"t={ts[i, 0]}")
         nodes[i + 1] = end[0]
     ends, mid, tangents, band = sweep(True)
-    if not np.all(np.isfinite(tangents)):
+    if not np.isfinite(tangents).all():
         raise NonFiniteDynamics("non-finite f_x or L_x rows on the shooting stencil")
     return solved(ends, mid, tangents, band)
 
@@ -732,7 +752,7 @@ def interval_stencil(grid: TimeGrid, sample, estimate,
         """Rows at the points ``frac`` of the s-substep stencil."""
         _check_budget(s * dt.size, opts)
         rows = sample(stencil_times(grid, frac), frac)
-        if not np.all(np.isfinite(rows)):
+        if not np.isfinite(rows).all():
             raise NonFiniteField("non-finite rows on the interval stencil")
         return rows
 

@@ -100,6 +100,17 @@ class TestSolve:
             f"\"unknown problem 'pendulum'; known: "
             f"{problems.benchmark_names()}\"\n")
 
+    def test_report_names_the_benchmark(self, tmp_path, monkeypatch):
+        # Two registered variants of one problem are told apart in their
+        # reports: the report names the benchmark asked for.
+        monkeypatch.setitem(problems._REGISTRY, "di-noref", lambda: dataclasses.replace(
+            problems.double_integrator(), name="di-noref", reference=None))
+        assert main(["solve", "--problem", "di-noref", "--tau-end", "1",
+                     "--outdir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["problem"] == "di-noref"
+        assert report["e_J"] is None
+
     def test_deterministic_outputs(self, tmp_path):
         args = ["solve", "--problem", "double-integrator", "--tau-end", "5"]
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -332,6 +343,34 @@ class TestCompare:
         rows = (tmp_path / "comparison.csv").read_text().splitlines()
         assert rows[2].split(",")[:3] == ["di-noref", "third", "41"]
         assert rows[2].split(",")[4:] == ["", "", "", ""]
+
+    @pytest.mark.parametrize("option", [
+        ["--gain-k", "inf"], ["--gain-kg", "nan"], ["--rtol", "nan"],
+        ["--tau-end", "-1"], ["--nodes", "3"]], ids=" ".join)
+    def test_bad_option_makes_no_run(self, option, tmp_path, monkeypatch, capsys):
+        # Every run's options are checked before the first solve starts.
+        solves = []
+        monkeypatch.setattr(cli, "solve_benchmark",
+                            lambda *args, **kwargs: solves.append(args))
+        code = main(["compare", "--problems", "double-integrator", "brachistochrone",
+                     *option, "--outdir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("invalid run option: ")
+        assert solves == []
+        assert not (tmp_path / "comparison.csv").exists()
+
+    def test_failed_start_check_is_an_error_row(self, tmp_path, capsys):
+        # The coupled run's feasible-mode start check fails on this start;
+        # the finished control-only run is kept and the table written.
+        code = main(["compare", "--problems", "double-integrator",
+                     "--methods", "third", "second", "--mode", "feasible",
+                     "--tau-end", "1", "--outdir", str(tmp_path)])
+        assert code == 6
+        rows = (tmp_path / "comparison.csv").read_text().splitlines()
+        assert rows[1].split(",")[:3] == ["double-integrator", "third", "41"]
+        assert rows[2].startswith("double-integrator,second,error: ValueError: "
+                                  "feasible mode needs a start")
+        assert "feasible mode needs a start" in capsys.readouterr().out
 
 
 class TestCheck:

@@ -15,6 +15,7 @@ from vem import (
     TimeGrid,
     assemble_ivp,
     evolve,
+    get_benchmark,
     summarize,
 )
 from vem import driver, second, trajectory
@@ -579,6 +580,37 @@ class TestRowCallbacks:
         assert sizes("dynamics_rows", "snapshot") == [1, 41] * len(history.snapshots)
         assert sizes("dynamics_rows", "other") == \
             [1] * (in_sweeps - len(history.snapshots))
+
+
+    @pytest.mark.parametrize("method", ["third", "second"])
+    @pytest.mark.parametrize("name", ["double-integrator", "brachistochrone"])
+    def test_read_only_row_arrays(self, name, method):
+        # The solver never writes into an array a callback returns: with
+        # every row form's output read-only (and so every one-row point
+        # form's), both methods give the shipped problem's history bit for
+        # bit.
+        bench = get_benchmark(name)
+
+        def frozen(fn):
+            def rows(xs, us, ts):
+                out = np.asarray(fn(xs, us, ts), dtype=float)
+                out.flags.writeable = False
+                return out
+            return rows
+
+        problem = dataclasses.replace(bench.problem, **{
+            name + "_rows": frozen(getattr(bench.problem, name + "_rows"))
+            for name in ROW_FORMS})
+        shipped, read_only = (
+            solve_benchmark(b, method, tau_end=5.0)[0]
+            for b in (bench, dataclasses.replace(bench, problem=problem)))
+        assert read_only.termination_reason == shipped.termination_reason
+        assert len(read_only.snapshots) == len(shipped.snapshots)
+        for a, b in zip(read_only.snapshots, shipped.snapshots):
+            for field in ("times", "controls", "states", "costates", "pi"):
+                assert np.asarray(getattr(a, field)).tobytes() == \
+                    np.asarray(getattr(b, field)).tobytes()
+            assert (a.tau, a.J, a.tf, a.residuals) == (b.tau, b.J, b.tf, b.residuals)
 
 
 class TestModifiedMode:

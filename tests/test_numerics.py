@@ -11,6 +11,7 @@ from scipy.interpolate import CubicSpline
 from vem.checks import cumulative_products
 from vem.errors import DegenerateGrid, SingularSystem
 from vem.numerics import (
+    _one_norm_cond,
     cumulative_from_right,
     grid_quadrature,
     hermite_build,
@@ -295,3 +296,38 @@ class TestSolveDense:
         with pytest.raises(SingularSystem,
                            match=r"^condition estimate inf exceeds 1e\+12$"):
             solve_dense(np.zeros((2, 2)), [1.0, 2.0])
+
+
+class TestOneNormCond:
+    """The fused sweep's guard: ``_one_norm_cond`` is np.linalg.cond(a, 1)
+    bit for bit, with the same answer on singular and NaN entries."""
+
+    @staticmethod
+    def _agrees(mat):
+        mine, numpy = _one_norm_cond(mat), np.linalg.cond(mat, 1)
+        return np.float64(mine).tobytes() == np.float64(numpy).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_random_matrices(self, size):
+        # Well and badly scaled, and as the strided views Psi_0 is.
+        rng = np.random.default_rng(30 + size)
+        for _ in range(200):
+            mat = rng.standard_normal((size, size + 1))[:, :size]
+            mat[:, 0] *= 10.0 ** rng.uniform(-8.0, 8.0)
+            assert self._agrees(mat) and self._agrees(mat.T)
+
+    @pytest.mark.parametrize("mat", [
+        [[0.0]], [[1.0, 2.0], [2.0, 4.0]], np.zeros((3, 3)),
+        [[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [4.0, 0.0, 5.0]],
+        [[np.inf, 1.0], [1.0, 2.0]]], ids=["zero-1", "rank-1", "zero-3",
+                                           "zero-column", "inf-entry"])
+    def test_exactly_singular_is_infinite(self, mat):
+        mat = np.array(mat)
+        assert _one_norm_cond(mat) == np.inf
+        assert self._agrees(mat)
+
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_nan_entry_is_nan(self, size):
+        mat = np.random.default_rng(size).standard_normal((size, size))
+        mat[-1, 0] = np.nan
+        assert np.isnan(_one_norm_cond(mat)) and np.isnan(np.linalg.cond(mat, 1))

@@ -12,6 +12,7 @@ from vem import (
     register_benchmark,
     transition_stack,
 )
+from vem.ocp import row_form_mismatches
 from vem.problems import cycloid_geometry, double_integrator
 
 TIGHT = IntegratorOptions(rtol=1e-10, atol=1e-12)
@@ -109,6 +110,52 @@ class TestReferenceQuality:
         assert res.constraint_inf <= 1e-3
         if res.transversality is not None:
             assert res.transversality <= 1e-3
+
+
+class TestRowKernels:
+    """The shipped row kernels on the solver's long calls: bit for bit
+    their one-row point forms and the column products they are made of."""
+
+    @staticmethod
+    def _rows(bench, per_interval, strided):
+        # 2(N-1) or 4(N-1) rows; the controls hold negative, signed-zero
+        # and +-pi/2 entries, and as the solver passes them they may be a
+        # column of a stencil array.
+        p = bench.problem
+        count = per_interval * (bench.default_nodes - 1)
+        rng = np.random.default_rng(per_interval)
+        xs = rng.standard_normal((count, p.n))
+        us = rng.uniform(-3.0, 3.0, (count, p.m))
+        us[:6, 0] = [0.0, -0.0, np.pi / 2, -np.pi / 2, -1.0, -np.pi]
+        if strided:
+            stencil = np.zeros((count, 5, p.m))
+            stencil[:, 1] = us
+            us = stencil[:, 1]
+        return xs, us, rng.uniform(0.0, 2.0, count)
+
+    @pytest.mark.parametrize("strided", [False, True], ids=["rows", "stencil-column"])
+    @pytest.mark.parametrize("per_interval", [2, 4])
+    @pytest.mark.parametrize("name", ["double-integrator", "brachistochrone"])
+    def test_rows_are_point_forms(self, name, per_interval, strided):
+        bench = get_benchmark(name)
+        rows = self._rows(bench, per_interval, strided)
+        assert row_form_mismatches(bench.problem, *rows) == []
+
+    @pytest.mark.parametrize("per_interval", [2, 4])
+    def test_rows_are_column_products(self, di, brach, per_interval):
+        # The products, column by column, that np.stack put together.
+        def same(a, b):
+            return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        xs, us, ts = self._rows(brach, per_interval, True)
+        s, c = np.sin(us[:, 0]), np.cos(us[:, 0])
+        assert same(brach.problem.dynamics_rows(xs, us, ts),
+                    np.stack([xs[:, 2] * s, -xs[:, 2] * c, 10.0 * c], axis=1))
+        assert same(brach.problem.jac_fu_rows(xs, us, ts),
+                    np.stack([xs[:, 2] * c, xs[:, 2] * s, -10.0 * s], axis=1)[:, :, None])
+        xs, us, ts = self._rows(di, per_interval, True)
+        assert same(di.problem.dynamics_rows(xs, us, ts),
+                    np.stack([xs[:, 1], us[:, 0]], axis=1))
 
 
 class TestRegistry:

@@ -133,20 +133,23 @@ class MultiplierTerms:
     """The end-node terms of one evaluation, formed once by
     ``multiplier_terms`` and read by every formula: g_x at the end node,
     the constraint projection Q = Psi g_x^T and P = f_u^T Q at every node
-    (all None without constraints) and, on a free horizon, the terminal
-    bracket's terms."""
+    and P's ``weighted_rows``, which both sums of the multiplier system
+    read (all None without constraints) and, on a free horizon, the
+    terminal bracket's terms."""
 
     gx: Optional[np.ndarray]            # (q, n)
     psi_gx: Optional[np.ndarray]        # Q, (N, n, q)
     fu_psi_gx: Optional[np.ndarray]     # P, (N, m, q)
     bracket: Optional[tuple] = None     # terminal_bracket's (cost_rate, v)
+    weighted: Optional[np.ndarray] = None   # weighted_rows(P), (N m, q)
 
 
 def multiplier_terms(problem: OcpProblem, nodes: NodeInputs,
                      stack: TransitionStack,
                      xdot_end: Optional[np.ndarray] = None) -> MultiplierTerms:
-    """One ``jac_gx`` call, the projections Q and P, and on a free horizon
-    the terminal bracket along ``xdot_end`` (the dynamics when None)."""
+    """One ``jac_gx`` call, the projections Q and P, P's weighted rows,
+    and on a free horizon the terminal bracket along ``xdot_end`` (the
+    dynamics when None)."""
     gx = None
     if problem.q > 0:
         gx = np.asarray(problem.jac_gx(nodes.xs[-1], nodes.grid.tf), dtype=float)
@@ -157,8 +160,8 @@ def multiplier_terms(problem: OcpProblem, nodes: NodeInputs,
         return MultiplierTerms(None, None, None, bracket)
     n_nodes, n = stack.adjoint.shape
     psi_gx = (stack.psi.reshape(-1, n) @ gx.T).reshape(n_nodes, n, -1)
-    return MultiplierTerms(gx, psi_gx, np.einsum("inm,inq->imq", nodes.fu, psi_gx),
-                           bracket)
+    p = np.einsum("inm,inq->imq", nodes.fu, psi_gx)
+    return MultiplierTerms(gx, psi_gx, p, bracket, weighted_rows(nodes, p))
 
 
 def weighted_rows(nodes: NodeInputs, per_node: np.ndarray) -> np.ndarray:
@@ -177,7 +180,7 @@ def multiplier_matrix(problem: OcpProblem, nodes: NodeInputs,
     problems add the rank-one terminal-rate term k_tf v v^T.
     """
     p = terms.fu_psi_gx
-    mat = weighted_rows(nodes, p).T @ (gains.K @ p).reshape(-1, p.shape[2])
+    mat = terms.weighted.T @ (gains.K @ p).reshape(-1, p.shape[2])
     if problem.tf_free:
         v = terms.bracket[1]
         # np.outer's product.
@@ -197,7 +200,7 @@ def multiplier_rhs(problem: OcpProblem, nodes: NodeInputs,
     """
     if mode not in ("feasible", "quasi_feasible"):
         raise ValueError(f"unknown mode {mode!r}")
-    r = weighted_rows(nodes, terms.fu_psi_gx).T @ (gu @ gains.K.T).ravel()
+    r = terms.weighted.T @ (gu @ gains.K.T).ravel()
     if problem.tf_free:
         cost_rate, v = terms.bracket
         r = r + gains.k_tf * v * cost_rate

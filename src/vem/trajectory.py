@@ -40,11 +40,12 @@ after one correction.  The tangent of the maps in [x, running cost] is
 the propagator T_i = [[G_i, 0], [c_i^T, 1]] of
 Z' = [[f_x, 0], [L_x^T, 0]] Z; the tangents of a round are reused while
 its width and f_x/L_x stage rows stay bit-equal, so dynamics whose
-Jacobians do not depend on x assemble them once per solve.  The
-step-doubling check of the s-substep maps against 2s-substep ones rides
-along: each pass after a correction runs the first s of the 2s substeps
-in the same stage calls, and the last s run once a pass confirms
-convergence, so an affine problem at s = 1 makes 12 stage calls.
+Jacobians do not depend on x assemble them once per solve.  The check
+of s reads the stages it already has: each substep's embedded
+third-order estimate e = (h/6)(k4 - f(x_end)), whose end rate is the
+next substep's or the next interval's first stage, and at tf one
+one-row call, so an affine problem at s = 1 makes 9 stage calls.  s
+doubles until e is within atol + rtol |x_end| in every entry.
 ``fused_sweep`` (control-only method) takes g_i = G_i and c_i from T_i,
 and the band of the G_i, built with them, serves its Newton corrections
 and the backward solve.  Psi_0 = Phi(tf, t0)^T,
@@ -287,13 +288,14 @@ def shooting_nodes(problem: OcpProblem, ctrl: ControlTrajectory,
 
     The node states solve X_0 = x0, X_i+1 = F_i(X_i) for the classic-RK4
     maps F_i of s substeps across each grid interval (``_shoot``); X_0 is
-    x0 exactly.  Starting at s = 1, s doubles until the 2s-substep maps
-    from the solved nodes pass ``_refined`` against the s-substep maps.
-    Returns the nodes (N, n), the tangents (N-1, n+1, n+1, read-only) of
-    the maps in [x, running cost] at them and the ``_band`` of their
-    blocks G_i; the tangents are ``kept``'s, fresh ones without it.
+    x0 exactly.  Starting at s = 1, s doubles until every substep's
+    embedded third-order estimate at the solved nodes is within
+    atol + rtol |x| of its end state x in every entry.  Returns the nodes
+    (N, n), the tangents (N-1, n+1, n+1, read-only) of the maps in
+    [x, running cost] at them and the ``_band`` of their blocks G_i; the
+    tangents are ``kept``'s, fresh ones without it.
 
-    Raises StepFailure when the check would need more than
+    Raises StepFailure when a round would need more than
     ``opts.max_steps`` substeps and NonFiniteDynamics on non-finite
     dynamics or f_x/L_x rows.
     """
@@ -303,13 +305,13 @@ def shooting_nodes(problem: OcpProblem, ctrl: ControlTrajectory,
     nodes = problem.x0[None].repeat(grid.n_nodes, axis=0)
     s = 1
     while True:
-        _check_budget(2 * s * n_int, opts)
-        # The 2s-substep stencil: ends and midpoints, ends at the nodes.
-        frac = np.arange(4 * s + 1) / (4 * s)
-        nodes, ends, chain, band, check = _shoot(
+        _check_budget(s * n_int, opts, "shooting")
+        # The s-substep stencil: ends and midpoints, ends at the nodes.
+        frac = np.arange(2 * s + 1) / (2 * s)
+        nodes, chain, band, error, ends = _shoot(
             problem, stencil_times(grid, frac), ctrl.spline.at_fractions(frac),
             nodes, kept)
-        if _refined(check, ends, opts):
+        if (np.abs(error) <= opts.atol + opts.rtol * np.abs(ends)).all():
             return nodes, chain, band
         s *= 2
 
@@ -415,11 +417,11 @@ def _backward(g, c, lam_end, band) -> TransitionStack:
     return TransitionStack(z[:, :, :n], z[:, :, n], g, band)
 
 
-def _check_budget(substeps: int, opts: IntegratorOptions) -> None:
-    """The substep budget of a stencil pass: StepFailure past
-    ``opts.max_steps``."""
+def _check_budget(substeps: int, opts: IntegratorOptions, stencil="interval"):
+    """The substep budget of a round of the named stencil: StepFailure
+    past ``opts.max_steps``."""
     if substeps > opts.max_steps:
-        raise StepFailure(f"interval stencil needs more than "
+        raise StepFailure(f"{stencil} stencil needs more than "
                           f"max_steps={opts.max_steps} substeps")
 
 
@@ -436,11 +438,12 @@ def _rk4_maps(problem: OcpProblem, starts, ts, us, h):
     on the stencil ``ts`` (K, 2s+1) and ``us``.
 
     Each stage is one ``dynamics_rows`` call over all K rows.  Returns the
-    end rows (K, n) and, per substep, its four stage inputs.  The half and
-    sixth step factors are formed once per call, and stages 2 and 3 read
-    one slice of the substep's midpoint column.
+    end rows (K, n) and, per substep, its four stage inputs and its first
+    and last stage rates (k1, k4).  The half and sixth step factors are
+    formed once per call, and stages 2 and 3 read one slice of the
+    substep's midpoint column.
     """
-    x, stages = starts, []
+    x, stages, rates = starts, [], []
     half, sixth = 0.5 * h, h / 6.0
     rows = problem.dynamics_rows
 
@@ -457,8 +460,9 @@ def _rk4_maps(problem: OcpProblem, starts, ts, us, h):
         x4 = x + h * k3
         k4 = rate(x4, us[:, j + 2], ts[:, j + 2])
         stages.append((x, x2, x3, x4))
+        rates.append((k1, k4))
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-    return x, stages
+    return x, stages, rates
 
 
 def _tangent_chain(fx, lx, h):
@@ -492,9 +496,8 @@ def _tangents(problem: OcpProblem, rows, h, stages, kept: KeptBlocks):
     G_i: each tangent is the interval's propagator of
     Z' = [[f_x, 0], [L_x^T, 0]] Z, the derivative of its map applied to
     [x, running cost], from the per-substep stage inputs ``stages`` of
-    ``_rk4_maps`` (only the first K rows of each are read) and their
-    controls and times ``rows`` (4sK, m) and (4sK,), ordered by stage,
-    substep, interval.
+    ``_rk4_maps`` and their controls and times ``rows`` (4sK, m) and
+    (4sK,), ordered by stage, substep, interval.
 
     One ``jac_fx_rows`` and one ``grad_lx_rows`` call over all 4sK stage
     inputs.  The tangents (``_tangent_chain``) are ``kept``'s under
@@ -502,8 +505,8 @@ def _tangents(problem: OcpProblem, rows, h, stages, kept: KeptBlocks):
     whose f_x and L_x do not depend on x assemble them once per solve, and
     once for all solves on one horizon when they do not depend on u either.
     """
-    k, s = len(h), len(stages)
-    xs = np.concatenate([stage[i][:k] for i in range(4) for stage in stages])
+    s = len(stages)
+    xs = np.concatenate([stage[i] for i in range(4) for stage in stages])
     fx = np.asarray(problem.jac_fx_rows(xs, *rows), dtype=float)
     lx = np.asarray(problem.grad_lx_rows(xs, *rows), dtype=float)
     return kept.get(("tangents", s), (h, fx, lx), lambda: _tangent_chain(fx, lx, h))
@@ -511,81 +514,81 @@ def _tangents(problem: OcpProblem, rows, h, stages, kept: KeptBlocks):
 
 def _shoot(problem: OcpProblem, ts, us, nodes, kept: KeptBlocks):
     """Node states X with X_0 = x0 and X_i+1 = F_i(X_i) for the s-substep
-    RK4 maps on every other point of the 2s-substep stencil ``ts``,
-    ``us``.  Returns X, the maps' end rows F_i(X_i), tangents and their
-    band (``_tangents``) from a last pass at X, and the end rows of the
-    2s-substep maps from X, which ``shooting_nodes`` checks F_i against.
+    RK4 maps on the stencil ``ts``, ``us`` of every interval's substep
+    ends and midpoints.  Returns X, the tangents and their band
+    (``_tangents``) from a last pass at X, and per substep of every map
+    (s, N-1, n) its embedded third-order error estimate and its end state.
 
     Newton from ``nodes`` on r_i = F_i(X_i) - X_i+1 over all intervals at
     once: the correction solves delta_i+1 = G_i delta_i + r_i from
     delta_0 = 0 by one banded solve (``_bidiagonal_solve``) against the
-    tangents' band.  It stops
-    when max |r_i| is at rounding level.  Each pass after a correction
-    runs the first s substeps of the 2s-substep maps in the same stage
-    calls, and the last s run once a pass confirms convergence.
+    tangents' band.  It stops when max |r_i| is at rounding level.
     Non-finite rows, or no convergence within NEWTON_PASSES passes, fall
     back to composing the same maps one interval at a time from x0, the
     solution Newton converges to.
+
+    The estimate is RK4 less its embedded third-order rule, which weighs
+    the rate at the substep's end by h/6 in place of k4:
+    e = (h/6)(k4 - f(x_end)).  f(x_end) is the next substep's first
+    stage, at a map's end the next interval's first stage from the last
+    pass (at X_i+1, which the map's end matches to rounding), and at tf
+    one one-row ``dynamics_rows`` call.
     """
     n, k = problem.n, len(ts)
-    s = (ts.shape[1] - 1) // 4
+    s = (ts.shape[1] - 1) // 2
     dt = (ts[:, -1] - ts[:, 0])[:, None]
     # The maps take their substep widths spread over the n state columns,
     # so each RK4 product runs over contiguous rows; the tangents take
     # them as (K, 1).
-    wide = dt.repeat(n, axis=1)
-    coarse = (ts[:, ::2], us[:, ::2], wide / s)
-    # The 2s-substep maps' first and last s substeps.
-    first = (ts[:, :2 * s + 1], us[:, :2 * s + 1], wide / (2 * s))
-    last = (ts[:, 2 * s:], us[:, 2 * s:], first[2])
-    stacked = tuple(np.concatenate(pair) for pair in zip(coarse, first))
+    maps = (ts, us, dt.repeat(n, axis=1) / s)
     # The stage inputs' controls and times for the Jacobian rows, the same
-    # every pass: stage i of substep j reads coarse column 2j + (0, 1, 1, 2)[i].
+    # every pass: stage i of substep j reads column 2j + (0, 1, 1, 2)[i].
     cols = (2 * np.arange(s) + np.array([[0], [1], [1], [2]])).ravel()
     h = dt / s
-    rows = (coarse[1][:, cols].swapaxes(0, 1).reshape(cols.size * k, -1),
-            coarse[0][:, cols].T.ravel())
+    rows = (us[:, cols].swapaxes(0, 1).reshape(cols.size * k, -1),
+            ts[:, cols].T.ravel())
     nodes = nodes.copy()
     # The correction's right-hand side [0, r_0, ..., r_N-2]: the residual
     # rows are written into it in place, below a zero first block.
     rhs = np.zeros(((k + 1) * n, 1))
     residual = rhs[n:].reshape(k, n)
 
-    def sweep(with_check: bool):
-        """(ends, midpoint rows of the 2s-substep maps or None, tangents,
-        band) at the current nodes."""
-        if not with_check:
-            ends, stages = _rk4_maps(problem, nodes[:-1], *coarse)
-            return ends, None, *_tangents(problem, rows, h, stages, kept)
-        both, stages = _rk4_maps(problem, np.concatenate([nodes[:-1]] * 2),
-                                 *stacked)
-        return both[:k], both[k:], *_tangents(problem, rows, h, stages, kept)
+    def sweep():
+        """(ends, stage inputs, (k1, k4) rates, tangents, band) at the
+        current nodes."""
+        ends, stages, rates = _rk4_maps(problem, nodes[:-1], *maps)
+        return ends, stages, rates, *_tangents(problem, rows, h, stages, kept)
 
-    def solved(ends, mid, tangents, band):
-        if mid is None:
-            mid, _ = _rk4_maps(problem, nodes[:-1], *first)
-        return nodes, ends, tangents, band, _rk4_maps(problem, mid, *last)[0]
+    def solved(ends, stages, rates, tangents, band):
+        k1, k4 = (np.stack(rate) for rate in zip(*rates))
+        at_tf = np.asarray(problem.dynamics_rows(
+            ends[-1:], us[-1:, -1], ts[-1:, -1]), dtype=float)
+        if not np.isfinite(at_tf).all():
+            raise NonFiniteDynamics(f"field returned non-finite values near t={ts[-1, -1]}")
+        f_end = np.concatenate([k1[1:], np.concatenate([k1[0, 1:], at_tf])[None]])
+        x_end = np.stack([stage[0] for stage in stages[1:]] + [ends])
+        return nodes, tangents, band, maps[2] / 6.0 * (k4 - f_end), x_end
 
-    for p in range(NEWTON_PASSES):
-        ends, mid, tangents, band = sweep(p > 0)
+    for _ in range(NEWTON_PASSES):
+        ends, stages, rates, tangents, band = sweep()
         # max |F_i| is finite exactly when every end row is.
         top = np.abs(ends).max()
         if not (np.isfinite(top) and np.isfinite(tangents).all()):
             break
         np.subtract(ends, nodes[1:], out=residual)
         if np.abs(residual).max() <= NEWTON_TOL * max(1.0, top):
-            return solved(ends, mid, tangents, band)
+            return solved(ends, stages, rates, tangents, band)
         nodes[1:] += _bidiagonal_solve(band, rhs, "N").reshape(-1, n)[1:]
     for i in range(k):
-        end, _ = _rk4_maps(problem, nodes[i:i + 1], *(a[i:i + 1] for a in coarse))
+        end, _, _ = _rk4_maps(problem, nodes[i:i + 1], *(a[i:i + 1] for a in maps))
         if not np.isfinite(end).all():
             raise NonFiniteDynamics(f"field returned non-finite values near "
                                     f"t={ts[i, 0]}")
         nodes[i + 1] = end[0]
-    ends, mid, tangents, band = sweep(True)
+    ends, stages, rates, tangents, band = sweep()
     if not np.isfinite(tangents).all():
         raise NonFiniteDynamics("non-finite f_x or L_x rows on the shooting stencil")
-    return solved(ends, mid, tangents, band)
+    return solved(ends, stages, rates, tangents, band)
 
 
 def _hermite_spline(problem: OcpProblem, ctrl: ControlTrajectory,

@@ -507,12 +507,11 @@ class TestRowCallbacks:
                                                           monkeypatch):
         # f_u and L_u: one N-row call per evaluation.  A control-only
         # evaluation's shooting solve on the affine brachistochrone, with
-        # one substep accepted: two Newton passes, each four dynamics calls
-        # and one 4(N-1)-row f_x and L_x call; the confirming pass's stages
-        # also carry the first substep of the two-substep check maps
-        # (2(N-1) rows), and four (N-1)-row stages finish them: twelve
-        # dynamics calls.  The stencil's controls come from the spline
-        # coefficients, with no control lookup.  No one-row call, no
+        # one substep accepted: two Newton passes, each four (N-1)-row
+        # dynamics calls and one 4(N-1)-row f_x and L_x call, and the
+        # substep check's one-row rate at tf: nine dynamics calls.  The
+        # stencil's controls come from the spline
+        # coefficients, with no control lookup.  No other one-row call, no
         # Dormand-Prince run, and no running cost inside a sweep: snapshots
         # read it along the Hermite state rows, whose node rates are one
         # N-row dynamics call.  The shipped problems write row forms only,
@@ -570,7 +569,7 @@ class TestRowCallbacks:
 
         in_sweeps = len(sweeps)
         assert sizes("dynamics_rows", "sweep") == \
-            ([40] * 4 + [80] * 4 + [40] * 4) * in_sweeps
+            ([40] * 8 + [1]) * in_sweeps
         assert sizes("jac_fx_rows", "sweep") == [160] * 2 * in_sweeps
         assert sizes("grad_lx_rows", "sweep") == [160] * 2 * in_sweeps
         assert lookups == []

@@ -1,4 +1,7 @@
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +15,7 @@ from vem import (
     TimeGrid,
     assemble_ivp,
     evolve,
+    get_benchmark,
     propagate_states,
     transition_stack,
 )
@@ -23,6 +27,7 @@ from vem.problems import brachistochrone, double_integrator, tracking_fixture
 from vem.rk45 import rk45_integrate
 
 TIGHT = IntegratorOptions(rtol=1e-10, atol=1e-12)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _state_cost_problem(a_mat):
@@ -448,24 +453,22 @@ class TestShooting:
 
     @pytest.mark.parametrize("name", sorted(TestTangentPass.PROBLEMS))
     def test_affine_dynamics_take_two_newton_passes(self, name):
-        # A correction and a confirming pass, each four stages and one f_x
-        # call over the 80 stage inputs.  The confirming pass stacks the
-        # first substep of the two-substep check maps (20 more rows) into
-        # its stages, and once it confirms, the check's second substep
-        # takes four 20-row stages.
+        # A correction and a confirming pass, each four 20-row stages and
+        # one f_x call over the 80 stage inputs.  Once a pass confirms, the
+        # substep check needs the rate at tf alone: one one-row call.
         p, grid, ctrl = TestTangentPass._case(name)
         calls = []
         trajectory.fused_sweep(self._counting(p, calls), ctrl, grid)
-        assert calls == [("dynamics_rows", 20)] * 4 + [("jac_fx_rows", 80)] \
-            + [("dynamics_rows", 40)] * 4 + [("jac_fx_rows", 80)] \
-            + [("dynamics_rows", 20)] * 4
+        assert calls == 2 * ([("dynamics_rows", 20)] * 4 + [("jac_fx_rows", 80)]) \
+            + [("dynamics_rows", 1)]
 
     def test_nonlinear_dynamics_converge(self):
         # A forced pendulum with a state cost: f_x depends on x, so Newton
         # takes more than one correction, and it converges without falling
-        # back (every dynamics call spans all 30 intervals, or them and the
-        # check maps' first substeps).  At TIGHT the states, Phi, C and
-        # adjoint match the adaptive oracle.
+        # back (every stage call spans all 30 intervals, and the substep
+        # check adds one one-row call at tf).  At TIGHT the solve refines,
+        # still in 30-row stages, and the states, Phi, C and adjoint match
+        # the adaptive oracle.
         p = _pendulum_problem()
         grid = TimeGrid(31, p.t0, p.tf)
         ctrl = ControlTrajectory.from_values(
@@ -474,13 +477,13 @@ class TestShooting:
         trajectory.fused_sweep(self._counting(p, calls), ctrl, grid)
         passes = calls.count(("jac_fx_rows", 120))
         assert 2 < passes < trajectory.NEWTON_PASSES
-        assert calls == [("dynamics_rows", 30)] * 4 + [("jac_fx_rows", 120)] \
-            + (passes - 1) * ([("dynamics_rows", 60)] * 4 + [("jac_fx_rows", 120)]) \
-            + [("dynamics_rows", 30)] * 4
+        assert calls == passes * ([("dynamics_rows", 30)] * 4
+                                  + [("jac_fx_rows", 120)]) + [("dynamics_rows", 1)]
         calls.clear()
         states, stack = trajectory.fused_sweep(self._counting(p, calls), ctrl,
                                                grid, TIGHT)
-        assert {rows for name, rows in calls if name == "dynamics_rows"} == {30, 60}
+        assert {rows for name, rows in calls if name == "dynamics_rows"} == {30, 1}
+        assert max(rows for name, rows in calls if name == "jac_fx_rows") > 120
         TestTangentPass._check(p, ctrl, TIGHT, states, stack,
                                *_augmented_sweep(p, ctrl, grid, TIGHT), 1e-8)
 
@@ -532,7 +535,7 @@ class TestShooting:
                                *_augmented_sweep(p, ctrl, grid, TIGHT), 1e-8)
 
     def test_two_substep_round_takes_one_row_call_per_pass(self, brach):
-        # At the checks' tolerance the brachistochrone's N = 101 solve
+        # At rtol 1e-6 and atol 1e-9 the brachistochrone's N = 101 solve
         # refines to two substeps.  Each pass of either round makes one
         # f_x and one L_x call over all its stage inputs, 4 s (N - 1)
         # rows, and the round's tangents are bit for bit the product of
@@ -554,7 +557,8 @@ class TestShooting:
 
         names = ("jac_fx_rows", "grad_lx_rows")
         counted = dataclasses.replace(p, **{name: wrap(name) for name in names})
-        _, tangents, _ = trajectory.shooting_nodes(counted, ctrl, grid, checks.TIGHT)
+        _, tangents, _ = trajectory.shooting_nodes(
+            counted, ctrl, grid, IntegratorOptions(rtol=1e-6, atol=1e-9))
         assert calls == [(name, rows) for rows in (400, 400, 800, 800)
                          for name in names]
         xs, us, ts = (a.reshape((4, 2, 100) + a.shape[1:])
@@ -590,12 +594,78 @@ class TestShooting:
             assert _relative(b, a) <= 1e-12
 
     def test_substep_budget(self, brach):
-        # 20 intervals: the check pass at two substeps needs 40.
+        # 20 intervals: the one-substep round the solve accepts needs 20.
         p, grid, ctrl = TestTangentPass._case("brachistochrone")
-        trajectory.fused_sweep(p, ctrl, grid, IntegratorOptions(max_steps=40))
-        with pytest.raises(StepFailure, match="interval stencil needs more "
-                                              "than max_steps=39"):
-            trajectory.fused_sweep(p, ctrl, grid, IntegratorOptions(max_steps=39))
+        trajectory.fused_sweep(p, ctrl, grid, IntegratorOptions(max_steps=20))
+        with pytest.raises(StepFailure, match="shooting stencil needs more "
+                                              "than max_steps=19"):
+            trajectory.fused_sweep(p, ctrl, grid, IntegratorOptions(max_steps=19))
+
+    def test_non_finite_rate_at_tf_raises(self, brach):
+        # Finite stage rows but a NaN rate at tf, which only the substep
+        # check reads: it raises rather than refining to the budget.
+        rows = brach.problem.dynamics_rows
+
+        def poisoned(xs, us, ts):
+            out = np.array(rows(xs, us, ts), dtype=float)
+            if len(ts) == 1:
+                out[:] = np.nan
+            return out
+
+        p, grid, ctrl = TestTangentPass._case("brachistochrone")
+        p = dataclasses.replace(p, dynamics_rows=poisoned)
+        with pytest.raises(NonFiniteDynamics, match="non-finite values near t="):
+            trajectory.shooting_nodes(p, ctrl, grid)
+
+    def test_substep_check_bounds_the_returned_maps(self, brach):
+        # The embedded estimate bounds the error of the maps the solve
+        # returns: at rtol 1e-6 the N = 41 brachistochrone refines past one
+        # substep (whose nodes are 8e-8 off), and its nodes agree with the
+        # adaptive oracle at TIGHT to 2e-9.
+        p = brach.problem
+        grid = TimeGrid(41, p.t0, p.tf)
+        ctrl = ControlTrajectory.from_values(
+            grid, smooth_controls(grid, p.m, np.random.default_rng(1)))
+        calls = []
+        nodes, _, _ = trajectory.shooting_nodes(
+            self._counting(p, calls), ctrl, grid, IntegratorOptions(rtol=1e-6, atol=1e-9))
+        assert max(rows for name, rows in calls if name == "jac_fx_rows") > 160
+        oracle = propagate_states(p, ctrl, grid, checks.TIGHT).values
+        assert np.abs(nodes - oracle).max() <= 2e-9
+
+    def test_benchmark_starts_take_one_substep(self, monkeypatch):
+        # The first evaluation at every start the benchmark draws (seeds 1
+        # and 7, each workload) and at the four acceptance starts accepts
+        # one substep per interval: one 4(N-1)-row f_x call per pass, and
+        # only (N-1)-row stages and the one-row rate at tf.
+        spec = importlib.util.spec_from_file_location(
+            "workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        # Its dataclasses look their module up while they are built.
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        benchmarks = {name: get_benchmark(name) for name in (workloads.DI, workloads.BR)}
+        starts = [workloads.SolveInput(spec, None, None)
+                  for spec, _, _ in workloads.BASELINE]
+        for workload in workloads.WORKLOADS.values():
+            for seed in (1, 7):
+                starts += workloads.draw_inputs(workload, seed, benchmarks)
+        assert len(starts) == 16
+        for start in starts:
+            p = benchmarks[start.spec.problem].problem
+            n_int = start.spec.n_nodes - 1
+            grid = TimeGrid(n_int + 1, p.t0,
+                            p.tf if start.init_tf is None else start.init_tf)
+            controls = start.init_controls
+            if controls is None:
+                controls = np.zeros((grid.n_nodes, p.m))
+            calls = []
+            trajectory.shooting_nodes(self._counting(p, calls),
+                                      ControlTrajectory.from_values(grid, controls),
+                                      grid)
+            sizes = {(name, rows) for name, rows in calls}
+            assert sizes == {("dynamics_rows", n_int), ("dynamics_rows", 1),
+                             ("jac_fx_rows", 4 * n_int)}, start.spec.label
 
     def test_control_only_solve_integrates_nothing_but_tau(self, brach,
                                                            monkeypatch):

@@ -1,22 +1,25 @@
 """Self-contained diagnostic suites behind the ``check`` command.
 
 Each check returns (name, passed, detail); most compare a gap with the
-bound ``invariant_checks`` gives it.  The oracles here are chosen
-to be independent of the production code paths they exercise: forward
-transition matrices check the batched backward stack and, through the
-quadrature gradient form (``quadrature_gradient``), the adjoint
-gradient; propagation plus the backward stack check the shooting solve,
-and log-depth running matrix products (``cumulative_products``) its
-banded recurrences; the step-doubling loop one stencil per round
-(``sequential_stencil``) checks the interval stencil's fused first
-round; the coupled state rate's variational initial-value problem
-(``variational_state_rate``), integrated by Dormand-Prince along the
-snapshot's splines, is checked in turn by per-interval Gauss
-quadrature of a closed-form kernel; the Psi^T f_u-first multiplier
-assembly with einsums and ``grid_quadrature`` (``multiplier_assembly``)
-checks the constraint projection every multiplier formula reads; finite
-differences check analytic derivatives, and closed forms check the
-integrator.
+bound ``invariant_checks`` gives it.  Both methods read Psi and lam from
+one kernel, the RK4 tangents of ``trajectory._tangent_chain`` taken from
+the end by ``trajectory._backward``, so the oracles that hold that kernel
+are the ones that share none of it: the forward transition matrices of
+one adaptive Dormand-Prince run (``trajectory._forward_stack``) check
+Psi (psi-forward-backward) and, through the quadrature gradient form
+(``quadrature_gradient``), the adjoint gradient (gradient-forms); and
+log-depth running matrix products (``cumulative_products``) check the
+banded recurrences (banded-vs-products).  Propagation plus the stack
+along it check the shooting solve's node states (fused-vs-backward);
+the step-doubling loop one stencil per round (``sequential_stencil``)
+checks the interval stencil's fused first round; the coupled state
+rate's variational initial-value problem (``variational_state_rate``),
+integrated by Dormand-Prince along the snapshot's splines, is checked in
+turn by per-interval Gauss quadrature of a closed-form kernel; the
+Psi^T f_u-first multiplier assembly with einsums and ``grid_quadrature``
+(``multiplier_assembly``) checks the constraint projection every
+multiplier formula reads; finite differences check analytic
+derivatives, and closed forms check the integrator.
 """
 
 from __future__ import annotations
@@ -93,6 +96,16 @@ def cumulative_products(mats) -> np.ndarray:
     return out
 
 
+def full_tangents(tangents) -> np.ndarray:
+    """The propagators T_i = [[G_i, 0], [c_i^T, 1]] (K, n+1, n+1) whose
+    first n columns are the tangents (K, n+1, n)."""
+    k, rows, n = tangents.shape
+    full = np.zeros((k, rows, rows))
+    full[:, :, :n] = tangents
+    full[:, n, n] = 1.0
+    return full
+
+
 def sequential_stencil(grid, sample, estimate, opts=None):
     """Oracle of ``trajectory.interval_stencil``: the doubling loop one
     stencil per round.  The first round samples the 1-substep stencil's
@@ -124,7 +137,7 @@ def sequential_stencil(grid, sample, estimate, opts=None):
 
 def stencil_cases(bench, rng):
     """The benchmark's default grid and (label, sample, estimate) of both
-    stencil estimates -- the RK4 propagators of ``transition_stack`` and
+    stencil estimates -- the RK4 tangents of ``transition_stack`` and
     the Simpson cost of ``path_cost`` -- along a coupled snapshot's
     trajectories (one joint spline) and the shooting solve's (separate
     splines), at drawn controls."""
@@ -136,9 +149,9 @@ def stencil_cases(bench, rng):
     cases = []
     for route, states, controls in (("coupled", snap.state_traj, snap.ctrl_traj),
                                     ("control-only", shot, ctrl)):
-        cases.append((f"{bench.name}/{route}/propagators",
-                      trajectory._backward_field(p, states, controls),
-                      trajectory._propagators))
+        cases.append((f"{bench.name}/{route}/tangents",
+                      trajectory._jacobian_field(p, states, controls),
+                      trajectory._stencil_tangents))
         cases.append((f"{bench.name}/{route}/simpson",
                       driver._running_cost_field(p, states, controls), driver._simpson))
     return grid, cases
@@ -351,27 +364,28 @@ def _fused_gap(bench, n_nodes, rng):
 
 def _banded_gap(bench, n_nodes, rng):
     """Worst scaled gap of the banded recurrences against running matrix
-    products at one shooting solve's tangents T_i = [[G_i, 0], [c_i^T, 1]]:
-    Psi and lam from [[Psi_i, lam_i], [0, 1]] = T_i^T ... T_N-2^T
-    [[I, lam_end], [0, 1]], and a Newton correction for a drawn residual r
-    from the products of [[G_i, r_i], [0, 1]]."""
+    products at one shooting solve's tangents, rebuilt as the full
+    T_i = [[G_i, 0], [c_i^T, 1]] (``full_tangents``): Psi and lam from
+    [[Psi_i, lam_i], [0, 1]] = T_i^T ... T_N-2^T [[I, lam_end], [0, 1]],
+    and a Newton correction for a drawn residual r from the products of
+    [[G_i, r_i], [0, 1]]."""
     p, grid, ctrl = _drawn_case(bench, n_nodes, rng)
     n = p.n
     nodes, tangents, band = trajectory.shooting_nodes(p, ctrl, grid)
     lam_end = np.asarray(p.grad_phix(nodes[-1], grid.tf), dtype=float)
-    stack = trajectory._backward(tangents[:, :n, :n], tangents[:, n, :n], lam_end, band)
+    stack = trajectory._backward(tangents[:, :n], tangents[:, n], lam_end, band)
+    full = full_tangents(tangents)
     end = np.eye(n + 1)
     end[:n, n] = lam_end
     z = cumulative_products(np.concatenate(
-        [end[None], np.swapaxes(tangents, 1, 2)[::-1]]))[::-1]
+        [end[None], np.swapaxes(full, 1, 2)[::-1]]))[::-1]
     residual = rng.standard_normal((n_nodes - 1, n))
     rhs = np.concatenate([np.zeros(n), residual.ravel()])[:, None]
     delta = trajectory._bidiagonal_solve(band, rhs, "N")
-    steps = tangents.copy()
-    steps[:, n, :n] = 0.0
-    steps[:, :n, n] = residual
+    full[:, n, :n] = 0.0
+    full[:, :n, n] = residual
     pairs = ((stack.psi, z[:, :n, :n]), (stack.adjoint, z[:, :n, n]),
-             (delta.reshape(-1, n)[1:], cumulative_products(steps)[:, :n, n]))
+             (delta.reshape(-1, n)[1:], cumulative_products(full)[:, :n, n]))
     return max(float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b))))
                for a, b in pairs)
 

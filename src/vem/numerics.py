@@ -5,16 +5,17 @@ oracles) repeat scipy's ``cumulative_trapezoid`` arithmetic, and nothing
 here imports ``scipy.integrate``.
 
 Spline construction solves the not-a-knot slope system, which is
-tridiagonal, with LAPACK's ``dgtsv`` on diagonals cached per node spacing
--- the routine ``scipy.linalg.solve_banded`` calls for a (1, 1) band,
-without its wrapper -- and forms the cubic Hermite coefficients from the
-slopes; it repeats the arithmetic of scipy's ``CubicSpline``, which costs
-several times as much per build.  2-3 nodes give the interpolating line or
-parabola.  Evaluation goes through a light Horner path.  A solve reads
-splines on interval stencils -- the same fractions of every interval --
-by ``SplineCoeffs.at_fractions``, which runs Horner on each interval's
-coefficients with no interval search; other array queries serve node
-derivatives and snapshots, and the Dormand-Prince oracles
+tridiagonal, with LAPACK's ``dgtsv`` on diagonals built from the node
+spacing at each call -- the routine ``scipy.linalg.solve_banded`` calls
+for a (1, 1) band, without its wrapper -- and forms the cubic Hermite
+coefficients from the slopes; it repeats the arithmetic of scipy's
+``CubicSpline``, which costs several times as much per build.  2-3 nodes
+give the interpolating line or parabola.  Evaluation goes through a
+light Horner path.  A solve reads splines on interval stencils -- the
+same fractions of every interval -- by ``SplineCoeffs.at_fractions``,
+which runs Horner on each interval's coefficients with no interval
+search; other array queries serve node derivatives and snapshots, and
+the Dormand-Prince oracles
 (``trajectory.propagate_states``, ``checks.variational_state_rate``) query
 splines at one time per field call, where scipy's PPoly call overhead
 would dominate.
@@ -38,7 +39,6 @@ column-sum norms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -133,19 +133,15 @@ class SplineCoeffs:
         return out
 
 
-@lru_cache(maxsize=8)
-def _not_a_knot_band(spacing: bytes):
+def _not_a_knot_band(dx):
     """Sub-, main and super-diagonal of the not-a-knot slope system for the
-    node spacing given as the bytes of ``np.diff(nodes)``; read-only."""
-    dx = np.frombuffer(spacing)
+    node spacing ``dx``."""
     sub, main, sup = np.zeros(dx.size), np.zeros(dx.size + 1), np.zeros(dx.size)
     sub[:-1] = dx[1:]
     main[1:-1] = 2.0 * (dx[:-1] + dx[1:])
     sup[1:] = dx[:-1]
     main[0], sup[0] = dx[1], dx[0] + dx[1]
     main[-1], sub[-1] = dx[-2], dx[-1] + dx[-2]
-    for diagonal in (sub, main, sup):
-        diagonal.flags.writeable = False
     return sub, main, sup
 
 
@@ -165,8 +161,8 @@ def _node_slopes(dx, slope):
     rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
     d = dx[-1] + dx[-2]
     rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    # dgtsv overwrites its diagonals, so it gets copies of the cached ones.
-    *_, slopes, info = dgtsv(*_not_a_knot_band(dx.tobytes()), rhs, overwrite_b=1)
+    *_, slopes, info = dgtsv(*_not_a_knot_band(dx), rhs, overwrite_dl=1,
+                             overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info:
         raise np.linalg.LinAlgError("singular not-a-knot system")
     return slopes

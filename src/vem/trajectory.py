@@ -7,23 +7,30 @@ stretches the grid and never resamples node values.
 Both evolution equations read the stack of matrices Psi(t_i) -- the
 transposed state transition matrix from t_i to the terminal time -- and
 the cost-gradient kernel lam, the adjoint of lam' = -f_x^T lam - L_x with
-lam(tf) set to the terminal-cost gradient.  Both are the discrete adjoint
-of per-interval maps: given each interval's blocks g_i (n, n) and c_i,
-the backward recurrence (``_backward``)
+lam(tf) set to the terminal-cost gradient.  Both methods build them by
+one route.  Each interval's classic-RK4 tangent, the propagator
+T_i = [[G_i, 0], [c_i^T, 1]] of Z' = [[f_x, 0], [L_x^T, 0]] Z from the
+f_x/L_x rows at its substeps' stage inputs (``_tangent_chain``), gives
+the blocks G_i and c_i.  The backward recurrence of the transposed
+tangents (``_backward``)
 
-    Psi_i = g_i^T Psi_i+1,  lam_i = g_i^T lam_i+1 + c_i,
+    Psi_i = G_i^T Psi_i+1,  lam_i = G_i^T lam_i+1 + c_i,
     Psi_N-1 = I,  lam_N-1 = lam_end
 
-gives them at every node.  It is a unit block-bidiagonal triangular
-system -- the condensing structure of multiple shooting -- so one LAPACK
-banded triangular solve (``dtbtrs``, bandwidth 2n-1, in
-``_bidiagonal_solve``) takes all n+1 columns [Psi | lam] at once, and
-pins Psi_N-1 and lam_N-1 exactly.  The same banded system, solved
-forward (z_0 = r_0, z_i+1 = g_i z_i + r_i+1), is the shooting solve's
-Newton correction and the coupled method's node-state rate
-(``second.state_rhs_second``), so ``TransitionStack`` keeps the blocks
-g_i = Phi(t_i+1, t_i) next to Psi and lam.  The two routes differ in
-where the blocks come from.
+gives Psi and lam at every node: the discrete adjoint of the RK4 maps
+(Hager 2000, Numer. Math. 87), so no backward integration is needed.
+The last column of every T_i is e_n+1, so a tangent is stored as its
+first n columns (N-1, n+1, n) = [G_i; c_i^T], and substeps compose with
+that unit corner added explicitly.  The recurrence is a unit
+block-bidiagonal triangular system -- the condensing structure of
+multiple shooting -- so one LAPACK banded triangular solve (``dtbtrs``,
+bandwidth 2n-1, in ``_bidiagonal_solve``) takes all n+1 columns
+[Psi | lam] at once, and pins Psi_N-1 and lam_N-1 exactly.  The same
+banded system, solved forward (z_0 = r_0, z_i+1 = G_i z_i + r_i+1), is
+the shooting solve's Newton correction and the coupled method's
+node-state rate (``second.state_rhs_second``), so ``TransitionStack``
+keeps the blocks G_i = Phi(t_i+1, t_i) next to Psi and lam.  The two
+methods differ only in where the stage inputs come from.
 
 ``shooting_nodes`` solves for the node states by multiple shooting: the
 control-only method's states and the coupled method's starting states.
@@ -33,46 +40,44 @@ control spline's interval polynomials), and the node states solve
 X_0 = x0, X_i+1 = F_i(X_i).  Newton on all intervals at once needs, per
 pass, one batched RK4 sweep over every interval -- one ``dynamics_rows``
 call per stage and one ``jac_fx_rows``/``grad_lx_rows`` call over all
-4s stage inputs of every interval -- and its correction
-delta_i+1 = G_i delta_i + r_i is the forward recurrence of the same
-banded system, one more ``dtbtrs`` call.  Dynamics affine in x converge
-after one correction.  The tangent of the maps in [x, running cost] is
-the propagator T_i = [[G_i, 0], [c_i^T, 1]] of
-Z' = [[f_x, 0], [L_x^T, 0]] Z; the tangents of a round are reused while
-its width and f_x/L_x stage rows stay bit-equal, so dynamics whose
-Jacobians do not depend on x assemble them once per solve.  The check
-of s reads the stages it already has: each substep's embedded
-third-order estimate e = (h/6)(k4 - f(x_end)), whose end rate is the
-next substep's or the next interval's first stage, and at tf one
+4s stage inputs of every interval, ordered by stage
+(``_stage_columns``) -- and its correction delta_i+1 = G_i delta_i + r_i
+is the forward recurrence of the banded system, one more ``dtbtrs``
+call.  Dynamics affine in x converge after one correction.  The maps'
+tangents in [x, running cost] are the T_i; the tangents of a round are
+reused while its width and f_x/L_x stage rows stay bit-equal, so
+dynamics whose Jacobians do not depend on x assemble them once per
+solve.  The check of s reads the stages it already has: each substep's
+embedded third-order estimate e = (h/6)(k4 - f(x_end)), whose end rate
+is the next substep's or the next interval's first stage, and at tf one
 one-row call, so an affine problem at s = 1 makes 9 stage calls.  s
 doubles until e is within atol + rtol |x_end| in every entry.
-``fused_sweep`` (control-only method) takes g_i = G_i and c_i from T_i,
-and the band of the G_i, built with them, serves its Newton corrections
-and the backward solve.  Psi_0 = Phi(tf, t0)^T,
-so its 1-norm condition number guards the solve: past ``COND_LIMIT``
-(saddle-type dynamics, whose transition matrices grow like exp(2|a|T))
-it raises SingularSystem.  Off-node state rows are the cubic Hermite interpolant of
-the node states and rates.
+``fused_sweep`` (control-only method) ends in ``_backward`` of the
+tangents at the solved nodes, and the band of the G_i, built with them,
+serves its Newton corrections and the backward solve.
+Psi_0 = Phi(tf, t0)^T, so its 1-norm condition number guards the solve:
+past ``COND_LIMIT`` (saddle-type dynamics, whose transition matrices
+grow like exp(2|a|T)) it raises SingularSystem.  Off-node state rows are
+the cubic Hermite interpolant of the node states and rates.
 
 ``transition_stack`` (coupled method, whose states are given node values,
-and the oracles) works along given state and control trajectories.  Psi
-and lam solve a linear ODE there, so no sequential sweep is needed: on
-every grid interval at once, classic RK4 takes the augmented backward
-system Y' = B(t) Y, B = [[-f_x^T, -L_x], [0, 0]], across the interval
-from Y = I, and each propagator [[g_i^T, c_i], [0, 1]] gives the blocks.
+and the oracles) works along given state and control trajectories, so
+the stage inputs are the trajectories' rows and no Newton solve is
+needed.  On every grid interval at once it samples the rows
+[f_x; L_x^T] (``_jacobian_field``) on the interval's stencil, orders
+them by stage with the same ``_stage_columns`` and takes each round's
+tangents with the same ``_tangent_chain`` (``_stencil_tangents``); like
+``fused_sweep`` it ends in ``_backward`` of the tangents.
 ``interval_stencil`` chooses the substep count by step doubling under
 the ``IntegratorOptions`` tolerances.  The first test always compares two
 substeps with one, so the first round samples all five points per
 interval of the 2-substep stencil in one call and the 1-substep estimate
 reads their even points; each later round adds the odd points of the
 next finer stencil.  Each round makes one ``jac_fx_rows`` and one
-``grad_lx_rows`` call over the times it adds.  Both RK4 propagators --
-these and the shooting tangents -- take their steps by one
-``_rk4_linear_step``, and a first substep from Y = I has B as its first
-stage, without a product.  Intervals end at nodes, where the state and
-control splines are joined, so RK4 keeps its order on every interval.  A
-snapshot's cost (``driver.path_cost``, either method) is composite
-Simpson on the same stencil.
+``grad_lx_rows`` call over the times it adds.  Intervals end at nodes,
+where the state and control splines are joined, so RK4 keeps its order
+on every interval.  A snapshot's cost (``driver.path_cost``, either
+method) is composite Simpson on the same stencil.
 
 Every stencil -- the shooting solve's and each ``interval_stencil``
 round -- is laid out per interval, (N-1, K) for the fractions (K,) of
@@ -99,7 +104,7 @@ build)`` returns the value kept under a slot while every array of its key
 has the bits it was built from, and otherwise keeps ``build()``'s once it
 returns.  Its slots hold each shooting round's tangents with their band
 (keyed on the substep width and the f_x/L_x rows); each stencil round's
-propagators (on the grid widths and the round's rows); the last stack
+tangents (on the grid widths and the round's rows); the last stack
 with its band (on the array its blocks were read from and lam_end -- in
 ``fused_sweep`` kept only once Psi_0 passed its condition guard); and
 the driver's last evaluation (on the tau-vector).  Every kept value is
@@ -112,15 +117,15 @@ where f_x = L_x = 0 and every tangent is the identity at any width.
 
 ``propagate_states`` and ``_forward_stack`` (the forward transition
 matrices Phi(t_i, t0)) are oracles: adaptive Dormand-Prince sweeps, which
-the checks and tests hold the shooting solve and both stacks against.
-The banded recurrences are held against log-depth running matrix
-products (``checks.cumulative_products``).
+the checks and tests hold the shooting solve and the shared tangent
+kernel against.  The banded recurrences are held against log-depth
+running matrix products (``checks.cumulative_products``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -291,7 +296,7 @@ def shooting_nodes(problem: OcpProblem, ctrl: ControlTrajectory,
     x0 exactly.  Starting at s = 1, s doubles until every substep's
     embedded third-order estimate at the solved nodes is within
     atol + rtol |x| of its end state x in every entry.  Returns the nodes
-    (N, n), the tangents (N-1, n+1, n+1, read-only) of the maps in
+    (N, n), the tangents (N-1, n+1, n, read-only) of the maps in
     [x, running cost] at them and the ``_band`` of their blocks G_i; the
     tangents are ``kept``'s, fresh ones without it.
 
@@ -338,10 +343,9 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
     lam_end = np.asarray(problem.grad_phix(nodes[-1], grid.tf), dtype=float)
 
     def guarded():
-        n = problem.n
         # T_i = [[G_i, 0], [c_i^T, 1]], whose G_i's band the shooting solve
         # built along with them.
-        stack = _backward(tangents[:, :n, :n], tangents[:, n, :n], lam_end, band)
+        stack = _backward(tangents[:, :-1], tangents[:, -1], lam_end, band)
         cond = float(_one_norm_cond(stack.psi[0]))
         if cond == np.inf:
             raise SingularSystem("singular forward transition matrix")
@@ -465,22 +469,42 @@ def _rk4_maps(problem: OcpProblem, starts, ts, us, h):
     return x, stages, rates
 
 
-def _tangent_chain(fx, lx, h):
-    """The s-substep RK4 propagators of Z' = [[f_x, 0], [L_x^T, 0]] Z
-    across every interval, (K, n+1, n+1) read-only, and the ``_band`` of
-    their blocks G_i, from the f_x (4sK, n, n) and L_x (4sK, n) rows at
-    the substeps' stage inputs, ordered by stage, substep, interval; all s
-    substep propagators are one batched ``_rk4_linear_step``."""
-    k, n = len(h), fx.shape[1]
-    b = np.zeros((len(fx), n + 1, n + 1))
-    b[:, :n, :n] = fx
-    b[:, n, :n] = lx
-    # From Z = I a substep's first stage is B itself.
-    steps = _rk4_linear_step(np.eye(n + 1), *b.reshape(4, -1, k, n + 1, n + 1),
-                             h[:, :, None])
-    chain = reduce(lambda chain, step: step @ chain, steps)
+def _stage_columns(s: int) -> np.ndarray:
+    """The columns of the (2s+1)-point stencil of s RK4 substeps that their
+    stage inputs read, ordered by stage, then substep: stage i of substep
+    j reads column 2j + (0, 1, 1, 2)[i]."""
+    return (2 * np.arange(s) + np.array([[0], [1], [1], [2]])).ravel()
+
+
+def _tangent_chain(b, h):
+    """The s-substep RK4 propagators T = [[G, 0], [c^T, 1]] of
+    Z' = [[f_x, 0], [L_x^T, 0]] Z across every interval, as their first n
+    columns (K, n+1, n), read-only (the last column is e_n+1), from the
+    rows b = [f_x; L_x^T] (4sK, n+1, n) at the substeps' stage inputs,
+    ordered by stage, substep, interval (``_stage_columns``), and the
+    substep widths h (K, 1).  All s substep propagators are one batched
+    RK4 step from Z = I, whose first stage is B itself; B's zero last
+    column makes B Z read only Z's first n rows.  Substeps compose as
+    T_2 T_1 = [G_2 G_1; c_2^T G_1 + c_1^T] with the unit corner added
+    explicitly."""
+    k, (rows, n) = len(h), b.shape[1:]
+    shape = (k, rows, n)
+    # Widths and identity spread to full block shape, so each elementwise
+    # operation runs one loop over every entry.
+    h = np.broadcast_to(h[:, :, None], shape).copy()
+    eye = np.broadcast_to(np.eye(rows, n), shape).copy()
+    half, sixth = 0.5 * h, h / 6.0
+    b1, b2, b3, b4 = b.reshape((4, -1) + shape)
+    k2 = b2 @ (eye + half * b1)[..., :n, :]
+    k3 = b3 @ (eye + half * k2)[..., :n, :]
+    k4 = b4 @ (eye + h * k3)[..., :n, :]
+    steps = eye + sixth * (b1 + 2.0 * (k2 + k3) + k4)
+    chain = steps[0]
+    for step in steps[1:]:
+        chain, corner = step @ chain[:, :n], chain[:, n]
+        chain[:, n] += corner
     chain.flags.writeable = False
-    return chain, _band(chain[:, :n, :n])
+    return chain
 
 
 def _same(a, b) -> bool:
@@ -491,7 +515,7 @@ def _same(a, b) -> bool:
 
 
 def _tangents(problem: OcpProblem, rows, h, stages, kept: KeptBlocks):
-    """The tangents (K, n+1, n+1), read-only, of the s-substep RK4 maps
+    """The tangents (K, n+1, n), read-only, of the s-substep RK4 maps
     with substep width ``h`` (K, 1), and the ``_band`` of their blocks
     G_i: each tangent is the interval's propagator of
     Z' = [[f_x, 0], [L_x^T, 0]] Z, the derivative of its map applied to
@@ -509,7 +533,12 @@ def _tangents(problem: OcpProblem, rows, h, stages, kept: KeptBlocks):
     xs = np.concatenate([stage[i] for i in range(4) for stage in stages])
     fx = np.asarray(problem.jac_fx_rows(xs, *rows), dtype=float)
     lx = np.asarray(problem.grad_lx_rows(xs, *rows), dtype=float)
-    return kept.get(("tangents", s), (h, fx, lx), lambda: _tangent_chain(fx, lx, h))
+
+    def build():
+        tangents = _tangent_chain(np.concatenate([fx, lx[:, None]], axis=1), h)
+        return tangents, _band(tangents[:, :-1])
+
+    return kept.get(("tangents", s), (h, fx, lx), build)
 
 
 def _shoot(problem: OcpProblem, ts, us, nodes, kept: KeptBlocks):
@@ -542,8 +571,8 @@ def _shoot(problem: OcpProblem, ts, us, nodes, kept: KeptBlocks):
     # them as (K, 1).
     maps = (ts, us, dt.repeat(n, axis=1) / s)
     # The stage inputs' controls and times for the Jacobian rows, the same
-    # every pass: stage i of substep j reads column 2j + (0, 1, 1, 2)[i].
-    cols = (2 * np.arange(s) + np.array([[0], [1], [1], [2]])).ravel()
+    # every pass.
+    cols = _stage_columns(s)
     h = dt / s
     rows = (us[:, cols].swapaxes(0, 1).reshape(cols.size * k, -1),
             ts[:, cols].T.ravel())
@@ -663,62 +692,47 @@ def transition_stack(problem: OcpProblem, states: StateTrajectory,
                      ctrl: ControlTrajectory,
                      opts: Optional[IntegratorOptions] = None,
                      kept: Optional[KeptBlocks] = None) -> TransitionStack:
-    """Psi at every node plus the adjoint: per-interval RK4 propagators
-    of Y' = B Y (``_propagators``), taken from the end by ``_backward``
-    (module docstring).  With ``kept`` the propagators and the stack are
-    ``kept``'s while their keys repeat; without it both are built
-    afresh."""
+    """Psi at every node plus the adjoint along the given trajectories:
+    the RK4 tangents of every interval (``_stencil_tangents`` of the
+    ``_jacobian_field`` rows, refined by ``interval_stencil``), taken from
+    the end by ``_backward`` (module docstring).  With ``kept`` the
+    tangents and the stack are ``kept``'s while their keys repeat; without
+    it both are built afresh."""
     kept = kept or KeptBlocks()
     grid = states.grid
     lam_end = np.asarray(problem.grad_phix(states.values[-1], grid.tf), dtype=float)
-    steps = interval_stencil(grid, _backward_field(problem, states, ctrl),
-                             _propagators, opts, kept)
-    n = problem.n
-    g = np.swapaxes(steps[:, :n, :n], 1, 2)
-    # S_i = [[g_i^T, c_i], [0, 1]].
-    return kept.get("stack", (steps, lam_end), lambda: _backward(
-        g, steps[:, :n, n], lam_end, _band(g)))
+    tangents = interval_stencil(grid, _jacobian_field(problem, states, ctrl),
+                                _stencil_tangents, opts, kept)
+    g = tangents[:, :-1]
+    return kept.get("stack", (tangents, lam_end), lambda: _backward(
+        g, tangents[:, -1], lam_end, _band(g)))
 
 
-def _backward_field(problem: OcpProblem, states: StateTrajectory,
+def _jacobian_field(problem: OcpProblem, states: StateTrajectory,
                     ctrl: ControlTrajectory):
-    """The sampler of B(t) = [[-f_x^T, -L_x], [0, 0]] along the given
+    """The sampler of the rows [f_x; L_x^T] (n+1, n) along the given
     trajectories for ``interval_stencil``: one ``path_rows`` read and two
     row-form calls per round."""
     n = problem.n
 
     def sample(ts, frac):
         rows = path_rows(states, ctrl, ts, frac)
-        a = np.asarray(problem.jac_fx_rows(*rows), dtype=float)
-        lx = np.asarray(problem.grad_lx_rows(*rows), dtype=float)
-        b = np.zeros((ts.size, n + 1, n + 1))
-        b[:, :n, :n] = -np.swapaxes(a, 1, 2)
-        b[:, :n, n] = -lx
+        b = np.empty((ts.size, n + 1, n))
+        b[:, :n] = problem.jac_fx_rows(*rows)
+        b[:, n] = problem.grad_lx_rows(*rows)
         return b.reshape(ts.shape + b.shape[1:])
 
     return sample
 
 
-def _propagators(b, dt):
-    """RK4 from each interval's right end to its left end, applied to the
-    identity; ``b`` holds the stencil rows (N-1, 2s+1, n+1, n+1).  The
-    first substep starts from Y = I, where k1 is B at the right end."""
-    s = (b.shape[1] - 1) // 2
-    h = (-dt / s)[:, None, None]
-    y = _rk4_linear_step(np.eye(b.shape[2]), b[:, -1], b[:, -2], b[:, -2], b[:, -3], h)
-    for j in range(2 * s - 2, 0, -2):
-        y = _rk4_linear_step(y, b[:, j] @ y, b[:, j - 1], b[:, j - 1], b[:, j - 2], h)
-    return y
-
-
-def _rk4_linear_step(y, k1, b2, b3, b4, h):
-    """One classic-RK4 step of Y' = B Y from Y, given its first stage
-    k1 = B Y and the matrices B of stages 2, 3 and 4 (at a midpoint, the
-    midpoint again and the step's end, for a fixed linear field)."""
-    k2 = b2 @ (y + 0.5 * h * k1)
-    k3 = b3 @ (y + 0.5 * h * k2)
-    k4 = b4 @ (y + h * k3)
-    return y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+def _stencil_tangents(rows, dt):
+    """The s-substep RK4 tangents (``_tangent_chain``) of every interval
+    from the rows (N-1, 2s+1, n+1, n) of its s-substep stencil and the
+    interval widths ``dt``: the shooting solve's tangents along given
+    trajectories."""
+    s = (rows.shape[1] - 1) // 2
+    b = rows[:, _stage_columns(s)].swapaxes(0, 1)
+    return _tangent_chain(b.reshape((-1,) + rows.shape[2:]), (dt / s)[:, None])
 
 
 def interval_stencil(grid: TimeGrid, sample, estimate,

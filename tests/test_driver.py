@@ -367,9 +367,9 @@ class TestKeptBlocks:
 
     @staticmethod
     def _builds(monkeypatch):
-        """Calls of the three builders and of the two evaluations, by
+        """Calls of the two builders and of the two evaluations, by
         name."""
-        counts = dict.fromkeys(("_tangent_chain", "_propagators", "_backward",
+        counts = dict.fromkeys(("_tangent_chain", "_backward",
                                 "fused_sweep", "transition_stack"), 0)
 
         def counting(module, name):
@@ -380,7 +380,7 @@ class TestKeptBlocks:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("_tangent_chain", "_propagators", "_backward"):
+        for name in ("_tangent_chain", "_backward"):
             counting(trajectory, name)
         for name in ("fused_sweep", "transition_stack"):
             counting(driver, name)
@@ -428,30 +428,29 @@ class TestKeptBlocks:
     def test_time_varying_rows_reuse_every_round(self, monkeypatch):
         # The oscillator's stencil takes more than one round, and rows that
         # move with t alone repeat at every evaluation on a fixed horizon:
-        # every round is built once.
+        # every round is built once (past the start's shooting tangents).
         counts = self._builds(monkeypatch)
         bench = _oscillator()
         system = assemble_ivp(bench.problem, "second", bench.default_nodes,
                               bench.gains)
-        built = counts["_propagators"]
-        assert built > 2
+        built = counts["_tangent_chain"]
+        assert built > 3
         system.rhs(0.0, system.y0 + 0.1)
-        assert counts["_propagators"] == built
+        assert counts["_tangent_chain"] == built
         assert counts["_backward"] == 1
 
     @pytest.mark.parametrize("method", ["third", "second"])
     def test_double_integrator_builds_once_per_solve(self, di, method,
                                                      monkeypatch):
         # f_x and L_x do not move and the horizon is fixed: one set of
-        # tangents (the coupled start's shooting solve makes its own), the
-        # first stencil round's two propagator calls, and one backward
-        # solve, for the whole solve.
+        # shooting tangents (the coupled start's), the first stencil
+        # round's two tangent builds (E_1 and E_2) on the coupled method,
+        # and one backward solve, for the whole solve.
         counts = self._builds(monkeypatch)
         solve_benchmark(di, method, tau_end=5.0, early_stop=False)
         evaluations = counts["fused_sweep"] + counts["transition_stack"]
         assert evaluations > 10
-        assert counts["_tangent_chain"] == 1
-        assert counts["_propagators"] == (2 if method == "second" else 0)
+        assert counts["_tangent_chain"] == (3 if method == "second" else 1)
         assert counts["_backward"] == 1
 
     @pytest.mark.parametrize("method", ["third", "second"])
@@ -460,11 +459,12 @@ class TestKeptBlocks:
             self, make, method, request, monkeypatch):
         # The brachistochrone's f_x rows move with its controls; the
         # shrinking horizon's rows are zeros throughout, but its widths
-        # move.  Either way each evaluation builds its own tangents or
-        # propagators.  The brachistochrone's blocks move with them, so
-        # each evaluation solves for its own stack; the shrinking
-        # horizon's tangents are the identity at any width, so its blocks and
-        # lam_end repeat bit for bit and one backward solve serves all.
+        # move.  Either way each evaluation builds its own tangents: the
+        # shooting solve's, or E_1, E_2 and any later stencil round's.  The
+        # brachistochrone's blocks move with them, so each evaluation
+        # solves for its own stack; the shrinking horizon's tangents are
+        # the identity at any width, so its blocks and lam_end repeat bit
+        # for bit and one backward solve serves all.
         bench = (shrinking_horizon() if make == "shrinking"
                  else request.getfixturevalue(make))
         counts = self._builds(monkeypatch)
@@ -475,7 +475,7 @@ class TestKeptBlocks:
         if method == "third":
             assert counts["_tangent_chain"] == evaluations
         else:
-            assert counts["_propagators"] >= 2 * evaluations
+            assert counts["_tangent_chain"] >= 2 * evaluations
 
 
 def _recording(bench, calls, names):

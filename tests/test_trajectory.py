@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib.util
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from vem import (
 )
 from vem import checks, driver, second, trajectory
 from vem.errors import NonFiniteDynamics, NonFiniteField, SingularSystem, StepFailure
-from vem.checks import cumulative_products
+from vem.checks import cumulative_products, full_tangents
 from vem.numerics import hermite_build, spline_build
 from vem.problems import brachistochrone, double_integrator, tracking_fixture
 from vem.rk45 import rk45_integrate
@@ -58,10 +59,11 @@ def _counting(problem, calls, *names):
 
 def _shooting_phi(problem, ctrl, grid, opts=None):
     """Phi(t_i, t0) of the shooting solve: running products of its maps'
-    tangents from the identity."""
+    full tangents from the identity."""
     n = problem.n
     _, tangents, _ = trajectory.shooting_nodes(problem, ctrl, grid, opts)
-    z = cumulative_products(np.concatenate([np.eye(n + 1)[None], tangents]))
+    z = cumulative_products(np.concatenate([np.eye(n + 1)[None],
+                                            full_tangents(tangents)]))
     return z[:, :n, :n]
 
 
@@ -295,8 +297,8 @@ class TestFusedSweep:
         def flattened(*args):
             nodes, tangents, _ = shoot(*args)
             tangents = tangents.copy()
-            tangents[0, :-1, :-1] = 0.0
-            return nodes, tangents, trajectory._band(tangents[:, :-1, :-1])
+            tangents[0, :-1] = 0.0
+            return nodes, tangents, trajectory._band(tangents[:, :-1])
 
         monkeypatch.setattr(trajectory, "shooting_nodes", flattened)
         p = brach.problem
@@ -539,7 +541,7 @@ class TestShooting:
         # refines to two substeps.  Each pass of either round makes one
         # f_x and one L_x call over all its stage inputs, 4 s (N - 1)
         # rows, and the round's tangents are bit for bit the product of
-        # per-substep steps built from each substep's own rows.
+        # per-substep tangents built from each substep's own rows.
         p = brach.problem
         grid = TimeGrid(101, p.t0, p.tf)
         ctrl = ControlTrajectory.from_values(
@@ -563,17 +565,16 @@ class TestShooting:
                          for name in names]
         xs, us, ts = (a.reshape((4, 2, 100) + a.shape[1:])
                       for a in last["jac_fx_rows"])
-        n, h = p.n, (grid.widths / 2)[:, None, None]
+        n, h = p.n, (grid.widths / 2)[:, None]
         steps = []
         for j in range(2):
             rows = (xs[:, j].reshape(400, n), us[:, j].reshape(400, -1),
                     ts[:, j].ravel())
-            b = np.zeros((400, n + 1, n + 1))
-            b[:, :n, :n] = p.jac_fx_rows(*rows)
-            b[:, n, :n] = p.grad_lx_rows(*rows)
-            steps.append(trajectory._rk4_linear_step(
-                np.eye(n + 1), *b.reshape(4, 100, n + 1, n + 1), h))
-        assert np.array_equal(tangents, steps[1] @ steps[0])
+            b = np.empty((400, n + 1, n))
+            b[:, :n] = p.jac_fx_rows(*rows)
+            b[:, n] = p.grad_lx_rows(*rows)
+            steps.append(full_tangents(trajectory._tangent_chain(b, h)))
+        assert np.array_equal(full_tangents(tangents), steps[1] @ steps[0])
 
     @pytest.mark.parametrize("make", [brachistochrone, _pendulum_problem])
     def test_forced_fallback_matches_newton(self, make, monkeypatch):
@@ -684,6 +685,75 @@ class TestShooting:
         history = evolve(system, 20.0, early_stop=False)
         assert len(history.snapshots) >= 3
         assert runs == ["outer"]
+
+
+def _full_kernel(fx, lx, h):
+    """The (n+1, n+1) tangent kernel the n-column one replaced, as the
+    reference: per substep one RK4 step of Z' = B Z from the full identity
+    with the widths h (K, 1) broadcast, composed by full matrix products,
+    newest substep on the left.  Returns the tangents (K, n+1, n+1) and
+    the ``_band`` of their blocks."""
+    k, n = len(h), fx.shape[1]
+    b = np.zeros((len(fx), n + 1, n + 1))
+    b[:, :n, :n] = fx
+    b[:, n, :n] = lx
+    y, k1, b2, b3, b4 = np.eye(n + 1), *b.reshape(4, -1, k, n + 1, n + 1)
+    h = h[:, :, None]
+    k2 = b2 @ (y + 0.5 * h * k1)
+    k3 = b3 @ (y + 0.5 * h * k2)
+    k4 = b4 @ (y + h * k3)
+    steps = y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+    chain = functools.reduce(lambda chain, step: step @ chain, steps)
+    return chain, trajectory._band(chain[:, :n, :n])
+
+
+class TestTangentKernel:
+    """The n-column tangents (``_tangent_chain``) against the full
+    (n+1, n+1) kernel, bit for bit."""
+
+    PROBLEMS = {
+        "double-integrator": lambda: double_integrator().problem,
+        "brachistochrone": lambda: brachistochrone().problem,
+        "tracking": lambda: tracking_fixture().problem,
+        "pendulum": _pendulum_problem,
+    }
+
+    @pytest.mark.parametrize("s", [1, 2, 4])
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_first_columns_and_band_are_the_full_kernels(self, name, s):
+        # Exact-zero f_x entries (double integrator, brachistochrone) and
+        # x-dependent rows (tracking fixture's L_x, the pendulum's f_x), at
+        # the stage inputs of s substeps on a stencil of propagated states.
+        # The shooting solve's assembly (``_tangents``) gives the first n
+        # columns and the band of the full kernel byte for byte, and the
+        # full kernel's last column is e_n+1 exactly.
+        p = self.PROBLEMS[name]()
+        grid = TimeGrid(21, p.t0, p.tf)
+        ctrl = ControlTrajectory.from_values(
+            grid, smooth_controls(grid, p.m, np.random.default_rng(6), scale=1.0))
+        states = propagate_states(p, ctrl, grid)
+        frac = np.arange(2 * s + 1) / (2 * s)
+        k, n, cols = grid.n_nodes - 1, p.n, trajectory._stage_columns(s)
+
+        def staged(a):
+            """Stencil rows (K (2s+1), ...) ordered by stage, substep,
+            interval."""
+            a = a.reshape((k, 2 * s + 1) + a.shape[1:])[:, cols]
+            return a.swapaxes(0, 1).reshape((-1,) + a.shape[2:])
+
+        xs, us, ts = map(staged, trajectory.path_rows(
+            states, ctrl, trajectory.stencil_times(grid, frac), frac))
+        by_stage = xs.reshape(4, s, k, n)
+        stages = [tuple(by_stage[:, j]) for j in range(s)]
+        h = (grid.widths / s)[:, None]
+        tangents, band = trajectory._tangents(p, (us, ts), h, stages,
+                                              trajectory.KeptBlocks())
+        full, full_band = _full_kernel(p.jac_fx_rows(xs, us, ts),
+                                       p.grad_lx_rows(xs, us, ts), h)
+        assert tangents.shape == (k, n + 1, n)
+        assert tangents.tobytes() == np.ascontiguousarray(full[:, :, :n]).tobytes()
+        assert band.tobytes() == full_band.tobytes()
+        assert np.array_equal(full[:, :, n], np.eye(n + 1)[None, n].repeat(k, axis=0))
 
 
 class TestIntervalStencil:
@@ -861,9 +931,9 @@ class TestBatchedStack:
                               p.grad_phix(states.values[-1], grid.tf))
 
     def test_state_cost_through_a_nonsymmetric_flow(self):
-        # B = [[-f_x^T, -L_x], [0, 0]]: a missing transpose or a sign slip
-        # in the L_x column shows against the fused sweep only with n >= 2,
-        # a non-symmetric f_x and a nonzero L_x.
+        # The stencil rows [f_x; L_x^T]: a transposed f_x block or a slip
+        # in the L_x row shows against the fused sweep only with n >= 2, a
+        # non-symmetric f_x and a nonzero L_x.
         problem = _state_cost_problem(np.array([[0.0, 1.0], [-0.4, -0.3]]))
         grid, ctrl, states = self._along(problem, n_nodes=31)
         stack = transition_stack(problem, states, ctrl, TIGHT)
@@ -871,6 +941,43 @@ class TestBatchedStack:
         assert np.max(np.abs(stack.psi - fused.psi)) <= 1e-8
         assert np.max(np.abs(stack.adjoint - fused.adjoint)) <= 1e-8
         assert np.max(np.abs(fused.adjoint[0])) > 0.1
+
+    @pytest.mark.parametrize("opts", [IntegratorOptions(), TIGHT],
+                             ids=["default", "tight"])
+    @pytest.mark.parametrize("make", [double_integrator, brachistochrone,
+                                      tracking_fixture])
+    def test_stack_is_the_shared_tangent_route(self, make, opts, monkeypatch):
+        # Along given states the coupled stack is the control-only route:
+        # the blocks and adjoint increments handed to ``_backward`` are
+        # ``_tangent_chain`` of the final round's stencil rows [f_x; L_x^T]
+        # in stage order, and Psi, lam and the band are ``_backward``'s of
+        # them, all bit for bit.
+        p = make().problem
+        grid, ctrl, states = self._along(p)
+        calls, handed, backward = [], [], trajectory._backward
+
+        def recording(g, c, lam_end, band):
+            handed.append((g, c))
+            return backward(g, c, lam_end, band)
+
+        monkeypatch.setattr(trajectory, "_backward", recording)
+        stack = transition_stack(self._counting(p, calls), states, ctrl, opts)
+        # Round r samples the 2^r-substep stencil.
+        s, n = 2 ** (len(calls) // 2), p.n
+        frac = np.arange(2 * s + 1) / (2 * s)
+        rows = trajectory._jacobian_field(p, states, ctrl)(
+            trajectory.stencil_times(grid, frac), frac)
+        b = rows[:, trajectory._stage_columns(s)].swapaxes(0, 1)
+        tangents = trajectory._tangent_chain(b.reshape(-1, n + 1, n),
+                                             (grid.widths / s)[:, None])
+        [(g, c)] = handed
+        assert g.tobytes() == tangents[:, :n].tobytes()
+        assert c.tobytes() == tangents[:, n].tobytes()
+        ref = backward(g, c, np.asarray(p.grad_phix(states.values[-1], grid.tf),
+                                        dtype=float), trajectory._band(g))
+        for got, want in ((stack.blocks, g), (stack.band, ref.band),
+                          (stack.psi, ref.psi), (stack.adjoint, ref.adjoint)):
+            assert got.tobytes() == want.tobytes()
 
     def test_one_row_call_each_per_round(self, brach):
         # The first round takes the 5(N-1) points of the 2-substep

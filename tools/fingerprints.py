@@ -1,0 +1,63 @@
+"""Print one line per benchmark solve: its workload, label and seed, the
+digest of its snapshots (``fingerprint`` of ``perfbench/workloads.py``)
+and its errors e_J, e_u and e_x.
+
+    python tools/fingerprints.py [root]    # root defaults to this checkout
+
+It solves every start of the three perfbench workloads at seeds 1 and 7
+and the four acceptance runs (zero guess, default N, tau = 300, early
+stop off), with the package under ``root/src`` and the workload
+definitions of ``root/perfbench``, which it imports and does not change.
+Two checkouts print the same line for a solve exactly when that solve
+gives the same bits, so the diff of their outputs names the solves that
+moved and by how much their errors did.  BLAS runs on one thread, as in
+the benchmark.
+"""
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+SEEDS = (1, 7)
+
+
+def _workloads(root: Path):
+    """``perfbench/workloads.py`` of ``root``, imported by its path."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", root / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while they are built.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def main(argv) -> int:
+    root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
+    sys.path.insert(0, str(root / "src"))
+    from vem import driver, get_benchmark
+
+    wl = _workloads(root)
+    benchmarks = {name: get_benchmark(name) for name in (wl.DI, wl.BR)}
+    runs = [(name, seed, item) for name, workload in wl.WORKLOADS.items()
+            for seed in SEEDS for item in wl.draw_inputs(workload, seed, benchmarks)]
+    runs += [("acceptance", "-", wl.SolveInput(spec, None, None))
+             for spec, _, _ in wl.BASELINE]
+    for name, seed, item in runs:
+        head = f"{name} {item.spec.label} seed={seed}"
+        try:
+            result = wl.outcome(item, *wl.solve(driver, benchmarks, item))
+        except Exception as exc:  # a failed solve is a line of its own
+            print(f"{head} failed {type(exc).__name__}: {exc}")
+            continue
+        print(f"{head} {result.fingerprint} e_J={result.e_J:.6e} "
+              f"e_u={result.e_u:.6e} e_x={result.e_x:.6e}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -286,13 +286,13 @@ def quadrature_gradient(problem, states, ctrl, fwd, xdot_nodes=None):
     return gu
 
 
-def variational_state_rate(problem, snap, udot_nodes, gains,
-                           mode="quasi_feasible", opts=None):
+def variational_state_rate(problem, snap, udot_nodes, mode="quasi_feasible",
+                           opts=None):
     """The coupled node-state rate, (N, n), from its forward variational
     problem
 
-        w' = f_x w + f_u udot(t) [- K_f (xdot - f)],  w(t0) = 0
-        (modified: -K_x0 (x(t0) - x0))
+        w' = f_x w + f_u udot(t) [- (xdot - f)],  w(t0) = 0
+        (modified: -(x(t0) - x0))
 
     on the spline-interpolated rates, integrated by Dormand-Prince.  It
     equals the convolution ``second.state_rhs_second`` up to quadrature
@@ -302,11 +302,7 @@ def variational_state_rate(problem, snap, udot_nodes, gains,
     grid = snap.grid
     udot_nodes = np.atleast_2d(np.asarray(udot_nodes, dtype=float))
     modified = mode == "modified"
-    if modified:
-        kf = gains.kf(problem.n)
-        w0 = -gains.kx0(problem.n) @ (snap.states[0] - problem.x0)
-    else:
-        w0 = np.zeros(problem.n)
+    w0 = -(snap.states[0] - problem.x0) if modified else np.zeros(problem.n)
     udot_spline = spline_build(grid.times, udot_nodes)
     if modified:
         xdot_spline = spline_build(grid.times, snap.xdot)
@@ -319,7 +315,7 @@ def variational_state_rate(problem, snap, udot_nodes, gains,
         out = a @ w + b @ udot_spline.eval(t)
         if modified:
             f_here = np.asarray(problem.dynamics(x, u, t), dtype=float)
-            out = out - kf @ (xdot_spline.eval(t) - f_here)
+            out = out - (xdot_spline.eval(t) - f_here)
         return out
 
     path = rk45_integrate(field_fn, w0, (grid.t0, grid.tf), opts)
@@ -420,7 +416,7 @@ def _convolution_gap(seed):
     snap = second_eq.SecondEqSnapshot.create(
         grid, np.stack([bench.reference.state(t) for t in grid.times]),
         np.stack([bench.reference.control(t) for t in grid.times]))
-    via_ivp = variational_state_rate(p, snap, udot, bench.gains, opts=TIGHT)
+    via_ivp = variational_state_rate(p, snap, udot, opts=TIGHT)
     spline = spline_build(grid.times, udot)
 
     worst = 0.0
@@ -442,8 +438,8 @@ def multiplier_assembly(problem, nodes, stack, gu, gains, mode="quasi_feasible",
     costates) by the Psi^T f_u-first assembly, with einsums over every
     node, ``grid_quadrature`` of the integrands, and g_x and phi_x read
     where each term needs them.  ``mode`` is a coupled variant; the
-    modified one adds the K_x0 and K_f corrections for the dynamics
-    ``defect`` and takes the terminal bracket along ``xdot_end``."""
+    modified one adds the initial-condition and dynamics ``defect``
+    corrections and takes the terminal bracket along ``xdot_end``."""
     times, x_end, tf = nodes.grid.times, nodes.xs[-1], nodes.grid.tf
     gx = np.asarray(problem.jac_gx(x_end, tf), dtype=float)
     psit_fu = np.einsum("iba,ibm->iam", stack.psi, nodes.fu)
@@ -464,9 +460,8 @@ def multiplier_assembly(problem, nodes, stack, gu, gains, mode="quasi_feasible",
     if mode != "feasible":
         r = r - gains.K_g @ np.asarray(problem.constraint(x_end, tf), dtype=float)
     if mode == "modified":
-        init_err = nodes.xs[0] - problem.x0
-        r = r + gx @ (stack.psi[0].T @ (gains.kx0(problem.n) @ init_err))
-        carried = np.einsum("iba,ib->ia", stack.psi, defect @ gains.kf(problem.n).T)
+        r = r + gx @ (stack.psi[0].T @ (nodes.xs[0] - problem.x0))
+        carried = np.einsum("iba,ib->ia", stack.psi, defect)
         r = r + gx @ grid_quadrature(times, carried)
     pi = -np.linalg.solve(mat, r)
     pull = np.einsum("inj,j->in", stack.psi, gx.T @ pi)

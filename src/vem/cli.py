@@ -57,7 +57,7 @@ def _gains_from_args(bench, args) -> GainSet:
     if args.gain_kg is not None and bench.problem.q > 0:
         kg = np.diag(np.full(bench.problem.q, args.gain_kg))
     ktf = base.k_tf if args.gain_ktf is None else args.gain_ktf
-    return GainSet(K=k, K_g=kg, k_tf=ktf, K_x0=base.K_x0, K_f=base.K_f)
+    return GainSet(K=k, K_g=kg, k_tf=ktf)
 
 
 def _opts_from_args(args) -> IntegratorOptions:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import second as second_eq
 from . import third as third_eq
-from .errors import TfCollapse, VemError
+from .errors import DegenerateGrid, TfCollapse, VemError
 from .ocp import GainSet, OcpProblem
 from .rk45 import IntegratorOptions, rk45_integrate
 from .trajectory import (
@@ -259,6 +259,10 @@ class EvolutionSystem:
         if horizon - self.problem.t0 < TF_MIN_WIDTH:
             raise TfCollapse(f"horizon width {horizon - self.problem.t0:.3e} "
                              f"below {TF_MIN_WIDTH:g}")
+        # A NaN or +inf end, which TimeGrid would reject as a bad argument,
+        # is a solver failure of the run that reached it.
+        if not np.isfinite(horizon):
+            raise DegenerateGrid(f"horizon end {horizon} is not finite")
         return TimeGrid(self.layout.n_nodes, self.problem.t0, horizon)
 
     def evaluate(self, vec) -> Evaluation:
@@ -321,8 +325,7 @@ class EvolutionSystem:
         wdot = tf_dot = None
         if snap is not None:
             wdot = second_eq.state_rhs_second(problem, nodes, ev.stack, udot,
-                                              self.gains, self.mode,
-                                              defect=ev.defect)
+                                              self.mode, defect=ev.defect)
         if problem.tf_free and snap is None:
             tf_dot = third_eq.tf_rhs(ev.terms.bracket, ev.pi, self.gains)
         elif problem.tf_free:
@@ -478,18 +481,15 @@ def evolve(system: EvolutionSystem, tau_end: float,
             return False
         return res.transversality is None or res.transversality <= TRANSVERSALITY_TOL
 
-    trace = [(0.0, system.y0.copy())]
-
     def on_step(tau, vec):
-        trace.append((float(tau), vec.copy()))
         return early_stop and converged(vec)
 
     try:
         path = rk45_integrate(system.rhs, system.y0, (0.0, tau_end), opts,
                               on_step=on_step)
     except VemError as exc:
-        exc.history = _history_from_trace(system, trace, requested,
-                                          type(exc).__name__)
+        exc.history = _history_from_path(system, exc.path, requested,
+                                         type(exc).__name__)
         raise
 
     reason = "converged" if path.stopped else "tau_end"
@@ -500,18 +500,19 @@ def evolve(system: EvolutionSystem, tau_end: float,
     return history
 
 
-def _history_from_trace(system, trace, requested, reason) -> EvolutionHistory:
-    reached = trace[-1][0]
-    taus = np.array([t for t, _ in trace])
+def _history_from_path(system, path, requested, reason) -> EvolutionHistory:
+    """Snapshots of a failed run at its accepted steps: per requested tau
+    the last step at or before it, each step once; a snapshot that raises
+    is skipped."""
     history = EvolutionHistory(termination_reason=reason)
     seen = set()
-    for tau in _select_snapshots(requested, reached):
-        idx = int(np.searchsorted(taus, tau, side="right") - 1)
+    for tau in _select_snapshots(requested, path.t_end):
+        idx = int(np.searchsorted(path.ts, tau, side="right") - 1)
         if idx in seen:
             continue
         seen.add(idx)
         try:
-            history.snapshots.append(system.snapshot(taus[idx], trace[idx][1]))
+            history.snapshots.append(system.snapshot(path.ts[idx], path.ys[idx]))
         except VemError:
             continue
     return history

@@ -220,30 +220,22 @@ class GainSet:
     """Positive-definite evolution gains.
 
     ``K`` drives the control channels, ``K_g`` the terminal-constraint
-    attraction, ``k_tf`` the terminal-time channel.  ``K_x0`` and ``K_f``
-    only enter the modified (infeasible-domain) formulation and default
-    to identity matrices when first used.
+    attraction, ``k_tf`` the terminal-time channel.  The modified
+    (infeasible-domain) formulation feeds its initial-condition error and
+    dynamics defect back with unit gain.
     """
 
     K: np.ndarray
     K_g: Optional[np.ndarray] = None
     k_tf: float = 0.05
-    K_x0: Optional[np.ndarray] = None
-    K_f: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for name in ("K", "K_g", "K_x0", "K_f"):
+        for name in ("K", "K_g"):
             mat = getattr(self, name)
             if name == "K" or mat is not None:
                 object.__setattr__(self, name, _require_spd(name, mat))
         if not 0.0 < self.k_tf < np.inf:
             raise ValueError("k_tf must be positive and finite")
-
-    def kx0(self, n: int) -> np.ndarray:
-        return self.K_x0 if self.K_x0 is not None else np.eye(n)
-
-    def kf(self, n: int) -> np.ndarray:
-        return self.K_f if self.K_f is not None else np.eye(n)
 
 
 @dataclass

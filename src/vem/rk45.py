@@ -2,8 +2,9 @@
 
 The stepper mirrors classic ode45 behaviour: a seven-stage pair with
 proportional step control on the embedded 4th/5th-order error estimate
-and a quartic interpolant for evaluation between accepted steps.  Both
-forward and backward spans are supported.
+and a quartic interpolant for evaluation between accepted steps.  Spans
+run forward only.  A VemError leaving the integrator, from the field or
+the stepper, carries the steps accepted so far as ``exc.path``.
 
 The seventh stage is evaluated at the accepted solution itself (the pair
 is first-same-as-last), so the field's last call of an accepted step sees
@@ -29,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteField, StepFailure
+from .errors import NonFiniteField, StepFailure, VemError
 
 # Butcher tableau (Dormand & Prince 1980).
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -95,18 +96,17 @@ class SolutionPath:
     """Piecewise-quartic dense output of one integration run.
 
     Supports evaluation at arbitrary query times within the integrated
-    span, in either integration direction.
+    span.
     """
 
     def __init__(self, ts, ys, qs, hs, stopped=False):
         self.ts = np.asarray(ts)          # accepted step boundaries, (S+1,)
         self.ys = np.asarray(ys)          # states at boundaries, (S+1, dim)
         self.qs = np.asarray(qs)          # interpolant coefficients, (S, dim, 4)
-        self.hs = np.asarray(hs)          # signed step sizes, (S,)
-        self.direction = 1.0 if self.ts[-1] >= self.ts[0] else -1.0
-        # Increasing search key over the interior step boundaries: its
-        # insertion index is the step, clamped to the edge steps.
-        self._inner = (self.direction * self.ts)[1:-1]
+        self.hs = np.asarray(hs)          # step sizes, (S,)
+        # The insertion index of a query among the interior step boundaries
+        # is its step, clamped to the edge steps.
+        self._inner = self.ts[1:-1]
         self.stopped = stopped
 
     @property
@@ -125,7 +125,7 @@ class SolutionPath:
         """Dense output at the times ``ts`` as (T, dim) rows; each row is
         bit-equal to the scalar query at its time."""
         tq = np.asarray(ts, dtype=float)
-        idx = self._inner.searchsorted(self.direction * tq, side="right")
+        idx = self._inner.searchsorted(tq, side="right")
         theta = ((tq - self.ts[idx]) / self.hs[idx])[:, None]
         powers = np.concatenate([theta, theta**2, theta**3, theta**4], axis=1)
         return self.ys[idx] + self.hs[idx, None] * np.einsum(
@@ -151,21 +151,21 @@ def _rms(v):
     return np.sqrt(np.add.reduce(v * v) / v.size)
 
 
-def _initial_step(field, t0, y0, f0, direction, span, rtol, atol):
+def _initial_step(field, t0, y0, f0, span, rtol, atol):
     """Hairer-style starting step selection."""
     scale = atol + rtol * np.abs(y0)
     d0 = _rms(y0 / scale) if y0.size else 0.0
     d1 = _rms(f0 / scale) if y0.size else 0.0
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, abs(span))
-    y1 = y0 + h0 * direction * f0
-    f1 = np.asarray(field(t0 + h0 * direction, y1), dtype=float)
+    h0 = min(h0, span)
+    y1 = y0 + h0 * f0
+    f1 = np.asarray(field(t0 + h0, y1), dtype=float)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, abs(span))
+    return min(100 * h0, h1, span)
 
 
 def _stages(field, t, y, h, f0):
@@ -182,90 +182,96 @@ def _stages(field, t, y, h, f0):
     return k, yi
 
 
+def _forward_span(t_span):
+    """``(t0, t_end)`` of a span; ValueError unless it runs forward by more
+    than rounding."""
+    t0, t_end = float(t_span[0]), float(t_span[1])
+    if not t_end - t0 > 1e-14 * max(abs(t0), abs(t_end), 1.0):
+        raise ValueError("t_span must run forward and not be degenerate")
+    return t0, t_end
+
+
 def rk45_integrate(field, y0, t_span, opts: Optional[IntegratorOptions] = None,
                    on_step: Optional[Callable[[float, np.ndarray], bool]] = None
                    ) -> SolutionPath:
-    """Integrate ``dy/dt = field(t, y)`` over ``t_span`` with dense output.
+    """Integrate ``dy/dt = field(t, y)`` over the forward ``t_span`` with
+    dense output.
 
-    ``t_span`` may run forward or backward.  The local error is kept at or
-    below ``atol + rtol * |y|`` per component.  ``on_step``, when given, is
-    called after each accepted step with ``(t, y)``; returning True halts
-    the integration cleanly (the path's ``stopped`` flag is set).
+    The local error is kept at or below ``atol + rtol * |y|`` per
+    component.  ``on_step``, when given, is called after each accepted
+    step with ``(t, y)``; returning True halts the integration cleanly
+    (the path's ``stopped`` flag is set).
 
     Raises StepFailure when the step size underflows or the accepted-step
     budget is exhausted, NonFiniteField when the field returns NaN or Inf.
+    Any VemError leaving the run, these or one raised by ``field`` or
+    ``on_step``, carries the path of the steps accepted before it as
+    ``exc.path``; the step ``on_step`` was called on is among them.
     """
     opts = opts or IntegratorOptions()
-    t0, t_end = float(t_span[0]), float(t_span[1])
-    if abs(t_end - t0) <= 1e-14 * max(abs(t0), abs(t_end), 1.0):
-        raise ValueError("degenerate t_span")
-    direction = 1.0 if t_end > t0 else -1.0
+    t0, t_end = _forward_span(t_span)
     span = t_end - t0
 
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    f0 = np.asarray(field(t0, y), dtype=float)
-    if not np.isfinite(f0).all():
-        raise NonFiniteField(f"field returned non-finite values at t={t0}")
-
-    h_max = abs(float(opts.max_step)) if opts.max_step is not None else 0.1 * abs(span)
-    if opts.initial_step is not None:
-        h_abs = abs(float(opts.initial_step))
-    else:
-        h_abs = _initial_step(field, t0, y, f0, direction, span, opts.rtol, opts.atol)
-    h_abs = min(max(h_abs, 1e-12), h_max)
-
-    ts = [t0]
-    ys = [y.copy()]
-    qs = []
-    hs = []
+    ts, ys, qs, hs = [t0], [y.copy()], [], []
     t = t0
     stopped = False
-    accepted = 0
     tiny = 1e-14 * max(abs(t0), abs(t_end), 1.0)
-
-    while direction * (t_end - t) > tiny:
-        if accepted >= opts.max_steps:
-            raise StepFailure(f"exceeded max_steps={opts.max_steps} at t={t}")
-        h_abs = min(h_abs, h_max)
-        if h_abs < tiny:
-            raise StepFailure(f"step size underflow at t={t}")
-        h = direction * h_abs
-        if direction * (t + h - t_end) >= 0.0:  # final step snaps to t_end
-            h = t_end - t
-
-        k, y_new = _stages(field, t, y, h, f0)
-        if not np.isfinite(k).all():
-            raise NonFiniteField(f"field returned non-finite values near t={t}")
-        err_vec = h * (_E @ k)
-        scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms(err_vec / scale)
-
-        if err <= 1.0:
-            qs.append(k.T @ _P)
-            hs.append(h)
-            t = t + h
-            y = y_new
-            ts.append(t)
-            ys.append(y.copy())
-            accepted += 1
-            f0 = k[6]  # last stage sits at (t+h, y_new): free first stage
-            factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
-            h_abs *= factor
-            if on_step is not None and on_step(t, y):
-                stopped = True
-                break
+    try:
+        f0 = np.asarray(field(t0, y), dtype=float)
+        if not np.isfinite(f0).all():
+            raise NonFiniteField(f"field returned non-finite values at t={t0}")
+        h_max = float(opts.max_step) if opts.max_step is not None else 0.1 * span
+        if opts.initial_step is not None:
+            h_abs = float(opts.initial_step)
         else:
-            h_abs *= max(_MIN_FACTOR, min(1.0, _SAFETY * err ** -0.2))
+            h_abs = _initial_step(field, t0, y, f0, span, opts.rtol, opts.atol)
+        h_abs = min(max(h_abs, 1e-12), h_max)
+
+        while t_end - t > tiny:
+            if len(hs) >= opts.max_steps:
+                raise StepFailure(f"exceeded max_steps={opts.max_steps} at t={t}")
+            h_abs = min(h_abs, h_max)
+            if h_abs < tiny:
+                raise StepFailure(f"step size underflow at t={t}")
+            h = t_end - t if t + h_abs - t_end >= 0.0 else h_abs  # snap to t_end
+
+            k, y_new = _stages(field, t, y, h, f0)
+            if not np.isfinite(k).all():
+                raise NonFiniteField(f"field returned non-finite values near t={t}")
+            err_vec = h * (_E @ k)
+            scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err = _rms(err_vec / scale)
+
+            if err <= 1.0:
+                qs.append(k.T @ _P)
+                hs.append(h)
+                t = t + h
+                y = y_new
+                ts.append(t)
+                ys.append(y.copy())
+                f0 = k[6]  # last stage sits at (t+h, y_new): free first stage
+                factor = _MAX_FACTOR if err == 0.0 else min(
+                    _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
+                h_abs *= factor
+                if on_step is not None and on_step(t, y):
+                    stopped = True
+                    break
+            else:
+                h_abs *= max(_MIN_FACTOR, min(1.0, _SAFETY * err ** -0.2))
+    except VemError as exc:
+        exc.path = SolutionPath(ts, ys, qs, hs)
+        raise
 
     return SolutionPath(ts, ys, qs, hs, stopped=stopped)
 
 
 def rk45_fixed(field, y0, t_span, n_steps: int) -> SolutionPath:
-    """Fixed-step variant of the same pair, for convergence studies."""
+    """Fixed-step variant of the same pair over a forward span, for
+    convergence studies."""
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    t0, t_end = float(t_span[0]), float(t_span[1])
+    t0, t_end = _forward_span(t_span)
     h = (t_end - t0) / n_steps
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     f0 = np.asarray(field(t0, y), dtype=float)

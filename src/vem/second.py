@@ -14,9 +14,9 @@ variant's terms:
                   was produced by integration); the multiplier right-hand
                   side gains the -K_g g attraction term.  Default.
   modified        arbitrary snapshots; initial-condition and dynamics
-                  defects are fed back through K_x0 / K_f corrections and
-                  the terminal rate uses the snapshot's time derivative
-                  in place of the dynamics.
+                  defects are fed back with unit gain and the terminal
+                  rate uses the snapshot's time derivative in place of
+                  the dynamics.
 
 On a defect-free snapshot the modified form reduces exactly to the
 quasi-feasible one, which in turn matches the control-only formulation.
@@ -128,12 +128,10 @@ def multiplier_system_second(problem: OcpProblem, nodes: NodeInputs,
     q = terms.psi_gx
     # Initial-condition feedback through the full-horizon transition
     # matrix: g_x Phi(tf, t0) = Q_0^T.
-    init_err = nodes.xs[0] - problem.x0
-    r = r + q[0].T @ (gains.kx0(problem.n) @ init_err)
+    r = r + q[0].T @ (nodes.xs[0] - problem.x0)
     # Dynamics-defect feedback, transported to the terminal time: the
-    # trapezoid sum of Q_i^T K_f defect_i.
-    carried = defect @ gains.kf(problem.n).T
-    return mat, r + weighted_rows(nodes, q).T @ carried.ravel()
+    # trapezoid sum of Q_i^T defect_i.
+    return mat, r + weighted_rows(nodes, q).T @ defect.ravel()
 
 
 def multiplier_second(problem: OcpProblem, nodes: NodeInputs,
@@ -146,13 +144,13 @@ def multiplier_second(problem: OcpProblem, nodes: NodeInputs,
 
 def state_rhs_second(problem: OcpProblem, nodes: NodeInputs,
                      stack: TransitionStack, udot_nodes: np.ndarray,
-                     gains: GainSet, mode: str = "quasi_feasible", *,
+                     mode: str = "quasi_feasible", *,
                      defect: Optional[np.ndarray]) -> np.ndarray:
     """Evolution rate of the node states, shape (N, n).
 
     The variational equation w' = f_x w + F, w(t0) = w0, with forcing
-    F = f_u udot -- and in modified mode the defect feedback -K_f defect
-    (``defect``, read in that mode only) and w0 = -K_x0 (x_0 - x0) -- by
+    F = f_u udot -- and in modified mode the defect feedback -defect
+    (``defect``, read in that mode only) and w0 = -(x_0 - x0) -- by
     the grid-trapezoid rule of the multiplier system along the stack's
     interval maps g_i = Phi(t_i+1, t_i):
 
@@ -171,8 +169,8 @@ def state_rhs_second(problem: OcpProblem, nodes: NodeInputs,
     forcing = (nodes.fu @ udot_nodes[:, :, None])[:, :, 0]
     rhs = np.zeros_like(forcing)
     if mode == "modified":
-        rhs[0] = -gains.kx0(problem.n) @ (nodes.xs[0] - problem.x0)
-        forcing -= defect @ gains.kf(problem.n).T
+        rhs[0] = -(nodes.xs[0] - problem.x0)
+        forcing -= defect
     g = stack.blocks
     half = 0.5 * nodes.grid.widths[:, None]
     rhs[1:] = half * ((g @ forcing[:-1, :, None])[:, :, 0] + forcing[1:])

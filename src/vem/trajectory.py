@@ -164,6 +164,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.n_nodes < 4:
             raise ValueError("need at least 4 grid nodes")
+        if not (np.isfinite(self.t0) and np.isfinite(self.tf)):
+            raise ValueError("initial and terminal times must be finite")
         if self.tf <= self.t0:
             raise ValueError("tf must exceed t0")
         sigma, unit_weights = _unit_grid(self.n_nodes)

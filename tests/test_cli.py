@@ -7,7 +7,7 @@ import pytest
 import vem.cli as cli
 from conftest import (blowing_up, growing_horizon, growing_saddle,
                       saddle_benchmark, shrinking_horizon, unreachable_benchmark)
-from vem import IntegratorOptions, assemble_ivp, problems, solve_benchmark
+from vem import IntegratorOptions, assemble_ivp, driver, problems, solve_benchmark
 from vem.cli import main
 from vem.errors import (NonFiniteDynamics, SingularSystem, StepFailure,
                         TfCollapse, VemError)
@@ -235,6 +235,24 @@ class TestRealFailures:
         assert history.snapshots[-1].states[-1, 0] < 2.0
         assert self._cli(monkeypatch, tmp_path, blowing_up) == 6
         assert "solver error: field returned non-finite" in capsys.readouterr().err
+
+    def test_non_finite_horizon(self, monkeypatch, tmp_path, capsys):
+        # A free horizon that turns NaN mid-run is a solver error, not a
+        # bad run option.
+        rhs, calls = driver.EvolutionSystem.rhs, [0]
+
+        def poisoned(system, tau, vec):
+            calls[0] += 1
+            if calls[0] == 40:
+                vec = vec.copy()
+                vec[-1] = np.nan
+            return rhs(system, tau, vec)
+
+        monkeypatch.setattr(driver.EvolutionSystem, "rhs", poisoned)
+        assert main(["solve", "--problem", "brachistochrone", "--nodes", "21",
+                     "--outdir", str(tmp_path)]) == 6
+        assert ("solver error: horizon end nan is not finite"
+                in capsys.readouterr().err)
 
     def test_interval_stencil_budget(self, monkeypatch, tmp_path, capsys):
         # 10 intervals and a budget of 40 substeps: the stencil may refine

@@ -20,8 +20,9 @@ from vem import (
 )
 from vem import driver, second, trajectory
 from vem.driver import EvolutionSystem, path_cost, propagate_with_cost, solve_benchmark
-from vem.errors import SingularSystem, StepFailure, TfCollapse
+from vem.errors import DegenerateGrid, SingularSystem, StepFailure, TfCollapse, VemError
 from vem.ocp import ROW_FORMS
+from vem.rk45 import rk45_integrate
 
 
 class TestLayout:
@@ -198,6 +199,76 @@ class TestEvolve:
         assert history.termination_reason == "StepFailure"
         assert len(history.snapshots) >= 1
         assert history.snapshots[0].tau == 0.0
+
+    @staticmethod
+    def _failing_run(monkeypatch, system, fail_at, poison=None, **kwargs):
+        """``evolve`` with its tau-field failing at call ``fail_at``: by a
+        raised SingularSystem, or by handing ``system.rhs`` the vector as
+        ``poison`` changes it.  Returns the exception and the (tau, vector)
+        pairs the integrator's ``on_step`` saw, the start first."""
+        seen, calls = [(0.0, system.y0)], [0]
+
+        def recording(field, y0, t_span, opts=None, on_step=None):
+            def failing(tau, vec):
+                calls[0] += 1
+                if calls[0] != fail_at:
+                    return field(tau, vec)
+                if poison is None:
+                    raise SingularSystem("injected")
+                return field(tau, poison(vec.copy()))
+
+            def watching(tau, vec):
+                seen.append((tau, vec.copy()))
+                return on_step(tau, vec)
+
+            return rk45_integrate(failing, y0, t_span, opts, on_step=watching)
+
+        monkeypatch.setattr(driver, "rk45_integrate", recording)
+        with pytest.raises(VemError) as info:
+            evolve(system, 300.0, early_stop=False, **kwargs)
+        return info.value, seen
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 75])
+    def test_failed_run_history_reads_its_accepted_steps(self, di, monkeypatch,
+                                                         fail_at):
+        # The failure carries exactly the steps on_step saw, and its
+        # history is the snapshots at them: per requested tau the last step
+        # at or before it, each step once.
+        system = assemble_ivp(di.problem, "third", 41, di.gains)
+        requested = (0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 300.0)
+        exc, seen = self._failing_run(monkeypatch, system, fail_at,
+                                      snapshot_taus=requested)
+        assert isinstance(exc, SingularSystem)
+        taus = [tau for tau, _ in seen]
+        assert np.array_equal(exc.path.ts, taus)
+        assert np.array_equal(exc.path.ys, [vec for _, vec in seen])
+        picked = []
+        for tau in driver._select_snapshots(requested, taus[-1]):
+            idx = max(i for i, t in enumerate(taus) if t <= tau)
+            if idx not in picked:
+                picked.append(idx)
+        # At call 75, 0.1/0.2 and 0.5/1.0 pick one step each.
+        assert len(picked) == (1 if fail_at <= 2 else 6)
+        expected = [system.snapshot(*seen[i]) for i in picked]
+        history = exc.history
+        assert history.termination_reason == "SingularSystem"
+        assert pickle.dumps(history.snapshots) == pickle.dumps(expected)
+
+    def test_non_finite_horizon_is_a_solver_error(self, brach, monkeypatch):
+        # A tau-run whose free horizon turns NaN ends with DegenerateGrid
+        # from the horizon guard and its partial history, not with
+        # TimeGrid's ValueError.
+        system = assemble_ivp(brach.problem, "third", 21, brach.gains)
+
+        def poison(vec):
+            vec[-1] = np.nan
+            return vec
+
+        exc, seen = self._failing_run(monkeypatch, system, 40, poison)
+        assert isinstance(exc, DegenerateGrid)
+        assert "not finite" in str(exc)
+        assert len(seen) > 1 and len(exc.history.snapshots) >= 2
+        assert exc.history.termination_reason == "DegenerateGrid"
 
 
 class TestEvaluationCache:

@@ -207,11 +207,6 @@ class TestGainSet:
         with pytest.raises(ValueError):
             GainSet(K=np.eye(1), k_tf=0.0)
 
-    def test_modified_mode_defaults(self):
-        gains = GainSet(K=np.eye(1))
-        assert np.array_equal(gains.kx0(3), np.eye(3))
-        assert np.array_equal(gains.kf(2), np.eye(2))
-
 
 def _random_rows(problem, rng, count=10):
     xs = problem.x0 + rng.uniform(-1.0, 1.0, (count, problem.n))

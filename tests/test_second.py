@@ -64,13 +64,13 @@ def _terms(problem, snap, nodes, stack, mode="quasi_feasible"):
                                   snap.xdot[-1] if mode == "modified" else None)
 
 
-def _state_rate(via, problem, snap, stack, udot, gains, opts=None):
+def _state_rate(via, problem, snap, stack, udot, opts=None):
     """The quasi-feasible node-state rate by the convolution or by the
     variational-problem oracle."""
     if via == "ivp":
-        return checks.variational_state_rate(problem, snap, udot, gains, opts=opts)
+        return checks.variational_state_rate(problem, snap, udot, opts=opts)
     nodes = third.node_inputs(problem, snap.state_traj, snap.ctrl_traj)
-    return second.state_rhs_second(problem, nodes, stack, udot, gains, defect=None)
+    return second.state_rhs_second(problem, nodes, stack, udot, defect=None)
 
 
 class TestSnapshot:
@@ -184,8 +184,7 @@ class TestStateRhs:
         grid = TimeGrid(21, 0.0, 2.0)
         snap, stack = _feasible_snapshot(di.problem, grid, np.zeros((21, 1)))
         for via in ("convolution", "ivp"):
-            out = _state_rate(via, di.problem, snap, stack, np.zeros((21, 1)),
-                              di.gains)
+            out = _state_rate(via, di.problem, snap, stack, np.zeros((21, 1)))
             assert np.max(np.abs(out)) <= 1e-14
 
     @pytest.mark.parametrize("via", ["convolution", "ivp"])
@@ -196,7 +195,7 @@ class TestStateRhs:
         snap, stack = _feasible_snapshot(di.problem, grid, np.zeros((41, 1)),
                                          TIGHT)
         out = _state_rate(via, di.problem, snap, stack, np.ones((41, 1)),
-                          di.gains, opts=TIGHT)
+                          opts=TIGHT)
         t = grid.times
         expected = np.stack([0.5 * t**2, t], axis=1)
         assert np.max(np.abs(out - expected)) <= 1e-9
@@ -208,8 +207,7 @@ class TestStateRhs:
         grid = TimeGrid(41, 0.0, 2.0)
         snap, _ = _feasible_snapshot(di.problem, grid, np.zeros((41, 1)), TIGHT)
         udot = smooth_controls(grid, 1, rng, scale=0.5)
-        via_ivp = checks.variational_state_rate(di.problem, snap, udot, di.gains,
-                                                opts=TIGHT)
+        via_ivp = checks.variational_state_rate(di.problem, snap, udot, opts=TIGHT)
         spline = spline_build(grid.times, udot)
         worst = 0.0
         for i, ti in enumerate(grid.times):
@@ -249,15 +247,15 @@ class TestStateRhs:
                             for i in range(grid.n_nodes)])
         w0 = np.zeros(p.n)
         if mode == "modified":
-            forcing -= snap.defect(p) @ bench.gains.kf(p.n).T
-            w0 = -bench.gains.kx0(p.n) @ (snap.states[0] - p.x0)
+            forcing -= snap.defect(p)
+            w0 = -(snap.states[0] - p.x0)
         pulled = np.linalg.solve(fwd, forcing[:, :, None])[:, :, 0]
         summed = cumulative_trapezoid(pulled, grid.times, axis=0, initial=0.0)
         oracle = np.einsum("inj,ij->in", fwd, summed + w0)
 
         nodes = third.node_inputs(p, snap.state_traj, snap.ctrl_traj)
-        out = second.state_rhs_second(p, nodes, stack, udot, bench.gains,
-                                      mode=mode, defect=snap.defect(p))
+        out = second.state_rhs_second(p, nodes, stack, udot, mode=mode,
+                                      defect=snap.defect(p))
         assert np.max(np.abs(out)) > 1e-3
         assert np.max(np.abs(out - oracle)) <= 1e-8
 
@@ -275,12 +273,11 @@ class TestStateRhs:
         stack = transition_stack(p, snap.state_traj, snap.ctrl_traj, TIGHT)
         nodes = third.node_inputs(p, snap.state_traj, snap.ctrl_traj)
         udot = np.ones((41, 1))
-        out = second.state_rhs_second(p, nodes, stack, udot, di.gains,
-                                      mode="modified", defect=snap.defect(p))
-        quasi = second.state_rhs_second(p, nodes, stack, udot, di.gains,
-                                        defect=None)
-        via_ivp = checks.variational_state_rate(p, snap, udot, di.gains,
-                                                mode="modified", opts=TIGHT)
+        out = second.state_rhs_second(p, nodes, stack, udot, mode="modified",
+                                      defect=snap.defect(p))
+        quasi = second.state_rhs_second(p, nodes, stack, udot, defect=None)
+        via_ivp = checks.variational_state_rate(p, snap, udot, mode="modified",
+                                                opts=TIGHT)
         assert np.max(np.abs(out - quasi)) > 1e-2
         assert np.max(np.abs(out - via_ivp)) <= 1e-9
 
@@ -299,13 +296,12 @@ class TestStateRhs:
             n=2, m=3, q=0, t0=0.0, x0=np.array([0.3, -0.2]), tf_mode="fixed",
             tf=1.0, jac_fu=jac_fu,
             dynamics=lambda x, u, t: np.array([x[1], -x[0]]) + jac_fu(x, u, t) @ u)
-        gains = GainSet(K=np.eye(3))
         rng = np.random.default_rng(18)
         grid = TimeGrid(21, p.t0, p.tf)
         snap, stack = _feasible_snapshot(p, grid, smooth_controls(grid, 3, rng))
         udot = smooth_controls(grid, 3, rng, scale=0.5)
         nodes = third.node_inputs(p, snap.state_traj, snap.ctrl_traj)
-        out = second.state_rhs_second(p, nodes, stack, udot, gains, defect=None)
+        out = second.state_rhs_second(p, nodes, stack, udot, defect=None)
 
         forcing = np.empty((grid.n_nodes, p.n))
         for i in range(grid.n_nodes):
@@ -347,8 +343,7 @@ class TestStateRhs:
                  else -gains.K_g @ p.constraint(xf, p.tf))
         assert np.max(np.abs(decay)) > 1e-4 or mode == "feasible"
         assert np.max(np.abs(p.jac_gx(xf, p.tf) @ wdot[-1] - decay)) <= 1e-13
-        w0 = (-gains.kx0(p.n) @ (nodes[0] - p.x0) if mode == "modified"
-              else np.zeros(p.n))
+        w0 = -(nodes[0] - p.x0) if mode == "modified" else np.zeros(p.n)
         assert np.array_equal(wdot[0], w0)
         assert mode != "modified" or np.max(np.abs(w0)) > 1e-4
 
@@ -360,9 +355,9 @@ class TestStateRhs:
         udot = np.linspace(-1.0, 1.0, 21)[:, None]
         nodes, _ = _record(di.problem, snap, stack)
         defect = snap.defect(di.problem)
-        quasi = second.state_rhs_second(di.problem, nodes, stack, udot, di.gains,
+        quasi = second.state_rhs_second(di.problem, nodes, stack, udot,
                                         mode="quasi_feasible", defect=defect)
-        modified = second.state_rhs_second(di.problem, nodes, stack, udot, di.gains,
+        modified = second.state_rhs_second(di.problem, nodes, stack, udot,
                                            mode="modified", defect=defect)
         assert np.max(np.abs(quasi - modified)) <= 1e-12
 

@@ -99,6 +99,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(5, 1.0, 1.0)
 
+    @pytest.mark.parametrize("t0,tf", [(0.0, float("nan")), (0.0, float("inf")),
+                                       (float("-inf"), 1.0), (float("nan"), 1.0)])
+    def test_non_finite_horizon(self, t0, tf):
+        with pytest.raises(ValueError, match="must be finite"):
+            TimeGrid(5, t0, tf)
+
     def test_widths_are_diff_of_times(self):
         grid = TimeGrid(37, 0.3, 1.7)
         assert np.array_equal(grid.widths, np.diff(grid.times))

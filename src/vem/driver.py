@@ -20,7 +20,7 @@ from . import second as second_eq
 from . import third as third_eq
 from .errors import DegenerateGrid, TfCollapse, VemError
 from .ocp import GainSet, OcpProblem
-from .rk45 import IntegratorOptions, rk45_integrate
+from .rk45 import IntegratorOptions, rk45_integrate, steppable_span
 from .trajectory import (
     ControlTrajectory,
     KeptBlocks,
@@ -436,16 +436,16 @@ def assemble_ivp(problem: OcpProblem, method: str, n_nodes: int,
 
 
 def _select_snapshots(requested, tau_end) -> List[float]:
-    taus = set([0.0, float(tau_end)])
-    for tau in requested:
-        if 0.0 <= tau <= tau_end:
-            taus.add(float(tau))
-    return sorted(taus)
+    kept = {float(tau) for tau in requested if 0.0 <= tau <= tau_end}
+    return sorted({0.0, float(tau_end)} | kept)
 
 
 def _check_tau_end(tau_end: float) -> None:
     if not 0.0 <= tau_end < np.inf:
         raise ValueError("tau_end must be finite and non-negative")
+    # A positive span follows the tau-integrator's own span rule.
+    if tau_end > 0.0 and not steppable_span(0.0, tau_end):
+        raise ValueError(f"tau_end {tau_end:g} is too short to step; use 0 or >= 1e-13")
 
 
 def _check_nodes(n_nodes: int) -> None:
@@ -461,9 +461,13 @@ def evolve(system: EvolutionSystem, tau_end: float,
 
     Terminates early once all optimality residuals fall below their
     thresholds unless ``early_stop`` is disabled (fixed-span runs are the
-    reproducible setting for comparisons).  On integration errors the
-    history accumulated so far is attached to the raised exception as
-    ``exc.history``.
+    reproducible setting for comparisons).
+
+    Finished and failed runs share one history rule (``_history``): a
+    snapshot at each requested tau before the end the run reached, read
+    from its dense output, and one at that end, read from the state the
+    integrator accepted there.  A failed run's history, less any snapshot
+    that raised, is attached to the raised exception as ``exc.history``.
     """
     _check_tau_end(tau_end)
     opts = opts or system.opts
@@ -488,32 +492,24 @@ def evolve(system: EvolutionSystem, tau_end: float,
         path = rk45_integrate(system.rhs, system.y0, (0.0, tau_end), opts,
                               on_step=on_step)
     except VemError as exc:
-        exc.history = _history_from_path(system, exc.path, requested,
-                                         type(exc).__name__)
+        exc.history = _history(system, exc.path, requested,
+                               type(exc).__name__, skip=VemError)
         raise
+    return _history(system, path, requested,
+                    "converged" if path.stopped else "tau_end")
 
-    reason = "converged" if path.stopped else "tau_end"
-    reached = path.t_end
+
+def _history(system, path, requested, reason, skip=()) -> EvolutionHistory:
+    """Snapshots of a tau-run's record ``path``: the dense output at each
+    kept requested tau before the end the run reached, the accepted state
+    at that end.  A snapshot that raises one of the ``skip`` errors is
+    left out."""
     history = EvolutionHistory(termination_reason=reason)
-    for tau in _select_snapshots(requested, reached):
-        history.snapshots.append(system.snapshot(tau, path.eval(tau)))
-    return history
-
-
-def _history_from_path(system, path, requested, reason) -> EvolutionHistory:
-    """Snapshots of a failed run at its accepted steps: per requested tau
-    the last step at or before it, each step once; a snapshot that raises
-    is skipped."""
-    history = EvolutionHistory(termination_reason=reason)
-    seen = set()
     for tau in _select_snapshots(requested, path.t_end):
-        idx = int(np.searchsorted(path.ts, tau, side="right") - 1)
-        if idx in seen:
-            continue
-        seen.add(idx)
+        vec = path.y_end if tau == path.t_end else path.eval(tau)
         try:
-            history.snapshots.append(system.snapshot(path.ts[idx], path.ys[idx]))
-        except VemError:
+            history.snapshots.append(system.snapshot(tau, vec))
+        except skip:
             continue
     return history
 

@@ -2,9 +2,13 @@
 
 The stepper mirrors classic ode45 behaviour: a seven-stage pair with
 proportional step control on the embedded 4th/5th-order error estimate
-and a quartic interpolant for evaluation between accepted steps.  Spans
-run forward only.  A VemError leaving the integrator, from the field or
-the stepper, carries the steps accepted so far as ``exc.path``.
+and a quartic interpolant for evaluation between accepted steps.  A span
+is accepted when it is finite, runs forward and its default step cap, a
+tenth of it, is not below the stepper's time resolution
+(``steppable_span``); any other span raises ValueError before a step
+rather than a step-size underflow at its first.  A VemError leaving the
+integrator, from the field or the stepper, carries the steps accepted so
+far as ``exc.path``.
 
 The seventh stage is evaluated at the accepted solution itself (the pair
 is first-same-as-last), so the field's last call of an accepted step sees
@@ -62,6 +66,8 @@ _P = np.array(
 )
 
 _MIN_FACTOR = 0.2
+# The default step cap as a share of the span.
+_CAP_SHARE = 0.1
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
 
@@ -108,10 +114,6 @@ class SolutionPath:
         # is its step, clamped to the edge steps.
         self._inner = self.ts[1:-1]
         self.stopped = stopped
-
-    @property
-    def t0(self) -> float:
-        return float(self.ts[0])
 
     @property
     def t_end(self) -> float:
@@ -182,20 +184,30 @@ def _stages(field, t, y, h, f0):
     return k, yi
 
 
+def _resolution(t0, t_end):
+    """The shortest step the stepper takes on the span (t0, t_end)."""
+    return 1e-14 * max(abs(t0), abs(t_end), 1.0)
+
+
+def steppable_span(t0, t_end) -> bool:
+    """Whether (t0, t_end) is finite, runs forward and is long enough that
+    its default step cap is not below the stepper's resolution."""
+    return _resolution(t0, t_end) <= _CAP_SHARE * (t_end - t0) < np.inf
+
+
 def _forward_span(t_span):
-    """``(t0, t_end)`` of a span; ValueError unless it runs forward by more
-    than rounding."""
+    """``(t0, t_end)`` of a span; ValueError unless it is steppable."""
     t0, t_end = float(t_span[0]), float(t_span[1])
-    if not t_end - t0 > 1e-14 * max(abs(t0), abs(t_end), 1.0):
-        raise ValueError("t_span must run forward and not be degenerate")
+    if not steppable_span(t0, t_end):
+        raise ValueError("t_span must be finite and run forward by a steppable span")
     return t0, t_end
 
 
 def rk45_integrate(field, y0, t_span, opts: Optional[IntegratorOptions] = None,
                    on_step: Optional[Callable[[float, np.ndarray], bool]] = None
                    ) -> SolutionPath:
-    """Integrate ``dy/dt = field(t, y)`` over the forward ``t_span`` with
-    dense output.
+    """Integrate ``dy/dt = field(t, y)`` over ``t_span`` with dense output;
+    a span that is not ``steppable_span`` raises ValueError.
 
     The local error is kept at or below ``atol + rtol * |y|`` per
     component.  ``on_step``, when given, is called after each accepted
@@ -216,12 +228,12 @@ def rk45_integrate(field, y0, t_span, opts: Optional[IntegratorOptions] = None,
     ts, ys, qs, hs = [t0], [y.copy()], [], []
     t = t0
     stopped = False
-    tiny = 1e-14 * max(abs(t0), abs(t_end), 1.0)
+    tiny = _resolution(t0, t_end)
     try:
         f0 = np.asarray(field(t0, y), dtype=float)
         if not np.isfinite(f0).all():
             raise NonFiniteField(f"field returned non-finite values at t={t0}")
-        h_max = float(opts.max_step) if opts.max_step is not None else 0.1 * span
+        h_max = float(opts.max_step) if opts.max_step is not None else _CAP_SHARE * span
         if opts.initial_step is not None:
             h_abs = float(opts.initial_step)
         else:

@@ -171,8 +171,8 @@ def weighted_rows(nodes: NodeInputs, per_node: np.ndarray) -> np.ndarray:
         -1, per_node.shape[2])
 
 
-def multiplier_matrix(problem: OcpProblem, nodes: NodeInputs,
-                      terms: MultiplierTerms, gains: GainSet) -> np.ndarray:
+def multiplier_matrix(problem: OcpProblem, terms: MultiplierTerms,
+                      gains: GainSet) -> np.ndarray:
     """Constraint-projected Gramian M = sum_i w_i P_i^T K P_i over the
     grid's trapezoid weights, symmetric positive semi-definite.
 
@@ -216,7 +216,7 @@ def multiplier_system(problem: OcpProblem, nodes: NodeInputs,
                       mode: str = "quasi_feasible"):
     """(M, r) of the multiplier system M pi = -r from one evaluation's
     ``MultiplierTerms``."""
-    mat = multiplier_matrix(problem, nodes, terms, gains)
+    mat = multiplier_matrix(problem, terms, gains)
     return mat, multiplier_rhs(problem, nodes, terms, gu, gains, mode)
 
 

@@ -66,7 +66,8 @@ class TestSolve:
         ["--gain-k", "inf"], ["--gain-kg", "nan"], ["--gain-kg", "inf"],
         ["--rtol", "nan"], ["--rtol", "inf"],
         ["--atol", "nan"], ["--atol", "inf"], ["--tau-end", "nan"],
-        ["--tau-end", "inf"], ["--tau-end", "-1"], ["--nodes", "3"]],
+        ["--tau-end", "inf"], ["--tau-end", "-1"], ["--tau-end", "1e-14"],
+        ["--tau-end", "5e-14"], ["--nodes", "3"]],
         ids=" ".join)
     def test_bad_run_option_is_usage_error(self, command, option, tmp_path,
                                            capsys):
@@ -309,6 +310,18 @@ class TestRealFailures:
         assert err == ("invalid run option: tau_end must be finite and "
                        "non-negative\n")
 
+    @pytest.mark.parametrize("tau_end", ["1e-14", "5e-14"])
+    def test_short_tau_end_named_before_assembly(self, monkeypatch, tmp_path,
+                                                 capsys, tau_end):
+        # A positive span too short for the tau-integrator's default step
+        # cap to step is a bad option, reported before the saddle's
+        # assembly would fail.
+        assert self._cli(monkeypatch, tmp_path, saddle_benchmark,
+                         "--tau-end", tau_end) == 2
+        err = capsys.readouterr().err
+        assert err == (f"invalid run option: tau_end {tau_end} is too short "
+                       "to step; use 0 or >= 1e-13\n")
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", ["third", "second"])
     def test_unreachable_constraint(self, monkeypatch, tmp_path, capsys, method):
@@ -364,7 +377,8 @@ class TestCompare:
 
     @pytest.mark.parametrize("option", [
         ["--gain-k", "inf"], ["--gain-kg", "nan"], ["--rtol", "nan"],
-        ["--tau-end", "-1"], ["--nodes", "3"]], ids=" ".join)
+        ["--tau-end", "-1"], ["--tau-end", "1e-20"], ["--nodes", "3"]],
+        ids=" ".join)
     def test_bad_option_makes_no_run(self, option, tmp_path, monkeypatch, capsys):
         # Every run's options are checked before the first solve starts.
         solves = []

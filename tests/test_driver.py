@@ -232,27 +232,60 @@ class TestEvolve:
     def test_failed_run_history_reads_its_accepted_steps(self, di, monkeypatch,
                                                          fail_at):
         # The failure carries exactly the steps on_step saw, and its
-        # history is the snapshots at them: per requested tau the last step
-        # at or before it, each step once.
+        # history reads that record by the finished run's rule: at each
+        # requested tau up to the end reached, less a snapshot that raises,
+        # the dense output there, and at the end the accepted state.
         system = assemble_ivp(di.problem, "third", 41, di.gains)
+        snapshot = system.snapshot
+
+        def flaky(tau, vec):
+            if tau == 0.1:
+                raise DegenerateGrid("injected")
+            return snapshot(tau, vec)
+
+        monkeypatch.setattr(system, "snapshot", flaky)
         requested = (0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 300.0)
         exc, seen = self._failing_run(monkeypatch, system, fail_at,
                                       snapshot_taus=requested)
         assert isinstance(exc, SingularSystem)
-        taus = [tau for tau, _ in seen]
-        assert np.array_equal(exc.path.ts, taus)
-        assert np.array_equal(exc.path.ys, [vec for _, vec in seen])
-        picked = []
-        for tau in driver._select_snapshots(requested, taus[-1]):
-            idx = max(i for i, t in enumerate(taus) if t <= tau)
-            if idx not in picked:
-                picked.append(idx)
-        # At call 75, 0.1/0.2 and 0.5/1.0 pick one step each.
-        assert len(picked) == (1 if fail_at <= 2 else 6)
-        expected = [system.snapshot(*seen[i]) for i in picked]
+        path = exc.path
+        assert np.array_equal(path.ts, [tau for tau, _ in seen])
+        assert np.array_equal(path.ys, [vec for _, vec in seen])
         history = exc.history
         assert history.termination_reason == "SingularSystem"
-        assert pickle.dumps(history.snapshots) == pickle.dumps(expected)
+        expected = [tau for tau in driver._select_snapshots(requested, path.t_end)
+                    if tau != 0.1]
+        assert list(history.taus) == expected
+        # At call 75 the run is past tau = 2, and the requested tau
+        # between its steps are snapshotted where they were asked for.
+        assert len(expected) == (1 if fail_at <= 2 else 7)
+        if fail_at > 2:
+            assert not set(expected[1:-1]) & set(path.ts)
+        vecs = [system.layout.pack(snap.controls) for snap in history.snapshots]
+        for tau, vec in zip(expected[:-1], vecs):
+            assert np.array_equal(vec, path.eval(tau))
+        assert history.final.tau == path.t_end
+        assert np.array_equal(vecs[-1], path.y_end)
+
+    def test_finished_run_ends_at_its_accepted_state(self, brach, monkeypatch):
+        # The final snapshot of a finished run is the state the integrator
+        # accepted at the end, bit for bit, not the dense output there,
+        # which on this run differs from it in the last bits.
+        paths = []
+
+        def recording(*args, **kwargs):
+            paths.append(rk45_integrate(*args, **kwargs))
+            return paths[-1]
+
+        monkeypatch.setattr(driver, "rk45_integrate", recording)
+        system = assemble_ivp(brach.problem, "third", brach.default_nodes,
+                              brach.gains)
+        history = evolve(system, 30.0, early_stop=False)
+        (path,) = paths
+        final = history.final
+        assert final.tau == path.t_end == 30.0
+        assert np.array_equal(system.layout.pack(final.controls, tf=final.tf),
+                              path.y_end)
 
     def test_non_finite_horizon_is_a_solver_error(self, brach, monkeypatch):
         # A tau-run whose free horizon turns NaN ends with DegenerateGrid
@@ -851,6 +884,18 @@ class TestSummarize:
         with pytest.raises(ValueError,
                            match="^tau_end must be finite and non-negative$"):
             solve_benchmark(saddle_benchmark(), "third", tau_end=tau_end)
+
+    @pytest.mark.parametrize("tau_end", [1e-20, 1e-14, 5e-14])
+    def test_solve_benchmark_checks_short_tau_end_before_assembly(self, tau_end):
+        # The integrator's span rule, not a threshold of its own: a span
+        # whose default step cap is below the stepper's resolution.
+        with pytest.raises(ValueError, match="^tau_end .* is too short to step"):
+            solve_benchmark(saddle_benchmark(), "third", tau_end=tau_end)
+
+    def test_shortest_steppable_tau_end_runs(self, di):
+        history = evolve(assemble_ivp(di.problem, "third", 41, di.gains), 1e-13)
+        assert history.termination_reason == "tau_end"
+        assert 0.0 < history.final.tau <= 1e-13
 
     def test_solve_benchmark_wrapper(self, di):
         history, report = solve_benchmark(di, "third", tau_end=1.0,

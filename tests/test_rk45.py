@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vem.errors import NonFiniteField, StepFailure
-from vem.rk45 import IntegratorOptions, rk45_fixed, rk45_integrate
+from vem.rk45 import IntegratorOptions, rk45_fixed, rk45_integrate, steppable_span
 
 
 def test_exponential_growth():
@@ -129,6 +129,34 @@ def test_reversed_span_rejected():
             rk45_integrate(lambda t, y: y, [1.0], t_span)
         with pytest.raises(ValueError, match="forward"):
             rk45_fixed(lambda t, y: y, [1.0], t_span, 4)
+
+
+@pytest.mark.parametrize("t0", [0.0, 1e3])
+def test_every_accepted_span_is_steppable(t0):
+    # One span rule: a span is accepted exactly when its default step cap,
+    # a tenth of it, is not below the resolution 1e-14 * max(|t0|, |t_end|,
+    # 1); spans below it raise ValueError instead of underflowing.
+    resolution = 1e-14 * max(abs(t0), 1.0)
+    for share in (1e-6, 1.0, 5.0, 9.9, 10.1, 20.0, 1e3):
+        t_span = (t0, t0 + share * resolution)
+        if 0.1 * (t_span[1] - t0) < resolution:
+            assert not steppable_span(*t_span)
+            with pytest.raises(ValueError, match="forward"):
+                rk45_integrate(lambda t, y: -y, [1.0], t_span)
+        else:
+            assert steppable_span(*t_span)
+            path = rk45_integrate(lambda t, y: -y, [1.0], t_span)
+            assert path.t_end > t0
+
+
+def test_short_spans_rejected_before_stepping():
+    # At t0 = 0 the resolution is 1e-14: below 1e-13 the default cap is
+    # below it, and 1e-13 takes ten capped steps at most.
+    for t_end in (1e-20, 1e-14, 5e-14):
+        with pytest.raises(ValueError, match="forward"):
+            rk45_integrate(lambda t, y: y, [1.0], (0.0, t_end))
+    path = rk45_integrate(lambda t, y: y, [1.0], (0.0, 1e-13))
+    assert not path.stopped and len(path.hs) >= 9
 
 
 def test_on_step_halts_cleanly():

@@ -500,17 +500,20 @@ def evolve(system: EvolutionSystem, tau_end: float,
 
 
 def _history(system, path, requested, reason, skip=()) -> EvolutionHistory:
-    """Snapshots of a tau-run's record ``path``: the dense output at each
-    kept requested tau before the end the run reached, the accepted state
-    at that end.  A snapshot that raises one of the ``skip`` errors is
-    left out."""
+    """Snapshots of a tau-run's record ``path``, in tau order: the dense
+    output at each kept requested tau before the end the run reached, the
+    accepted state at that end.  The end is taken first, while the system
+    still holds the evaluation of that state.  A snapshot that raises one
+    of the ``skip`` errors is left out."""
     history = EvolutionHistory(termination_reason=reason)
-    for tau in _select_snapshots(requested, path.t_end):
-        vec = path.y_end if tau == path.t_end else path.eval(tau)
+    *earlier, end = _select_snapshots(requested, path.t_end)
+    for tau in [end] + earlier:
+        vec = path.y_end if tau == end else path.eval(tau)
         try:
             history.snapshots.append(system.snapshot(tau, vec))
         except skip:
             continue
+    history.snapshots.sort(key=lambda snap: snap.tau)
     return history
 
 

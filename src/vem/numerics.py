@@ -28,12 +28,13 @@ elementwise Horner arithmetic on that interval's coefficients, so a time
 returns bit for bit what the same time inside an array query of any length
 returns, and what the fraction reader returns at a stencil time.
 
-``solve_dense`` calls LAPACK directly: ``dgesdd`` for the singular values
-of the 2-norm condition number, as ``np.linalg.cond`` forms it, and
-``dgesv`` for the solve, the routines behind ``np.linalg.svd`` and
-``np.linalg.solve``, without their wrapper layers.  ``_one_norm_cond`` is
-``np.linalg.cond(a, 1)`` the same way: numpy's inverse gufunc and the
-column-sum norms.
+``condition_number`` is the one conditioning rule: the 2-norm condition
+number from LAPACK's ``dgesdd`` singular values, as ``np.linalg.cond``
+forms it, checked against ``COND_LIMIT``.  It guards the multiplier solve
+(``solve_dense``, whose solve is ``dgesv``) and the control-only method's
+Psi_0 (``trajectory.fused_sweep``); both LAPACK routines are the ones
+behind ``np.linalg.svd`` and ``np.linalg.solve``, called without their
+wrapper layers.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 from scipy.linalg.lapack import dgesdd, dgesv, dgtsv
 
 from .errors import DegenerateGrid, SingularSystem
@@ -237,39 +237,36 @@ def cumulative_from_right(grid, samples):
     return left[-1] - left
 
 
-def solve_dense(mat, rhs):
-    """Solve a small dense system; returns (solution, condition estimate).
+def condition_number(mat, what=""):
+    """The 2-norm condition number of a square float matrix, bit for bit
+    ``np.linalg.cond(mat)``: inf for a zero singular value.
 
-    Raises SingularSystem when the condition estimate exceeds COND_LIMIT,
-    which signals a rank-deficient constraint Jacobian or a vanishing
-    controllability Gramian upstream.
+    Raises SingularSystem, its message led by ``what``, on a non-finite
+    entry or past COND_LIMIT, which signals a rank-deficient constraint
+    Jacobian or a vanishing controllability Gramian (the multiplier
+    system) or saddle-type dynamics (the forward transition matrix).
     """
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
     if not np.isfinite(mat).all():
-        raise SingularSystem("matrix contains non-finite entries")
-    # The 2-norm condition number as np.linalg.cond forms it; a zero
-    # singular value gives inf.
+        raise SingularSystem(f"{what or 'matrix '}contains non-finite entries")
     _, sv, _, info = dgesdd(mat, compute_uv=0)
     if info:
         raise np.linalg.LinAlgError("SVD did not converge")
     cond = float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else np.inf
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularSystem(f"condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
+    if cond > COND_LIMIT:
+        raise SingularSystem(f"{what}condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
+    return cond
+
+
+def solve_dense(mat, rhs):
+    """Solve a small dense system; returns (solution, condition estimate).
+
+    Raises SingularSystem when ``condition_number`` does or the solve
+    finds the matrix singular.
+    """
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+    cond = condition_number(mat)
     _, _, sol, info = dgesv(mat, rhs)
     if info:
         raise SingularSystem("singular matrix")
     return sol, cond
-
-
-def _one_norm_cond(a):
-    """``np.linalg.cond(a, 1)`` of a square float matrix, bit for bit:
-    the largest column sum of |a| times that of |a^-1|, the inverse by
-    numpy's own gufunc, all with floating-point errors ignored.  An
-    exactly singular ``a``, whose inverse that gufunc fills with NaN,
-    gives inf; an ``a`` with a NaN entry gives NaN."""
-    with np.errstate(all="ignore"):
-        inv = _umath_linalg.inv(a, signature="d->d")
-        cond = (np.add.reduce(np.abs(a), axis=0).max()
-                * np.add.reduce(np.abs(inv), axis=0).max())
-    return np.inf if np.isnan(cond) and not np.isnan(a).any() else cond

@@ -246,7 +246,8 @@ def rk45_integrate(field, y0, t_span, opts: Optional[IntegratorOptions] = None,
             h_abs = min(h_abs, h_max)
             if h_abs < tiny:
                 raise StepFailure(f"step size underflow at t={t}")
-            h = t_end - t if t + h_abs - t_end >= 0.0 else h_abs  # snap to t_end
+            # Snap to t_end rather than leave at most the resolution unstepped.
+            h = t_end - t if t_end - t - h_abs <= tiny else h_abs
 
             k, y_new = _stages(field, t, y, h, f0)
             if not np.isfinite(k).all():

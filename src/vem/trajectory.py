@@ -55,10 +55,11 @@ doubles until e is within atol + rtol |x_end| in every entry.
 ``fused_sweep`` (control-only method) ends in ``_backward`` of the
 tangents at the solved nodes, and the band of the G_i, built with them,
 serves its Newton corrections and the backward solve.
-Psi_0 = Phi(tf, t0)^T, so its 1-norm condition number guards the solve:
-past ``COND_LIMIT`` (saddle-type dynamics, whose transition matrices
-grow like exp(2|a|T)) it raises SingularSystem.  Off-node state rows are
-the cubic Hermite interpolant of the node states and rates.
+Psi_0 = Phi(tf, t0)^T, so its 2-norm condition number guards the solve
+by the multiplier solve's rule (``numerics.condition_number``): past
+``COND_LIMIT`` (saddle-type dynamics, whose transition matrices grow like
+exp(2|a|T)) it raises SingularSystem.  Off-node state rows are the cubic
+Hermite interpolant of the node states and rates.
 
 ``transition_stack`` (coupled method, whose states are given node values,
 and the oracles) works along given state and control trajectories, so
@@ -131,9 +132,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .errors import NonFiniteDynamics, NonFiniteField, SingularSystem, StepFailure
-from .numerics import (COND_LIMIT, SplineCoeffs, _one_norm_cond, hermite_build,
-                       spline_build)
+from .errors import NonFiniteDynamics, NonFiniteField, StepFailure
+from .numerics import SplineCoeffs, condition_number, hermite_build, spline_build
 from .ocp import OcpProblem
 from .rk45 import IntegratorOptions, rk45_integrate
 
@@ -337,8 +337,8 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
     are built afresh.
 
     Raises what ``shooting_nodes`` raises, and SingularSystem when
-    Psi_0 = Phi(tf, t0)^T is singular or its 1-norm condition number
-    exceeds COND_LIMIT.
+    Psi_0 = Phi(tf, t0)^T fails ``numerics.condition_number``: its 2-norm
+    condition number, the multiplier solve's, exceeds COND_LIMIT.
     """
     kept = kept or KeptBlocks()
     nodes, tangents, band = shooting_nodes(problem, ctrl, grid, opts, kept)
@@ -348,12 +348,7 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
         # T_i = [[G_i, 0], [c_i^T, 1]], whose G_i's band the shooting solve
         # built along with them.
         stack = _backward(tangents[:, :-1], tangents[:, -1], lam_end, band)
-        cond = float(_one_norm_cond(stack.psi[0]))
-        if cond == np.inf:
-            raise SingularSystem("singular forward transition matrix")
-        if not cond <= COND_LIMIT:
-            raise SingularSystem(f"forward transition matrix condition estimate "
-                                 f"{cond:.3e} exceeds {COND_LIMIT:.0e}")
+        condition_number(stack.psi[0], "forward transition matrix ")
         return stack
 
     # A stack is kept only once it passed the guard, so a kept one needs
@@ -659,8 +654,8 @@ class KeptBlocks:
     - ``("tangents", s)``: the shooting solve's s-substep tangents and
       the ``_band`` of their blocks G_i, keyed on the substep width h and
       the f_x/L_x rows;
-    - ``("round", s)``: the ``interval_stencil`` estimates on the
-      s-substep stencil, keyed on the grid widths and the stencil's rows;
+    - ``("round", s)``: ``transition_stack``'s s-substep stencil
+      tangents, keyed on the grid widths and the stencil's rows;
     - ``"stack"``: the ``TransitionStack``, keyed on the array its blocks
       were read from and lam_end, kept by ``fused_sweep`` only once its
       condition guard passed;
@@ -703,8 +698,14 @@ def transition_stack(problem: OcpProblem, states: StateTrajectory,
     kept = kept or KeptBlocks()
     grid = states.grid
     lam_end = np.asarray(problem.grad_phix(states.values[-1], grid.tf), dtype=float)
+
+    def estimate(rows, dt):
+        # Each round's tangents, kept while the widths and its rows repeat.
+        return kept.get(("round", (rows.shape[1] - 1) // 2), (dt, rows),
+                        lambda: _stencil_tangents(rows, dt))
+
     tangents = interval_stencil(grid, _jacobian_field(problem, states, ctrl),
-                                _stencil_tangents, opts, kept)
+                                estimate, opts)
     g = tangents[:, :-1]
     return kept.get("stack", (tangents, lam_end), lambda: _backward(
         g, tangents[:, -1], lam_end, _band(g)))
@@ -738,8 +739,7 @@ def _stencil_tangents(rows, dt):
 
 
 def interval_stencil(grid: TimeGrid, sample, estimate,
-                     opts: Optional[IntegratorOptions] = None,
-                     kept: Optional[KeptBlocks] = None) -> np.ndarray:
+                     opts: Optional[IntegratorOptions] = None) -> np.ndarray:
     """Per-interval results of a fourth-order rule, refined by step doubling.
 
     Every interval [t_i, t_i+1] is split into s equal substeps whose ends
@@ -756,15 +756,12 @@ def interval_stencil(grid: TimeGrid, sample, estimate,
     reads E_1 from its even points and E_2 from all of them; each later
     round samples only the odd points of the next finer stencil, and
     merges them between the rows it has.  s doubles until E_2s passes
-    ``_refined`` against E_s, and E_2s is returned, read-only.  A round's
-    estimates are ``kept``'s while the widths and the stencil's rows
-    repeat (one store per ``estimate``); without it all are computed.
+    ``_refined`` against E_s, and E_2s is returned.
 
     Raises StepFailure when a stencil would need more than
     ``opts.max_steps`` substeps and NonFiniteField on non-finite rows.
     """
     opts = opts or IntegratorOptions()
-    kept = kept or KeptBlocks()
     dt = grid.widths
 
     def take(frac, s):
@@ -775,21 +772,9 @@ def interval_stencil(grid: TimeGrid, sample, estimate,
             raise NonFiniteField("non-finite rows on the interval stencil")
         return rows
 
-    def estimates(s, *stencils):
-        """The estimates on ``stencils``, kept under round s while the
-        widths and the s-substep stencil's rows, the last of them, repeat;
-        read-only."""
-        def build():
-            out = tuple(estimate(stencil, dt) for stencil in stencils)
-            for values in out:
-                values.flags.writeable = False
-            return out
-
-        return kept.get(("round", s), (dt, stencils[-1]), build)
-
     s = 2
     rows = take(np.arange(5) / 4.0, s)
-    last, result = estimates(s, rows[:, ::2], rows)
+    last, result = estimate(rows[:, ::2], dt), estimate(rows, dt)
     while not _refined(result, last, opts):
         s *= 2
         # The finer stencil's even points are the coarser stencil's
@@ -798,8 +783,7 @@ def interval_stencil(grid: TimeGrid, sample, estimate,
         merged = np.empty((dt.size, 2 * s + 1) + rows.shape[2:])
         merged[:, 0::2], merged[:, 1::2] = rows, fresh
         rows = merged
-        last = result
-        (result,) = estimates(s, rows)
+        last, result = result, estimate(rows, dt)
     return result
 
 

@@ -55,15 +55,6 @@ def brach_second_run(brach):
     return _full_run(brach, "second")
 
 
-def smooth_controls(grid, m, rng, scale=0.3, waves=2):
-    """Band-limited random node controls (smooth enough for quadrature)."""
-    t = (grid.times - grid.t0) / (grid.tf - grid.t0)
-    vals = np.zeros((grid.n_nodes, m))
-    for k in range(1, waves + 1):
-        vals += np.sin(np.pi * k * t)[:, None] * (scale * rng.standard_normal(m))
-    return vals
-
-
 def saddle_problem(a):
     """x' = diag(a, -a) x + [1, 1] u on [0, 1] with x1(tf) = 0: the forward
     transition matrix to tf has condition number exp(2a)."""

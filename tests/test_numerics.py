@@ -11,7 +11,7 @@ from scipy.interpolate import CubicSpline
 from vem.checks import cumulative_products
 from vem.errors import DegenerateGrid, SingularSystem
 from vem.numerics import (
-    _one_norm_cond,
+    condition_number,
     cumulative_from_right,
     grid_quadrature,
     hermite_build,
@@ -298,14 +298,11 @@ class TestSolveDense:
             solve_dense(np.zeros((2, 2)), [1.0, 2.0])
 
 
-class TestOneNormCond:
-    """The fused sweep's guard: ``_one_norm_cond`` is np.linalg.cond(a, 1)
-    bit for bit, with the same answer on singular and NaN entries."""
-
-    @staticmethod
-    def _agrees(mat):
-        mine, numpy = _one_norm_cond(mat), np.linalg.cond(mat, 1)
-        return np.float64(mine).tobytes() == np.float64(numpy).tobytes()
+class TestConditionNumber:
+    """The one conditioning rule, read by the multiplier solve and the
+    fused sweep's Psi_0 guard: ``condition_number`` is np.linalg.cond bit
+    for bit, and raises SingularSystem past COND_LIMIT or on a non-finite
+    entry, with its message led by what it guards."""
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
     def test_random_matrices(self, size):
@@ -314,20 +311,42 @@ class TestOneNormCond:
         for _ in range(200):
             mat = rng.standard_normal((size, size + 1))[:, :size]
             mat[:, 0] *= 10.0 ** rng.uniform(-8.0, 8.0)
-            assert self._agrees(mat) and self._agrees(mat.T)
+            for view in (mat, mat.T):
+                assert (np.float64(condition_number(view)).tobytes()
+                        == np.float64(np.linalg.cond(view)).tobytes())
 
     @pytest.mark.parametrize("mat", [
-        [[0.0]], [[1.0, 2.0], [2.0, 4.0]], np.zeros((3, 3)),
-        [[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [4.0, 0.0, 5.0]],
-        [[np.inf, 1.0], [1.0, 2.0]]], ids=["zero-1", "rank-1", "zero-3",
-                                           "zero-column", "inf-entry"])
+        [[0.0]], np.zeros((3, 3)),
+        [[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [4.0, 0.0, 5.0]]],
+        ids=["zero-1", "zero-3", "zero-column"])
     def test_exactly_singular_is_infinite(self, mat):
         mat = np.array(mat)
-        assert _one_norm_cond(mat) == np.inf
-        assert self._agrees(mat)
+        assert np.linalg.cond(mat) == np.inf
+        with pytest.raises(SingularSystem, match=r"^forward transition matrix "
+                           r"condition estimate inf exceeds 1e\+12$"):
+            condition_number(mat, "forward transition matrix ")
 
+    @pytest.mark.parametrize("mat,estimate", [
+        ([[1.0, 2.0], [2.0, 4.0]], r"4\.805e\+16"),
+        (np.diag([np.exp(14.0), np.exp(-14.0)]), r"1\.446e\+12")],
+        ids=["rank-1", "saddle"])
+    def test_past_the_limit_raises(self, mat, estimate):
+        # Rounding leaves the rank-1 matrix a tiny singular value; the
+        # saddle's e^28 lies just past the limit, and e^26 within it.
+        with pytest.raises(SingularSystem,
+                           match=rf"^condition estimate {estimate} exceeds 1e\+12$"):
+            condition_number(np.array(mat))
+        within = np.diag([np.exp(13.0), np.exp(-13.0)])
+        assert condition_number(within) == np.linalg.cond(within)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("size", [1, 2, 4])
-    def test_nan_entry_is_nan(self, size):
+    def test_non_finite_entry_raises(self, size, entry):
         mat = np.random.default_rng(size).standard_normal((size, size))
-        mat[-1, 0] = np.nan
-        assert np.isnan(_one_norm_cond(mat)) and np.isnan(np.linalg.cond(mat, 1))
+        mat[-1, 0] = entry
+        with pytest.raises(SingularSystem,
+                           match="^matrix contains non-finite entries$"):
+            condition_number(mat)
+        with pytest.raises(SingularSystem, match="^forward transition matrix "
+                           "contains non-finite entries$"):
+            condition_number(mat, "forward transition matrix ")

@@ -146,17 +146,18 @@ def test_every_accepted_span_is_steppable(t0):
         else:
             assert steppable_span(*t_span)
             path = rk45_integrate(lambda t, y: -y, [1.0], t_span)
-            assert path.t_end > t0
+            assert path.t_end == t_span[1]
 
 
 def test_short_spans_rejected_before_stepping():
     # At t0 = 0 the resolution is 1e-14: below 1e-13 the default cap is
-    # below it, and 1e-13 takes ten capped steps at most.
+    # below it, and 1e-13 takes ten capped steps at most, the last snapped
+    # to t_end rather than leave one resolution unstepped.
     for t_end in (1e-20, 1e-14, 5e-14):
         with pytest.raises(ValueError, match="forward"):
             rk45_integrate(lambda t, y: y, [1.0], (0.0, t_end))
     path = rk45_integrate(lambda t, y: y, [1.0], (0.0, 1e-13))
-    assert not path.stopped and len(path.hs) >= 9
+    assert not path.stopped and len(path.hs) >= 9 and path.t_end == 1e-13
 
 
 def test_on_step_halts_cleanly():

@@ -12,7 +12,6 @@ from scipy.integrate import cumulative_trapezoid
 
 import vem.second as second
 import vem.third as third
-from conftest import smooth_controls
 from vem import checks, trajectory
 from vem import (
     ControlTrajectory,
@@ -23,6 +22,7 @@ from vem import (
     propagate_states,
     transition_stack,
 )
+from vem.checks import _smooth_controls as smooth_controls
 from vem.numerics import spline_build
 from vem.driver import EvolutionSystem
 from vem.problems import brachistochrone, double_integrator, tracking_fixture

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import vem.third as third
-from conftest import smooth_controls
 from vem import checks, trajectory
 from vem import (
     ControlTrajectory,
@@ -23,6 +22,7 @@ from vem import (
     propagate_states,
     transition_stack,
 )
+from vem.checks import _smooth_controls as smooth_controls
 from vem.numerics import grid_quadrature
 from vem.problems import brachistochrone, tracking_fixture
 

@@ -17,7 +17,7 @@ from .driver import (
     solve_benchmark,
     summarize,
 )
-from .numerics import SplineCoeffs, cumulative_from_right, grid_quadrature, solve_dense, spline_build
+from .numerics import SplineCoeffs, solve_dense, spline_build
 from .ocp import DiscrepancyReport, GainSet, OcpProblem, ValidationReport, check_derivatives, validate_problem
 from .problems import (
     Benchmark,
@@ -65,12 +65,10 @@ __all__ = [
     "benchmark_names",
     "brachistochrone",
     "check_derivatives",
-    "cumulative_from_right",
     "double_integrator",
     "evolve",
     "fused_sweep",
     "get_benchmark",
-    "grid_quadrature",
     "propagate_states",
     "register_benchmark",
     "rk45_fixed",

@@ -16,7 +16,7 @@ checks the interval stencil's fused first round; the coupled state
 rate's variational initial-value problem (``variational_state_rate``),
 integrated by Dormand-Prince along the snapshot's splines, is checked in
 turn by per-interval Gauss quadrature of a closed-form kernel; the
-Psi^T f_u-first multiplier assembly with einsums and ``grid_quadrature``
+Psi^T f_u-first multiplier assembly with einsums and ``np.trapezoid``
 (``multiplier_assembly``) checks the constraint projection every
 multiplier formula reads; finite differences check analytic
 derivatives, and closed forms check the integrator.
@@ -31,7 +31,7 @@ from . import second as second_eq
 from . import third as third_eq
 from . import trajectory
 from .driver import EvolutionSystem, StateLayout, path_cost
-from .numerics import cumulative_from_right, grid_quadrature, solve_dense, spline_build
+from .numerics import solve_dense, spline_build
 from .ocp import check_derivatives, row_form_mismatches, validate_problem
 from .problems import brachistochrone, double_integrator, tracking_fixture
 from .rk45 import IntegratorOptions, rk45_fixed, rk45_integrate
@@ -217,15 +217,32 @@ def _check_integrator_order():
 
 def _spline_cubic_gap():
     nodes = np.linspace(0.0, 2.0, 5)
-    s = spline_build(nodes, nodes**3)
+    s = spline_build(nodes, nodes[:, None]**3)
     t = np.linspace(0.0, 2.0, 101)
-    return float(np.max(np.abs(s.eval(t) - t**3)))
+    return float(np.max(np.abs(s.eval(t)[:, 0] - t**3)))
+
+
+def cumulative_from_right(grid, samples):
+    """Per-node running integrals from each node of the increasing
+    ``grid`` to the final node.
+
+    Entry i is the composite-trapezoid integral of the samples over
+    [t_i, t_last]: the total less the running sum from the left, which is
+    the arithmetic of scipy's
+    ``cumulative_trapezoid(samples, grid, axis=0, initial=0)``.  The last
+    entry is exactly zero and the first equals ``np.trapezoid`` of the
+    same samples.
+    """
+    d = np.diff(grid).reshape((-1,) + (1,) * (samples.ndim - 1))
+    left = np.zeros(samples.shape)
+    np.cumsum(d * (samples[1:] + samples[:-1]) / 2.0, axis=0, out=left[1:])
+    return left[-1] - left
 
 
 def _check_quadrature():
     grid = np.linspace(0.0, 2.0, 41)
     samples = grid**2
-    total = grid_quadrature(grid, samples)
+    total = np.trapezoid(samples, grid, axis=0)
     tail = cumulative_from_right(grid, samples)
     consistent = abs(tail[0] - total) <= 1e-13 * abs(total) and tail[-1] == 0.0
     return consistent, f"cumulative head/total gap {abs(tail[0] - total):.2e}"
@@ -436,7 +453,7 @@ def multiplier_assembly(problem, nodes, stack, gu, gains, mode="quasi_feasible",
     """Oracle of the multiplier kernel (``third.multiplier_terms`` and the
     formulas that read its projections): (M, r, pi, control rate,
     costates) by the Psi^T f_u-first assembly, with einsums over every
-    node, ``grid_quadrature`` of the integrands, and g_x and phi_x read
+    node, ``np.trapezoid`` of the integrands, and g_x and phi_x read
     where each term needs them.  ``mode`` is a coupled variant; the
     modified one adds the initial-condition and dynamics ``defect``
     corrections and takes the terminal bracket along ``xdot_end``."""
@@ -444,9 +461,9 @@ def multiplier_assembly(problem, nodes, stack, gu, gains, mode="quasi_feasible",
     gx = np.asarray(problem.jac_gx(x_end, tf), dtype=float)
     psit_fu = np.einsum("iba,ibm->iam", stack.psi, nodes.fu)
     integrand = np.einsum("iak,ibk->iab", psit_fu @ gains.K, psit_fu)
-    mat = gx @ grid_quadrature(times, integrand) @ gx.T
-    r = gx @ grid_quadrature(times, np.einsum("iam,im->ia", psit_fu,
-                                              gu @ gains.K.T))
+    mat = gx @ np.trapezoid(integrand, times, axis=0) @ gx.T
+    r = gx @ np.trapezoid(np.einsum("iam,im->ia", psit_fu, gu @ gains.K.T),
+                          times, axis=0)
     if problem.tf_free:
         u_end = nodes.us[-1]
         w = np.asarray(problem.dynamics(x_end, u_end, tf) if xdot_end is None
@@ -462,7 +479,7 @@ def multiplier_assembly(problem, nodes, stack, gu, gains, mode="quasi_feasible",
     if mode == "modified":
         r = r + gx @ (stack.psi[0].T @ (nodes.xs[0] - problem.x0))
         carried = np.einsum("iba,ib->ia", stack.psi, defect)
-        r = r + gx @ grid_quadrature(times, carried)
+        r = r + gx @ np.trapezoid(carried, times, axis=0)
     pi = -np.linalg.solve(mat, r)
     pull = np.einsum("inj,j->in", stack.psi, gx.T @ pi)
     rate = -((gu + np.einsum("inm,in->im", nodes.fu, pull)) @ gains.K.T)

@@ -119,10 +119,6 @@ class EvolutionHistory:
     termination_reason: str = "tau_end"
 
     @property
-    def taus(self) -> np.ndarray:
-        return np.array([s.tau for s in self.snapshots])
-
-    @property
     def final(self) -> SnapshotRecord:
         return self.snapshots[-1]
 
@@ -256,13 +252,14 @@ class EvolutionSystem:
 
     def _grid(self, tf: Optional[float]) -> TimeGrid:
         horizon = tf if tf is not None else self.problem.tf
+        # A non-finite end (NaN or either infinity), which TimeGrid would
+        # reject as a bad argument, is a solver failure of the run that
+        # reached it, not a collapsed horizon.
+        if not np.isfinite(horizon):
+            raise DegenerateGrid(f"horizon end {horizon} is not finite")
         if horizon - self.problem.t0 < TF_MIN_WIDTH:
             raise TfCollapse(f"horizon width {horizon - self.problem.t0:.3e} "
                              f"below {TF_MIN_WIDTH:g}")
-        # A NaN or +inf end, which TimeGrid would reject as a bad argument,
-        # is a solver failure of the run that reached it.
-        if not np.isfinite(horizon):
-            raise DegenerateGrid(f"horizon end {horizon} is not finite")
         return TimeGrid(self.layout.n_nodes, self.problem.t0, horizon)
 
     def evaluate(self, vec) -> Evaluation:

@@ -1,21 +1,19 @@
-"""Shared numerical kernels: cubic splines, grid quadrature, dense solves.
+"""Shared numerical kernels: cubic splines and dense solves.
 
-The running trapezoid sums (``cumulative_from_right``, read by the
-oracles) repeat scipy's ``cumulative_trapezoid`` arithmetic, and nothing
-here imports ``scipy.integrate``.
+A spline runs on a grid's N >= 4 nodes with one column per state or
+control: values of shape (N, channels), the only shape a solve builds.
 
 Spline construction solves the not-a-knot slope system, which is
 tridiagonal, with LAPACK's ``dgtsv`` on diagonals built from the node
 spacing at each call -- the routine ``scipy.linalg.solve_banded`` calls
 for a (1, 1) band, without its wrapper -- and forms the cubic Hermite
 coefficients from the slopes; it repeats the arithmetic of scipy's
-``CubicSpline``, which costs several times as much per build.  2-3 nodes
-give the interpolating line or parabola.  Evaluation goes through a
-light Horner path.  A solve reads splines on interval stencils -- the
-same fractions of every interval -- by ``SplineCoeffs.at_fractions``,
-which runs Horner on each interval's coefficients with no interval
-search; other array queries serve node derivatives and snapshots, and
-the Dormand-Prince oracles
+``CubicSpline``, which costs several times as much per build.
+Evaluation goes through a light Horner path.  A solve reads splines on
+interval stencils -- the same fractions of every interval -- by
+``SplineCoeffs.at_fractions``, which runs Horner on each interval's
+coefficients with no interval search; other array queries serve node
+derivatives and snapshots, and the Dormand-Prince oracles
 (``trajectory.propagate_states``, ``checks.variational_state_rate``) query
 splines at one time per field call, where scipy's PPoly call overhead
 would dominate.
@@ -52,8 +50,8 @@ COND_LIMIT = 1e12
 def _check_grid(nodes: np.ndarray):
     """The nodes as a float array and their interval widths."""
     nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 1 or nodes.size < 2:
-        raise DegenerateGrid("need at least two grid nodes")
+    if nodes.ndim != 1 or nodes.size < 4:
+        raise DegenerateGrid("need at least four grid nodes")
     # np.diff's arithmetic.
     dx = nodes[1:] - nodes[:-1]
     if not (dx > 0.0).all():
@@ -66,13 +64,11 @@ class SplineCoeffs:
     """Per-interval cubic coefficients over common breakpoints.
 
     ``coeffs[p, j, c]`` multiplies ``(t - breakpoints[j]) ** (3 - p)`` on
-    interval j for channel c.  ``squeeze`` records whether the input values
-    were one-dimensional, so evaluation mirrors the caller's shape.
+    interval j for channel c.
     """
 
     breakpoints: np.ndarray     # (N,)
     coeffs: np.ndarray          # (4, N-1, channels)
-    squeeze: bool = False
 
     def _locate(self, t):
         """Interval coefficients and offsets for the query times.
@@ -87,22 +83,15 @@ class SplineCoeffs:
         idx = self.breakpoints[1:-1].searchsorted(t, side="right")
         return self.coeffs[:, idx, :], (t - self.breakpoints[idx])[..., None]
 
-    def _shaped(self, out):
-        if not self.squeeze:
-            return out
-        return out[0] if out.ndim == 1 else out[:, 0]
-
     def eval(self, t):
         """Value at scalar or array times; edge polynomials extrapolate."""
         c, dt = self._locate(t)
-        return self._shaped(((c[0] * dt + c[1]) * dt + c[2]) * dt + c[3])
+        return ((c[0] * dt + c[1]) * dt + c[2]) * dt + c[3]
 
     def derivative(self, t):
         """First time-derivative at scalar or array times."""
         c, dt = self._locate(t)
-        return self._shaped((3.0 * c[0] * dt + 2.0 * c[1]) * dt + c[2])
-
-    __call__ = eval
+        return (3.0 * c[0] * dt + 2.0 * c[1]) * dt + c[2]
 
     def at_fractions(self, frac) -> np.ndarray:
         """Values at the fractions ``frac`` (K,) of every interval,
@@ -147,13 +136,6 @@ def _not_a_knot_band(dx):
 
 def _node_slopes(dx, slope):
     """Spline slopes at the nodes from the interval widths and secants."""
-    if dx.size == 1:
-        return np.concatenate([slope, slope])
-    if dx.size == 2:
-        # The parabola through three points.
-        curv = (slope[1] - slope[0]) / (dx[0] + dx[1])
-        return np.stack([slope[0] - curv * dx[0], slope[0] + curv * dx[0],
-                         slope[0] + curv * (dx[0] + 2.0 * dx[1])])
     dxr = dx[:, None]
     rhs = np.empty((dx.size + 1, slope.shape[1]))
     rhs[1:-1] = 3.0 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
@@ -171,19 +153,15 @@ def _node_slopes(dx, slope):
 def spline_build(nodes, values) -> SplineCoeffs:
     """Not-a-knot cubic spline through node values.
 
-    ``values`` of shape (N,) or (N, channels).  Exact at nodes and exactly
-    reproduces cubic polynomials for N >= 4; 2-3 nodes fall back to the
-    interpolating line or parabola.
+    ``values`` of shape (N, channels) on N >= 4 nodes.  Exact at nodes
+    and exactly reproduces cubic polynomials.
     """
     nodes, dx = _check_grid(nodes)
     vals = np.asarray(values, dtype=float)
-    squeeze = vals.ndim == 1
-    if squeeze:
-        vals = vals[:, None]
-    if vals.shape[0] != nodes.size:
-        raise DegenerateGrid("values and nodes disagree in length")
+    if vals.ndim != 2 or vals.shape[0] != nodes.size:
+        raise DegenerateGrid(f"values of shape {vals.shape}, not ({nodes.size}, channels)")
     slope = (vals[1:] - vals[:-1]) / dx[:, None]
-    return _hermite(nodes, dx, vals, slope, _node_slopes(dx, slope), squeeze)
+    return _hermite(nodes, dx, vals, slope, _node_slopes(dx, slope))
 
 
 def hermite_build(nodes, values, slopes) -> SplineCoeffs:
@@ -195,7 +173,7 @@ def hermite_build(nodes, values, slopes) -> SplineCoeffs:
     return _hermite(nodes, dx, vals, slope, np.asarray(slopes, dtype=float))
 
 
-def _hermite(nodes, dx, vals, slope, s, squeeze=False) -> SplineCoeffs:
+def _hermite(nodes, dx, vals, slope, s) -> SplineCoeffs:
     """Per-interval cubic coefficients from node values, interval widths
     and secants, and node slopes."""
     dxr = dx[:, None]
@@ -205,36 +183,7 @@ def _hermite(nodes, dx, vals, slope, s, squeeze=False) -> SplineCoeffs:
     coeffs[1] = (slope - s[:-1]) / dxr - t
     coeffs[2] = s[:-1]
     coeffs[3] = vals[:-1]
-    return SplineCoeffs(nodes, coeffs, squeeze=squeeze)
-
-
-def grid_quadrature(grid, samples):
-    """Composite-trapezoid integral of per-node samples over the grid."""
-    grid, _ = _check_grid(grid)
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape[0] != grid.size:
-        raise DegenerateGrid("samples and grid disagree in length")
-    return np.trapezoid(samples, grid, axis=0)
-
-
-def cumulative_from_right(grid, samples):
-    """Per-node running integrals from each node to the final node.
-
-    Entry i is the composite-trapezoid integral of the samples over
-    [t_i, t_last]: the total less the running sum from the left, which is
-    the arithmetic of scipy's
-    ``cumulative_trapezoid(samples, grid, axis=0, initial=0)``.  The last
-    entry is exactly zero and the first equals ``grid_quadrature`` of the
-    same samples.
-    """
-    grid, d = _check_grid(grid)
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape[0] != grid.size:
-        raise DegenerateGrid("samples and grid disagree in length")
-    d = d.reshape((-1,) + (1,) * (samples.ndim - 1))
-    left = np.zeros(samples.shape)
-    np.cumsum(d * (samples[1:] + samples[:-1]) / 2.0, axis=0, out=left[1:])
-    return left[-1] - left
+    return SplineCoeffs(nodes, coeffs)
 
 
 def condition_number(mat, what=""):

@@ -143,8 +143,6 @@ class SolutionPath:
             return self.rows(np.array([t], dtype=float))[0]
         return self.rows(t)
 
-    __call__ = eval
-
 
 def _rms(v):
     """Root mean square of a 1-D array, bit-equal to

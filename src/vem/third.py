@@ -24,7 +24,7 @@ are formed once.  M = sum_i w_i P_i^T K P_i + k_tf v v^T and
 r = sum_i w_i P_i^T K gu_i + k_tf v cost_rate - K_g g are sums over the
 grid's trapezoid weights w; the constraint pull in the control rate and
 the residuals is P pi and the costates add Q pi.  The Psi^T f_u-first
-assembly with einsums and ``grid_quadrature`` is an oracle in
+assembly with einsums and ``np.trapezoid`` is an oracle in
 ``vem.checks`` (``multiplier_assembly``).  On a free horizon the
 terminal-time rate, the transversality residual and the k_tf terms of M
 and r all read the terms of one ``terminal_bracket`` at the end node,

@@ -103,14 +103,9 @@ evolution system (a direct call of ``fused_sweep``, ``shooting_nodes`` or
 ``transition_stack`` keeps nothing past the call): ``get(slot, key,
 build)`` returns the value kept under a slot while every array of its key
 has the bits it was built from, and otherwise keeps ``build()``'s once it
-returns.  Its slots hold each shooting round's tangents with their band
-(keyed on the substep width and the f_x/L_x rows); each stencil round's
-tangents (on the grid widths and the round's rows); the last stack
-with its band (on the array its blocks were read from and lam_end -- in
-``fused_sweep`` kept only once Psi_0 passed its condition guard); and
-the driver's last evaluation (on the tau-vector).  Every kept value is
-a pure function of its key, so output is the same as with fresh builds,
-and a problem whose f_x/L_x rows never move on a fixed horizon (the
+returns.  Its four slots, ``("tangents", s)``, ``("round", s)``,
+``"stack"`` and ``"evaluation"``, are described with their keys on the
+class.  A problem whose f_x/L_x rows never move on a fixed horizon (the
 double integrator) builds each once for a whole tau run.  A moving
 horizon changes the widths and rebuilds the rounds; the stack is rebuilt
 too unless its blocks come out bit for bit the same, as on a horizon
@@ -651,11 +646,13 @@ class KeptBlocks:
     per slot, the last value built and the key it was built from.  The
     slots are
 
-    - ``("tangents", s)``: the shooting solve's s-substep tangents and
-      the ``_band`` of their blocks G_i, keyed on the substep width h and
-      the f_x/L_x rows;
+    - ``("tangents", s)``: the shooting solve's s-substep tangents, an
+      (N-1, n+1, n) array, and the ``_band`` of their blocks G_i, keyed
+      on the substep width h and the f_x/L_x rows;
     - ``("round", s)``: ``transition_stack``'s s-substep stencil
-      tangents, keyed on the grid widths and the stencil's rows;
+      tangents, of the same shape and kernel, keyed on the grid widths
+      and the stencil's rows; the first doubling test's E_1 and E_2 are
+      rounds s = 1 (the even points of the five it samples) and s = 2;
     - ``"stack"``: the ``TransitionStack``, keyed on the array its blocks
       were read from and lam_end, kept by ``fused_sweep`` only once its
       condition guard passed;

@@ -168,7 +168,7 @@ class TestEvolve:
     def test_snapshot_selection(self, di):
         system = assemble_ivp(di.problem, "third", 41, di.gains)
         history = evolve(system, 2.0, early_stop=False)
-        assert list(history.taus) == [0.0, 1.0, 2.0]
+        assert [s.tau for s in history.snapshots] == [0.0, 1.0, 2.0]
 
     def test_deterministic_reruns(self, di):
         system = assemble_ivp(di.problem, "third", 41, di.gains)
@@ -255,7 +255,7 @@ class TestEvolve:
         assert history.termination_reason == "SingularSystem"
         expected = [tau for tau in driver._select_snapshots(requested, path.t_end)
                     if tau != 0.1]
-        assert list(history.taus) == expected
+        assert [s.tau for s in history.snapshots] == expected
         # At call 75 the run is past tau = 2, and the requested tau
         # between its steps are snapshotted where they were asked for.
         assert len(expected) == (1 if fail_at <= 2 else 7)
@@ -287,14 +287,16 @@ class TestEvolve:
         assert np.array_equal(system.layout.pack(final.controls, tf=final.tf),
                               path.y_end)
 
-    def test_non_finite_horizon_is_a_solver_error(self, brach, monkeypatch):
-        # A tau-run whose free horizon turns NaN ends with DegenerateGrid
-        # from the horizon guard and its partial history, not with
-        # TimeGrid's ValueError.
+    @pytest.mark.parametrize("end", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_horizon_is_a_solver_error(self, brach, monkeypatch, end):
+        # A tau-run whose free horizon turns NaN or infinite ends with
+        # DegenerateGrid from the horizon guard and its partial history,
+        # not with TimeGrid's ValueError or, at -inf, a collapsed horizon.
         system = assemble_ivp(brach.problem, "third", 21, brach.gains)
 
         def poison(vec):
-            vec[-1] = np.nan
+            vec[-1] = end
             return vec
 
         exc, seen = self._failing_run(monkeypatch, system, 40, poison)

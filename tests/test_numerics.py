@@ -8,16 +8,9 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
-from vem.checks import cumulative_products
+from vem.checks import cumulative_from_right, cumulative_products
 from vem.errors import DegenerateGrid, SingularSystem
-from vem.numerics import (
-    condition_number,
-    cumulative_from_right,
-    grid_quadrature,
-    hermite_build,
-    solve_dense,
-    spline_build,
-)
+from vem.numerics import condition_number, hermite_build, solve_dense, spline_build
 
 
 def test_import_leaves_out_scipy_integrate_and_optimize():
@@ -48,21 +41,21 @@ class TestCumulativeFromRight:
 class TestSpline:
     def test_cubic_reproduction(self):
         nodes = np.linspace(0.0, 2.0, 5)
-        s = spline_build(nodes, nodes**3)
-        assert abs(s.eval(0.3) - 0.027) <= 1e-12
+        s = spline_build(nodes, nodes[:, None]**3)
+        assert abs(s.eval(0.3)[0] - 0.027) <= 1e-12
         t = np.linspace(0.0, 2.0, 201)
-        assert np.max(np.abs(s.eval(t) - t**3)) <= 1e-12
+        assert np.max(np.abs(s.eval(t)[:, 0] - t**3)) <= 1e-12
 
     def test_constant_values(self):
         nodes = np.linspace(0.0, 1.0, 7)
-        s = spline_build(nodes, np.full(7, 4.25))
+        s = spline_build(nodes, np.full((7, 1), 4.25))
         assert np.allclose(s.eval(np.linspace(0, 1, 50)), 4.25, atol=1e-14)
 
     def test_sin_interpolation_error_scale(self):
         nodes = np.linspace(0.0, 2.0, 41)
-        s = spline_build(nodes, np.sin(nodes))
+        s = spline_build(nodes, np.sin(nodes)[:, None])
         mids = 0.5 * (nodes[:-1] + nodes[1:])
-        err = np.max(np.abs(s.eval(mids) - np.sin(mids)))
+        err = np.max(np.abs(s.eval(mids)[:, 0] - np.sin(mids)))
         assert err <= (nodes[1] - nodes[0]) ** 4
 
     def test_exact_at_nodes(self):
@@ -75,7 +68,7 @@ class TestSpline:
     def test_linearity(self):
         rng = np.random.default_rng(1)
         nodes = np.linspace(0.0, 1.0, 11)
-        v1, v2 = rng.standard_normal(11), rng.standard_normal(11)
+        v1, v2 = rng.standard_normal((11, 1)), rng.standard_normal((11, 1))
         a, b = 0.7, -2.3
         s1, s2 = spline_build(nodes, v1), spline_build(nodes, v2)
         s12 = spline_build(nodes, a * v1 + b * v2)
@@ -83,43 +76,35 @@ class TestSpline:
         gap = np.max(np.abs(s12.eval(t) - (a * s1.eval(t) + b * s2.eval(t))))
         assert gap <= 1e-12
 
-    def test_low_node_fallback(self):
-        line = spline_build([0.0, 1.0], [1.0, 3.0])
-        assert abs(line.eval(0.25) - 1.5) <= 1e-14
-        para = spline_build([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
-        assert abs(para.eval(1.5) - 2.25) <= 1e-13
-
     def test_derivative(self):
         nodes = np.linspace(0.0, 2.0, 9)
-        s = spline_build(nodes, nodes**3)
+        s = spline_build(nodes, nodes[:, None]**3)
         t = np.linspace(0.1, 1.9, 37)
-        assert np.max(np.abs(s.derivative(t) - 3 * t**2)) <= 1e-11
+        assert np.max(np.abs(s.derivative(t)[:, 0] - 3 * t**2)) <= 1e-11
 
-    @pytest.mark.parametrize("channels", [None, 1, 3])
+    @pytest.mark.parametrize("channels", [1, 3])
     def test_scalar_fast_path_matches_array_path(self, channels):
         # Scalar queries, including ones before the first and after the
         # last breakpoint, must return the array path's bits exactly.
         rng = np.random.default_rng(7)
         nodes = np.linspace(0.0, 2.0, 11)
-        shape = (11,) if channels is None else (11, channels)
-        s = spline_build(nodes, rng.standard_normal(shape))
+        s = spline_build(nodes, rng.standard_normal((11, channels)))
         queries = np.concatenate([rng.uniform(-0.5, 2.5, 200), nodes, [-3.0, 7.0]])
         values, slopes = s.eval(queries), s.derivative(queries)
         for k, t in enumerate(queries):
             for q in (float(t), np.float64(t)):
                 assert np.array_equal(s.eval(q), values[k])
                 assert np.array_equal(s.derivative(q), slopes[k])
-        assert np.ndim(s.eval(0.3)) == (0 if channels is None else 1)
+        assert s.eval(0.3).shape == (channels,)
 
-    @pytest.mark.parametrize("n_nodes", [2, 11])
-    @pytest.mark.parametrize("channels", [None, 3])
+    @pytest.mark.parametrize("n_nodes", [4, 11])
+    @pytest.mark.parametrize("channels", [1, 3])
     def test_row_batches_match_scalar_queries(self, n_nodes, channels):
         # A six-time query, the same times one at a time as arrays, and
         # scalar queries agree bit for bit, also outside the breakpoints.
         rng = np.random.default_rng(9)
         nodes = np.linspace(0.0, 2.0, n_nodes)
-        shape = (n_nodes,) if channels is None else (n_nodes, channels)
-        s = spline_build(nodes, rng.standard_normal(shape))
+        s = spline_build(nodes, rng.standard_normal((n_nodes, channels)))
         batches = [rng.uniform(-0.5, 2.5, 6) for _ in range(60)]
         batches.append(np.array([-3.0, 7.0, 0.0, 2.0, nodes[1], nodes[-2]]))
         for batch in batches:
@@ -132,11 +117,11 @@ class TestSpline:
                 assert np.array_equal(s.eval(float(t)), values[k])
                 assert np.array_equal(s.derivative(np.float64(t)), slopes[k])
 
-    @pytest.mark.parametrize("n_nodes", [2, 3, 4, 5, 41, 101, 321])
+    @pytest.mark.parametrize("n_nodes", [4, 5, 41, 101, 321])
     @pytest.mark.parametrize("spacing", ["uniform", "nonuniform"])
     def test_matches_scipy_cubic_spline(self, n_nodes, spacing):
-        # scipy's not-a-knot CubicSpline (a line or parabola below four
-        # nodes) is the oracle of the banded slope solve.
+        # scipy's not-a-knot CubicSpline is the oracle of the banded slope
+        # solve.
         rng = np.random.default_rng(n_nodes)
         if spacing == "uniform":
             nodes = np.linspace(0.3, 1.1, n_nodes)
@@ -144,7 +129,6 @@ class TestSpline:
             nodes = 0.3 + np.cumsum(rng.uniform(0.05, 1.0, n_nodes))
         vals = rng.standard_normal((n_nodes, 3))
         ref = CubicSpline(nodes, vals, axis=0, bc_type="not-a-knot").c
-        ref = np.concatenate([np.zeros((4 - len(ref),) + ref.shape[1:]), ref])
         coeffs = spline_build(nodes, vals).coeffs
         assert coeffs.shape == ref.shape
         assert np.max(np.abs(coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -152,9 +136,9 @@ class TestSpline:
     def test_band_cache_follows_the_spacing(self):
         # Same node count, other spacing: the cached band matrix of the
         # first grid must not serve the second.
-        vals = np.sin(np.arange(9.0))
+        vals = np.sin(np.arange(9.0))[:, None]
         for nodes in (np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9) ** 2):
-            ref = CubicSpline(nodes, vals).c
+            ref = CubicSpline(nodes, vals[:, 0]).c
             coeffs = spline_build(nodes, vals).coeffs[:, :, 0]
             assert np.max(np.abs(coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -186,32 +170,57 @@ class TestSpline:
 
     def test_degenerate_grid(self):
         with pytest.raises(DegenerateGrid):
-            spline_build([0.0, 0.0, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0])
+            spline_build([0.0, 0.0, 1.0, 2.0], [[1.0], [2.0], [3.0], [4.0]])
         with pytest.raises(DegenerateGrid):
-            spline_build([0.0, 1.0, 0.5, 2.0], np.zeros(4))
+            spline_build([0.0, 1.0, 0.5, 2.0], np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("build,n_nodes,shape", [
+        (spline_build, 5, (5,)), (spline_build, 2, (2, 1)),
+        (spline_build, 3, (3, 1)), (spline_build, 5, (4, 1)),
+        (hermite_build, 2, (2, 1)), (hermite_build, 3, (3, 1))],
+        ids=["1-d-values", "2-nodes", "3-nodes", "length-mismatch",
+             "hermite-2-nodes", "hermite-3-nodes"])
+    def test_input_contract(self, build, n_nodes, shape):
+        # A spline runs on a grid's N >= 4 nodes with values of shape
+        # (N, channels); any other input is a degenerate grid, with no
+        # line or parabola below four nodes.
+        args = (np.ones(shape),) * (1 if build is spline_build else 2)
+        with pytest.raises(DegenerateGrid):
+            build(np.linspace(0.0, 1.0, n_nodes), *args)
+
+    def test_four_nodes_carry_a_cubic(self):
+        # The floor of the contract: four (N, 1) node values give the
+        # cubic through them, outside the nodes too.
+        nodes = np.array([0.0, 0.3, 1.1, 2.0])
+        s = spline_build(nodes, (nodes**3 - 2.0 * nodes)[:, None])
+        t = np.linspace(-0.5, 2.5, 61)
+        assert np.max(np.abs(s.eval(t)[:, 0] - (t**3 - 2.0 * t))) <= 1e-12
 
 
 class TestQuadrature:
+    """The oracles' running trapezoid sums: the head of each is the
+    integral over the whole grid."""
+
     def test_linear_integrand_exact(self):
         for n in (5, 13, 41):
             grid = np.linspace(0.0, 2.0, n)
-            assert grid_quadrature(grid, grid) == pytest.approx(2.0, abs=1e-14)
+            assert cumulative_from_right(grid, grid)[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_zero_samples(self):
         grid = np.linspace(0.0, 2.0, 11)
-        assert grid_quadrature(grid, np.zeros(11)) == 0.0
+        assert np.array_equal(cumulative_from_right(grid, np.zeros(11)), np.zeros(11))
 
     def test_quadratic_error_bound(self):
         grid = np.linspace(0.0, 2.0, 41)
         h = grid[1] - grid[0]
-        err = abs(grid_quadrature(grid, grid**2) - 8.0 / 3.0)
+        err = abs(cumulative_from_right(grid, grid**2)[0] - 8.0 / 3.0)
         assert err <= 2.0 * h**2 * 2.0 / 12.0 * (1 + 1e-9)
 
     def test_cumulative_consistency(self):
         grid = np.linspace(0.0, 2.0, 23)
         samples = np.cos(grid)
         tail = cumulative_from_right(grid, samples)
-        total = grid_quadrature(grid, samples)
+        total = np.trapezoid(samples, grid)
         assert tail[-1] == 0.0
         assert abs(tail[0] - total) <= 1e-13 * abs(total)
 

@@ -25,7 +25,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 SEEDS = (1, 7)
 
 
-def _workloads(root: Path):
+def load_workloads(root: Path):
     """``perfbench/workloads.py`` of ``root``, imported by its path."""
     spec = importlib.util.spec_from_file_location(
         "workloads", root / "perfbench" / "workloads.py")
@@ -36,15 +36,21 @@ def _workloads(root: Path):
     return module
 
 
+def workload_starts(wl, benchmarks):
+    """(workload name, seed, drawn start) of every start of the workloads
+    ``wl`` at ``SEEDS``."""
+    return [(name, seed, item) for name, workload in wl.WORKLOADS.items()
+            for seed in SEEDS for item in wl.draw_inputs(workload, seed, benchmarks)]
+
+
 def main(argv) -> int:
     root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
     sys.path.insert(0, str(root / "src"))
     from vem import driver, get_benchmark
 
-    wl = _workloads(root)
+    wl = load_workloads(root)
     benchmarks = {name: get_benchmark(name) for name in (wl.DI, wl.BR)}
-    runs = [(name, seed, item) for name, workload in wl.WORKLOADS.items()
-            for seed in SEEDS for item in wl.draw_inputs(workload, seed, benchmarks)]
+    runs = workload_starts(wl, benchmarks)
     runs += [("acceptance", "-", wl.SolveInput(spec, None, None))
              for spec, _, _ in wl.BASELINE]
     for name, seed, item in runs:

@@ -415,7 +415,7 @@ def _stationarity_gap():
     gu = third_eq.control_gradient(nodes, stack)
     terms = third_eq.multiplier_terms(p, nodes, stack)
     pi = third_eq.solve_multipliers(*third_eq.multiplier_system(
-        p, nodes, terms, gu, bench.gains))
+        terms, gu, bench.gains))
     return float(np.max(np.abs(third_eq.control_rhs(terms, gu, pi, bench.gains))))
 
 
@@ -501,7 +501,7 @@ def _projection_gap(bench, method, mode, rng):
     ev = EvolutionSystem(p, gains, method, grid.n_nodes, IntegratorOptions(), vec,
                          mode).evaluate(vec)
     if method == "third":
-        mat, r = third_eq.multiplier_system(p, ev.nodes, ev.terms, ev.gu, gains)
+        mat, r = third_eq.multiplier_system(ev.terms, ev.gu, gains)
     else:
         mat, r = second_eq.multiplier_system_second(
             p, ev.nodes, ev.terms, ev.gu, gains, mode, defect=ev.defect)

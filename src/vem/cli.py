@@ -277,8 +277,8 @@ def _add_run_options(parser):
                         help="scalar terminal-constraint gain override")
     parser.add_argument("--gain-ktf", type=float, default=None,
                         help="terminal-time gain override")
-    parser.add_argument("--rtol", type=float, default=1e-3)
-    parser.add_argument("--atol", type=float, default=1e-6)
+    parser.add_argument("--rtol", type=float, default=IntegratorOptions.rtol)
+    parser.add_argument("--atol", type=float, default=IntegratorOptions.atol)
     parser.add_argument("--no-early-stop", action="store_true",
                         help="always integrate to tau-end")
     parser.add_argument("--outdir", type=str, default=_default_outdir(),

@@ -193,7 +193,7 @@ class Evaluation:
     ``states`` and ``ctrl``: for the coupled method the snapshot's own
     trajectories (``snap``), for the control-only method the shooting
     solve's states under the node controls.  ``terms`` holds the end-node
-    terms every formula reads: g_x, its projections and, on a free
+    terms every formula reads: g, g_x, its projections and, on a free
     horizon, the terminal bracket along the end-node rate the tau-rate
     reads (the snapshot's own in modified mode).
     """
@@ -221,8 +221,8 @@ class EvolutionSystem:
 
     What the system keeps between evaluations sits in one store
     (``trajectory.KeptBlocks``), each value reused while the arrays it was
-    built from repeat bit for bit.  Its ``"evaluation"`` slot, keyed on a
-    private copy of the vector, makes a vector seen twice in a row one
+    built from repeat bit for bit.  Its ``"evaluation"`` slot, keyed on the
+    vector's bits, makes a vector seen twice in a row one
     evaluation: the integrator's last stage of an accepted step and the
     convergence check on that step, or the assembly probe at y0, the
     threshold scaling and the first field call.  A vector that differs in
@@ -265,8 +265,8 @@ class EvolutionSystem:
     def evaluate(self, vec) -> Evaluation:
         """The pipeline at ``vec``, reused when the last call saw the same
         bits."""
-        # The evaluation keeps views of the vector it unpacks and the store
-        # keeps it as the key, so both get a private copy.
+        # The evaluation keeps views of the vector it unpacks, so it gets a
+        # private copy.
         vec = np.array(vec, dtype=float)
         build = self._evaluate_third if self.method == "third" else self._evaluate_second
         return self._kept.get("evaluation", (vec,), lambda: build(vec))
@@ -309,7 +309,7 @@ class EvolutionSystem:
             # system (snapshots satisfy the dynamics by construction, the
             # terminal constraint only asymptotically).
             pi = third_eq.solve_multipliers(*third_eq.multiplier_system(
-                problem, nodes, terms, gu, self.gains))
+                terms, gu, self.gains))
         return Evaluation(ctrl, states, stack, nodes, gu, terms, pi, snap,
                           defect)
 
@@ -351,8 +351,8 @@ class EvolutionSystem:
             # modified-mode rate's snapshot derivative.
             bracket = third_eq.terminal_bracket(self.problem, ev.nodes, ev.stack,
                                                 ev.terms.gx)
-        return third_eq.optimality_residuals(self.problem, ev.nodes, ev.terms,
-                                             ev.gu, ev.pi, bracket=bracket)
+        return third_eq.optimality_residuals(ev.terms, ev.gu, ev.pi,
+                                             bracket=bracket)
 
     def gradient_norm(self, vec) -> float:
         """Sup-norm of the cost gradient at a snapshot (threshold scaling)."""

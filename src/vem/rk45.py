@@ -66,7 +66,7 @@ _P = np.array(
 )
 
 _MIN_FACTOR = 0.2
-# The default step cap as a share of the span.
+# The step cap as a share of the span.
 _CAP_SHARE = 0.1
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
@@ -76,16 +76,15 @@ _SAFETY = 0.9
 class IntegratorOptions:
     """Tolerances and limits for the adaptive stepper.
 
-    ``max_step`` defaults to one tenth of the integration span, which
-    keeps the stepper inside its contraction region on long relaxation
-    runs instead of parking at the stability boundary.
+    The step is capped at one tenth of the integration span, which keeps
+    the stepper inside its contraction region on long relaxation runs
+    instead of parking at the stability boundary.
     """
 
     rtol: float = 1e-3
     atol: float = 1e-6
     max_steps: int = 20000
     initial_step: Optional[float] = None
-    max_step: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rtol < np.inf and 0.0 < self.atol < np.inf):
@@ -94,8 +93,6 @@ class IntegratorOptions:
             raise ValueError("max_steps must be at least 1")
         if self.initial_step is not None and not 0.0 < self.initial_step < np.inf:
             raise ValueError("initial_step must be positive and finite")
-        if self.max_step is not None and not self.max_step > 0.0:
-            raise ValueError("max_step must be positive")
 
 
 class SolutionPath:
@@ -231,7 +228,7 @@ def rk45_integrate(field, y0, t_span, opts: Optional[IntegratorOptions] = None,
         f0 = np.asarray(field(t0, y), dtype=float)
         if not np.isfinite(f0).all():
             raise NonFiniteField(f"field returned non-finite values at t={t0}")
-        h_max = float(opts.max_step) if opts.max_step is not None else _CAP_SHARE * span
+        h_max = _CAP_SHARE * span
         if opts.initial_step is not None:
             h_abs = float(opts.initial_step)
         else:

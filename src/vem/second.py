@@ -121,8 +121,7 @@ def multiplier_system_second(problem: OcpProblem, nodes: NodeInputs,
     """
     _check_mode(mode)
     mat, r = multiplier_system(
-        problem, nodes, terms, gu, gains,
-        "feasible" if mode == "feasible" else "quasi_feasible")
+        terms, gu, gains, "feasible" if mode == "feasible" else "quasi_feasible")
     if mode != "modified":
         return mat, r
     q = terms.psi_gx

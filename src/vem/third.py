@@ -18,9 +18,10 @@ M pi = -r (``multiplier_system``, ``solve_multipliers``) with M a
 constraint-projected controllability Gramian.
 
 The constraint enters every formula through one projection per snapshot
-(``multiplier_terms``, carried as ``MultiplierTerms``): g_x is read once
-at the end node, and Q = Psi g_x^T (N, n, q) and P = f_u^T Q (N, m, q)
-are formed once.  M = sum_i w_i P_i^T K P_i + k_tf v v^T and
+(``multiplier_terms``, carried as ``MultiplierTerms``): g and g_x are
+read once at the end node, and Q = Psi g_x^T (N, n, q) and
+P = f_u^T Q (N, m, q) are formed once.
+M = sum_i w_i P_i^T K P_i + k_tf v v^T and
 r = sum_i w_i P_i^T K gu_i + k_tf v cost_rate - K_g g are sums over the
 grid's trapezoid weights w; the constraint pull in the control rate and
 the residuals is P pi and the costates add Q pi.  The Psi^T f_u-first
@@ -30,6 +31,12 @@ terminal-time rate, the transversality residual and the k_tf terms of M
 and r all read the terms of one ``terminal_bracket`` at the end node,
 whose time is the grid's ``tf`` exactly and whose phi_x is the adjoint's
 end value; it is formed once per snapshot and end-node rate.
+
+Three places read the terminal callbacks: ``multiplier_terms`` (g and
+g_x), ``terminal_bracket`` (the end-node dynamics, L, phi_t and g_t) and
+the driver's feasible-start check (``assemble_ivp``).  Every other
+formula here is algebra on ``NodeInputs``, ``MultiplierTerms`` and the
+stack.
 
 The coupled method (``vem.second``) is these formulas on its own
 snapshot's node record, plus its end-node time derivative (``xdot_end``)
@@ -131,12 +138,13 @@ def control_gradient(nodes: NodeInputs, stack: TransitionStack) -> np.ndarray:
 @dataclass
 class MultiplierTerms:
     """The end-node terms of one evaluation, formed once by
-    ``multiplier_terms`` and read by every formula: g_x at the end node,
-    the constraint projection Q = Psi g_x^T and P = f_u^T Q at every node
-    and P's ``weighted_rows``, which both sums of the multiplier system
-    read (all None without constraints) and, on a free horizon, the
-    terminal bracket's terms."""
+    ``multiplier_terms`` and read by every formula: g and g_x at the end
+    node, the constraint projection Q = Psi g_x^T and P = f_u^T Q at every
+    node and P's ``weighted_rows``, which both sums of the multiplier
+    system read (all None without constraints) and, on a free horizon,
+    the terminal bracket's terms (None on a fixed one)."""
 
+    g: Optional[np.ndarray]             # (q,)
     gx: Optional[np.ndarray]            # (q, n)
     psi_gx: Optional[np.ndarray]        # Q, (N, n, q)
     fu_psi_gx: Optional[np.ndarray]     # P, (N, m, q)
@@ -147,21 +155,23 @@ class MultiplierTerms:
 def multiplier_terms(problem: OcpProblem, nodes: NodeInputs,
                      stack: TransitionStack,
                      xdot_end: Optional[np.ndarray] = None) -> MultiplierTerms:
-    """One ``jac_gx`` call, the projections Q and P, P's weighted rows,
-    and on a free horizon the terminal bracket along ``xdot_end`` (the
-    dynamics when None)."""
-    gx = None
+    """One ``constraint`` and one ``jac_gx`` call, the projections Q and
+    P, P's weighted rows, and on a free horizon the terminal bracket along
+    ``xdot_end`` (the dynamics when None)."""
+    g = gx = None
     if problem.q > 0:
-        gx = np.asarray(problem.jac_gx(nodes.xs[-1], nodes.grid.tf), dtype=float)
+        x_end, tf = nodes.xs[-1], nodes.grid.tf
+        g = np.asarray(problem.constraint(x_end, tf), dtype=float)
+        gx = np.asarray(problem.jac_gx(x_end, tf), dtype=float)
     bracket = None
     if problem.tf_free:
         bracket = terminal_bracket(problem, nodes, stack, gx, xdot_end)
     if gx is None:
-        return MultiplierTerms(None, None, None, bracket)
+        return MultiplierTerms(None, None, None, None, bracket)
     n_nodes, n = stack.adjoint.shape
     psi_gx = (stack.psi.reshape(-1, n) @ gx.T).reshape(n_nodes, n, -1)
     p = np.einsum("inm,inq->imq", nodes.fu, psi_gx)
-    return MultiplierTerms(gx, psi_gx, p, bracket, weighted_rows(nodes, p))
+    return MultiplierTerms(g, gx, psi_gx, p, bracket, weighted_rows(nodes, p))
 
 
 def weighted_rows(nodes: NodeInputs, per_node: np.ndarray) -> np.ndarray:
@@ -171,8 +181,7 @@ def weighted_rows(nodes: NodeInputs, per_node: np.ndarray) -> np.ndarray:
         -1, per_node.shape[2])
 
 
-def multiplier_matrix(problem: OcpProblem, terms: MultiplierTerms,
-                      gains: GainSet) -> np.ndarray:
+def multiplier_matrix(terms: MultiplierTerms, gains: GainSet) -> np.ndarray:
     """Constraint-projected Gramian M = sum_i w_i P_i^T K P_i over the
     grid's trapezoid weights, symmetric positive semi-definite.
 
@@ -181,15 +190,14 @@ def multiplier_matrix(problem: OcpProblem, terms: MultiplierTerms,
     """
     p = terms.fu_psi_gx
     mat = terms.weighted.T @ (gains.K @ p).reshape(-1, p.shape[2])
-    if problem.tf_free:
+    if terms.bracket is not None:
         v = terms.bracket[1]
         # np.outer's product.
         mat = mat + gains.k_tf * (v[:, None] * v)
     return mat
 
 
-def multiplier_rhs(problem: OcpProblem, nodes: NodeInputs,
-                   terms: MultiplierTerms, gu: np.ndarray, gains: GainSet,
+def multiplier_rhs(terms: MultiplierTerms, gu: np.ndarray, gains: GainSet,
                    mode: str) -> np.ndarray:
     """Right-hand side r = sum_i w_i P_i^T K gu_i [+ k_tf v cost_rate]
     [- K_g g] of the multiplier system.
@@ -201,23 +209,19 @@ def multiplier_rhs(problem: OcpProblem, nodes: NodeInputs,
     if mode not in ("feasible", "quasi_feasible"):
         raise ValueError(f"unknown mode {mode!r}")
     r = terms.weighted.T @ (gu @ gains.K.T).ravel()
-    if problem.tf_free:
+    if terms.bracket is not None:
         cost_rate, v = terms.bracket
         r = r + gains.k_tf * v * cost_rate
     if mode == "quasi_feasible":
-        gval = np.asarray(problem.constraint(nodes.xs[-1], nodes.grid.tf),
-                          dtype=float)
-        r = r - gains.K_g @ gval
+        r = r - gains.K_g @ terms.g
     return r
 
 
-def multiplier_system(problem: OcpProblem, nodes: NodeInputs,
-                      terms: MultiplierTerms, gu: np.ndarray, gains: GainSet,
+def multiplier_system(terms: MultiplierTerms, gu: np.ndarray, gains: GainSet,
                       mode: str = "quasi_feasible"):
     """(M, r) of the multiplier system M pi = -r from one evaluation's
     ``MultiplierTerms``."""
-    mat = multiplier_matrix(problem, terms, gains)
-    return mat, multiplier_rhs(problem, nodes, terms, gu, gains, mode)
+    return multiplier_matrix(terms, gains), multiplier_rhs(terms, gu, gains, mode)
 
 
 def solve_multipliers(M: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -257,21 +261,19 @@ def tf_rhs(bracket, pi: Optional[np.ndarray], gains: GainSet) -> float:
     return -gains.k_tf * bracket_value(bracket, pi)
 
 
-def optimality_residuals(problem: OcpProblem, nodes: NodeInputs,
-                         terms: MultiplierTerms, gu: np.ndarray,
+def optimality_residuals(terms: MultiplierTerms, gu: np.ndarray,
                          pi: Optional[np.ndarray], *, bracket) -> Residuals:
     """Sup-norm first-order optimality, terminal-constraint miss, and
     (free horizon only) transversality residual for the snapshot; the
     last reads ``bracket``, the ``terminal_bracket`` terms along the
-    dynamics."""
+    dynamics (None on a fixed horizon)."""
     defect = _optimality_defect(terms, gu, pi)
     optimality = float(np.abs(defect).max())
     constraint = 0.0
-    if problem.q > 0:
-        gval = problem.constraint(nodes.xs[-1], nodes.grid.tf)
-        constraint = float(np.abs(np.asarray(gval, dtype=float)).max())
+    if terms.g is not None:
+        constraint = float(np.abs(terms.g).max())
     transversality = None
-    if problem.tf_free:
+    if bracket is not None:
         transversality = abs(bracket_value(bracket, pi))
     return Residuals(optimality, constraint, transversality)
 

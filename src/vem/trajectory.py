@@ -499,13 +499,6 @@ def _tangent_chain(b, h):
     return chain
 
 
-def _same(a, b) -> bool:
-    """Whether float arrays a and b hold the same bits, so -0.0 differs
-    from 0.0 and a NaN matches its own bits: same shape and the same
-    bytes."""
-    return a is b or (a.shape == b.shape and a.tobytes() == b.tobytes())
-
-
 def _tangents(problem: OcpProblem, rows, h, stages, kept: KeptBlocks):
     """The tangents (K, n+1, n), read-only, of the s-substep RK4 maps
     with substep width ``h`` (K, 1), and the ``_band`` of their blocks
@@ -671,14 +664,15 @@ class KeptBlocks:
 
     def get(self, slot, key, build):
         """The value kept under ``slot`` while every array of ``key`` has
-        the bits it was built from (``_same``); else ``build()``'s, kept
-        once it returns, so a ``build`` that raises keeps nothing.  The
-        key's arrays are held, not copied: the caller does not change
-        them."""
+        the shape and bytes it was built from, so -0.0 differs from 0.0
+        and a NaN matches its own bits; else ``build()``'s, kept once it
+        returns, so a ``build`` that raises keeps nothing.  The slot keeps
+        a copy of the key's bits, not its arrays, so a caller may refill
+        an array it passed."""
+        bits = [(a.shape, a.tobytes()) for a in key]
         kept = self._slots.get(slot)
-        if not (kept and len(key) == len(kept[0])
-                and all(map(_same, key, kept[0]))):
-            kept = self._slots[slot] = (key, build())
+        if kept is None or kept[0] != bits:
+            kept = self._slots[slot] = (bits, build())
         return kept[1]
 
 

@@ -180,10 +180,10 @@ class TestEvolve:
             assert a.J == b.J and a.tf == b.tf
 
     def test_early_stop_reports_convergence(self, di):
-        # A smaller step cap lets the relaxation tail resolve deeply
+        # Tighter tau tolerances let the relaxation tail resolve deeply
         # enough to cross the residual thresholds before the final time.
         system = assemble_ivp(di.problem, "third", 41, di.gains)
-        opts = IntegratorOptions(max_step=5.0)
+        opts = IntegratorOptions(rtol=1e-6, atol=1e-9)
         history = evolve(system, 300.0, opts=opts, early_stop=True)
         assert history.termination_reason == "converged"
         assert history.final.tau < 300.0
@@ -757,6 +757,23 @@ class TestModifiedMode:
         assert np.array_equal(rate, own)
 
 
+def _counted(bench, calls, names):
+    """The benchmark with the named point callbacks appending their name
+    to ``calls``."""
+    problem = bench.problem
+
+    def counted(name):
+        fn = getattr(problem, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    return dataclasses.replace(bench, problem=dataclasses.replace(
+        problem, **{name: counted(name) for name in names}))
+
+
 class TestTerminalBracket:
     @pytest.mark.parametrize("method,mode", [("third", "quasi_feasible"),
                                              ("second", "quasi_feasible"),
@@ -766,34 +783,36 @@ class TestTerminalBracket:
         # shared by the multiplier system and the terminal-time rate, and
         # by the transversality residual.  In modified mode the rate reads
         # the snapshot's derivative instead of the dynamics, so only the
-        # residual calls the dynamics, and it forms its own bracket.  g_x
-        # is read once per evaluation, for the bracket and the constraint
-        # projection, and phi_x once, for the adjoint's end value, which
-        # the bracket reads; the residual reads neither.
-        calls, problem = [], brach.problem
-
-        def counted(name):
-            fn = getattr(problem, name)
-
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
-            return wrapper
-
-        p = dataclasses.replace(problem, **{name: counted(name) for name in
-                                            ("dynamics", "dphi_dt", "dg_dt",
-                                             "jac_gx", "grad_phix")})
+        # residual calls the dynamics, and it forms its own bracket.  g and
+        # g_x are read once per evaluation, for the multiplier system, the
+        # bracket, the constraint projection and the constraint residual,
+        # and phi_x once, for the adjoint's end value, which the bracket
+        # reads; the residual reads none of them.
+        calls = []
+        p = _counted(brach, calls, ("dynamics", "dphi_dt", "dg_dt", "constraint",
+                                    "jac_gx", "grad_phix")).problem
         system = assemble_ivp(p, method, 21, brach.gains, mode=mode)
         vec = system.y0 * (1.0 + 1e-3)
         calls.clear()
         system.rhs(0.0, vec)
         modified = mode == "modified"
-        assert sorted(calls) == sorted(["dg_dt", "dphi_dt", "grad_phix", "jac_gx"]
+        assert sorted(calls) == sorted(["constraint", "dg_dt", "dphi_dt",
+                                        "grad_phix", "jac_gx"]
                                        + ([] if modified else ["dynamics"]))
         calls.clear()
         system.residuals(vec)
         assert sorted(calls) == (["dg_dt", "dphi_dt", "dynamics"] if modified
                                  else [])
+
+    @pytest.mark.parametrize("method", ["third", "second"])
+    @pytest.mark.parametrize("name", ["double-integrator", "brachistochrone"])
+    def test_whole_run_reads_g_with_g_x(self, name, method):
+        # One g read beside each g_x read: the residual checks of the
+        # early stop and the snapshots read the evaluation's g.
+        calls = []
+        solve_benchmark(_counted(get_benchmark(name), calls,
+                                 ("constraint", "jac_gx")), method)
+        assert 0 < calls.count("constraint") == calls.count("jac_gx")
 
 
 class TestConditioning:

@@ -130,7 +130,7 @@ class TestControlRhs:
             gu = third.control_gradient(nodes, stack)
             terms = third.multiplier_terms(p, nodes, stack)
             pi = third.solve_multipliers(*third.multiplier_system(
-                p, nodes, terms, gu, brach.gains))
+                terms, gu, brach.gains))
             rates.append(third.control_rhs(terms, gu, pi, brach.gains))
         assert np.max(np.abs(rates[0])) > 1e-2
         assert np.max(np.abs(rates[0] - rates[1])) <= 1e-6

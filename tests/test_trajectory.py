@@ -10,6 +10,7 @@ import pytest
 
 from vem import (
     ControlTrajectory,
+    GainSet,
     IntegratorOptions,
     OcpProblem,
     TimeGrid,
@@ -1073,3 +1074,44 @@ def test_kept_values_follow_key_bits():
         kept.get("slot", (a,), raising)
     assert kept.get("slot", (b.copy(),), lambda: 4) == 3
     assert kept.get("slot", (b, b), lambda: 5) == 5
+
+
+def _refilling_problem(reuse):
+    """One state on a fixed horizon, f = (-1 + sin(u)/2) x + u with
+    L = u^2/2 and phi = x^2/2, whose ``jac_fx_rows`` refills and returns
+    one buffer per row count when ``reuse`` is set."""
+    buffers = {}
+
+    def jac_fx_rows(xs, us, ts):
+        rows = (-1.0 + 0.5 * np.sin(us[:, 0]))[:, None, None]
+        if not reuse:
+            return rows
+        out = buffers.setdefault(rows.shape, np.empty(rows.shape))
+        out[...] = rows
+        return out
+
+    return OcpProblem(
+        n=1, m=1, q=0, t0=0.0, x0=np.array([1.0]), tf_mode="fixed", tf=1.0,
+        dynamics_rows=lambda xs, us, ts: (-1.0 + 0.5 * np.sin(us)) * xs + us,
+        jac_fx_rows=jac_fx_rows,
+        jac_fu_rows=lambda xs, us, ts: (0.5 * np.cos(us) * xs + 1.0)[:, :, None],
+        running_cost_rows=lambda xs, us, ts: 0.5 * us[:, 0] ** 2,
+        grad_lx_rows=lambda xs, us, ts: np.zeros((len(ts), 1)),
+        grad_lu_rows=lambda xs, us, ts: np.array(us, dtype=float),
+        terminal_cost=lambda xf, tf: 0.5 * xf[0] ** 2,
+        grad_phix=lambda xf, tf: np.array([xf[0]]))
+
+
+def test_refilled_row_buffer_is_not_taken_for_kept_rows():
+    # The store compares a key with the bits it kept, not with the array
+    # it was given, so a row form that refills one buffer misses when its
+    # rows move, and the run matches the one with fresh arrays bit for bit.
+    finals = []
+    for reuse in (True, False):
+        system = assemble_ivp(_refilling_problem(reuse), "third", 21,
+                              GainSet(K=np.eye(1)))
+        finals.append(evolve(system, 20.0, early_stop=False).final)
+    reused, fresh = finals
+    assert reused.J == fresh.J
+    assert np.array_equal(reused.controls, fresh.controls)
+    assert np.array_equal(reused.states, fresh.states)

@@ -149,8 +149,7 @@ _FAILURES = (
 
 
 def cmd_solve(args) -> int:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = args.outdir
     try:
         bench = get_benchmark(args.problem)
         history, report = solve_benchmark(bench, args.method,
@@ -181,9 +180,6 @@ def cmd_compare(args) -> int:
         print("need >= 2 runs: give more than one problem/method combination",
               file=sys.stderr)
         return EXIT_USAGE
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     # Every run's options are checked before the first solve: a bad one
     # ends the comparison with no run made.  Per problem, the benchmark
     # and its solve keywords, or the error text of an unknown name.
@@ -236,9 +232,9 @@ def cmd_compare(args) -> int:
         print(f"{problem_name:<20}{method:<8}{report.ivp_dimension:>5}"
               f"{report.wall_seconds:>9.2f}{_fmt(report.e_J, '.3e'):>12}"
               f"{_fmt(e_u, '.3e'):>12}  " + " ".join(f"{v:.3e}" for v in e_x))
-    (outdir / "comparison.csv").write_text("\n".join(lines) + "\n",
-                                           encoding="utf-8")
-    print(f"wrote {outdir / 'comparison.csv'}")
+    (args.outdir / "comparison.csv").write_text("\n".join(lines) + "\n",
+                                                encoding="utf-8")
+    print(f"wrote {args.outdir / 'comparison.csv'}")
     failures = sum(isinstance(report, str) for _, _, report in runs)
     return EXIT_OK if failures == 0 else EXIT_SOLVER
 
@@ -261,6 +257,16 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _outdir(text: str) -> Path:
+    """An output directory, made when missing: a path that cannot be one,
+    such as an existing file, is a usage error before any solve."""
+    try:
+        Path(text).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot make directory {text!r}: {exc.strerror}")
+    return Path(text)
+
+
 def _add_run_options(parser):
     parser.add_argument("--nodes", type=int, default=None,
                         help="discretization nodes (default: per problem)")
@@ -281,7 +287,7 @@ def _add_run_options(parser):
     parser.add_argument("--atol", type=float, default=IntegratorOptions.atol)
     parser.add_argument("--no-early-stop", action="store_true",
                         help="always integrate to tau-end")
-    parser.add_argument("--outdir", type=str, default=_default_outdir(),
+    parser.add_argument("--outdir", type=_outdir, default=_default_outdir(),
                         help=f"output directory (default: ${_ENV_OUTDIR} or '.')")
 
 

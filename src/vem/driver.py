@@ -194,8 +194,9 @@ class Evaluation:
     trajectories (``snap``), for the control-only method the shooting
     solve's states under the node controls.  ``terms`` holds the end-node
     terms every formula reads: g, g_x, its projections and, on a free
-    horizon, the terminal bracket along the end-node rate the tau-rate
-    reads (the snapshot's own in modified mode).
+    horizon, the terminal bracket along the dynamics and along the
+    end-node rate the tau-rate reads (the snapshot's own in modified
+    mode).  The residuals are algebra on these terms in every mode.
     """
 
     ctrl: ControlTrajectory
@@ -342,17 +343,8 @@ class EvolutionSystem:
         return self._rate(self.evaluate(vec))
 
     def residuals(self, vec) -> third_eq.Residuals:
-        return self._residuals(self.evaluate(vec))
-
-    def _residuals(self, ev: Evaluation) -> third_eq.Residuals:
-        bracket = ev.terms.bracket
-        if bracket is not None and ev.defect is not None:
-            # The transversality residual reads the dynamics, not the
-            # modified-mode rate's snapshot derivative.
-            bracket = third_eq.terminal_bracket(self.problem, ev.nodes, ev.stack,
-                                                ev.terms.gx)
-        return third_eq.optimality_residuals(ev.terms, ev.gu, ev.pi,
-                                             bracket=bracket)
+        ev = self.evaluate(vec)
+        return third_eq.optimality_residuals(ev.terms, ev.gu, ev.pi)
 
     def gradient_norm(self, vec) -> float:
         """Sup-norm of the cost gradient at a snapshot (threshold scaling)."""
@@ -362,7 +354,7 @@ class EvolutionSystem:
         ev = self.evaluate(vec)
         grid = ev.nodes.grid
         cost = path_cost(self.problem, ev.states, ev.ctrl, grid, self.opts)
-        res = self._residuals(ev)
+        res = third_eq.optimality_residuals(ev.terms, ev.gu, ev.pi)
         costates = third_eq.reconstruct_costates(ev.stack, ev.terms, ev.pi)
         return SnapshotRecord(float(tau), grid.times.copy(),
                               ev.ctrl.values.copy(), ev.states.values.copy(),
@@ -378,13 +370,13 @@ def assemble_ivp(problem: OcpProblem, method: str, n_nodes: int,
     """Build the tau-IVP for a problem and probe its right-hand side once.
 
     ``init_controls`` defaults to all-zero node controls, and ``init_tf``,
-    the starting horizon of a free-horizon problem, to ``problem.tf``; an
-    ``init_tf`` on a fixed horizon, or a non-finite one, raises
-    ValueError.  The coupled method starts from the node states of the
-    control-only method's shooting solve under that control
-    (``shooting_nodes``), so the starting snapshot satisfies the dynamics
-    to the solve's tolerance and the initial condition exactly.  Its
-    feasible mode also needs a start that meets the terminal constraint,
+    the starting horizon of a free-horizon problem, to ``problem.tf``;
+    non-finite node controls, an ``init_tf`` on a fixed horizon, or a
+    non-finite one, raise ValueError.  The coupled method starts from the
+    node states of the control-only method's shooting solve under that
+    control (``shooting_nodes``), so the starting snapshot satisfies the
+    dynamics to the solve's tolerance and the initial condition exactly.
+    Its feasible mode also needs a start that meets the terminal constraint,
     ||g(x(tf), tf)||_inf <= CONSTRAINT_TOL, and raises ValueError naming
     the miss otherwise.  An unknown ``mode`` raises ValueError for either
     method.  The same integrator options drive both the inner
@@ -404,6 +396,8 @@ def assemble_ivp(problem: OcpProblem, method: str, n_nodes: int,
     if init_controls.shape != (n_nodes, problem.m):
         raise ValueError(
             f"init_controls must have shape {(n_nodes, problem.m)}")
+    if not np.all(np.isfinite(init_controls)):
+        raise ValueError("init_controls must be finite")
     tf0 = problem.tf
     if init_tf is not None:
         if not problem.tf_free:

@@ -26,17 +26,22 @@ r = sum_i w_i P_i^T K gu_i + k_tf v cost_rate - K_g g are sums over the
 grid's trapezoid weights w; the constraint pull in the control rate and
 the residuals is P pi and the costates add Q pi.  The Psi^T f_u-first
 assembly with einsums and ``np.trapezoid`` is an oracle in
-``vem.checks`` (``multiplier_assembly``).  On a free horizon the
-terminal-time rate, the transversality residual and the k_tf terms of M
-and r all read the terms of one ``terminal_bracket`` at the end node,
-whose time is the grid's ``tf`` exactly and whose phi_x is the adjoint's
-end value; it is formed once per snapshot and end-node rate.
+``vem.checks`` (``multiplier_assembly``).  On a free horizon one
+``terminal_bracket`` read at the end node, whose time is the grid's
+``tf`` exactly and whose phi_x is the adjoint's end value, serves the
+terminal-time rate, the k_tf terms of M and r and the transversality
+residual: it reads the end-node dynamics, L, phi_t and g_t once per
+evaluation and forms the bracket's terms along the dynamics, which the
+residual reads, and along the end-node rate, which the rate and the
+multiplier system read (the same terms unless the coupled modified mode
+gives its own rate).
 
-Three places read the terminal callbacks: ``multiplier_terms`` (g and
-g_x), ``terminal_bracket`` (the end-node dynamics, L, phi_t and g_t) and
-the driver's feasible-start check (``assemble_ivp``).  Every other
-formula here is algebra on ``NodeInputs``, ``MultiplierTerms`` and the
-stack.
+Two places read the terminal callbacks: ``multiplier_terms`` (g and
+g_x, and through its one ``terminal_bracket`` call the end-node
+dynamics, L, phi_t and g_t) and the driver's feasible-start check
+(``assemble_ivp``).  Every other formula here, the residuals in every
+mode among them, is algebra on ``NodeInputs``, ``MultiplierTerms`` and
+the stack.
 
 The coupled method (``vem.second``) is these formulas on its own
 snapshot's node record, plus its end-node time derivative (``xdot_end``)
@@ -99,23 +104,27 @@ def node_inputs(problem: OcpProblem, states: StateTrajectory,
 def terminal_bracket(problem: OcpProblem, nodes: NodeInputs,
                      stack: TransitionStack, gx: Optional[np.ndarray],
                      xdot_end: Optional[np.ndarray] = None):
-    """(cost_rate, v) at the end node: the cost rate L + phi_t + phi_x xdot
-    and the constraint rate v = g_x xdot + g_t (None without constraints)
-    of the terminal bracket L + phi_t + phi_x xdot + pi v.  xdot is the
-    dynamics unless ``xdot_end`` is given; phi_x is the adjoint's end
-    value, which the stack pins to the terminal-cost gradient exactly, and
-    ``gx`` the evaluation's g_x (``MultiplierTerms``).  The caller forms
-    them once per snapshot and end-node rate; ``bracket_value`` adds pi v."""
+    """The terminal bracket's terms (cost_rate, v) at the end node, twice:
+    along the dynamics, for the transversality residual, and along
+    ``xdot_end``, for the rate and the multiplier system (the same tuple
+    when ``xdot_end`` is None).  Along a rate xdot they are the cost rate
+    L + phi_t + phi_x xdot and the constraint rate v = g_x xdot + g_t (None
+    without constraints) of the bracket L + phi_t + phi_x xdot + pi v;
+    phi_x is the adjoint's end value, which the stack pins to the
+    terminal-cost gradient exactly, and ``gx`` the evaluation's g_x
+    (``MultiplierTerms``).  L, phi_t and g_t are read once for both;
+    ``bracket_value`` adds pi v."""
     x_end, u_end, tf = nodes.xs[-1], nodes.us[-1], nodes.grid.tf
-    if xdot_end is None:
-        xdot_end = problem.dynamics(x_end, u_end, tf)
-    w = np.asarray(xdot_end, dtype=float)
-    cost_rate = (float(problem.running_cost(x_end, u_end, tf))
-                 + float(problem.dphi_dt(x_end, tf))
-                 + float(stack.adjoint[-1] @ w))
-    if gx is None:
-        return cost_rate, None
-    return cost_rate, gx @ w + np.asarray(problem.dg_dt(x_end, tf), dtype=float)
+    base = (float(problem.running_cost(x_end, u_end, tf))
+            + float(problem.dphi_dt(x_end, tf)))
+    gt = None if gx is None else np.asarray(problem.dg_dt(x_end, tf), dtype=float)
+
+    def along(w):
+        return (base + float(stack.adjoint[-1] @ w),
+                None if gx is None else gx @ w + gt)
+
+    dynamics = along(np.asarray(problem.dynamics(x_end, u_end, tf), dtype=float))
+    return dynamics, dynamics if xdot_end is None else along(xdot_end)
 
 
 def bracket_value(bracket, pi: Optional[np.ndarray]) -> float:
@@ -142,13 +151,16 @@ class MultiplierTerms:
     node, the constraint projection Q = Psi g_x^T and P = f_u^T Q at every
     node and P's ``weighted_rows``, which both sums of the multiplier
     system read (all None without constraints) and, on a free horizon,
-    the terminal bracket's terms (None on a fixed one)."""
+    the terminal bracket's terms along the dynamics (``transversality``,
+    the residual's) and along the end-node rate (``bracket``, the rate's
+    and the multiplier system's); both are None on a fixed horizon."""
 
     g: Optional[np.ndarray]             # (q,)
     gx: Optional[np.ndarray]            # (q, n)
     psi_gx: Optional[np.ndarray]        # Q, (N, n, q)
     fu_psi_gx: Optional[np.ndarray]     # P, (N, m, q)
-    bracket: Optional[tuple] = None     # terminal_bracket's (cost_rate, v)
+    transversality: Optional[tuple] = None  # terminal_bracket's (cost_rate, v)
+    bracket: Optional[tuple] = None         # ... along the end-node rate
     weighted: Optional[np.ndarray] = None   # weighted_rows(P), (N m, q)
 
 
@@ -157,21 +169,21 @@ def multiplier_terms(problem: OcpProblem, nodes: NodeInputs,
                      xdot_end: Optional[np.ndarray] = None) -> MultiplierTerms:
     """One ``constraint`` and one ``jac_gx`` call, the projections Q and
     P, P's weighted rows, and on a free horizon the terminal bracket along
-    ``xdot_end`` (the dynamics when None)."""
+    the dynamics and along ``xdot_end`` (the dynamics when None)."""
     g = gx = None
     if problem.q > 0:
         x_end, tf = nodes.xs[-1], nodes.grid.tf
         g = np.asarray(problem.constraint(x_end, tf), dtype=float)
         gx = np.asarray(problem.jac_gx(x_end, tf), dtype=float)
-    bracket = None
+    brackets = (None, None)
     if problem.tf_free:
-        bracket = terminal_bracket(problem, nodes, stack, gx, xdot_end)
+        brackets = terminal_bracket(problem, nodes, stack, gx, xdot_end)
     if gx is None:
-        return MultiplierTerms(None, None, None, None, bracket)
+        return MultiplierTerms(None, None, None, None, *brackets)
     n_nodes, n = stack.adjoint.shape
     psi_gx = (stack.psi.reshape(-1, n) @ gx.T).reshape(n_nodes, n, -1)
     p = np.einsum("inm,inq->imq", nodes.fu, psi_gx)
-    return MultiplierTerms(g, gx, psi_gx, p, bracket, weighted_rows(nodes, p))
+    return MultiplierTerms(g, gx, psi_gx, p, *brackets, weighted_rows(nodes, p))
 
 
 def weighted_rows(nodes: NodeInputs, per_node: np.ndarray) -> np.ndarray:
@@ -262,19 +274,19 @@ def tf_rhs(bracket, pi: Optional[np.ndarray], gains: GainSet) -> float:
 
 
 def optimality_residuals(terms: MultiplierTerms, gu: np.ndarray,
-                         pi: Optional[np.ndarray], *, bracket) -> Residuals:
+                         pi: Optional[np.ndarray]) -> Residuals:
     """Sup-norm first-order optimality, terminal-constraint miss, and
-    (free horizon only) transversality residual for the snapshot; the
-    last reads ``bracket``, the ``terminal_bracket`` terms along the
-    dynamics (None on a fixed horizon)."""
+    (free horizon only) transversality residual for the snapshot: algebra
+    on the evaluation's terms in every mode, the last on the bracket's
+    terms along the dynamics (``terms.transversality``)."""
     defect = _optimality_defect(terms, gu, pi)
     optimality = float(np.abs(defect).max())
     constraint = 0.0
     if terms.g is not None:
         constraint = float(np.abs(terms.g).max())
     transversality = None
-    if bracket is not None:
-        transversality = abs(bracket_value(bracket, pi))
+    if terms.transversality is not None:
+        transversality = abs(bracket_value(terms.transversality, pi))
     return Residuals(optimality, constraint, transversality)
 
 

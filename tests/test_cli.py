@@ -18,6 +18,24 @@ def _read_csv_header(path):
     return path.read_text().splitlines()[0].split(",")
 
 
+def _assert_outdir_rejected(argv, outdir, monkeypatch, capsys):
+    """``argv`` with ``--outdir`` naming an existing file exits 2 before
+    any solve, with argparse's usage and one error line naming the
+    option."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve started")
+
+    monkeypatch.setattr(cli, "solve_benchmark", no_solve)
+    outdir.write_text("not a directory\n")
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--outdir", str(outdir)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("vem ") and "error: argument --outdir: " in err[-1]
+    assert str(outdir) in err[-1]
+    assert outdir.read_text() == "not a directory\n"
+
+
 class TestSolve:
     def test_short_run_writes_all_outputs(self, tmp_path):
         code = main(["solve", "--problem", "double-integrator",
@@ -91,6 +109,10 @@ class TestSolve:
         assert err.startswith("invalid run option: feasible mode needs a start")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "report.json").exists()
+
+    def test_file_as_outdir_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        _assert_outdir_rejected(["solve", "--problem", "double-integrator"],
+                                tmp_path / "taken", monkeypatch, capsys)
 
     def test_unknown_problem_is_usage_error(self, tmp_path, capsys):
         code = main(["solve", "--problem", "pendulum",
@@ -343,6 +365,11 @@ class TestCompare:
         code = main(["compare", "--problems", "double-integrator",
                      "--methods", "third", "--outdir", str(tmp_path)])
         assert code == 2
+
+    def test_file_as_outdir_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        _assert_outdir_rejected(["compare", "--problems", "double-integrator",
+                                 "brachistochrone"],
+                                tmp_path / "taken", monkeypatch, capsys)
 
     def test_two_method_comparison(self, tmp_path):
         code = main(["compare", "--problems", "double-integrator",

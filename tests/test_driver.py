@@ -100,6 +100,16 @@ class TestAssembly:
             assemble_ivp(brach.problem, method, 21, brach.gains, init_tf=value)
 
     @pytest.mark.parametrize("method", ["third", "second"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_initial_controls(self, brach, method, value):
+        # A bad start is a bad option, not a solver failure at tau = 0.
+        controls = np.zeros((21, 1))
+        controls[5, 0] = value
+        with pytest.raises(ValueError, match="init_controls must be finite"):
+            assemble_ivp(brach.problem, method, 21, brach.gains,
+                         init_controls=controls)
+
+    @pytest.mark.parametrize("method", ["third", "second"])
     def test_initial_horizon_on_a_free_horizon(self, brach, method):
         # The coupled start is the shooting solve on [t0, init_tf].
         p = brach.problem
@@ -779,15 +789,13 @@ class TestTerminalBracket:
                                              ("second", "quasi_feasible"),
                                              ("second", "modified")])
     def test_formed_once_per_evaluation(self, brach, method, mode):
-        # The end-node dynamics, phi_t and g_t: one call each per tau-RHS,
-        # shared by the multiplier system and the terminal-time rate, and
-        # by the transversality residual.  In modified mode the rate reads
-        # the snapshot's derivative instead of the dynamics, so only the
-        # residual calls the dynamics, and it forms its own bracket.  g and
-        # g_x are read once per evaluation, for the multiplier system, the
-        # bracket, the constraint projection and the constraint residual,
-        # and phi_x once, for the adjoint's end value, which the bracket
-        # reads; the residual reads none of them.
+        # One end-node read per tau-RHS in every mode: g, g_x, phi_x (the
+        # adjoint's end value), and the dynamics, phi_t and g_t of the one
+        # terminal bracket, whose terms along the dynamics the residual
+        # reads and whose terms along the end-node rate (the snapshot's
+        # derivative in modified mode) the multiplier system and the
+        # terminal-time rate read.  The residuals are algebra on those
+        # terms and call nothing.
         calls = []
         p = _counted(brach, calls, ("dynamics", "dphi_dt", "dg_dt", "constraint",
                                     "jac_gx", "grad_phix")).problem
@@ -795,24 +803,30 @@ class TestTerminalBracket:
         vec = system.y0 * (1.0 + 1e-3)
         calls.clear()
         system.rhs(0.0, vec)
-        modified = mode == "modified"
-        assert sorted(calls) == sorted(["constraint", "dg_dt", "dphi_dt",
-                                        "grad_phix", "jac_gx"]
-                                       + ([] if modified else ["dynamics"]))
+        assert sorted(calls) == ["constraint", "dg_dt", "dphi_dt", "dynamics",
+                                 "grad_phix", "jac_gx"]
         calls.clear()
         system.residuals(vec)
-        assert sorted(calls) == (["dg_dt", "dphi_dt", "dynamics"] if modified
-                                 else [])
+        assert calls == []
 
-    @pytest.mark.parametrize("method", ["third", "second"])
+    @pytest.mark.parametrize("method,mode", [("third", "quasi_feasible"),
+                                             ("second", "quasi_feasible"),
+                                             ("second", "modified")],
+                             ids=["third", "second", "second-modified"])
     @pytest.mark.parametrize("name", ["double-integrator", "brachistochrone"])
-    def test_whole_run_reads_g_with_g_x(self, name, method):
+    def test_whole_run_reads_g_with_g_x(self, name, method, mode):
         # One g read beside each g_x read: the residual checks of the
-        # early stop and the snapshots read the evaluation's g.
+        # early stop and the snapshots read the evaluation's g.  On the
+        # free horizon the end-node dynamics, phi_t and g_t are read with
+        # them, once per evaluation, in every mode.
+        names = ("constraint", "jac_gx", "dynamics", "dphi_dt", "dg_dt")
         calls = []
-        solve_benchmark(_counted(get_benchmark(name), calls,
-                                 ("constraint", "jac_gx")), method)
-        assert 0 < calls.count("constraint") == calls.count("jac_gx")
+        solve_benchmark(_counted(get_benchmark(name), calls, names), method,
+                        mode=mode)
+        counts = [calls.count(callback) for callback in names]
+        assert 0 < counts[0] == counts[1]
+        if name == "brachistochrone":
+            assert counts[2:] == [counts[0]] * 3
 
 
 class TestConditioning:

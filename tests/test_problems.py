@@ -103,8 +103,7 @@ class TestReferenceQuality:
         nodes = third.node_inputs(p, states, ctrl)
         gu = third.control_gradient(nodes, stack)
         terms = third.multiplier_terms(p, nodes, stack)
-        res = third.optimality_residuals(terms, gu, bench.reference.multipliers,
-                                         bracket=terms.bracket)
+        res = third.optimality_residuals(terms, gu, bench.reference.multipliers)
         assert res.optimality_inf <= 1e-3
         assert res.constraint_inf <= 1e-3
         if res.transversality is not None:

@@ -369,8 +369,7 @@ class TestResidualsAndCostates:
         nodes, stack = _snapshot(di.problem, grid, _di_reference_controls(di, grid))
         gu = third.control_gradient(nodes, stack)
         terms = third.multiplier_terms(di.problem, nodes, stack)
-        res = third.optimality_residuals(terms, gu, np.array([3.0, -2.5]),
-                                         bracket=None)
+        res = third.optimality_residuals(terms, gu, np.array([3.0, -2.5]))
         assert res.optimality_inf <= 1e-5
         assert res.constraint_inf <= 1e-5
         assert res.transversality is None
@@ -380,7 +379,7 @@ class TestResidualsAndCostates:
         nodes, stack = _snapshot(di.problem, grid, np.zeros((41, 1)))
         gu = third.control_gradient(nodes, stack)
         terms = third.multiplier_terms(di.problem, nodes, stack)
-        res = third.optimality_residuals(terms, gu, np.zeros(2), bracket=None)
+        res = third.optimality_residuals(terms, gu, np.zeros(2))
         assert res.constraint_inf == pytest.approx(3.0, abs=1e-9)
 
     def test_costates_closed_form(self, di):

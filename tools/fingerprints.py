@@ -4,9 +4,10 @@ and its errors e_J, e_u and e_x.
 
     python tools/fingerprints.py [root]    # root defaults to this checkout
 
-It solves every start of the three perfbench workloads at seeds 1 and 7
-and the four acceptance runs (zero guess, default N, tau = 300, early
-stop off), with the package under ``root/src`` and the workload
+It solves every start of the three perfbench workloads at seeds 1 and 7,
+the four acceptance runs (zero guess, default N, tau = 300, early stop
+off) and the coupled method's modified mode at the acceptance settings
+on both problems, with the package under ``root/src`` and the workload
 definitions of ``root/perfbench``, which it imports and does not change.
 Two checkouts print the same line for a solve exactly when that solve
 gives the same bits, so the diff of their outputs names the solves that
@@ -43,6 +44,17 @@ def workload_starts(wl, benchmarks):
             for seed in SEEDS for item in wl.draw_inputs(workload, seed, benchmarks)]
 
 
+def modified_solve(wl):
+    """``wl.solve`` in the coupled method's modified mode."""
+    def solve(driver, benchmarks, item):
+        spec = item.spec
+        return driver.solve_benchmark(
+            benchmarks[spec.problem], spec.method, n_nodes=spec.n_nodes,
+            tau_end=wl.TAU_END, early_stop=spec.early_stop, mode="modified")
+
+    return solve
+
+
 def main(argv) -> int:
     root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
     sys.path.insert(0, str(root / "src"))
@@ -50,13 +62,15 @@ def main(argv) -> int:
 
     wl = load_workloads(root)
     benchmarks = {name: get_benchmark(name) for name in (wl.DI, wl.BR)}
-    runs = workload_starts(wl, benchmarks)
-    runs += [("acceptance", "-", wl.SolveInput(spec, None, None))
+    runs = [(*run, wl.solve) for run in workload_starts(wl, benchmarks)]
+    runs += [("acceptance", "-", wl.SolveInput(spec, None, None), wl.solve)
              for spec, _, _ in wl.BASELINE]
-    for name, seed, item in runs:
+    runs += [("modified", "-", wl.SolveInput(spec, None, None), modified_solve(wl))
+             for spec, _, _ in wl.BASELINE if spec.method == "second"]
+    for name, seed, item, solve in runs:
         head = f"{name} {item.spec.label} seed={seed}"
         try:
-            result = wl.outcome(item, *wl.solve(driver, benchmarks, item))
+            result = wl.outcome(item, *solve(driver, benchmarks, item))
         except Exception as exc:  # a failed solve is a line of its own
             print(f"{head} failed {type(exc).__name__}: {exc}")
             continue

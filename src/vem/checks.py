@@ -315,7 +315,8 @@ def variational_state_rate(problem, snap, udot_nodes, mode="quasi_feasible",
     equals the convolution ``second.state_rhs_second`` up to quadrature
     and integration error.
     """
-    second_eq._check_mode(mode)
+    if mode not in driver.MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {driver.MODES}")
     grid = snap.grid
     udot_nodes = np.atleast_2d(np.asarray(udot_nodes, dtype=float))
     modified = mode == "modified"
@@ -449,14 +450,15 @@ def _convolution_gap(seed):
 
 
 def multiplier_assembly(problem, nodes, stack, gu, gains, mode="quasi_feasible",
-                        defect=None, xdot_end=None):
+                        defects=None):
     """Oracle of the multiplier kernel (``third.multiplier_terms`` and the
     formulas that read its projections): (M, r, pi, control rate,
     costates) by the Psi^T f_u-first assembly, with einsums over every
     node, ``np.trapezoid`` of the integrands, and g_x and phi_x read
     where each term needs them.  ``mode`` is a coupled variant; the
-    modified one adds the initial-condition and dynamics ``defect``
-    corrections and takes the terminal bracket along ``xdot_end``."""
+    modified one adds the initial-condition and the ``defects`` record's
+    dynamics-defect corrections and takes the terminal bracket along the
+    record's ``xdot_end``."""
     times, x_end, tf = nodes.grid.times, nodes.xs[-1], nodes.grid.tf
     gx = np.asarray(problem.jac_gx(x_end, tf), dtype=float)
     psit_fu = np.einsum("iba,ibm->iam", stack.psi, nodes.fu)
@@ -466,8 +468,8 @@ def multiplier_assembly(problem, nodes, stack, gu, gains, mode="quasi_feasible",
                           times, axis=0)
     if problem.tf_free:
         u_end = nodes.us[-1]
-        w = np.asarray(problem.dynamics(x_end, u_end, tf) if xdot_end is None
-                       else xdot_end, dtype=float)
+        w = np.asarray(problem.dynamics(x_end, u_end, tf) if defects is None
+                       else defects.xdot_end, dtype=float)
         cost_rate = (float(problem.running_cost(x_end, u_end, tf))
                      + float(problem.dphi_dt(x_end, tf))
                      + float(np.asarray(problem.grad_phix(x_end, tf), dtype=float) @ w))
@@ -478,7 +480,7 @@ def multiplier_assembly(problem, nodes, stack, gu, gains, mode="quasi_feasible",
         r = r - gains.K_g @ np.asarray(problem.constraint(x_end, tf), dtype=float)
     if mode == "modified":
         r = r + gx @ (stack.psi[0].T @ (nodes.xs[0] - problem.x0))
-        carried = np.einsum("iba,ib->ia", stack.psi, defect)
+        carried = np.einsum("iba,ib->ia", stack.psi, defects.dynamics)
         r = r + gx @ np.trapezoid(carried, times, axis=0)
     pi = -np.linalg.solve(mat, r)
     pull = np.einsum("inj,j->in", stack.psi, gx.T @ pi)
@@ -498,18 +500,14 @@ def _projection_gap(bench, method, mode, rng):
         states = nodes + 1e-3 * rng.standard_normal(nodes.shape)
     layout = StateLayout(method, grid.n_nodes, p.n, p.m, p.tf_free)
     vec = layout.pack(ctrl.values, states=states, tf=p.tf if p.tf_free else None)
-    ev = EvolutionSystem(p, gains, method, grid.n_nodes, IntegratorOptions(), vec,
-                         mode).evaluate(vec)
-    if method == "third":
-        mat, r = third_eq.multiplier_system(ev.terms, ev.gu, gains)
-    else:
-        mat, r = second_eq.multiplier_system_second(
-            p, ev.nodes, ev.terms, ev.gu, gains, mode, defect=ev.defect)
+    system = EvolutionSystem(p, gains, method, grid.n_nodes, IntegratorOptions(),
+                             vec, mode)
+    ev = system.evaluate(vec)
+    mat, r = third_eq.multiplier_system(ev.terms, ev.gu, gains, system.attract)
     kernel = (mat, r, ev.pi, third_eq.control_rhs(ev.terms, ev.gu, ev.pi, gains),
               third_eq.reconstruct_costates(ev.stack, ev.terms, ev.pi))
-    oracle = multiplier_assembly(
-        p, ev.nodes, ev.stack, ev.gu, gains, mode, ev.defect,
-        ev.snap.xdot[-1] if ev.defect is not None else None)
+    oracle = multiplier_assembly(p, ev.nodes, ev.stack, ev.gu, gains, mode,
+                                 ev.defects)
     return max(float(np.max(np.abs(a - b))) / float(np.max(np.abs(b)))
                for a, b in zip(kernel, oracle))
 
@@ -534,13 +532,12 @@ def _mode_reduction_gap():
         snap = second_eq.SecondEqSnapshot.create(grid, states, controls, xdot=xdot)
         stack = transition_stack(p, snap.state_traj, snap.ctrl_traj, TIGHT)
         nodes = third_eq.node_inputs(p, snap.state_traj, snap.ctrl_traj)
-        gu, defect = third_eq.control_gradient(nodes, stack), snap.defect(p)
+        gu, defects = third_eq.control_gradient(nodes, stack), snap.defects(p)
+        # Modified, quasi-feasible and feasible, as the driver builds them.
         (m_mod, r_mod), (_, r_quasi), (m_feas, r_feas) = (
-            second_eq.multiplier_system_second(
-                p, nodes, third_eq.multiplier_terms(
-                    p, nodes, stack, snap.xdot[-1] if mode == "modified" else None),
-                gu, bench.gains, mode, defect=defect)
-            for mode in ("modified", "quasi_feasible", "feasible"))
+            third_eq.multiplier_system(third_eq.multiplier_terms(p, nodes, stack, d),
+                                       gu, bench.gains, attract)
+            for d, attract in ((defects, True), (None, True), (None, False)))
         g0 = np.asarray(p.constraint(states[-1], grid.tf), dtype=float)
         worst = max(worst, float(np.max(np.abs(r_mod - r_quasi))),
                     float(np.max(np.abs(r_quasi + bench.gains.K_g @ g0 - r_feas))),

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import _check_nodes, _check_tau_end, solve_benchmark
+from .driver import METHODS, MODES, _check_nodes, _check_tau_end, solve_benchmark
 from .errors import SingularSystem, StepFailure, TfCollapse, VemError
 from .ocp import GainSet
 from .problems import benchmark_names, get_benchmark
@@ -274,7 +274,7 @@ def _add_run_options(parser):
                         help="evolution span (default: per problem)")
     parser.add_argument("--snapshots", type=str, default=None,
                         help="comma-separated snapshot times")
-    parser.add_argument("--mode", choices=["feasible", "quasi-feasible", "modified"],
+    parser.add_argument("--mode", choices=[mode.replace("_", "-") for mode in MODES],
                         default="quasi-feasible",
                         help="coupled-method variant (ignored by 'third')")
     parser.add_argument("--gain-k", type=float, default=None,
@@ -301,14 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run one problem/method combination")
     p_solve.add_argument("--problem", required=True,
                          help=f"one of {benchmark_names()} or a registered name")
-    p_solve.add_argument("--method", choices=["second", "third"], default="third")
+    p_solve.add_argument("--method", choices=METHODS, default="third")
     _add_run_options(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_cmp = sub.add_parser("compare", help="tabulate several runs side by side")
     p_cmp.add_argument("--problems", nargs="+", required=True)
-    p_cmp.add_argument("--methods", nargs="+", choices=["second", "third"],
-                       default=["second", "third"])
+    p_cmp.add_argument("--methods", nargs="+", choices=METHODS,
+                       default=list(METHODS))
     _add_run_options(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 

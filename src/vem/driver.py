@@ -37,6 +37,9 @@ from .trajectory import (
 from .trajectory import propagate_states  # noqa: F401
 
 METHODS = ("second", "third")
+# The coupled method's variants (``vem.second``); the control-only method
+# takes the quasi-feasible multiplier system in every mode.
+MODES = ("feasible", "quasi_feasible", "modified")
 DEFAULT_SNAPSHOTS = (0.0, 1.0, 5.0, 10.0, 30.0, 100.0, 300.0)
 
 # Narrowest horizon a free terminal time may shrink to before the solve
@@ -195,8 +198,12 @@ class Evaluation:
     solve's states under the node controls.  ``terms`` holds the end-node
     terms every formula reads: g, g_x, its projections and, on a free
     horizon, the terminal bracket along the dynamics and along the
-    end-node rate the tau-rate reads (the snapshot's own in modified
-    mode).  The residuals are algebra on these terms in every mode.
+    end-node rate the tau-rate reads.  ``defects`` is the coupled modified
+    mode's record (``SecondEqSnapshot.defects``), None in every other
+    mode: it is how the modified variant reaches the formulas, through
+    ``terms`` (the end-node rate and the corrections to r) and the
+    node-state rate.  The residuals are algebra on these terms in every
+    mode.
     """
 
     ctrl: ControlTrajectory
@@ -207,7 +214,7 @@ class Evaluation:
     terms: third_eq.MultiplierTerms
     pi: Optional[np.ndarray]
     snap: Optional[second_eq.SecondEqSnapshot] = None
-    defect: Optional[np.ndarray] = None     # coupled modified mode only
+    defects: Optional[third_eq.Defects] = None   # coupled modified mode only
 
 
 class EvolutionSystem:
@@ -232,15 +239,24 @@ class EvolutionSystem:
     evaluation, keyed on the f_x/L_x rows and widths they came from: on a
     fixed horizon with f_x and L_x free of x and u, such as the double
     integrator's, one build serves the whole solve.
+
+    The mode is read here only, checked against ``MODES`` and turned into
+    data: ``modified`` makes each coupled evaluation carry its snapshot's
+    ``Defects``, and ``attract`` is False in the coupled feasible mode
+    only, which drops -K_g g from the multiplier system.
     """
 
     def __init__(self, problem: OcpProblem, gains: GainSet, method: str,
                  n_nodes: int, opts: IntegratorOptions, y0: np.ndarray,
                  mode: str = "quasi_feasible"):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+        coupled = method == "second"
         self.problem = problem
         self.gains = gains
         self.method = method
-        self.mode = mode
+        self.modified = coupled and mode == "modified"
+        self.attract = not (coupled and mode == "feasible")
         self.opts = opts
         self.layout = StateLayout(method, n_nodes, problem.n, problem.m,
                                   problem.tf_free)
@@ -290,21 +306,17 @@ class EvolutionSystem:
 
     def _along(self, ctrl, states, stack, snap=None) -> Evaluation:
         """Node record, gradient, end-node terms and multipliers along
-        given trajectories and their stack; ``snap`` selects the coupled
-        multiplier system.  The modified-mode dynamics defect and the
-        end-node terms are formed once here."""
+        given trajectories and their stack (``snap``'s for the coupled
+        method).  The modified mode's defects and the end-node terms are
+        formed once here."""
         problem = self.problem
         nodes = third_eq.node_inputs(problem, states, ctrl)
         gu = third_eq.control_gradient(nodes, stack)
-        modified = snap is not None and self.mode == "modified"
-        defect = snap.defect(problem) if modified else None
-        terms = third_eq.multiplier_terms(problem, nodes, stack,
-                                          snap.xdot[-1] if modified else None)
+        defects = snap.defects(problem) if self.modified else None
+        terms = third_eq.multiplier_terms(problem, nodes, stack, defects)
         pi = None
         if problem.q > 0 and snap is not None:
-            pi = second_eq.multiplier_second(problem, nodes, terms, gu,
-                                             self.gains, self.mode,
-                                             defect=defect)
+            pi = second_eq.multiplier_second(terms, gu, self.gains, self.attract)
         elif problem.q > 0:
             # Control-only method: always the quasi-feasible multiplier
             # system (snapshots satisfy the dynamics by construction, the
@@ -312,7 +324,7 @@ class EvolutionSystem:
             pi = third_eq.solve_multipliers(*third_eq.multiplier_system(
                 terms, gu, self.gains))
         return Evaluation(ctrl, states, stack, nodes, gu, terms, pi, snap,
-                          defect)
+                          defects)
 
     def _rate(self, ev: Evaluation) -> np.ndarray:
         """The tau-rate at an evaluation: the control rate, the coupled
@@ -322,8 +334,7 @@ class EvolutionSystem:
         udot = third_eq.control_rhs(ev.terms, ev.gu, ev.pi, self.gains)
         wdot = tf_dot = None
         if snap is not None:
-            wdot = second_eq.state_rhs_second(problem, nodes, ev.stack, udot,
-                                              self.mode, defect=ev.defect)
+            wdot = second_eq.state_rhs_second(nodes, ev.stack, udot, ev.defects)
         if problem.tf_free and snap is None:
             tf_dot = third_eq.tf_rhs(ev.terms.bracket, ev.pi, self.gains)
         elif problem.tf_free:
@@ -379,16 +390,16 @@ def assemble_ivp(problem: OcpProblem, method: str, n_nodes: int,
     Its feasible mode also needs a start that meets the terminal constraint,
     ||g(x(tf), tf)||_inf <= CONSTRAINT_TOL, and raises ValueError naming
     the miss otherwise.  An unknown ``mode`` raises ValueError for either
-    method.  The same integrator options drive both the inner
-    (physical-time) and the outer (tau) integrations.
+    method, from ``EvolutionSystem``.  The same integrator options drive
+    both the inner (physical-time) and the outer (tau) integrations.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    second_eq._check_mode(mode)
     _check_nodes(n_nodes)
     if problem.q > 0 and gains.K_g is None:
         raise ValueError("problems with terminal constraints need a K_g gain")
     opts = opts or IntegratorOptions()
+    system = EvolutionSystem(problem, gains, method, n_nodes, opts, None, mode)
 
     if init_controls is None:
         init_controls = np.zeros((n_nodes, problem.m))
@@ -407,22 +418,19 @@ def assemble_ivp(problem: OcpProblem, method: str, n_nodes: int,
         if not np.isfinite(tf0):
             raise ValueError("init_tf must be finite")
 
-    layout = StateLayout(method, n_nodes, problem.n, problem.m, problem.tf_free)
     grid = TimeGrid(n_nodes, problem.t0, tf0)
     states = None
     if method == "second":
         ctrl = ControlTrajectory.from_values(grid, init_controls)
         states, *_ = shooting_nodes(problem, ctrl, grid, opts)
-        if mode == "feasible" and problem.q > 0:
+        if not system.attract and problem.q > 0:
             miss = float(np.max(np.abs(problem.constraint(states[-1], tf0))))
             if not miss <= CONSTRAINT_TOL:
                 raise ValueError(f"feasible mode needs a start that meets the "
                                  f"terminal constraint: max |g(x(tf), tf)| = "
                                  f"{miss:.3e} exceeds {CONSTRAINT_TOL:g}")
-    y0 = layout.pack(init_controls, states=states, tf=tf0)
-
-    system = EvolutionSystem(problem, gains, method, n_nodes, opts, y0, mode)
-    system.rhs(0.0, y0)  # surfaces singular multipliers and shape errors now
+    system.y0 = system.layout.pack(init_controls, states=states, tf=tf0)
+    system.rhs(0.0, system.y0)  # surfaces singular multipliers and shape errors now
     return system
 
 

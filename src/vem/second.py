@@ -5,8 +5,8 @@ controls, so every right-hand-side evaluation works on a snapshot of
 (states, controls, tf) rather than re-propagating the dynamics.  The
 control rate, gradient, multiplier system and terminal-time rate are the
 control-only formulas of ``vem.third`` on the snapshot's node record
-(``third.NodeInputs``); this module adds the node-state rate and the
-variant's terms:
+(``third.NodeInputs``); this module adds the snapshot, its defects and
+the node-state rate.  The paper's variants are:
 
   feasible        trajectory satisfies dynamics, initial and terminal
                   conditions; multiplier system without constraint pull.
@@ -18,14 +18,16 @@ variant's terms:
                   rate uses the snapshot's time derivative in place of
                   the dynamics.
 
-On a defect-free snapshot the modified form reduces exactly to the
-quasi-feasible one, which in turn matches the control-only formulation.
-The modified-mode dynamics defect (``SecondEqSnapshot.defect``) and the
-end-node terms (``third.MultiplierTerms``: the constraint projection and,
-on a free horizon, the terminal bracket) are formed once per snapshot by
-the caller and passed to each formula that reads them; the modified-mode
-corrections read the projection Q = Psi g_x^T.  A snapshot builds one
-spline over [states | controls] and reads its node derivatives once.
+No function here takes the variant.  The driver's ``EvolutionSystem``
+decides it once: modified mode is the evaluation's ``third.Defects``
+record (``SecondEqSnapshot.defects``, formed once per evaluation), which
+``third.multiplier_terms`` folds into the terms and ``state_rhs_second``
+reads, and feasible mode is ``attract=False`` in the multiplier system.
+Without the record the modified form is the quasi-feasible one, and on a
+defect-free snapshot the record changes nothing, to rounding; the
+quasi-feasible form in turn matches the control-only formulation.  A
+snapshot builds one spline over [states | controls] and reads its node
+derivatives once.
 
 The node-state rate is the discrete variational equation: the trapezoid
 recurrence of w' = f_x w + f_u udot along the transition stack's
@@ -42,16 +44,14 @@ import numpy as np
 
 from .numerics import SplineCoeffs, spline_build
 from .ocp import GainSet, OcpProblem
-from .third import (MultiplierTerms, NodeInputs, multiplier_system,
-                    solve_multipliers, tf_rhs, weighted_rows)
+from .third import (Defects, MultiplierTerms, NodeInputs, multiplier_system,
+                    solve_multipliers, tf_rhs)
 # Not called here; perfbench/tracing.py patches these names in this module.
 from .rk45 import rk45_integrate  # noqa: F401
 from .third import (control_gradient, control_rhs, multiplier_matrix,  # noqa: F401
                     multiplier_rhs)
 from .trajectory import (ControlTrajectory, StateTrajectory, TimeGrid, TransitionStack,
                          _bidiagonal_solve)
-
-MODES = ("feasible", "quasi_feasible", "modified")
 
 
 @dataclass
@@ -94,62 +94,31 @@ class SecondEqSnapshot:
                    ControlTrajectory(grid, controls, SplineCoeffs(
                        joint.breakpoints, joint.coeffs[:, :, n:]), joint=joint))
 
-    def defect(self, problem: OcpProblem) -> np.ndarray:
-        """Dynamics defect xdot - f at the nodes, shape (N, n)."""
-        return self.xdot - np.asarray(problem.dynamics_rows(
-            self.states, self.controls, self.grid.times), dtype=float)
+    def defects(self, problem: OcpProblem) -> Defects:
+        """The modified mode's record: the initial miss x_0 - x0, the
+        dynamics defect xdot - f at the nodes, (N, n), and ``xdot`` at the
+        end node."""
+        return Defects(self.states[0] - problem.x0,
+                       self.xdot - np.asarray(problem.dynamics_rows(
+                           self.states, self.controls, self.grid.times), dtype=float),
+                       self.xdot[-1])
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+def multiplier_second(terms: MultiplierTerms, gu: np.ndarray, gains: GainSet,
+                      attract: bool) -> np.ndarray:
+    """pi of ``third.multiplier_system`` for the coupled method, whose
+    ``terms`` carry the snapshot's defects in modified mode."""
+    return solve_multipliers(*multiplier_system(terms, gu, gains, attract))
 
 
-def multiplier_system_second(problem: OcpProblem, nodes: NodeInputs,
-                             terms: MultiplierTerms, gu: np.ndarray,
-                             gains: GainSet, mode: str = "quasi_feasible", *,
-                             defect: Optional[np.ndarray]):
-    """(M, r) of ``third.multiplier_system`` on the snapshot's node record
-    for the requested variant.
-
-    In modified mode the caller forms the terms' terminal bracket with the
-    snapshot's end-node time derivative in place of the dynamics, and the
-    variant appends the initial-condition and dynamics-defect corrections
-    to r through the projection Q = Psi g_x^T; ``defect`` is the
-    snapshot's dynamics defect (``SecondEqSnapshot.defect``), read in
-    modified mode only.
-    """
-    _check_mode(mode)
-    mat, r = multiplier_system(
-        terms, gu, gains, "feasible" if mode == "feasible" else "quasi_feasible")
-    if mode != "modified":
-        return mat, r
-    q = terms.psi_gx
-    # Initial-condition feedback through the full-horizon transition
-    # matrix: g_x Phi(tf, t0) = Q_0^T.
-    r = r + q[0].T @ (nodes.xs[0] - problem.x0)
-    # Dynamics-defect feedback, transported to the terminal time: the
-    # trapezoid sum of Q_i^T defect_i.
-    return mat, r + weighted_rows(nodes, q).T @ defect.ravel()
-
-
-def multiplier_second(problem: OcpProblem, nodes: NodeInputs,
-                      terms: MultiplierTerms, gu: np.ndarray, gains: GainSet,
-                      mode: str = "quasi_feasible", *,
-                      defect: Optional[np.ndarray]) -> np.ndarray:
-    return solve_multipliers(*multiplier_system_second(
-        problem, nodes, terms, gu, gains, mode, defect=defect))
-
-
-def state_rhs_second(problem: OcpProblem, nodes: NodeInputs,
-                     stack: TransitionStack, udot_nodes: np.ndarray,
-                     mode: str = "quasi_feasible", *,
-                     defect: Optional[np.ndarray]) -> np.ndarray:
+def state_rhs_second(nodes: NodeInputs, stack: TransitionStack,
+                     udot_nodes: np.ndarray,
+                     defects: Optional[Defects] = None) -> np.ndarray:
     """Evolution rate of the node states, shape (N, n).
 
     The variational equation w' = f_x w + F, w(t0) = w0, with forcing
-    F = f_u udot -- and in modified mode the defect feedback -defect
-    (``defect``, read in that mode only) and w0 = -(x_0 - x0) -- by
+    F = f_u udot and w0 = 0 -- or, given the modified mode's ``defects``,
+    F = f_u udot - (xdot - f) and w0 = -(x_0 - x0) -- by
     the grid-trapezoid rule of the multiplier system along the stack's
     interval maps g_i = Phi(t_i+1, t_i):
 
@@ -163,13 +132,12 @@ def state_rhs_second(problem: OcpProblem, nodes: NodeInputs,
     The equivalent variational problem is an oracle in ``vem.checks``
     (``variational_state_rate``).
     """
-    _check_mode(mode)
     udot_nodes = np.atleast_2d(np.asarray(udot_nodes, dtype=float))
     forcing = (nodes.fu @ udot_nodes[:, :, None])[:, :, 0]
     rhs = np.zeros_like(forcing)
-    if mode == "modified":
-        rhs[0] = -(nodes.xs[0] - problem.x0)
-        forcing -= defect
+    if defects is not None:
+        rhs[0] = -defects.initial
+        forcing -= defects.dynamics
     g = stack.blocks
     half = 0.5 * nodes.grid.widths[:, None]
     rhs[1:] = half * ((g @ forcing[:-1, :, None])[:, :, 0] + forcing[1:])
@@ -177,7 +145,6 @@ def state_rhs_second(problem: OcpProblem, nodes: NodeInputs,
 
 
 def tf_rhs_second(bracket, pi: Optional[np.ndarray], gains: GainSet) -> float:
-    """``third.tf_rhs`` for the coupled method, whose ``bracket`` the
-    caller forms with the snapshot's end-node time derivative in place of
-    the dynamics in modified mode."""
+    """``third.tf_rhs`` for the coupled method, whose ``bracket`` is along
+    the snapshot's end-node time derivative in modified mode."""
     return tf_rhs(bracket, pi, gains)

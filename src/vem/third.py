@@ -44,8 +44,11 @@ mode among them, is algebra on ``NodeInputs``, ``MultiplierTerms`` and
 the stack.
 
 The coupled method (``vem.second``) is these formulas on its own
-snapshot's node record, plus its end-node time derivative (``xdot_end``)
-and defect corrections in modified mode.
+snapshot's node record.  No formula here takes a variant: the driver's
+``EvolutionSystem`` turns its mode into data once, the modified mode
+into the evaluation's ``Defects`` record, whose end-node time derivative
+and corrections ``multiplier_terms`` folds into the terms, and the
+feasible mode into ``attract=False``, which drops -K_g g from r.
 """
 
 from __future__ import annotations
@@ -145,15 +148,31 @@ def control_gradient(nodes: NodeInputs, stack: TransitionStack) -> np.ndarray:
 
 
 @dataclass
+class Defects:
+    """A coupled snapshot's defects, formed once per evaluation by
+    ``second.SecondEqSnapshot.defects`` in modified mode only: the initial
+    miss x_0 - x0, the dynamics defect xdot - f at every node and the
+    end-node time derivative, which takes the dynamics' place in the
+    terminal bracket along the rate."""
+
+    initial: np.ndarray         # (n,)
+    dynamics: np.ndarray        # (N, n)
+    xdot_end: np.ndarray        # (n,)
+
+
+@dataclass
 class MultiplierTerms:
     """The end-node terms of one evaluation, formed once by
     ``multiplier_terms`` and read by every formula: g and g_x at the end
     node, the constraint projection Q = Psi g_x^T and P = f_u^T Q at every
     node and P's ``weighted_rows``, which both sums of the multiplier
-    system read (all None without constraints) and, on a free horizon,
-    the terminal bracket's terms along the dynamics (``transversality``,
-    the residual's) and along the end-node rate (``bracket``, the rate's
-    and the multiplier system's); both are None on a fixed horizon."""
+    system read (all None without constraints), on a free horizon the
+    terminal bracket's terms along the dynamics (``transversality``, the
+    residual's) and along the end-node rate (``bracket``, the rate's and
+    the multiplier system's; both None on a fixed horizon), and the
+    corrections that ``Defects`` carry into r (``carried``, empty unless
+    the evaluation has defects), which is how the modified variant
+    reaches the multiplier system."""
 
     g: Optional[np.ndarray]             # (q,)
     gx: Optional[np.ndarray]            # (q, n)
@@ -162,14 +181,19 @@ class MultiplierTerms:
     transversality: Optional[tuple] = None  # terminal_bracket's (cost_rate, v)
     bracket: Optional[tuple] = None         # ... along the end-node rate
     weighted: Optional[np.ndarray] = None   # weighted_rows(P), (N m, q)
+    carried: tuple = ()                     # (q,) terms added to r in order
 
 
 def multiplier_terms(problem: OcpProblem, nodes: NodeInputs,
                      stack: TransitionStack,
-                     xdot_end: Optional[np.ndarray] = None) -> MultiplierTerms:
+                     defects: Optional[Defects] = None) -> MultiplierTerms:
     """One ``constraint`` and one ``jac_gx`` call, the projections Q and
-    P, P's weighted rows, and on a free horizon the terminal bracket along
-    the dynamics and along ``xdot_end`` (the dynamics when None)."""
+    P, P's weighted rows, on a free horizon the terminal bracket along the
+    dynamics and along ``defects.xdot_end`` (the dynamics without
+    defects), and with ``defects`` their corrections to r: the initial
+    miss through the full-horizon transition matrix, g_x Phi(tf, t0) =
+    Q_0^T, and the dynamics defect transported to the terminal time, the
+    trapezoid sum of Q_i^T defect_i."""
     g = gx = None
     if problem.q > 0:
         x_end, tf = nodes.xs[-1], nodes.grid.tf
@@ -177,13 +201,18 @@ def multiplier_terms(problem: OcpProblem, nodes: NodeInputs,
         gx = np.asarray(problem.jac_gx(x_end, tf), dtype=float)
     brackets = (None, None)
     if problem.tf_free:
-        brackets = terminal_bracket(problem, nodes, stack, gx, xdot_end)
+        brackets = terminal_bracket(problem, nodes, stack, gx,
+                                    None if defects is None else defects.xdot_end)
     if gx is None:
         return MultiplierTerms(None, None, None, None, *brackets)
     n_nodes, n = stack.adjoint.shape
     psi_gx = (stack.psi.reshape(-1, n) @ gx.T).reshape(n_nodes, n, -1)
     p = np.einsum("inm,inq->imq", nodes.fu, psi_gx)
-    return MultiplierTerms(g, gx, psi_gx, p, *brackets, weighted_rows(nodes, p))
+    carried = () if defects is None else (
+        psi_gx[0].T @ defects.initial,
+        weighted_rows(nodes, psi_gx).T @ defects.dynamics.ravel())
+    return MultiplierTerms(g, gx, psi_gx, p, *brackets, weighted_rows(nodes, p),
+                           carried)
 
 
 def weighted_rows(nodes: NodeInputs, per_node: np.ndarray) -> np.ndarray:
@@ -210,30 +239,31 @@ def multiplier_matrix(terms: MultiplierTerms, gains: GainSet) -> np.ndarray:
 
 
 def multiplier_rhs(terms: MultiplierTerms, gu: np.ndarray, gains: GainSet,
-                   mode: str) -> np.ndarray:
+                   attract: bool) -> np.ndarray:
     """Right-hand side r = sum_i w_i P_i^T K gu_i [+ k_tf v cost_rate]
-    [- K_g g] of the multiplier system.
+    [- K_g g] [+ the ``carried`` defect corrections] of the multiplier
+    system.
 
-    ``mode`` "feasible" omits the constraint-attraction term -K_g g, which
-    "quasi_feasible" includes; on a trajectory already satisfying g = 0
-    the two coincide.
+    ``attract`` adds the constraint-attraction term -K_g g, which the
+    coupled feasible variant omits; on a trajectory already satisfying
+    g = 0 the two coincide.
     """
-    if mode not in ("feasible", "quasi_feasible"):
-        raise ValueError(f"unknown mode {mode!r}")
     r = terms.weighted.T @ (gu @ gains.K.T).ravel()
     if terms.bracket is not None:
         cost_rate, v = terms.bracket
         r = r + gains.k_tf * v * cost_rate
-    if mode == "quasi_feasible":
+    if attract:
         r = r - gains.K_g @ terms.g
+    for term in terms.carried:
+        r = r + term
     return r
 
 
 def multiplier_system(terms: MultiplierTerms, gu: np.ndarray, gains: GainSet,
-                      mode: str = "quasi_feasible"):
+                      attract: bool = True):
     """(M, r) of the multiplier system M pi = -r from one evaluation's
     ``MultiplierTerms``."""
-    return multiplier_matrix(terms, gains), multiplier_rhs(terms, gu, gains, mode)
+    return multiplier_matrix(terms, gains), multiplier_rhs(terms, gu, gains, attract)
 
 
 def solve_multipliers(M: np.ndarray, r: np.ndarray) -> np.ndarray:

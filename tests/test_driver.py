@@ -18,7 +18,7 @@ from vem import (
     get_benchmark,
     summarize,
 )
-from vem import driver, second, trajectory
+from vem import driver, second, third, trajectory
 from vem.driver import EvolutionSystem, path_cost, propagate_with_cost, solve_benchmark
 from vem.errors import DegenerateGrid, SingularSystem, StepFailure, TfCollapse, VemError
 from vem.ocp import ROW_FORMS
@@ -67,7 +67,12 @@ class TestAssembly:
     @pytest.mark.parametrize("method", ["third", "second"])
     def test_unknown_mode_rejected_for_both_methods(self, di, method):
         # The control-only method reads no mode, yet a misspelt one is
-        # still a bad run option, caught before any evaluation.
+        # still a bad run option, caught before any evaluation: the system
+        # checks it where it stores it, so no later call runs it as some
+        # other variant.
+        with pytest.raises(ValueError, match="unknown mode 'sloppy'"):
+            EvolutionSystem(di.problem, di.gains, method, 11, IntegratorOptions(),
+                            None, "sloppy")
         with pytest.raises(ValueError, match="unknown mode 'sloppy'"):
             assemble_ivp(di.problem, method, 41, di.gains, mode="sloppy")
         with pytest.raises(ValueError, match="unknown mode 'sloppy'"):
@@ -737,17 +742,17 @@ class TestRowCallbacks:
 
 class TestModifiedMode:
     def test_one_defect_loop_per_rhs(self, brach, monkeypatch):
-        # The dynamics defect is evaluated once per evaluation and shared
-        # by the multiplier system and the state rate, which give the
-        # same bits as when each computes its own.
+        # The defects are formed once per evaluation, as one record that
+        # the multiplier system and the state rate share; terms, pi and
+        # rate rebuilt from the evaluation's record give the same bits.
         calls = []
-        defect = second.SecondEqSnapshot.defect
+        defects = second.SecondEqSnapshot.defects
 
-        def counting_defect(self, problem):
+        def counting_defects(self, problem):
             calls.append(None)
-            return defect(self, problem)
+            return defects(self, problem)
 
-        monkeypatch.setattr(second.SecondEqSnapshot, "defect", counting_defect)
+        monkeypatch.setattr(second.SecondEqSnapshot, "defects", counting_defects)
         system = assemble_ivp(brach.problem, "second", 21, brach.gains,
                               mode="modified")
         controls, states, tf = system.layout.unpack(system.y0)
@@ -758,12 +763,11 @@ class TestModifiedMode:
         assert len(calls) == 1
 
         ev = system.evaluate(vec)
-        assert np.max(np.abs(ev.defect)) > 1e-3
-        defect = ev.snap.defect(brach.problem)
-        pi = second.multiplier_second(brach.problem, ev.nodes, ev.terms, ev.gu,
-                                      brach.gains, "modified", defect=defect)
+        assert np.max(np.abs(ev.defects.dynamics)) > 1e-3
+        terms = third.multiplier_terms(brach.problem, ev.nodes, ev.stack, ev.defects)
+        pi = second.multiplier_second(terms, ev.gu, brach.gains, True)
         assert np.array_equal(pi, ev.pi)
-        own = system._rate(dataclasses.replace(ev, pi=pi, defect=defect))
+        own = system._rate(dataclasses.replace(ev, terms=terms, pi=pi))
         assert np.array_equal(rate, own)
 
 

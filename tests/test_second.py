@@ -56,12 +56,11 @@ def _record(problem, snap, stack):
     return nodes, third.control_gradient(nodes, stack)
 
 
-def _terms(problem, snap, nodes, stack, mode="quasi_feasible"):
+def _terms(problem, nodes, stack, defects=None):
     """The snapshot's end-node terms, whose terminal bracket on a free
-    horizon is along the snapshot's end-node time derivative in modified
-    mode and along the dynamics otherwise."""
-    return third.multiplier_terms(problem, nodes, stack,
-                                  snap.xdot[-1] if mode == "modified" else None)
+    horizon is along the snapshot's end-node time derivative given its
+    ``defects`` (modified mode) and along the dynamics otherwise."""
+    return third.multiplier_terms(problem, nodes, stack, defects)
 
 
 def _state_rate(via, problem, snap, stack, udot, opts=None):
@@ -70,7 +69,7 @@ def _state_rate(via, problem, snap, stack, udot, opts=None):
     if via == "ivp":
         return checks.variational_state_rate(problem, snap, udot, opts=opts)
     nodes = third.node_inputs(problem, snap.state_traj, snap.ctrl_traj)
-    return second.state_rhs_second(problem, nodes, stack, udot, defect=None)
+    return second.state_rhs_second(nodes, stack, udot)
 
 
 class TestSnapshot:
@@ -81,7 +80,7 @@ class TestSnapshot:
         states = np.stack([di.reference.state(t) for t in grid.times])
         controls = np.stack([di.reference.control(t) for t in grid.times])
         snap = second.SecondEqSnapshot.create(grid, states, controls)
-        assert np.max(np.abs(snap.defect(di.problem))) <= 1e-10
+        assert np.max(np.abs(snap.defects(di.problem).dynamics)) <= 1e-10
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 1), (2, 2)])
     @pytest.mark.parametrize("n_nodes", [4, 5, 41, 101])
@@ -102,13 +101,18 @@ class TestSnapshot:
         assert np.array_equal(snap.du_dt, control_spline.derivative(grid.times))
 
     def test_unknown_mode_rejected(self, di):
+        # The mode is read once, where the coupled system is built on the
+        # snapshot's grid; a misspelt one is refused there, before any
+        # snapshot is evaluated under some other variant.
         grid = TimeGrid(11, 0.0, 2.0)
-        snap, stack = _feasible_snapshot(di.problem, grid, np.zeros((11, 1)))
-        nodes, gu = _record(di.problem, snap, stack)
-        with pytest.raises(ValueError):
-            second.multiplier_system_second(di.problem, nodes,
-                                            _terms(di.problem, snap, nodes, stack),
-                                            gu, di.gains, "sloppy", defect=None)
+        snap, _ = _feasible_snapshot(di.problem, grid, np.zeros((11, 1)))
+        with pytest.raises(ValueError, match="unknown mode 'sloppy'"):
+            EvolutionSystem(di.problem, di.gains, "second", grid.n_nodes,
+                            IntegratorOptions(), None, "sloppy")
+        system = EvolutionSystem(di.problem, di.gains, "second", grid.n_nodes,
+                                 IntegratorOptions(), None, "modified")
+        vec = system.layout.pack(snap.controls, states=snap.states)
+        assert np.all(np.isfinite(system.rhs(0.0, vec)))
 
 
 class TestControlRhs:
@@ -175,7 +179,7 @@ class TestControlRhs:
         grid = TimeGrid(11, 0.0, 1.0)
         snap, stack = _feasible_snapshot(p, grid, np.full((11, 1), 0.7))
         nodes, gu = _record(p, snap, stack)
-        rate = third.control_rhs(_terms(p, snap, nodes, stack), gu, None, gains)
+        rate = third.control_rhs(_terms(p, nodes, stack), gu, None, gains)
         assert np.array_equal(rate, -gu @ gains.K.T)
 
 
@@ -246,16 +250,16 @@ class TestStateRhs:
                                      grid.times[i]) @ udot[i]
                             for i in range(grid.n_nodes)])
         w0 = np.zeros(p.n)
-        if mode == "modified":
-            forcing -= snap.defect(p)
+        defects = snap.defects(p) if mode == "modified" else None
+        if defects is not None:
+            forcing -= defects.dynamics
             w0 = -(snap.states[0] - p.x0)
         pulled = np.linalg.solve(fwd, forcing[:, :, None])[:, :, 0]
         summed = cumulative_trapezoid(pulled, grid.times, axis=0, initial=0.0)
         oracle = np.einsum("inj,ij->in", fwd, summed + w0)
 
         nodes = third.node_inputs(p, snap.state_traj, snap.ctrl_traj)
-        out = second.state_rhs_second(p, nodes, stack, udot, mode=mode,
-                                      defect=snap.defect(p))
+        out = second.state_rhs_second(nodes, stack, udot, defects)
         assert np.max(np.abs(out)) > 1e-3
         assert np.max(np.abs(out - oracle)) <= 1e-8
 
@@ -273,9 +277,8 @@ class TestStateRhs:
         stack = transition_stack(p, snap.state_traj, snap.ctrl_traj, TIGHT)
         nodes = third.node_inputs(p, snap.state_traj, snap.ctrl_traj)
         udot = np.ones((41, 1))
-        out = second.state_rhs_second(p, nodes, stack, udot, mode="modified",
-                                      defect=snap.defect(p))
-        quasi = second.state_rhs_second(p, nodes, stack, udot, defect=None)
+        out = second.state_rhs_second(nodes, stack, udot, snap.defects(p))
+        quasi = second.state_rhs_second(nodes, stack, udot)
         via_ivp = checks.variational_state_rate(p, snap, udot, mode="modified",
                                                 opts=TIGHT)
         assert np.max(np.abs(out - quasi)) > 1e-2
@@ -301,7 +304,7 @@ class TestStateRhs:
         snap, stack = _feasible_snapshot(p, grid, smooth_controls(grid, 3, rng))
         udot = smooth_controls(grid, 3, rng, scale=0.5)
         nodes = third.node_inputs(p, snap.state_traj, snap.ctrl_traj)
-        out = second.state_rhs_second(p, nodes, stack, udot, defect=None)
+        out = second.state_rhs_second(nodes, stack, udot)
 
         forcing = np.empty((grid.n_nodes, p.n))
         for i in range(grid.n_nodes):
@@ -354,11 +357,9 @@ class TestStateRhs:
                                          exact_xdot=True)
         udot = np.linspace(-1.0, 1.0, 21)[:, None]
         nodes, _ = _record(di.problem, snap, stack)
-        defect = snap.defect(di.problem)
-        quasi = second.state_rhs_second(di.problem, nodes, stack, udot,
-                                        mode="quasi_feasible", defect=defect)
-        modified = second.state_rhs_second(di.problem, nodes, stack, udot,
-                                           mode="modified", defect=defect)
+        quasi = second.state_rhs_second(nodes, stack, udot)
+        modified = second.state_rhs_second(nodes, stack, udot,
+                                           snap.defects(di.problem))
         assert np.max(np.abs(quasi - modified)) <= 1e-12
 
 
@@ -367,9 +368,8 @@ class TestMultipliers:
         grid = TimeGrid(41, 0.0, 2.0)
         snap, stack = _feasible_snapshot(di.problem, grid, np.zeros((41, 1)))
         nodes, gu = _record(di.problem, snap, stack)
-        pi = second.multiplier_second(di.problem, nodes,
-                                      _terms(di.problem, snap, nodes, stack), gu,
-                                      di.gains, defect=None)
+        pi = second.multiplier_second(_terms(di.problem, nodes, stack), gu,
+                                      di.gains, True)
         assert np.allclose(pi, [800.0 / 267.0, -666.5 / 267.0], atol=1e-6)
 
     @pytest.mark.parametrize("fixture_name", ["di", "brach"])
@@ -381,12 +381,12 @@ class TestMultipliers:
         snap, stack = _feasible_snapshot(p, grid, smooth_controls(grid, 1, rng),
                                          TIGHT, exact_xdot=True)
         nodes, gu = _record(p, snap, stack)
-        defect = snap.defect(p)
+        # Modified, quasi-feasible and feasible, as the driver builds them.
+        defects = snap.defects(p)
         (m_mod, r_mod), (m_quasi, r_quasi), (_, r_feas) = (
-            second.multiplier_system_second(p, nodes,
-                                            _terms(p, snap, nodes, stack, mode),
-                                            gu, bench.gains, mode, defect=defect)
-            for mode in ("modified", "quasi_feasible", "feasible"))
+            third.multiplier_system(_terms(p, nodes, stack, d), gu, bench.gains,
+                                    attract)
+            for d, attract in ((defects, True), (None, True), (None, False)))
         g0 = np.asarray(p.constraint(snap.states[-1], grid.tf), dtype=float)
         assert np.max(np.abs(r_mod - r_quasi)) <= 1e-9
         assert np.max(np.abs(r_quasi + bench.gains.K_g @ g0 - r_feas)) <= 1e-9
@@ -403,11 +403,11 @@ class TestMultipliers:
         stack = transition_stack(di.problem, snap.state_traj, snap.ctrl_traj,
                                  TIGHT)
         nodes, gu = _record(di.problem, snap, stack)
-        defect = snap.defect(di.problem)
-        pis = [second.multiplier_second(di.problem, nodes,
-                                        _terms(di.problem, snap, nodes, stack, mode),
-                                        gu, di.gains, mode, defect=defect)
-               for mode in second.MODES]
+        defects = snap.defects(di.problem)
+        # Feasible, quasi-feasible and modified, as the driver builds them.
+        pis = [second.multiplier_second(_terms(di.problem, nodes, stack, d), gu,
+                                        di.gains, attract)
+               for d, attract in ((None, False), (None, True), (defects, True))]
         for pi in pis:
             assert np.allclose(pi, [3.0, -2.5], atol=1e-8)
 
@@ -420,13 +420,12 @@ class TestTerminalTimeRhs:
                                          smooth_controls(grid, 1, rng), TIGHT,
                                          exact_xdot=True)
         nodes, gu = _record(brach.problem, snap, stack)
-        terms = _terms(brach.problem, snap, nodes, stack)
-        pi = second.multiplier_second(brach.problem, nodes, terms, gu,
-                                      brach.gains, defect=None)
+        terms = _terms(brach.problem, nodes, stack)
+        pi = second.multiplier_second(terms, gu, brach.gains, True)
         # The modified-mode bracket reads the snapshot's own derivative.
         mine = second.tf_rhs_second(
-            _terms(brach.problem, snap, nodes, stack, "modified").bracket, pi,
-            brach.gains)
+            _terms(brach.problem, nodes, stack, snap.defects(brach.problem)).bracket,
+            pi, brach.gains)
         reference = third.tf_rhs(terms.bracket, pi, brach.gains)
         assert abs(mine - reference) <= 1e-10
 
@@ -435,8 +434,7 @@ class TestTerminalTimeRhs:
         snap, stack = _feasible_snapshot(brach.problem, grid,
                                          np.zeros((101, 1)))
         nodes, gu = _record(brach.problem, snap, stack)
-        terms = _terms(brach.problem, snap, nodes, stack)
-        pi = second.multiplier_second(brach.problem, nodes, terms, gu,
-                                      brach.gains, defect=None)
+        terms = _terms(brach.problem, nodes, stack)
+        pi = second.multiplier_second(terms, gu, brach.gains, True)
         rate = second.tf_rhs_second(terms.bracket, pi, brach.gains)
         assert rate == pytest.approx(-0.03, abs=1e-6)

@@ -6,9 +6,12 @@ and its errors e_J, e_u and e_x.
 
 It solves every start of the three perfbench workloads at seeds 1 and 7,
 the four acceptance runs (zero guess, default N, tau = 300, early stop
-off) and the coupled method's modified mode at the acceptance settings
-on both problems, with the package under ``root/src`` and the workload
-definitions of ``root/perfbench``, which it imports and does not change.
+off), the coupled method's modified mode at the acceptance settings on
+both problems and its feasible mode at those settings from the
+reference controls (and, on a free horizon, the reference horizon), a
+start that meets the terminal constraint, with the package under
+``root/src`` and the workload definitions of ``root/perfbench``, which
+it imports and does not change.
 Two checkouts print the same line for a solve exactly when that solve
 gives the same bits, so the diff of their outputs names the solves that
 moved and by how much their errors did.  BLAS runs on one thread, as in
@@ -22,6 +25,8 @@ from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the BLAS thread settings)
 
 SEEDS = (1, 7)
 
@@ -44,15 +49,25 @@ def workload_starts(wl, benchmarks):
             for seed in SEEDS for item in wl.draw_inputs(workload, seed, benchmarks)]
 
 
-def modified_solve(wl):
-    """``wl.solve`` in the coupled method's modified mode."""
+def mode_solve(wl, mode):
+    """``wl.solve`` in one of the coupled method's modes."""
     def solve(driver, benchmarks, item):
         spec = item.spec
         return driver.solve_benchmark(
             benchmarks[spec.problem], spec.method, n_nodes=spec.n_nodes,
-            tau_end=wl.TAU_END, early_stop=spec.early_stop, mode="modified")
+            tau_end=wl.TAU_END, early_stop=spec.early_stop, mode=mode,
+            init_controls=item.init_controls, init_tf=item.init_tf)
 
     return solve
+
+
+def reference_start(driver, bench, n_nodes):
+    """The reference controls at the nodes of the grid over the reference
+    horizon, and that horizon when it is free."""
+    ref, problem = bench.reference, bench.problem
+    times = driver.TimeGrid(n_nodes, problem.t0, ref.tf).times
+    controls = np.stack([np.atleast_1d(ref.control(t)) for t in times])
+    return controls, ref.tf if problem.tf_free else None
 
 
 def main(argv) -> int:
@@ -65,8 +80,12 @@ def main(argv) -> int:
     runs = [(*run, wl.solve) for run in workload_starts(wl, benchmarks)]
     runs += [("acceptance", "-", wl.SolveInput(spec, None, None), wl.solve)
              for spec, _, _ in wl.BASELINE]
-    runs += [("modified", "-", wl.SolveInput(spec, None, None), modified_solve(wl))
-             for spec, _, _ in wl.BASELINE if spec.method == "second"]
+    coupled = [spec for spec, _, _ in wl.BASELINE if spec.method == "second"]
+    runs += [("modified", "-", wl.SolveInput(spec, None, None),
+              mode_solve(wl, "modified")) for spec in coupled]
+    runs += [("feasible", "-", wl.SolveInput(spec, *reference_start(
+        driver, benchmarks[spec.problem], spec.n_nodes)), mode_solve(wl, "feasible"))
+             for spec in coupled]
     for name, seed, item, solve in runs:
         head = f"{name} {item.spec.label} seed={seed}"
         try:

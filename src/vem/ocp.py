@@ -18,7 +18,10 @@ call only the row forms; the point forms serve the end-node terms, the
 oracles, validation and derivative checks.  A problem may give either form (or both, which must
 agree bit for bit): a missing row form becomes a per-row loop over the
 point callback, a missing point form a one-row call of the row form.
-Without a running cost, L and the L-gradients not given are zero arrays.
+A derivative given in neither form is the central difference of the row
+form of f or L over the whole row block (``central_difference``), and
+its point form a one-row call of that.  Without a running cost, L and
+the L-gradients not given are zero arrays.
 """
 
 from __future__ import annotations
@@ -34,20 +37,28 @@ _FD_STEP = 1e-6
 
 # Per-node callbacks that also come in row form, as ``<name>_rows``.
 ROW_FORMS = ("dynamics", "running_cost", "jac_fx", "jac_fu", "grad_lx", "grad_lu")
+# The row form and argument that a per-node derivative given in neither
+# form is the central difference of.
+_DIFFERENCED = {"jac_fx": ("dynamics_rows", 0), "jac_fu": ("dynamics_rows", 1),
+                "grad_lx": ("running_cost_rows", 0),
+                "grad_lu": ("running_cost_rows", 1)}
 
 
 def central_difference(fun, arg, h=_FD_STEP):
     """Derivative of ``fun`` in its positional argument ``arg``, as a
     callable with ``fun``'s signature: column i is the central difference
-    (fun(.., a + h e_i, ..) - fun(.., a - h e_i, ..)) / 2h, columns on the
-    last axis.  A scalar argument (a time) gives no column axis."""
+    (fun(.., a + h e_i, ..) - fun(.., a - h e_i, ..)) / 2h, where e_i moves
+    entry i on the last axis of the argument, columns on the last axis of
+    the result.  So a (T, k) row block of a row form moves column i of
+    every row at once: 2k calls whatever T is.  A scalar argument (a time)
+    gives no column axis."""
     def deriv(*args):
         scalar = np.ndim(args[arg]) == 0
         at = np.atleast_1d(np.asarray(args[arg], dtype=float))
         cols = []
-        for i in range(at.size):
+        for i in range(at.shape[-1]):
             e = np.zeros_like(at)
-            e[i] = h
+            e[..., i] = h
             hi, lo = (np.asarray(fun(*args[:arg], z[0] if scalar else z,
                                      *args[arg + 1:]), dtype=float)
                       for z in (at + e, at - e))
@@ -57,11 +68,13 @@ def central_difference(fun, arg, h=_FD_STEP):
     return deriv
 
 
-def _row_loop(point):
-    """Row form of a point callback: one call per row, stacked."""
+def _row_loop(point, scalar=False):
+    """Row form of a point callback: one call per row, stacked.  The rows
+    of a ``scalar`` callback are (T,), whether it returns () or (1,)."""
     def rows(xs, us, ts):
-        return np.stack([np.asarray(point(x, u, t), dtype=float)
-                         for x, u, t in zip(xs, us, ts)])
+        out = np.stack([np.asarray(point(x, u, t), dtype=float)
+                        for x, u, t in zip(xs, us, ts)])
+        return out.reshape(len(ts)) if scalar else out
     return rows
 
 
@@ -149,12 +162,6 @@ class OcpProblem:
                 fn._derived = True
                 set_(self, name, fn)
 
-        if self.dynamics is None:
-            fill("dynamics", _one_row(self.dynamics_rows))
-        if self.jac_fx_rows is None:
-            fill("jac_fx", central_difference(self.dynamics, 0))
-        if self.jac_fu_rows is None:
-            fill("jac_fu", central_difference(self.dynamics, 1))
         if self.running_cost is None and self.running_cost_rows is None:
             fill("running_cost", lambda x, u, t: 0.0)
             fill("running_cost_rows", lambda xs, us, ts: np.zeros(len(ts)))
@@ -162,20 +169,16 @@ class OcpProblem:
                 fill("grad_lx_rows", lambda xs, us, ts: np.zeros((len(ts), n)))
             if self.grad_lu is None:
                 fill("grad_lu_rows", lambda xs, us, ts: np.zeros((len(ts), m)))
-        else:
-            if self.running_cost is None:
-                fill("running_cost", _one_row(self.running_cost_rows))
-            fd_x = central_difference(self.running_cost, 0)
-            fd_u = central_difference(self.running_cost, 1)
-            if self.grad_lx_rows is None:
-                fill("grad_lx", lambda x, u, t: fd_x(x, u, t).reshape(n))
-            if self.grad_lu_rows is None:
-                fill("grad_lu", lambda x, u, t: fd_u(x, u, t).reshape(m))
 
+        # f and L come first in ROW_FORMS, so their row forms are there when
+        # a derivative given in neither form is differenced from them.
         for name in ROW_FORMS:
+            if getattr(self, name) is None and getattr(self, name + "_rows") is None:
+                of, arg = _DIFFERENCED[name]
+                fill(name + "_rows", central_difference(getattr(self, of), arg))
             point, rows = getattr(self, name), getattr(self, name + "_rows")
             if rows is None:
-                fill(name + "_rows", _row_loop(point))
+                fill(name + "_rows", _row_loop(point, name == "running_cost"))
             elif point is None:
                 fill(name, _one_row(rows))
 
@@ -278,14 +281,14 @@ def _probe(report, label, fun, expect_shape):
 def row_form_mismatches(problem: OcpProblem, xs, us, ts,
                         names=ROW_FORMS) -> List[str]:
     """Rows at which a callback's row form differs in any bit from its
-    point form at the same (x, u, t); empty when every row agrees."""
+    point form at the same (x, u, t); empty when every row agrees.  Entries
+    are compared in order, so a scalar point form may return () or (1,)."""
     found = []
     for name in names:
         rows = np.asarray(getattr(problem, name + "_rows")(xs, us, ts), dtype=float)
         point = getattr(problem, name)
         for k, t in enumerate(ts):
-            if not np.array_equal(rows[k], np.asarray(point(xs[k], us[k], t),
-                                                      dtype=float)):
+            if not np.array_equal(rows[k].ravel(), np.ravel(point(xs[k], us[k], t))):
                 found.append(f"{name}_rows: row {k} (t={t:g}) differs from {name}")
     return found
 

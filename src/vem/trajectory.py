@@ -511,8 +511,9 @@ def _tangents(problem: OcpProblem, rows, h, stages, kept: KeptBlocks):
     One ``jac_fx_rows`` and one ``grad_lx_rows`` call over all 4sK stage
     inputs.  The tangents (``_tangent_chain``) are ``kept``'s under
     ``("tangents", s)`` while the width and the rows repeat, so dynamics
-    whose f_x and L_x do not depend on x assemble them once per solve, and
-    once for all solves on one horizon when they do not depend on u either.
+    whose f_x and L_x depend on neither x nor u assemble them once per
+    solve on a fixed horizon; a moving horizon rebuilds them at every
+    evaluation.  Nothing is kept from one solve to the next.
     """
     s = len(stages)
     xs = np.concatenate([stage[i] for i in range(4) for stage in stages])

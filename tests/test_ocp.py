@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vem import GainSet, OcpProblem, check_derivatives, validate_problem
-from vem.ocp import ROW_FORMS
+from vem import (GainSet, OcpProblem, check_derivatives, solve_benchmark,
+                 validate_problem)
+from vem.ocp import ROW_FORMS, central_difference
 from vem.problems import brachistochrone, double_integrator, tracking_fixture
 
 
@@ -220,6 +221,27 @@ def _stacked_points(point, xs, us, ts):
                      for x, u, t in zip(xs, us, ts)])
 
 
+# (derivative, the point form it differences, argument) of every
+# per-node derivative that a problem may leave out.
+_DIFFERENCED = [("jac_fx", "dynamics", 0), ("jac_fu", "dynamics", 1),
+                ("grad_lx", "running_cost", 0), ("grad_lu", "running_cost", 1)]
+
+
+def _derived_double_integrators():
+    """The double integrator with f and L given only as point forms and
+    only as row forms, which agree bit for bit, and no derivative."""
+    common = dict(n=2, m=1, q=2, t0=0.0, x0=np.array([1.0, 1.0]),
+                  tf_mode="fixed", tf=2.0, constraint=lambda xf, tf: np.array(xf),
+                  jac_gx=lambda xf, tf: np.eye(2), dg_dt=lambda xf, tf: np.zeros(2))
+    points = OcpProblem(**common, dynamics=lambda x, u, t: np.array([x[1], u[0]]),
+                        running_cost=lambda x, u, t: 0.5 * (u[0] * u[0]))
+    rows = OcpProblem(
+        **common,
+        dynamics_rows=lambda xs, us, ts: np.concatenate((xs[:, 1:], us), axis=1),
+        running_cost_rows=lambda xs, us, ts: 0.5 * (us[:, 0] * us[:, 0]))
+    return points, rows
+
+
 class TestRowForms:
     @pytest.mark.parametrize("factory", [double_integrator, brachistochrone,
                                          tracking_fixture])
@@ -243,18 +265,72 @@ class TestRowForms:
             expected = _stacked_points(points[name], xs, us, ts)
             assert np.array_equal(getattr(p, name + "_rows")(xs, us, ts), expected)
 
-    def test_finite_difference_fallbacks_get_row_loops(self):
-        full = tracking_fixture().problem
-        bare = OcpProblem(n=1, m=1, q=0, t0=0.0, x0=np.array([0.5]),
-                          tf_mode="fixed", tf=1.0, dynamics=full.dynamics,
-                          running_cost=full.running_cost)
-        xs, us, ts = _random_rows(bare, np.random.default_rng(5))
-        for name in ROW_FORMS:
-            rows = getattr(bare, name + "_rows")(xs, us, ts)
-            points = _stacked_points(getattr(bare, name), xs, us, ts)
-            assert np.array_equal(rows, points)
-            exact = getattr(full, name + "_rows")(xs, us, ts)
-            assert np.allclose(rows, exact, atol=1e-7)
+    def test_derived_rows_difference_the_row_block(self):
+        exact = double_integrator().problem
+        for p in _derived_double_integrators():
+            xs, us, ts = _random_rows(p, np.random.default_rng(5))
+            for name, of, arg in _DIFFERENCED:
+                pointwise = _stacked_points(
+                    central_difference(getattr(p, of), arg), xs, us, ts)
+                rows = getattr(p, name + "_rows")(xs, us, ts)
+                assert np.array_equal(rows, pointwise), name
+                assert np.array_equal(_stacked_points(getattr(p, name), xs, us, ts),
+                                      pointwise), name
+                assert np.allclose(rows, getattr(exact, name + "_rows")(xs, us, ts),
+                                   atol=1e-7), name
+
+    @pytest.mark.parametrize("count", [1, 7, 50])
+    def test_derived_call_makes_two_row_calls_per_column(self, count):
+        calls = []
+
+        def counted(rows):
+            def wrapper(xs, us, ts):
+                calls.append(len(ts))
+                return rows(xs, us, ts)
+            return wrapper
+
+        bare = _derived_double_integrators()[1]
+        p = dataclasses.replace(bare, dynamics_rows=counted(bare.dynamics_rows),
+                                running_cost_rows=counted(bare.running_cost_rows))
+        xs, us, ts = _random_rows(p, np.random.default_rng(8), count)
+        for name, of, arg in _DIFFERENCED:
+            calls.clear()
+            getattr(p, name + "_rows")(xs, us, ts)
+            columns = (p.n, p.m)[arg]
+            assert calls == [count] * (2 * columns), name
+
+    def test_derived_entries_check_exactly(self):
+        rng = np.random.default_rng(9)
+        for p in _derived_double_integrators():
+            x, u = p.x0 + rng.uniform(-1.0, 1.0, p.n), rng.uniform(-1.0, 1.0, p.m)
+            entries = check_derivatives(p, x, u, 0.7).entries
+            assert [entries[name] for name, _, _ in _DIFFERENCED] == [0.0] * 4
+
+    def test_row_and_point_forms_give_identical_histories(self):
+        bench = double_integrator()
+        for method in ("third", "second"):
+            histories = [solve_benchmark(dataclasses.replace(bench, problem=p), method,
+                                         tau_end=20.0, early_stop=False)[0]
+                         for p in _derived_double_integrators()]
+            pairs = list(zip(*(h.snapshots for h in histories)))
+            assert len(pairs) == len(histories[0].snapshots) > 1
+            for a, b in pairs:
+                for field_ in ("tau", "J", "tf", "controls", "states", "costates", "pi"):
+                    assert np.array_equal(getattr(a, field_), getattr(b, field_)), field_
+
+    def test_one_element_running_cost_gives_scalar_rows(self):
+        p = OcpProblem(n=2, m=1, q=0, t0=0.0, x0=np.array([1.0, 1.0]),
+                       tf_mode="fixed", tf=2.0,
+                       dynamics=lambda x, u, t: np.array([x[1], u[0]]),
+                       running_cost=lambda x, u, t: 0.5 * x[:1] * u[:1])
+        assert validate_problem(p).ok, validate_problem(p).findings
+        xs, us, ts = _random_rows(p, np.random.default_rng(10), count=3)
+        assert p.running_cost_rows(xs, us, ts).shape == (3,)
+        assert p.grad_lx_rows(xs, us, ts).shape == (3, 2)
+        assert p.grad_lu_rows(xs, us, ts).shape == (3, 1)
+        assert p.grad_lx(xs[0], us[0], ts[0]).shape == (2,)
+        assert np.allclose(p.grad_lx_rows(xs, us, ts),
+                           np.stack([0.5 * us[:, 0], np.zeros(3)], axis=1), atol=1e-7)
 
     def test_no_running_cost_gives_zero_rows(self):
         p = _drift_only_problem()

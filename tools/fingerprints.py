@@ -9,7 +9,9 @@ the four acceptance runs (zero guess, default N, tau = 300, early stop
 off), the coupled method's modified mode at the acceptance settings on
 both problems and its feasible mode at those settings from the
 reference controls (and, on a free horizon, the reference horizon), a
-start that meets the terminal constraint, with the package under
+start that meets the terminal constraint, and both methods at the
+acceptance settings on the double integrator given only the row forms of
+f and L, so that every per-node derivative is derived, with the package under
 ``root/src`` and the workload definitions of ``root/perfbench``, which
 it imports and does not change.
 Two checkouts print the same line for a solve exactly when that solve
@@ -18,6 +20,7 @@ moved and by how much their errors did.  BLAS runs on one thread, as in
 the benchmark.
 """
 
+import dataclasses
 import importlib.util
 import os
 import sys
@@ -70,6 +73,13 @@ def reference_start(driver, bench, n_nodes):
     return controls, ref.tf if problem.tf_free else None
 
 
+def rows_only(bench):
+    """``bench`` with its problem given only the row forms of f and L."""
+    return dataclasses.replace(bench, problem=dataclasses.replace(
+        bench.problem, jac_fx_rows=None, jac_fu_rows=None, grad_lx_rows=None,
+        grad_lu_rows=None))
+
+
 def main(argv) -> int:
     root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
     sys.path.insert(0, str(root / "src"))
@@ -86,6 +96,10 @@ def main(argv) -> int:
     runs += [("feasible", "-", wl.SolveInput(spec, *reference_start(
         driver, benchmarks[spec.problem], spec.n_nodes)), mode_solve(wl, "feasible"))
              for spec in coupled]
+    derived = {wl.DI: rows_only(benchmarks[wl.DI])}
+    runs += [("derived", "-", wl.SolveInput(spec, None, None),
+              lambda driver, _, item: wl.solve(driver, derived, item))
+             for spec, _, _ in wl.BASELINE if spec.problem == wl.DI]
     for name, seed, item, solve in runs:
         head = f"{name} {item.spec.label} seed={seed}"
         try:

@@ -470,7 +470,7 @@ def multiplier_assembly(problem, nodes, stack, gu, gains, mode="quasi_feasible",
         u_end = nodes.us[-1]
         w = np.asarray(problem.dynamics(x_end, u_end, tf) if defects is None
                        else defects.xdot_end, dtype=float)
-        cost_rate = (float(problem.running_cost(x_end, u_end, tf))
+        cost_rate = (float(np.asarray(problem.running_cost(x_end, u_end, tf)).reshape(()))
                      + float(problem.dphi_dt(x_end, tf))
                      + float(np.asarray(problem.grad_phix(x_end, tf), dtype=float) @ w))
         v = gx @ w + np.asarray(problem.dg_dt(x_end, tf), dtype=float)

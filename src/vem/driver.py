@@ -10,6 +10,7 @@ are algebraic functions of the snapshot and are never integrated.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -272,7 +273,7 @@ class EvolutionSystem:
         # A non-finite end (NaN or either infinity), which TimeGrid would
         # reject as a bad argument, is a solver failure of the run that
         # reached it, not a collapsed horizon.
-        if not np.isfinite(horizon):
+        if not math.isfinite(horizon):
             raise DegenerateGrid(f"horizon end {horizon} is not finite")
         if horizon - self.problem.t0 < TF_MIN_WIDTH:
             raise TfCollapse(f"horizon width {horizon - self.problem.t0:.3e} "

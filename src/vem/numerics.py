@@ -8,7 +8,10 @@ tridiagonal, with LAPACK's ``dgtsv`` on diagonals built from the node
 spacing at each call -- the routine ``scipy.linalg.solve_banded`` calls
 for a (1, 1) band, without its wrapper -- and forms the cubic Hermite
 coefficients from the slopes; it repeats the arithmetic of scipy's
-``CubicSpline``, which costs several times as much per build.
+``CubicSpline``, which costs several times as much per build.  A control
+trajectory's spline (``trajectory.ControlTrajectory.from_values``) takes
+its grid's widths, checked when the grid was made, in place of
+``spline_build``'s own diff and check of the nodes (``_not_a_knot``).
 Evaluation goes through a light Horner path.  A solve reads splines on
 interval stencils -- the same fractions of every interval -- by
 ``SplineCoeffs.at_fractions``, which runs Horner on each interval's
@@ -160,6 +163,13 @@ def spline_build(nodes, values) -> SplineCoeffs:
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.shape[0] != nodes.size:
         raise DegenerateGrid(f"values of shape {vals.shape}, not ({nodes.size}, channels)")
+    return _not_a_knot(nodes, dx, vals)
+
+
+def _not_a_knot(nodes, dx, vals) -> SplineCoeffs:
+    """``spline_build`` on checked input: float node values (N, channels)
+    on N >= 4 increasing float nodes with widths ``dx`` (N-1,), the
+    nodes' forward differences (``trajectory.TimeGrid`` keeps them)."""
     slope = (vals[1:] - vals[:-1]) / dx[:, None]
     return _hermite(nodes, dx, vals, slope, _node_slopes(dx, slope))
 

@@ -118,7 +118,8 @@ def terminal_bracket(problem: OcpProblem, nodes: NodeInputs,
     (``MultiplierTerms``).  L, phi_t and g_t are read once for both;
     ``bracket_value`` adds pi v."""
     x_end, u_end, tf = nodes.xs[-1], nodes.us[-1], nodes.grid.tf
-    base = (float(problem.running_cost(x_end, u_end, tf))
+    # A one-element running cost is a scalar, as in its row form.
+    base = (float(np.asarray(problem.running_cost(x_end, u_end, tf)).reshape(()))
             + float(problem.dphi_dt(x_end, tf)))
     gt = None if gx is None else np.asarray(problem.dg_dt(x_end, tf), dtype=float)
 
@@ -267,10 +268,10 @@ def multiplier_system(terms: MultiplierTerms, gu: np.ndarray, gains: GainSet,
 
 
 def solve_multipliers(M: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """pi = -M^{-1} r for a symmetric M; raises SingularSystem when the
-    constraint is unreachable through the available control authority."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    r = np.atleast_1d(np.asarray(r, dtype=float))
+    """pi = -M^{-1} r for a symmetric float M (q, q) and r (q,), the
+    arrays ``multiplier_system`` returns, which ``solve_dense`` takes as
+    they are; raises SingularSystem when the constraint is unreachable
+    through the available control authority."""
     scale = max(1.0, float(np.abs(M).max()))
     if np.abs(M - M.T).max() > 1e-10 * scale:
         raise ValueError("multiplier matrix must be symmetric")

@@ -102,14 +102,16 @@ What a solve keeps for the next is one store, ``KeptBlocks``, one per
 evolution system (a direct call of ``fused_sweep``, ``shooting_nodes`` or
 ``transition_stack`` keeps nothing past the call): ``get(slot, key,
 build)`` returns the value kept under a slot while every array of its key
-has the bits it was built from, and otherwise keeps ``build()``'s once it
-returns.  Its four slots, ``("tangents", s)``, ``("round", s)``,
-``"stack"`` and ``"evaluation"``, are described with their keys on the
-class.  A problem whose f_x/L_x rows never move on a fixed horizon (the
-double integrator) builds each once for a whole tau run.  A moving
-horizon changes the widths and rebuilds the rounds; the stack is rebuilt
-too unless its blocks come out bit for bit the same, as on a horizon
-where f_x = L_x = 0 and every tangent is the identity at any width.
+has the bits it was built from, and every id in it names the same object,
+and otherwise keeps ``build()``'s once it returns.  Its four slots,
+``("tangents", s)``, ``("round", s)``, ``"stack"`` and ``"evaluation"``,
+are described with their keys on the class.  A problem whose f_x/L_x
+rows never move on a fixed horizon (the double integrator) builds each
+once for a whole tau run.  A moving horizon changes the widths and
+rebuilds the tangents or rounds, and the stack trusts them: tangents
+just rebuilt rebuild the stack, with no comparison of their bits, so on
+a horizon where f_x = L_x = 0, whose tangents are the identity at any
+width, the stack is rebuilt with the same bits.
 
 ``propagate_states`` and ``_forward_stack`` (the forward transition
 matrices Phi(t_i, t0)) are oracles: adaptive Dormand-Prince sweeps, which
@@ -120,15 +122,18 @@ running matrix products (``checks.cumulative_products``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .errors import NonFiniteDynamics, NonFiniteField, StepFailure
-from .numerics import SplineCoeffs, condition_number, hermite_build, spline_build
+from .errors import DegenerateGrid, NonFiniteDynamics, NonFiniteField, StepFailure
+from .numerics import SplineCoeffs, _not_a_knot, condition_number, hermite_build
+# Not called here; perfbench/tracing.py patches this name in this module.
+from .numerics import spline_build  # noqa: F401
 from .ocp import OcpProblem
 from .rk45 import IntegratorOptions, rk45_integrate
 
@@ -143,8 +148,9 @@ NEWTON_TOL = 1e-13
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform normalized grid with its physical image on [t0, tf], the
-    physical interval widths (read-only, ``np.diff(times)`` bit for bit)
-    and the composite-trapezoid weights of the physical nodes."""
+    physical interval widths (read-only, ``np.diff(times)`` bit for bit,
+    all positive, else DegenerateGrid) and the composite-trapezoid weights
+    of the physical nodes."""
 
     n_nodes: int
     t0: float
@@ -159,7 +165,7 @@ class TimeGrid:
     def __post_init__(self):
         if self.n_nodes < 4:
             raise ValueError("need at least 4 grid nodes")
-        if not (np.isfinite(self.t0) and np.isfinite(self.tf)):
+        if not (math.isfinite(self.t0) and math.isfinite(self.tf)):
             raise ValueError("initial and terminal times must be finite")
         if self.tf <= self.t0:
             raise ValueError("tf must exceed t0")
@@ -168,6 +174,8 @@ class TimeGrid:
         times = self.t0 + sigma * width
         # np.diff's arithmetic.
         widths = times[1:] - times[:-1]
+        if not widths.min() > 0.0:
+            raise DegenerateGrid("grid nodes must be strictly increasing")
         widths.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "times", times)
@@ -206,7 +214,9 @@ class ControlTrajectory:
         if values.ndim != 2 or values.shape[0] != grid.n_nodes:
             raise ValueError(f"control values must have shape ({grid.n_nodes}, m), "
                              f"got {values.shape}")
-        return cls(grid, values, spline_build(grid.times, values))
+        # The grid's widths are checked and are spline_build's np.diff bit
+        # for bit.
+        return cls(grid, values, _not_a_knot(grid.times, grid.widths, values))
 
     def eval(self, t):
         return self.spline.eval(t)
@@ -347,8 +357,9 @@ def fused_sweep(problem: OcpProblem, ctrl: ControlTrajectory, grid: TimeGrid,
         return stack
 
     # A stack is kept only once it passed the guard, so a kept one needs
-    # none.
-    stack = kept.get("stack", (tangents, lam_end), guarded)
+    # none.  It holds the band, so the band's id names the tangents'
+    # build while it is kept.
+    stack = kept.get("stack", (id(band), lam_end), guarded)
     states = StateTrajectory(grid, nodes, _hermite_spline(problem, ctrl, grid, nodes))
     return states, stack
 
@@ -405,7 +416,7 @@ def _backward(g, c, lam_end, band) -> TransitionStack:
     blocks, n = len(g) + 1, len(lam_end)
     rhs = np.zeros((blocks, n, n + 1))
     rhs[:-1, :, n] = c
-    rhs[-1, :, :n] = np.eye(n)
+    rhs[-1, :, :n] = _identity((1, n, n))[0]
     rhs[-1, :, n] = lam_end
     z = _bidiagonal_solve(band, rhs.reshape(blocks * n, n + 1), "T")
     z = z.reshape(blocks, n, n + 1)
@@ -434,38 +445,54 @@ def _rk4_maps(problem: OcpProblem, starts, ts, us, h):
     on the stencil ``ts`` (K, 2s+1) and ``us``.
 
     Each stage is one ``dynamics_rows`` call over all K rows.  Returns the
-    end rows (K, n) and, per substep, its four stage inputs and its first
-    and last stage rates (k1, k4).  The half and sixth step factors are
-    formed once per call, and stages 2 and 3 read one slice of the
-    substep's midpoint column.
+    end rows (K, n), the stage inputs (4, s, K, n), by stage, substep and
+    row, and the first and last stage rates k1 and k4 (s, K, n) of every
+    substep, each written into its block as it is formed.  The half and
+    sixth step factors are formed once per call, and stages 2 and 3 read
+    one slice of the substep's midpoint column.
     """
-    x, stages, rates = starts, [], []
+    s = (ts.shape[1] - 1) // 2
+    xs = np.empty((4, s) + starts.shape)
+    k1s, k4s = np.empty((2, s) + starts.shape)
     half, sixth = 0.5 * h, h / 6.0
     rows = problem.dynamics_rows
 
     def rate(xs, u, t):
         return np.asarray(rows(xs, u, t), dtype=float)
 
-    for j in range(0, ts.shape[1] - 1, 2):
-        um, tm = us[:, j + 1], ts[:, j + 1]
-        k1 = rate(x, us[:, j], ts[:, j])
-        x2 = x + half * k1
+    x = starts
+    for j in range(s):
+        c, (x1, x2, x3, x4) = 2 * j, xs[:, j]
+        um, tm = us[:, c + 1], ts[:, c + 1]
+        x1[...] = x
+        k1 = k1s[j] = rate(x, us[:, c], ts[:, c])
+        np.add(x, half * k1, out=x2)
         k2 = rate(x2, um, tm)
-        x3 = x + half * k2
+        np.add(x, half * k2, out=x3)
         k3 = rate(x3, um, tm)
-        x4 = x + h * k3
-        k4 = rate(x4, us[:, j + 2], ts[:, j + 2])
-        stages.append((x, x2, x3, x4))
-        rates.append((k1, k4))
+        np.add(x, h * k3, out=x4)
+        k4 = k4s[j] = rate(x4, us[:, c + 2], ts[:, c + 2])
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-    return x, stages, rates
+    return x, xs, k1s, k4s
 
 
+@lru_cache(maxsize=8)
 def _stage_columns(s: int) -> np.ndarray:
     """The columns of the (2s+1)-point stencil of s RK4 substeps that their
     stage inputs read, ordered by stage, then substep: stage i of substep
-    j reads column 2j + (0, 1, 1, 2)[i]."""
-    return (2 * np.arange(s) + np.array([[0], [1], [1], [2]])).ravel()
+    j reads column 2j + (0, 1, 1, 2)[i]; read-only."""
+    cols = (2 * np.arange(s) + np.array([[0], [1], [1], [2]])).ravel()
+    cols.flags.writeable = False
+    return cols
+
+
+@lru_cache(maxsize=8)
+def _identity(shape) -> np.ndarray:
+    """K copies of the first c columns of the r-by-r identity, the block
+    shape ``shape`` (K, r, c); read-only."""
+    eye = np.broadcast_to(np.eye(shape[1], shape[2]), shape).copy()
+    eye.flags.writeable = False
+    return eye
 
 
 def _tangent_chain(b, h):
@@ -483,13 +510,13 @@ def _tangent_chain(b, h):
     shape = (k, rows, n)
     # Widths and identity spread to full block shape, so each elementwise
     # operation runs one loop over every entry.
-    h = np.broadcast_to(h[:, :, None], shape).copy()
-    eye = np.broadcast_to(np.eye(rows, n), shape).copy()
-    half, sixth = 0.5 * h, h / 6.0
+    hs, eye = np.empty(shape), _identity(shape)
+    hs[...] = h[:, :, None]
+    half, sixth = 0.5 * hs, hs / 6.0
     b1, b2, b3, b4 = b.reshape((4, -1) + shape)
     k2 = b2 @ (eye + half * b1)[..., :n, :]
     k3 = b3 @ (eye + half * k2)[..., :n, :]
-    k4 = b4 @ (eye + h * k3)[..., :n, :]
+    k4 = b4 @ (eye + hs * k3)[..., :n, :]
     steps = eye + sixth * (b1 + 2.0 * (k2 + k3) + k4)
     chain = steps[0]
     for step in steps[1:]:
@@ -499,12 +526,12 @@ def _tangent_chain(b, h):
     return chain
 
 
-def _tangents(problem: OcpProblem, rows, h, stages, kept: KeptBlocks):
+def _tangents(problem: OcpProblem, rows, h, xs, kept: KeptBlocks):
     """The tangents (K, n+1, n), read-only, of the s-substep RK4 maps
     with substep width ``h`` (K, 1), and the ``_band`` of their blocks
     G_i: each tangent is the interval's propagator of
     Z' = [[f_x, 0], [L_x^T, 0]] Z, the derivative of its map applied to
-    [x, running cost], from the per-substep stage inputs ``stages`` of
+    [x, running cost], from the stage inputs ``xs`` (4sK, n) of
     ``_rk4_maps`` and their controls and times ``rows`` (4sK, m) and
     (4sK,), ordered by stage, substep, interval.
 
@@ -515,8 +542,7 @@ def _tangents(problem: OcpProblem, rows, h, stages, kept: KeptBlocks):
     solve on a fixed horizon; a moving horizon rebuilds them at every
     evaluation.  Nothing is kept from one solve to the next.
     """
-    s = len(stages)
-    xs = np.concatenate([stage[i] for i in range(4) for stage in stages])
+    s = len(xs) // (4 * len(h))
     fx = np.asarray(problem.jac_fx_rows(xs, *rows), dtype=float)
     lx = np.asarray(problem.grad_lx_rows(xs, *rows), dtype=float)
 
@@ -551,17 +577,15 @@ def _shoot(problem: OcpProblem, ts, us, nodes, kept: KeptBlocks):
     """
     n, k = problem.n, len(ts)
     s = (ts.shape[1] - 1) // 2
-    dt = (ts[:, -1] - ts[:, 0])[:, None]
+    h = (ts[:, -1] - ts[:, 0])[:, None] / s
     # The maps take their substep widths spread over the n state columns,
     # so each RK4 product runs over contiguous rows; the tangents take
     # them as (K, 1).
-    maps = (ts, us, dt.repeat(n, axis=1) / s)
+    maps = (ts, us, h.repeat(n, axis=1))
     # The stage inputs' controls and times for the Jacobian rows, the same
     # every pass.
     cols = _stage_columns(s)
-    h = dt / s
-    rows = (us[:, cols].swapaxes(0, 1).reshape(cols.size * k, -1),
-            ts[:, cols].T.ravel())
+    rows = (us.swapaxes(0, 1)[cols].reshape(cols.size * k, -1), ts.T[cols].ravel())
     nodes = nodes.copy()
     # The correction's right-hand side [0, r_0, ..., r_N-2]: the residual
     # rows are written into it in place, below a zero first block.
@@ -569,52 +593,64 @@ def _shoot(problem: OcpProblem, ts, us, nodes, kept: KeptBlocks):
     residual = rhs[n:].reshape(k, n)
 
     def sweep():
-        """(ends, stage inputs, (k1, k4) rates, tangents, band) at the
-        current nodes."""
-        ends, stages, rates = _rk4_maps(problem, nodes[:-1], *maps)
-        return ends, stages, rates, *_tangents(problem, rows, h, stages, kept)
+        """(ends, stage inputs, k1, k4, tangents, band) at the current
+        nodes."""
+        ends, xs, k1, k4 = _rk4_maps(problem, nodes[:-1], *maps)
+        return ends, xs, k1, k4, *_tangents(problem, rows, h, xs.reshape(-1, n), kept)
 
-    def solved(ends, stages, rates, tangents, band):
-        k1, k4 = (np.stack(rate) for rate in zip(*rates))
+    def solved(ends, xs, k1, k4, tangents, band):
         at_tf = np.asarray(problem.dynamics_rows(
             ends[-1:], us[-1:, -1], ts[-1:, -1]), dtype=float)
         if not np.isfinite(at_tf).all():
             raise NonFiniteDynamics(f"field returned non-finite values near t={ts[-1, -1]}")
-        f_end = np.concatenate([k1[1:], np.concatenate([k1[0, 1:], at_tf])[None]])
-        x_end = np.stack([stage[0] for stage in stages[1:]] + [ends])
+        # Each substep's end state and end rate (s, K, n): the next
+        # substep's start and first stage, past the last substep the map's
+        # end and the next interval's first stage, at tf the rate there.
+        f_end, x_end = np.empty((2,) + k1.shape)
+        f_end[:-1], x_end[:-1] = k1[1:], xs[0, 1:]
+        f_end[-1, :-1], f_end[-1, -1], x_end[-1] = k1[0, 1:], at_tf[0], ends
         return nodes, tangents, band, maps[2] / 6.0 * (k4 - f_end), x_end
 
+    finite = None
     for _ in range(NEWTON_PASSES):
-        ends, stages, rates, tangents, band = sweep()
-        # max |F_i| is finite exactly when every end row is.
+        ends, *_, tangents, band = swept = sweep()
+        # max |F_i| is finite exactly when every end row is; read-only
+        # tangents kept from the last pass were found finite there.
         top = np.abs(ends).max()
-        if not (np.isfinite(top) and np.isfinite(tangents).all()):
+        if not (math.isfinite(top) and (tangents is finite or np.isfinite(tangents).all())):
             break
+        finite = tangents
         np.subtract(ends, nodes[1:], out=residual)
         if np.abs(residual).max() <= NEWTON_TOL * max(1.0, top):
-            return solved(ends, stages, rates, tangents, band)
+            return solved(*swept)
         nodes[1:] += _bidiagonal_solve(band, rhs, "N").reshape(-1, n)[1:]
     for i in range(k):
-        end, _, _ = _rk4_maps(problem, nodes[i:i + 1], *(a[i:i + 1] for a in maps))
+        end, *_ = _rk4_maps(problem, nodes[i:i + 1], *(a[i:i + 1] for a in maps))
         if not np.isfinite(end).all():
             raise NonFiniteDynamics(f"field returned non-finite values near "
                                     f"t={ts[i, 0]}")
         nodes[i + 1] = end[0]
-    ends, stages, rates, tangents, band = sweep()
+    *_, tangents, _ = swept = sweep()
     if not np.isfinite(tangents).all():
         raise NonFiniteDynamics("non-finite f_x or L_x rows on the shooting stencil")
-    return solved(ends, stages, rates, tangents, band)
+    return solved(*swept)
 
 
 def _hermite_spline(problem: OcpProblem, ctrl: ControlTrajectory,
                     grid: TimeGrid, nodes):
     """The cubic Hermite interpolant through the node states and the node
     rates f(x_i, u_i, t_i), as a callable that builds it at its first call;
-    the rates cost one ``dynamics_rows`` call."""
-    @cache
+    the rates cost one ``dynamics_rows`` call.  A list holds it: a
+    ``functools.cache`` wrapper costs ~3 us to make, at every evaluation,
+    and most evaluations never read the interpolant (a solve reads it at
+    its snapshots)."""
+    built = []
+
     def spline():
-        rates = problem.dynamics_rows(nodes, ctrl.values, grid.times)
-        return hermite_build(grid.times, nodes, rates)
+        if not built:
+            rates = problem.dynamics_rows(nodes, ctrl.values, grid.times)
+            built.append(hermite_build(grid.times, nodes, rates))
+        return built[0]
 
     return spline
 
@@ -647,17 +683,20 @@ class KeptBlocks:
       tangents, of the same shape and kernel, keyed on the grid widths
       and the stencil's rows; the first doubling test's E_1 and E_2 are
       rounds s = 1 (the even points of the five it samples) and s = 2;
-    - ``"stack"``: the ``TransitionStack``, keyed on the array its blocks
-      were read from and lam_end, kept by ``fused_sweep`` only once its
-      condition guard passed;
+    - ``"stack"``: the ``TransitionStack``, keyed on the id of the value
+      its producer slot built (the shooting tangents' band, or the last
+      stencil round's tangents, which the stack holds, so the id names
+      that build while the stack is kept) and on lam_end's bits: tangents
+      just rebuilt rebuild it, kept ones keep it while lam_end repeats;
+      ``fused_sweep`` keeps it only once its condition guard passed;
     - ``"evaluation"``: the driver's pipeline, keyed on the tau-vector.
 
-    Every kept value is a pure function of its key, so an evaluation gives
-    the same bits with these as with fresh ones.  A system runs one
-    method, so the ``"stack"`` slot sees one kind of source.  A slot keeps
-    its value until it is rebuilt, so what a system holds is bounded by
-    the finest shooting and stencil rounds any of its evaluations reached,
-    not by its last evaluation's.
+    Every kept value is a pure function of its key's bits and the objects
+    its ids name, so an evaluation gives the same bits with these as with
+    fresh ones.  A system runs one method, so the ``"stack"`` slot sees
+    one kind of source.  A slot keeps its value until it is rebuilt, so
+    what a system holds is bounded by the finest shooting and stencil
+    rounds any of its evaluations reached, not by its last evaluation's.
     """
 
     def __init__(self):
@@ -666,11 +705,12 @@ class KeptBlocks:
     def get(self, slot, key, build):
         """The value kept under ``slot`` while every array of ``key`` has
         the shape and bytes it was built from, so -0.0 differs from 0.0
-        and a NaN matches its own bits; else ``build()``'s, kept once it
-        returns, so a ``build`` that raises keeps nothing.  The slot keeps
-        a copy of the key's bits, not its arrays, so a caller may refill
-        an array it passed."""
-        bits = [(a.shape, a.tobytes()) for a in key]
+        and a NaN matches its own bits, and every int of ``key`` (an
+        object's id, which the kept value must hold) is the same; else
+        ``build()``'s, kept once it returns, so a ``build`` that raises
+        keeps nothing.  The slot keeps a copy of the key's bits, not its
+        arrays, so a caller may refill an array it passed."""
+        bits = [a if isinstance(a, int) else (a.shape, a.tobytes()) for a in key]
         kept = self._slots.get(slot)
         if kept is None or kept[0] != bits:
             kept = self._slots[slot] = (bits, build())
@@ -698,8 +738,11 @@ def transition_stack(problem: OcpProblem, states: StateTrajectory,
 
     tangents = interval_stencil(grid, _jacobian_field(problem, states, ctrl),
                                 estimate, opts)
+    # The stack's blocks are a view of the final round's tangents, which
+    # own their memory (s >= 2), so their id names that round's build while
+    # the stack is kept.
     g = tangents[:, :-1]
-    return kept.get("stack", (tangents, lam_end), lambda: _backward(
+    return kept.get("stack", (id(tangents), lam_end), lambda: _backward(
         g, tangents[:, -1], lam_end, _band(g)))
 
 

@@ -18,7 +18,7 @@ from vem import (
     get_benchmark,
     summarize,
 )
-from vem import driver, second, third, trajectory
+from vem import checks, driver, second, third, trajectory
 from vem.driver import EvolutionSystem, path_cost, propagate_with_cost, solve_benchmark
 from vem.errors import DegenerateGrid, SingularSystem, StepFailure, TfCollapse, VemError
 from vem.ocp import ROW_FORMS
@@ -585,22 +585,68 @@ class TestKeptBlocks:
         # The brachistochrone's f_x rows move with its controls; the
         # shrinking horizon's rows are zeros throughout, but its widths
         # move.  Either way each evaluation builds its own tangents: the
-        # shooting solve's, or E_1, E_2 and any later stencil round's.  The
-        # brachistochrone's blocks move with them, so each evaluation
-        # solves for its own stack; the shrinking horizon's tangents are
-        # the identity at any width, so its blocks and lam_end repeat bit
-        # for bit and one backward solve serves all.
+        # shooting solve's, or E_1, E_2 and any later stencil round's.  A
+        # stack is solved again from tangents just rebuilt, so each
+        # evaluation solves for its own stack, also on the shrinking
+        # horizon, whose identity tangents give the same bits at any width.
         bench = (shrinking_horizon() if make == "shrinking"
                  else request.getfixturevalue(make))
         counts = self._builds(monkeypatch)
         solve_benchmark(bench, method, tau_end=0.5, early_stop=False)
         evaluations = counts["fused_sweep"] + counts["transition_stack"]
         assert evaluations > 10
-        assert counts["_backward"] == (1 if make == "shrinking" else evaluations)
+        assert counts["_backward"] == evaluations
         if method == "third":
             assert counts["_tangent_chain"] == evaluations
         else:
             assert counts["_tangent_chain"] >= 2 * evaluations
+
+    @pytest.mark.parametrize("method", ["third", "second"])
+    @pytest.mark.parametrize("name", ["di", "brach", "shrinking", "penalty"])
+    def test_stack_follows_its_tangents(self, name, method, request,
+                                        monkeypatch):
+        # The "stack" slot trusts the slot that produced its tangents (the
+        # shooting solve's, or the coupled stencil's last round): tangents
+        # just rebuilt always rebuild the stack, and kept tangents keep it
+        # while lam_end repeats.  Over a short tau run the stack is built
+        # once per evaluation where the rows or widths move (brachistochrone,
+        # shrinking horizon) and once per solve on the double integrator;
+        # the penalty's lam_end moves under tangents that repeat.
+        bench = (shrinking_horizon() if name == "shrinking"
+                 else _store_case(name, request)[0])
+        producer = "tangents" if method == "third" else "round"
+        log, get = [], trajectory.KeptBlocks.get
+
+        def logging(self, slot, key, build):
+            built = []
+
+            def counted():
+                built.append(slot)
+                return build()
+
+            value = get(self, slot, key, counted)
+            log.append((slot if isinstance(slot, str) else slot[0], bool(built)))
+            return value
+
+        monkeypatch.setattr(trajectory.KeptBlocks, "get", logging)
+        solve_benchmark(bench, method, tau_end=0.5, early_stop=False)
+        stacks, fresh = [], None
+        for slot, built in log:
+            if slot == producer:
+                fresh = built
+            elif slot == "stack":
+                stacks.append((fresh, built))
+        evaluations = len(stacks)
+        assert evaluations > 10
+        assert all(built for fresh, built in stacks if fresh)
+        rebuilt = sum(built for _, built in stacks)
+        if name in ("brach", "shrinking"):
+            assert rebuilt == evaluations
+        elif name == "di":
+            assert rebuilt == 1
+        else:
+            assert not any(fresh for fresh, _ in stacks[1:])
+            assert 1 < rebuilt <= evaluations
 
 
 def _recording(bench, calls, names):
@@ -831,6 +877,29 @@ class TestTerminalBracket:
         assert 0 < counts[0] == counts[1]
         if name == "brachistochrone":
             assert counts[2:] == [counts[0]] * 3
+
+    @pytest.mark.parametrize("method", ["third", "second"])
+    def test_one_element_running_cost(self, brach, method):
+        # A running cost that returns a one-element array is a scalar at
+        # the end node too, as in its row form: the brachistochrone given
+        # L = zeros(1) (its L-gradient rows derived by central differences,
+        # exact zeros) solves to the bits of the shipped problem, whose L
+        # is the zero default, and the multiplier oracle reads it too.
+        given = dataclasses.replace(brach, problem=dataclasses.replace(
+            brach.problem, running_cost=lambda x, u, t: np.zeros(1)))
+        system = assemble_ivp(given.problem, method, 21, brach.gains)
+        ev = system.evaluate(system.y0)
+        mat, r, *_ = checks.multiplier_assembly(given.problem, ev.nodes, ev.stack,
+                                                ev.gu, brach.gains)
+        assert np.isfinite(mat).all() and np.isfinite(r).all()
+
+        def recorded(bench):
+            history, _ = solve_benchmark(bench, method, n_nodes=21, tau_end=2.0,
+                                         snapshot_taus=(0.0, 2.0),
+                                         early_stop=False)
+            return pickle.dumps(history.snapshots)
+
+        assert recorded(given) == recorded(brach)
 
 
 class TestConditioning:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import vem.third as third
-from vem import checks, trajectory
+from vem import checks, numerics, trajectory
 from vem import (
     ControlTrajectory,
     GainSet,
@@ -205,6 +205,20 @@ class TestMultiplierSystem:
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValueError):
             third.solve_multipliers(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+
+    @pytest.mark.parametrize("make", ["di", "brach"])
+    def test_solution_is_the_dense_route(self, make, request):
+        # solve_multipliers hands the float arrays of multiplier_system to
+        # solve_dense as they are: its pi is the negated dense solve of the
+        # arrays converted once more, bit for bit.
+        bench = request.getfixturevalue(make)
+        grid = TimeGrid(bench.default_nodes, 0.0, bench.problem.tf)
+        controls = smooth_controls(grid, 1, np.random.default_rng(4))
+        nodes, stack = _snapshot(bench.problem, grid, controls)
+        _, mat, r = _system(bench.problem, nodes, stack, bench.gains)
+        sol, _ = numerics.solve_dense(np.atleast_2d(np.asarray(mat, dtype=float)),
+                                      np.atleast_1d(np.asarray(r, dtype=float)))
+        assert third.solve_multipliers(mat, r).tobytes() == (-sol).tobytes()
 
     def test_matrix_symmetry_on_generic_trajectory(self, brach):
         rng = np.random.default_rng(9)

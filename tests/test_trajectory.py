@@ -21,7 +21,8 @@ from vem import (
     transition_stack,
 )
 from vem import checks, driver, second, trajectory
-from vem.errors import NonFiniteDynamics, NonFiniteField, SingularSystem, StepFailure
+from vem.errors import (DegenerateGrid, NonFiniteDynamics, NonFiniteField,
+                        SingularSystem, StepFailure)
 from vem.checks import _smooth_controls as smooth_controls, cumulative_products, full_tangents
 from vem.numerics import hermite_build, spline_build
 from vem.problems import brachistochrone, double_integrator, tracking_fixture
@@ -140,6 +141,26 @@ class TestControlTrajectory:
             assemble_ivp(di.problem, "third", 11, di.gains, init_controls=values)
         rows = ControlTrajectory.from_values(grid, values.reshape(11, 1))
         assert np.array_equal(rows.values, values.reshape(11, 1))
+
+    @pytest.mark.parametrize("t0,tf", [(0.0, 0.8165), (0.0, 1.0491), (0.3, 1.7),
+                                       (-2.5, 40.0), (1e3, 1e3 + 0.137)])
+    def test_spline_from_grid_widths_is_spline_build(self, t0, tf):
+        # The control spline takes the grid's checked widths in place of a
+        # second diff and check of its nodes: the coefficients of
+        # spline_build on the grid's times, bit for bit, on horizons a
+        # moving terminal time reaches.
+        grid = TimeGrid(101, t0, tf)
+        values = np.random.default_rng(5).standard_normal((101, 2))
+        got = ControlTrajectory.from_values(grid, values).spline
+        want = spline_build(grid.times, values)
+        assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_degenerate_widths_raise(self):
+        # A horizon too narrow for its start to resolve has equal node
+        # times; the grid refuses it, as spline_build would.
+        with pytest.raises(DegenerateGrid, match="strictly increasing"):
+            TimeGrid(101, 1e16, 1e16 + 64.0)
 
 
 class TestPropagation:
@@ -275,6 +296,17 @@ class TestFusedSweep:
         composed = np.linalg.solve(np.swapaxes(fwd, 1, 2), fwd[-1].T)
         assert np.max(np.abs(composed - stack.psi)) <= 1e-12
         assert np.isfinite(driver.path_cost(p, states, ctrl, grid))
+
+    def test_stack_holds_the_shooting_band(self):
+        # The "stack" slot keys on the id of the shooting tangents' band,
+        # the object the stack holds, so the id names that build while the
+        # stack is kept; a second solve that keeps the tangents hands back
+        # the same band.
+        p, grid, ctrl = TestTangentPass._case("brachistochrone")
+        kept = trajectory.KeptBlocks()
+        _, stack = trajectory.fused_sweep(p, ctrl, grid, kept=kept)
+        _, _, band = trajectory.shooting_nodes(p, ctrl, grid, kept=kept)
+        assert stack.band is band
 
     def test_no_stacked_inverse(self, brach, monkeypatch):
         # Psi and the adjoint are one backward product of the transposed
@@ -640,6 +672,47 @@ class TestShooting:
         oracle = propagate_states(p, ctrl, grid, checks.TIGHT).values
         assert np.abs(nodes - oracle).max() <= 2e-9
 
+    @pytest.mark.parametrize("s", [1, 2, 4])
+    def test_estimate_and_ends_are_the_stacked_formula(self, brach, s):
+        # The error estimate and end states written into preallocated
+        # blocks are those of the per-substep formula, bit for bit:
+        # e = (h/6)(k4 - f(x_end)) with k1 and k4 stacked per substep, the
+        # end rate the next substep's k1, the next interval's, or one
+        # one-row call at tf, and x_end the next substep's start or the
+        # map's end.  s >= 2 is a refining round, which no default
+        # tolerance reaches.
+        p = brach.problem
+        grid = TimeGrid(21, p.t0, 0.9)
+        ctrl = ControlTrajectory.from_values(
+            grid, smooth_controls(grid, p.m, np.random.default_rng(3)))
+        frac = np.arange(2 * s + 1) / (2 * s)
+        ts, us = trajectory.stencil_times(grid, frac), ctrl.spline.at_fractions(frac)
+        start = p.x0[None].repeat(grid.n_nodes, axis=0)
+        nodes, _, _, error, ends = trajectory._shoot(p, ts, us, start,
+                                                     trajectory.KeptBlocks())
+        # The stacked formula: classic RK4 across every interval from the
+        # solved nodes, one list entry per substep.
+        h = ((ts[:, -1] - ts[:, 0])[:, None] / s).repeat(p.n, axis=1)
+
+        def rate(xs, c):
+            return np.asarray(p.dynamics_rows(xs, us[:, c], ts[:, c]))
+
+        x, k1s, k4s, starts = nodes[:-1], [], [], []
+        for j in range(0, 2 * s, 2):
+            k1 = rate(x, j)
+            k2 = rate(x + 0.5 * h * k1, j + 1)
+            k3 = rate(x + 0.5 * h * k2, j + 1)
+            k4 = rate(x + h * k3, j + 2)
+            starts.append(x)
+            k1s.append(k1)
+            k4s.append(k4)
+            x = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        k1, k4 = np.stack(k1s), np.stack(k4s)
+        at_tf = np.asarray(p.dynamics_rows(x[-1:], us[-1:, -1], ts[-1:, -1]))
+        f_end = np.concatenate([k1[1:], np.concatenate([k1[0, 1:], at_tf])[None]])
+        assert error.tobytes() == (h / 6.0 * (k4 - f_end)).tobytes()
+        assert ends.tobytes() == np.stack(starts[1:] + [x]).tobytes()
+
     def test_benchmark_starts_take_one_substep(self, monkeypatch):
         # The first evaluation at every start the benchmark draws (seeds 1
         # and 7, each workload) and at the four acceptance starts accepts
@@ -749,10 +822,8 @@ class TestTangentKernel:
 
         xs, us, ts = map(staged, trajectory.path_rows(
             states, ctrl, trajectory.stencil_times(grid, frac), frac))
-        by_stage = xs.reshape(4, s, k, n)
-        stages = [tuple(by_stage[:, j]) for j in range(s)]
         h = (grid.widths / s)[:, None]
-        tangents, band = trajectory._tangents(p, (us, ts), h, stages,
+        tangents, band = trajectory._tangents(p, (us, ts), h, xs,
                                               trajectory.KeptBlocks())
         full, full_band = _full_kernel(p.jac_fx_rows(xs, us, ts),
                                        p.grad_lx_rows(xs, us, ts), h)
@@ -977,6 +1048,11 @@ class TestBatchedStack:
         tangents = trajectory._tangent_chain(b.reshape(-1, n + 1, n),
                                              (grid.widths / s)[:, None])
         [(g, c)] = handed
+        # The blocks are a view of the final round's tangents, which own
+        # their memory, so the stack holds them and the "stack" slot's id
+        # key names them while the stack is kept.
+        assert g.base is c.base and g.base.flags.owndata
+        assert g.base.shape == (grid.n_nodes - 1, n + 1, n)
         assert g.tobytes() == tangents[:, :n].tobytes()
         assert c.tobytes() == tangents[:, n].tobytes()
         ref = backward(g, c, np.asarray(p.grad_phix(states.values[-1], grid.tf),

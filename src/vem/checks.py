@@ -24,6 +24,8 @@ derivatives, and closed forms check the integrator.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import driver
@@ -529,7 +531,8 @@ def _mode_reduction_gap():
         p = bench.problem
         xdot = np.stack([p.dynamics(x, u, t)
                          for x, u, t in zip(states, controls, grid.times)])
-        snap = second_eq.SecondEqSnapshot.create(grid, states, controls, xdot=xdot)
+        snap = replace(second_eq.SecondEqSnapshot.create(grid, states, controls),
+                       xdot=xdot)
         stack = transition_stack(p, snap.state_traj, snap.ctrl_traj, TIGHT)
         nodes = third_eq.node_inputs(p, snap.state_traj, snap.ctrl_traj)
         gu, defects = third_eq.control_gradient(nodes, stack), snap.defects(p)

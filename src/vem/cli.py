@@ -44,10 +44,6 @@ def _listed(values):
     return None if values is None else list(values)
 
 
-def _default_outdir() -> str:
-    return os.environ.get(_ENV_OUTDIR, ".")
-
-
 def _gains_from_args(bench, args) -> GainSet:
     # np.diag places the value without multiplying the zeros off the
     # diagonal, so inf or nan reaches GainSet's finiteness check silently.
@@ -58,10 +54,6 @@ def _gains_from_args(bench, args) -> GainSet:
         kg = np.diag(np.full(bench.problem.q, args.gain_kg))
     ktf = base.k_tf if args.gain_ktf is None else args.gain_ktf
     return GainSet(K=k, K_g=kg, k_tf=ktf)
-
-
-def _opts_from_args(args) -> IntegratorOptions:
-    return IntegratorOptions(rtol=args.rtol, atol=args.atol)
 
 
 def _parse_snapshots(text):
@@ -126,7 +118,8 @@ def _run_options(args, bench) -> dict:
     """The ``solve_benchmark`` keywords of a run on ``bench``, every option
     checked in the order a solve checks them: a bad one raises ValueError
     here, before any solve starts."""
-    options = dict(gains=_gains_from_args(bench, args), opts=_opts_from_args(args),
+    options = dict(gains=_gains_from_args(bench, args),
+                   opts=IntegratorOptions(rtol=args.rtol, atol=args.atol),
                    snapshot_taus=_parse_snapshots(args.snapshots),
                    early_stop=not args.no_early_stop, mode=args.mode.replace("-", "_"),
                    n_nodes=bench.default_nodes if args.nodes is None else args.nodes,
@@ -287,7 +280,7 @@ def _add_run_options(parser):
     parser.add_argument("--atol", type=float, default=IntegratorOptions.atol)
     parser.add_argument("--no-early-stop", action="store_true",
                         help="always integrate to tau-end")
-    parser.add_argument("--outdir", type=_outdir, default=_default_outdir(),
+    parser.add_argument("--outdir", type=_outdir, default=os.environ.get(_ENV_OUTDIR, "."),
                         help=f"output directory (default: ${_ENV_OUTDIR} or '.')")
 
 

@@ -399,6 +399,9 @@ def assemble_ivp(problem: OcpProblem, method: str, n_nodes: int,
     _check_nodes(n_nodes)
     if problem.q > 0 and gains.K_g is None:
         raise ValueError("problems with terminal constraints need a K_g gain")
+    for name, gain, k in (("K", gains.K, problem.m), ("K_g", gains.K_g, problem.q)):
+        if k and gain.shape != (k, k):
+            raise ValueError(f"gain {name} must have shape {(k, k)}, got {gain.shape}")
     opts = opts or IntegratorOptions()
     system = EvolutionSystem(problem, gains, method, n_nodes, opts, None, mode)
 

@@ -8,10 +8,13 @@ tridiagonal, with LAPACK's ``dgtsv`` on diagonals built from the node
 spacing at each call -- the routine ``scipy.linalg.solve_banded`` calls
 for a (1, 1) band, without its wrapper -- and forms the cubic Hermite
 coefficients from the slopes; it repeats the arithmetic of scipy's
-``CubicSpline``, which costs several times as much per build.  A control
-trajectory's spline (``trajectory.ControlTrajectory.from_values``) takes
-its grid's widths, checked when the grid was made, in place of
-``spline_build``'s own diff and check of the nodes (``_not_a_knot``).
+``CubicSpline``, which costs several times as much per build.  Only
+``spline_build`` diffs and checks the nodes itself.  The solver's builds
+take their grid's widths, checked when the grid was made: a control
+trajectory's spline (``trajectory.ControlTrajectory.from_values``, by
+``_not_a_knot``) and the shooting solve's cubic Hermite interpolant through
+the node states and rates (``trajectory._hermite_spline``, by
+``_hermite``).
 Evaluation goes through a light Horner path.  A solve reads splines on
 interval stencils -- the same fractions of every interval -- by
 ``SplineCoeffs.at_fractions``, which runs Horner on each interval's
@@ -48,18 +51,6 @@ from scipy.linalg.lapack import dgesdd, dgesv, dgtsv
 from .errors import DegenerateGrid, SingularSystem
 
 COND_LIMIT = 1e12
-
-
-def _check_grid(nodes: np.ndarray):
-    """The nodes as a float array and their interval widths."""
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 1 or nodes.size < 4:
-        raise DegenerateGrid("need at least four grid nodes")
-    # np.diff's arithmetic.
-    dx = nodes[1:] - nodes[:-1]
-    if not (dx > 0.0).all():
-        raise DegenerateGrid("grid nodes must be strictly increasing")
-    return nodes, dx
 
 
 @dataclass
@@ -159,7 +150,13 @@ def spline_build(nodes, values) -> SplineCoeffs:
     ``values`` of shape (N, channels) on N >= 4 nodes.  Exact at nodes
     and exactly reproduces cubic polynomials.
     """
-    nodes, dx = _check_grid(nodes)
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 1 or nodes.size < 4:
+        raise DegenerateGrid("need at least four grid nodes")
+    # np.diff's arithmetic.
+    dx = nodes[1:] - nodes[:-1]
+    if not (dx > 0.0).all():
+        raise DegenerateGrid("grid nodes must be strictly increasing")
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.shape[0] != nodes.size:
         raise DegenerateGrid(f"values of shape {vals.shape}, not ({nodes.size}, channels)")
@@ -172,15 +169,6 @@ def _not_a_knot(nodes, dx, vals) -> SplineCoeffs:
     nodes' forward differences (``trajectory.TimeGrid`` keeps them)."""
     slope = (vals[1:] - vals[:-1]) / dx[:, None]
     return _hermite(nodes, dx, vals, slope, _node_slopes(dx, slope))
-
-
-def hermite_build(nodes, values, slopes) -> SplineCoeffs:
-    """Cubic Hermite interpolant through node values (N, channels) with
-    the given node slopes (N, channels)."""
-    nodes, dx = _check_grid(nodes)
-    vals = np.asarray(values, dtype=float)
-    slope = (vals[1:] - vals[:-1]) / dx[:, None]
-    return _hermite(nodes, dx, vals, slope, np.asarray(slopes, dtype=float))
 
 
 def _hermite(nodes, dx, vals, slope, s) -> SplineCoeffs:

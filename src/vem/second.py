@@ -64,7 +64,8 @@ class SecondEqSnapshot:
     (``trajectory.path_rows``).  One derivative read at the
     nodes gives ``du_dt``, the control spline's time derivative, and
     ``xdot``, the discrete time derivative of the states, which is how the
-    dynamics defect is discretized.  Tests may inject exact ``xdot``.
+    dynamics defect is discretized.  A check or test that wants exact
+    ``xdot`` replaces the field (``dataclasses.replace(snap, xdot=...)``).
     """
 
     grid: TimeGrid
@@ -76,8 +77,7 @@ class SecondEqSnapshot:
     ctrl_traj: ControlTrajectory
 
     @classmethod
-    def create(cls, grid: TimeGrid, states, controls,
-               xdot: Optional[np.ndarray] = None) -> "SecondEqSnapshot":
+    def create(cls, grid: TimeGrid, states, controls) -> "SecondEqSnapshot":
         states = np.asarray(states, dtype=float)
         controls = np.asarray(controls, dtype=float)
         n = states.shape[1]
@@ -86,10 +86,7 @@ class SecondEqSnapshot:
         joint = spline_build(grid.times, np.concatenate([states, controls], axis=1))
         state_spline = SplineCoeffs(joint.breakpoints, joint.coeffs[:, :, :n])
         slopes = joint.derivative(grid.times)
-        if xdot is None:
-            xdot = slopes[:, :n]
-        return cls(grid, states, controls, np.asarray(xdot, dtype=float),
-                   slopes[:, n:],
+        return cls(grid, states, controls, slopes[:, :n], slopes[:, n:],
                    StateTrajectory(grid, states, lambda: state_spline, joint=joint),
                    ControlTrajectory(grid, controls, SplineCoeffs(
                        joint.breakpoints, joint.coeffs[:, :, n:]), joint=joint))

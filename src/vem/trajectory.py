@@ -131,7 +131,7 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
 from .errors import DegenerateGrid, NonFiniteDynamics, NonFiniteField, StepFailure
-from .numerics import SplineCoeffs, _not_a_knot, condition_number, hermite_build
+from .numerics import SplineCoeffs, _hermite, _not_a_knot, condition_number
 # Not called here; perfbench/tracing.py patches this name in this module.
 from .numerics import spline_build  # noqa: F401
 from .ocp import OcpProblem
@@ -648,8 +648,10 @@ def _hermite_spline(problem: OcpProblem, ctrl: ControlTrajectory,
 
     def spline():
         if not built:
-            rates = problem.dynamics_rows(nodes, ctrl.values, grid.times)
-            built.append(hermite_build(grid.times, nodes, rates))
+            rates = np.asarray(problem.dynamics_rows(nodes, ctrl.values, grid.times),
+                               dtype=float)
+            secants = (nodes[1:] - nodes[:-1]) / grid.widths[:, None]
+            built.append(_hermite(grid.times, grid.widths, nodes, secants, rates))
         return built[0]
 
     return spline

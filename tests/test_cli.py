@@ -290,7 +290,13 @@ class TestRealFailures:
         _, report = solve_benchmark(growing_horizon(), "second",
                                     early_stop=False)
         assert report.tf > 30.0
-        monkeypatch.setattr(cli, "_opts_from_args", lambda args: budget)
+        # The CLI builds its options from --rtol and --atol; here with the
+        # budget's max_steps.
+        @dataclasses.dataclass
+        class Budget(IntegratorOptions):
+            max_steps: int = 40
+
+        monkeypatch.setattr(cli, "IntegratorOptions", Budget)
         assert self._cli(monkeypatch, tmp_path, growing_horizon,
                          "--method", "second") == 3
         assert ("integration failed: interval stencil needs more than "

@@ -82,6 +82,18 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_ivp(di.problem, "third", 41, GainSet(K=np.array([[0.1]])))
 
+    @pytest.mark.parametrize("name", ["di", "brach"])
+    @pytest.mark.parametrize("gain", ["K", "K_g"])
+    def test_gain_shapes_checked_at_assembly(self, name, gain, request):
+        # A gain of another size is refused by name before the assembly
+        # probe, where its product with the gradient or constraint failed.
+        bench = request.getfixturevalue(name)
+        k = bench.problem.m if gain == "K" else bench.problem.q
+        gains = dataclasses.replace(bench.gains, **{gain: 0.1 * np.eye(k + 1)})
+        with pytest.raises(ValueError, match=rf"^gain {gain} must have shape "
+                                             rf"\({k}, {k}\), got \({k + 1}, {k + 1}\)$"):
+            solve_benchmark(bench, "third", tau_end=1.0, gains=gains)
+
     def test_bad_initial_controls_shape(self, di):
         with pytest.raises(ValueError):
             assemble_ivp(di.problem, "third", 41, di.gains,

@@ -10,7 +10,7 @@ from scipy.interpolate import CubicSpline
 
 from vem.checks import cumulative_from_right, cumulative_products
 from vem.errors import DegenerateGrid, SingularSystem
-from vem.numerics import condition_number, hermite_build, solve_dense, spline_build
+from vem.numerics import _hermite, condition_number, solve_dense, spline_build
 
 
 def test_import_leaves_out_scipy_integrate_and_optimize():
@@ -24,6 +24,14 @@ def test_import_leaves_out_scipy_integrate_and_optimize():
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _hermite_on_widths(nodes, vals, slopes):
+    """The cubic Hermite interpolant through node values with the given
+    node slopes, built as the shooting solve builds it: secants on the
+    interval widths."""
+    dx = np.diff(nodes)
+    return _hermite(nodes, dx, vals, (vals[1:] - vals[:-1]) / dx[:, None], slopes)
 
 
 class TestCumulativeFromRight:
@@ -154,7 +162,7 @@ class TestSpline:
             nodes = rng.uniform(-1.0, 1.0) + np.cumsum(rng.uniform(0.01, 1.0, n_nodes))
             vals = rng.standard_normal((n_nodes, channels))
             s_cubic = spline_build(nodes, vals)
-            spline = s_cubic if kind == "cubic" else hermite_build(
+            spline = s_cubic if kind == "cubic" else _hermite_on_widths(
                 nodes, vals, rng.standard_normal((n_nodes, channels)))
             for s in (1, 2, 4, 8):
                 frac = np.arange(2 * s + 1) / (2 * s)
@@ -174,19 +182,16 @@ class TestSpline:
         with pytest.raises(DegenerateGrid):
             spline_build([0.0, 1.0, 0.5, 2.0], np.zeros((4, 1)))
 
-    @pytest.mark.parametrize("build,n_nodes,shape", [
-        (spline_build, 5, (5,)), (spline_build, 2, (2, 1)),
-        (spline_build, 3, (3, 1)), (spline_build, 5, (4, 1)),
-        (hermite_build, 2, (2, 1)), (hermite_build, 3, (3, 1))],
-        ids=["1-d-values", "2-nodes", "3-nodes", "length-mismatch",
-             "hermite-2-nodes", "hermite-3-nodes"])
-    def test_input_contract(self, build, n_nodes, shape):
+    @pytest.mark.parametrize("n_nodes,shape", [(5, (5,)), (2, (2, 1)), (3, (3, 1)),
+                                               (5, (4, 1))],
+                             ids=["1-d-values", "2-nodes", "3-nodes", "length-mismatch"])
+    def test_input_contract(self, n_nodes, shape):
         # A spline runs on a grid's N >= 4 nodes with values of shape
         # (N, channels); any other input is a degenerate grid, with no
-        # line or parabola below four nodes.
-        args = (np.ones(shape),) * (1 if build is spline_build else 2)
+        # line or parabola below four nodes.  (The Hermite interpolant is
+        # built only on a TimeGrid, which refuses fewer than four nodes.)
         with pytest.raises(DegenerateGrid):
-            build(np.linspace(0.0, 1.0, n_nodes), *args)
+            spline_build(np.linspace(0.0, 1.0, n_nodes), np.ones(shape))
 
     def test_four_nodes_carry_a_cubic(self):
         # The floor of the contract: four (N, 1) node values give the

@@ -6,6 +6,8 @@ turn matches the control-only formulation bit-for-bit on the shared
 kernels.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -39,13 +41,11 @@ GL_W = np.array([0.236926885056189, 0.478628670499366, 0.568888888888889,
 def _feasible_snapshot(problem, grid, controls, opts=None, exact_xdot=False):
     ctrl = ControlTrajectory.from_values(grid, controls)
     states = propagate_states(problem, ctrl, grid, opts)
-    xdot = None
+    snap = second.SecondEqSnapshot.create(grid, states.values, ctrl.values)
     if exact_xdot:
-        xdot = np.stack([problem.dynamics(states.values[i], ctrl.values[i],
-                                          grid.times[i])
-                         for i in range(grid.n_nodes)])
-    snap = second.SecondEqSnapshot.create(grid, states.values, ctrl.values,
-                                          xdot=xdot)
+        snap = replace(snap, xdot=np.stack([
+            problem.dynamics(states.values[i], ctrl.values[i], grid.times[i])
+            for i in range(grid.n_nodes)]))
     stack = transition_stack(problem, snap.state_traj, snap.ctrl_traj, opts)
     return snap, stack
 
@@ -399,7 +399,8 @@ class TestMultipliers:
         xdot = np.stack([di.problem.dynamics(states[i], controls[i],
                                              grid.times[i])
                          for i in range(41)])
-        snap = second.SecondEqSnapshot.create(grid, states, controls, xdot=xdot)
+        snap = replace(second.SecondEqSnapshot.create(grid, states, controls),
+                       xdot=xdot)
         stack = transition_stack(di.problem, snap.state_traj, snap.ctrl_traj,
                                  TIGHT)
         nodes, gu = _record(di.problem, snap, stack)

@@ -24,12 +24,20 @@ from vem import checks, driver, second, trajectory
 from vem.errors import (DegenerateGrid, NonFiniteDynamics, NonFiniteField,
                         SingularSystem, StepFailure)
 from vem.checks import _smooth_controls as smooth_controls, cumulative_products, full_tangents
-from vem.numerics import hermite_build, spline_build
+from vem.numerics import _hermite, spline_build
 from vem.problems import brachistochrone, double_integrator, tracking_fixture
 from vem.rk45 import rk45_integrate
 
 TIGHT = IntegratorOptions(rtol=1e-10, atol=1e-12)
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _hermite_interpolant(grid, nodes, rates):
+    """The shooting solve's Hermite interpolant through the node values
+    ``nodes`` with the node rates ``rates``."""
+    problem = SimpleNamespace(dynamics_rows=lambda xs, us, ts: rates)
+    return trajectory._hermite_spline(problem, SimpleNamespace(values=None), grid,
+                                      nodes)()
 
 
 def _state_cost_problem(a_mat):
@@ -145,16 +153,33 @@ class TestControlTrajectory:
     @pytest.mark.parametrize("t0,tf", [(0.0, 0.8165), (0.0, 1.0491), (0.3, 1.7),
                                        (-2.5, 40.0), (1e3, 1e3 + 0.137)])
     def test_spline_from_grid_widths_is_spline_build(self, t0, tf):
-        # The control spline takes the grid's checked widths in place of a
-        # second diff and check of its nodes: the coefficients of
-        # spline_build on the grid's times, bit for bit, on horizons a
-        # moving terminal time reaches.
+        # The control spline and the shooting solve's Hermite interpolant
+        # take the grid's checked widths in place of a second diff and
+        # check of its nodes: the coefficients of the builds on the
+        # differenced grid times, bit for bit, on horizons a moving
+        # terminal time reaches.
         grid = TimeGrid(101, t0, tf)
-        values = np.random.default_rng(5).standard_normal((101, 2))
+        rng = np.random.default_rng(5)
+        values, rates = rng.standard_normal((2, 101, 2))
         got = ControlTrajectory.from_values(grid, values).spline
         want = spline_build(grid.times, values)
         assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        got = _hermite_interpolant(grid, values, rates)
+        dx = np.diff(grid.times)
+        want = _hermite(grid.times, dx, values, np.diff(values, axis=0) / dx[:, None],
+                        rates)
+        assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        # It passes through the node values with the node rates: exactly at
+        # each interval's left node, to rounding at the last node.
+        assert np.array_equal(got.eval(grid.times[:-1]), values[:-1])
+        assert np.array_equal(got.derivative(grid.times[:-1]), rates[:-1])
+        scale = np.abs(values).max() + np.abs(rates).max() * (tf - t0)
+        end = grid.times[-1:]
+        assert np.max(np.abs(got.eval(end) - values[-1])) <= 1e-14 * scale
+        assert np.max(np.abs(got.derivative(end) - rates[-1])) <= (
+            1e-14 * scale / grid.widths.min())
 
     def test_degenerate_widths_raise(self):
         # A horizon too narrow for its start to resolve has equal node
@@ -845,7 +870,7 @@ class TestIntervalStencil:
         grid = TimeGrid(17, 0.3, 1.4)
         vals = rng.standard_normal((17, 2))
         spline = (spline_build(grid.times, vals) if kind == "cubic" else
-                  hermite_build(grid.times, vals, rng.standard_normal((17, 2))))
+                  _hermite_interpolant(grid, vals, rng.standard_normal((17, 2))))
         states = trajectory.StateTrajectory(grid, vals, lambda: spline)
         ctrl = ControlTrajectory(grid, vals, spline)
         rounds = []
